@@ -3,23 +3,24 @@
    wall-clock, with the matrices pinned bitwise to the exhaustive
    sweep?
 
-   Each row runs the same campaign twice — adaptive (the default) and
-   exhaustive — and reports the refinement counters (points, certified
-   anchors, solves, skips, bisections, degraded rows, plus the
-   adaptive.solves_skipped counter of a metrics-enabled rerun), both
-   wall-clocks, and the solve reduction factor points/solved. Two
-   gates hold the process to the repo's invariants instead of merely
-   printing numbers:
+   Each row runs the same campaign twice through the one campaign
+   driver — at the default stride 8 (adaptive) and at stride 1
+   (exhaustive, Pipeline.run ~adaptive:false) — and reports the
+   refinement counters (points, solves, skips, bisections, degraded
+   rows, plus the adaptive.solves_skipped counter of a metrics-enabled
+   rerun), both wall-clocks, and the solve reduction factor
+   points/solved. Two gates hold the process to the repo's invariants
+   instead of merely printing numbers:
 
    - every row's detect/omega matrices must be bitwise identical
-     between the two runs (the refinement is an optimization, never an
-     approximation);
+     between the two strides (the refinement is an optimization, never
+     an approximation);
    - the full leapfrog5 row at 30 points per decade must keep its
      solve reduction at 3x or better — the headline number; a
      calibration regression (guard, stride, measurement floor) shows
      up here before it shows up as wasted campaign time.
 
-   The bigladder row is fault-sampled like the certify bench's: the
+   The bigladder row is fault-sampled: the
    point of that row is the dead-view behaviour (reconfigurations that
    disconnect the probed output cost zero solves under the measurement
    floor), not raw size. *)
@@ -34,7 +35,6 @@ type row = {
   n_faults : int;
   rows_scored : int;
   points : int;
-  certified : int;
   solved : int;
   skipped : int;
   bisections : int;
@@ -123,7 +123,6 @@ let row ~ppd ?faults ?min_reduction (b : Circuits.Benchmark.t) =
     n_faults = List.length on.P.faults;
     rows_scored = s.A.rows;
     points = s.A.points;
-    certified = s.A.certified;
     solved = s.A.solved;
     skipped = s.A.skipped;
     bisections = s.A.bisections;
@@ -167,7 +166,6 @@ let to_json rows =
                    ("n_faults", Report.Json.int r.n_faults);
                    ("rows", Report.Json.int r.rows_scored);
                    ("points", Report.Json.int r.points);
-                   ("certified", Report.Json.int r.certified);
                    ("solved", Report.Json.int r.solved);
                    ("skipped", Report.Json.int r.skipped);
                    ("bisections", Report.Json.int r.bisections);

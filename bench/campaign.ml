@@ -43,9 +43,16 @@ let time_s f =
    actual cost than the mean. *)
 let time_best2_s f = Float.min (time_s f) (time_s f)
 
-(* The counters worth a column: solver-mix and scheduler activity. *)
+(* The counters worth a column: solver mix, scheduler activity, and
+   the campaign's own economies (adaptive refinement and equivalence
+   pruning). *)
 let counter_columns =
   [
+    "adaptive.solves_skipped";
+    "adaptive.bisections";
+    "adaptive.budget_exhausted";
+    "campaign.equivalence_groups";
+    "campaign.pruned_configs";
     "fastsim.smw_solves";
     "fastsim.full_solves";
     "fastsim.refine_steps";

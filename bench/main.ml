@@ -7,7 +7,7 @@
 
      dune exec bench/main.exe -- diag       - diagnosis/cover structural numbers only
      dune exec bench/main.exe -- sparse     - dense/sparse crossover + bigladder campaign
-     dune exec bench/main.exe -- certify    - interval-certified campaign fractions/timings
+     dune exec bench/main.exe -- certify    - interval-certification proved fractions + pass timing
      dune exec bench/main.exe -- adaptive   - coverage-directed refinement solve counts
 
    Add --smoke to shrink the campaign workload (CI). Any run that

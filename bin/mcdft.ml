@@ -19,7 +19,6 @@ open Cmdliner
 
 module O = Mcdft_core.Optimizer
 module P = Mcdft_core.Pipeline
-module PF = Mcdft_core.Prefilter
 module IntSet = Cover.Clause.IntSet
 
 (* ---- exit codes (documented in the man page footer) ----
@@ -41,9 +40,13 @@ let die code fmt =
 
 (* ---- loading circuits ---- *)
 
+(* The geometric mean of the pole magnitudes; 1 kHz when there are no
+   usable poles — a singular symbolic system, or a determinant whose
+   coefficients overflow the float range (large ladders), which
+   Poly.roots refuses. *)
 let estimate_center_hz ~source ~output netlist =
   match Mna.Symbolic.poles ~source ~output netlist with
-  | exception Mna.Symbolic.Singular_circuit _ -> 1000.0
+  | exception (Mna.Symbolic.Singular_circuit _ | Invalid_argument _) -> 1000.0
   | [||] -> 1000.0
   | poles ->
       let magnitudes =
@@ -232,15 +235,6 @@ let no_prune_flag =
                  to value-identical MNA systems; by default one representative \
                  per equivalence class is solved and its verdict rows are \
                  replicated.")
-
-let no_certify_flag =
-  Arg.(value & flag
-       & info [ "no-certify" ]
-           ~doc:"Skip the interval-certification pre-pass: simulate every \
-                 (configuration, fault, frequency) point numerically, even \
-                 where the static analysis proves its verdict. Only \
-                 meaningful under a fixed:EPS criterion — the matrices are \
-                 identical either way.")
 
 let adaptive_opt =
   Arg.(value
@@ -804,10 +798,7 @@ let certify_cmd =
                  /. float_of_int s.Analysis.Certify.points))
             s.Analysis.Certify.cells_proved s.Analysis.Certify.cells
             s.Analysis.Certify.skipped_views
-            (if s.Analysis.Certify.skipped_views = 1 then "" else "s");
-          Printf.printf
-            "a campaign under this criterion skips %d numeric solves\n"
-            s.Analysis.Certify.points_proved
+            (if s.Analysis.Certify.skipped_views = 1 then "" else "s")
         end)
   in
   let criterion_fixed_opt =
@@ -886,32 +877,18 @@ let analyze_cmd =
           $ fault_kind_opt $ fault_element_opt $ backend_opt)
 
 let matrix_cmd =
-  let run name source output criterion ppd fault_kind jobs gc_default prefilter backend
-      no_prune no_certify adaptive solve_budget metrics trace =
+  let run name source output criterion ppd fault_kind jobs gc_default backend no_prune
+      adaptive solve_budget metrics trace =
     let solve_budget = check_solve_budget solve_budget in
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
-        let certify = not no_certify in
-        let m, plan, pruning, certification, refinement =
-          if prefilter then
-            let plan, m =
-              PF.run ~criterion ~points_per_decade:ppd ~faults ~certify ~adaptive
-                ?solve_budget b
-            in
-            (m, Some plan, None, None, None)
-          else
-            let t =
-              P.run ~criterion ~points_per_decade:ppd ~faults ~jobs ~backend
-                ~prune:(not no_prune) ~certify ~adaptive ?solve_budget b
-            in
-            ( t.P.matrix,
-              None,
-              Some (t.P.equivalence_groups, t.P.pruned_configs),
-              t.P.certify,
-              t.P.adaptive )
+        let t =
+          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs ~backend
+            ~prune:(not no_prune) ~adaptive ?solve_budget b
         in
+        let m = t.P.matrix in
         let fault_ids = Array.map (fun f -> f.Fault.id) m.Testability.Matrix.faults in
         let header = "" :: Array.to_list fault_ids in
         Printf.printf "fault detectability matrix (%s):\n" (criterion_str criterion);
@@ -936,49 +913,25 @@ let matrix_cmd =
                    m.Testability.Matrix.omega)));
         Printf.printf "\nmax fault coverage: %.1f%%\n"
           (100.0 *. Testability.Matrix.max_fault_coverage m);
-        Option.iter
-          (fun (groups, pruned) ->
-            Printf.printf
-              "campaign pruning: %d equivalence group%s, %d configuration row%s \
-               replicated\n"
-              groups
-              (if groups = 1 then "" else "s")
-              pruned
-              (if pruned = 1 then "" else "s"))
-          pruning;
-        Option.iter
-          (fun (plan : PF.t) ->
-            Printf.printf
-              "structural prefilter: skipped %d of %d (configuration, fault) sweeps\n"
-              plan.PF.pruned_pairs plan.PF.total_pairs)
-          plan;
-        Option.iter
-          (fun (c : Analysis.Certify.t) ->
-            let s = c.Analysis.Certify.stats in
-            Printf.printf
-              "interval certification: proved %d of %d point verdicts statically \
-               (%d of %d cells whole)\n"
-              s.Analysis.Certify.points_proved s.Analysis.Certify.points
-              s.Analysis.Certify.cells_proved s.Analysis.Certify.cells)
-          certification;
-        adaptive_summary refinement)
-  in
-  let prefilter_flag =
-    Arg.(value & flag
-         & info [ "prefilter" ]
-             ~doc:"Skip (configuration, fault) sweeps the structural detectability \
-                   pre-pass proves undetectable; the matrix is unchanged.")
+        let groups = t.P.equivalence_groups and pruned = t.P.pruned_configs in
+        Printf.printf
+          "campaign pruning: %d equivalence group%s, %d configuration row%s \
+           replicated\n"
+          groups
+          (if groups = 1 then "" else "s")
+          pruned
+          (if pruned = 1 then "" else "s");
+        adaptive_summary t.P.adaptive)
   in
   Cmd.v
     (Cmd.info "matrix" ~doc:"Fault detectability matrix over all test configurations")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ prefilter_flag $ backend_opt
-          $ no_prune_flag $ no_certify_flag $ adaptive_opt $ solve_budget_opt
-          $ metrics_opt $ trace_opt)
+          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ backend_opt $ no_prune_flag
+          $ adaptive_opt $ solve_budget_opt $ metrics_opt $ trace_opt)
 
 let optimize_cmd =
   let run name source output criterion ppd fault_kind jobs gc_default n_detect backend
-      no_prune no_certify adaptive solve_budget json metrics trace =
+      no_prune adaptive solve_budget json metrics trace =
     let solve_budget = check_solve_budget solve_budget in
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
@@ -986,8 +939,7 @@ let optimize_cmd =
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
         let t =
           P.run ~criterion ~points_per_decade:ppd ~faults ~jobs ~backend
-            ~prune:(not no_prune) ~certify:(not no_certify) ~adaptive
-            ?solve_budget b
+            ~prune:(not no_prune) ~adaptive ?solve_budget b
         in
         let r = P.optimize ~n_detect t in
         if json then
@@ -1095,12 +1047,12 @@ let optimize_cmd =
        ~doc:"Ordered-requirements optimization of the multi-configuration DFT (Sec. 4)")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
           $ fault_kind_opt $ jobs_opt $ gc_default_opt $ n_detect_opt $ backend_opt
-          $ no_prune_flag $ no_certify_flag $ adaptive_opt $ solve_budget_opt
-          $ json_flag $ metrics_opt $ trace_opt)
+          $ no_prune_flag $ adaptive_opt $ solve_budget_opt $ json_flag $ metrics_opt
+          $ trace_opt)
 
 let testplan_cmd =
   let run name source output criterion ppd fault_kind jobs gc_default backend no_prune
-      no_certify adaptive solve_budget metrics trace =
+      adaptive solve_budget metrics trace =
     let solve_budget = check_solve_budget solve_budget in
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
@@ -1108,8 +1060,7 @@ let testplan_cmd =
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
         let t =
           P.run ~criterion ~points_per_decade:ppd ~faults ~jobs ~backend
-            ~prune:(not no_prune) ~certify:(not no_certify) ~adaptive
-            ?solve_budget b
+            ~prune:(not no_prune) ~adaptive ?solve_budget b
         in
         let plan = Mcdft_core.Test_plan.build t in
         print_string (Mcdft_core.Test_plan.to_string plan))
@@ -1119,8 +1070,7 @@ let testplan_cmd =
        ~doc:"Minimal (configuration, frequency) measurement schedule")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
           $ fault_kind_opt $ jobs_opt $ gc_default_opt $ backend_opt $ no_prune_flag
-          $ no_certify_flag $ adaptive_opt $ solve_budget_opt $ metrics_opt
-          $ trace_opt)
+          $ adaptive_opt $ solve_budget_opt $ metrics_opt $ trace_opt)
 
 let sweep_cmd =
   let run name source output ppd csv =
@@ -1205,15 +1155,14 @@ let diagnose_cmd =
          (List.filteri (fun i _ -> i < show) v.T.ranking
          |> List.map (fun (f, d) -> Printf.sprintf "%s=%.3g" f.Fault.id d)))
   in
-  let run name source output criterion ppd fault_kind jobs gc_default backend no_certify
-      tolerance configs simulate simulate_all observe metrics trace =
+  let run name source output criterion ppd fault_kind jobs gc_default backend tolerance
+      configs simulate simulate_all observe metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
         let t =
-          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs ~backend
-            ~certify:(not no_certify) b
+          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs ~backend b
         in
         let traj = T.of_pipeline ?tolerance ?configs t in
         Printf.printf "circuit: %s   measurements: %d points (%d faults)\n"
@@ -1339,20 +1288,16 @@ let diagnose_cmd =
          "Fault location by nearest response trajectory: ambiguity sets, \
           self-tests, and classification of observed responses")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ backend_opt $ no_certify_flag
-          $ tolerance_opt $ configs_opt $ simulate_opt $ simulate_all_flag $ observe_opt
-          $ metrics_opt $ trace_opt)
+          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ backend_opt $ tolerance_opt
+          $ configs_opt $ simulate_opt $ simulate_all_flag $ observe_opt $ metrics_opt
+          $ trace_opt)
 
 let blocks_cmd =
-  let run name source output criterion ppd jobs gc_default backend no_certify metrics
-      trace =
+  let run name source output criterion ppd jobs gc_default backend metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
-        let t =
-          P.run ~criterion ~points_per_decade:ppd ~jobs ~backend
-            ~certify:(not no_certify) b
-        in
+        let t = P.run ~criterion ~points_per_decade:ppd ~jobs ~backend b in
         let rows =
           List.map
             (fun (r : Mcdft_core.Block_access.report) ->
@@ -1377,8 +1322,7 @@ let blocks_cmd =
     (Cmd.info "blocks"
        ~doc:"Embedded-block access: per-opamp coverage via the transparency mechanism")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ jobs_opt $ gc_default_opt $ backend_opt $ no_certify_flag $ metrics_opt
-          $ trace_opt)
+          $ jobs_opt $ gc_default_opt $ backend_opt $ metrics_opt $ trace_opt)
 
 let fuzz_cmd =
   (* "45", "45s" or "3m" *)

@@ -4,11 +4,10 @@
     over-approximation of the elements able to affect the output there.
     This module lifts that per-configuration pass into a
     (configuration x fault) boolean matrix — [true] meaning "fault f is
-    {e structurally undetectable} in configuration C_i, skip its
-    simulation" — which {!Mcdft_core.Prefilter} consumes to prune the
-    fault-simulation campaign. Soundness: a pruned pair is guaranteed a
-    "not detected" matrix entry, so pruning never changes the campaign
-    result (pinned by tests). *)
+    {e structurally undetectable} in configuration C_i, its simulation
+    could be skipped" — which lint reports as P001. Soundness: a
+    pruned pair is guaranteed a "not detected" matrix entry, so
+    pruning would never change the campaign result (pinned by tests). *)
 
 type t = {
   configs : Multiconfig.Configuration.t array;

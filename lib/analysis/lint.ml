@@ -298,7 +298,8 @@ let configuration_findings ?src ?follower_model ?(max_opamps = 10) dft =
        whose undetectability is *certified* at every probed frequency
        in every test configuration (F002) is a stronger fact than the
        structural F001, and the provable fraction (P002) summarizes
-       what a campaign at this criterion gets for free. The linter has
+       how much of a campaign at this criterion the intervals prove
+       without solving. The linter has
        no campaign grid, so the probed frequencies span two decades
        either side of the geometric pole centre; the pass is gated by
        the certification work cap so lint stays fast when the

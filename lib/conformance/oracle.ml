@@ -249,8 +249,9 @@ let sparse_vs_dense (s : Gen.subject) =
 (* --- jobs-invariance: parallel campaign = sequential campaign ----- *)
 
 (* Every subject gets a multi-view campaign: opamp circuits through
-   the real multi-configuration pipeline, passive ones through
-   per-node probe views (any view family works for Matrix.build). *)
+   the real multi-configuration pipeline (adaptive, the default),
+   passive ones through per-node probe views swept exhaustively (any
+   view family works for the campaign driver). *)
 let campaign ~jobs (s : Gen.subject) =
   if Netlist.opamps s.netlist <> [] then
     let b =
@@ -275,7 +276,9 @@ let campaign ~jobs (s : Gen.subject) =
           })
         (Netlist.internal_nodes s.netlist)
     in
-    Matrix.build ~jobs grid views (Fault.both_deviations s.netlist)
+    fst
+      (Mcdft_core.Adaptive.build ~stride:1 ~jobs grid views
+         (Fault.both_deviations s.netlist))
 
 let counters_excluding_parallel snap =
   List.filter
@@ -369,15 +372,16 @@ let structural_vs_lu (s : Gen.subject) =
              "structurally full-rank yet LU singular at omega = %g rad/s" omega)
     | None -> Pass
 
-(* --- block-backsolve: blocked campaign scoring vs per-fault path -- *)
+(* --- block-backsolve: campaign scoring vs per-fault path ---------- *)
 
-(* Matrix.build scores through immutable plans, planar response rows
-   and multi-RHS block back-solves on a warmed engine; analyze_prepared
-   on an unwarmed view boxes one response per fault and fills its
-   cache through single-column solves. The block kernel promises
-   bitwise equality with scalar solves, so the two paths must agree
-   exactly — every detect verdict and every omega measure, not just
-   within tolerance. *)
+(* The campaign driver at stride 1 scores every point through
+   immutable plans and planar response rows on an engine whose
+   back-solve cache was warmed by multi-RHS block back-solves;
+   analyze_prepared on an unwarmed view boxes one response per fault
+   and fills its cache through single-column solves. The block kernel
+   promises bitwise equality with scalar solves, so the two paths must
+   agree exactly — every detect verdict and every omega measure, not
+   just within tolerance. *)
 let block_backsolve (s : Gen.subject) =
   let faults = Fault.both_deviations s.netlist @ Fault.catastrophic_faults s.netlist in
   let views =
@@ -392,9 +396,9 @@ let block_backsolve (s : Gen.subject) =
   in
   if views = [] || faults = [] then Skip "no views or no faults to score"
   else
-    match Matrix.build ~jobs:1 grid views faults with
+    match Mcdft_core.Adaptive.build ~stride:1 ~jobs:1 grid views faults with
     | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
-    | m ->
+    | m, _ ->
         let failure = ref None in
         List.iteri
           (fun i v ->
@@ -413,7 +417,7 @@ let block_backsolve (s : Gen.subject) =
                       failure :=
                         Some
                           (Printf.sprintf
-                             "%s / %s: per-fault omega %.17g, blocked %.17g"
+                             "%s / %s: per-fault omega %.17g, campaign %.17g"
                              v.Matrix.label fault.Fault.id r.Detect.omega_det
                              m.Matrix.omega.(i).(j))
                   end)
@@ -593,16 +597,18 @@ let diagnosis (s : Gen.subject) =
 
 (* --- certify-soundness: interval certificates vs the numeric engine *)
 
-(* The adversarial check on {!Analysis.Certify}: build the same
-   detectability matrix twice — fully numeric, and with the certified
-   verdict cube short-circuiting every proved point — under the
-   criterion the certificates were issued for. Soundness promises the
-   two are bitwise identical: any certified point that contradicts the
-   engine's own |ΔT|/|T| computation flips a detect verdict or moves an
-   omega measure, and every grid point contributes nonzero log-measure,
-   so a single wrong certificate cannot hide. Runs on every generator
-   family, near-singular included (where poles crossing the sweep are
-   exactly what the den-comfort guard must survive). *)
+(* The adversarial check on {!Analysis.Certify}: every proved byte of
+   the verdict cube must equal the exhaustive numeric verdict at its
+   grid point, under the criterion the certificates were issued for.
+   Each certified (view, fault) row is scored at every grid point and
+   compared byte by byte — a single wrong certificate anywhere fails
+   the subject, whether or not it would have moved an aggregate
+   detect/omega entry. Points below the view's measurement floor are
+   undetectable by definition, whatever any proof or solve says
+   ({!Detect.measurement_mask}), so they carry no comparison. Runs on
+   every generator family, near-singular included (where poles
+   crossing the sweep are exactly what the den-comfort guard must
+   survive). *)
 let certify_soundness (s : Gen.subject) =
   let eps = 0.10 in
   let faults = sample_faults 16 (Fault.both_deviations s.netlist) in
@@ -650,28 +656,52 @@ let certify_soundness (s : Gen.subject) =
               })
             views
         in
-        let c = Analysis.Certify.certify ~eps ~freqs_hz specs faults in
+        let cube =
+          Analysis.Certify.verdict_cube
+            (Analysis.Certify.certify ~eps ~freqs_hz specs faults)
+        in
         let criterion = Detect.Fixed_tolerance eps in
-        match Matrix.build ~criterion ~jobs:1 grid views faults with
+        let nf = Grid.n_points grid in
+        let check_view (v : Matrix.view) row =
+          if Array.for_all Option.is_none row then None
+          else
+            let pv =
+              Detect.prepare_view ~criterion v.Matrix.probe grid v.Matrix.netlist
+            in
+            let mask = Detect.view_measurement_mask pv in
+            let re = Array.make nf 0.0
+            and im = Array.make nf 0.0
+            and ok = Bytes.make nf '\000' in
+            List.find_map
+              (fun (fault, cell) ->
+                Option.bind cell (fun bytes ->
+                    Detect.score_range pv (Detect.plan_fault pv fault) ~lo:0 ~hi:nf
+                      ~re ~im ~ok;
+                    let bad = ref None in
+                    for k = nf - 1 downto 0 do
+                      let b = Bytes.get bytes k in
+                      if b <> '?' && Bytes.get mask k = '\000' then
+                        let numeric =
+                          if Detect.point_verdict pv ~re ~im ~ok k then 'd' else 'u'
+                        in
+                        if b <> numeric then bad := Some (k, b, numeric)
+                    done;
+                    Option.map
+                      (fun (k, b, numeric) ->
+                        Printf.sprintf
+                          "%s / %s at %g Hz: certified '%c', numeric engine '%c'"
+                          v.Matrix.label fault.Fault.id freqs_hz.(k) b numeric)
+                      !bad))
+              (List.combine faults (Array.to_list row))
+        in
+        match
+          List.find_map
+            (fun (v, row) -> check_view v row)
+            (List.combine views (Array.to_list cube))
+        with
         | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
-        | plain -> (
-            match
-              Matrix.build ~criterion
-                ~certified:(Analysis.Certify.verdict_cube c)
-                ~jobs:1 grid views faults
-            with
-            | exception Mna.Ac.Singular_circuit msg ->
-                Fail ("certified build singular where the numeric one solved: " ^ msg)
-            | certified ->
-                if certified.Matrix.detect <> plain.Matrix.detect then
-                  Fail
-                    "a certified verdict contradicts the numeric engine: detect \
-                     matrices differ"
-                else if certified.Matrix.omega <> plain.Matrix.omega then
-                  Fail
-                    "a certified verdict contradicts the numeric engine: omega \
-                     matrices differ"
-                else Pass)
+        | Some msg -> Fail msg
+        | None -> Pass
       end
 
 (* --- adaptive-vs-exhaustive: coarse-to-fine refinement bitwise ----- *)
@@ -680,12 +710,44 @@ let certify_soundness (s : Gen.subject) =
    skip rule is a calibrated slope bound, not a certificate, so every
    family — near-singular included, where failed solves and
    measurement-floor masking interleave — must produce detect/omega
-   matrices bitwise identical to the exhaustive sweep, and the
-   adaptive.* counters must be jobs-invariant (they are accumulated in
-   the sequential reduce, so any divergence means scoring itself
-   raced). *)
+   matrices bitwise identical at the default stride and at stride 1,
+   and both must equal the independent per-view reference
+   ({!Detect.analyze}: boxed faulty responses reduced point by point).
+   The adaptive.* counters must be jobs-invariant (they are
+   accumulated in the sequential reduce, so any divergence means
+   scoring itself raced). *)
+let reference_matrix ?criterion grid (views : Matrix.view array) faults =
+  let results =
+    Array.map
+      (fun (v : Matrix.view) ->
+        Array.of_list
+          (Detect.analyze ?criterion v.Matrix.probe grid v.Matrix.netlist faults))
+      views
+  in
+  ( Array.map (Array.map (fun r -> r.Detect.detectable)) results,
+    Array.map (Array.map (fun r -> r.Detect.omega_det)) results )
+
+let compare_campaigns ~reference ~exhaustive ~adaptive1 ~adaptive4 ~stats1 ~stats4
+    =
+  let detect_ref, omega_ref = reference in
+  let same (m : Matrix.t) =
+    m.Matrix.detect = detect_ref && m.Matrix.omega = omega_ref
+  in
+  if not (same exhaustive) then
+    Fail "stride-1 matrices differ from the per-view Detect.analyze reference"
+  else if adaptive1.Matrix.detect <> exhaustive.Matrix.detect then
+    Fail "adaptive detect matrix differs from the exhaustive sweep"
+  else if adaptive1.Matrix.omega <> exhaustive.Matrix.omega then
+    Fail "adaptive omega matrix differs from the exhaustive sweep"
+  else if not (same adaptive4) then
+    Fail "adaptive jobs:4 matrices differ from the exhaustive sweep"
+  else if stats1 <> stats4 then
+    Fail "adaptive.* counters differ between jobs:1 and jobs:4"
+  else Pass
+
 let adaptive_vs_exhaustive (s : Gen.subject) =
   let module A = Mcdft_core.Adaptive in
+  let module P = Mcdft_core.Pipeline in
   if Netlist.opamps s.netlist <> [] then
     let b =
       {
@@ -697,12 +759,10 @@ let adaptive_vs_exhaustive (s : Gen.subject) =
         center_hz = 1_000.0;
       }
     in
-    match Mcdft_core.Pipeline.run ~points_per_decade:3 ~jobs:1 ~adaptive:false b with
+    match P.run ~points_per_decade:3 ~jobs:1 ~adaptive:false b with
     | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
     | exhaustive -> (
-        let run_adaptive jobs =
-          Mcdft_core.Pipeline.run ~points_per_decade:3 ~jobs ~adaptive:true b
-        in
+        let run_adaptive jobs = P.run ~points_per_decade:3 ~jobs ~adaptive:true b in
         match run_adaptive 1 with
         | exception Mna.Ac.Singular_circuit msg ->
             Fail ("adaptive campaign singular where the exhaustive one solved: " ^ msg)
@@ -710,21 +770,18 @@ let adaptive_vs_exhaustive (s : Gen.subject) =
             match run_adaptive 4 with
             | exception Mna.Ac.Singular_circuit msg ->
                 Fail ("adaptive jobs:4 singular where jobs:1 solved: " ^ msg)
-            | t4 ->
-                let m = exhaustive.Mcdft_core.Pipeline.matrix in
-                let m1 = t1.Mcdft_core.Pipeline.matrix in
-                let m4 = t4.Mcdft_core.Pipeline.matrix in
-                if m1.Matrix.detect <> m.Matrix.detect then
-                  Fail "adaptive detect matrix differs from the exhaustive sweep"
-                else if m1.Matrix.omega <> m.Matrix.omega then
-                  Fail "adaptive omega matrix differs from the exhaustive sweep"
-                else if
-                  m4.Matrix.detect <> m.Matrix.detect
-                  || m4.Matrix.omega <> m.Matrix.omega
-                then Fail "adaptive jobs:4 matrices differ from the exhaustive sweep"
-                else if t1.Mcdft_core.Pipeline.adaptive <> t4.Mcdft_core.Pipeline.adaptive
-                then Fail "adaptive.* counters differ between jobs:1 and jobs:4"
-                else Pass))
+            | t4 -> (
+                let m = exhaustive.P.matrix in
+                match
+                  reference_matrix ~criterion:exhaustive.P.criterion
+                    exhaustive.P.grid m.Matrix.views exhaustive.P.faults
+                with
+                | exception Mna.Ac.Singular_circuit msg ->
+                    Fail ("Detect.analyze singular where the campaign solved: " ^ msg)
+                | reference ->
+                    compare_campaigns ~reference ~exhaustive:m
+                      ~adaptive1:t1.P.matrix ~adaptive4:t4.P.matrix
+                      ~stats1:t1.P.adaptive ~stats4:t4.P.adaptive)))
   else
     let views =
       List.map
@@ -739,9 +796,9 @@ let adaptive_vs_exhaustive (s : Gen.subject) =
     let faults = Fault.both_deviations s.netlist in
     if views = [] || faults = [] then Skip "no views or no faults to score"
     else
-      match Matrix.build ~jobs:1 grid views faults with
+      match A.build ~stride:1 ~jobs:1 grid views faults with
       | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
-      | plain -> (
+      | exhaustive, _ -> (
           match A.build ~jobs:1 grid views faults with
           | exception Mna.Ac.Singular_circuit msg ->
               Fail ("adaptive build singular where the exhaustive one solved: " ^ msg)
@@ -749,18 +806,15 @@ let adaptive_vs_exhaustive (s : Gen.subject) =
               match A.build ~jobs:4 grid views faults with
               | exception Mna.Ac.Singular_circuit msg ->
                   Fail ("adaptive jobs:4 singular where jobs:1 solved: " ^ msg)
-              | m4, s4 ->
-                  if m1.Matrix.detect <> plain.Matrix.detect then
-                    Fail "adaptive detect matrix differs from the exhaustive sweep"
-                  else if m1.Matrix.omega <> plain.Matrix.omega then
-                    Fail "adaptive omega matrix differs from the exhaustive sweep"
-                  else if
-                    m4.Matrix.detect <> plain.Matrix.detect
-                    || m4.Matrix.omega <> plain.Matrix.omega
-                  then Fail "adaptive jobs:4 matrices differ from the exhaustive sweep"
-                  else if s1 <> s4 then
-                    Fail "adaptive.* counters differ between jobs:1 and jobs:4"
-                  else Pass))
+              | m4, s4 -> (
+                  match
+                    reference_matrix grid (Array.of_list views) faults
+                  with
+                  | exception Mna.Ac.Singular_circuit msg ->
+                      Fail ("Detect.analyze singular where the campaign solved: " ^ msg)
+                  | reference ->
+                      compare_campaigns ~reference ~exhaustive ~adaptive1:m1
+                        ~adaptive4:m4 ~stats1:s1 ~stats4:s4)))
 
 let all =
   [
@@ -781,7 +835,7 @@ let all =
     };
     {
       name = "block-backsolve";
-      doc = "blocked matrix scoring bitwise-equal to per-fault analyze_prepared";
+      doc = "warmed campaign scoring bitwise-equal to per-fault analyze_prepared";
       check = block_backsolve;
     };
     {
@@ -811,14 +865,14 @@ let all =
     };
     {
       name = "certify-soundness";
-      doc = "interval-certified verdict cube leaves campaign matrices bitwise intact";
+      doc = "every certified verdict byte equals the exhaustive numeric verdict";
       check = certify_soundness;
     };
     {
       name = "adaptive-vs-exhaustive";
       doc =
-        "coarse-to-fine campaign matrices bitwise equal to the exhaustive \
-         sweep, adaptive counters jobs-invariant";
+        "stride-8 and stride-1 campaign matrices bitwise equal to per-view \
+         Detect.analyze, adaptive counters jobs-invariant";
       check = adaptive_vs_exhaustive;
     };
   ]

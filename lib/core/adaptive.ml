@@ -6,7 +6,6 @@ module Netlist = Circuit.Netlist
 type stats = {
   rows : int;
   points : int;
-  certified : int;
   solved : int;
   skipped : int;
   bisections : int;
@@ -24,18 +23,18 @@ module Refine = struct
     degraded : bool;
   }
 
-  let row ~nf ~stride ~step_dec ~guard ~steer_range ~budget ~certified ~solve =
+  let row ~nf ~stride ~step_dec ~guard ~steer_range ~budget ~anchor ~solve =
     if nf <= 0 then invalid_arg "Adaptive.Refine.row: empty grid";
     if stride <= 0 then invalid_arg "Adaptive.Refine.row: stride must be positive";
     if not (step_dec >= 0.0) then
       invalid_arg "Adaptive.Refine.row: step_dec must be non-negative";
     if not (guard >= 0.0) then
       invalid_arg "Adaptive.Refine.row: guard must be non-negative";
-    let v = Bytes.init nf certified in
+    let v = Bytes.init nf anchor in
     Bytes.iter
       (fun b ->
         if b <> 'd' && b <> 'u' && b <> '?' then
-          invalid_arg "Adaptive.Refine.row: certified byte outside 'd'/'u'/'?'")
+          invalid_arg "Adaptive.Refine.row: anchor byte outside 'd'/'u'/'?'")
       v;
     let margins = Array.make nf Float.nan in
     let solved = ref [] and n_solved = ref 0 in
@@ -54,8 +53,8 @@ module Refine = struct
       incr n_solved
     in
     (* Coarse pass: every [stride]-th point plus the final one, so
-       every eventual '?' run is bracketed by known anchors. Certified
-       points are free anchors and are never re-solved. *)
+       every eventual '?' run is bracketed by known anchors. Static
+       anchors are free and are never re-solved. *)
     let coarse = ref [] in
     for i = nf - 1 downto 0 do
       if Bytes.get v i = '?' && (i mod stride = 0 || i = nf - 1) then
@@ -83,14 +82,14 @@ module Refine = struct
        nominal-magnitude movement — see
        {!Testability.Detect.steering_profiles}): near a notch the
        profile swings by decades, forcing refinement no matter how
-       comfortable the endpoint margins look. A certified anchor
-       carries no margin and contributes zero — the guard then refines
-       toward it, never past it. *)
+       comfortable the endpoint margins look. A static anchor carries
+       no margin and contributes zero — the guard then refines toward
+       it, never past it. *)
     let margin_of k =
       (* [nan] marks a point that carries no margin information — a
-         certified anchor (never solved), a failed solve, or a
-         degenerate point whose caller withheld trust. It anchors a
-         verdict but certifies nothing about its neighbourhood. *)
+         static anchor (never solved), a failed solve, or a degenerate
+         point whose caller withheld trust. It anchors a verdict but
+         says nothing about its neighbourhood. *)
       let m = margins.(k) in
       if Float.is_nan m then 0.0 else Float.abs m
     in
@@ -152,13 +151,13 @@ module Refine = struct
       degraded = !degraded }
 end
 
-(* Same order-of-magnitude cost model as Matrix.build: a warmed rank-1
-   solve is two O(n²) passes per point. The scoring estimate assumes
-   roughly a third of the points get solved — it only feeds the
-   scheduler's sequential cutoff and chunk sizing. *)
+(* Order-of-magnitude cost model: a warmed rank-1 solve is two O(n²)
+   passes per point (the update and the residual matvec). The scoring
+   estimate assumes roughly a third of the points get solved — it only
+   feeds the scheduler's sequential cutoff and chunk sizing. *)
 let point_ns dim = (3.0 *. float_of_int (dim * dim)) +. 250.0
 
-let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
+let build ?backend ?criterion ?(jobs = 1) ?solve_budget
     ?(stride = default_stride) ?(guard = default_guard) grid views faults =
   Obs.Trace.span "adaptive.build" @@ fun () ->
   (match solve_budget with
@@ -172,23 +171,6 @@ let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
   let faults = Array.of_list faults in
   let n = Array.length views and m = Array.length faults in
   let nf = Grid.n_points grid in
-  (match certified with
-  | None -> ()
-  | Some cube ->
-      if
-        Array.length cube <> n
-        || Array.exists
-             (fun row ->
-               Array.length row <> m
-               || Array.exists
-                    (function
-                      | Some v -> Bytes.length v <> nf | None -> false)
-                    row)
-             cube
-      then invalid_arg "Adaptive.build: certified verdict cube shape mismatch");
-  let cert i j =
-    match certified with None -> None | Some cube -> cube.(i).(j)
-  in
   (* Uniform log grid: one step in decades, the unit of the margin
      slope bound. A single-point grid refines nothing, so 0 is fine. *)
   let step_dec =
@@ -197,33 +179,14 @@ let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
       let f = Grid.freqs_hz grid in
       Float.abs (log10 (f.(nf - 1) /. f.(0))) /. float_of_int (nf - 1)
   in
-  let has_unknown v = Bytes.exists (fun b -> b = '?') v in
-  (* Certified-cell accounting identical to Matrix.build — sequential
-     and ahead of the parallel phases, so an adaptive campaign reports
-     the same certify.* counters as the exhaustive one. *)
-  let certified_points = ref 0 in
-  (match certified with
-  | None -> ()
-  | Some cube ->
-      Array.iter
-        (fun row ->
-          Array.iter
-            (function
-              | None -> ()
-              | Some v ->
-                  let proved = ref 0 in
-                  Bytes.iter (fun b -> if b <> '?' then incr proved) v;
-                  certified_points := !certified_points + !proved;
-                  if !proved > 0 then begin
-                    Obs.Metrics.incr ~by:!proved "certify.solves_skipped";
-                    if !proved = nf then Obs.Metrics.incr "certify.cells_proved"
-                  end)
-            row)
-        cube);
-  (* Phase 1 — per-view preparation, exactly as Matrix.build: engine,
-     thresholds, warmed back-solve cache and immutable plans, so the
-     refinement phase never mutates an engine and single-point solves
-     at any grid index hit the warmed cache. *)
+  (* Phase 1 — per-view preparation: build each view's engine and
+     thresholds, pre-warm its back-solve cache for the fault list
+     (block back-solves, one per frequency), and build every fault's
+     immutable plan — so the refinement phase never mutates an engine
+     and single-point solves at any grid index hit the warmed cache.
+     Parallel over views. The work estimate only needs the order of
+     magnitude, so the element count stands in for the unknown MNA
+     dimension. *)
   let fault_list = Array.to_list faults in
   let prep_est =
     let dim_proxy i = List.length (Netlist.elements views.(i).Matrix.netlist) in
@@ -235,27 +198,11 @@ let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
     Util.Parallel.map ~jobs ~est_ns:prep_est n (fun i ->
         let view = views.(i) in
         Obs.Trace.span ("adaptive.prepare " ^ view.Matrix.label) @@ fun () ->
-        let warm =
-          if certified = None then fault_list
-          else
-            List.filteri
-              (fun j _ ->
-                match cert i j with Some v -> has_unknown v | None -> true)
-              fault_list
-        in
         let pv =
-          Detect.prepare_view ?backend ?criterion ~warm view.Matrix.probe grid
-            view.Matrix.netlist
+          Detect.prepare_view ?backend ?criterion ~warm:fault_list
+            view.Matrix.probe grid view.Matrix.netlist
         in
-        let plans =
-          Array.mapi
-            (fun j fault ->
-              match cert i j with
-              | Some v when not (has_unknown v) -> None
-              | _ -> Some (Detect.plan_fault pv fault))
-            faults
-        in
-        (pv, plans))
+        (pv, Array.map (Detect.plan_fault pv) faults))
   in
   (* Phase 2 — refine each (view × fault) row independently. A row's
      refinement is inherently sequential (each bisection depends on the
@@ -275,52 +222,44 @@ let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
   Util.Parallel.for_ ~jobs ~est_ns:score_est (n * m) (fun item ->
       let i = item / m and j = item mod m in
       let pv, plans = prepared.(i) in
-      match plans.(j) with
-      | None ->
-          (* fully certified cell: the cube row is already the verdict
-             row, nothing to solve *)
-          verdict_rows.(i).(j) <- Option.get (cert i j)
-      | Some plan ->
-          let re = Array.make nf 0.0
-          and im = Array.make nf 0.0
-          and ok = Bytes.make nf '\000' in
-          let steers = Detect.steering_profiles pv in
-          let mask = Detect.view_measurement_mask pv in
-          let solve k =
-            Detect.score_range pv plan ~lo:k ~hi:(k + 1) ~re ~im ~ok;
-            let b = if Detect.point_verdict pv ~re ~im ~ok k then 'd' else 'u' in
-            (b, Detect.point_margin pv ~re ~im ~ok k)
-          in
-          (* A point below the view's measurement floor is undetectable
-             by definition ({!Detect.measurement_mask}) — a static 'u'
-             anchor exactly like a certified byte, known without
-             solving. It carries no margin, so refinement stops at it
-             rather than skipping past; a dead view (a reconfiguration
-             that disconnects the probed output) costs zero solves. *)
-          let certified_byte k =
-            if Bytes.get mask k = '\001' then 'u'
-            else match cert i j with None -> '?' | Some v -> Bytes.get v k
-          in
-          let steer_range lo hi =
-            List.fold_left
-              (fun acc profile ->
-                let mn = ref infinity and mx = ref neg_infinity in
-                for k = lo to hi do
-                  let x = profile.(k) in
-                  if x < !mn then mn := x;
-                  if x > !mx then mx := x
-                done;
-                Float.max acc (!mx -. !mn))
-              0.0 steers
-          in
-          let o =
-            Refine.row ~nf ~stride ~step_dec ~guard ~steer_range
-              ~budget:solve_budget ~certified:certified_byte ~solve
-          in
-          verdict_rows.(i).(j) <- o.Refine.verdicts;
-          row_solved.(i).(j) <- List.length o.Refine.solved;
-          row_bisections.(i).(j) <- o.Refine.bisections;
-          row_degraded.(i).(j) <- o.Refine.degraded);
+      let plan = plans.(j) in
+      let re = Array.make nf 0.0
+      and im = Array.make nf 0.0
+      and ok = Bytes.make nf '\000' in
+      let steers = Detect.steering_profiles pv in
+      let mask = Detect.view_measurement_mask pv in
+      let solve k =
+        Detect.score_range pv plan ~lo:k ~hi:(k + 1) ~re ~im ~ok;
+        let b = if Detect.point_verdict pv ~re ~im ~ok k then 'd' else 'u' in
+        (b, Detect.point_margin pv ~re ~im ~ok k)
+      in
+      (* A point below the view's measurement floor is undetectable by
+         definition ({!Detect.measurement_mask}) — a static 'u' anchor,
+         known without solving. It carries no margin, so refinement
+         stops at it rather than skipping past; a dead view (a
+         reconfiguration that disconnects the probed output) costs
+         zero solves. *)
+      let anchor k = if Bytes.get mask k = '\001' then 'u' else '?' in
+      let steer_range lo hi =
+        List.fold_left
+          (fun acc profile ->
+            let mn = ref infinity and mx = ref neg_infinity in
+            for k = lo to hi do
+              let x = profile.(k) in
+              if x < !mn then mn := x;
+              if x > !mx then mx := x
+            done;
+            Float.max acc (!mx -. !mn))
+          0.0 steers
+      in
+      let o =
+        Refine.row ~nf ~stride ~step_dec ~guard ~steer_range
+          ~budget:solve_budget ~anchor ~solve
+      in
+      verdict_rows.(i).(j) <- o.Refine.verdicts;
+      row_solved.(i).(j) <- List.length o.Refine.solved;
+      row_bisections.(i).(j) <- o.Refine.bisections;
+      row_degraded.(i).(j) <- o.Refine.degraded);
   (* Phase 3 — sequential reduce and counter booking, in row order:
      the matrix and the adaptive.* totals are jobs-deterministic. *)
   let detect = Array.make_matrix n m false in
@@ -338,7 +277,7 @@ let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
         done
       done);
   let points = n * m * nf in
-  let skipped = points - !certified_points - !solved in
+  let skipped = points - !solved in
   if skipped > 0 then Obs.Metrics.incr ~by:skipped "adaptive.solves_skipped";
   if !bisections > 0 then Obs.Metrics.incr ~by:!bisections "adaptive.bisections";
   if !degraded_rows > 0 then
@@ -347,7 +286,6 @@ let build ?backend ?certified ?criterion ?(jobs = 1) ?solve_budget
     {
       rows = n * m;
       points;
-      certified = !certified_points;
       solved = !solved;
       skipped;
       bisections = !bisections;

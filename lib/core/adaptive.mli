@@ -1,20 +1,21 @@
-(** Coverage-directed adaptive campaigns (ROADMAP item 5).
+(** The campaign driver: fills the detect/ω matrices of a (view ×
+    fault) campaign, coarse-to-fine by default and exhaustively at
+    [~stride:1].
 
     A uniform points-per-decade sweep spends most of its numeric solves
     far from any detectability boundary: inside a deviation region every
     point votes ['d'], outside every point votes ['u'], and only the
     handful of grid points straddling a threshold crossing carry
-    information. {!build} runs the same campaign as
-    {!Testability.Matrix.build} but coarse-to-fine: each (view × fault)
-    row starts at every [stride]-th grid point of the {e final} grid,
-    then recursively bisects the intervals whose endpoint verdicts
-    disagree (a crossing is known to be inside) {e and} the intervals
-    whose endpoint margins sit too close to the threshold for their
-    width — under a slope bound of [guard] nepers per decade on the
-    log deviation-to-threshold ratio, an interval of width [w] decades
-    whose weaker endpoint margin satisfies [min |s_lo| |s_hi| >
-    guard·w] (plus the exactly-known movement of the threshold and
-    nominal profile inside the interval) cannot hide a crossing.
+    information. {!build} therefore scores each (view × fault) row
+    coarse-to-fine: the row starts at every [stride]-th grid point of
+    the {e final} grid, then recursively bisects the intervals whose
+    endpoint verdicts disagree (a crossing is known to be inside) {e
+    and} the intervals whose endpoint margins sit too close to the
+    threshold for their width — under a slope bound of [guard] nepers
+    per decade on the log deviation-to-threshold ratio, an interval of
+    width [w] decades whose weaker endpoint margin satisfies [min |s_lo|
+    |s_hi| > guard·w] (plus the exactly-known movement of the threshold
+    and nominal profile inside the interval) cannot hide a crossing.
     Points inside an interval proved crossing-free inherit the shared
     endpoint verdict without being solved. Narrow resonance spikes and
     deviation-zero dips — regions a verdict-only bisection provably
@@ -26,25 +27,23 @@
     ['u'] anchors, so a reconfiguration that disconnects the probed
     output costs zero solves.
 
-    The refinement invariant — the filled-in verdict row equals the
-    exhaustive one byte for byte — is empirical, not proved: the slope
-    bound is a calibrated constant, not a certificate, and a response
-    steeper than [guard] could still hide a crossing. The repo
-    therefore treats it like the pruning and certification invariants
-    before it: the detect/omega matrices must come out {e bitwise
-    identical} to the exhaustive sweep, asserted by the tier-1 tests,
-    the [adaptive-vs-exhaustive] fuzz oracle and the bench (DESIGN
-    §15). The default guard holds with margin across the registry's
-    resonant and notch families at every tested grid density, and
-    coarse grids tighten automatically: the bound scales with interval
-    width in decades, so fewer points per decade means wider intervals
-    and earlier refinement.
+    At [~stride:1] every point is a coarse point: the row is the
+    exhaustive sweep, solved point by point, and no verdict is ever
+    inherited. That is the [--no-adaptive] campaign.
 
-    When an {!Analysis.Certify} verdict cube is supplied, its certified
-    ['d']/['u'] bytes act as free anchors (they are known without
-    solving, and flips against them trigger bisection) and only the
-    residual ['?'] points are candidates for numeric solves — the
-    static certificates seed the numeric refinement.
+    The refinement invariant at larger strides — the filled-in verdict
+    row equals the exhaustive one byte for byte — is empirical, not
+    proved: the slope bound is a calibrated constant, not a
+    certificate, and a response steeper than [guard] could still hide
+    a crossing. The detect/omega matrices must therefore come out {e
+    bitwise identical} to the stride-1 sweep and to the independent
+    per-view {!Testability.Detect.analyze} reference, asserted by the
+    tier-1 tests, the [adaptive-vs-exhaustive] fuzz oracle and the
+    bench (DESIGN §15). The default guard holds with margin across the
+    registry's resonant and notch families at every tested grid
+    density, and coarse grids tighten automatically: the bound scales
+    with interval width in decades, so fewer points per decade means
+    wider intervals and earlier refinement.
 
     A per-row solve budget bounds the refinement: a row that would
     exceed it degrades to the exhaustive sweep for that row — solving
@@ -53,11 +52,11 @@
 type stats = {
   rows : int;  (** scored (view × fault) rows *)
   points : int;  (** rows × grid points *)
-  certified : int;  (** points taken from the certify cube, never solved *)
   solved : int;  (** points solved numerically *)
   skipped : int;
-      (** points filled from equal-verdict interval endpoints —
-          [points - certified - solved] *)
+      (** points decided without a solve — filled from equal-verdict
+          interval endpoints or below the measurement floor —
+          [points - solved] *)
   bisections : int;  (** midpoint solves beyond the coarse pass *)
   budget_exhausted : int;  (** rows degraded to the exhaustive sweep *)
 }
@@ -95,24 +94,24 @@ module Refine : sig
     guard:float ->
     steer_range:(int -> int -> float) ->
     budget:int option ->
-    certified:(int -> char) ->
+    anchor:(int -> char) ->
     solve:(int -> char * float) ->
     outcome
-  (** Refine one verdict row of [nf] grid points. [certified i] is the
-      static seed byte for point [i] (['d'], ['u'] or ['?'] — unknown)
-      — the certify cube and the measurement mask both arrive through
-      it; [solve i] performs the numeric solve and returns its verdict
+  (** Refine one verdict row of [nf] grid points. [anchor i] is the
+      static seed byte for point [i] (['d'], ['u'] or ['?'] — unknown);
+      the campaign passes the measurement-floor anchors through it.
+      [solve i] performs the numeric solve and returns its verdict
       byte plus its margin in nepers ({!Testability.Detect.point_margin}
       — sign must agree with the byte; steering only). Solves the
       coarse points (every [stride]-th plus the last) that are not
-      already certified, then refines every interval between adjacent
+      already anchored, then refines every interval between adjacent
       known points whose verdicts differ or whose weaker endpoint
       margin fails the slope-bound test [min |s_lo| |s_hi| >
       guard·step_dec·(hi-lo) + steer_range lo hi]. [step_dec] is the
       grid step in decades; [steer_range lo hi] (pass
       [fun _ _ -> 0.0] for a flat profile) is the exactly-known
       variation of the margin's static profile over the closed
-      interval; a certified anchor or a failed solve ([nan]) carries
+      interval; a static anchor or a failed solve ([nan]) carries
       no margin and contributes zero to the test, so refinement stops
       at it rather than skipping past. [budget] caps the numeric
       solves the adaptive strategy may issue; once it would be
@@ -125,7 +124,6 @@ end
 
 val build :
   ?backend:Testability.Fastsim.backend ->
-  ?certified:Bytes.t option array array ->
   ?criterion:Testability.Detect.criterion ->
   ?jobs:int ->
   ?solve_budget:int ->
@@ -135,23 +133,25 @@ val build :
   Testability.Matrix.view list ->
   Fault.t list ->
   Testability.Matrix.t * stats
-(** Drop-in replacement for {!Testability.Matrix.build} producing
-    bitwise-identical matrices from a fraction of the numeric solves.
-    Same engine preparation (warmed planar/sparse plans, one per view,
-    built in a parallel phase), but scoring fans out over (view ×
-    fault) rows, each refined sequentially by {!Refine.row} with
-    single-point {!Testability.Detect.score_range} solves against the
-    warmed read-only plans.
+(** Run the fault-simulation campaign over every (view, fault) pair.
+    A parallel preparation phase builds each view's engine, nominal
+    sweep and thresholds and warms its back-solve cache for the whole
+    fault list ({!Testability.Detect.prepare_view}); scoring then fans
+    out over (view × fault) rows, each refined sequentially by
+    {!Refine.row} with single-point {!Testability.Detect.score_range}
+    solves against the warmed read-only plans. [jobs] > 1 distributes
+    both phases across that many domains; results are identical to a
+    sequential run. [backend] selects the per-view factorization
+    ({!Testability.Fastsim.backend}, default [Auto]).
 
-    [certified] is the {!Analysis.Certify} verdict cube, exactly as
-    {!Testability.Matrix.build} takes it (shape-checked, same
-    [certify.solves_skipped]/[certify.cells_proved] accounting).
-    [solve_budget] is the per-row cap handed to {!Refine.row}
-    (positive; default unlimited). [stride] defaults to
-    {!default_stride}, [guard] to {!default_guard}.
+    [stride] defaults to {!default_stride}; [~stride:1] is the
+    exhaustive sweep. [solve_budget] is the per-row cap handed to
+    {!Refine.row} (positive; default unlimited). [guard] defaults to
+    {!default_guard}.
 
     Counters — incremented sequentially after the parallel scoring
     phase, so they are jobs-invariant by construction:
-    [adaptive.solves_skipped] (points filled without solving),
+    [adaptive.solves_skipped] (points decided without solving),
     [adaptive.bisections], [adaptive.budget_exhausted] (degraded
-    rows). *)
+    rows). Raises [Invalid_argument] on a non-positive [stride] or
+    [solve_budget] or a negative [guard]. *)

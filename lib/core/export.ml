@@ -131,7 +131,6 @@ let adaptive_to_json (s : Adaptive.stats) =
     [
       ("rows", J.int s.Adaptive.rows);
       ("points", J.int s.Adaptive.points);
-      ("certified", J.int s.Adaptive.certified);
       ("solved", J.int s.Adaptive.solved);
       ("solves_skipped", J.int s.Adaptive.skipped);
       ("bisections", J.int s.Adaptive.bisections);

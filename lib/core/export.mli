@@ -12,7 +12,7 @@ val metrics_to_json : Obs.Metrics.snapshot -> Report.Json.t
     non-finite histogram min/max (empty histograms) export as null. *)
 
 val adaptive_to_json : Adaptive.stats -> Report.Json.t
-(** The adaptive refinement counters (rows, points, certified, solved,
+(** The adaptive refinement counters (rows, points, solved,
     solves_skipped, bisections, budget_exhausted) as a JSON object. *)
 
 val coverage_to_json : Testability.Montecarlo.coverage -> Report.Json.t

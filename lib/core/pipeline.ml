@@ -16,7 +16,7 @@ let default_criterion =
   Testability.Detect.Process_envelope { component_tol = 0.04; floor = 0.02 }
 
 let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
-    ?follower_model ?jobs ?backend ?(prune = true) ?(certify = true)
+    ?follower_model ?jobs ?backend ?(prune = true) ?(certify = false)
     ?(adaptive = true) ?solve_budget (benchmark : Circuits.Benchmark.t) =
   Obs.Trace.span "pipeline.run" @@ fun () ->
   let netlist = benchmark.Circuits.Benchmark.netlist in
@@ -83,13 +83,12 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
   let rep_views =
     List.map (fun members -> views_arr.(List.hd members)) groups
   in
-  (* Interval certification: a static pass over the representative
-     views proving (fault × frequency-point) verdicts from the
-     symbolic transfer functions, so the campaign only solves what the
-     intervals could not decide. Only the paper's Definition 1
-     criterion is certifiable — the deviation the intervals bound is
-     exactly the fixed-ε magnitude comparison; envelope and phase
-     criteria run fully numeric. *)
+  (* Interval certification is a report, not a campaign input: when
+     asked for, the static proofs over the representative views ride
+     along in the result, and the campaign below never reads them.
+     Only the paper's Definition 1 criterion is certifiable — the
+     deviation the intervals bound is exactly the fixed-ε magnitude
+     comparison. *)
   let certification =
     match criterion with
     | Testability.Detect.Fixed_tolerance eps when certify && eps > 0.0 ->
@@ -111,24 +110,19 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
              specs faults)
     | _ -> None
   in
-  (* The adaptive driver (default) spends numeric solves only where
-     verdicts can flip; its matrices are bitwise identical to the
-     exhaustive Matrix.build — asserted by the tier-1 tests and the
-     adaptive-vs-exhaustive oracle, like pruning and certification
-     before it. *)
-  let certified = Option.map Analysis.Certify.verdict_cube certification in
-  let rep_matrix, adaptive_stats =
-    if adaptive then
-      let matrix, stats =
-        Adaptive.build ?backend ?certified ~criterion ?jobs ?solve_budget grid
-          rep_views faults
-      in
-      (matrix, Some stats)
-    else
-      ( Testability.Matrix.build ?backend ?certified ~criterion ?jobs grid
-          rep_views faults,
-        None )
+  (* One campaign driver: coarse-to-fine refinement by default, stride
+     1 (every point solved) without it. The refined matrices are
+     bitwise identical to the stride-1 sweep — asserted by the tier-1
+     tests and the adaptive-vs-exhaustive oracle. The solve budget
+     only bounds refinement, so the exhaustive sweep ignores it. *)
+  let stride, solve_budget =
+    if adaptive then (None, solve_budget) else (Some 1, None)
   in
+  let rep_matrix, stats =
+    Adaptive.build ?backend ~criterion ?jobs ?solve_budget ?stride grid
+      rep_views faults
+  in
+  let adaptive_stats = if adaptive then Some stats else None in
   (* Expand back to the full view list: row i is a copy of its
      representative's row, so the matrix is indistinguishable from an
      unpruned build. *)

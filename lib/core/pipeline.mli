@@ -23,10 +23,10 @@ type t = {
           simulated ([n_views − equivalence_groups]; 0 with
           [~prune:false]). *)
   certify : Analysis.Certify.t option;
-      (** The interval-certification result over the representative
-          views, when the criterion was certifiable
-          ([Fixed_tolerance]) and certification was not disabled;
-          [None] otherwise. *)
+      (** The interval-certification report over the representative
+          views, when it was requested ([~certify:true]) and the
+          criterion is certifiable ([Fixed_tolerance]); [None]
+          otherwise. The campaign never reads it. *)
   adaptive : Adaptive.stats option;
       (** Solve accounting of the adaptive campaign driver over the
           representative rows; [None] with [~adaptive:false]. *)
@@ -58,7 +58,7 @@ val run :
     (default 30) points per decade. [follower_model] emulates
     follower-mode opamps as finite-GBW unity buffers instead of ideal
     ones (see {!Multiconfig.Transform.emulate}); [jobs] parallelizes
-    the campaign across domains (see {!Testability.Matrix.build});
+    the campaign across domains (see {!Adaptive.build});
     [backend] selects the per-view factorization
     ({!Testability.Fastsim.backend}, default [Auto]).
 
@@ -72,23 +72,22 @@ val run :
     metric; pass [~prune:false] to force every row through the
     solver.
 
-    [certify] (default [true]) runs {!Analysis.Certify} over the
-    representative views when the criterion is a [Fixed_tolerance] —
-    certified (fault × frequency) points skip their numeric solves
-    ([certify.solves_skipped] / [certify.cells_proved] metrics) while
-    the detect/omega matrices stay bitwise identical to an
-    uncertified run. Other criteria, or [~certify:false], run fully
-    numeric with {!field:certify} = [None].
+    [certify] (default [false]) attaches the {!Analysis.Certify}
+    report over the representative views when the criterion is a
+    [Fixed_tolerance] ({!field:certify}); the proofs are a product of
+    their own, not a campaign input — the matrices never depend on
+    them. Other criteria leave {!field:certify} = [None].
 
     [adaptive] (default [true]) drives the campaign through
-    {!Adaptive.build}: coarse-grid solves plus flip-driven bisection
-    (seeded by the certify cube where one exists) replace the
-    exhaustive per-point sweep, with bitwise-identical matrices
-    ([adaptive.solves_skipped] / [adaptive.bisections] metrics).
-    [solve_budget] caps the adaptive solves per (view × fault) row;
-    an exceeded row degrades to the exhaustive sweep
-    ([adaptive.budget_exhausted]). Works under every criterion —
-    envelope and phase criteria refine with no certify seed. *)
+    {!Adaptive.build} at its default stride: coarse-grid solves plus
+    flip-driven bisection replace the exhaustive per-point sweep, with
+    bitwise-identical matrices ([adaptive.solves_skipped] /
+    [adaptive.bisections] metrics). [~adaptive:false] runs the same
+    driver at stride 1 — every grid point solved — and leaves
+    {!field:adaptive} = [None]. [solve_budget] caps the adaptive
+    solves per (view × fault) row; an exceeded row degrades to the
+    exhaustive sweep ([adaptive.budget_exhausted]). Ignored with
+    [~adaptive:false]. *)
 
 val optimize : ?petrick_limit:int -> ?n_detect:int -> t -> Optimizer.report
 

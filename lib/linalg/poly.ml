@@ -121,10 +121,17 @@ let normalize p =
    perturbed off the real axis so complex-conjugate pairs separate. *)
 let roots ?(max_iter = 200) ?(tol = 1e-12) p =
   let p = trim p in
-  let n = degree p in
+  (* An overflowed coefficient (a symbolic determinant past the float
+     range) would normalize to garbage or to the zero polynomial; the
+     roots are undefined either way. *)
+  if not (Array.for_all Float.is_finite p) then
+    invalid_arg "Poly.roots: non-finite coefficient";
+  let monic = normalize p in
+  if not (Array.for_all Float.is_finite monic) then
+    invalid_arg "Poly.roots: leading coefficient too small to normalize";
+  let n = degree monic in
   if n <= 0 then [||]
   else begin
-    let monic = normalize p in
     let cauchy_bound =
       1.0
       +. Array.fold_left

@@ -55,7 +55,10 @@ val normalize : t -> t
 
 val roots : ?max_iter:int -> ?tol:float -> t -> Complex.t array
 (** All complex roots via the Aberth–Ehrlich simultaneous iteration.
-    Returns the empty array for constant polynomials. *)
+    Returns the empty array for constant polynomials. Raises
+    [Invalid_argument] when a coefficient is not finite (e.g. an
+    overflowed symbolic determinant) or the leading coefficient is too
+    small to normalize by. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

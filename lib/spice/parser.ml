@@ -100,6 +100,23 @@ let rec parse_card ~subckts ~env ~depth ~record line_no card netlist =
         netlist
       in
       match (kind, rest) with
+      | _, inp :: inn :: out :: macro :: params
+        when String.uppercase_ascii macro = "OPAMP" ->
+          (* an opamp card is recognized by its macro token, whatever
+             its name — X and O are the convention, but a written
+             netlist keeps the element's own name (e.g. U1) *)
+          let keyed = keyed_params line_no params in
+          let model =
+            match (List.assoc_opt "A0" keyed, List.assoc_opt "FP" keyed) with
+            | None, None -> Element.Ideal
+            | a0, fp ->
+                Element.Single_pole
+                  {
+                    dc_gain = Option.value a0 ~default:1e5;
+                    pole_hz = Option.value fp ~default:10.0;
+                  }
+          in
+          add (Element.Opamp { name = name'; inp = n inp; inn = n inn; out = n out; model })
       | 'R', [ n1; n2; v ] ->
           add (Element.Resistor { name = name'; n1 = n n1; n2 = n n2; value = value_of line_no v })
       | 'C', [ n1; n2; v ] ->
@@ -134,20 +151,6 @@ let rec parse_card ~subckts ~env ~depth ~record line_no card netlist =
             (Element.Cccs
                { name = name'; npos = n npos; nneg = n nneg; vsense = rename_name env vsense;
                  gain = value_of line_no g })
-      | ('X' | 'O'), inp :: inn :: out :: macro :: params
-        when String.uppercase_ascii macro = "OPAMP" ->
-          let keyed = keyed_params line_no params in
-          let model =
-            match (List.assoc_opt "A0" keyed, List.assoc_opt "FP" keyed) with
-            | None, None -> Element.Ideal
-            | a0, fp ->
-                Element.Single_pole
-                  {
-                    dc_gain = Option.value a0 ~default:1e5;
-                    pole_hz = Option.value fp ~default:10.0;
-                  }
-          in
-          add (Element.Opamp { name = name'; inp = n inp; inn = n inn; out = n out; model })
       | ('X' | 'O'), _ :: _
         when Hashtbl.mem subckts
                (String.uppercase_ascii (List.nth rest (List.length rest - 1))) ->

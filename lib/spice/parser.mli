@@ -9,7 +9,9 @@ module Netlist := Circuit.Netlist
     - [E name n+ n- c+ c- gain] — VCVS; [G ... gm] — VCCS
     - [H name n+ n- vsense r] — CCVS; [F name n+ n- vsense gain] — CCCS
     - [X name inp inn out OPAMP [A0=val] [FP=val]] — opamp macro;
-      ideal when A0/FP are omitted
+      ideal when A0/FP are omitted. The [OPAMP] token marks the card,
+      so any element name works ([U1 …] as {!Writer} prints it); [X]
+      and [O] are the convention
     - [.subckt NAME port...] … [.ends] — subcircuit definition;
       [Xinst node... NAME] instantiates it. Instances are flattened:
       element names and internal nodes get the instance prefix

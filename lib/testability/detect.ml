@@ -233,16 +233,15 @@ let analyze_prepared pv grid fault =
   result_of ~nominal:pv.nominal ~prepared:pv.prepared grid fault
     (Fastsim.response pv.sim fault)
 
-(* ---- blocked scoring (the campaign matrix path) ----
+(* ---- point scoring (the campaign matrix path) ----
 
-   {!Testability.Matrix} decomposes scoring into (view × fault-chunk ×
-   frequency-block) tasks: plans are built once per (view, fault),
-   each task fills a frequency block of planar response rows, and a
-   sequential reduce turns each completed row into a {!result}. The
-   arithmetic is exactly {!analyze_prepared}'s — same solver, same
-   deviation/threshold comparisons — just restructured so one cached
-   LU factor serves a contiguous block of back-solves and workers
-   never box per-point responses. *)
+   The campaign driver (Mcdft_core.Adaptive) builds one plan per
+   (view, fault), fills individual grid slots of planar response rows
+   and turns each filled slot into a verdict byte; the bytes reduce
+   through {!result_of_verdicts}. The arithmetic is exactly
+   {!analyze_prepared}'s — same solver, same deviation/threshold
+   comparisons — just restructured so workers never box per-point
+   responses. *)
 
 let view_dim pv = Fastsim.dim pv.sim
 let view_uses_sparse pv = Fastsim.uses_sparse pv.sim
@@ -250,39 +249,6 @@ let plan_fault pv fault = Fastsim.plan_of pv.sim fault
 
 let score_range pv plan ~lo ~hi ~re ~im ~ok =
   Fastsim.response_range_into pv.sim plan ~lo ~hi ~re ~im ~ok
-
-let result_of_rows ?verdicts pv grid fault ~re ~im ~ok =
-  let nominal = pv.nominal and prepared = pv.prepared in
-  let deviates i =
-    (* The measurement floor comes first — a sub-floor point is
-       undetectable by definition, before any certificate or solve is
-       consulted. A certified verdict byte then overrides the numeric
-       comparison — the point was never scored. Soundness of the
-       certification pass guarantees the byte equals what the
-       comparison would have produced, which the tier-1
-       bitwise-identity assertions and the certify-soundness oracle
-       re-check from the outside. *)
-    if Bytes.get pv.mask i = '\001' then false
-    else
-    match verdicts with
-    | Some v when Bytes.get v i = 'd' -> true
-    | Some v when Bytes.get v i = 'u' -> false
-    | _ ->
-        if Bytes.get ok i = '\000' then true
-        else
-          let tf = { Complex.re = re.(i); im = im.(i) } in
-          List.exists
-            (fun p -> p.deviation nominal.(i) tf > p.thresholds.(i))
-            prepared
-  in
-  let intervals = ref [] in
-  for i = 0 to Grid.n_points grid - 1 do
-    if deviates i then intervals := Grid.point_interval grid i :: !intervals
-  done;
-  let regions = Util.Interval.Set.of_intervals !intervals in
-  let measure = Util.Interval.Set.measure regions in
-  let omega_det = measure /. Grid.log_measure grid in
-  { fault; detectable = not (Util.Interval.Set.is_empty regions); omega_det; regions }
 
 let point_verdict pv ~re ~im ~ok i =
   if Bytes.get pv.mask i = '\001' then false
@@ -320,7 +286,7 @@ let result_of_verdicts grid fault verdicts =
   if Bytes.length verdicts <> Grid.n_points grid then
     invalid_arg "Detect.result_of_verdicts: verdict length mismatch";
   if Bytes.exists (fun b -> b = '?') verdicts then
-    invalid_arg "Detect.result_of_verdicts: uncertified point";
+    invalid_arg "Detect.result_of_verdicts: undecided point";
   let intervals = ref [] in
   for i = 0 to Grid.n_points grid - 1 do
     if Bytes.get verdicts i = 'd' then

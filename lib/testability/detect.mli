@@ -150,34 +150,15 @@ val score_range :
     {!Fastsim.response_range_into} on the view's engine. Disjoint
     ranges of one row may be filled concurrently. *)
 
-val result_of_rows :
-  ?verdicts:Bytes.t ->
-  prepared_view ->
-  Grid.t ->
-  Fault.t ->
-  re:float array ->
-  im:float array ->
-  ok:Bytes.t ->
-  result
-(** Reduce one completed planar response row to a {!result}: the same
-    deviation/threshold comparisons as {!analyze_prepared} (an
-    [ok]=['\000'] point counts as detectable, like a [None] response,
-    except below the measurement floor where the point is
-    undetectable by definition). When [verdicts] is given, a point whose byte is ['d']
-    (certified detectable) or ['u'] (certified undetectable) takes
-    that verdict without consulting the row — such points need never
-    have been scored; ['?'] bytes fall through to the numeric
-    comparison. *)
-
 val point_verdict :
   prepared_view -> re:float array -> im:float array -> ok:Bytes.t -> int -> bool
 (** The verdict of one scored grid point: [true] (detectable) when the
     point's solve failed ([ok] byte ['\000']) or its deviation exceeds
-    some prepared threshold — exactly the per-point comparison inside
-    {!result_of_rows}, exposed so a grid-subset driver (the adaptive
-    campaign) can turn individually solved points into verdict bytes
-    that reduce through {!result_of_verdicts} bitwise-identically. The
-    slot [i] must have been filled by {!score_range}. *)
+    some prepared threshold — exactly {!analyze}'s per-point
+    comparison, exposed so the campaign driver can turn individually
+    solved points into verdict bytes that reduce through
+    {!result_of_verdicts} bitwise-identically. The slot [i] must have
+    been filled by {!score_range}. *)
 
 val point_margin :
   prepared_view -> re:float array -> im:float array -> ok:Bytes.t -> int -> float
@@ -212,8 +193,8 @@ val measurement_mask : Complex.t array -> Bytes.t
     every grid point whose nominal magnitude falls below
     [max (1e-12 × peak, 1e-13)]. Those points have no usable reference
     — every criterion declares them undetectable by definition, in
-    every scoring path ({!analyze}, {!result_of_rows},
-    {!point_verdict}), failed solves included. The verdict there is
+    every scoring path ({!analyze}, {!point_verdict}), failed solves
+    included. The verdict there is
     therefore a {e static} ['u']: a campaign driver may fill it without
     solving, and {!prepare_view} clamps the prepared thresholds to
     [+∞] (and steering to [-∞]) accordingly. ['\000'] everywhere on a
@@ -224,9 +205,9 @@ val view_measurement_mask : prepared_view -> Bytes.t
     at preparation time. Do not mutate. *)
 
 val result_of_verdicts : Grid.t -> Fault.t -> Bytes.t -> result
-(** Reduce a fully certified verdict row (every byte ['d'] or ['u'],
+(** Reduce a fully decided verdict row (every byte ['d'] or ['u'],
     one per grid point) to a {!result} without any simulation — the
-    same interval bookkeeping as {!result_of_rows}. Raises
+    same interval bookkeeping as {!analyze}. Raises
     [Invalid_argument] on a length mismatch or a residual ['?']
     byte. *)
 

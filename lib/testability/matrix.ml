@@ -9,178 +9,6 @@ type t = {
   omega : float array array;
 }
 
-(* Task shape of the scoring phase: a few faults per task keeps the
-   view's per-frequency LU factor hot across the faults that reuse it,
-   and a bounded frequency block caps each task's working set while
-   letting one cached factor serve a contiguous run of back-solves. *)
-let fault_chunk = 8
-let freq_block = 16
-
-(* Rough per-point cost of a warmed rank-1 solve (two O(n²) passes:
-   the update and the residual matvec) — feeds the scheduler's
-   sequential cutoff, so only the order of magnitude matters. *)
-let point_ns dim = (3.0 *. float_of_int (dim * dim)) +. 250.0
-
-let build ?backend ?certified ?criterion ?(jobs = 1) grid views faults =
-  Obs.Trace.span "matrix.build" @@ fun () ->
-  let views = Array.of_list views in
-  let faults = Array.of_list faults in
-  let n = Array.length views and m = Array.length faults in
-  let nf = Grid.n_points grid in
-  (match certified with
-  | None -> ()
-  | Some cube ->
-      if
-        Array.length cube <> n
-        || Array.exists
-             (fun row ->
-               Array.length row <> m
-               || Array.exists
-                    (function
-                      | Some v -> Bytes.length v <> nf | None -> false)
-                    row)
-             cube
-      then invalid_arg "Matrix.build: certified verdict cube shape mismatch");
-  let cert i j =
-    match certified with None -> None | Some cube -> cube.(i).(j)
-  in
-  let has_unknown v = Bytes.exists (fun b -> b = '?') v in
-  (* Certified-cell accounting, sequential and ahead of the parallel
-     phases so the counters are jobs-invariant by construction. *)
-  (match certified with
-  | None -> ()
-  | Some cube ->
-      Array.iter
-        (fun row ->
-          Array.iter
-            (function
-              | None -> ()
-              | Some v ->
-                  let proved = ref 0 in
-                  Bytes.iter (fun b -> if b <> '?' then incr proved) v;
-                  if !proved > 0 then begin
-                    Obs.Metrics.incr ~by:!proved "certify.solves_skipped";
-                    if !proved = nf then Obs.Metrics.incr "certify.cells_proved"
-                  end)
-            row)
-        cube);
-  let detect = Array.make_matrix n m false in
-  let omega = Array.make_matrix n m 0.0 in
-  let fault_list = Array.to_list faults in
-  (* Phase 1 — per-view preparation: build each view's engine and
-     thresholds, pre-warm its back-solve cache for the fault list
-     (block back-solves, one per frequency), and classify every fault
-     into an immutable plan — so phase 2 never mutates an engine.
-     Parallel over views. The work estimate only needs the order of
-     magnitude, so the element count stands in for the unknown MNA
-     dimension. *)
-  let prep_est =
-    let dim_proxy i = List.length (Netlist.elements views.(i).netlist) in
-    Util.Floatx.fold_range n ~init:0.0 ~f:(fun acc i ->
-        let d = float_of_int (dim_proxy i) in
-        acc +. (float_of_int nf *. d *. d *. (d +. (6.0 *. float_of_int m))))
-  in
-  let prepared =
-    Util.Parallel.map ~jobs ~est_ns:prep_est n (fun i ->
-        let view = views.(i) in
-        Obs.Trace.span ("matrix.prepare " ^ view.label) @@ fun () ->
-        (* Fully certified faults need neither a warmed back-solve
-           cache nor a plan — their rows are never scored. *)
-        let warm =
-          if certified = None then fault_list
-          else
-            List.filteri
-              (fun j _ ->
-                match cert i j with Some v -> has_unknown v | None -> true)
-              fault_list
-        in
-        let pv =
-          Detect.prepare_view ?backend ?criterion ~warm view.probe grid
-            view.netlist
-        in
-        let plans =
-          Array.mapi
-            (fun j fault ->
-              match cert i j with
-              | Some v when not (has_unknown v) -> None
-              | _ -> Some (Detect.plan_fault pv fault))
-            faults
-        in
-        (pv, plans))
-  in
-  (* Phase 2 — score the matrix over (view × fault-chunk ×
-     frequency-block) tasks. Each task fills one frequency block of a
-     handful of response rows; rows are per-(view, fault) planar
-     buffers, so tasks touching the same row write disjoint index
-     ranges and workers share nothing but the scheduler state, the
-     read-only prepared views and plans. Work-stealing balances the
-     uneven task costs (structural faults and full fallbacks cost
-     O(n³) per point, warmed rank-1 solves O(n²)). *)
-  let rows =
-    Array.init n (fun _ ->
-        Array.init m (fun _ ->
-            (Array.make nf 0.0, Array.make nf 0.0, Bytes.make nf '\000')))
-  in
-  let n_fc = if m = 0 then 0 else (m + fault_chunk - 1) / fault_chunk in
-  let n_fb = if nf = 0 then 0 else (nf + freq_block - 1) / freq_block in
-  let score_est =
-    Util.Floatx.fold_range n ~init:0.0 ~f:(fun acc i ->
-        let pv, _ = prepared.(i) in
-        acc +. (float_of_int (m * nf) *. point_ns (Detect.view_dim pv)))
-  in
-  Util.Parallel.for_ ~jobs ~est_ns:score_est
-    (n * n_fc * n_fb)
-    (fun item ->
-      let i = item / (n_fc * n_fb) in
-      let rem = item mod (n_fc * n_fb) in
-      let c = rem / n_fb and bq = rem mod n_fb in
-      let pv, plans = prepared.(i) in
-      let lo = bq * freq_block in
-      let hi = Int.min nf (lo + freq_block) in
-      let j1 = Int.min m ((c * fault_chunk) + fault_chunk) - 1 in
-      for j = c * fault_chunk to j1 do
-        match plans.(j) with
-        | None -> () (* fully certified: nothing to solve *)
-        | Some plan -> (
-            let re, im, ok = rows.(i).(j) in
-            match cert i j with
-            | None -> Detect.score_range pv plan ~lo ~hi ~re ~im ~ok
-            | Some v ->
-                (* Score only the maximal runs of uncertified points
-                   inside this frequency block; certified slots keep
-                   their (never-read) zero row entries. *)
-                let p = ref lo in
-                while !p < hi do
-                  if Bytes.get v !p <> '?' then incr p
-                  else begin
-                    let q = ref !p in
-                    while !q < hi && Bytes.get v !q = '?' do
-                      incr q
-                    done;
-                    Detect.score_range pv plan ~lo:!p ~hi:!q ~re ~im ~ok;
-                    p := !q
-                  end
-                done)
-      done);
-  (* Phase 3 — sequential reduce: each completed planar row becomes a
-     detectability verdict. Cheap (interval bookkeeping), and keeping
-     it sequential keeps the reduction order — hence the matrix —
-     trivially jobs-deterministic. *)
-  Obs.Trace.span "matrix.reduce" (fun () ->
-      for i = 0 to n - 1 do
-        let pv, _ = prepared.(i) in
-        for j = 0 to m - 1 do
-          let re, im, ok = rows.(i).(j) in
-          let r =
-            Detect.result_of_rows ?verdicts:(cert i j) pv grid faults.(j) ~re
-              ~im ~ok
-          in
-          detect.(i).(j) <- r.Detect.detectable;
-          omega.(i).(j) <- r.Detect.omega_det
-        done
-      done);
-  { views; faults; detect; omega }
-
 let n_views t = Array.length t.views
 let n_faults t = Array.length t.faults
 

@@ -8,7 +8,8 @@ module Netlist := Circuit.Netlist
     deliberately independent of how views are produced: the
     multi-configuration transform supplies them, but any family of
     netlists sharing the faulty elements works (e.g. different probe
-    points). *)
+    points). The campaign that fills it is [Mcdft_core.Adaptive.build]
+    (stride 1 is the exhaustive sweep). *)
 
 type view = { label : string; netlist : Netlist.t; probe : Detect.probe }
 
@@ -18,31 +19,6 @@ type t = {
   detect : bool array array;  (** [detect.(i).(j)]: fault j detectable in view i. *)
   omega : float array array;  (** ω-detectability of fault j in view i. *)
 }
-
-val build :
-  ?backend:Fastsim.backend ->
-  ?certified:Bytes.t option array array ->
-  ?criterion:Detect.criterion -> ?jobs:int -> Grid.t -> view list -> Fault.t list -> t
-(** Run the full fault simulation campaign: one nominal sweep plus one
-    faulty sweep per (view, fault) pair. [jobs] > 1 distributes the
-    views across that many domains (the per-view analyses are
-    independent); results are identical to a sequential run. [backend]
-    selects the per-view factorization ({!Fastsim.backend}, default
-    [Auto]).
-
-    [certified] is a per-[view][fault] cube of statically certified
-    verdict bytes (['d' | 'u' | '?'] per grid point, see
-    [Analysis.Certify.verdict_cube]): certified points are never
-    solved — their verdicts flow straight into the reduce — and a
-    fully certified (view, fault) cell skips cache warming and plan
-    construction too. The caller is responsible for the cube having
-    been computed against the same views, faults, grid and criterion;
-    verdict soundness then makes the resulting matrices bitwise
-    identical to an uncertified run. Counters:
-    [certify.solves_skipped] (certified points) and
-    [certify.cells_proved] (fully certified cells), incremented
-    sequentially before the parallel phases so they stay
-    jobs-invariant. Raises [Invalid_argument] on a shape mismatch. *)
 
 val n_views : t -> int
 val n_faults : t -> int

@@ -46,11 +46,11 @@ let gen_row seed =
 
 let byte_of r i = if r.margins.(i) > 0.0 then 'd' else 'u'
 
-let refine ?budget ?(certified = fun _ -> '?') r =
+let refine ?budget ?(anchor = fun _ -> '?') r =
   A.Refine.row ~nf:r.nf ~stride:r.stride ~step_dec:r.step_dec ~guard:r.guard
     ~steer_range:(fun _ _ -> 0.0)
     ~budget
-    ~certified
+    ~anchor
     ~solve:(fun i -> (byte_of r i, r.margins.(i)))
 
 let row_matches r (o : A.Refine.outcome) =
@@ -97,21 +97,22 @@ let qcheck_budget_degrades_never_guesses =
       && List.sort_uniq Int.compare o.A.Refine.solved
          = List.sort Int.compare o.A.Refine.solved)
 
-let qcheck_certified_anchors_never_solved =
+let qcheck_static_anchors_never_solved =
   QCheck.Test.make
-    ~name:"certified anchors seed the refinement and are never re-solved"
+    ~name:"static anchors seed the refinement and are never re-solved"
     ~count:500
     (QCheck.make QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
       let r = gen_row seed in
       let rng = Random.State.make [| seed + 7 |] in
-      let cert = Array.init r.nf (fun _ -> Random.State.int rng 3 = 0) in
-      let certified i = if cert.(i) then byte_of r i else '?' in
-      let o = refine ~certified r in
+      let known = Array.init r.nf (fun _ -> Random.State.int rng 3 = 0) in
+      let anchor i = if known.(i) then byte_of r i else '?' in
+      let o = refine ~anchor r in
       row_matches r o
-      && List.for_all (fun i -> not cert.(i)) o.A.Refine.solved)
+      && List.for_all (fun i -> not known.(i)) o.A.Refine.solved)
 
-(* ---- end-to-end: adaptive pipeline = exhaustive pipeline ---- *)
+(* ---- end-to-end: adaptive pipeline = exhaustive pipeline = the
+   per-view Detect.analyze reference ---- *)
 
 let run_pipeline ?solve_budget ~adaptive ~criterion () =
   let b = Circuits.Tow_thomas.make () in
@@ -121,6 +122,24 @@ let check_identical ~what criterion ?solve_budget () =
   let exhaustive = run_pipeline ~adaptive:false ~criterion () in
   let t = run_pipeline ~adaptive:true ~criterion ?solve_budget () in
   let me = exhaustive.P.matrix and ma = t.P.matrix in
+  let reference =
+    Array.map
+      (fun (v : Testability.Matrix.view) ->
+        Array.of_list
+          (Testability.Detect.analyze ~criterion v.Testability.Matrix.probe
+             exhaustive.P.grid v.Testability.Matrix.netlist exhaustive.P.faults))
+      me.Testability.Matrix.views
+  in
+  Alcotest.(check bool)
+    (what ^ ": stride-1 detect = Detect.analyze")
+    true
+    (me.Testability.Matrix.detect
+    = Array.map (Array.map (fun r -> r.Testability.Detect.detectable)) reference);
+  Alcotest.(check bool)
+    (what ^ ": stride-1 omega = Detect.analyze")
+    true
+    (me.Testability.Matrix.omega
+    = Array.map (Array.map (fun r -> r.Testability.Detect.omega_det)) reference);
   Alcotest.(check bool)
     (what ^ ": detect bitwise identical")
     true
@@ -129,13 +148,14 @@ let check_identical ~what criterion ?solve_budget () =
     (what ^ ": omega bitwise identical")
     true
     (ma.Testability.Matrix.omega = me.Testability.Matrix.omega);
+  Alcotest.(check bool) (what ^ ": exhaustive run carries no stats") true
+    (exhaustive.P.adaptive = None);
   match t.P.adaptive with
   | None -> Alcotest.fail (what ^ ": adaptive run carries no stats")
   | Some s ->
       Alcotest.(check int)
-        (what ^ ": points = certified + solved + skipped")
-        s.A.points
-        (s.A.certified + s.A.solved + s.A.skipped);
+        (what ^ ": points = solved + skipped")
+        s.A.points (s.A.solved + s.A.skipped);
       s
 
 let test_pipeline_identity_envelope () =
@@ -296,7 +316,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_refined_row_exact;
     QCheck_alcotest.to_alcotest qcheck_budget_degrades_never_guesses;
-    QCheck_alcotest.to_alcotest qcheck_certified_anchors_never_solved;
+    QCheck_alcotest.to_alcotest qcheck_static_anchors_never_solved;
     Alcotest.test_case "adaptive pipeline = exhaustive (envelope)" `Quick
       test_pipeline_identity_envelope;
     Alcotest.test_case "adaptive pipeline = exhaustive (fixed)" `Quick

@@ -205,12 +205,38 @@ let test_detectability_consistency () =
       ~output:b.Circuits.Benchmark.output b.Circuits.Benchmark.netlist
   in
   let det = Analysis.Detectability.analyse dft in
-  let plan = Mcdft_core.Prefilter.analyse dft in
-  Alcotest.(check int) "skip_count = pruned_pairs"
-    plan.Mcdft_core.Prefilter.pruned_pairs
+  let configs = Array.length det.Analysis.Detectability.configs in
+  let faults = det.Analysis.Detectability.faults in
+  let skips =
+    Array.fold_left
+      (fun acc row ->
+        Array.fold_left (fun acc u -> if u then acc + 1 else acc) acc row)
+      0 det.Analysis.Detectability.undetectable
+  in
+  Alcotest.(check int) "skip_count = undetectable entries" skips
     (Analysis.Detectability.skip_count det);
-  Alcotest.(check int) "total_pairs agree" plan.Mcdft_core.Prefilter.total_pairs
+  Alcotest.(check int) "total_pairs = configurations x faults"
+    (configs * Array.length faults)
     (Analysis.Detectability.total_pairs det);
+  Alcotest.(check int) "one influence set per configuration" configs
+    (List.length det.Analysis.Detectability.influential);
+  (* a pair is skipped exactly when its element cannot influence the
+     output of that configuration *)
+  Array.iteri
+    (fun i config ->
+      let influential =
+        List.assoc (Multiconfig.Configuration.index config)
+          det.Analysis.Detectability.influential
+      in
+      Array.iteri
+        (fun j (f : Fault.t) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "C%d/%s skipped iff not influential"
+               (Multiconfig.Configuration.index config) f.Fault.id)
+            (not (List.mem f.Fault.element influential))
+            det.Analysis.Detectability.undetectable.(i).(j))
+        faults)
+    det.Analysis.Detectability.configs;
   Alcotest.(check bool) "pruning is non-trivial" true
     (Analysis.Detectability.skip_count det > 0);
   Alcotest.(check int) "every fault detectable somewhere" 0

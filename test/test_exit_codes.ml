@@ -65,6 +65,13 @@ let table =
     ("unreadable netlist path", "tf fixtures", 5);
     ("missing netlist path is an unknown benchmark", "tf no/such/file.cir", 1);
     ("lint-rejected netlist", "tf fixtures/vloop.cir", 6);
+    (* removed options are unknown options: cmdliner's usage exit *)
+    ("matrix --no-certify is gone", "matrix tow-thomas --no-certify", 124);
+    ("optimize --no-certify is gone", "optimize tow-thomas --no-certify", 124);
+    ("testplan --no-certify is gone", "testplan tow-thomas --no-certify", 124);
+    ("diagnose --no-certify is gone", "diagnose tow-thomas --no-certify", 124);
+    ("blocks --no-certify is gone", "blocks tow-thomas --no-certify", 124);
+    ("matrix --prefilter is gone", "matrix tow-thomas --prefilter", 124);
   ]
 
 let test_exit_codes () =
@@ -93,6 +100,22 @@ let test_fuzz_exit_codes () =
        "fuzz --replay fixtures/shrunk/ladder-0--rank1-updates.expected.json");
   Alcotest.(check int) "replay of a missing repro is an i/o error" 5
     (exit_code "fuzz --replay fixtures/shrunk/nope.expected.json")
+
+(* A written bigladder-100 netlist: its symbolic determinant overflows
+   the float range, so the centre-frequency estimate has no usable
+   poles and must fall back to the default centre instead of dying in
+   Poly.roots. The file also exercises the writer/parser round trip of
+   its U-named opamp cards. *)
+let test_overflowing_centre_estimate () =
+  let path = Filename.temp_file "mcdft-bigladder" ".cir" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let netlist, _ =
+    Conformance.Gen.bigladder ~stages:100 (Random.State.make [| 0x5bad; 100 |])
+  in
+  Spice.Writer.to_file path netlist;
+  Alcotest.(check int) "optimize on a bigladder-100 file" 0
+    (exit_code
+       (Printf.sprintf "optimize %s --points-per-decade 2" (Filename.quote path)))
 
 (* ---- bench efficiency gate ---- *)
 
@@ -157,6 +180,8 @@ let suite =
       test_exit_codes;
     Alcotest.test_case "fuzz subcommand exit codes" `Quick
       test_fuzz_exit_codes;
+    Alcotest.test_case "overflowing pole estimate falls back to 1 kHz" `Quick
+      test_overflowing_centre_estimate;
     Alcotest.test_case "bench efficiency gate announces when unarmed" `Quick
       test_efficiency_gate_announcement;
   ]

@@ -84,43 +84,49 @@ let test_soundness_vs_simulation () =
         (Multiconfig.Transform.test_configurations dft))
     [ Circuits.Tow_thomas.make (); Circuits.Khn.make (); Circuits.Notch.make () ]
 
-(* --- prefilter --- *)
+(* --- structural prefilter (Analysis.Detectability) --- *)
+
+module D = Analysis.Detectability
 
 let test_prefilter_structure () =
   let b = Circuits.Tow_thomas.make () in
   let dft = Multiconfig.Transform.make ~source:"Vin" ~output:"v2" b.Circuits.Benchmark.netlist in
-  let plan = Mcdft_core.Prefilter.analyse dft in
-  Alcotest.(check int) "7 predictions" 7 (List.length plan.Mcdft_core.Prefilter.predicted);
-  Alcotest.(check int) "56 pairs total" 56 plan.Mcdft_core.Prefilter.total_pairs;
-  Alcotest.(check bool) "some pairs pruned" true
-    (plan.Mcdft_core.Prefilter.pruned_pairs > 0);
+  let det = D.analyse dft in
+  Alcotest.(check int) "7 predictions" 7 (List.length det.D.influential);
+  Alcotest.(check int) "56 pairs total" 56 (D.total_pairs det);
+  Alcotest.(check bool) "some pairs pruned" true (D.skip_count det > 0);
   Alcotest.(check bool) "not everything pruned" true
-    (plan.Mcdft_core.Prefilter.pruned_pairs < plan.Mcdft_core.Prefilter.total_pairs)
+    (D.skip_count det < D.total_pairs det)
 
 let test_prefilter_matrix_identical () =
-  (* pair-level pruning must not change the matrix at all *)
+  (* pair-level pruning must not change the matrix at all: forcing
+     every structurally skipped pair to "not detected" reproduces the
+     simulated matrix exactly *)
   let b = Circuits.Tow_thomas.make () in
   let full = P.run ~points_per_decade:8 b in
-  let _, pruned = Mcdft_core.Prefilter.run ~points_per_decade:8 b in
+  let det = D.analyse ~faults:full.P.faults full.P.dft in
+  let m = full.P.matrix in
+  let skip i j = det.D.undetectable.(i).(j) in
+  let pruned_detect =
+    Array.mapi
+      (fun i row -> Array.mapi (fun j d -> d && not (skip i j)) row)
+      m.Testability.Matrix.detect
+  in
+  let pruned_omega =
+    Array.mapi
+      (fun i row -> Array.mapi (fun j w -> if skip i j then 0.0 else w) row)
+      m.Testability.Matrix.omega
+  in
   Alcotest.(check bool) "identical detect matrix" true
-    (full.P.matrix.Testability.Matrix.detect = pruned.Testability.Matrix.detect);
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun j w ->
-          Alcotest.(check (float 1e-12)) "identical omega" w
-            pruned.Testability.Matrix.omega.(i).(j))
-        row)
-    full.P.matrix.Testability.Matrix.omega
+    (m.Testability.Matrix.detect = pruned_detect);
+  Alcotest.(check bool) "identical omega matrix" true
+    (m.Testability.Matrix.omega = pruned_omega)
 
 let test_prefilter_prunes_many_pairs () =
   let b = Circuits.Cascade.tow_thomas_pair () in
   let dft = Multiconfig.Transform.make ~source:"Vin" ~output:"v2B" b.Circuits.Benchmark.netlist in
-  let plan = Mcdft_core.Prefilter.analyse dft in
-  let ratio =
-    float_of_int plan.Mcdft_core.Prefilter.pruned_pairs
-    /. float_of_int plan.Mcdft_core.Prefilter.total_pairs
-  in
+  let det = D.analyse dft in
+  let ratio = float_of_int (D.skip_count det) /. float_of_int (D.total_pairs det) in
   Alcotest.(check bool)
     (Printf.sprintf "pruned %.0f%% of pairs" (100.0 *. ratio))
     true (ratio > 0.2)

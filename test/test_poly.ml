@@ -120,6 +120,21 @@ let qcheck_roots_are_roots =
           Complex.norm v <= 1e-4 *. scale *. (root_mag ** float_of_int (Poly.degree q)))
         (Poly.roots q))
 
+(* An overflowed symbolic determinant (a large RC ladder) hands roots
+   infinite coefficients; normalizing by an infinite leading term used
+   to yield the zero polynomial and an out-of-range Array.sub. *)
+let test_roots_non_finite () =
+  let refused what coeffs =
+    match Poly.roots (p coeffs) with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "infinite leading coefficient" [| 1.0; 2.0; infinity |];
+  refused "infinite and nan coefficients" [| neg_infinity; nan; infinity |];
+  refused "subnormal leading coefficient" [| 1.0; 5e-324 |];
+  Alcotest.(check int) "finite input still solves" 2
+    (Array.length (Poly.roots (p [| 2.0; -3.0; 1.0 |])))
+
 let suite =
   [
     Alcotest.test_case "construct" `Quick test_construct;
@@ -131,6 +146,7 @@ let suite =
     Alcotest.test_case "roots quadratic" `Quick test_roots_quadratic;
     Alcotest.test_case "roots complex pair" `Quick test_roots_complex_pair;
     Alcotest.test_case "roots scaled" `Quick test_roots_scaled;
+    Alcotest.test_case "roots refuse non-finite input" `Quick test_roots_non_finite;
     QCheck_alcotest.to_alcotest qcheck_add_comm;
     QCheck_alcotest.to_alcotest qcheck_mul_distributes;
     QCheck_alcotest.to_alcotest qcheck_eval_hom;

@@ -103,6 +103,33 @@ let test_roundtrip_all_benchmarks () =
         (Complex.norm a) (Complex.norm r))
     (Circuits.Registry.all ())
 
+(* Writer then parser reproduces every element exactly — names (opamps
+   included, whatever their leading letter), nodes and values bit for
+   bit — on the registry and on every generator family. *)
+let test_roundtrip_exact () =
+  let check label netlist =
+    let reparsed = parse_ok (Spice.Writer.to_string netlist) in
+    Alcotest.(check (list string))
+      (label ^ " element names")
+      (List.map Element.name (Netlist.elements netlist))
+      (List.map Element.name (Netlist.elements reparsed));
+    Alcotest.(check bool)
+      (label ^ " elements identical")
+      true
+      (Netlist.elements netlist = Netlist.elements reparsed)
+  in
+  List.iter
+    (fun (b : Circuits.Benchmark.t) ->
+      check b.Circuits.Benchmark.name b.Circuits.Benchmark.netlist)
+    (Circuits.Registry.all ());
+  List.iter
+    (fun family ->
+      for seed = 0 to 4 do
+        let s = Conformance.Gen.generate family ~seed in
+        check s.Conformance.Gen.label s.Conformance.Gen.netlist
+      done)
+    Conformance.Gen.all_families
+
 let test_parse_file () =
   let path = Filename.temp_file "mcdft" ".cir" in
   let oc = open_out path in
@@ -127,6 +154,8 @@ let suite =
     Alcotest.test_case "error reporting" `Quick test_error_reporting;
     Alcotest.test_case "duplicate names" `Quick test_duplicate_names_rejected;
     Alcotest.test_case "roundtrip benchmarks" `Quick test_roundtrip_all_benchmarks;
+    Alcotest.test_case "roundtrip exact on registry and generators" `Quick
+      test_roundtrip_exact;
     Alcotest.test_case "parse file" `Quick test_parse_file;
   ]
 

@@ -3,6 +3,10 @@ module Grid = Testability.Grid
 module Detect = Testability.Detect
 module Matrix = Testability.Matrix
 
+(* The exhaustive campaign: the single driver at stride 1. *)
+let build ?criterion ?jobs grid views faults =
+  fst (Mcdft_core.Adaptive.build ?criterion ?jobs ~stride:1 grid views faults)
+
 let rc ~r ~c () =
   Netlist.empty ~title:"rc" ()
   |> Netlist.vsource ~name:"V1" "in" "0" 1.0
@@ -151,7 +155,7 @@ let test_matrix_build () =
     ]
   in
   let faults = Fault.deviation_faults n in
-  let m = Matrix.build ~criterion:(Detect.Fixed_tolerance 0.10) grid views faults in
+  let m = build ~criterion:(Detect.Fixed_tolerance 0.10) grid views faults in
   Alcotest.(check int) "views" 2 (Matrix.n_views m);
   Alcotest.(check int) "faults" 2 (Matrix.n_faults m);
   (* the "in" view observes the source directly: no fault detectable *)
@@ -169,7 +173,7 @@ let test_matrix_best_omega () =
       { Matrix.label = "in"; netlist = n; probe = { probe with Detect.output = "in" } };
     ]
   in
-  let m = Matrix.build ~criterion:(Detect.Fixed_tolerance 0.10) grid views (Fault.deviation_faults n) in
+  let m = build ~criterion:(Detect.Fixed_tolerance 0.10) grid views (Fault.deviation_faults n) in
   Alcotest.(check (float 1e-9)) "best over both = view 0" (m.Matrix.omega.(0).(0))
     (Matrix.best_omega_det m 0);
   Alcotest.(check (float 1e-9)) "restricted to blind view" 0.0
@@ -208,8 +212,8 @@ let test_parallel_build_matches_sequential () =
           probe = { Detect.source = "Vin"; output = "v2" } })
       (Multiconfig.Transform.test_configurations dft)
   in
-  let seq = Matrix.build ~criterion:(Detect.Fixed_tolerance 0.1) g views faults in
-  let par = Matrix.build ~criterion:(Detect.Fixed_tolerance 0.1) ~jobs:4 g views faults in
+  let seq = build ~criterion:(Detect.Fixed_tolerance 0.1) g views faults in
+  let par = build ~criterion:(Detect.Fixed_tolerance 0.1) ~jobs:4 g views faults in
   Alcotest.(check bool) "same detect" true (seq.Matrix.detect = par.Matrix.detect);
   Alcotest.(check bool) "same omega" true (seq.Matrix.omega = par.Matrix.omega)
 
