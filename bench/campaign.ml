@@ -44,8 +44,8 @@ let time_s f =
 let time_best2_s f = Float.min (time_s f) (time_s f)
 
 (* The counters worth a column: solver mix, scheduler activity, and
-   the campaign's own economies (adaptive refinement and equivalence
-   pruning). *)
+   the campaign's own economies (adaptive refinement, equivalence
+   pruning and the structural anchors: isolated rows and dead views). *)
 let counter_columns =
   [
     "adaptive.solves_skipped";
@@ -53,6 +53,8 @@ let counter_columns =
     "adaptive.budget_exhausted";
     "campaign.equivalence_groups";
     "campaign.pruned_configs";
+    "campaign.isolated_rows";
+    "campaign.dead_views";
     "fastsim.smw_solves";
     "fastsim.full_solves";
     "fastsim.refine_steps";

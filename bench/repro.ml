@@ -640,8 +640,8 @@ let prefilter () =
   Printf.printf
     "The paper's conclusion proposes selecting simulation candidates from\n\
      structural information. A sound influence analysis marks the\n\
-     (configuration, fault) pairs that cannot interact; their faulty\n\
-     sweeps could be skipped, since every one of them is a 0 entry of\n\
+     (configuration, fault) pairs that cannot interact; the campaign\n\
+     skips their faulty sweeps, and every one of them is a 0 entry of\n\
      the simulated matrix:\n\n";
   let rows =
     List.map

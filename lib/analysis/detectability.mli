@@ -4,10 +4,16 @@
     over-approximation of the elements able to affect the output there.
     This module lifts that per-configuration pass into a
     (configuration x fault) boolean matrix — [true] meaning "fault f is
-    {e structurally undetectable} in configuration C_i, its simulation
-    could be skipped" — which lint reports as P001. Soundness: a
-    pruned pair is guaranteed a "not detected" matrix entry, so
-    pruning would never change the campaign result (pinned by tests). *)
+    {e structurally undetectable} in configuration C_i; the campaign
+    skips its simulation" — which lint reports as P001. The campaign
+    reaches the same predicate per view ({!Testability.Detect}'s
+    isolated faults): such a pair's row is all ['u'] by definition and
+    costs no solve, and the [campaign.isolated_rows] counter of an
+    unpruned campaign equals {!skip_count} (pinned by tests).
+    Soundness: in exact arithmetic the fault moves the output by
+    exactly zero, whatever the element values; an independent tier-1
+    check confirms it against the numeric engine on every registry
+    circuit. *)
 
 type t = {
   configs : Multiconfig.Configuration.t array;
@@ -31,7 +37,7 @@ val analyse :
 
 val skip_count : t -> int
 (** Number of [true] entries — the (configuration, fault) sweeps the
-    campaign can skip. *)
+    campaign skips. *)
 
 val total_pairs : t -> int
 

@@ -291,7 +291,7 @@ let configuration_findings ?src ?follower_model ?(max_opamps = 10) dft =
         (Finding.make ~code:"P001" ~severity:Finding.Info
            (Printf.sprintf
               "structural detectability: %d of %d (configuration, fault) simulations \
-               provably yield no detection and can be pruned"
+               provably yield no detection; the campaign skips them"
               skips
               (Detectability.total_pairs det)));
     (* interval certification at the paper's fixed ε = 0.1: a fault

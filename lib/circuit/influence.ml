@@ -28,56 +28,81 @@ let stiff_nodes netlist =
     StringSet.empty
     (Netlist.elements netlist)
 
+(* The nodes whose entry into the influential set can enable an
+   element's propagation rule (see [fire] below). *)
+let trigger_nodes = function
+  | Element.Resistor { n1; n2; _ } | Element.Capacitor { n1; n2; _ }
+  | Element.Inductor { n1; n2; _ } -> [ n1; n2 ]
+  | Element.Opamp { out; _ } -> [ out ]
+  | Element.Vcvs { npos; _ } | Element.Ccvs { npos; _ } -> [ npos ]
+  | Element.Vccs { npos; nneg; _ } | Element.Cccs { npos; nneg; _ } -> [ npos; nneg ]
+  | Element.Vsource _ | Element.Isource _ -> []
+
+(* Least fixpoint of the propagation rules, by worklist: every rule is
+   monotone in the influential set and only reads its element's
+   trigger nodes, so re-firing an element exactly when one of its
+   triggers joins reaches the same fixpoint as sweeping the whole
+   element list until nothing changes — in one pass over the graph
+   instead of one sweep per hop (a long ladder listed input-first is
+   hundreds of hops deep). *)
 let analyse ~output netlist =
   let stiff = stiff_nodes netlist in
-  let influential = ref (StringSet.singleton output) in
-  let add n =
-    if n <> Element.ground && not (StringSet.mem n !influential) then begin
-      influential := StringSet.add n !influential;
-      true
-    end
-    else false
+  let influential = Hashtbl.create 64 in
+  let queue = Queue.create () in
+  let enter n =
+    Hashtbl.replace influential n ();
+    Queue.add n queue
   in
-  let in_set n = StringSet.mem n !influential in
+  let add n = if n <> Element.ground && not (Hashtbl.mem influential n) then enter n in
+  let in_set n = Hashtbl.mem influential n in
   let soft n = in_set n && not (StringSet.mem n stiff) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun e ->
-        let step =
-          match e with
-          | Element.Resistor { n1; n2; _ } | Element.Capacitor { n1; n2; _ }
-          | Element.Inductor { n1; n2; _ } ->
-              (* conduction couples the terminals wherever the node is
-                 not ideally driven *)
-              (if soft n1 then add n2 else false) || if soft n2 then add n1 else false
-          | Element.Opamp { inp; inn; out; _ } ->
-              if in_set out then (add inp || add inn) else false
-          | Element.Vcvs { npos; cpos; cneg; _ } ->
-              if in_set npos then (add cpos || add cneg) else false
-          | Element.Vccs { npos; nneg; cpos; cneg; _ } ->
-              if soft npos || soft nneg then (add cpos || add cneg) else false
-          | Element.Ccvs { npos; vsense; _ } ->
-              if in_set npos then
-                match Netlist.find netlist vsense with
-                | Some (Element.Vsource { npos = sp; nneg = sn; _ }) ->
-                    add sp || add sn
-                | _ -> false
-              else false
-          | Element.Cccs { npos; nneg; vsense; _ } ->
-              if soft npos || soft nneg then
-                match Netlist.find netlist vsense with
-                | Some (Element.Vsource { npos = sp; nneg = sn; _ }) ->
-                    add sp || add sn
-                | _ -> false
-              else false
-          | Element.Vsource _ | Element.Isource _ -> false
-        in
-        if step then changed := true)
-      (Netlist.elements netlist)
+  let add_sensing vsense =
+    match Netlist.find netlist vsense with
+    | Some (Element.Vsource { npos; nneg; _ }) ->
+        add npos;
+        add nneg
+    | _ -> ()
+  in
+  let fire e =
+    match e with
+    | Element.Resistor { n1; n2; _ } | Element.Capacitor { n1; n2; _ }
+    | Element.Inductor { n1; n2; _ } ->
+        (* conduction couples the terminals wherever the node is not
+           ideally driven *)
+        if soft n1 then add n2;
+        if soft n2 then add n1
+    | Element.Opamp { inp; inn; out; _ } ->
+        if in_set out then begin
+          add inp;
+          add inn
+        end
+    | Element.Vcvs { npos; cpos; cneg; _ } ->
+        if in_set npos then begin
+          add cpos;
+          add cneg
+        end
+    | Element.Vccs { npos; nneg; cpos; cneg; _ } ->
+        if soft npos || soft nneg then begin
+          add cpos;
+          add cneg
+        end
+    | Element.Ccvs { npos; vsense; _ } -> if in_set npos then add_sensing vsense
+    | Element.Cccs { npos; nneg; vsense; _ } ->
+        if soft npos || soft nneg then add_sensing vsense
+    | Element.Vsource _ | Element.Isource _ -> ()
+  in
+  let triggered = Hashtbl.create 64 in
+  List.iter
+    (fun e -> List.iter (fun n -> Hashtbl.add triggered n e) (trigger_nodes e))
+    (Netlist.elements netlist);
+  enter output;
+  while not (Queue.is_empty queue) do
+    List.iter fire (Hashtbl.find_all triggered (Queue.pop queue))
   done;
-  { netlist; influential = !influential; stiff }
+  let influential =
+    Hashtbl.fold (fun n () acc -> StringSet.add n acc) influential StringSet.empty
+  in
+  { netlist; influential; stiff }
 
 let influential_nodes t = StringSet.elements t.influential
 
@@ -96,3 +121,11 @@ let influential_passives t =
       let name = Element.name e in
       if can_affect_output t name then Some name else None)
     (Netlist.passives t.netlist)
+
+let drives_output t source =
+  match Netlist.find_exn t.netlist source with
+  | Element.Vsource { npos; nneg; _ } ->
+      List.exists
+        (fun n -> n <> Element.ground && StringSet.mem n t.influential)
+        [ npos; nneg ]
+  | _ -> can_affect_output t source

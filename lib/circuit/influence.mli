@@ -37,3 +37,12 @@ val can_affect_output : t -> string -> bool
 val influential_passives : t -> string list
 (** The passive elements that can affect the output, in netlist
     order — the candidate fault set worth simulating. *)
+
+val drives_output : t -> string -> bool
+(** [drives_output t source] — whether the independent source [source]
+    can move the output at all: a voltage source when one of its
+    non-ground terminals is influential, any other element when
+    {!can_affect_output} holds. False means the output does not depend
+    on the stimulus — the transfer from [source] is exactly zero in
+    exact arithmetic, whatever the element values. Raises [Not_found]
+    for an unknown element. *)

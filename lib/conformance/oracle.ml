@@ -675,14 +675,14 @@ let certify_soundness (s : Gen.subject) =
             List.find_map
               (fun (fault, cell) ->
                 Option.bind cell (fun bytes ->
-                    Detect.score_range pv (Detect.plan_fault pv fault) ~lo:0 ~hi:nf
-                      ~re ~im ~ok;
+                    let plan = Detect.plan_fault pv fault in
+                    Detect.score_range pv plan ~lo:0 ~hi:nf ~re ~im ~ok;
                     let bad = ref None in
                     for k = nf - 1 downto 0 do
                       let b = Bytes.get bytes k in
                       if b <> '?' && Bytes.get mask k = '\000' then
                         let numeric =
-                          if Detect.point_verdict pv ~re ~im ~ok k then 'd' else 'u'
+                          if Detect.point_verdict pv plan ~re ~im ~ok k then 'd' else 'u'
                         in
                         if b <> numeric then bad := Some (k, b, numeric)
                     done;

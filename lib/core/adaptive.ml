@@ -179,11 +179,12 @@ let build ?backend ?criterion ?(jobs = 1) ?solve_budget
       let f = Grid.freqs_hz grid in
       Float.abs (log10 (f.(nf - 1) /. f.(0))) /. float_of_int (nf - 1)
   in
-  (* Phase 1 — per-view preparation: build each view's engine and
-     thresholds, pre-warm its back-solve cache for the fault list
-     (block back-solves, one per frequency), and build every fault's
-     immutable plan — so the refinement phase never mutates an engine
-     and single-point solves at any grid index hit the warmed cache.
+  (* Phase 1 — per-view preparation: build each view's engine,
+     structural anchors and thresholds, pre-warm its back-solve cache
+     for the envelope drifts and the fault list (block back-solves,
+     one per frequency), and build every fault's immutable plan — so
+     the refinement phase never mutates an engine and single-point
+     solves at any grid index hit the warmed cache.
      Parallel over views. The work estimate only needs the order of
      magnitude, so the element count stands in for the unknown MNA
      dimension. *)
@@ -230,16 +231,19 @@ let build ?backend ?criterion ?(jobs = 1) ?solve_budget
       let mask = Detect.view_measurement_mask pv in
       let solve k =
         Detect.score_range pv plan ~lo:k ~hi:(k + 1) ~re ~im ~ok;
-        let b = if Detect.point_verdict pv ~re ~im ~ok k then 'd' else 'u' in
-        (b, Detect.point_margin pv ~re ~im ~ok k)
+        let b = if Detect.point_verdict pv plan ~re ~im ~ok k then 'd' else 'u' in
+        (b, Detect.point_margin pv plan ~re ~im ~ok k)
       in
       (* A point below the view's measurement floor is undetectable by
-         definition ({!Detect.measurement_mask}) — a static 'u' anchor,
-         known without solving. It carries no margin, so refinement
-         stops at it rather than skipping past; a dead view (a
-         reconfiguration that disconnects the probed output) costs
-         zero solves. *)
-      let anchor k = if Bytes.get mask k = '\001' then 'u' else '?' in
+         definition ({!Detect.view_measurement_mask}) — a static 'u'
+         anchor, known without solving. It carries no margin, so
+         refinement stops at it rather than skipping past. A dead view
+         (its source cannot reach the output) is below the floor
+         everywhere and an isolated fault (its element cannot affect
+         the output) is undetectable everywhere: both rows cost zero
+         solves, at every stride. *)
+      let isolated = Detect.plan_isolated plan in
+      let anchor k = if isolated || Bytes.get mask k = '\001' then 'u' else '?' in
       let steer_range lo hi =
         List.fold_left
           (fun acc profile ->
@@ -261,7 +265,8 @@ let build ?backend ?criterion ?(jobs = 1) ?solve_budget
       row_bisections.(i).(j) <- o.Refine.bisections;
       row_degraded.(i).(j) <- o.Refine.degraded);
   (* Phase 3 — sequential reduce and counter booking, in row order:
-     the matrix and the adaptive.* totals are jobs-deterministic. *)
+     the matrix and the adaptive.* / campaign.* totals are
+     jobs-deterministic. *)
   let detect = Array.make_matrix n m false in
   let omega = Array.make_matrix n m 0.0 in
   let solved = ref 0 and bisections = ref 0 and degraded_rows = ref 0 in
@@ -282,6 +287,22 @@ let build ?backend ?criterion ?(jobs = 1) ?solve_budget
   if !bisections > 0 then Obs.Metrics.incr ~by:!bisections "adaptive.bisections";
   if !degraded_rows > 0 then
     Obs.Metrics.incr ~by:!degraded_rows "adaptive.budget_exhausted";
+  let isolated_rows =
+    Array.fold_left
+      (fun acc (_, plans) ->
+        Array.fold_left
+          (fun a p -> if Detect.plan_isolated p then a + 1 else a)
+          acc plans)
+      0 prepared
+  in
+  let dead_views =
+    Array.fold_left
+      (fun acc (pv, _) -> if Detect.view_dead pv then acc + 1 else acc)
+      0 prepared
+  in
+  if isolated_rows > 0 then
+    Obs.Metrics.incr ~by:isolated_rows "campaign.isolated_rows";
+  if dead_views > 0 then Obs.Metrics.incr ~by:dead_views "campaign.dead_views";
   ( { Matrix.views; faults; detect; omega },
     {
       rows = n * m;

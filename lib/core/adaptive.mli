@@ -21,11 +21,15 @@
     deviation-zero dips — regions a verdict-only bisection provably
     misses at any points-per-decade — announce themselves through the
     small margins of their shoulders, which is what the guard refines
-    toward; points below the view's measurement floor (dead view
-    outputs, notch bottoms) are undetectable by definition
-    ({!Testability.Detect.measurement_mask}) and act as free static
-    ['u'] anchors, so a reconfiguration that disconnects the probed
-    output costs zero solves.
+    toward. Points below the view's measurement floor (notch bottoms,
+    outputs left at round-off) are undetectable by definition
+    ({!Testability.Detect.view_measurement_mask}) and act as free
+    static ['u'] anchors. Two structural anchors extend them to whole
+    rows, at every stride: a {e dead} view (its source cannot reach
+    the output) is below the floor everywhere, and a fault on an
+    {e isolated} passive (one that cannot affect the output,
+    {!Testability.Detect.plan_isolated}) is undetectable everywhere —
+    both cost zero solves.
 
     At [~stride:1] every point is a coarse point: the row is the
     exhaustive sweep, solved point by point, and no verdict is ever
@@ -99,7 +103,8 @@ module Refine : sig
     outcome
   (** Refine one verdict row of [nf] grid points. [anchor i] is the
       static seed byte for point [i] (['d'], ['u'] or ['?'] — unknown);
-      the campaign passes the measurement-floor anchors through it.
+      the campaign passes the measurement-floor and structural anchors
+      through it.
       [solve i] performs the numeric solve and returns its verdict
       byte plus its margin in nepers ({!Testability.Detect.point_margin}
       — sign must agree with the byte; steering only). Solves the
@@ -135,8 +140,9 @@ val build :
   Testability.Matrix.t * stats
 (** Run the fault-simulation campaign over every (view, fault) pair.
     A parallel preparation phase builds each view's engine, nominal
-    sweep and thresholds and warms its back-solve cache for the whole
-    fault list ({!Testability.Detect.prepare_view}); scoring then fans
+    sweep, structural anchors and thresholds, warming its back-solve
+    cache first for the envelope's drifts and the faults that can reach
+    the output ({!Testability.Detect.prepare_view}); scoring then fans
     out over (view × fault) rows, each refined sequentially by
     {!Refine.row} with single-point {!Testability.Detect.score_range}
     solves against the warmed read-only plans. [jobs] > 1 distributes
@@ -153,5 +159,7 @@ val build :
     phase, so they are jobs-invariant by construction:
     [adaptive.solves_skipped] (points decided without solving),
     [adaptive.bisections], [adaptive.budget_exhausted] (degraded
-    rows). Raises [Invalid_argument] on a non-positive [stride] or
+    rows), [campaign.isolated_rows] ((view, fault) rows whose fault is
+    isolated — on an unpruned campaign, exactly
+    {!Analysis.Detectability.skip_count}) and [campaign.dead_views]. Raises [Invalid_argument] on a non-positive [stride] or
     [solve_budget] or a negative [guard]. *)

@@ -64,20 +64,20 @@ type prepared_one = {
   steer : float array;
 }
 
-type prepared = prepared_one list
-
 (* Envelope accumulation over the per-component process drifts. Each
    drift is a single-passive deviation — exactly a rank-1 fault for
    the campaign engine, so the whole envelope costs one back-solve per
-   (passive, frequency) instead of a full sweep per passive. A grid
-   point where a drifted good circuit has no solution mirrors the
-   naive path's Singular_circuit. *)
-let envelope_thresholds ~deviation ~floor ~respond grid netlist ~nominal
-    ~component_tol =
+   (passive, frequency) instead of a full sweep per passive. Only the
+   drifts of passives that can reach the output are summed: the others
+   move the output by exactly zero in exact arithmetic (a structural
+   fact, {!Circuit.Influence}), so their computed contribution is pure
+   round-off. A grid point where a drifted good circuit has no
+   solution mirrors the naive path's Singular_circuit. *)
+let envelope_thresholds ~deviation ~floor ~respond ~drifting grid netlist
+    ~nominal ~component_tol =
   let envelope = Array.make (Grid.n_points grid) floor in
   List.iter
-    (fun e ->
-      let element = Element.name e in
+    (fun element ->
       let response = respond (Fault.deviation ~element (1.0 +. component_tol)) in
       Array.iteri
         (fun i tf ->
@@ -89,7 +89,7 @@ let envelope_thresholds ~deviation ~floor ~respond grid netlist ~nominal
                    (Printf.sprintf "MNA matrix singular at f = %g Hz for %S"
                       (Grid.freqs_hz grid).(i) (Netlist.title netlist))))
         response)
-    (Netlist.passives netlist);
+    drifting;
   envelope
 
 (* The measurement floor: a grid point whose nominal response magnitude
@@ -113,7 +113,51 @@ let measurement_mask nominal =
   Bytes.init (Array.length nominal) (fun k ->
       if Complex.norm nominal.(k) < floor_abs then '\001' else '\000')
 
-let rec prepare_raw ~respond criterion grid netlist ~nominal =
+(* Structural anchors: one {!Circuit.Influence} fixpoint per view says
+   which passives can move the output and whether the stimulus reaches
+   it at all. Both facts hold in exact arithmetic whatever the element
+   values, so they extend the measurement floor's definition:
+   - a {e dead} view (the source cannot reach the output) has a nominal
+     response of exactly zero — every point is below the floor, however
+     large its floating-point residue happens to be;
+   - a fault on an {e isolated} passive (one that cannot affect the
+     output) moves the output by exactly zero — its row is undetectable
+     by definition and is never solved. *)
+module StringSet = Set.Make (String)
+
+type structure = {
+  netlist : Netlist.t;
+  drifting : string list;  (* passives that can affect the output *)
+  isolated : StringSet.t;  (* passives that cannot *)
+  dead : bool;  (* the source cannot reach the output *)
+}
+
+let structure_of probe netlist =
+  let influence = Circuit.Influence.analyse ~output:probe.output netlist in
+  let drifting, isolated =
+    List.partition
+      (Circuit.Influence.can_affect_output influence)
+      (List.map Element.name (Netlist.passives netlist))
+  in
+  {
+    netlist;
+    drifting;
+    isolated = StringSet.of_list isolated;
+    dead =
+      Netlist.mem netlist probe.source
+      && not (Circuit.Influence.drives_output influence probe.source);
+  }
+
+let isolated structure (fault : Fault.t) =
+  StringSet.mem fault.Fault.element structure.isolated
+
+let rec drift_tolerances = function
+  | Process_envelope { component_tol; _ } | Phase_envelope { component_tol; _ } ->
+      [ component_tol ]
+  | Any_of criteria -> List.concat_map drift_tolerances criteria
+  | Fixed_tolerance _ | Phase_fixed _ -> []
+
+let rec prepare_raw ~respond ~drifting criterion grid netlist ~nominal =
   let magnitude_steer thresholds =
     Array.mapi
       (fun i thr -> -.(log thr +. log (Complex.norm nominal.(i))))
@@ -132,8 +176,8 @@ let rec prepare_raw ~respond criterion grid netlist ~nominal =
       [ { deviation = phase_dev; thresholds; steer = phase_steer thresholds } ]
   | Process_envelope { component_tol; floor } ->
       let thresholds =
-        envelope_thresholds ~deviation:magnitude_dev ~floor ~respond grid netlist
-          ~nominal ~component_tol
+        envelope_thresholds ~deviation:magnitude_dev ~floor ~respond ~drifting
+          grid netlist ~nominal ~component_tol
       in
       [
         { deviation = magnitude_dev; thresholds;
@@ -141,16 +185,34 @@ let rec prepare_raw ~respond criterion grid netlist ~nominal =
       ]
   | Phase_envelope { component_tol; floor_rad } ->
       let thresholds =
-        envelope_thresholds ~deviation:phase_dev ~floor:floor_rad ~respond grid
-          netlist ~nominal ~component_tol
+        envelope_thresholds ~deviation:phase_dev ~floor:floor_rad ~respond
+          ~drifting grid netlist ~nominal ~component_tol
       in
       [ { deviation = phase_dev; thresholds; steer = phase_steer thresholds } ]
   | Any_of criteria ->
-      List.concat_map (fun c -> prepare_raw ~respond c grid netlist ~nominal) criteria
+      List.concat_map
+        (fun c -> prepare_raw ~respond ~drifting c grid netlist ~nominal)
+        criteria
 
-let prepare_with ~respond criterion grid netlist ~nominal =
-  let prepared = prepare_raw ~respond criterion grid netlist ~nominal in
-  let mask = measurement_mask nominal in
+(* A criterion instantiated for one view: the sub-criteria, the view's
+   structure and its measurement mask — the numeric floor, or every
+   point of a dead view. *)
+type prepared = {
+  subs : prepared_one list;
+  structure : structure;
+  mask : Bytes.t;
+}
+
+let prepare_with ~respond ~structure criterion grid ~nominal =
+  (* A dead view builds no envelope: every threshold is clamped below. *)
+  let drifting = if structure.dead then [] else structure.drifting in
+  let subs =
+    prepare_raw ~respond ~drifting criterion grid structure.netlist ~nominal
+  in
+  let mask =
+    if structure.dead then Bytes.make (Array.length nominal) '\001'
+    else measurement_mask nominal
+  in
   List.iter
     (fun p ->
       Bytes.iteri
@@ -160,34 +222,51 @@ let prepare_with ~respond criterion grid netlist ~nominal =
             p.steer.(k) <- neg_infinity
           end)
         mask)
-    prepared;
-  prepared
+    subs;
+  { subs; structure; mask }
 
 let prepare ?backend criterion probe grid netlist ~nominal =
   (* Lazy: criteria without an envelope never pay for the engine. *)
   let sim = lazy (make_sim ?backend probe grid netlist) in
   let respond fault = Fastsim.response (Lazy.force sim) fault in
-  prepare_with ~respond criterion grid netlist ~nominal
+  prepare_with ~respond ~structure:(structure_of probe netlist) criterion grid
+    ~nominal
 
-let result_of ~nominal ~prepared grid fault faulty =
-  let mask = measurement_mask nominal in
-  let deviates i =
-    (* Below the measurement floor there is no verdict to salvage from
-       a failed solve either — the point is undetectable by
-       definition. *)
-    match faulty.(i) with
-    | None -> Bytes.get mask i = '\000'
-    | Some tf ->
-        List.exists (fun p -> p.deviation nominal.(i) tf > p.thresholds.(i)) prepared
-  in
-  let intervals = ref [] in
-  for i = 0 to Grid.n_points grid - 1 do
-    if deviates i then intervals := Grid.point_interval grid i :: !intervals
-  done;
-  let regions = Util.Interval.Set.of_intervals !intervals in
+let exceeds subs t0 tf i =
+  List.exists (fun p -> p.deviation t0 tf > p.thresholds.(i)) subs
+
+let result_of_regions grid fault intervals =
+  let regions = Util.Interval.Set.of_intervals intervals in
   let measure = Util.Interval.Set.measure regions in
   let omega_det = measure /. Grid.log_measure grid in
   { fault; detectable = not (Util.Interval.Set.is_empty regions); omega_det; regions }
+
+(* [respond] is only called when some point can be detectable: an
+   isolated fault's row and a dead view's rows are all-'u' by
+   definition and cost no solve. An unknown element still raises like
+   the engine. *)
+let result_of ~nominal ~prepared grid fault respond =
+  let structure = prepared.structure in
+  if not (Netlist.mem structure.netlist fault.Fault.element) then
+    raise (Fault.Unknown_element fault.Fault.element);
+  let intervals = ref [] in
+  if not (structure.dead || isolated structure fault) then begin
+    let faulty = respond fault in
+    for i = 0 to Grid.n_points grid - 1 do
+      (* Below the measurement floor there is no verdict to salvage
+         from a failed solve either — the point is undetectable by
+         definition. *)
+      let deviates =
+        Bytes.get prepared.mask i = '\000'
+        &&
+        match faulty.(i) with
+        | None -> true
+        | Some tf -> exceeds prepared.subs nominal.(i) tf i
+      in
+      if deviates then intervals := Grid.point_interval grid i :: !intervals
+    done
+  end;
+  result_of_regions grid fault !intervals
 
 let analyze_fault ?backend ?(criterion = default_criterion) ?nominal ?prepared probe
     grid netlist fault =
@@ -199,22 +278,22 @@ let analyze_fault ?backend ?(criterion = default_criterion) ?nominal ?prepared p
   let prepared =
     match prepared with
     | Some p -> p
-    | None -> prepare_with ~respond criterion grid netlist ~nominal
+    | None ->
+        prepare_with ~respond ~structure:(structure_of probe netlist) criterion
+          grid ~nominal
   in
-  result_of ~nominal ~prepared grid fault (respond fault)
+  result_of ~nominal ~prepared grid fault respond
 
 (* A fully-prepared view: engine, nominal response and instantiated
-   thresholds, ready to score any number of faults. When [warm] is
-   given, the engine's back-solve cache is prepopulated for those
-   faults, after which {!analyze_prepared} never mutates the engine
-   cache and the prepared view may be shared across domains. *)
+   thresholds with the view's structure, ready to score any number of
+   faults. When [warm] is given, the engine's back-solve cache is
+   prepopulated for those faults, after which {!analyze_prepared}
+   never mutates the engine cache and the prepared view may be shared
+   across domains. *)
 type prepared_view = {
   sim : Fastsim.t;
   nominal : Complex.t array;
   prepared : prepared;
-  mask : Bytes.t;
-      (* measurement_mask of [nominal]: '\001' where the point is below
-         the floor and therefore undetectable by definition *)
 }
 
 let prepare_view ?backend ?(criterion = default_criterion) ?(warm = []) probe grid
@@ -223,15 +302,35 @@ let prepare_view ?backend ?(criterion = default_criterion) ?(warm = []) probe gr
      once per frequency and shared by the envelope preparation and by
      every fault's rank-1 solve. *)
   let sim = make_sim ?backend probe grid netlist in
-  let respond f = Fastsim.response sim f in
   let nominal = Fastsim.nominal sim in
-  let prepared = prepare_with ~respond criterion grid netlist ~nominal in
-  if warm <> [] then Fastsim.warm_cache sim warm;
-  { sim; nominal; prepared; mask = measurement_mask nominal }
+  let structure = structure_of probe netlist in
+  (* Warm first: the envelope's drifts and the campaign's faults share
+     one multi-RHS block back-solve per frequency (a drift and a
+     deviation fault on one passive share its stamp pattern), so the
+     envelope reads the cache instead of back-solving column by
+     column. Only what can reach the output is warmed; a dead view
+     warms nothing. *)
+  if not structure.dead then begin
+    let drifts =
+      List.concat_map
+        (fun tol ->
+          List.map
+            (fun element -> Fault.deviation ~element (1.0 +. tol))
+            structure.drifting)
+        (drift_tolerances criterion)
+    in
+    match drifts @ List.filter (fun f -> not (isolated structure f)) warm with
+    | [] -> ()
+    | faults -> Fastsim.warm_cache sim faults
+  end;
+  let prepared =
+    prepare_with ~respond:(Fastsim.response sim) ~structure criterion grid ~nominal
+  in
+  { sim; nominal; prepared }
 
 let analyze_prepared pv grid fault =
   result_of ~nominal:pv.nominal ~prepared:pv.prepared grid fault
-    (Fastsim.response pv.sim fault)
+    (Fastsim.response pv.sim)
 
 (* ---- point scoring (the campaign matrix path) ----
 
@@ -240,30 +339,49 @@ let analyze_prepared pv grid fault =
    and turns each filled slot into a verdict byte; the bytes reduce
    through {!result_of_verdicts}. The arithmetic is exactly
    {!analyze_prepared}'s — same solver, same deviation/threshold
-   comparisons — just restructured so workers never box per-point
-   responses. *)
+   comparisons, same structural anchors — just restructured so workers
+   never box per-point responses. *)
+
+type plan = Isolated | Live of Fastsim.plan
 
 let view_dim pv = Fastsim.dim pv.sim
 let view_uses_sparse pv = Fastsim.uses_sparse pv.sim
-let plan_fault pv fault = Fastsim.plan_of pv.sim fault
+let view_dead pv = pv.prepared.structure.dead
+
+let plan_fault pv fault =
+  if isolated pv.prepared.structure fault then Isolated
+  else Live (Fastsim.plan_of pv.sim fault)
+
+let plan_isolated = function Isolated -> true | Live _ -> false
 
 let score_range pv plan ~lo ~hi ~re ~im ~ok =
-  Fastsim.response_range_into pv.sim plan ~lo ~hi ~re ~im ~ok
+  match plan with
+  | Live p -> Fastsim.response_range_into pv.sim p ~lo ~hi ~re ~im ~ok
+  | Isolated ->
+      (* the fault cannot move the output: its response is the nominal *)
+      for k = lo to hi - 1 do
+        re.(k) <- pv.nominal.(k).Complex.re;
+        im.(k) <- pv.nominal.(k).Complex.im;
+        Bytes.set ok k '\001'
+      done
 
-let point_verdict pv ~re ~im ~ok i =
-  if Bytes.get pv.mask i = '\001' then false
-  else if Bytes.get ok i = '\000' then true
-  else
-    let tf = { Complex.re = re.(i); im = im.(i) } in
-    List.exists
-      (fun p -> p.deviation pv.nominal.(i) tf > p.thresholds.(i))
-      pv.prepared
+let point_verdict pv plan ~re ~im ~ok i =
+  match plan with
+  | Isolated -> false
+  | Live _ ->
+      if Bytes.get pv.prepared.mask i = '\001' then false
+      else if Bytes.get ok i = '\000' then true
+      else
+        exceeds pv.prepared.subs pv.nominal.(i)
+          { Complex.re = re.(i); im = im.(i) }
+          i
 
-let steering_profiles pv = List.map (fun p -> p.steer) pv.prepared
-let view_measurement_mask pv = pv.mask
+let steering_profiles pv = List.map (fun p -> p.steer) pv.prepared.subs
+let view_measurement_mask pv = pv.prepared.mask
 
-let point_margin pv ~re ~im ~ok i =
-  if Bytes.get pv.mask i = '\001' then Float.neg_infinity
+let point_margin pv plan ~re ~im ~ok i =
+  if plan_isolated plan || Bytes.get pv.prepared.mask i = '\001' then
+    Float.neg_infinity
   else if Bytes.get ok i = '\000' then Float.nan
   else
     let tf = { Complex.re = re.(i); im = im.(i) } in
@@ -278,7 +396,7 @@ let point_margin pv ~re ~im ~ok i =
             else 1.0
           in
           Float.max acc r)
-        0.0 pv.prepared
+        0.0 pv.prepared.subs
     in
     log ratio
 
@@ -292,10 +410,7 @@ let result_of_verdicts grid fault verdicts =
     if Bytes.get verdicts i = 'd' then
       intervals := Grid.point_interval grid i :: !intervals
   done;
-  let regions = Util.Interval.Set.of_intervals !intervals in
-  let measure = Util.Interval.Set.measure regions in
-  let omega_det = measure /. Grid.log_measure grid in
-  { fault; detectable = not (Util.Interval.Set.is_empty regions); omega_det; regions }
+  result_of_regions grid fault !intervals
 
 let analyze ?backend ?criterion probe grid netlist faults =
   let pv = prepare_view ?backend ?criterion probe grid netlist in
@@ -308,10 +423,13 @@ let minimal_detectable_deviation ?backend ?(criterion = default_criterion)
   let sim = make_sim ?backend probe grid netlist in
   let respond f = Fastsim.response sim f in
   let nominal = Fastsim.nominal sim in
-  let prepared = prepare_with ~respond criterion grid netlist ~nominal in
+  let prepared =
+    prepare_with ~respond ~structure:(structure_of probe netlist) criterion grid
+      ~nominal
+  in
   let detectable factor =
     let fault = Fault.deviation ~element factor in
-    (result_of ~nominal ~prepared grid fault (respond fault)).detectable
+    (result_of ~nominal ~prepared grid fault respond).detectable
   in
   if not (detectable max_factor) then None
   else begin

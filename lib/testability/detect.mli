@@ -35,7 +35,21 @@ module Netlist := Circuit.Netlist
     points are {e undetectable by definition} in every scoring path —
     a reconfiguration that disconnects the probed output yields an
     all-['u'] row deterministically instead of verdict flicker (DESIGN
-    §15). *)
+    §15).
+
+    The floor has two {e structural} extensions, decided once per view
+    by one {!Circuit.Influence} fixpoint and exact whatever the element
+    values:
+    - a {e dead} view — one whose source cannot reach the output — has
+      a nominal response of exactly zero, so every one of its points is
+      below the floor ({!view_measurement_mask} is all ones), whatever
+      floating-point residue its computed response carries;
+    - a fault on an {e isolated} passive — one that cannot affect the
+      output — moves the output by exactly zero, so its whole row is
+      undetectable by definition and is never solved.
+
+    Every scoring path ({!analyze}, {!analyze_fault}, {!point_verdict})
+    applies both. *)
 
 type probe = { source : string; output : string }
 (** Where the test stimulus enters and where the response is read. *)
@@ -45,7 +59,10 @@ type criterion =
       (** Definition 1: detectable where |ΔT|/|T| > ε. *)
   | Process_envelope of { component_tol : float; floor : float }
       (** Detectable where |ΔT|/|T| exceeds the linear worst-case
-          good-circuit envelope plus [floor]. *)
+          good-circuit envelope plus [floor]. The envelope sums the
+          deviations of one [+component_tol] drift per passive that can
+          affect the output; the other passives' drifts move the output
+          by exactly zero and are not simulated. *)
   | Phase_fixed of float
       (** Detectable where the wrapped phase deviation exceeds the
           given angle (radians). *)
@@ -82,8 +99,10 @@ val nominal_response : probe -> Grid.t -> Netlist.t -> Complex.t array
 
 type prepared
 (** A criterion instantiated for one circuit view: per-frequency
-    thresholds (envelope criteria cost one sweep per passive
-    component), reusable across the whole fault list of that view. *)
+    thresholds (envelope criteria cost one sweep per passive that can
+    affect the output), the view's structural anchors and its
+    measurement mask, reusable across the whole fault list of that
+    view. *)
 
 val prepare :
   ?backend:Fastsim.backend ->
@@ -101,7 +120,9 @@ val analyze_fault :
     no solution (singular system) counts as detectable — the response
     is wildly wrong, not merely deviated — unless the point sits below
     the measurement floor ({!measurement_mask}), which overrides
-    everything. *)
+    everything. A fault on an isolated passive, and any fault of a dead
+    view, is undetectable without a solve. Raises
+    {!Fault.Unknown_element} when the fault's element is absent. *)
 
 type prepared_view
 (** One circuit view readied for a fault campaign: the fault-simulation
@@ -112,16 +133,24 @@ val prepare_view :
   ?criterion:criterion ->
   ?warm:Fault.t list ->
   probe -> Grid.t -> Netlist.t -> prepared_view
-(** Build the engine and thresholds for one view (default criterion
-    {!default_criterion}). When [warm] is given, the engine's
-    back-solve cache is prepopulated for those faults
-    ({!Fastsim.warm_cache}) so that {!analyze_prepared} calls never
-    mutate the engine and the view can be scored from several domains
-    concurrently. Raises like {!analyze}. *)
+(** Build the engine, structural anchors and thresholds for one view
+    (default criterion {!default_criterion}). Before any threshold is
+    computed, the engine's back-solve cache is warmed
+    ({!Fastsim.warm_cache}, one block back-solve per frequency) for
+    the envelope's drifts and the [warm] faults — both restricted to
+    passives that can affect the output; a dead view warms nothing and
+    builds no envelope. Once the view is prepared with a [warm] list,
+    {!analyze_prepared} calls for those faults never mutate the engine
+    and the view can be scored from several domains concurrently.
+    Raises like {!analyze}: {!Mna.Ac.Singular_circuit} when the
+    fault-free system, or a drifted good circuit of the envelope
+    (only drifts that can reach the output are simulated), is singular
+    at a grid frequency. *)
 
 val analyze_prepared : prepared_view -> Grid.t -> Fault.t -> result
 (** Score one fault against a prepared view. Thread-safe once the view
-    was prepared with a [warm] list containing the fault. *)
+    was prepared with a [warm] list containing the fault (an isolated
+    fault, or any fault of a dead view, is never solved). *)
 
 val view_dim : prepared_view -> int
 (** The view engine's MNA dimension ({!Fastsim.dim}) — for sizing
@@ -131,15 +160,27 @@ val view_uses_sparse : prepared_view -> bool
 (** Whether the view's engine factored through the sparse back-end
     ({!Fastsim.uses_sparse}). *)
 
-val plan_fault : prepared_view -> Fault.t -> Fastsim.plan
+val view_dead : prepared_view -> bool
+(** Whether the view's source cannot reach its output — a dead view,
+    every point of which is below the measurement floor. *)
+
+type plan
+(** One fault readied for scoring against one view. *)
+
+val plan_fault : prepared_view -> Fault.t -> plan
 (** Classify and prepare one fault against the view's engine
     ({!Fastsim.plan_of}); build each (view, fault) plan exactly once.
-    Raises {!Fault.Unknown_element} when the fault's element is
-    absent. *)
+    A fault on an isolated passive gets no engine plan at all. Raises
+    {!Fault.Unknown_element} when the fault's element is absent. *)
+
+val plan_isolated : plan -> bool
+(** Whether the fault's element is a passive that cannot affect the
+    view's output: its row is all ['u'] by definition and a campaign
+    driver fills it without solving. *)
 
 val score_range :
   prepared_view ->
-  Fastsim.plan ->
+  plan ->
   lo:int ->
   hi:int ->
   re:float array ->
@@ -147,31 +188,33 @@ val score_range :
   ok:Bytes.t ->
   unit
 (** Fill grid slots [lo .. hi-1] of one fault's planar response row —
-    {!Fastsim.response_range_into} on the view's engine. Disjoint
-    ranges of one row may be filled concurrently. *)
+    {!Fastsim.response_range_into} on the view's engine; an isolated
+    fault's response is the nominal one, written without a solve.
+    Disjoint ranges of one row may be filled concurrently. *)
 
 val point_verdict :
-  prepared_view -> re:float array -> im:float array -> ok:Bytes.t -> int -> bool
+  prepared_view -> plan -> re:float array -> im:float array -> ok:Bytes.t -> int -> bool
 (** The verdict of one scored grid point: [true] (detectable) when the
     point's solve failed ([ok] byte ['\000']) or its deviation exceeds
-    some prepared threshold — exactly {!analyze}'s per-point
+    some prepared threshold, [false] for an isolated fault and below
+    the measurement floor — exactly {!analyze}'s per-point
     comparison, exposed so the campaign driver can turn individually
     solved points into verdict bytes that reduce through
     {!result_of_verdicts} bitwise-identically. The slot [i] must have
     been filled by {!score_range}. *)
 
 val point_margin :
-  prepared_view -> re:float array -> im:float array -> ok:Bytes.t -> int -> float
+  prepared_view -> plan -> re:float array -> im:float array -> ok:Bytes.t -> int -> float
 (** The verdict's strength at one scored grid point, in nepers: the
     natural log of the worst deviation-to-threshold ratio across the
     prepared criteria. Positive exactly when {!point_verdict} is
     [true], except for a failed solve (verdict [true]) which returns
     [nan] — a refinement driver must treat such a point as carrying no
-    margin information ([-∞] marks a zero deviation or a point below
-    the measurement floor). The adaptive driver steers refinement with
-    it — an interval whose endpoint margins are jointly far from zero
-    relative to its width cannot hide a threshold crossing under the
-    driver's slope bound. Steering only: verdicts always come from
+    margin information ([-∞] marks a zero deviation, an isolated fault
+    or a point below the measurement floor). The adaptive driver
+    steers refinement with it — an interval whose endpoint margins are
+    jointly far from zero relative to its width cannot hide a
+    threshold crossing under the driver's slope bound. Steering only: verdicts always come from
     {!point_verdict}. *)
 
 val steering_profiles : prepared_view -> float array list
@@ -189,8 +232,8 @@ val steering_profiles : prepared_view -> float array list
     Do not mutate the returned arrays. *)
 
 val measurement_mask : Complex.t array -> Bytes.t
-(** The measurement floor of a nominal response row: byte ['\001'] at
-    every grid point whose nominal magnitude falls below
+(** The numeric measurement floor of a nominal response row: byte
+    ['\001'] at every grid point whose nominal magnitude falls below
     [max (1e-12 × peak, 1e-13)]. Those points have no usable reference
     — every criterion declares them undetectable by definition, in
     every scoring path ({!analyze}, {!point_verdict}), failed solves
@@ -201,8 +244,10 @@ val measurement_mask : Complex.t array -> Bytes.t
     healthy view. *)
 
 val view_measurement_mask : prepared_view -> Bytes.t
-(** {!measurement_mask} of the view's nominal response, computed once
-    at preparation time. Do not mutate. *)
+(** The view's measurement floor, computed once at preparation time:
+    {!measurement_mask} of its nominal response, or all ones on a dead
+    view ({!view_dead}), whose nominal response is exactly zero
+    whatever residue the solver computed. Do not mutate. *)
 
 val result_of_verdicts : Grid.t -> Fault.t -> Bytes.t -> result
 (** Reduce a fully decided verdict row (every byte ['d'] or ['u'],
