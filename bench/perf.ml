@@ -28,6 +28,19 @@ let random_problem ~n ~m seed =
 
 let big_problem = random_problem ~n:31 ~m:60 7
 
+(* The reduced ξ of tt-notch's catastrophic campaign (fixed:0.1, ppd 10):
+   15 candidates, 22 clauses, 31,619 raw terms. Forced by [benchmark]
+   before timing starts. *)
+let tt_notch_xi =
+  lazy
+    (let b = Option.get (Circuits.Registry.find "tt-notch") in
+     let t =
+       P.run ~criterion:(Testability.Detect.Fixed_tolerance 0.1) ~points_per_decade:10
+         ~faults:(Fault.catastrophic_faults b.Circuits.Benchmark.netlist)
+         b
+     in
+     (P.optimize t).Mcdft_core.Optimizer.xi_reduced)
+
 let dft = Multiconfig.Transform.make ~source:"Vin" ~output:"v2" biquad_netlist
 let c5 = Multiconfig.Configuration.make ~n_opamps:3 5
 
@@ -76,6 +89,10 @@ let tests =
     (* E6-E8 kernels: covering machinery on the paper instance *)
     Test.make ~name:"cover/petrick paper 7x8" (Staged.stage (fun () ->
         ignore (Cover.Petrick.expand paper_problem)));
+    Test.make ~name:"cover/petrick raw tt-notch" (Staged.stage (fun () ->
+        ignore (Cover.Petrick.expand_raw (Lazy.force tt_notch_xi))));
+    Test.make ~name:"cover/petrick min tt-notch" (Staged.stage (fun () ->
+        ignore (Cover.Petrick.expand (Lazy.force tt_notch_xi))));
     Test.make ~name:"cover/exact paper 7x8" (Staged.stage (fun () ->
         ignore (Cover.Solver.exact paper_problem)));
     Test.make ~name:"cover/greedy paper 7x8" (Staged.stage (fun () ->
@@ -99,6 +116,7 @@ let tests =
   ]
 
 let benchmark () =
+  ignore (Lazy.force tt_notch_xi);
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
   let grouped = Test.make_grouped ~name:"mcdft" ~fmt:"%s %s" tests in

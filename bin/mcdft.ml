@@ -1009,7 +1009,10 @@ let optimize_cmd =
                     (fun s ->
                       String.concat "." (List.map (Printf.sprintf "C%d") (IntSet.elements s)))
                     terms))
-        | _ -> ());
+        | Some terms ->
+            Printf.printf "  xi (SOP)            : %d terms (listing suppressed above 12)\n"
+              (List.length terms)
+        | None -> ());
         Printf.printf "\nobjective A - minimal test configurations:\n";
         Printf.printf "  chosen set          : %s\n" (configs_to_string r.O.choice_a.O.configs);
         Printf.printf "  <w-det>             : %.1f%%\n" r.O.choice_a.O.avg_omega;

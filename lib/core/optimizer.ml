@@ -202,7 +202,10 @@ let optimize ?(petrick_limit = 5) ?(n_detect = 1) input =
   let short_faults = Clause.short_faults ~n:n_detect input.detect in
   let essential = Clause.essentials xi in
   let xi_reduced = Clause.reduce xi ~chosen:essential in
-  let use_petrick = input.n_opamps <= petrick_limit in
+  let use_petrick =
+    input.n_opamps <= petrick_limit
+    && IntSet.cardinal (Clause.candidates xi_reduced) <= Cover.Petrick.max_candidates
+  in
   let with_essential terms = List.map (IntSet.union essential) terms in
   let xi_terms_raw =
     if use_petrick then Some (with_essential (Cover.Petrick.expand_raw xi_reduced))

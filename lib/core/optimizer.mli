@@ -88,7 +88,9 @@ val avg_omega_of : input -> int list -> float
 val optimize : ?petrick_limit:int -> ?n_detect:int -> input -> report
 (** Run the full flow. Petrick expansion (and the raw SOP listing) is
     only attempted when the number of opamps is at most
-    [petrick_limit] (default 5); beyond that the exact
+    [petrick_limit] (default 5) and the reduced ξ has at most
+    {!Cover.Petrick.max_candidates} distinct configurations (always
+    true up to 6 opamps); otherwise the exact
     branch-and-bound solver provides the minimum-cardinality set and
     opamp subsets are found by direct subset enumeration (which is
     exact at any size).

@@ -8,8 +8,9 @@ let opamps_of_config i =
   in
   bits 0 IntSet.empty
 
-let opamps_of_term term =
-  IntSet.fold (fun c acc -> IntSet.union acc (opamps_of_config c)) term IntSet.empty
+(* a configuration index is its opamp mask, so a term needs the opamps
+   of the union of its indices *)
+let opamps_of_term term = opamps_of_config (IntSet.fold (fun c acc -> acc lor c) term 0)
 
 let xi_star terms = List.map opamps_of_term terms
 

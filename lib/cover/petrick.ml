@@ -1,55 +1,85 @@
 module IntSet = Clause.IntSet
+module IntTbl = Hashtbl.Make (Int)
 
-let dedup terms =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun t ->
-      let key = IntSet.elements t in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    terms
+(* Terms are machine-word masks over dense candidate ranks: rank r is
+   the r-th smallest candidate of the system, so a mask's bits read in
+   increasing order give the term's candidates in increasing order. *)
 
-(* All [need]-element subsets of a clause's literals, in element order
-   (so that need = 1 reproduces the paper's derivation order). An
-   unsatisfiable clause (|lits| < need) yields no subsets, so the whole
-   expansion collapses to [] — the POS expression is identically 0. *)
-let need_subsets (c : Clause.clause) =
-  let rec choose k xs =
-    if k = 0 then [ [] ]
+(* Every mask operation below (lor, land lnot, lsr, m land (m - 1))
+   works on the sign bit too, so all Sys.int_size bits are ranks. *)
+let max_candidates = Sys.int_size
+
+let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
+
+(* The candidates by rank, and every clause's [need]-element literal
+   subsets as masks, in element order (so that need = 1 reproduces the
+   paper's derivation order). An unsatisfiable clause (|lits| < need)
+   yields no subsets, so the whole expansion collapses to [] — the POS
+   expression is identically 0. *)
+let ranked (t : Clause.t) =
+  let configs = Array.of_list (IntSet.elements (Clause.candidates t)) in
+  if Array.length configs > max_candidates then
+    invalid_arg
+      (Printf.sprintf "Petrick: %d candidates, at most %d fit a term mask"
+         (Array.length configs) max_candidates);
+  let rank = Hashtbl.create (Array.length configs) in
+  Array.iteri (fun r c -> Hashtbl.replace rank c r) configs;
+  let rec choose k bits =
+    if k = 0 then [ 0 ]
     else
-      match xs with
+      match bits with
       | [] -> []
-      | x :: rest -> List.map (fun s -> x :: s) (choose (k - 1) rest) @ choose k rest
+      | b :: rest -> List.map (fun s -> b lor s) (choose (k - 1) rest) @ choose k rest
   in
-  List.map IntSet.of_list (choose c.Clause.need (IntSet.elements c.Clause.lits))
+  let need_subsets (c : Clause.clause) =
+    choose c.Clause.need
+      (List.map (fun l -> 1 lsl Hashtbl.find rank l) (IntSet.elements c.Clause.lits))
+  in
+  (configs, List.map need_subsets t.Clause.clauses)
+
+let to_set configs m =
+  let rec go r m acc =
+    if m = 0 then acc
+    else go (r + 1) (m lsr 1) (if m land 1 = 1 then IntSet.add configs.(r) acc else acc)
+  in
+  go 0 m IntSet.empty
 
 (* One distribution step: multiply the running sum of products by a
    clause — for multiplicity clauses, by the sum over its
    [need]-subsets (any solution picks at least one full subset). *)
 let distribute products subsets =
-  List.concat_map (fun p -> List.map (fun s -> IntSet.union s p) subsets) products
+  List.concat_map (fun p -> List.map (fun s -> s lor p) subsets) products
 
+(* Each step keeps first occurrences, in derivation order, through a
+   seen set of the masks it has produced so far. *)
 let expand_raw (t : Clause.t) =
-  List.fold_left
-    (fun products clause -> dedup (distribute products (need_subsets clause)))
-    [ IntSet.empty ] t.Clause.clauses
+  let configs, clauses = ranked t in
+  let seen = IntTbl.create 1024 in
+  let step products subsets =
+    IntTbl.clear seen;
+    let kept = ref [] in
+    List.iter
+      (fun p ->
+        List.iter
+          (fun s ->
+            let m = s lor p in
+            if not (IntTbl.mem seen m) then begin
+              IntTbl.add seen m ();
+              kept := m :: !kept
+            end)
+          subsets)
+      products;
+    List.rev !kept
+  in
+  List.map (to_set configs) (List.fold_left step [ 0 ] clauses)
 
+(* Keep only minimal terms: in popcount order, a mask survives unless
+   an already-kept mask is a subset of it (an equal one included). *)
 let absorb terms =
-  (* keep only minimal terms: t is dropped when some other term is a
-     proper subset (or an equal earlier term) *)
-  let arr = Array.of_list (dedup terms) in
-  let n = Array.length arr in
-  let keep = Array.make n true in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if i <> j && keep.(i) && keep.(j) && IntSet.subset arr.(j) arr.(i) && not (IntSet.equal arr.(i) arr.(j))
-      then keep.(i) <- false
-    done
-  done;
-  List.filteri (fun i _ -> keep.(i)) (Array.to_list arr)
+  List.fold_left
+    (fun kept m -> if List.exists (fun k -> k land lnot m = 0) kept then kept else m :: kept)
+    []
+    (List.stable_sort (fun a b -> Int.compare (popcount a) (popcount b)) terms)
 
 let compare_terms a b =
   match Int.compare (IntSet.cardinal a) (IntSet.cardinal b) with
@@ -57,12 +87,13 @@ let compare_terms a b =
   | c -> c
 
 let expand (t : Clause.t) =
+  let configs, clauses = ranked t in
   let products =
     List.fold_left
-      (fun products clause -> absorb (distribute products (need_subsets clause)))
-      [ IntSet.empty ] t.Clause.clauses
+      (fun products subsets -> absorb (distribute products subsets))
+      [ 0 ] clauses
   in
-  List.sort compare_terms products
+  List.sort compare_terms (List.map (to_set configs) products)
 
 let cheapest ?(cost = fun _ -> 1.0) terms =
   match terms with

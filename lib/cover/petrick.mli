@@ -11,19 +11,40 @@
 
     Two variants are exposed because the paper's worked example (§4.1)
     develops ξ applying idempotence but {e not} absorption — its five
-    product terms include absorbable ones like C1·C2·C5 ⊃ C1·C2. *)
+    product terms include absorbable ones like C1·C2·C5 ⊃ C1·C2.
+
+    Representation: the system's k distinct candidates are ranked
+    0 … k−1 in increasing order and a product term is an [int] mask over
+    those ranks, so a union is one [lor] and a subset test one
+    [land lnot]. This bounds k by {!max_candidates}; both expansions
+    raise [Invalid_argument] above it (an [n]-opamp circuit has
+    [2^n − 1] test configurations, so every system of up to 6 opamps
+    fits). Terms are converted back to {!Clause.IntSet.t} once, at the
+    end; the derivation order of {!expand_raw} and the sort order of
+    {!expand} are those of the set-based formulation. *)
+
+val max_candidates : int
+(** [Sys.int_size] (63 on 64-bit hosts): the most distinct candidates a
+    system may have for {!expand_raw} and {!expand}. The top rank is
+    the sign bit, which every mask operation treats like any other. *)
 
 val expand_raw : Clause.t -> Clause.IntSet.t list
 (** Distribute, apply idempotence (x·x = x) and drop duplicate terms,
     but keep absorbable terms — reproduces the paper's ξ expression
     verbatim. Terms are ordered by the derivation (clause order), then
-    deduplicated keeping first occurrences. Exponential in the worst
-    case; intended for paper-scale instances. *)
+    deduplicated keeping first occurrences. Each step filters its
+    products through an int-keyed hash set, so a step costs
+    O(products × subsets); the output itself is exponential in the worst case, so
+    this is intended for paper-scale instances. Raises
+    [Invalid_argument] beyond {!max_candidates} candidates. *)
 
 val expand : Clause.t -> Clause.IntSet.t list
 (** Full Petrick expansion with absorption: the result is the antichain
     of all minimal (irredundant) covers, sorted by cardinality then
-    lexicographically. *)
+    lexicographically. Each step absorbs by scanning its products in
+    popcount order against the terms kept so far, O(products × kept)
+    word operations. Raises [Invalid_argument] beyond
+    {!max_candidates} candidates. *)
 
 val cheapest : ?cost:(int -> float) -> Clause.IntSet.t list -> Clause.IntSet.t list
 (** The terms of minimum total cost (default cost: 1 per candidate,

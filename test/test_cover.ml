@@ -447,3 +447,161 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_ndetect_hits_every_clause;
       QCheck_alcotest.to_alcotest qcheck_ndetect_exact_strict_infeasible;
     ]
+
+(* --- bitmask Petrick against the set-based reference --- *)
+
+(* The set-based Petrick expansion the bitmask kernel replaced, kept
+   verbatim as the reference: terms are IntSets, duplicates are found
+   through list-keyed hashing and absorption is a pairwise subset scan. *)
+module Reference = struct
+  let dedup terms =
+    let seen = Hashtbl.create 64 in
+    List.filter
+      (fun t ->
+        let key = IntSet.elements t in
+        if Hashtbl.mem seen key then false
+        else begin
+          Hashtbl.add seen key ();
+          true
+        end)
+      terms
+
+  let need_subsets (c : Clause.clause) =
+    let rec choose k xs =
+      if k = 0 then [ [] ]
+      else
+        match xs with
+        | [] -> []
+        | x :: rest -> List.map (fun s -> x :: s) (choose (k - 1) rest) @ choose k rest
+    in
+    List.map IntSet.of_list (choose c.Clause.need (IntSet.elements c.Clause.lits))
+
+  let distribute products subsets =
+    List.concat_map (fun p -> List.map (fun s -> IntSet.union s p) subsets) products
+
+  let expand_raw (t : Clause.t) =
+    List.fold_left
+      (fun products clause -> dedup (distribute products (need_subsets clause)))
+      [ IntSet.empty ] t.Clause.clauses
+
+  let absorb terms =
+    let arr = Array.of_list (dedup terms) in
+    let n = Array.length arr in
+    let keep = Array.make n true in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if
+          i <> j && keep.(i) && keep.(j)
+          && IntSet.subset arr.(j) arr.(i)
+          && not (IntSet.equal arr.(i) arr.(j))
+        then keep.(i) <- false
+      done
+    done;
+    List.filteri (fun i _ -> keep.(i)) (Array.to_list arr)
+
+  let compare_terms a b =
+    match Int.compare (IntSet.cardinal a) (IntSet.cardinal b) with
+    | 0 -> List.compare Int.compare (IntSet.elements a) (IntSet.elements b)
+    | c -> c
+
+  let expand (t : Clause.t) =
+    List.sort compare_terms
+      (List.fold_left
+         (fun products clause -> absorb (distribute products (need_subsets clause)))
+         [ IntSet.empty ] t.Clause.clauses)
+
+  let opamps_of_term term =
+    IntSet.fold
+      (fun c acc -> IntSet.union acc (Cover.Mapping.opamps_of_config c))
+      term IntSet.empty
+end
+
+(* Random clause systems over literals drawn sparsely from 0..62, so the
+   dense ranks differ from the configuration indices. A third are
+   "wide": need-1 clauses of 14–24 literals, two of which usually span
+   25 or more candidates, so high ranks are in play. The rest mix
+   need 1–3 over 1–12 literals.
+   Clauses are added while the raw expansion stays within ~1000 terms,
+   and one system in eight gets an unsatisfiable clause (ξ ≡ 0). *)
+let rec binomial n k =
+  if k = 0 then 1 else if n < k then 0 else binomial (n - 1) (k - 1) * n / k
+
+let random_sparse_system rng =
+  let int_bound = Fun.flip QCheck.Gen.int_bound rng in
+  let lits n = IntSet.of_list (List.init n (fun _ -> int_bound 62)) in
+  let wide = int_bound 2 = 0 in
+  let random_clause j =
+    if wide then Clause.clause ~tag:j (lits (14 + int_bound 10))
+    else
+      let l = lits (1 + int_bound 11) in
+      Clause.clause ~need:(1 + int_bound (Int.min 3 (IntSet.cardinal l) - 1)) ~tag:j l
+  in
+  let rec grow j size acc =
+    let c = random_clause j in
+    let size = size * binomial (IntSet.cardinal c.Clause.lits) c.Clause.need in
+    if j > 0 && (size > 1000 || j >= 6) then List.rev acc else grow (j + 1) size (c :: acc)
+  in
+  let clauses = grow 0 1 [] in
+  let clauses =
+    if int_bound 7 > 0 then clauses
+    else
+      let l = lits (int_bound 2) in
+      clauses @ [ Clause.clause ~need:(IntSet.cardinal l + 1) ~tag:(List.length clauses) l ]
+  in
+  { Clause.n_candidates = 63; clauses }
+
+let same_lists a b = List.equal IntSet.equal a b
+
+let qcheck_bitmask_petrick_matches_reference =
+  QCheck.Test.make
+    ~name:"bitmask Petrick and xi* equal the set-based reference, order included"
+    ~count:200
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let p = random_sparse_system rng in
+      let raw = Cover.Petrick.expand_raw p in
+      same_lists raw (Reference.expand_raw p)
+      && same_lists (Cover.Petrick.expand p) (Reference.expand p)
+      && same_lists (Cover.Mapping.xi_star raw) (List.map Reference.opamps_of_term raw))
+
+let test_petrick_wide_systems () =
+  (* 27 and 63 candidates; the last clause of the first system revisits
+     literals already in the products, and the second system's top rank
+     is the sign bit of a term mask *)
+  let spread k i = set (List.init 9 (fun j -> (k * j + i) mod 63)) in
+  List.iter
+    (fun (what, p) ->
+      Alcotest.(check bool) (what ^ ": raw") true
+        (same_lists (Cover.Petrick.expand_raw p) (Reference.expand_raw p));
+      Alcotest.(check bool) (what ^ ": minimal") true
+        (same_lists (Cover.Petrick.expand p) (Reference.expand p)))
+    [
+      ( "27 candidates",
+        Clause.of_sets ~n_candidates:63
+          [ spread 6 0; spread 6 2; spread 6 4; set [ 0; 2; 4 ] ] );
+      ( "63 candidates",
+        Clause.of_sets ~n_candidates:63
+          [ set (List.init 32 (fun i -> 2 * i)); set (List.init 31 (fun i -> (2 * i) + 1)) ]
+      );
+    ]
+
+let test_petrick_width_guard () =
+  let k = Cover.Petrick.max_candidates + 1 in
+  let wide = Clause.of_sets ~n_candidates:k [ set (List.init k Fun.id) ] in
+  let error =
+    Invalid_argument
+      (Printf.sprintf "Petrick: %d candidates, at most %d fit a term mask" k (k - 1))
+  in
+  Alcotest.check_raises "expand_raw beyond max_candidates" error (fun () ->
+      ignore (Cover.Petrick.expand_raw wide));
+  Alcotest.check_raises "expand beyond max_candidates" error (fun () ->
+      ignore (Cover.Petrick.expand wide))
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest qcheck_bitmask_petrick_matches_reference;
+      Alcotest.test_case "petrick wide systems" `Quick test_petrick_wide_systems;
+      Alcotest.test_case "petrick candidate-width guard" `Quick test_petrick_width_guard;
+    ]

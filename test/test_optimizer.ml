@@ -209,3 +209,83 @@ let test_optimize_deterministic () =
     b.O.choice_b.O.opamps
 
 let suite = suite @ [ Alcotest.test_case "deterministic" `Quick test_optimize_deterministic ]
+
+(* ---- Petrick at registry scale ---- *)
+
+let render_terms terms =
+  String.concat " + "
+    (List.map
+       (fun s -> String.concat "." (List.map (Printf.sprintf "C%d") (IntSet.elements s)))
+       terms)
+
+(* Catastrophic faults, fixed:0.1, ppd 10, nominal values: the three
+   registry circuits whose raw ξ has over 31,000 terms. The digest of
+   the rendered raw listing pins the derivation order as well as the
+   terms. *)
+let registry_petrick_cases =
+  [
+    ("tt-notch", 31_619, 48, "55bd66a35b5657ae61c150c514f76a39");
+    ("universal-notch", 31_846, 36, "e954da6390af68395b5dd37125e8abef");
+    ("universal-ap", 31_478, 43, "bf6a22481f265f3071dfcedfed52ae56");
+  ]
+
+let test_registry_petrick_fixture () =
+  List.iter
+    (fun (name, n_raw, n_min, digest) ->
+      let b = Option.get (Circuits.Registry.find name) in
+      let t =
+        Mcdft_core.Pipeline.run ~criterion:(Testability.Detect.Fixed_tolerance 0.1)
+          ~points_per_decade:10
+          ~faults:(Fault.catastrophic_faults b.Circuits.Benchmark.netlist)
+          b
+      in
+      let r = Mcdft_core.Pipeline.optimize t in
+      let raw = Option.get r.O.xi_terms_raw and min = Option.get r.O.xi_terms_min in
+      Alcotest.(check int) (name ^ ": raw terms") n_raw (List.length raw);
+      Alcotest.(check int) (name ^ ": minimal terms") n_min (List.length min);
+      Alcotest.(check string) (name ^ ": raw listing digest") digest
+        (Digest.to_hex (Digest.string (render_terms raw))))
+    registry_petrick_cases
+
+(* 7 opamps, 127 test configurations, and a reduced ξ that keeps 64 of
+   them: (C0+C1).(C0+C2)…(C0+C63). That is one candidate too many for a
+   term mask, so the flow must fall back to branch-and-bound even
+   though the opamp count is within the raised petrick_limit. *)
+let test_petrick_width_fallback () =
+  let rows = 127 and cols = Cover.Petrick.max_candidates in
+  let detect = Array.init rows (fun i -> Array.init cols (fun j -> i = 0 || i = j + 1)) in
+  let omega = Array.map (Array.map (fun d -> if d then 50.0 else 0.0)) detect in
+  let r = O.optimize ~petrick_limit:7 (O.input_of_matrices ~n_opamps:7 detect omega) in
+  Alcotest.(check int) "reduced xi keeps 64 configurations" (cols + 1)
+    (IntSet.cardinal (Cover.Clause.candidates r.O.xi_reduced));
+  Alcotest.(check bool) "no raw SOP" true (r.O.xi_terms_raw = None);
+  Alcotest.(check bool) "no minimal SOP" true (r.O.xi_terms_min = None);
+  Alcotest.(check (list int)) "branch-and-bound picks C0" [ 0 ] r.O.choice_a.O.configs
+
+(* `mcdft optimize` lists ξ up to 12 raw terms and otherwise says how
+   many it left out *)
+let test_cli_xi_listing () =
+  let xi_line args =
+    let file = Filename.temp_file "mcdft-optimize" ".txt" in
+    Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+    let code =
+      Sys.command (Printf.sprintf "../bin/mcdft.exe optimize %s > %s 2>&1" args file)
+    in
+    Alcotest.(check int) (args ^ ": exit code") 0 code;
+    In_channel.with_open_text file In_channel.input_lines
+    |> List.find_opt (fun l -> String.length l > 10 && String.sub l 0 10 = "  xi (SOP)")
+  in
+  Alcotest.(check (option string)) "listed at 3 terms"
+    (Some "  xi (SOP)            : C1.C2 + C1.C2.C5 + C2.C5")
+    (xi_line "tow-thomas --points-per-decade 10");
+  Alcotest.(check (option string)) "suppressed at 46 terms"
+    (Some "  xi (SOP)            : 46 terms (listing suppressed above 12)")
+    (xi_line "tow-thomas --points-per-decade 10 --criterion fixed:0.1")
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "registry Petrick fixture" `Quick test_registry_petrick_fixture;
+      Alcotest.test_case "Petrick width fallback" `Quick test_petrick_width_fallback;
+      Alcotest.test_case "CLI xi listing" `Quick test_cli_xi_listing;
+    ]
