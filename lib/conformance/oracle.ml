@@ -372,16 +372,30 @@ let structural_vs_lu (s : Gen.subject) =
              "structurally full-rank yet LU singular at omega = %g rad/s" omega)
     | None -> Pass
 
-(* --- block-backsolve: campaign scoring vs per-fault path ---------- *)
+(* --- block-backsolve: block-warmed vs cold, campaign vs per-fault -- *)
 
-(* The campaign driver at stride 1 scores every point through
-   immutable plans and planar response rows on an engine whose
-   back-solve cache was warmed by multi-RHS block back-solves;
-   analyze_prepared on an unwarmed view boxes one response per fault
-   and fills its cache through single-column solves. The block kernel
-   promises bitwise equality with scalar solves, so the two paths must
-   agree exactly — every detect verdict and every omega measure, not
-   just within tolerance. *)
+(* Two comparisons, each of which must hold exactly — every response
+   bit, every detect verdict and every omega measure, not just within
+   tolerance:
+   - per view, an engine whose back-solve cache was filled by
+     multi-RHS block back-solves ({!Testability.Fastsim.warm_cache})
+     against a cold engine that solves each column on first read —
+     the block kernel promises bitwise equality with scalar solves;
+   - the campaign driver at stride 1, which scores every point through
+     immutable plans and planar response rows, against
+     analyze_prepared, which boxes one response per fault. *)
+let same_bits (a : Complex.t option array) b =
+  let eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         match (x, y) with
+         | None, None -> true
+         | Some (x : Complex.t), Some (y : Complex.t) ->
+             eq x.Complex.re y.Complex.re && eq x.Complex.im y.Complex.im
+         | _ -> false)
+       a b
+
 let block_backsolve (s : Gen.subject) =
   let faults = Fault.both_deviations s.netlist @ Fault.catastrophic_faults s.netlist in
   let views =
@@ -394,11 +408,32 @@ let block_backsolve (s : Gen.subject) =
         })
       (Netlist.internal_nodes s.netlist)
   in
+  let warmed_vs_cold (v : Matrix.view) =
+    let engine () =
+      Fastsim.create ~source:v.Matrix.probe.Detect.source
+        ~output:v.Matrix.probe.Detect.output ~freqs_hz v.Matrix.netlist
+    in
+    let warmed = engine () and cold = engine () in
+    Fastsim.warm_cache warmed faults;
+    List.find_map
+      (fun fault ->
+        if same_bits (Fastsim.response warmed fault) (Fastsim.response cold fault)
+        then None
+        else
+          Some
+            (Printf.sprintf "%s / %s: block-warmed response differs from cold"
+               v.Matrix.label fault.Fault.id))
+      faults
+  in
   if views = [] || faults = [] then Skip "no views or no faults to score"
   else
-    match Mcdft_core.Adaptive.build ~stride:1 ~jobs:1 grid views faults with
+    match
+      ( List.find_map warmed_vs_cold views,
+        Mcdft_core.Adaptive.build ~stride:1 ~jobs:1 grid views faults )
+    with
     | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
-    | m, _ ->
+    | Some msg, _ -> Fail msg
+    | None, (m, _) ->
         let failure = ref None in
         List.iteri
           (fun i v ->
@@ -835,7 +870,9 @@ let all =
     };
     {
       name = "block-backsolve";
-      doc = "warmed campaign scoring bitwise-equal to per-fault analyze_prepared";
+      doc =
+        "block-warmed responses bitwise-equal to cold ones, campaign scoring to \
+         per-fault analyze_prepared";
       check = block_backsolve;
     };
     {

@@ -151,11 +151,15 @@ module Refine = struct
       degraded = !degraded }
 end
 
-(* Order-of-magnitude cost model: a warmed rank-1 solve is two O(n²)
-   passes per point (the update and the residual matvec). The scoring
-   estimate assumes roughly a third of the points get solved — it only
-   feeds the scheduler's sequential cutoff and chunk sizing. *)
-let point_ns dim = (3.0 *. float_of_int (dim * dim)) +. 250.0
+(* Order-of-magnitude cost model: a rank-1 solve is two O(n²) passes
+   per point (the update and the residual matvec), plus the forward
+   and backward sweeps of its (pattern, frequency) column's back-solve
+   (~2n²) when it is the column's first read. Only faults on one
+   pattern share a column, and the default campaign has one fault per
+   passive, so the model charges the back-solve to every point. The
+   scoring estimate assumes roughly a third of the points get solved —
+   it only feeds the scheduler's sequential cutoff and chunk sizing. *)
+let point_ns dim = (5.0 *. float_of_int (dim * dim)) +. 250.0
 
 let build ?backend ?criterion ?(jobs = 1) ?solve_budget
     ?(stride = default_stride) ?(guard = default_guard) grid views faults =
@@ -180,28 +184,34 @@ let build ?backend ?criterion ?(jobs = 1) ?solve_budget
       Float.abs (log10 (f.(nf - 1) /. f.(0))) /. float_of_int (nf - 1)
   in
   (* Phase 1 — per-view preparation: build each view's engine,
-     structural anchors and thresholds, pre-warm its back-solve cache
-     for the envelope drifts and the fault list (block back-solves,
-     one per frequency), and build every fault's immutable plan — so
-     the refinement phase never mutates an engine and single-point
-     solves at any grid index hit the warmed cache.
+     structural anchors and thresholds (the envelope's drifts warm
+     their back-solve columns in one block solve per frequency), and
+     build every fault's immutable plan. Fault columns are not solved
+     here: the refinement phase solves each on first read.
      Parallel over views. The work estimate only needs the order of
-     magnitude, so the element count stands in for the unknown MNA
-     dimension. *)
-  let fault_list = Array.to_list faults in
+     magnitude: per frequency, one factorization plus, per envelope
+     drift, a block back-solve column and a rank-1 solve; the element
+     count stands in for the unknown MNA dimension. *)
   let prep_est =
-    let dim_proxy i = List.length (Netlist.elements views.(i).Matrix.netlist) in
+    let sweeps =
+      float_of_int
+        (List.length
+           (Detect.drift_tolerances
+              (Option.value criterion ~default:Detect.default_criterion)))
+    in
     Util.Floatx.fold_range n ~init:0.0 ~f:(fun acc i ->
-        let d = float_of_int (dim_proxy i) in
-        acc +. (float_of_int nf *. d *. d *. (d +. (6.0 *. float_of_int m))))
+        let netlist = views.(i).Matrix.netlist in
+        let d = float_of_int (List.length (Netlist.elements netlist)) in
+        let drifts = sweeps *. float_of_int (List.length (Netlist.passives netlist)) in
+        acc +. (float_of_int nf *. d *. d *. (d +. (5.0 *. drifts))))
   in
   let prepared =
     Util.Parallel.map ~jobs ~est_ns:prep_est n (fun i ->
         let view = views.(i) in
         Obs.Trace.span ("adaptive.prepare " ^ view.Matrix.label) @@ fun () ->
         let pv =
-          Detect.prepare_view ?backend ?criterion ~warm:fault_list
-            view.Matrix.probe grid view.Matrix.netlist
+          Detect.prepare_view ?backend ?criterion view.Matrix.probe grid
+            view.Matrix.netlist
         in
         (pv, Array.map (Detect.plan_fault pv) faults))
   in

@@ -140,12 +140,14 @@ val build :
   Testability.Matrix.t * stats
 (** Run the fault-simulation campaign over every (view, fault) pair.
     A parallel preparation phase builds each view's engine, nominal
-    sweep, structural anchors and thresholds, warming its back-solve
-    cache first for the envelope's drifts and the faults that can reach
-    the output ({!Testability.Detect.prepare_view}); scoring then fans
-    out over (view × fault) rows, each refined sequentially by
-    {!Refine.row} with single-point {!Testability.Detect.score_range}
-    solves against the warmed read-only plans. [jobs] > 1 distributes
+    sweep, structural anchors and thresholds
+    ({!Testability.Detect.prepare_view}: only the envelope's drifts are
+    block-warmed); scoring then fans out over (view × fault) rows, each
+    refined sequentially by {!Refine.row} with single-point
+    {!Testability.Detect.score_range} solves against immutable plans.
+    A fault's back-solve column is solved the first time any row reads
+    it at that frequency, so the points refinement skips cost no
+    back-solve. [jobs] > 1 distributes
     both phases across that many domains; results are identical to a
     sequential run. [backend] selects the per-view factorization
     ({!Testability.Fastsim.backend}, default [Auto]).

@@ -58,6 +58,10 @@ let build ?(tolerance = 0.02) grid views faults =
           ~output:v.Matrix.probe.Detect.output ~freqs_hz v.Matrix.netlist)
       views
   in
+  (* Every trajectory reads its fault's column at every frequency, so
+     one block back-solve per frequency fills each engine's cache up
+     front. A shortcut only: an engine solves a missing column on
+     first read. *)
   let fault_list = Array.to_list faults in
   Array.iter (fun e -> Fastsim.warm_cache e fault_list) engines;
   let nominal_mag = Array.map (fun e -> Array.map Complex.norm (Fastsim.nominal e)) engines in

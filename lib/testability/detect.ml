@@ -286,42 +286,38 @@ let analyze_fault ?backend ?(criterion = default_criterion) ?nominal ?prepared p
 
 (* A fully-prepared view: engine, nominal response and instantiated
    thresholds with the view's structure, ready to score any number of
-   faults. When [warm] is given, the engine's back-solve cache is
-   prepopulated for those faults, after which {!analyze_prepared}
-   never mutates the engine cache and the prepared view may be shared
-   across domains. *)
+   faults, from any number of domains — the engine solves each
+   back-solve column on first use. *)
 type prepared_view = {
   sim : Fastsim.t;
   nominal : Complex.t array;
   prepared : prepared;
 }
 
-let prepare_view ?backend ?(criterion = default_criterion) ?(warm = []) probe grid
-    netlist =
+let prepare_view ?backend ?(criterion = default_criterion) probe grid netlist =
   (* One engine for the whole view: the fault-free factors are built
      once per frequency and shared by the envelope preparation and by
      every fault's rank-1 solve. *)
   let sim = make_sim ?backend probe grid netlist in
   let nominal = Fastsim.nominal sim in
   let structure = structure_of probe netlist in
-  (* Warm first: the envelope's drifts and the campaign's faults share
-     one multi-RHS block back-solve per frequency (a drift and a
-     deviation fault on one passive share its stamp pattern), so the
-     envelope reads the cache instead of back-solving column by
-     column. Only what can reach the output is warmed; a dead view
-     warms nothing. *)
+  (* The envelope reads every drift at every frequency, so its columns
+     come from one multi-RHS block back-solve per frequency instead of
+     column by column; a deviation fault on a drifting passive later
+     reads the same column. Faults are not warmed: adaptive scoring
+     reads a small share of their columns, each solved on first use.
+     A dead view builds no envelope and warms nothing. *)
   if not structure.dead then begin
-    let drifts =
+    match
       List.concat_map
         (fun tol ->
           List.map
             (fun element -> Fault.deviation ~element (1.0 +. tol))
             structure.drifting)
         (drift_tolerances criterion)
-    in
-    match drifts @ List.filter (fun f -> not (isolated structure f)) warm with
+    with
     | [] -> ()
-    | faults -> Fastsim.warm_cache sim faults
+    | drifts -> Fastsim.warm_cache sim drifts
   end;
   let prepared =
     prepare_with ~respond:(Fastsim.response sim) ~structure criterion grid ~nominal

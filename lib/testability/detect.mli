@@ -85,6 +85,11 @@ val default_tolerance : float
 val default_criterion : criterion
 (** [Fixed_tolerance default_tolerance]. *)
 
+val drift_tolerances : criterion -> float list
+(** The component tolerance of each envelope in the criterion, one per
+    envelope: a view's thresholds drift every passive that can reach
+    the output once per entry. Empty for fixed-threshold criteria. *)
+
 val response_deviation : nominal:Complex.t array -> faulty:Complex.t array -> float array
 (** Point-wise relative magnitude deviation | |Tf| - |T0| | / |T0|.
     Infinite when the nominal response is exactly zero at a point and
@@ -131,25 +136,25 @@ type prepared_view
 val prepare_view :
   ?backend:Fastsim.backend ->
   ?criterion:criterion ->
-  ?warm:Fault.t list ->
   probe -> Grid.t -> Netlist.t -> prepared_view
 (** Build the engine, structural anchors and thresholds for one view
     (default criterion {!default_criterion}). Before any threshold is
-    computed, the engine's back-solve cache is warmed
-    ({!Fastsim.warm_cache}, one block back-solve per frequency) for
-    the envelope's drifts and the [warm] faults — both restricted to
-    passives that can affect the output; a dead view warms nothing and
-    builds no envelope. Once the view is prepared with a [warm] list,
-    {!analyze_prepared} calls for those faults never mutate the engine
-    and the view can be scored from several domains concurrently.
+    computed, the engine's back-solve cache is warmed for the
+    envelope's drifts ({!Fastsim.warm_cache}, one block back-solve per
+    frequency), restricted to passives that can affect the output,
+    because the envelope reads each of them at every frequency; a dead
+    view warms nothing and builds no envelope. Faults are not warmed:
+    each of their back-solves runs the first time a score reads it, so
+    a campaign that decides most points without solving them pays only
+    for what it reads. The view can be scored from several domains
+    concurrently ({!Fastsim}'s cache is safe to fill in parallel).
     Raises like {!analyze}: {!Mna.Ac.Singular_circuit} when the
     fault-free system, or a drifted good circuit of the envelope
     (only drifts that can reach the output are simulated), is singular
     at a grid frequency. *)
 
 val analyze_prepared : prepared_view -> Grid.t -> Fault.t -> result
-(** Score one fault against a prepared view. Thread-safe once the view
-    was prepared with a [warm] list containing the fault (an isolated
+(** Score one fault against a prepared view. Thread-safe (an isolated
     fault, or any fault of a dead view, is never solved). *)
 
 val view_dim : prepared_view -> int

@@ -15,26 +15,27 @@ type backend = Dense | Sparse | Auto
 let auto_crossover_n = 64
 let auto_pick ~n ~nnz = n >= auto_crossover_n && 8 * nnz <= n * n
 
-(* A sparse ±1 stamp pattern: the nonzero rows (columns) of the rank-1
-   factor u (v), as (index, sign) pairs. *)
+(* A sparse ±1 stamp pattern: the nonzero rows of the rank-1 factor u,
+   as (index, sign) pairs. *)
 type pat = (int * float) list
 
-(* ΔA(ω) = (alpha_g + jω alpha_c) · u vᵀ *)
-type rank1 = { u : pat; v : pat; alpha_g : float; alpha_c : float }
+(* ΔA(ω) = (alpha_g + jω alpha_c) · u uᵀ — every rank-1 stamp here is
+   symmetric (an admittance across a node pair, or an inductor's own
+   branch diagonal). [slot] names the pattern's column in the
+   engine's back-solve cache. *)
+type rank1 = { slot : int; u : pat; alpha_g : float; alpha_c : float }
 
 (* Fault classification, before any per-plan state is built. *)
 type cls =
   | Unchanged  (* the fault does not alter the system (e.g. grounded element) *)
   | Rank_one of rank1
-  | Structural of Netlist.t  (* full path on the injected netlist *)
+  | Structural  (* full path on the injected netlist *)
 
-(* One cached A⁻¹u back-solve. [fresh] lets {!warm_cache} prepopulate
-   the table without disturbing the hit/miss accounting: a warmed
-   entry is "fresh" until its first reader, who claims it with a CAS
-   and books the one miss the lazy path would have booked at insertion
-   time. The claim is exactly-once even when workers race, so the
-   counter totals are schedule-invariant. *)
-type wentry = { w : Bvec.t; fresh : bool Atomic.t }
+(* One cached A⁻¹u column at one frequency. [Unread] is a column
+   {!warm_cache} block-solved that no point solve has read yet; its
+   first reader turns it [Read] and books the miss an on-demand solve
+   would have booked, so warming never moves the counters. *)
+type cell = Empty | Unread of Bvec.t | Read of Bvec.t
 
 (* The factored fault-free system at one frequency. The dense arm
    keeps the assembled A(jω) for residuals and perturbed-copy
@@ -58,7 +59,7 @@ type freq_state = {
   b : Bvec.t;
   bnorm : float;
   x0 : Bvec.t;
-  wcache : (pat, wentry) Hashtbl.t;  (* u-pattern -> A⁻¹u this frequency *)
+  cells : cell Atomic.t array;  (* slot -> A⁻¹u this frequency *)
 }
 
 (* Backend dispatch for the four operations the solve paths need. The
@@ -90,7 +91,6 @@ let solver_dense_into fs dst =
 
 type t = {
   netlist : Netlist.t;
-  index : Mna.Index.t;
   source : string;
   output : string;
   out_idx : int option;
@@ -99,6 +99,8 @@ type t = {
   nominal : Complex.t array;
   nom_re : float array;  (* nominal, planar, for the Unchanged fast path *)
   nom_im : float array;
+  slot_of : (string, int) Hashtbl.t;  (* passive -> its stamp pattern's slot *)
+  slot_pats : pat array;
   smw_solves : int Atomic.t;
   full_solves : int Atomic.t;
 }
@@ -227,11 +229,54 @@ let fallback_ws s n =
   end;
   s
 
+let two_node_pat index n1 n2 : pat =
+  match (Mna.Index.node index n1, Mna.Index.node index n2) with
+  | Some i, Some j when i = j -> []
+  | Some i, Some j -> [ (i, 1.0); (j, -1.0) ]
+  | Some i, None -> [ (i, 1.0) ]
+  | None, Some j -> [ (j, -1.0) ]
+  | None, None -> []
+
+(* The back-solve cache's slots, fixed when the engine is built: one
+   per distinct non-empty stamp pattern of a passive, so elements on
+   one node pair (R‖C) share a column. A passive with an empty pattern
+   (both ends on one node) has no slot: none of its faults can move
+   the system. *)
+let intern_slots index netlist =
+  let slot_of = Hashtbl.create 64 and by_pat = Hashtbl.create 64 in
+  let pats = ref [] and k = ref 0 in
+  List.iter
+    (fun e ->
+      let pat =
+        match e with
+        | Element.Resistor { n1; n2; _ } | Element.Capacitor { n1; n2; _ } ->
+            two_node_pat index n1 n2
+        | Element.Inductor { name; _ } -> [ (Mna.Index.branch index name, 1.0) ]
+        | _ -> []
+      in
+      if pat <> [] then begin
+        let slot =
+          match Hashtbl.find_opt by_pat pat with
+          | Some slot -> slot
+          | None ->
+              let slot = !k in
+              incr k;
+              Hashtbl.add by_pat pat slot;
+              pats := pat :: !pats;
+              slot
+        in
+        Hashtbl.replace slot_of (Element.name e) slot
+      end)
+    (Netlist.elements netlist);
+  (slot_of, Array.of_list (List.rev !pats))
+
 let create ?(backend = Auto) ~source ~output ~freqs_hz netlist =
   Obs.Trace.span "fastsim.create" @@ fun () ->
   let index = Mna.Index.build netlist in
   let n = Mna.Index.size index in
   let out_idx = Mna.Index.node index output in
+  let slot_of, slot_pats = intern_slots index netlist in
+  let new_cells () = Array.init (Array.length slot_pats) (fun _ -> Atomic.make Empty) in
   let singular_at f_hz =
     raise
       (Mna.Ac.Singular_circuit
@@ -278,7 +323,7 @@ let create ?(backend = Auto) ~source ~output ~freqs_hz netlist =
                   b;
                   bnorm = Bvec.norm_inf b;
                   x0;
-                  wcache = Hashtbl.create 16;
+                  cells = new_cells ();
                 })
           freqs_hz
     | Some sp ->
@@ -323,7 +368,7 @@ let create ?(backend = Auto) ~source ~output ~freqs_hz netlist =
               b;
               bnorm = Bvec.norm_inf b;
               x0;
-              wcache = Hashtbl.create 16;
+              cells = new_cells ();
             })
           freqs_hz
   in
@@ -334,7 +379,6 @@ let create ?(backend = Auto) ~source ~output ~freqs_hz netlist =
   in
   {
     netlist;
-    index;
     source;
     output;
     out_idx;
@@ -343,6 +387,8 @@ let create ?(backend = Auto) ~source ~output ~freqs_hz netlist =
     nominal;
     nom_re = Array.map (fun (z : Complex.t) -> z.Complex.re) nominal;
     nom_im = Array.map (fun (z : Complex.t) -> z.Complex.im) nominal;
+    slot_of;
+    slot_pats;
     smw_solves = Atomic.make 0;
     full_solves = Atomic.make 0;
   }
@@ -359,88 +405,53 @@ let uses_sparse t =
 
 (* ---- fault classification ---- *)
 
-let two_node_pat index n1 n2 : pat =
-  match (Mna.Index.node index n1, Mna.Index.node index n2) with
-  | Some i, Some j when i = j -> []
-  | Some i, Some j -> [ (i, 1.0); (j, -1.0) ]
-  | Some i, None -> [ (i, 1.0) ]
-  | None, Some j -> [ (j, -1.0) ]
-  | None, None -> []
-
-let rank1_if_sane r1 =
-  if Float.is_finite r1.alpha_g && Float.is_finite r1.alpha_c then
-    if r1.u = [] || r1.v = [] || (r1.alpha_g = 0.0 && r1.alpha_c = 0.0) then
-      Some Unchanged
-    else Some (Rank_one r1)
-  else None
-
 (* The admittance-style elements stamp y·uuᵀ with u the two-node
    pattern, so a value change is the rank-1 perturbation Δy·uuᵀ; an
    inductor's deviation only moves its own branch-equation diagonal
    entry, −sΔL. Anything else (dimension-changing replacements, source
-   deviations, non-finite deltas) takes the structural path. *)
+   deviations, non-finite deltas) takes the structural path. The
+   pattern comes from the slot table, so classifying never injects. *)
 let classify t (fault : Fault.t) =
   match Netlist.find t.netlist fault.Fault.element with
   | None -> raise (Fault.Unknown_element fault.Fault.element)
   | Some e -> (
-      let structural () = Structural (Fault.inject fault t.netlist) in
-      let or_structural r1 =
-        match rank1_if_sane r1 with Some p -> p | None -> structural ()
+      let rank1 ~alpha_g ~alpha_c =
+        if not (Float.is_finite alpha_g && Float.is_finite alpha_c) then Structural
+        else
+          match Hashtbl.find_opt t.slot_of fault.Fault.element with
+          | Some slot when alpha_g <> 0.0 || alpha_c <> 0.0 ->
+              Rank_one { slot; u = t.slot_pats.(slot); alpha_g; alpha_c }
+          | _ -> Unchanged
+      in
+      let replacement () =
+        match fault.Fault.kind with
+        | Fault.Open_circuit -> Fault.open_resistance
+        | _ -> Fault.short_resistance
       in
       match (fault.Fault.kind, e) with
-      | Fault.Deviation f, Element.Resistor { n1; n2; value; _ } ->
-          let p = two_node_pat t.index n1 n2 in
-          or_structural
-            {
-              u = p;
-              v = p;
-              alpha_g = (1.0 /. (f *. value)) -. (1.0 /. value);
-              alpha_c = 0.0;
-            }
-      | Fault.Deviation f, Element.Capacitor { n1; n2; value; _ } ->
-          let p = two_node_pat t.index n1 n2 in
-          or_structural
-            { u = p; v = p; alpha_g = 0.0; alpha_c = (f -. 1.0) *. value }
-      | Fault.Deviation f, Element.Inductor { name; value; _ } ->
-          let bi = Mna.Index.branch t.index name in
-          or_structural
-            {
-              u = [ (bi, 1.0) ];
-              v = [ (bi, 1.0) ];
-              alpha_g = 0.0;
-              alpha_c = -.((f -. 1.0) *. value);
-            }
-      | (Fault.Open_circuit | Fault.Short_circuit), Element.Resistor { n1; n2; value; _ }
-        ->
-          let r =
-            match fault.Fault.kind with
-            | Fault.Open_circuit -> Fault.open_resistance
-            | _ -> Fault.short_resistance
-          in
-          let p = two_node_pat t.index n1 n2 in
-          or_structural
-            { u = p; v = p; alpha_g = (1.0 /. r) -. (1.0 /. value); alpha_c = 0.0 }
-      | (Fault.Open_circuit | Fault.Short_circuit), Element.Capacitor { n1; n2; value; _ }
-        ->
+      | Fault.Deviation f, Element.Resistor { value; _ } ->
+          rank1 ~alpha_g:((1.0 /. (f *. value)) -. (1.0 /. value)) ~alpha_c:0.0
+      | Fault.Deviation f, Element.Capacitor { value; _ } ->
+          rank1 ~alpha_g:0.0 ~alpha_c:((f -. 1.0) *. value)
+      | Fault.Deviation f, Element.Inductor { value; _ } ->
+          rank1 ~alpha_g:0.0 ~alpha_c:(-.((f -. 1.0) *. value))
+      | (Fault.Open_circuit | Fault.Short_circuit), Element.Resistor { value; _ } ->
+          rank1 ~alpha_g:((1.0 /. replacement ()) -. (1.0 /. value)) ~alpha_c:0.0
+      | (Fault.Open_circuit | Fault.Short_circuit), Element.Capacitor { value; _ } ->
           (* the capacitor is replaced by a resistance: add 1/r, retire sC *)
-          let r =
-            match fault.Fault.kind with
-            | Fault.Open_circuit -> Fault.open_resistance
-            | _ -> Fault.short_resistance
-          in
-          let p = two_node_pat t.index n1 n2 in
-          or_structural { u = p; v = p; alpha_g = 1.0 /. r; alpha_c = -.value }
-      | _ -> structural ())
+          rank1 ~alpha_g:(1.0 /. replacement ()) ~alpha_c:(-.value)
+      | _ -> Structural)
 
 let plan_of t fault =
   match classify t fault with
   | Unchanged -> P_unchanged
   | Rank_one r1 -> P_rank1 r1
-  | Structural faulty ->
+  | Structural ->
       (* Once per (engine, fault) plan — the same accounting point the
          per-call structural path used before plans existed. *)
       Obs.Metrics.incr "fastsim.structural_faults";
       Obs.Trace.span "fastsim.structural" @@ fun () ->
+      let faulty = Fault.inject fault t.netlist in
       let index = Mna.Index.build faulty in
       let stamps =
         Mna.Stamps.build ~sources:(Mna.Assemble.Only t.source) index faulty
@@ -481,67 +492,74 @@ let solve_pattern fs (u : pat) (w : Bvec.t) =
   solver_solve_into fs ~b:uvec ~x:w;
   List.iter (fun (i, _) -> Bigarray.Array1.set uvec.Bvec.re i 0.0) u
 
-(* Cache lookup. The on-demand insertion path mutates the Hashtbl and
-   is only safe while the engine is confined to one domain; parallel
-   analysis must {!warm_cache} first so lookups during the parallel
-   phase are read-only. *)
-let w_for t fs u =
-  let s = Domain.DLS.get scratch_key in
-  match Hashtbl.find_opt fs.wcache u with
-  | Some e ->
-      let p = pend_for t s in
-      if Atomic.get e.fresh && Atomic.compare_and_set e.fresh true false then
-        p.p_misses <- p.p_misses + 1
-      else p.p_hits <- p.p_hits + 1;
-      e.w
-  | None ->
-      let p = pend_for t s in
-      p.p_misses <- p.p_misses + 1;
-      let w = Bvec.create (Bvec.length fs.x0) in
-      solve_pattern fs u w;
-      Hashtbl.add fs.wcache u { w; fresh = Atomic.make false };
+(* The A⁻¹u column of [slot] at one frequency. A column is solved the
+   first time any point solve needs it and published with a CAS; a
+   domain that loses the race adopts the winner's column, which is
+   bitwise equal. A miss is the first read of a column, whoever solved
+   it: the reader that wins the transition to [Read] books it, every
+   other read books a hit — so the totals do not depend on the
+   schedule or on what was warmed. *)
+let rec w_for t fs slot =
+  let cell = Array.unsafe_get fs.cells slot in
+  let p = pend_for t (Domain.DLS.get scratch_key) in
+  match Atomic.get cell with
+  | Read w ->
+      p.p_hits <- p.p_hits + 1;
       w
+  | Unread w as c ->
+      if Atomic.compare_and_set cell c (Read w) then p.p_misses <- p.p_misses + 1
+      else p.p_hits <- p.p_hits + 1;
+      w
+  | Empty ->
+      let w = Bvec.create t.n in
+      solve_pattern fs t.slot_pats.(slot) w;
+      if Atomic.compare_and_set cell Empty (Read w) then begin
+        p.p_misses <- p.p_misses + 1;
+        w
+      end
+      else w_for t fs slot
 
-(* Warm the A⁻¹u cache with one multi-RHS block back-solve per
-   frequency: every missing pattern at that frequency becomes a column
-   of one n×k block, so the cached LU factor is swept once per
-   frequency instead of once per (pattern, frequency). Column results
-   are bitwise-identical to the per-pattern {!solve_pattern} path
-   (see {!Linalg.Cmat.Big.lu_solve_block_into}). *)
+(* Fill the A⁻¹u columns of [faults]' patterns with one multi-RHS
+   block back-solve per frequency: every empty slot at that frequency
+   becomes a column of one n×k block, so the cached LU factor is swept
+   once per frequency instead of once per (pattern, frequency). Column
+   results are bitwise-identical to the per-pattern {!solve_pattern}
+   path (see {!Linalg.Cmat.Big.lu_solve_block_into}). *)
 let warm_cache t faults =
   Obs.Trace.span "fastsim.warm_cache" @@ fun () ->
-  let pats =
-    List.fold_left
-      (fun acc fault ->
-        match classify t fault with
-        | Rank_one { u; _ } -> if List.mem u acc then acc else u :: acc
-        | Unchanged | Structural _ -> acc
-        | exception Fault.Unknown_element _ -> acc)
-      [] faults
-    |> List.rev
-  in
-  if pats <> [] then
-    Array.iter
-      (fun fs ->
-        let missing = List.filter (fun u -> not (Hashtbl.mem fs.wcache u)) pats in
-        let k = List.length missing in
-        if k > 0 then begin
-          let b = Big.create t.n k and x = Big.create t.n k in
-          List.iteri
-            (fun r u ->
-              List.iter
-                (fun (i, sg) -> Big.set b i r Complex.{ re = sg; im = 0.0 })
-                u)
-            missing;
-          solver_solve_block_into fs ~b ~x;
-          List.iteri
-            (fun r u ->
-              let w = Bvec.create t.n in
-              Big.col_into x ~c:r w;
-              Hashtbl.add fs.wcache u { w; fresh = Atomic.make true })
-            missing
-        end)
-      t.freqs
+  let wanted = Array.make (Array.length t.slot_pats) false in
+  List.iter
+    (fun fault ->
+      match classify t fault with
+      | Rank_one { slot; _ } -> wanted.(slot) <- true
+      | Unchanged | Structural -> ()
+      | exception Fault.Unknown_element _ -> ())
+    faults;
+  Array.iter
+    (fun fs ->
+      let missing = ref [] in
+      for slot = Array.length wanted - 1 downto 0 do
+        if wanted.(slot) && Atomic.get fs.cells.(slot) == Empty then
+          missing := slot :: !missing
+      done;
+      let k = List.length !missing in
+      if k > 0 then begin
+        let b = Big.create t.n k and x = Big.create t.n k in
+        List.iteri
+          (fun r slot ->
+            List.iter
+              (fun (i, sg) -> Big.set b i r Complex.{ re = sg; im = 0.0 })
+              t.slot_pats.(slot))
+          !missing;
+        solver_solve_block_into fs ~b ~x;
+        List.iteri
+          (fun r slot ->
+            let w = Bvec.create t.n in
+            Big.col_into x ~c:r w;
+            ignore (Atomic.compare_and_set fs.cells.(slot) Empty (Unread w)))
+          !missing
+      end)
+    t.freqs
 
 (* ---- point solvers ----
 
@@ -562,7 +580,7 @@ let write_out t (x : Bvec.t) ~re ~im ~ok ~ix =
 
 (* Full fallback at one frequency: perturb a copy of A(jω) and
    refactorize — exactly the naive path, minus the assembly. *)
-let full_point_solve t fs ~al_re ~al_im ~u ~v ~re ~im ~ok ~ix =
+let full_point_solve t fs ~al_re ~al_im ~u ~re ~im ~ok ~ix =
   let s = Domain.DLS.get scratch_key in
   let p = pend_for t s in
   p.p_full <- p.p_full + 1;
@@ -574,7 +592,7 @@ let full_point_solve t fs ~al_re ~al_im ~u ~v ~re ~im ~ok ~ix =
         (fun (j, sj) ->
           Big.add_to s.sm i j
             { Complex.re = al_re *. si *. sj; Complex.im = al_im *. si *. sj })
-        v)
+        u)
     u;
   match
     Obs.Metrics.time "mna.solve_s" (fun () ->
@@ -602,12 +620,12 @@ let smw_tolerance = 1e-9
 let chaos : [ `None | `Smw_denominator of float ] Atomic.t = Atomic.make `None
 let set_chaos c = Atomic.set chaos c
 
-let smw_point_solve t fs ({ u; v; alpha_g; alpha_c } : rank1) ~re ~im ~ok ~ix =
+let smw_point_solve t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im ~ok ~ix =
   let al_re = alpha_g and al_im = fs.omega *. alpha_c in
   if al_re = 0.0 && al_im = 0.0 then write_out t fs.x0 ~re ~im ~ok ~ix
   else begin
-    let w = w_for t fs u in
-    let vw_re = dot_pat v w.Bvec.re and vw_im = dot_pat v w.Bvec.im in
+    let w = w_for t fs slot in
+    let vw_re = dot_pat u w.Bvec.re and vw_im = dot_pat u w.Bvec.im in
     let den_re = 1.0 +. ((al_re *. vw_re) -. (al_im *. vw_im))
     and den_im = (al_re *. vw_im) +. (al_im *. vw_re) in
     let chaotic, den_re, den_im =
@@ -616,9 +634,9 @@ let smw_point_solve t fs ({ u; v; alpha_g; alpha_c } : rank1) ~re ~im ~ok ~ix =
       | `Smw_denominator k -> (true, den_re *. k, den_im *. k)
     in
     if Cmat.norm2 den_re den_im <= 1e-12 then
-      full_point_solve t fs ~al_re ~al_im ~u ~v ~re ~im ~ok ~ix
+      full_point_solve t fs ~al_re ~al_im ~u ~re ~im ~ok ~ix
     else begin
-      let vx0_re = dot_pat v fs.x0.Bvec.re and vx0_im = dot_pat v fs.x0.Bvec.im in
+      let vx0_re = dot_pat u fs.x0.Bvec.re and vx0_im = dot_pat u fs.x0.Bvec.im in
       let coef_re, coef_im =
         div2
           ((al_re *. vx0_re) -. (al_im *. vx0_im))
@@ -642,7 +660,7 @@ let smw_point_solve t fs ({ u; v; alpha_g; alpha_c } : rank1) ~re ~im ~ok ~ix =
       (* Residual of the perturbed system without forming it:
          b − A_f xf = (b − α (vᵀxf) u) − A xf. *)
       let faulty_residual () =
-        let vxf_re = dot_pat v xf_re and vxf_im = dot_pat v xf_im in
+        let vxf_re = dot_pat u xf_re and vxf_im = dot_pat u xf_im in
         let av_re = (al_re *. vxf_re) -. (al_im *. vxf_im)
         and av_im = (al_re *. vxf_im) +. (al_im *. vxf_re) in
         solver_mul_vec_into fs ~x:xf ~y:resid;
@@ -669,7 +687,7 @@ let smw_point_solve t fs ({ u; v; alpha_g; alpha_c } : rank1) ~re ~im ~ok ~ix =
         let d0 = s.d0 in
         solver_solve_into fs ~b:resid ~x:d0;
         let d0re = d0.Bvec.re and d0im = d0.Bvec.im in
-        let vd_re = dot_pat v d0re and vd_im = dot_pat v d0im in
+        let vd_re = dot_pat u d0re and vd_im = dot_pat u d0im in
         let dc_re, dc_im =
           div2
             ((al_re *. vd_re) -. (al_im *. vd_im))
@@ -710,7 +728,7 @@ let smw_point_solve t fs ({ u; v; alpha_g; alpha_c } : rank1) ~re ~im ~ok ~ix =
           p.p_smw <- p.p_smw + 1;
           write_out t xf ~re ~im ~ok ~ix
         end
-        else full_point_solve t fs ~al_re ~al_im ~u ~v ~re ~im ~ok ~ix
+        else full_point_solve t fs ~al_re ~al_im ~u ~re ~im ~ok ~ix
       end
     end
   end

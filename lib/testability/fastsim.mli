@@ -12,11 +12,12 @@ module Netlist := Circuit.Netlist
       response as a by-product;
     - a single-element deviation (or open/short replacement) of a
       passive R, C or L perturbs the MNA matrix by a rank-1 term
-      α(ω)·uvᵀ with u, v sparse ±1 patterns, so each faulty solve is
+      α(ω)·uuᵀ with u a sparse ±1 pattern, so each faulty solve is
       a Sherman–Morrison update against the cached LU — O(n²),
       polished by one step of iterative refinement — and the A⁻¹u
       back-solves are cached across faults sharing a stamp pattern
-      (e.g. the ±20 % pair on one component);
+      (the ±20 % pair on one component, or R‖C on one node pair),
+      each solved only when some point first reads it;
     - every update is verified by a cheap residual check; an
       ill-conditioned update falls back to a full refactorization of
       the perturbed matrix, and a structural fault (e.g. an inductor
@@ -28,15 +29,20 @@ module Netlist := Circuit.Netlist
     planes in Bigarray storage the GC never scans), and the rank-1 hot
     path allocates zero GC-visible words proportional to the system:
     solve buffers live in a per-domain scratch workspace (domain-local
-    storage), so an engine may be shared by several workers — stats
-    counters are atomic and cached back-solves are read under a
-    freshness CAS. Under OCaml 5's stop-the-world minor GC this is
-    what lets campaign domains scale: a warmed campaign's numeric
-    state contributes nothing to any collection. The one mutating
-    operation is the w-cache insertion on a cache miss, which is only
-    safe while the engine is confined to a single domain; parallel
-    analysis must call {!warm_cache} with its fault list first so that
-    every lookup during the parallel phase is read-only. *)
+    storage), so an engine may be shared by several workers. Under
+    OCaml 5's stop-the-world minor GC this is what lets campaign
+    domains scale: the engine's numeric state contributes nothing to
+    any collection.
+
+    Parallel safety. The back-solve cache is a table of slots fixed by
+    {!create}: one per distinct stamp pattern of a passive, so
+    elements on one node pair share a slot. Each (slot, frequency)
+    cell is an atomic that starts empty. A point solve that finds its
+    cell empty back-solves the column and publishes it with a
+    compare-and-set; a domain that loses the race uses the winner's
+    column, which is bitwise equal to its own. Lookups therefore need
+    no warming first, and several domains may score one engine from
+    the start. Stats counters are atomic. *)
 
 type t
 
@@ -75,15 +81,16 @@ val nominal : t -> Complex.t array
     {!Mna.Ac.sweep} on the same grid). *)
 
 val warm_cache : t -> Fault.t list -> unit
-(** Precompute the cached A⁻¹u back-solve for every rank-1 fault in
-    the list at every grid frequency, so subsequent {!response} calls
-    never insert into the cache and the engine can be shared across
-    domains. Warmed entries do not disturb the [wcache_hits/misses]
-    accounting: each warmed entry books exactly one miss when it is
-    first read, just as the lazy path books one at insertion — totals
-    are identical to single-domain lazy operation and invariant under
-    the parallel schedule. Unknown elements are skipped (the matching
-    {!response} call still raises). *)
+(** Fill the A⁻¹u column of every rank-1 fault's stamp pattern at
+    every grid frequency, with one multi-RHS block back-solve per
+    frequency instead of one solve per (pattern, frequency). A
+    shortcut for callers that will read every frequency of every
+    listed fault (envelope drifts, diagnosis trajectories); it is never
+    needed for correctness or parallel safety, and the columns are
+    bitwise equal to the ones a point solve computes on demand.
+    Warming books no [wcache_*] counts (see {!stats}). Classifying a
+    fault never injects it; structural faults and unknown elements are
+    skipped (the matching {!response} call still raises). *)
 
 val response : t -> Fault.t -> Complex.t option array
 (** The faulty transfer at every grid frequency; [None] where the
@@ -150,7 +157,13 @@ val stats : t -> int * int
     [fastsim.full_solves] totals across all engines equal the
     per-engine [stats] sums exactly — alongside
     [fastsim.refine_steps], [fastsim.structural_faults],
-    [fastsim.wcache_hits] and [fastsim.wcache_misses]. Increments are
+    [fastsim.wcache_hits] and [fastsim.wcache_misses]. Every rank-1
+    point solve reads one A⁻¹u column: the first read of each
+    (pattern, frequency) column books a miss — whether the read
+    solved the column or {!warm_cache} had block-solved it — and every
+    later read books a hit. So misses count the distinct columns read,
+    hits the reads they served again, and both totals are the same at
+    every [jobs] setting and with or without warming. Increments are
     batched in per-domain locals and flushed (into the atomics and the
     registry together) when each {!response} /
     {!response_range_into} / {!warm_cache} call returns, so totals are

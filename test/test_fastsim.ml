@@ -196,6 +196,91 @@ let test_metrics_batching_exact () =
       Alcotest.(check int) "full_solves flushed exactly" full
         (Obs.Metrics.counter snap "fastsim.full_solves"))
 
+(* --- demand-driven back-solve cache --------------------------------- *)
+
+(* A cold engine back-solves each A⁻¹u column the first time a point
+   reads it; Fastsim.warm_cache block-solves the same columns up front.
+   The two must agree bit for bit on every response and book the same
+   counters: one miss per distinct (pattern, frequency) column read,
+   a hit for every other read. *)
+
+let cache_counters f =
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled false;
+      Obs.Metrics.reset ())
+    (fun () ->
+      let r = f () in
+      let snap = Obs.Metrics.snapshot () in
+      ( r,
+        ( Obs.Metrics.counter snap "fastsim.wcache_misses",
+          Obs.Metrics.counter snap "fastsim.wcache_hits" ) ))
+
+let response_bits sim fault =
+  Array.map
+    (Option.map (fun (z : Complex.t) ->
+         (Int64.bits_of_float z.Complex.re, Int64.bits_of_float z.Complex.im)))
+    (Fastsim.response sim fault)
+
+(* The node pair of a two-terminal passive: the key of its stamp
+   pattern, which faults on one node pair share. *)
+let node_pair netlist (fault : Fault.t) =
+  match Netlist.find netlist fault.Fault.element with
+  | Some (Circuit.Element.Resistor { n1; n2; _ } | Circuit.Element.Capacitor { n1; n2; _ })
+    ->
+      (n1, n2)
+  | _ -> Alcotest.failf "%s: expected a resistor or capacitor" fault.Fault.element
+
+let check_cold_vs_warmed ~label ~sparse ~source ~output ~freqs_hz netlist =
+  let faults = Fault.both_deviations netlist in
+  let nf = Array.length freqs_hz in
+  let run ~warm =
+    cache_counters (fun () ->
+        let sim = Fastsim.create ~source ~output ~freqs_hz netlist in
+        Alcotest.(check bool) (label ^ ": sparse backend") sparse (Fastsim.uses_sparse sim);
+        if warm then Fastsim.warm_cache sim faults;
+        List.map (response_bits sim) faults)
+  in
+  let cold, cold_counts = run ~warm:false in
+  let warmed, warmed_counts = run ~warm:true in
+  Alcotest.(check bool) (label ^ ": cold responses bitwise equal warmed") true
+    (cold = warmed);
+  (* every deviation fault reads its column at every frequency *)
+  let columns = nf * List.length (List.sort_uniq compare (List.map (node_pair netlist) faults)) in
+  let reads = nf * List.length faults in
+  Alcotest.(check (pair int int))
+    (label ^ ": misses = distinct columns read, hits = the other reads")
+    (columns, reads - columns) cold_counts;
+  Alcotest.(check (pair int int)) (label ^ ": warming books the same counters")
+    cold_counts warmed_counts
+
+let test_cold_vs_warmed_dense () =
+  let b = Circuits.Tow_thomas.make () in
+  let netlist = b.Circuits.Benchmark.netlist
+  and source = b.Circuits.Benchmark.source
+  and output = b.Circuits.Benchmark.output in
+  let freqs_hz = Grid.freqs_hz (grid_of b) in
+  check_cold_vs_warmed ~label:"tow-thomas" ~sparse:false ~source ~output ~freqs_hz netlist;
+  (* R2 ‖ C1 share the node pair m1–v1, so they share one column per
+     frequency: the second element's fault books hits only *)
+  let r2 = Fault.deviation ~element:"R2" 1.2 and c1 = Fault.deviation ~element:"C1" 1.2 in
+  Alcotest.(check bool) "R2 and C1 share a node pair" true
+    (node_pair netlist r2 = node_pair netlist c1);
+  let nf = Array.length freqs_hz in
+  let sim = Fastsim.create ~source ~output ~freqs_hz netlist in
+  let (), first = cache_counters (fun () -> ignore (Fastsim.response sim r2)) in
+  let (), second = cache_counters (fun () -> ignore (Fastsim.response sim c1)) in
+  Alcotest.(check (pair int int)) "R2 misses every column" (nf, 0) first;
+  Alcotest.(check (pair int int)) "C1 hits R2's columns" (0, nf) second
+
+let test_cold_vs_warmed_sparse () =
+  let netlist, output = Conformance.Gen.bigladder ~stages:80 (Random.State.make [| 7 |]) in
+  let freqs_hz = Grid.freqs_hz (Grid.make ~points_per_decade:2 ~f_lo:10.0 ~f_hi:1e6 ()) in
+  check_cold_vs_warmed ~label:"bigladder-80" ~sparse:true ~source:"V1" ~output ~freqs_hz
+    netlist
+
 (* --- worker-count independence ------------------------------------ *)
 
 let test_pipeline_jobs_deterministic () =
@@ -241,6 +326,10 @@ let suite =
     Alcotest.test_case "nominal equals Ac.sweep" `Quick test_nominal_matches_sweep;
     Alcotest.test_case "batched metrics equal engine stats" `Quick
       test_metrics_batching_exact;
+    Alcotest.test_case "cold engine equals block-warmed (dense)" `Quick
+      test_cold_vs_warmed_dense;
+    Alcotest.test_case "cold engine equals block-warmed (sparse)" `Quick
+      test_cold_vs_warmed_sparse;
     Alcotest.test_case "Pipeline.run independent of jobs" `Quick
       test_pipeline_jobs_deterministic;
     Alcotest.test_case "Montecarlo.run independent of jobs" `Quick

@@ -68,22 +68,101 @@ let test_snapshot_merges_domains () =
       Alcotest.(check int) "1 + 3×3 across four shards" 10
         (Metrics.counter snap "obs.test.shard"))
 
-(* ISSUE acceptance: solver counters are a property of the campaign,
-   not of its schedule — jobs:1 and jobs:4 must agree on every counter
-   total except the scheduler's own activity counters. *)
-let test_jobs_invariant_counters () =
-  let b = Circuits.Tow_thomas.make () in
-  let solver_counters jobs =
+(* Solver counters are a property of the campaign, not of its
+   schedule — jobs:1 and jobs:4 must agree on the matrices and on every
+   counter total except the scheduler's own activity counters. Two
+   campaigns: the default envelope criterion, whose drifts block-warm
+   every deviation fault's back-solve columns before scoring; and a
+   fixed-tolerance campaign of catastrophic faults, where nothing is
+   warmed and an open and a short on one element share a pattern, so
+   scoring domains can race to insert the same columns (the test below
+   forces that race). *)
+let check_jobs_invariant label run =
+  let campaign jobs =
     with_metrics (fun () ->
-        ignore (Mcdft_core.Pipeline.run ~points_per_decade:6 ~jobs b);
+        let t = run jobs in
         let snap = Metrics.snapshot () in
-        List.filter
-          (fun (name, _) -> not (String.starts_with ~prefix:"parallel." name))
-          snap.Metrics.counters)
+        ( t.Mcdft_core.Pipeline.matrix,
+          List.filter
+            (fun (name, _) -> not (String.starts_with ~prefix:"parallel." name))
+            snap.Metrics.counters ))
   in
-  let sequential = solver_counters 1 and parallel = solver_counters 4 in
+  let m1, sequential = campaign 1 and m4, parallel = campaign 4 in
+  Alcotest.(check bool) (label ^ ": detect matrices, jobs:1 vs jobs:4") true
+    (m1.Testability.Matrix.detect = m4.Testability.Matrix.detect);
+  Alcotest.(check bool) (label ^ ": omega matrices, jobs:1 vs jobs:4") true
+    (m1.Testability.Matrix.omega = m4.Testability.Matrix.omega);
   Alcotest.(check (list (pair string int)))
-    "counter totals, jobs:1 vs jobs:4" sequential parallel
+    (label ^ ": counter totals, jobs:1 vs jobs:4") sequential parallel
+
+let test_jobs_invariant_counters () =
+  check_jobs_invariant "envelope" (fun jobs ->
+      Mcdft_core.Pipeline.run ~points_per_decade:6 ~jobs (Circuits.Tow_thomas.make ()));
+  (* tt-pair's 63 views give the scheduler enough work to go parallel *)
+  let b = Option.get (Circuits.Registry.find "tt-pair") in
+  check_jobs_invariant "fixed:0.1 catastrophic" (fun jobs ->
+      Mcdft_core.Pipeline.run ~criterion:(Testability.Detect.Fixed_tolerance 0.1)
+        ~faults:(Fault.catastrophic_faults b.Circuits.Benchmark.netlist)
+        ~points_per_decade:6 ~jobs b)
+
+(* The same contract one level down, with the contention forced: four
+   domains released together walk the same catastrophic faults over
+   one cold engine, so they reach each empty (pattern, frequency) cell
+   at about the same time and race to insert it. Every domain must see
+   the sequential responses bit for bit, and the column count must not
+   depend on who won: misses equal one reader's, and every other read
+   is a hit. *)
+let test_racing_insertion () =
+  let b = Circuits.Tow_thomas.make () in
+  let netlist = b.Circuits.Benchmark.netlist in
+  let faults = Fault.catastrophic_faults netlist in
+  let freqs_hz =
+    Testability.Grid.freqs_hz
+      (Testability.Grid.around ~points_per_decade:20
+         ~center_hz:b.Circuits.Benchmark.center_hz ())
+  in
+  let race domains =
+    with_metrics (fun () ->
+        let sim =
+          Testability.Fastsim.create ~source:b.Circuits.Benchmark.source
+            ~output:b.Circuits.Benchmark.output ~freqs_hz netlist
+        in
+        let ready = Atomic.make 0 in
+        let reader () =
+          Atomic.incr ready;
+          while Atomic.get ready < domains do
+            Domain.cpu_relax ()
+          done;
+          List.map (fun fault -> Testability.Fastsim.response sim fault) faults
+        in
+        let helpers = List.init (domains - 1) (fun _ -> Domain.spawn reader) in
+        let first = reader () in
+        let rows = first :: List.map Domain.join helpers in
+        let snap = Metrics.snapshot () in
+        ( rows,
+          Metrics.counter snap "fastsim.wcache_misses",
+          Metrics.counter snap "fastsim.wcache_hits" ))
+  in
+  let bits rows =
+    List.map
+      (Array.map
+         (Option.map (fun (z : Complex.t) ->
+              (Int64.bits_of_float z.Complex.re, Int64.bits_of_float z.Complex.im))))
+      rows
+  in
+  let solo, misses1, hits1 = race 1 in
+  let raced, misses4, hits4 = race 4 in
+  let reference = bits (List.hd solo) in
+  List.iteri
+    (fun d rows ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d responses bitwise equal the sequential ones" d)
+        true
+        (bits rows = reference))
+    raced;
+  Alcotest.(check int) "misses: one per distinct column, whoever inserted it" misses1
+    misses4;
+  Alcotest.(check int) "hits: every other read" ((4 * (misses1 + hits1)) - misses1) hits4
 
 (* ISSUE acceptance: the emitted counters match Fastsim.stats exactly —
    same increment sites, so the sums cannot drift. *)
@@ -233,6 +312,8 @@ let suite =
       test_snapshot_merges_domains;
     Alcotest.test_case "campaign counters invariant under jobs" `Slow
       test_jobs_invariant_counters;
+    Alcotest.test_case "racing cold readers book the sequential counters" `Quick
+      test_racing_insertion;
     Alcotest.test_case "fastsim metrics mirror stats" `Quick
       test_fastsim_stats_mirror;
     Alcotest.test_case "trace spans nest and export as Chrome JSON" `Quick
