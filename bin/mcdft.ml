@@ -25,7 +25,10 @@ module IntSet = Cover.Clause.IntSet
 
      0  success
      1  circuit loading / invalid input
-     3  singular MNA system (reached the solver anyway)
+     3  singular MNA system (reached the solver anyway); a dead test
+        configuration — its source cannot reach the output — builds no
+        system, so a singular one is not an error: its row is all
+        undetectable
      4  a fault references an element absent from the netlist
      5  I/O error
      6  lint findings of error severity
@@ -245,8 +248,13 @@ let adaptive_opt =
                  ~doc:"Coverage-directed coarse-to-fine campaign (the \
                        default): each (configuration, fault) row starts on a \
                        coarse subgrid and bisects only where verdicts flip or \
-                       margins run thin; the matrices are bitwise identical \
-                       to the exhaustive sweep." );
+                       margins run thin. The matrices have matched the \
+                       exhaustive sweep bit for bit on the tested campaigns, \
+                       but that is empirical, not proved, and it is known to \
+                       fail for phase:* criteria at 8 or more points per \
+                       decade (leapfrog5 phase:0.1 catastrophic at ppd 30: \
+                       cell C198 x R5a-short); use --no-adaptive where the \
+                       exact sweep matters." );
              ( false,
                info [ "no-adaptive" ]
                  ~doc:"Solve every grid point of every (configuration, \

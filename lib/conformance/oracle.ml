@@ -280,10 +280,16 @@ let campaign ~jobs (s : Gen.subject) =
       (Mcdft_core.Adaptive.build ~stride:1 ~jobs grid views
          (Fault.both_deviations s.netlist))
 
-let counters_excluding_parallel snap =
+(* Every counter but the ones that count how the schedule ran: the
+   scheduler's own activity (the parallel. prefix) and the engine
+   workspaces ([fastsim.workspace_allocs] — the campaign's pool makes
+   one more whenever views of one dimension overlap in time). *)
+let schedule_invariant_counters snap =
   List.filter
     (fun (name, _) ->
-      not (String.length name >= 9 && String.sub name 0 9 = "parallel."))
+      not
+        (String.starts_with ~prefix:"parallel." name
+        || name = "fastsim.workspace_allocs"))
     snap.Obs.Metrics.counters
 
 let jobs_invariance (s : Gen.subject) =
@@ -325,8 +331,8 @@ let jobs_invariance (s : Gen.subject) =
           else if m1.Matrix.omega <> m4.Matrix.omega then
             Fail "omega matrices differ between jobs:1 and jobs:4"
           else
-            let c1 = Option.map counters_excluding_parallel snap1
-            and c4 = Option.map counters_excluding_parallel snap4 in
+            let c1 = Option.map schedule_invariant_counters snap1
+            and c4 = Option.map schedule_invariant_counters snap4 in
             if c1 <> c4 then
               Fail "Obs.Metrics counter totals differ between jobs:1 and jobs:4"
             else Pass)

@@ -151,15 +151,17 @@ module Refine = struct
       degraded = !degraded }
 end
 
-(* Order-of-magnitude cost model: a rank-1 solve is two O(n²) passes
-   per point (the update and the residual matvec), plus the forward
-   and backward sweeps of its (pattern, frequency) column's back-solve
-   (~2n²) when it is the column's first read. Only faults on one
-   pattern share a column, and the default campaign has one fault per
-   passive, so the model charges the back-solve to every point. The
-   scoring estimate assumes roughly a third of the points get solved —
-   it only feeds the scheduler's sequential cutoff and chunk sizing. *)
-let point_ns dim = (5.0 *. float_of_int (dim * dim)) +. 250.0
+(* Order-of-magnitude cost of one view task, in ns; it only feeds the
+   scheduler's sequential cutoff and chunk sizing. The element count
+   stands in for the MNA dimension d, which is unknown until the engine
+   is built. Per frequency: one factorization (d³); per envelope drift,
+   a block back-solve column and a rank-1 solve (~5d²); per fault, a
+   rank-1 solve — two O(d²) passes plus its column's back-solve —
+   at roughly a third of the points (~2d²). *)
+let view_ns ~nf ~faults ~sweeps netlist =
+  let d = float_of_int (List.length (Netlist.elements netlist)) in
+  let drifts = sweeps *. float_of_int (List.length (Netlist.passives netlist)) in
+  float_of_int nf *. d *. d *. (d +. (5.0 *. drifts) +. (2.0 *. float_of_int faults))
 
 let build ?backend ?criterion ?(jobs = 1) ?solve_budget
     ?(stride = default_stride) ?(guard = default_guard) grid views faults =
@@ -183,16 +185,26 @@ let build ?backend ?criterion ?(jobs = 1) ?solve_budget
       let f = Grid.freqs_hz grid in
       Float.abs (log10 (f.(nf - 1) /. f.(0))) /. float_of_int (nf - 1)
   in
-  (* Phase 1 — per-view preparation: build each view's engine,
-     structural anchors and thresholds (the envelope's drifts warm
-     their back-solve columns in one block solve per frequency), and
-     build every fault's immutable plan. Fault columns are not solved
-     here: the refinement phase solves each on first read.
-     Parallel over views. The work estimate only needs the order of
-     magnitude: per frequency, one factorization plus, per envelope
-     drift, a block back-solve column and a rank-1 solve; the element
-     count stands in for the unknown MNA dimension. *)
-  let prep_est =
+  (* Phases 1–2 — one task per view, streamed: prepare the view on
+     storage recycled through the campaign's pool ({!Detect.with_view}:
+     structural anchors, engine, envelope thresholds — a dead view
+     builds nothing), plan its faults, refine every (view × fault) row,
+     keep the verdict bytes and per-row tallies, and release the engine
+     to the pool. At most [jobs] engines are live at once, work-stealing
+     balances views whose cost differs, and the pool's storage is
+     dropped with the campaign. A row's refinement is inherently
+     sequential (each bisection depends on the verdicts before it).
+     Fault columns are solved on first read, so the points refinement
+     skips cost no back-solve. Counters are booked sequentially in
+     phase 3. *)
+  let pool = Testability.Fastsim.pool () in
+  let verdict_rows = Array.make_matrix n m Bytes.empty in
+  let row_solved = Array.make_matrix n m 0 in
+  let row_bisections = Array.make_matrix n m 0 in
+  let row_degraded = Array.make_matrix n m false in
+  let view_isolated = Array.make n 0 in
+  let view_dead = Array.make n false in
+  let est_ns =
     let sweeps =
       float_of_int
         (List.length
@@ -200,60 +212,33 @@ let build ?backend ?criterion ?(jobs = 1) ?solve_budget
               (Option.value criterion ~default:Detect.default_criterion)))
     in
     Util.Floatx.fold_range n ~init:0.0 ~f:(fun acc i ->
-        let netlist = views.(i).Matrix.netlist in
-        let d = float_of_int (List.length (Netlist.elements netlist)) in
-        let drifts = sweeps *. float_of_int (List.length (Netlist.passives netlist)) in
-        acc +. (float_of_int nf *. d *. d *. (d +. (5.0 *. drifts))))
+        acc +. view_ns ~nf ~faults:m ~sweeps views.(i).Matrix.netlist)
   in
-  let prepared =
-    Util.Parallel.map ~jobs ~est_ns:prep_est n (fun i ->
-        let view = views.(i) in
-        Obs.Trace.span ("adaptive.prepare " ^ view.Matrix.label) @@ fun () ->
-        let pv =
-          Detect.prepare_view ?backend ?criterion view.Matrix.probe grid
-            view.Matrix.netlist
-        in
-        (pv, Array.map (Detect.plan_fault pv) faults))
-  in
-  (* Phase 2 — refine each (view × fault) row independently. A row's
-     refinement is inherently sequential (each bisection depends on the
-     verdicts before it), so the unit of parallelism is the whole row;
-     work-stealing balances rows whose boundary structure differs.
-     Per-row tallies land in caller-indexed slots — counters are
-     booked sequentially in phase 3. *)
-  let verdict_rows = Array.make_matrix n m Bytes.empty in
-  let row_solved = Array.make_matrix n m 0 in
-  let row_bisections = Array.make_matrix n m 0 in
-  let row_degraded = Array.make_matrix n m false in
-  let score_est =
-    Util.Floatx.fold_range n ~init:0.0 ~f:(fun acc i ->
-        let pv, _ = prepared.(i) in
-        acc +. (float_of_int (m * nf) *. 0.4 *. point_ns (Detect.view_dim pv)))
-  in
-  Util.Parallel.for_ ~jobs ~est_ns:score_est (n * m) (fun item ->
-      let i = item / m and j = item mod m in
-      let pv, plans = prepared.(i) in
-      let plan = plans.(j) in
+  Util.Parallel.for_ ~jobs ~est_ns n (fun i ->
+      let view = views.(i) in
+      (* The preparation — and only it — is the "adaptive.prepare" span;
+         scoring runs directly under adaptive.build. *)
+      Obs.Trace.begin_ ("adaptive.prepare " ^ view.Matrix.label);
+      let preparing = ref true in
+      let end_prepare () =
+        if !preparing then begin
+          preparing := false;
+          Obs.Trace.end_ ()
+        end
+      in
+      Fun.protect ~finally:end_prepare @@ fun () ->
+      Detect.with_view ~pool ?backend ?criterion view.Matrix.probe grid view.Matrix.netlist
+      @@ fun pv ->
+      let plans = Array.map (Detect.plan_fault pv) faults in
+      end_prepare ();
+      view_dead.(i) <- Detect.view_dead pv;
+      view_isolated.(i) <-
+        Array.fold_left (fun a p -> if Detect.plan_isolated p then a + 1 else a) 0 plans;
       let re = Array.make nf 0.0
       and im = Array.make nf 0.0
       and ok = Bytes.make nf '\000' in
       let steers = Detect.steering_profiles pv in
       let mask = Detect.view_measurement_mask pv in
-      let solve k =
-        Detect.score_range pv plan ~lo:k ~hi:(k + 1) ~re ~im ~ok;
-        let b = if Detect.point_verdict pv plan ~re ~im ~ok k then 'd' else 'u' in
-        (b, Detect.point_margin pv plan ~re ~im ~ok k)
-      in
-      (* A point below the view's measurement floor is undetectable by
-         definition ({!Detect.view_measurement_mask}) — a static 'u'
-         anchor, known without solving. It carries no margin, so
-         refinement stops at it rather than skipping past. A dead view
-         (its source cannot reach the output) is below the floor
-         everywhere and an isolated fault (its element cannot affect
-         the output) is undetectable everywhere: both rows cost zero
-         solves, at every stride. *)
-      let isolated = Detect.plan_isolated plan in
-      let anchor k = if isolated || Bytes.get mask k = '\001' then 'u' else '?' in
       let steer_range lo hi =
         List.fold_left
           (fun acc profile ->
@@ -266,14 +251,32 @@ let build ?backend ?criterion ?(jobs = 1) ?solve_budget
             Float.max acc (!mx -. !mn))
           0.0 steers
       in
-      let o =
-        Refine.row ~nf ~stride ~step_dec ~guard ~steer_range
-          ~budget:solve_budget ~anchor ~solve
-      in
-      verdict_rows.(i).(j) <- o.Refine.verdicts;
-      row_solved.(i).(j) <- List.length o.Refine.solved;
-      row_bisections.(i).(j) <- o.Refine.bisections;
-      row_degraded.(i).(j) <- o.Refine.degraded);
+      Array.iteri
+        (fun j plan ->
+          let solve k =
+            Detect.score_range pv plan ~lo:k ~hi:(k + 1) ~re ~im ~ok;
+            let b = if Detect.point_verdict pv plan ~re ~im ~ok k then 'd' else 'u' in
+            (b, Detect.point_margin pv plan ~re ~im ~ok k)
+          in
+          (* A point below the view's measurement floor is undetectable
+             by definition ({!Detect.view_measurement_mask}) — a static
+             'u' anchor, known without solving. It carries no margin, so
+             refinement stops at it rather than skipping past. A dead
+             view (its source cannot reach the output) is below the
+             floor everywhere and an isolated fault (its element cannot
+             affect the output) is undetectable everywhere: both rows
+             cost zero solves, at every stride. *)
+          let isolated = Detect.plan_isolated plan in
+          let anchor k = if isolated || Bytes.get mask k = '\001' then 'u' else '?' in
+          let o =
+            Refine.row ~nf ~stride ~step_dec ~guard ~steer_range
+              ~budget:solve_budget ~anchor ~solve
+          in
+          verdict_rows.(i).(j) <- o.Refine.verdicts;
+          row_solved.(i).(j) <- List.length o.Refine.solved;
+          row_bisections.(i).(j) <- o.Refine.bisections;
+          row_degraded.(i).(j) <- o.Refine.degraded)
+        plans);
   (* Phase 3 — sequential reduce and counter booking, in row order:
      the matrix and the adaptive.* / campaign.* totals are
      jobs-deterministic. *)
@@ -297,19 +300,8 @@ let build ?backend ?criterion ?(jobs = 1) ?solve_budget
   if !bisections > 0 then Obs.Metrics.incr ~by:!bisections "adaptive.bisections";
   if !degraded_rows > 0 then
     Obs.Metrics.incr ~by:!degraded_rows "adaptive.budget_exhausted";
-  let isolated_rows =
-    Array.fold_left
-      (fun acc (_, plans) ->
-        Array.fold_left
-          (fun a p -> if Detect.plan_isolated p then a + 1 else a)
-          acc plans)
-      0 prepared
-  in
-  let dead_views =
-    Array.fold_left
-      (fun acc (pv, _) -> if Detect.view_dead pv then acc + 1 else acc)
-      0 prepared
-  in
+  let isolated_rows = Array.fold_left ( + ) 0 view_isolated in
+  let dead_views = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 view_dead in
   if isolated_rows > 0 then
     Obs.Metrics.incr ~by:isolated_rows "campaign.isolated_rows";
   if dead_views > 0 then Obs.Metrics.incr ~by:dead_views "campaign.dead_views";

@@ -38,16 +38,20 @@
     The refinement invariant at larger strides — the filled-in verdict
     row equals the exhaustive one byte for byte — is empirical, not
     proved: the slope bound is a calibrated constant, not a
-    certificate, and a response steeper than [guard] could still hide
-    a crossing. The detect/omega matrices must therefore come out {e
-    bitwise identical} to the stride-1 sweep and to the independent
-    per-view {!Testability.Detect.analyze} reference, asserted by the
-    tier-1 tests, the [adaptive-vs-exhaustive] fuzz oracle and the
-    bench (DESIGN §15). The default guard holds with margin across the
-    registry's resonant and notch families at every tested grid
-    density, and coarse grids tighten automatically: the bound scales
-    with interval width in decades, so fewer points per decade means
-    wider intervals and earlier refinement.
+    certificate, and a response steeper than [guard] can hide a
+    crossing. The tier-1 tests, the [adaptive-vs-exhaustive] fuzz
+    oracle and the bench (DESIGN §15) find the detect/omega matrices
+    bitwise identical to the stride-1 sweep and to the independent
+    per-view {!Testability.Detect.analyze} reference on the campaigns
+    they run — the default envelope criterion, and fixed thresholds at
+    low grid density. The identity is known to fail for [phase:*]
+    criteria at 8 or more points per decade: on leapfrog5 with
+    [phase:0.1] and catastrophic faults at ppd 30, cell C198 ×
+    R5a-short reads undetectable adaptively and detectable at stride
+    1. Use [~stride:1] where the exact sweep matters. Coarse grids
+    tighten automatically: the bound scales with interval width in
+    decades, so fewer points per decade means wider intervals and
+    earlier refinement.
 
     A per-row solve budget bounds the refinement: a row that would
     exceed it degrades to the exhaustive sweep for that row — solving
@@ -139,26 +143,29 @@ val build :
   Fault.t list ->
   Testability.Matrix.t * stats
 (** Run the fault-simulation campaign over every (view, fault) pair.
-    A parallel preparation phase builds each view's engine, nominal
-    sweep, structural anchors and thresholds
-    ({!Testability.Detect.prepare_view}: only the envelope's drifts are
-    block-warmed); scoring then fans out over (view × fault) rows, each
-    refined sequentially by {!Refine.row} with single-point
-    {!Testability.Detect.score_range} solves against immutable plans.
-    A fault's back-solve column is solved the first time any row reads
-    it at that frequency, so the points refinement skips cost no
-    back-solve. [jobs] > 1 distributes
-    both phases across that many domains; results are identical to a
-    sequential run. [backend] selects the per-view factorization
-    ({!Testability.Fastsim.backend}, default [Auto]).
+    Views stream through one task each: the task prepares the view on
+    engine storage recycled through a pool that the campaign owns and
+    drops when it returns ({!Testability.Detect.with_view}:
+    structural anchors first — a dead view builds no engine, no nominal
+    sweep and no plans — then the engine, nominal sweep and thresholds,
+    with only the envelope's drifts block-warmed), plans its faults,
+    refines every (view × fault) row sequentially by {!Refine.row} with
+    single-point {!Testability.Detect.score_range} solves, keeps the
+    verdict bytes and per-row tallies, and releases the engine. A
+    fault's back-solve column is solved the first time a row reads it
+    at that frequency, so the points refinement skips cost no
+    back-solve. [jobs] > 1 spreads the view tasks over that many
+    domains, so at most [jobs] engines are live at once; results are
+    identical to a sequential run. [backend] selects the per-view
+    factorization ({!Testability.Fastsim.backend}, default [Auto]).
 
     [stride] defaults to {!default_stride}; [~stride:1] is the
     exhaustive sweep. [solve_budget] is the per-row cap handed to
     {!Refine.row} (positive; default unlimited). [guard] defaults to
     {!default_guard}.
 
-    Counters — incremented sequentially after the parallel scoring
-    phase, so they are jobs-invariant by construction:
+    Counters — incremented sequentially after the view tasks, so they
+    are jobs-invariant by construction:
     [adaptive.solves_skipped] (points decided without solving),
     [adaptive.bisections], [adaptive.budget_exhausted] (degraded
     rows), [campaign.isolated_rows] ((view, fault) rows whose fault is

@@ -111,9 +111,11 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
     | _ -> None
   in
   (* One campaign driver: coarse-to-fine refinement by default, stride
-     1 (every point solved) without it. The refined matrices are
-     bitwise identical to the stride-1 sweep — asserted by the tier-1
-     tests and the adaptive-vs-exhaustive oracle. The solve budget
+     1 (every point solved) without it. The refined matrices match the
+     stride-1 sweep bit for bit on the campaigns the tier-1 tests and
+     the adaptive-vs-exhaustive oracle run, but that is empirical: it is
+     known to fail for phase:* criteria at ppd >= 8 (leapfrog5 phase:0.1
+     catastrophic at ppd 30, cell C198 x R5a-short). The solve budget
      only bounds refinement, so the exhaustive sweep ignores it. *)
   let stride, solve_budget =
     if adaptive then (None, solve_budget) else (Some 1, None)

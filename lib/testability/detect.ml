@@ -268,65 +268,100 @@ let result_of ~nominal ~prepared grid fault respond =
   end;
   result_of_regions grid fault !intervals
 
+(* A dead view's nominal response is exactly zero at every point. *)
+let dead_nominal grid = Array.make (Grid.n_points grid) Complex.zero
+
 let analyze_fault ?backend ?(criterion = default_criterion) ?nominal ?prepared probe
     grid netlist fault =
   let sim = lazy (make_sim ?backend probe grid netlist) in
   let respond f = Fastsim.response (Lazy.force sim) f in
+  let structure =
+    match prepared with Some p -> p.structure | None -> structure_of probe netlist
+  in
   let nominal =
-    match nominal with Some n -> n | None -> Fastsim.nominal (Lazy.force sim)
+    match nominal with
+    | Some n -> n
+    | None ->
+        if structure.dead then dead_nominal grid else Fastsim.nominal (Lazy.force sim)
   in
   let prepared =
     match prepared with
     | Some p -> p
-    | None ->
-        prepare_with ~respond ~structure:(structure_of probe netlist) criterion
-          grid ~nominal
+    | None -> prepare_with ~respond ~structure criterion grid ~nominal
   in
   result_of ~nominal ~prepared grid fault respond
 
 (* A fully-prepared view: engine, nominal response and instantiated
    thresholds with the view's structure, ready to score any number of
    faults, from any number of domains — the engine solves each
-   back-solve column on first use. *)
+   back-solve column on first use. A dead view has no engine: its rows
+   are all 'u' by definition, so nothing is ever solved on it. *)
 type prepared_view = {
-  sim : Fastsim.t;
+  sim : Fastsim.t option;
   nominal : Complex.t array;
   prepared : prepared;
 }
+
+(* The rest of a view's preparation once its engine exists. *)
+let live_view ~criterion ~structure grid sim =
+  let nominal = Fastsim.nominal sim in
+  (* The envelope reads every drift at every frequency, so its columns
+     come from one multi-RHS block back-solve per frequency instead of
+     column by column; a deviation fault on a drifting passive later
+     reads the same column. Faults are not warmed: adaptive scoring
+     reads a small share of their columns, each solved on first use. *)
+  (match
+     List.concat_map
+       (fun tol ->
+         List.map
+           (fun element -> Fault.deviation ~element (1.0 +. tol))
+           structure.drifting)
+       (drift_tolerances criterion)
+   with
+  | [] -> ()
+  | drifts -> Fastsim.warm_cache sim drifts);
+  let prepared =
+    prepare_with ~respond:(Fastsim.response sim) ~structure criterion grid ~nominal
+  in
+  { sim = Some sim; nominal; prepared }
+
+(* Deadness is decided from the structure alone, before any engine
+   exists: a dead view builds no engine, runs no nominal sweep and
+   builds no envelope. *)
+let dead_view ~criterion ~structure grid =
+  let nominal = dead_nominal grid in
+  let prepared =
+    prepare_with
+      ~respond:(fun _ -> invalid_arg "Detect: a dead view builds no envelope")
+      ~structure criterion grid ~nominal
+  in
+  { sim = None; nominal; prepared }
 
 let prepare_view ?backend ?(criterion = default_criterion) probe grid netlist =
   (* One engine for the whole view: the fault-free factors are built
      once per frequency and shared by the envelope preparation and by
      every fault's rank-1 solve. *)
-  let sim = make_sim ?backend probe grid netlist in
-  let nominal = Fastsim.nominal sim in
   let structure = structure_of probe netlist in
-  (* The envelope reads every drift at every frequency, so its columns
-     come from one multi-RHS block back-solve per frequency instead of
-     column by column; a deviation fault on a drifting passive later
-     reads the same column. Faults are not warmed: adaptive scoring
-     reads a small share of their columns, each solved on first use.
-     A dead view builds no envelope and warms nothing. *)
-  if not structure.dead then begin
-    match
-      List.concat_map
-        (fun tol ->
-          List.map
-            (fun element -> Fault.deviation ~element (1.0 +. tol))
-            structure.drifting)
-        (drift_tolerances criterion)
-    with
-    | [] -> ()
-    | drifts -> Fastsim.warm_cache sim drifts
-  end;
-  let prepared =
-    prepare_with ~respond:(Fastsim.response sim) ~structure criterion grid ~nominal
-  in
-  { sim; nominal; prepared }
+  if structure.dead then dead_view ~criterion ~structure grid
+  else live_view ~criterion ~structure grid (make_sim ?backend probe grid netlist)
+
+let with_view ~pool ?backend ?(criterion = default_criterion) probe grid netlist f =
+  let structure = structure_of probe netlist in
+  if structure.dead then f (dead_view ~criterion ~structure grid)
+  else
+    Fastsim.with_engine ~pool ?backend ~source:probe.source ~output:probe.output
+      ~freqs_hz:(Grid.freqs_hz grid) netlist (fun sim ->
+        f (live_view ~criterion ~structure grid sim))
+
+(* The view's engine; only live rows reach it. *)
+let engine pv =
+  match pv.sim with
+  | Some sim -> sim
+  | None -> invalid_arg "Detect: a dead view has no engine"
 
 let analyze_prepared pv grid fault =
-  result_of ~nominal:pv.nominal ~prepared:pv.prepared grid fault
-    (Fastsim.response pv.sim)
+  result_of ~nominal:pv.nominal ~prepared:pv.prepared grid fault (fun f ->
+      Fastsim.response (engine pv) f)
 
 (* ---- point scoring (the campaign matrix path) ----
 
@@ -338,22 +373,25 @@ let analyze_prepared pv grid fault =
    comparisons, same structural anchors — just restructured so workers
    never box per-point responses. *)
 
-type plan = Isolated | Live of Fastsim.plan
+(* [Dead]: a fault of a dead view on a passive that is not isolated. *)
+type plan = Isolated | Dead | Live of Fastsim.plan
 
-let view_dim pv = Fastsim.dim pv.sim
-let view_uses_sparse pv = Fastsim.uses_sparse pv.sim
+let view_uses_sparse pv = Option.fold ~none:false ~some:Fastsim.uses_sparse pv.sim
 let view_dead pv = pv.prepared.structure.dead
 
 let plan_fault pv fault =
-  if isolated pv.prepared.structure fault then Isolated
-  else Live (Fastsim.plan_of pv.sim fault)
+  let structure = pv.prepared.structure in
+  if not (Netlist.mem structure.netlist fault.Fault.element) then
+    raise (Fault.Unknown_element fault.Fault.element);
+  if isolated structure fault then Isolated
+  else match pv.sim with None -> Dead | Some sim -> Live (Fastsim.plan_of sim fault)
 
-let plan_isolated = function Isolated -> true | Live _ -> false
+let plan_isolated = function Isolated -> true | Dead | Live _ -> false
 
 let score_range pv plan ~lo ~hi ~re ~im ~ok =
   match plan with
-  | Live p -> Fastsim.response_range_into pv.sim p ~lo ~hi ~re ~im ~ok
-  | Isolated ->
+  | Live p -> Fastsim.response_range_into (engine pv) p ~lo ~hi ~re ~im ~ok
+  | Isolated | Dead ->
       (* the fault cannot move the output: its response is the nominal *)
       for k = lo to hi - 1 do
         re.(k) <- pv.nominal.(k).Complex.re;
@@ -364,7 +402,7 @@ let score_range pv plan ~lo ~hi ~re ~im ~ok =
 let point_verdict pv plan ~re ~im ~ok i =
   match plan with
   | Isolated -> false
-  | Live _ ->
+  | Dead | Live _ ->
       if Bytes.get pv.prepared.mask i = '\001' then false
       else if Bytes.get ok i = '\000' then true
       else
@@ -416,16 +454,9 @@ let minimal_detectable_deviation ?backend ?(criterion = default_criterion)
     ?(max_factor = 10.0) probe grid netlist ~element =
   if max_factor <= 1.0 then
     invalid_arg "Detect.minimal_detectable_deviation: max_factor must exceed 1";
-  let sim = make_sim ?backend probe grid netlist in
-  let respond f = Fastsim.response sim f in
-  let nominal = Fastsim.nominal sim in
-  let prepared =
-    prepare_with ~respond ~structure:(structure_of probe netlist) criterion grid
-      ~nominal
-  in
+  let pv = prepare_view ?backend ~criterion probe grid netlist in
   let detectable factor =
-    let fault = Fault.deviation ~element factor in
-    (result_of ~nominal ~prepared grid fault respond).detectable
+    (analyze_prepared pv grid (Fault.deviation ~element factor)).detectable
   in
   if not (detectable max_factor) then None
   else begin

@@ -137,29 +137,41 @@ val prepare_view :
   ?backend:Fastsim.backend ->
   ?criterion:criterion ->
   probe -> Grid.t -> Netlist.t -> prepared_view
-(** Build the engine, structural anchors and thresholds for one view
-    (default criterion {!default_criterion}). Before any threshold is
+(** Build the structural anchors, engine and thresholds for one view
+    (default criterion {!default_criterion}). Deadness is decided from
+    the structure first: a dead view builds no engine, runs no nominal
+    sweep and builds no envelope, so a dead view whose system is
+    singular raises nothing — its rows are all ['u'] whatever the
+    solver would have said. On a live view, before any threshold is
     computed, the engine's back-solve cache is warmed for the
     envelope's drifts ({!Fastsim.warm_cache}, one block back-solve per
     frequency), restricted to passives that can affect the output,
-    because the envelope reads each of them at every frequency; a dead
-    view warms nothing and builds no envelope. Faults are not warmed:
-    each of their back-solves runs the first time a score reads it, so
-    a campaign that decides most points without solving them pays only
-    for what it reads. The view can be scored from several domains
-    concurrently ({!Fastsim}'s cache is safe to fill in parallel).
-    Raises like {!analyze}: {!Mna.Ac.Singular_circuit} when the
-    fault-free system, or a drifted good circuit of the envelope
-    (only drifts that can reach the output are simulated), is singular
-    at a grid frequency. *)
+    because the envelope reads each of them at every frequency. Faults
+    are not warmed: each of their back-solves runs the first time a
+    score reads it, so a campaign that decides most points without
+    solving them pays only for what it reads. The view can be scored
+    from several domains concurrently ({!Fastsim}'s cache is safe to
+    fill in parallel). Raises like {!analyze}:
+    {!Mna.Ac.Singular_circuit} when the fault-free system of a live
+    view, or a drifted good circuit of its envelope (only drifts that
+    can reach the output are simulated), is singular at a grid
+    frequency. *)
+
+val with_view :
+  pool:Fastsim.pool ->
+  ?backend:Fastsim.backend ->
+  ?criterion:criterion ->
+  probe -> Grid.t -> Netlist.t -> (prepared_view -> 'a) -> 'a
+(** [with_view ~pool … netlist f] is [f] applied to what
+    {!prepare_view} builds, with the engine on storage recycled through
+    [pool] ({!Fastsim.with_engine}): the view lives only inside the bracket,
+    and scoring one of its live rows afterwards raises
+    [Invalid_argument]. Results are bitwise equal to {!prepare_view}'s.
+    A dead view builds no engine here either. *)
 
 val analyze_prepared : prepared_view -> Grid.t -> Fault.t -> result
 (** Score one fault against a prepared view. Thread-safe (an isolated
     fault, or any fault of a dead view, is never solved). *)
-
-val view_dim : prepared_view -> int
-(** The view engine's MNA dimension ({!Fastsim.dim}) — for sizing
-    campaign work estimates. *)
 
 val view_uses_sparse : prepared_view -> bool
 (** Whether the view's engine factored through the sparse back-end

@@ -37,6 +37,114 @@ type cls =
    would have booked, so warming never moves the counters. *)
 type cell = Empty | Unread of Bvec.t | Read of Bvec.t
 
+(* ---- recycled engine storage ----
+
+   An engine built inside {!with_engine} takes its per-frequency
+   buffers from a workspace of its pool, for the engine's dimension,
+   and its A⁻¹u columns from that workspace's column arena. Leaving
+   the bracket bumps the workspace's generation — every engine built
+   on it is dead from then on — rewinds the arena and hands the
+   workspace back to the pool, so the next engine of that dimension
+   reuses all of it. *)
+
+(* Growable column storage: chunks of [chunk_cols] length-[n] columns,
+   handed out front to back and rewound when the bracket ends. Chunks
+   are added on demand, so storage follows the columns actually solved.
+   Each slot is handed out once, under the lock, so no two domains ever
+   write one slot. *)
+type arena = {
+  a_n : int;
+  chunk_cols : int;
+  lock : Mutex.t;
+  mutable chunks : (Big.plane * Big.plane) array;
+  mutable used : int;  (* columns handed out since the last rewind *)
+}
+
+type workspace = {
+  ws_n : int;
+  mutable ws_a : Big.t array;  (* dense engines only; [||] until one needs it *)
+  mutable ws_lu : Big.lu array;
+  mutable ws_b : Bvec.t array;
+  mutable ws_x0 : Bvec.t array;
+  arena : arena;
+  gen : int Atomic.t;  (* bumped when a bracket ends *)
+}
+
+(* The workspaces no bracket is using. *)
+type pool = { pool_lock : Mutex.t; mutable idle : workspace list }
+
+let pool () = { pool_lock = Mutex.create (); idle = [] }
+
+(* ~256 KiB per plane per chunk. *)
+let chunk_floats = 32768
+
+let arena_column a =
+  let (re, im), k =
+    Mutex.protect a.lock (fun () ->
+        let k = a.used in
+        if k / a.chunk_cols >= Array.length a.chunks then begin
+          let len = a.chunk_cols * a.a_n in
+          let plane () = Bigarray.(Array1.create Float64 C_layout len) in
+          a.chunks <- Array.append a.chunks [| (plane (), plane ()) |]
+        end;
+        a.used <- k + 1;
+        (a.chunks.(k / a.chunk_cols), k))
+  in
+  let off = k mod a.chunk_cols * a.a_n in
+  { Bvec.re = Bigarray.Array1.sub re off a.a_n; im = Bigarray.Array1.sub im off a.a_n }
+
+let workspace_create n =
+  {
+    ws_n = n;
+    ws_a = [||];
+    ws_lu = [||];
+    ws_b = [||];
+    ws_x0 = [||];
+    arena =
+      {
+        a_n = n;
+        chunk_cols = Int.max 16 (chunk_floats / Int.max n 1);
+        lock = Mutex.create ();
+        chunks = [||];
+        used = 0;
+      };
+    gen = Atomic.make 0;
+  }
+
+(* An idle workspace of dimension [n] from [pool], or a new one. *)
+let acquire_workspace pool n =
+  Mutex.protect pool.pool_lock (fun () ->
+      match List.find_opt (fun ws -> ws.ws_n = n) pool.idle with
+      | Some ws ->
+          pool.idle <- List.filter (fun w -> w != ws) pool.idle;
+          ws
+      | None -> workspace_create n)
+
+(* Size the per-frequency buffers for [nf] frequencies (plus A(jω) and
+   its LU for a dense engine), keeping every buffer already there. *)
+let ensure_buffers ws ~nf ~dense =
+  let n = ws.ws_n in
+  let grow arr make =
+    let have = Array.length arr in
+    if have >= nf then arr
+    else Array.init nf (fun i -> if i < have then arr.(i) else make ())
+  in
+  let short = Array.length ws.ws_b < nf || (dense && Array.length ws.ws_a < nf) in
+  if short then begin
+    Obs.Metrics.incr "fastsim.workspace_allocs";
+    ws.ws_b <- grow ws.ws_b (fun () -> Bvec.create n);
+    ws.ws_x0 <- grow ws.ws_x0 (fun () -> Bvec.create n);
+    if dense then begin
+      ws.ws_a <- grow ws.ws_a (fun () -> Big.create n n);
+      ws.ws_lu <- grow ws.ws_lu (fun () -> Big.lu_create n)
+    end
+  end
+
+let release pool ws =
+  Atomic.incr ws.gen;
+  Mutex.protect ws.arena.lock (fun () -> ws.arena.used <- 0);
+  Mutex.protect pool.pool_lock (fun () -> pool.idle <- ws :: pool.idle)
+
 (* The factored fault-free system at one frequency. The dense arm
    keeps the assembled A(jω) for residuals and perturbed-copy
    fallbacks; the sparse arm keeps only the nnz value planes plus the
@@ -103,7 +211,18 @@ type t = {
   slot_pats : pat array;
   smw_solves : int Atomic.t;
   full_solves : int Atomic.t;
+  lease : (workspace * int) option;  (* bracket storage and its generation *)
 }
+
+let check_live t =
+  match t.lease with
+  | Some (ws, gen) when Atomic.get ws.gen <> gen ->
+      invalid_arg "Fastsim: engine used after its with_engine bracket ended"
+  | _ -> ()
+
+(* Storage for one published A⁻¹u column. *)
+let new_column t =
+  match t.lease with Some (ws, _) -> arena_column ws.arena | None -> Bvec.create t.n
 
 (* A fault ready to simulate. Plans are immutable and safe to share
    across domains; all mutable solve state lives in per-domain
@@ -270,10 +389,14 @@ let intern_slots index netlist =
     (Netlist.elements netlist);
   (slot_of, Array.of_list (List.rev !pats))
 
-let create ?(backend = Auto) ~source ~output ~freqs_hz netlist =
+(* [acquire n] is the bracket's workspace for dimension [n], or [None]
+   for storage of the engine's own. *)
+let build ~acquire ?(backend = Auto) ~source ~output ~freqs_hz netlist =
   Obs.Trace.span "fastsim.create" @@ fun () ->
   let index = Mna.Index.build netlist in
   let n = Mna.Index.size index in
+  let nf = Array.length freqs_hz in
+  let ws = acquire n in
   let out_idx = Mna.Index.node index output in
   let slot_of, slot_pats = intern_slots index netlist in
   let new_cells () = Array.init (Array.length slot_pats) (fun _ -> Atomic.make Empty) in
@@ -297,23 +420,30 @@ let create ?(backend = Auto) ~source ~output ~freqs_hz netlist =
         | Sparse -> Some sp
         | _ -> if auto_pick ~n ~nnz:(Mna.Stamps.sparse_nnz sp) then Some sp else None)
   in
+  Option.iter (ensure_buffers ~nf ~dense:(Option.is_none sparse_stamps)) ws;
+  (* Per-frequency buffers: the workspace's, or fresh ones. *)
+  let buffer pick make i = match ws with Some ws -> (pick ws).(i) | None -> make () in
+  let vec pick i = buffer pick (fun () -> Bvec.create n) i in
   let freqs =
     match sparse_stamps with
     | None ->
         let stamps =
           Mna.Stamps.build ~sources:(Mna.Assemble.Only source) index netlist
         in
-        Array.map
-          (fun f_hz ->
+        Array.mapi
+          (fun i f_hz ->
             let omega = 2.0 *. Float.pi *. f_hz in
-            let a = Big.create n n in
+            let a = buffer (fun ws -> ws.ws_a) (fun () -> Big.create n n) i in
             Mna.Stamps.fill_big stamps ~omega a;
-            let b = Bvec.create n in
+            let b = vec (fun ws -> ws.ws_b) i in
             Mna.Stamps.rhs_into_big stamps ~omega b;
-            match Obs.Metrics.time "mna.factor_s" (fun () -> Big.lu_factor a) with
+            let lu = buffer (fun ws -> ws.ws_lu) (fun () -> Big.lu_create n) i in
+            match
+              Obs.Metrics.time "mna.factor_s" (fun () -> Big.lu_factor_into lu a)
+            with
             | exception Cmat.Singular -> singular_at f_hz
-            | lu ->
-                let x0 = Bvec.create n in
+            | () ->
+                let x0 = vec (fun ws -> ws.ws_x0) i in
                 Big.lu_solve_into lu ~b ~x:x0;
                 {
                   omega;
@@ -344,12 +474,12 @@ let create ?(backend = Auto) ~source ~output ~freqs_hz netlist =
           | exception Cmat.Singular -> singular_at mid_hz
           | sym -> sym
         in
-        Array.map
-          (fun f_hz ->
+        Array.mapi
+          (fun i f_hz ->
             let omega = 2.0 *. Float.pi *. f_hz in
             let sre = Csparse.plane nnz and sim_ = Csparse.plane nnz in
             Mna.Stamps.fill_sparse sp ~omega ~re:sre ~im:sim_;
-            let b = Bvec.create n in
+            let b = vec (fun ws -> ws.ws_b) i in
             Mna.Stamps.sparse_rhs_into_big sp ~omega b;
             let num = Csparse.numeric sym in
             (match
@@ -358,7 +488,7 @@ let create ?(backend = Auto) ~source ~output ~freqs_hz netlist =
              with
             | exception Cmat.Singular -> singular_at f_hz
             | () -> ());
-            let x0 = Bvec.create n in
+            let x0 = vec (fun ws -> ws.ws_x0) i in
             Csparse.solve_into num ~b ~x:x0;
             {
               omega;
@@ -391,9 +521,26 @@ let create ?(backend = Auto) ~source ~output ~freqs_hz netlist =
     slot_pats;
     smw_solves = Atomic.make 0;
     full_solves = Atomic.make 0;
+    lease = Option.map (fun ws -> (ws, Atomic.get ws.gen)) ws;
   }
 
-let nominal t = t.nominal
+let create ?backend ~source ~output ~freqs_hz netlist =
+  build ~acquire:(fun _ -> None) ?backend ~source ~output ~freqs_hz netlist
+
+let with_engine ~pool ?backend ~source ~output ~freqs_hz netlist f =
+  let leased = ref None in
+  let acquire n =
+    let ws = acquire_workspace pool n in
+    leased := Some ws;
+    Some ws
+  in
+  Fun.protect
+    ~finally:(fun () -> Option.iter (release pool) !leased)
+    (fun () -> f (build ~acquire ?backend ~source ~output ~freqs_hz netlist))
+
+let nominal t =
+  check_live t;
+  t.nominal
 let stats t = (Atomic.get t.smw_solves, Atomic.get t.full_solves)
 let dim t = t.n
 let n_freqs t = Array.length t.freqs
@@ -443,6 +590,7 @@ let classify t (fault : Fault.t) =
       | _ -> Structural)
 
 let plan_of t fault =
+  check_live t;
   match classify t fault with
   | Unchanged -> P_unchanged
   | Rank_one r1 -> P_rank1 r1
@@ -495,10 +643,11 @@ let solve_pattern fs (u : pat) (w : Bvec.t) =
 (* The A⁻¹u column of [slot] at one frequency. A column is solved the
    first time any point solve needs it and published with a CAS; a
    domain that loses the race adopts the winner's column, which is
-   bitwise equal. A miss is the first read of a column, whoever solved
-   it: the reader that wins the transition to [Read] books it, every
-   other read books a hit — so the totals do not depend on the
-   schedule or on what was warmed. *)
+   bitwise equal, and abandons its own (an arena slot stays unused
+   until the bracket ends). A miss is the first read of a column,
+   whoever solved it: the reader that wins the transition to [Read]
+   books it, every other read books a hit — so the totals do not
+   depend on the schedule or on what was warmed. *)
 let rec w_for t fs slot =
   let cell = Array.unsafe_get fs.cells slot in
   let p = pend_for t (Domain.DLS.get scratch_key) in
@@ -511,7 +660,7 @@ let rec w_for t fs slot =
       else p.p_hits <- p.p_hits + 1;
       w
   | Empty ->
-      let w = Bvec.create t.n in
+      let w = new_column t in
       solve_pattern fs t.slot_pats.(slot) w;
       if Atomic.compare_and_set cell Empty (Read w) then begin
         p.p_misses <- p.p_misses + 1;
@@ -520,12 +669,15 @@ let rec w_for t fs slot =
       else w_for t fs slot
 
 (* Fill the A⁻¹u columns of [faults]' patterns with one multi-RHS
-   block back-solve per frequency: every empty slot at that frequency
-   becomes a column of one n×k block, so the cached LU factor is swept
-   once per frequency instead of once per (pattern, frequency). Column
-   results are bitwise-identical to the per-pattern {!solve_pattern}
-   path (see {!Linalg.Cmat.Big.lu_solve_block_into}). *)
+   block back-solve per frequency: the wanted patterns are the columns
+   of one n×k block, built once per call, so the cached LU factor is
+   swept once per frequency instead of once per (pattern, frequency). A
+   frequency whose wanted columns are all present is skipped; otherwise
+   the block is solved whole and only the empty cells are filled.
+   Column results are bitwise-identical to the per-pattern
+   {!solve_pattern} path (see {!Linalg.Cmat.Big.lu_solve_block_into}). *)
 let warm_cache t faults =
+  check_live t;
   Obs.Trace.span "fastsim.warm_cache" @@ fun () ->
   let wanted = Array.make (Array.length t.slot_pats) false in
   List.iter
@@ -535,31 +687,34 @@ let warm_cache t faults =
       | Unchanged | Structural -> ()
       | exception Fault.Unknown_element _ -> ())
     faults;
-  Array.iter
-    (fun fs ->
-      let missing = ref [] in
-      for slot = Array.length wanted - 1 downto 0 do
-        if wanted.(slot) && Atomic.get fs.cells.(slot) == Empty then
-          missing := slot :: !missing
-      done;
-      let k = List.length !missing in
-      if k > 0 then begin
-        let b = Big.create t.n k and x = Big.create t.n k in
-        List.iteri
-          (fun r slot ->
-            List.iter
-              (fun (i, sg) -> Big.set b i r Complex.{ re = sg; im = 0.0 })
-              t.slot_pats.(slot))
-          !missing;
-        solver_solve_block_into fs ~b ~x;
-        List.iteri
-          (fun r slot ->
-            let w = Bvec.create t.n in
-            Big.col_into x ~c:r w;
-            ignore (Atomic.compare_and_set fs.cells.(slot) Empty (Unread w)))
-          !missing
-      end)
-    t.freqs
+  let slots =
+    List.filter (fun slot -> wanted.(slot)) (List.init (Array.length wanted) Fun.id)
+  in
+  let k = List.length slots in
+  if k > 0 then begin
+    let b = Big.create t.n k and x = Big.create t.n k in
+    List.iteri
+      (fun r slot ->
+        List.iter
+          (fun (i, sg) -> Big.set b i r Complex.{ re = sg; im = 0.0 })
+          t.slot_pats.(slot))
+      slots;
+    Array.iter
+      (fun fs ->
+        if List.exists (fun slot -> Atomic.get fs.cells.(slot) == Empty) slots then begin
+          solver_solve_block_into fs ~b ~x;
+          List.iteri
+            (fun r slot ->
+              let cell = fs.cells.(slot) in
+              if Atomic.get cell == Empty then begin
+                let w = new_column t in
+                Big.col_into x ~c:r w;
+                ignore (Atomic.compare_and_set cell Empty (Unread w))
+              end)
+            slots
+        end)
+      t.freqs
+  end
 
 (* ---- point solvers ----
 
@@ -767,6 +922,7 @@ let structural_point t ~s_stamps ~s_n ~s_out fs ~re ~im ~ok ~ix =
 (* ---- response over a frequency range ---- *)
 
 let response_range_into t plan ~lo ~hi ~re ~im ~ok =
+  check_live t;
   if lo < 0 || hi > Array.length t.freqs || lo > hi then
     invalid_arg "Fastsim.response_range_into: bad frequency range";
   if Array.length re < hi || Array.length im < hi || Bytes.length ok < hi then

@@ -38,11 +38,11 @@ module Netlist := Circuit.Netlist
     {!create}: one per distinct stamp pattern of a passive, so
     elements on one node pair share a slot. Each (slot, frequency)
     cell is an atomic that starts empty. A point solve that finds its
-    cell empty back-solves the column and publishes it with a
-    compare-and-set; a domain that loses the race uses the winner's
-    column, which is bitwise equal to its own. Lookups therefore need
-    no warming first, and several domains may score one engine from
-    the start. Stats counters are atomic. *)
+    cell empty back-solves the column into storage of its own and
+    publishes it with a compare-and-set; a domain that loses the race
+    uses the winner's column, which is bitwise equal to its own.
+    Lookups therefore need no warming first, and several domains may
+    score one engine from the start. Stats counters are atomic. *)
 
 type t
 
@@ -71,6 +71,45 @@ val create :
     factorization + nominal solve per frequency. Raises
     {!Mna.Ac.Singular_circuit} if the fault-free system is singular at
     some grid frequency, like {!Mna.Ac.sweep}. *)
+
+type pool
+(** Recycled engine storage for {!with_engine}: the workspaces no
+    bracket is using, one or more per system dimension. A campaign
+    creates one pool and drops it when it ends, so the storage lives
+    exactly as long as the campaign. Safe to share across domains. *)
+
+val pool : unit -> pool
+(** An empty pool. *)
+
+val with_engine :
+  pool:pool ->
+  ?backend:backend ->
+  source:string ->
+  output:string ->
+  freqs_hz:float array ->
+  Netlist.t ->
+  (t -> 'a) ->
+  'a
+(** [with_engine ~pool … netlist f] is [f] applied to the engine
+    {!create} would build, on storage recycled through [pool]. The
+    bracket takes an idle workspace of the engine's dimension from the
+    pool, or makes one: the per-frequency A(jω), LU factor,
+    right-hand side and nominal solution buffers, and a column arena
+    that holds the engine's A⁻¹u columns. The arena grows in chunks as
+    columns are first read, so storage follows the columns actually
+    solved. When the bracket ends the workspace goes back to the pool,
+    so a campaign that streams its views through brackets on [jobs]
+    domains holds at most [jobs] workspaces per dimension, each
+    allocated once. Results are bitwise equal to a {!create} engine's.
+
+    The engine lives only inside the bracket: once [f] returns or
+    raises, any use of it raises [Invalid_argument] (a generation
+    check). A bracket nested inside another takes a workspace of its
+    own. The engine may be scored from several domains inside the
+    bracket, as with {!create}.
+    When {!Obs.Metrics} is enabled, [fastsim.workspace_allocs] counts
+    the times a workspace's per-frequency buffers are allocated or
+    grown: once per workspace for a fixed grid. *)
 
 val uses_sparse : t -> bool
 (** Whether the engine factored through the sparse back-end (resolves

@@ -248,6 +248,99 @@ let test_cli_summary_line_format () =
             (Float.abs (ratio -. (float_of_int points /. float_of_int solved))
              < 0.06))
 
+(* ---- streaming campaign on recycled storage ---- *)
+
+(* leapfrog5 at ppd 3 under the default envelope criterion: each view
+   task builds its engine on a workspace of the campaign's pool for the
+   view's dimension, so the workspace allocations stay within (distinct
+   view dimensions) × jobs however many views stream through. The 64
+   dead views build nothing, and the matrices equal the exhaustive
+   stride-1 sweep and the per-view Detect.analyze reference, which
+   builds every engine on storage of its own. The campaigns run one
+   after another on the calling domain, and each starts from nothing:
+   a campaign's storage does not outlive it. *)
+let test_streaming_campaign_bounded () =
+  let b = Option.get (Circuits.Registry.find "leapfrog5") in
+  let netlist = b.Circuits.Benchmark.netlist in
+  let dft =
+    Multiconfig.Transform.make ~source:b.Circuits.Benchmark.source
+      ~output:b.Circuits.Benchmark.output netlist
+  in
+  let grid =
+    Testability.Grid.around ~points_per_decade:3 ~center_hz:b.Circuits.Benchmark.center_hz ()
+  in
+  let probe =
+    {
+      Testability.Detect.source = b.Circuits.Benchmark.source;
+      output = b.Circuits.Benchmark.output;
+    }
+  in
+  let views =
+    List.map
+      (fun config ->
+        {
+          Testability.Matrix.label = Multiconfig.Configuration.label config;
+          netlist = Multiconfig.Transform.emulate dft config;
+          probe;
+        })
+      (Multiconfig.Transform.test_configurations dft)
+  in
+  let faults = Fault.deviation_faults netlist in
+  let criterion = P.default_criterion in
+  let dims =
+    List.sort_uniq compare
+      (List.map
+         (fun v -> Mna.Index.size (Mna.Index.build v.Testability.Matrix.netlist))
+         views)
+  in
+  let campaign ?stride jobs =
+    Obs.Metrics.reset ();
+    Obs.Metrics.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Metrics.set_enabled false;
+        Obs.Metrics.reset ())
+      (fun () ->
+        let m, _ = A.build ~criterion ~jobs ?stride grid views faults in
+        let snap = Obs.Metrics.snapshot () in
+        let c = Obs.Metrics.counter snap in
+        (m, c "fastsim.workspace_allocs", c "campaign.dead_views"))
+  in
+  let exhaustive, first_allocs, _ = campaign ~stride:1 1 in
+  List.iter
+    (fun jobs ->
+      let m, allocs, dead = campaign jobs in
+      let label = Printf.sprintf "jobs %d" jobs in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d workspace allocations <= %d dimensions x jobs" label allocs
+           (List.length dims))
+        true
+        (allocs >= 1 && allocs <= List.length dims * jobs);
+      Alcotest.(check int) (label ^ ": dead views") 64 dead;
+      Alcotest.(check bool) (label ^ ": detect = stride 1") true
+        (m.Testability.Matrix.detect = exhaustive.Testability.Matrix.detect);
+      Alcotest.(check bool) (label ^ ": omega = stride 1") true
+        (m.Testability.Matrix.omega = exhaustive.Testability.Matrix.omega))
+    [ 1; 2 ];
+  (* a tow-thomas campaign in between, on views of other dimensions *)
+  let tt = Circuits.Tow_thomas.make () in
+  ignore (P.run ~points_per_decade:3 ~jobs:1 tt);
+  let _, again, _ = campaign ~stride:1 1 in
+  Alcotest.(check int) "a later campaign reuses no storage of an earlier one" first_allocs
+    again;
+  List.iteri
+    (fun i (v : Testability.Matrix.view) ->
+      List.iteri
+        (fun j (r : Testability.Detect.result) ->
+          if
+            r.Testability.Detect.detectable <> exhaustive.Testability.Matrix.detect.(i).(j)
+            || r.Testability.Detect.omega_det <> exhaustive.Testability.Matrix.omega.(i).(j)
+          then
+            Alcotest.failf "%s / %s: campaign differs from Detect.analyze"
+              v.Testability.Matrix.label r.Testability.Detect.fault.Fault.id)
+        (Testability.Detect.analyze ~criterion probe grid v.Testability.Matrix.netlist faults))
+    views
+
 (* ---- tolerance-space coverage sampling ---- *)
 
 let coverage ?(samples = 64) ~jobs () =
@@ -321,6 +414,8 @@ let suite =
       test_pipeline_identity_envelope;
     Alcotest.test_case "adaptive pipeline = exhaustive (fixed)" `Quick
       test_pipeline_identity_fixed;
+    Alcotest.test_case "streaming campaign: bounded workspaces, dead views free" `Quick
+      test_streaming_campaign_bounded;
     Alcotest.test_case "starved budget degrades, matrices intact" `Quick
       test_pipeline_identity_starved_budget;
     Alcotest.test_case "CLI --adaptive leaves every table byte-identical" `Slow

@@ -281,6 +281,134 @@ let test_cold_vs_warmed_sparse () =
   check_cold_vs_warmed ~label:"bigladder-80" ~sparse:true ~source:"V1" ~output ~freqs_hz
     netlist
 
+(* --- recycled engine storage ---------------------------------------- *)
+
+(* Engines built one after another inside brackets on one pool reuse
+   its workspace for their dimension. A sequence whose MNA dimension
+   grows, shrinks and repeats — tow-thomas, leapfrog5 views and a
+   sparse bigladder — must leave no trace of an earlier engine in a
+   later one: every response equals a fresh engine's bit for bit,
+   whether its columns were block-warmed or solved on first read. The
+   pool allocates one workspace per distinct dimension, however many
+   brackets reuse it. *)
+let test_recycled_storage () =
+  let tt = Circuits.Tow_thomas.make () in
+  let lf5 = Option.get (Circuits.Registry.find "leapfrog5") in
+  let lf5_view k =
+    let b = lf5 in
+    let dft =
+      Multiconfig.Transform.make ~source:b.Circuits.Benchmark.source
+        ~output:b.Circuits.Benchmark.output b.Circuits.Benchmark.netlist
+    in
+    let config = List.nth (Multiconfig.Transform.test_configurations dft) k in
+    ( "leapfrog5 " ^ Multiconfig.Configuration.label config,
+      Multiconfig.Transform.emulate dft config )
+  in
+  let ladder, ladder_out = Conformance.Gen.bigladder ~stages:70 (Random.State.make [| 11 |]) in
+  let ladder_freqs = Grid.freqs_hz (Grid.make ~points_per_decade:2 ~f_lo:10.0 ~f_hi:1e6 ()) in
+  let bench_subject (b : Circuits.Benchmark.t) (label, netlist) =
+    ( label,
+      b.Circuits.Benchmark.source,
+      b.Circuits.Benchmark.output,
+      Grid.freqs_hz (grid_of b),
+      netlist )
+  in
+  let tt_subject = bench_subject tt ("tow-thomas", tt.Circuits.Benchmark.netlist) in
+  let ladder_subject = ("bigladder-70", "V1", ladder_out, ladder_freqs, ladder) in
+  let sequence =
+    [
+      tt_subject;
+      bench_subject lf5 (lf5_view 0);
+      ladder_subject;
+      bench_subject lf5 (lf5_view 100);
+      tt_subject;
+      ladder_subject;
+      bench_subject lf5 (lf5_view 0);
+    ]
+  in
+  let pool = Fastsim.pool () in
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_enabled true;
+  let dims =
+    List.map
+      (fun (label, source, output, freqs_hz, netlist) ->
+        let faults = Fault.both_deviations netlist @ Fault.catastrophic_faults netlist in
+        let fresh = Fastsim.create ~source ~output ~freqs_hz netlist in
+        let expected = List.map (response_bits fresh) faults in
+        List.iter
+          (fun warm ->
+            let got =
+              Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (fun sim ->
+                  Alcotest.(check bool)
+                    (label ^ ": same backend as a fresh engine")
+                    (Fastsim.uses_sparse fresh) (Fastsim.uses_sparse sim);
+                  if warm then Fastsim.warm_cache sim (Fault.deviation_faults netlist);
+                  List.map (response_bits sim) faults)
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s (%s): recycled responses bitwise equal a fresh engine's"
+                 label (if warm then "warmed" else "cold"))
+              true (got = expected))
+          [ false; true ];
+        Fastsim.dim fresh)
+      sequence
+  in
+  let allocs = Obs.Metrics.counter (Obs.Metrics.snapshot ()) "fastsim.workspace_allocs" in
+  Obs.Metrics.set_enabled false;
+  Obs.Metrics.reset ();
+  Alcotest.(check int) "one workspace allocation per distinct dimension"
+    (List.length (List.sort_uniq compare dims))
+    allocs;
+  Alcotest.(check bool) "the dimension grows, shrinks and repeats" true
+    (match dims with
+    | [ a; b; c; d; e; f; g ] -> a < b && b < c && d < c && e < d && f = c && g = b
+    | _ -> false);
+  Alcotest.(check bool) "the bigladder runs sparse with n >= 64" true
+    (List.nth dims 2 >= 64
+    && Fastsim.uses_sparse
+         (Fastsim.create ~source:"V1" ~output:ladder_out ~freqs_hz:ladder_freqs ladder))
+
+(* An engine lives only inside its bracket: afterwards every use raises
+   [Invalid_argument], and so does scoring a live row of a bracketed
+   view — also once a later bracket has taken over its storage. A
+   bracket nested on the same dimension builds on storage of its own
+   and leaves the outer engine intact. *)
+let test_engine_after_bracket () =
+  let b = Circuits.Tow_thomas.make () in
+  let source = b.Circuits.Benchmark.source and output = b.Circuits.Benchmark.output in
+  let netlist = b.Circuits.Benchmark.netlist in
+  let grid = grid_of b in
+  let freqs_hz = Grid.freqs_hz grid in
+  let fault = Fault.deviation ~element:"R1" 1.2 in
+  let dead = Invalid_argument "Fastsim: engine used after its with_engine bracket ended" in
+  let pool = Fastsim.pool () in
+  let escaped = Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist Fun.id in
+  Alcotest.check_raises "response" dead (fun () -> ignore (Fastsim.response escaped fault));
+  Alcotest.check_raises "plan_of" dead (fun () -> ignore (Fastsim.plan_of escaped fault));
+  Alcotest.check_raises "nominal" dead (fun () -> ignore (Fastsim.nominal escaped));
+  Alcotest.check_raises "warm_cache" dead (fun () -> Fastsim.warm_cache escaped [ fault ]);
+  let fresh = Fastsim.create ~source ~output ~freqs_hz netlist in
+  let expected = response_bits fresh fault in
+  Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (fun outer ->
+      Alcotest.check_raises "escaped engine while its storage is reused" dead (fun () ->
+          ignore (Fastsim.response escaped fault));
+      let inner =
+        Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (fun inner ->
+            Alcotest.(check bool) "nested engine" true (response_bits inner fault = expected);
+            inner)
+      in
+      Alcotest.check_raises "nested engine after its bracket" dead (fun () ->
+          ignore (Fastsim.response inner fault));
+      Alcotest.(check bool) "outer engine intact" true (response_bits outer fault = expected));
+  let probe = { Detect.source; output } in
+  let pv, plan =
+    Detect.with_view ~pool probe grid netlist (fun pv -> (pv, Detect.plan_fault pv fault))
+  in
+  let nf = Grid.n_points grid in
+  Alcotest.check_raises "score_range after Detect.with_view" dead (fun () ->
+      Detect.score_range pv plan ~lo:0 ~hi:nf ~re:(Array.make nf 0.0)
+        ~im:(Array.make nf 0.0) ~ok:(Bytes.make nf '\000'))
+
 (* --- worker-count independence ------------------------------------ *)
 
 let test_pipeline_jobs_deterministic () =
@@ -330,6 +458,10 @@ let suite =
       test_cold_vs_warmed_dense;
     Alcotest.test_case "cold engine equals block-warmed (sparse)" `Quick
       test_cold_vs_warmed_sparse;
+    Alcotest.test_case "recycled storage equals fresh engines" `Quick
+      test_recycled_storage;
+    Alcotest.test_case "engine use after its bracket raises" `Quick
+      test_engine_after_bracket;
     Alcotest.test_case "Pipeline.run independent of jobs" `Quick
       test_pipeline_jobs_deterministic;
     Alcotest.test_case "Montecarlo.run independent of jobs" `Quick

@@ -70,7 +70,9 @@ let test_snapshot_merges_domains () =
 
 (* Solver counters are a property of the campaign, not of its
    schedule — jobs:1 and jobs:4 must agree on the matrices and on every
-   counter total except the scheduler's own activity counters. Two
+   counter total except the scheduler's own activity counters and the
+   engine workspace allocations, which follow how views overlap in
+   time. Two
    campaigns: the default envelope criterion, whose drifts block-warm
    every deviation fault's back-solve columns before scoring; and a
    fixed-tolerance campaign of catastrophic faults, where nothing is
@@ -84,7 +86,10 @@ let check_jobs_invariant label run =
         let snap = Metrics.snapshot () in
         ( t.Mcdft_core.Pipeline.matrix,
           List.filter
-            (fun (name, _) -> not (String.starts_with ~prefix:"parallel." name))
+            (fun (name, _) ->
+              not
+                (String.starts_with ~prefix:"parallel." name
+                || name = "fastsim.workspace_allocs"))
             snap.Metrics.counters ))
   in
   let m1, sequential = campaign 1 and m4, parallel = campaign 4 in
@@ -111,7 +116,8 @@ let test_jobs_invariant_counters () =
    at about the same time and race to insert it. Every domain must see
    the sequential responses bit for bit, and the column count must not
    depend on who won: misses equal one reader's, and every other read
-   is a hit. *)
+   is a hit. The race runs on an engine with storage of its own and on
+   a bracketed one, whose columns all live in one shared arena. *)
 let test_racing_insertion () =
   let b = Circuits.Tow_thomas.make () in
   let netlist = b.Circuits.Benchmark.netlist in
@@ -121,12 +127,16 @@ let test_racing_insertion () =
       (Testability.Grid.around ~points_per_decade:20
          ~center_hz:b.Circuits.Benchmark.center_hz ())
   in
-  let race domains =
+  let source = b.Circuits.Benchmark.source and output = b.Circuits.Benchmark.output in
+  let race ~bracketed domains =
     with_metrics (fun () ->
-        let sim =
-          Testability.Fastsim.create ~source:b.Circuits.Benchmark.source
-            ~output:b.Circuits.Benchmark.output ~freqs_hz netlist
+        let with_sim f =
+          if bracketed then
+            Testability.Fastsim.with_engine ~pool:(Testability.Fastsim.pool ()) ~source
+              ~output ~freqs_hz netlist f
+          else f (Testability.Fastsim.create ~source ~output ~freqs_hz netlist)
         in
+        with_sim @@ fun sim ->
         let ready = Atomic.make 0 in
         let reader () =
           Atomic.incr ready;
@@ -150,19 +160,28 @@ let test_racing_insertion () =
               (Int64.bits_of_float z.Complex.re, Int64.bits_of_float z.Complex.im))))
       rows
   in
-  let solo, misses1, hits1 = race 1 in
-  let raced, misses4, hits4 = race 4 in
+  let solo, misses1, hits1 = race ~bracketed:false 1 in
   let reference = bits (List.hd solo) in
-  List.iteri
-    (fun d rows ->
-      Alcotest.(check bool)
-        (Printf.sprintf "domain %d responses bitwise equal the sequential ones" d)
-        true
-        (bits rows = reference))
-    raced;
-  Alcotest.(check int) "misses: one per distinct column, whoever inserted it" misses1
-    misses4;
-  Alcotest.(check int) "hits: every other read" ((4 * (misses1 + hits1)) - misses1) hits4
+  List.iter
+    (fun bracketed ->
+      let storage = if bracketed then "arena" else "own storage" in
+      let raced, misses4, hits4 = race ~bracketed 4 in
+      List.iteri
+        (fun d rows ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: domain %d responses bitwise equal the sequential ones"
+               storage d)
+            true
+            (bits rows = reference))
+        raced;
+      Alcotest.(check int)
+        (storage ^ ": misses: one per distinct column, whoever inserted it")
+        misses1 misses4;
+      Alcotest.(check int)
+        (storage ^ ": hits: every other read")
+        ((4 * (misses1 + hits1)) - misses1)
+        hits4)
+    [ false; true ]
 
 (* ISSUE acceptance: the emitted counters match Fastsim.stats exactly —
    same increment sites, so the sums cannot drift. *)
