@@ -1,7 +1,8 @@
 (** Structural (pattern-only) rank analysis of the MNA system.
 
     The MNA matrix A(s) of a netlist has polynomial entries; its
-    determinant is identically zero — i.e. [Linalg.Cmat.Singular] at
+    determinant is identically zero — i.e. the dense LU
+    ({!Linalg.Cmat.lu_factor}) raises [Linalg.Cmat.Singular] at
     {e every} frequency, regardless of component values — whenever the
     bipartite occurrence graph (equations x unknowns, an edge per
     nonzero entry) has no perfect matching. Maximum matching over that
@@ -27,7 +28,9 @@
     eigenvalue), so the verdict also folds in ground reachability: the
     {!is_singular} predicate is sound — [true] guarantees
     [Cmat.Singular] — and on randomly-valued netlists the converse
-    holds with probability one (pinned by a qcheck property). *)
+    holds with probability one (pinned by a qcheck property and the
+    [structural-vs-lu] oracle, both against that same LU; the LU itself
+    is pinned bitwise by test_planar's boxed reference). *)
 
 type regime = Generic | Dc | High_frequency
 
@@ -63,8 +66,8 @@ type t = {
 val analyse : Circuit.Netlist.t -> t
 
 val is_singular : t -> bool
-(** [true] iff the netlist is guaranteed to raise [Cmat.Singular] at
-    every frequency: a generic-pattern deficiency or a
+(** [true] iff the netlist is guaranteed to make the dense LU raise
+    [Cmat.Singular] at every frequency: a generic-pattern deficiency or a
     ground-disconnected island. *)
 
 val deficiency_message : deficiency -> string

@@ -27,10 +27,14 @@ let family_of (s : Gen.subject) =
 
 let is_near_singular s = family_of s = Some Gen.Near_singular
 
-(* The independent reference path: boxed functor assembly over the
-   Complex field, solved by the general Cmat entry point. Shares no
-   code with the split-stamp planar path Fastsim uses (the assembly
-   functor predates it and is kept precisely as this reference). *)
+(* The reference path: boxed functor assembly over the Complex field,
+   solved by the one-shot [Cmat.solve]. Its independence lies in the
+   assembly alone: the [Assemble.Make] functor stamps every element
+   straight into Complex.t entries and shares no code with the split
+   stamp planes Fastsim fills (it predates them and is kept precisely
+   as this reference). The LU is the campaign's own dense kernel; what
+   pins that is test_planar's boxed [Ref], a Complex.t Doolittle LU
+   the kernel must match bitwise. *)
 let reference_solve ~source netlist ~omega =
   let module F =
     (val Mna.Field.complex ~omega : Mna.Field.S with type t = Complex.t)
@@ -337,7 +341,10 @@ let jobs_invariance (s : Gen.subject) =
               Fail "Obs.Metrics counter totals differ between jobs:1 and jobs:4"
             else Pass)
 
-(* --- structural-vs-lu: pattern rank vs numeric factorization ------ *)
+(* --- structural-vs-lu: pattern rank vs numeric factorization ------
+
+   The numeric side is the campaign's dense LU on the boxed functor
+   assembly, as in [reference_solve]. *)
 
 let lu_solvable netlist ~omega =
   let module F =
@@ -861,7 +868,9 @@ let all =
   [
     {
       name = "ac-reference";
-      doc = "planar nominal AC sweep vs boxed functor assembly + Cmat.solve";
+      doc =
+        "planar nominal AC sweep vs boxed functor assembly (same dense LU, \
+         pinned by test_planar's Ref)";
       check = ac_reference;
     };
     {
@@ -883,7 +892,9 @@ let all =
     };
     {
       name = "structural-vs-lu";
-      doc = "structural rank verdict consistent with numeric LU factorization";
+      doc =
+        "structural rank verdict consistent with the dense LU's Singular on \
+         boxed functor assembly";
       check = structural_vs_lu;
     };
     {

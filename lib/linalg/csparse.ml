@@ -1,6 +1,6 @@
 (* Sparse complex linear algebra on split re/im off-heap planes.
 
-   The storage discipline follows {!Cmat.Big}: every numeric payload is
+   The storage discipline follows {!Cmat}: every numeric payload is
    a pair of [Bigarray.Array1] float64 planes the GC never scans or
    moves, and the boxed [Complex.t] API survives only at the edges.
 
@@ -26,11 +26,10 @@
    verdicts may differ within that envelope; the differential oracles
    compare through a tolerance, not bitwise). *)
 
-module Big = Cmat.Big
-module Bvec = Big.Vec
+module Bvec = Cmat.Vec
 open Bigarray
 
-type plane = Big.plane
+type plane = Cmat.plane
 
 let plane len : plane =
   let p = Array1.create Float64 C_layout len in
@@ -92,7 +91,7 @@ let check_values p (re : plane) (im : plane) =
   if Array1.dim re <> p.nnz || Array1.dim im <> p.nnz then
     invalid_arg "Csparse: value planes do not match the pattern"
 
-(* Same row-sum norm the dense [Cmat.Big.norm_inf] computes: absent
+(* Same row-sum norm the dense [Cmat.norm_inf] computes: absent
    entries contribute the zero their dense counterparts would. *)
 let norm_inf p ~re ~im =
   check_values p re im;
@@ -130,11 +129,11 @@ let mul_vec_into p ~re ~im ~(x : Bvec.t) ~(y : Bvec.t) =
 
 (* Densify into an off-heap matrix — the bridge to the dense fallback
    paths (full refactorization on a perturbed copy). *)
-let dense_into p ~re ~im (m : Big.t) =
+let dense_into p ~re ~im (m : Cmat.t) =
   check_values p re im;
-  if Big.rows m <> p.n || Big.cols m <> p.n then
+  if Cmat.rows m <> p.n || Cmat.cols m <> p.n then
     invalid_arg "Csparse.dense_into: dimension mismatch";
-  let mre = Big.re_plane m and mim = Big.im_plane m in
+  let mre = Cmat.re_plane m and mim = Cmat.im_plane m in
   Array1.fill mre 0.0;
   Array1.fill mim 0.0;
   let nc = p.n in
@@ -617,20 +616,20 @@ let solve_into num ~(b : Bvec.t) ~(x : Bvec.t) =
     Array1.unsafe_set x.Bvec.im c (Array1.unsafe_get yim j)
   done
 
-(* Multi-RHS back-solve mirroring {!Cmat.Big.lu_solve_block_into}: [b]
+(* Multi-RHS back-solve mirroring {!Cmat.lu_solve_block_into}: [b]
    and [x] are n×k row-major blocks whose column r is the r-th
    right-hand side / solution, and per column the operation sequence is
    exactly {!solve_into}'s. Allocates its own permuted block — callers
    use this at cache-warming time, not in the per-point hot loop. *)
-let solve_block_into num ~(b : Big.t) ~(x : Big.t) =
+let solve_block_into num ~(b : Cmat.t) ~(x : Cmat.t) =
   let s = num.sym in
   let n = s.pat.n in
-  let k = Big.cols b in
-  if Big.rows b <> n || Big.rows x <> n || Big.cols x <> k then
+  let k = Cmat.cols b in
+  if Cmat.rows b <> n || Cmat.rows x <> n || Cmat.cols x <> k then
     invalid_arg "Csparse.solve_block_into: dimension mismatch";
   if k > 0 then begin
-    let bre = Big.re_plane b and bim = Big.im_plane b in
-    let xre = Big.re_plane x and xim = Big.im_plane x in
+    let bre = Cmat.re_plane b and bim = Cmat.im_plane b in
+    let xre = Cmat.re_plane x and xim = Cmat.im_plane x in
     let yre = plane (n * k) and yim = plane (n * k) in
     for kk = 0 to n - 1 do
       let p = Array.unsafe_get s.roworder kk in

@@ -9,7 +9,7 @@
     into reusable workspaces, O(flops(fill)) with no searching and no
     allocation.
 
-    Storage follows {!Cmat.Big}: every payload is a pair of
+    Storage follows {!Cmat}: every payload is a pair of
     [Bigarray.Array1] float64 planes off the OCaml heap. Numeric
     conventions are the dense kernels' exactly — {!Cmat.norm2}
     magnitudes, Smith division for every complex quotient, and the
@@ -17,7 +17,7 @@
     {!Cmat.Singular}. Pivot {e order} differs from the dense partial
     pivoting, so results agree to rounding (not bitwise). *)
 
-type plane = Cmat.Big.plane
+type plane = Cmat.plane
 
 val plane : int -> plane
 (** Zero-filled off-heap plane of the given length. *)
@@ -44,15 +44,15 @@ val values : pattern -> plane * plane
 (** Freshly allocated zero [(re, im)] value planes of length [nnz]. *)
 
 val norm_inf : pattern -> re:plane -> im:plane -> float
-(** Row-sum infinity norm; equals {!Cmat.Big.norm_inf} of the
+(** Row-sum infinity norm; equals {!Cmat.norm_inf} of the
     densified matrix. *)
 
 val mul_vec_into :
-  pattern -> re:plane -> im:plane -> x:Cmat.Big.Vec.t -> y:Cmat.Big.Vec.t -> unit
+  pattern -> re:plane -> im:plane -> x:Cmat.Vec.t -> y:Cmat.Vec.t -> unit
 (** [y <- A x], column-wise over the stored entries: O(nnz), no
     allocation. *)
 
-val dense_into : pattern -> re:plane -> im:plane -> Cmat.Big.t -> unit
+val dense_into : pattern -> re:plane -> im:plane -> Cmat.t -> unit
 (** Densify into an off-heap matrix (zeroing it first) — the bridge to
     the dense fallback paths. *)
 
@@ -93,13 +93,13 @@ val refactor : numeric -> re:plane -> im:plane -> unit
     dense singularity threshold; the workspace is left clean for a
     retry with different values. *)
 
-val solve_into : numeric -> b:Cmat.Big.Vec.t -> x:Cmat.Big.Vec.t -> unit
+val solve_into : numeric -> b:Cmat.Vec.t -> x:Cmat.Vec.t -> unit
 (** [x <- A⁻¹ b] through the sparse factors. [b] and [x] must not
     alias. Uses per-domain scratch for the permuted intermediate, so
     concurrent solves from several domains are safe. *)
 
-val solve_block_into : numeric -> b:Cmat.Big.t -> x:Cmat.Big.t -> unit
-(** Multi-RHS variant mirroring {!Cmat.Big.lu_solve_block_into}: [b]
+val solve_block_into : numeric -> b:Cmat.t -> x:Cmat.t -> unit
+(** Multi-RHS variant mirroring {!Cmat.lu_solve_block_into}: [b]
     and [x] are n×k row-major blocks, column r the r-th right-hand
     side/solution; per column the operation order is exactly
     {!solve_into}'s. *)

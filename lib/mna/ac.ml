@@ -1,4 +1,5 @@
 module Netlist = Circuit.Netlist
+module Cmat = Linalg.Cmat
 exception Singular_circuit of string
 
 type solution = { index : Index.t; x : Complex.t array }
@@ -6,13 +7,15 @@ type solution = { index : Index.t; x : Complex.t array }
 let solve ?(sources = Assemble.Nominal) netlist ~omega =
   let index = Index.build netlist in
   let stamps = Stamps.build ~sources index netlist in
-  let m = Stamps.matrix stamps ~omega in
+  let n = Stamps.size stamps in
+  let m = Cmat.create n n and b = Cmat.Vec.create n and x = Cmat.Vec.create n in
+  Stamps.fill stamps ~omega m;
+  Stamps.rhs_into stamps ~omega b;
   match
-    Obs.Metrics.time "mna.solve_s" (fun () ->
-        Linalg.Cmat.solve m (Stamps.rhs stamps ~omega))
+    Obs.Metrics.time "mna.solve_s" (fun () -> Cmat.lu_solve_into (Cmat.lu_factor m) ~b ~x)
   with
-  | x -> { index; x }
-  | exception Linalg.Cmat.Singular ->
+  | () -> { index; x = Cmat.Vec.to_complex x }
+  | exception Cmat.Singular ->
       raise
         (Singular_circuit
            (Printf.sprintf "MNA matrix singular at omega = %g rad/s for %S" omega
@@ -36,26 +39,25 @@ let sweep ~source ~output netlist ~freqs_hz =
      workspace — the per-point cost is the factorization alone, with
      zero GC-visible allocation per point. *)
   Obs.Trace.span "mna.sweep" @@ fun () ->
-  let module Big = Linalg.Cmat.Big in
   let index = Index.build netlist in
   let stamps = Stamps.build ~sources:(Assemble.Only source) index netlist in
   let n = Stamps.size stamps in
-  let buf = Big.create n n in
-  let b = Big.Vec.create n and x = Big.Vec.create n in
-  let ws = Big.lu_create n in
+  let buf = Cmat.create n n in
+  let b = Cmat.Vec.create n and x = Cmat.Vec.create n in
+  let ws = Cmat.lu_create n in
   let out = Index.node index output in
   Array.map
     (fun f ->
       let omega = 2.0 *. Float.pi *. f in
-      Stamps.fill_big stamps ~omega buf;
-      Stamps.rhs_into_big stamps ~omega b;
+      Stamps.fill stamps ~omega buf;
+      Stamps.rhs_into stamps ~omega b;
       match
         Obs.Metrics.time "mna.solve_s" (fun () ->
-            Big.lu_factor_into ws buf;
-            Big.lu_solve_into ws ~b ~x)
+            Cmat.lu_factor_into ws buf;
+            Cmat.lu_solve_into ws ~b ~x)
       with
-      | () -> ( match out with None -> Complex.zero | Some i -> Big.Vec.get x i)
-      | exception Linalg.Cmat.Singular ->
+      | () -> ( match out with None -> Complex.zero | Some i -> Cmat.Vec.get x i)
+      | exception Cmat.Singular ->
           raise
             (Singular_circuit
                (Printf.sprintf "MNA matrix singular at f = %g Hz for %S" f

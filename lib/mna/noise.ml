@@ -5,21 +5,21 @@ type contribution = { element : string; psd : float }
 
 let boltzmann = 1.380649e-23
 
-module Big = Linalg.Cmat.Big
+module Cmat = Linalg.Cmat
 
 (* Reusable per-sweep off-heap workspace: A(jω), its transpose for
    the adjoint solve, and one LU factor. *)
-type ws = { wa : Big.t; wat : Big.t; wlu : Big.lu; wb : Big.Vec.t; wx : Big.Vec.t }
+type ws = { wa : Cmat.t; wat : Cmat.t; wlu : Cmat.lu; wb : Cmat.Vec.t; wx : Cmat.Vec.t }
 
 let make_ws n =
-  { wa = Big.create n n; wat = Big.create n n;
-    wlu = Big.lu_create n; wb = Big.Vec.create n; wx = Big.Vec.create n }
+  { wa = Cmat.create n n; wat = Cmat.create n n;
+    wlu = Cmat.lu_create n; wb = Cmat.Vec.create n; wx = Cmat.Vec.create n }
 
 (* Assembly goes through the frequency-split Stamps planes so a
    frequency sweep builds the stamps once (see integrated_rms). *)
 let analyze ws index stamps ?(temperature = 300.0) ~output netlist ~omega =
   let n = Index.size index in
-  Stamps.fill_big stamps ~omega ws.wa;
+  Stamps.fill stamps ~omega ws.wa;
   let out_idx =
     match Index.node index output with
     | Some i -> i
@@ -27,18 +27,18 @@ let analyze ws index stamps ?(temperature = 300.0) ~output netlist ~omega =
   in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      Big.set ws.wat j i (Big.get ws.wa i j)
+      Cmat.set ws.wat j i (Cmat.get ws.wa i j)
     done
   done;
-  Big.Vec.fill_zero ws.wb;
-  Big.Vec.set ws.wb out_idx Complex.one;
+  Cmat.Vec.fill_zero ws.wb;
+  Cmat.Vec.set ws.wb out_idx Complex.one;
   let xi =
     match
-      Big.lu_factor_into ws.wlu ws.wat;
-      Big.lu_solve_into ws.wlu ~b:ws.wb ~x:ws.wx
+      Cmat.lu_factor_into ws.wlu ws.wat;
+      Cmat.lu_solve_into ws.wlu ~b:ws.wb ~x:ws.wx
     with
-    | () -> Big.Vec.to_complex ws.wx
-    | exception Linalg.Cmat.Singular ->
+    | () -> Cmat.Vec.to_complex ws.wx
+    | exception Cmat.Singular ->
         raise (Ac.Singular_circuit "Noise.at_omega: singular adjoint system")
   in
   let adjoint_at n =

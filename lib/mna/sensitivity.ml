@@ -8,22 +8,22 @@ type t = {
   rel_magnitude : float;
 }
 
-module Big = Linalg.Cmat.Big
+module Cmat = Linalg.Cmat
 
 (* Reusable per-sweep off-heap workspace: one A(jω) buffer, its
    transpose for the adjoint system, and one LU factor — so a
    frequency sweep re-assembles and re-factorizes without allocating
    per point. *)
-type ws = { wa : Big.t; wat : Big.t; wlu : Big.lu; wb : Big.Vec.t; wx : Big.Vec.t }
+type ws = { wa : Cmat.t; wat : Cmat.t; wlu : Cmat.lu; wb : Cmat.Vec.t; wx : Cmat.Vec.t }
 
 let make_ws n =
-  { wa = Big.create n n; wat = Big.create n n;
-    wlu = Big.lu_create n; wb = Big.Vec.create n; wx = Big.Vec.create n }
+  { wa = Cmat.create n n; wat = Cmat.create n n;
+    wlu = Cmat.lu_create n; wb = Cmat.Vec.create n; wx = Cmat.Vec.create n }
 
 let transpose_into ~src ~dst n =
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      Big.set dst j i (Big.get src i j)
+      Cmat.set dst j i (Cmat.get src i j)
     done
   done
 
@@ -36,15 +36,15 @@ let transpose_into ~src ~dst n =
    frequency. *)
 let analyze ws index stamps ~output netlist ~omega =
   let n = Index.size index in
-  Stamps.fill_big stamps ~omega ws.wa;
-  Stamps.rhs_into_big stamps ~omega ws.wb;
+  Stamps.fill stamps ~omega ws.wa;
+  Stamps.rhs_into stamps ~omega ws.wb;
   let x =
     match
-      Big.lu_factor_into ws.wlu ws.wa;
-      Big.lu_solve_into ws.wlu ~b:ws.wb ~x:ws.wx
+      Cmat.lu_factor_into ws.wlu ws.wa;
+      Cmat.lu_solve_into ws.wlu ~b:ws.wb ~x:ws.wx
     with
-    | () -> Big.Vec.to_complex ws.wx
-    | exception Linalg.Cmat.Singular ->
+    | () -> Cmat.Vec.to_complex ws.wx
+    | exception Cmat.Singular ->
         raise (Ac.Singular_circuit "Sensitivity.at_omega: singular system")
   in
   let out_idx =
@@ -53,15 +53,15 @@ let analyze ws index stamps ~output netlist ~omega =
     | None -> invalid_arg "Sensitivity.at_omega: output node is ground"
   in
   transpose_into ~src:ws.wa ~dst:ws.wat n;
-  Big.Vec.fill_zero ws.wb;
-  Big.Vec.set ws.wb out_idx Complex.one;
+  Cmat.Vec.fill_zero ws.wb;
+  Cmat.Vec.set ws.wb out_idx Complex.one;
   let xi =
     match
-      Big.lu_factor_into ws.wlu ws.wat;
-      Big.lu_solve_into ws.wlu ~b:ws.wb ~x:ws.wx
+      Cmat.lu_factor_into ws.wlu ws.wat;
+      Cmat.lu_solve_into ws.wlu ~b:ws.wb ~x:ws.wx
     with
-    | () -> Big.Vec.to_complex ws.wx
-    | exception Linalg.Cmat.Singular ->
+    | () -> Cmat.Vec.to_complex ws.wx
+    | exception Cmat.Singular ->
         raise (Ac.Singular_circuit "Sensitivity.at_omega: singular adjoint system")
   in
   let value_at n =

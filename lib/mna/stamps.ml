@@ -44,45 +44,18 @@ let fill t ~omega m =
     (fun (k, p) -> Cmat.set m (k / t.n) (k mod t.n) (eval_at p omega))
     t.extra
 
-let matrix t ~omega =
-  let m = Cmat.create t.n t.n in
-  fill t ~omega m;
-  m
-
-let rhs_into t ~omega (b : Cmat.Pvec.t) =
-  if Cmat.Pvec.length b <> t.n then invalid_arg "Stamps.rhs_into: dimension mismatch";
-  for i = 0 to t.n - 1 do
-    b.Cmat.Pvec.re.(i) <- t.rhs_g.(i);
-    b.Cmat.Pvec.im.(i) <- omega *. t.rhs_c.(i)
+(* b(jω) from its split planes; shared by the dense and sparse builds. *)
+let write_rhs ~what ~g ~c ~extra ~omega (b : Cmat.Vec.t) =
+  let n = Array.length g in
+  if Cmat.Vec.length b <> n then invalid_arg (what ^ ": dimension mismatch");
+  for i = 0 to n - 1 do
+    Bigarray.Array1.unsafe_set b.Cmat.Vec.re i g.(i);
+    Bigarray.Array1.unsafe_set b.Cmat.Vec.im i (omega *. c.(i))
   done;
-  List.iter (fun (i, p) -> Cmat.Pvec.set b i (eval_at p omega)) t.rhs_extra
+  List.iter (fun (i, p) -> Cmat.Vec.set b i (eval_at p omega)) extra
 
-let rhs t ~omega =
-  let b = Cmat.Pvec.create t.n in
-  rhs_into t ~omega b;
-  Cmat.Pvec.to_complex b
-
-(* Off-heap variants: identical fill discipline (and the same
-   "mna.fills" accounting) with the destination planes in Bigarray
-   storage. *)
-
-let fill_big t ~omega (m : Cmat.Big.t) =
-  if Cmat.Big.rows m <> t.n || Cmat.Big.cols m <> t.n then
-    invalid_arg "Stamps.fill_big: matrix dimension mismatch";
-  Obs.Metrics.incr "mna.fills";
-  Cmat.Big.fill_parts m ~re:t.g ~im_scale:omega ~im:t.c;
-  List.iter
-    (fun (k, p) -> Cmat.Big.set m (k / t.n) (k mod t.n) (eval_at p omega))
-    t.extra
-
-let rhs_into_big t ~omega (b : Cmat.Big.Vec.t) =
-  if Cmat.Big.Vec.length b <> t.n then
-    invalid_arg "Stamps.rhs_into_big: dimension mismatch";
-  for i = 0 to t.n - 1 do
-    Bigarray.Array1.unsafe_set b.Cmat.Big.Vec.re i t.rhs_g.(i);
-    Bigarray.Array1.unsafe_set b.Cmat.Big.Vec.im i (omega *. t.rhs_c.(i))
-  done;
-  List.iter (fun (i, p) -> Cmat.Big.Vec.set b i (eval_at p omega)) t.rhs_extra
+let rhs_into t ~omega b =
+  write_rhs ~what:"Stamps.rhs_into" ~g:t.rhs_g ~c:t.rhs_c ~extra:t.rhs_extra ~omega b
 
 (* ---- sparse stamps ----
 
@@ -169,11 +142,6 @@ let fill_sparse t ~omega ~(re : Csparse.plane) ~(im : Csparse.plane) =
       Bigarray.Array1.set im k z.Complex.im)
     t.s_extra
 
-let sparse_rhs_into_big t ~omega (b : Cmat.Big.Vec.t) =
-  if Cmat.Big.Vec.length b <> t.sp_n then
-    invalid_arg "Stamps.sparse_rhs_into_big: dimension mismatch";
-  for i = 0 to t.sp_n - 1 do
-    Bigarray.Array1.unsafe_set b.Cmat.Big.Vec.re i t.srhs_g.(i);
-    Bigarray.Array1.unsafe_set b.Cmat.Big.Vec.im i (omega *. t.srhs_c.(i))
-  done;
-  List.iter (fun (i, p) -> Cmat.Big.Vec.set b i (eval_at p omega)) t.srhs_extra
+let sparse_rhs_into t ~omega b =
+  write_rhs ~what:"Stamps.sparse_rhs_into" ~g:t.srhs_g ~c:t.srhs_c ~extra:t.srhs_extra
+    ~omega b

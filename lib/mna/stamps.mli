@@ -13,11 +13,13 @@ module Netlist := Circuit.Netlist
     therefore share one stamping routine and cannot drift apart.
 
     Forming A(jω) at a sweep point is then a single fused pass over
-    the two planes ({!Linalg.Cmat.fill_parts}): no functor
-    instantiation, no [array array] round-trip, no per-frequency
-    restamping. Entries whose polynomial degree exceeds 1 (none of the
-    current element models produce any) are kept exactly in a sparse
-    overflow list and evaluated per frequency. *)
+    the two planes ({!Linalg.Cmat.fill_parts}) into a caller-owned
+    dense matrix, and b(jω) one pass into a caller-owned vector: no
+    functor instantiation, no [array array] round-trip, no
+    per-frequency restamping, no allocation. Entries whose polynomial
+    degree exceeds 1 (none of the current element models produce any)
+    are kept exactly in a sparse overflow list and evaluated per
+    frequency. The same planes feed the sparse layout below. *)
 
 type t
 
@@ -29,29 +31,16 @@ val size : t -> int
 (** The MNA system dimension (nodes + group-2 branches). *)
 
 val fill : t -> omega:float -> Linalg.Cmat.t -> unit
-(** Overwrite the given [size t] square matrix with A(jω). Entry
-    values match assembling with the complex field at [s = jω] exactly,
-    except where several reactive stamps accumulate on one entry —
-    there ω(c₁+c₂) replaces ωc₁+ωc₂, a difference of at most one ulp. *)
+(** Overwrite the given [size t] square matrix with A(jω) and count
+    one ["mna.fills"]. Entry values match assembling with the complex
+    field at [s = jω] exactly, except where several reactive stamps
+    accumulate on one entry — there ω(c₁+c₂) replaces ωc₁+ωc₂, a
+    difference of at most one ulp. *)
 
-val matrix : t -> omega:float -> Linalg.Cmat.t
-(** Freshly allocated A(jω). *)
-
-val rhs : t -> omega:float -> Linalg.Cmat.vec
-(** The excitation vector b(jω) (frequency-independent for all current
+val rhs_into : t -> omega:float -> Linalg.Cmat.Vec.t -> unit
+(** Overwrite the caller's workspace (length [size t]) with the
+    excitation vector b(jω) (frequency-independent for all current
     element models, but evaluated generally). *)
-
-val rhs_into : t -> omega:float -> Linalg.Cmat.Pvec.t -> unit
-(** Allocation-free {!rhs}: overwrite the caller's planar workspace
-    with b(jω). The workspace length must be [size t]. *)
-
-val fill_big : t -> omega:float -> Linalg.Cmat.Big.t -> unit
-(** {!fill} onto an off-heap matrix. Same entry values and the same
-    ["mna.fills"] counter discipline — one increment per assembled
-    A(jω), whichever storage receives it. *)
-
-val rhs_into_big : t -> omega:float -> Linalg.Cmat.Big.Vec.t -> unit
-(** {!rhs_into} onto an off-heap vector. *)
 
 (** {1 Sparse stamps}
 
@@ -86,5 +75,5 @@ val fill_sparse :
     {!fill} bit-for-bit — same split, same ω scaling, same overflow
     evaluation — and the same ["mna.fills"] counter increment. *)
 
-val sparse_rhs_into_big : sparse -> omega:float -> Linalg.Cmat.Big.Vec.t -> unit
-(** {!rhs_into_big} from the sparse build; identical values. *)
+val sparse_rhs_into : sparse -> omega:float -> Linalg.Cmat.Vec.t -> unit
+(** {!rhs_into} from the sparse build; identical values. *)

@@ -2,6 +2,7 @@ module Netlist = Circuit.Netlist
 exception Singular_circuit of string
 
 module P = Linalg.Poly
+module Cmat = Linalg.Cmat
 
 (* Fraction-free Bareiss elimination.  Exact over exact coefficients
    (integers, rationals); used directly in tests and for hand-built
@@ -78,26 +79,35 @@ let estimate_radius matrix =
     matrix;
   if !m1 > 0.0 && !m0 > 0.0 then !m0 /. !m1 else 1.0
 
-let eval_matrix matrix (s : Complex.t) =
-  Linalg.Cmat.of_arrays
-    (Array.map
-       (Array.map (fun p ->
-            let c0 = P.coeff p 0 and c1 = P.coeff p 1 in
-            (* entries are affine in s; avoid the general Horner loop *)
-            Complex.add
-              { Complex.re = c0; im = 0.0 }
-              (Complex.mul { Complex.re = c1; im = 0.0 } s)))
-       matrix)
+(* Overwrite [a] with A(s); entries are affine in s, so this avoids
+   the general Horner loop. *)
+let eval_into a matrix (s : Complex.t) =
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j p ->
+          let c0 = P.coeff p 0 and c1 = P.coeff p 1 in
+          Cmat.set a i j
+            (Complex.add
+               { Complex.re = c0; im = 0.0 }
+               (Complex.mul { Complex.re = c1; im = 0.0 } s)))
+        row)
+    matrix
 
 let interpolate_det matrix r =
   let n = Array.length matrix in
   let n_points = n + 1 in
   let pi = 4.0 *. atan 1.0 in
+  (* one matrix and one LU workspace serve all n + 1 samples *)
+  let a = Cmat.create n n and lu = Cmat.lu_create n in
   let values =
     Array.init n_points (fun k ->
         let angle = 2.0 *. pi *. float_of_int k /. float_of_int n_points in
         let s = Complex.{ re = r *. cos angle; im = r *. sin angle } in
-        Linalg.Cmat.determinant (eval_matrix matrix s))
+        eval_into a matrix s;
+        match Cmat.lu_factor_into lu a with
+        | () -> Cmat.determinant lu
+        | exception Cmat.Singular -> Complex.zero)
   in
   (* inverse DFT: c_k = (1/N) sum_m d_m w^{-km}, then unscale by r^k *)
   let coeffs =

@@ -1,5 +1,6 @@
 module Netlist = Circuit.Netlist
 module Element = Circuit.Element
+module Cmat = Linalg.Cmat
 
 type waveform =
   | Dc of float
@@ -42,10 +43,10 @@ let simulate ?(waveforms = []) ~record ~t_stop ~dt netlist =
   let n = Index.size index in
   let node_idx name = Index.node index name in
   let real re = Complex.{ re; im = 0.0 } in
-  let matrix = Linalg.Cmat.create n n in
+  let matrix = Cmat.create n n in
   let add_m i j v =
     match (i, j) with
-    | Some i, Some j -> Linalg.Cmat.add_to matrix i j (real v)
+    | Some i, Some j -> Cmat.add_to matrix i j (real v)
     | _ -> ()
   in
   (* --- constant (companion) matrix stamps --- *)
@@ -128,9 +129,9 @@ let simulate ?(waveforms = []) ~record ~t_stop ~dt netlist =
                 :: !opamps))
     (Netlist.elements netlist);
   let lu =
-    match Linalg.Cmat.lu_factor matrix with
+    match Cmat.lu_factor matrix with
     | lu -> lu
-    | exception Linalg.Cmat.Singular ->
+    | exception Cmat.Singular ->
         raise (Ac.Singular_circuit "Transient.simulate: singular companion system")
   in
   let n_steps = int_of_float (Float.ceil (t_stop /. dt)) in
@@ -147,16 +148,18 @@ let simulate ?(waveforms = []) ~record ~t_stop ~dt netlist =
   (* The companion system is real: only the re plane of the reused
      planar workspaces ever carries data, and the per-step solve is
      allocation-free. *)
-  let module Pvec = Linalg.Cmat.Pvec in
-  let b = Pvec.create n and solution = Pvec.create n in
+  let b = Cmat.Vec.create n and solution = Cmat.Vec.create n in
+  let b_re = b.Cmat.Vec.re and x_re = solution.Cmat.Vec.re in
   let v_of name =
-    match node_idx name with None -> 0.0 | Some i -> solution.Pvec.re.(i)
+    match node_idx name with None -> 0.0 | Some i -> Bigarray.Array1.get x_re i
   in
   for step = 1 to n_steps do
     let t = float_of_int step *. dt in
-    Pvec.fill_zero b;
+    Cmat.Vec.fill_zero b;
     let add_b i v =
-      match i with Some i -> b.Pvec.re.(i) <- b.Pvec.re.(i) +. v | None -> ()
+      match i with
+      | Some i -> Bigarray.Array1.set b_re i (Bigarray.Array1.get b_re i +. v)
+      | None -> ()
     in
     (* independent sources at time t *)
     List.iter
@@ -188,7 +191,7 @@ let simulate ?(waveforms = []) ~record ~t_stop ~dt netlist =
         add_b (Some b)
           (((tau -. half) *. st.vo_prev) +. (half *. a0 *. st.vd_prev)))
       !opamps;
-    Linalg.Cmat.lu_solve_into lu ~b ~x:solution;
+    Cmat.lu_solve_into lu ~b ~x:solution;
     (* update states *)
     List.iter
       (fun (_, n1, n2, geq, st) ->
@@ -200,7 +203,7 @@ let simulate ?(waveforms = []) ~record ~t_stop ~dt netlist =
     List.iter
       (fun (_, n1, n2, br, _, st) ->
         st.vl_prev <- v_of n1 -. v_of n2;
-        st.il_prev <- solution.Pvec.re.(br))
+        st.il_prev <- Bigarray.Array1.get x_re br)
       !inds;
     List.iter
       (fun (_, inp, inn, out, _, _, st) ->

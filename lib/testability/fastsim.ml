@@ -1,8 +1,7 @@
 module Netlist = Circuit.Netlist
 module Element = Circuit.Element
 module Cmat = Linalg.Cmat
-module Big = Cmat.Big
-module Bvec = Big.Vec
+module Bvec = Cmat.Vec
 module Csparse = Linalg.Csparse
 
 (* Which factorization serves the fault-free system. [Auto] measures
@@ -56,14 +55,14 @@ type arena = {
   a_n : int;
   chunk_cols : int;
   lock : Mutex.t;
-  mutable chunks : (Big.plane * Big.plane) array;
+  mutable chunks : (Cmat.plane * Cmat.plane) array;
   mutable used : int;  (* columns handed out since the last rewind *)
 }
 
 type workspace = {
   ws_n : int;
-  mutable ws_a : Big.t array;  (* dense engines only; [||] until one needs it *)
-  mutable ws_lu : Big.lu array;
+  mutable ws_a : Cmat.t array;  (* dense engines only; [||] until one needs it *)
+  mutable ws_lu : Cmat.lu array;
   mutable ws_b : Bvec.t array;
   mutable ws_x0 : Bvec.t array;
   arena : arena;
@@ -135,8 +134,8 @@ let ensure_buffers ws ~nf ~dense =
     ws.ws_b <- grow ws.ws_b (fun () -> Bvec.create n);
     ws.ws_x0 <- grow ws.ws_x0 (fun () -> Bvec.create n);
     if dense then begin
-      ws.ws_a <- grow ws.ws_a (fun () -> Big.create n n);
-      ws.ws_lu <- grow ws.ws_lu (fun () -> Big.lu_create n)
+      ws.ws_a <- grow ws.ws_a (fun () -> Cmat.create n n);
+      ws.ws_lu <- grow ws.ws_lu (fun () -> Cmat.lu_create n)
     end
   end
 
@@ -151,7 +150,7 @@ let release pool ws =
    sparse factors — O(nnz + fill) per frequency instead of O(n²) —
    and densifies on demand for the rare full fallback. *)
 type solver =
-  | Dense_solver of { da : Big.t; dlu : Big.lu }
+  | Dense_solver of { da : Cmat.t; dlu : Cmat.lu }
   | Sparse_solver of {
       spat : Csparse.pattern;
       sre : Csparse.plane;  (* A(jω) values, slot order of [spat] *)
@@ -176,17 +175,17 @@ type freq_state = {
 
 let solver_solve_into fs ~b ~x =
   match fs.solver with
-  | Dense_solver { dlu; _ } -> Big.lu_solve_into dlu ~b ~x
+  | Dense_solver { dlu; _ } -> Cmat.lu_solve_into dlu ~b ~x
   | Sparse_solver { num; _ } -> Csparse.solve_into num ~b ~x
 
 let solver_solve_block_into fs ~b ~x =
   match fs.solver with
-  | Dense_solver { dlu; _ } -> Big.lu_solve_block_into dlu ~b ~x
+  | Dense_solver { dlu; _ } -> Cmat.lu_solve_block_into dlu ~b ~x
   | Sparse_solver { num; _ } -> Csparse.solve_block_into num ~b ~x
 
 let solver_mul_vec_into fs ~x ~y =
   match fs.solver with
-  | Dense_solver { da; _ } -> Big.mul_vec_into da ~x ~y
+  | Dense_solver { da; _ } -> Cmat.mul_vec_into da ~x ~y
   | Sparse_solver { spat; sre; sim_; _ } ->
       Csparse.mul_vec_into spat ~re:sre ~im:sim_ ~x ~y
 
@@ -194,7 +193,7 @@ let solver_mul_vec_into fs ~x ~y =
    fallback's starting point). *)
 let solver_dense_into fs dst =
   match fs.solver with
-  | Dense_solver { da; _ } -> Big.blit ~src:da ~dst
+  | Dense_solver { da; _ } -> Cmat.blit ~src:da ~dst
   | Sparse_solver { spat; sre; sim_; _ } -> Csparse.dense_into spat ~re:sre ~im:sim_ dst
 
 type t = {
@@ -262,8 +261,8 @@ type scratch = {
   mutable d0 : Bvec.t;  (* refinement back-solve *)
   mutable uvec : Bvec.t;  (* densified u pattern for cache misses *)
   mutable sdim : int;
-  mutable sm : Big.t;  (* fallback assembly / perturbed-copy target *)
-  mutable slu : Big.lu;
+  mutable sm : Cmat.t;  (* fallback assembly / perturbed-copy target *)
+  mutable slu : Cmat.lu;
   mutable sb : Bvec.t;
   mutable sx : Bvec.t;
   pend : pending;
@@ -278,8 +277,8 @@ let scratch_key =
         d0 = Bvec.create 0;
         uvec = Bvec.create 0;
         sdim = -1;
-        sm = Big.create 0 0;
-        slu = Big.lu_create 0;
+        sm = Cmat.create 0 0;
+        slu = Cmat.lu_create 0;
         sb = Bvec.create 0;
         sx = Bvec.create 0;
         pend =
@@ -341,8 +340,8 @@ let scratch_for n =
 let fallback_ws s n =
   if s.sdim <> n then begin
     s.sdim <- n;
-    s.sm <- Big.create n n;
-    s.slu <- Big.lu_create n;
+    s.sm <- Cmat.create n n;
+    s.slu <- Cmat.lu_create n;
     s.sb <- Bvec.create n;
     s.sx <- Bvec.create n
   end;
@@ -433,23 +432,23 @@ let build ~acquire ?(backend = Auto) ~source ~output ~freqs_hz netlist =
         Array.mapi
           (fun i f_hz ->
             let omega = 2.0 *. Float.pi *. f_hz in
-            let a = buffer (fun ws -> ws.ws_a) (fun () -> Big.create n n) i in
-            Mna.Stamps.fill_big stamps ~omega a;
+            let a = buffer (fun ws -> ws.ws_a) (fun () -> Cmat.create n n) i in
+            Mna.Stamps.fill stamps ~omega a;
             let b = vec (fun ws -> ws.ws_b) i in
-            Mna.Stamps.rhs_into_big stamps ~omega b;
-            let lu = buffer (fun ws -> ws.ws_lu) (fun () -> Big.lu_create n) i in
+            Mna.Stamps.rhs_into stamps ~omega b;
+            let lu = buffer (fun ws -> ws.ws_lu) (fun () -> Cmat.lu_create n) i in
             match
-              Obs.Metrics.time "mna.factor_s" (fun () -> Big.lu_factor_into lu a)
+              Obs.Metrics.time "mna.factor_s" (fun () -> Cmat.lu_factor_into lu a)
             with
             | exception Cmat.Singular -> singular_at f_hz
             | () ->
                 let x0 = vec (fun ws -> ws.ws_x0) i in
-                Big.lu_solve_into lu ~b ~x:x0;
+                Cmat.lu_solve_into lu ~b ~x:x0;
                 {
                   omega;
                   f_hz;
                   solver = Dense_solver { da = a; dlu = lu };
-                  anorm = Big.norm_inf a;
+                  anorm = Cmat.norm_inf a;
                   b;
                   bnorm = Bvec.norm_inf b;
                   x0;
@@ -480,7 +479,7 @@ let build ~acquire ?(backend = Auto) ~source ~output ~freqs_hz netlist =
             let sre = Csparse.plane nnz and sim_ = Csparse.plane nnz in
             Mna.Stamps.fill_sparse sp ~omega ~re:sre ~im:sim_;
             let b = vec (fun ws -> ws.ws_b) i in
-            Mna.Stamps.sparse_rhs_into_big sp ~omega b;
+            Mna.Stamps.sparse_rhs_into sp ~omega b;
             let num = Csparse.numeric sym in
             (match
                Obs.Metrics.time "mna.factor_s" (fun () ->
@@ -615,7 +614,7 @@ let plan_of t fault =
 
 (* Pattern dot product against one plane: Σ s·plane.(i). The complex
    dot against a planar vector is two of these, one per plane. *)
-let rec dot_pat (pat : pat) (plane : Big.plane) acc =
+let rec dot_pat (pat : pat) (plane : Cmat.plane) acc =
   match pat with
   | [] -> acc
   | (i, s) :: tl -> dot_pat tl plane (acc +. (s *. Bigarray.Array1.unsafe_get plane i))
@@ -675,7 +674,7 @@ let rec w_for t fs slot =
    frequency whose wanted columns are all present is skipped; otherwise
    the block is solved whole and only the empty cells are filled.
    Column results are bitwise-identical to the per-pattern
-   {!solve_pattern} path (see {!Linalg.Cmat.Big.lu_solve_block_into}). *)
+   {!solve_pattern} path (see {!Linalg.Cmat.Cmat.lu_solve_block_into}). *)
 let warm_cache t faults =
   check_live t;
   Obs.Trace.span "fastsim.warm_cache" @@ fun () ->
@@ -692,11 +691,11 @@ let warm_cache t faults =
   in
   let k = List.length slots in
   if k > 0 then begin
-    let b = Big.create t.n k and x = Big.create t.n k in
+    let b = Cmat.create t.n k and x = Cmat.create t.n k in
     List.iteri
       (fun r slot ->
         List.iter
-          (fun (i, sg) -> Big.set b i r Complex.{ re = sg; im = 0.0 })
+          (fun (i, sg) -> Cmat.set b i r Complex.{ re = sg; im = 0.0 })
           t.slot_pats.(slot))
       slots;
     Array.iter
@@ -708,7 +707,7 @@ let warm_cache t faults =
               let cell = fs.cells.(slot) in
               if Atomic.get cell == Empty then begin
                 let w = new_column t in
-                Big.col_into x ~c:r w;
+                Cmat.col_into x ~c:r w;
                 ignore (Atomic.compare_and_set cell Empty (Unread w))
               end)
             slots
@@ -745,14 +744,14 @@ let full_point_solve t fs ~al_re ~al_im ~u ~re ~im ~ok ~ix =
     (fun (i, si) ->
       List.iter
         (fun (j, sj) ->
-          Big.add_to s.sm i j
+          Cmat.add_to s.sm i j
             { Complex.re = al_re *. si *. sj; Complex.im = al_im *. si *. sj })
         u)
     u;
   match
     Obs.Metrics.time "mna.solve_s" (fun () ->
-        Big.lu_factor_into s.slu s.sm;
-        Big.lu_solve_into s.slu ~b:fs.b ~x:s.sx)
+        Cmat.lu_factor_into s.slu s.sm;
+        Cmat.lu_solve_into s.slu ~b:fs.b ~x:s.sx)
   with
   | () -> write_out t s.sx ~re ~im ~ok ~ix
   | exception Cmat.Singular ->
@@ -897,12 +896,12 @@ let structural_point t ~s_stamps ~s_n ~s_out fs ~re ~im ~ok ~ix =
   let p = pend_for t s in
   p.p_full <- p.p_full + 1;
   let s = fallback_ws s s_n in
-  Mna.Stamps.fill_big s_stamps ~omega:fs.omega s.sm;
-  Mna.Stamps.rhs_into_big s_stamps ~omega:fs.omega s.sb;
+  Mna.Stamps.fill s_stamps ~omega:fs.omega s.sm;
+  Mna.Stamps.rhs_into s_stamps ~omega:fs.omega s.sb;
   match
     Obs.Metrics.time "mna.solve_s" (fun () ->
-        Big.lu_factor_into s.slu s.sm;
-        Big.lu_solve_into s.slu ~b:s.sb ~x:s.sx)
+        Cmat.lu_factor_into s.slu s.sm;
+        Cmat.lu_solve_into s.slu ~b:s.sb ~x:s.sx)
   with
   | () -> (
       match s_out with

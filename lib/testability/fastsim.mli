@@ -25,7 +25,7 @@ module Netlist := Circuit.Netlist
       split assembly. Either way the result matches the naive path to
       round-off.
 
-    The engine state is planar and off-heap ({!Linalg.Cmat.Big}: re/im
+    The engine state is planar and off-heap ({!Linalg.Cmat}: re/im
     planes in Bigarray storage the GC never scans), and the rank-1 hot
     path allocates zero GC-visible words proportional to the system:
     solve buffers live in a per-domain scratch workspace (domain-local
@@ -48,7 +48,7 @@ type t
 
 type backend = Dense | Sparse | Auto
 (** Which factorization serves the fault-free system. [Dense]: the
-    planar off-heap LU ({!Linalg.Cmat.Big}) — O(n²) state and O(n³)
+    planar off-heap LU ({!Linalg.Cmat}) — O(n²) state and O(n³)
     factorization per frequency. [Sparse]: Markowitz-ordered sparse LU
     ({!Linalg.Csparse}) — one symbolic analysis per netlist, a numeric
     refactorization per frequency, state proportional to the stamped

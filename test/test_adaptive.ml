@@ -178,14 +178,6 @@ let test_pipeline_identity_starved_budget () =
 
 (* ---- CLI surface ---- *)
 
-let mcdft_exe = "../bin/mcdft.exe"
-
-let run_capture cmd file =
-  let code =
-    Sys.command (Printf.sprintf "%s %s > %s 2>&1" mcdft_exe cmd file)
-  in
-  (code, In_channel.with_open_text file In_channel.input_all)
-
 let non_summary_lines out =
   List.filter
     (fun l -> not (String.length l >= 8 && String.sub l 0 8 = "adaptive"))
@@ -207,22 +199,17 @@ let test_cli_adaptive_identity () =
         Printf.sprintf "matrix tow-thomas --points-per-decade 4 --criterion %s"
           crit
       in
-      let c1, on = run_capture (args ^ " --adaptive") "tmp_adaptive_on.txt" in
-      let c2, off = run_capture (args ^ " --no-adaptive") "tmp_adaptive_off.txt" in
+      let c1, on = Cli.capture (args ^ " --adaptive") in
+      let c2, off = Cli.capture (args ^ " --no-adaptive") in
       Alcotest.(check int) (what ^ ": --adaptive exits 0") 0 c1;
       Alcotest.(check int) (what ^ ": --no-adaptive exits 0") 0 c2;
       Alcotest.(check (list string))
         (what ^ ": tables identical modulo the summary line")
-        (non_summary_lines off) (non_summary_lines on);
-      Sys.remove "tmp_adaptive_on.txt";
-      Sys.remove "tmp_adaptive_off.txt")
+        (non_summary_lines off) (non_summary_lines on))
     cli_criteria
 
 let test_cli_summary_line_format () =
-  let _, out =
-    run_capture "matrix tow-thomas --points-per-decade 4" "tmp_adaptive_fmt.txt"
-  in
-  Sys.remove "tmp_adaptive_fmt.txt";
+  let _, out = Cli.capture "matrix tow-thomas --points-per-decade 4" in
   let line =
     List.find_opt
       (fun l -> String.length l >= 8 && String.sub l 0 8 = "adaptive")

@@ -115,28 +115,17 @@ let test_regions_cover_grid () =
 
 (* ---- CLI surface ---- *)
 
-let mcdft_exe = "../bin/mcdft.exe"
-
-let run_cli cmd =
-  Sys.command (Printf.sprintf "%s %s > /dev/null 2>&1" mcdft_exe cmd)
-
 let test_cli_certify () =
-  Alcotest.(check int) "certify runs" 0 (run_cli "certify tow-thomas");
-  Alcotest.(check int) "certify --json runs" 0 (run_cli "certify tow-thomas --json");
+  Alcotest.(check int) "certify runs" 0 (Cli.exit_code "certify tow-thomas");
+  Alcotest.(check int) "certify --json runs" 0 (Cli.exit_code "certify tow-thomas --json");
   Alcotest.(check int) "non-fixed criterion refused" 1
-    (run_cli "certify tow-thomas --criterion envelope:0.04:0.02")
+    (Cli.exit_code "certify tow-thomas --criterion envelope:0.04:0.02")
 
 (* ---- single parse per campaign invocation (pre-flight lint reuses
    the campaign's parse; the spice.parse counter proves it) ---- *)
 
 let test_single_parse_per_invocation () =
-  let dir = Filename.temp_file "mcdft-parse" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir)
-  @@ fun () ->
+  Cli.with_temp_dir "mcdft-parse" @@ fun dir ->
   let cir = Filename.concat dir "tt.cir" in
   let oc = open_out cir in
   output_string oc
@@ -144,7 +133,7 @@ let test_single_parse_per_invocation () =
   close_out oc;
   let metrics = Filename.concat dir "metrics.json" in
   Alcotest.(check int) "matrix on a file runs" 0
-    (run_cli
+    (Cli.exit_code
        (Printf.sprintf
           "matrix %s --criterion fixed:0.1 --points-per-decade 4 --metrics %s"
           (Filename.quote cir) (Filename.quote metrics)));

@@ -27,12 +27,6 @@ let with_chaos k f =
   Testability.Fastsim.set_chaos (`Smw_denominator k);
   Fun.protect f ~finally:(fun () -> Testability.Fastsim.set_chaos `None)
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
 (* ---- generation ---- *)
 
 let test_gen_deterministic () =
@@ -94,25 +88,14 @@ let test_fuzz_deterministic () =
 
 (* the CLI wrapper must be deterministic across --jobs too (ISSUE
    acceptance); drive the real binary and compare bytes *)
-let mcdft_exe = "../bin/mcdft.exe"
-
-let run_capture cmd =
-  let out = Filename.temp_file "mcdft_fuzz" ".out" in
-  let code = Sys.command (Printf.sprintf "%s > %s 2>/dev/null" cmd out) in
-  let ic = open_in_bin out in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove out;
-  (code, s)
-
 let test_cli_fuzz_jobs_invariant () =
+  Cli.with_temp_dir "mcdft-repros" @@ fun dir ->
   let run jobs =
-    run_capture
-      (Printf.sprintf "%s fuzz --seed 42 --cases 8 --jobs %d --shrink-dir tmp_cli_repros"
-         mcdft_exe jobs)
+    Cli.capture
+      (Printf.sprintf "fuzz --seed 42 --cases 8 --jobs %d --shrink-dir %s" jobs
+         (Filename.quote dir))
   in
   let c1, out1 = run 1 and c4, out4 = run 4 in
-  rm_rf "tmp_cli_repros";
   Alcotest.(check int) "jobs:1 exit" 0 c1;
   Alcotest.(check int) "jobs:4 exit" 0 c4;
   Alcotest.(check string) "byte-identical reports" out1 out4
@@ -160,8 +143,8 @@ let test_repro_roundtrip () =
   with_chaos 1.25 (fun () ->
       let subject, message = find_failing ~oracle Gen.Ladder in
       let shrunk = Shrink.minimize ~oracle subject in
-      rm_rf "tmp_repros";
-      let _cir, json = Shrink.save ~dir:"tmp_repros" ~oracle ~message shrunk in
+      Cli.with_temp_dir "mcdft-repros" @@ fun dir ->
+      let _cir, json = Shrink.save ~dir ~oracle ~message shrunk in
       match Shrink.load ~expected:json with
       | Error e -> Alcotest.fail e
       | Ok repro ->
@@ -176,16 +159,15 @@ let test_repro_roundtrip () =
           | Ok v ->
               Alcotest.failf "replay under chaos: %s"
                 (Oracle.verdict_to_string v)
-          | Error e -> Alcotest.fail e));
-  rm_rf "tmp_repros"
+          | Error e -> Alcotest.fail e))
 
 (* ---- the checked-in shrunk fixtures ---- *)
 
 let shrunk_fixtures =
   [
-    "fixtures/shrunk/ladder-0--rank1-updates.expected.json";
-    "fixtures/shrunk/active-0--rank1-updates.expected.json";
-    "fixtures/shrunk/near-singular-0--rank1-updates.expected.json";
+    Cli.fixture "shrunk/ladder-0--rank1-updates.expected.json";
+    Cli.fixture "shrunk/active-0--rank1-updates.expected.json";
+    Cli.fixture "shrunk/near-singular-0--rank1-updates.expected.json";
   ]
 
 let test_shrunk_fixtures_regress () =
@@ -219,14 +201,14 @@ let test_shrunk_fixtures_regress () =
 (* ---- golden snapshots ---- *)
 
 let test_snapshots_match () =
-  match Conformance.Snapshot.check ~dir:"fixtures/snapshots" with
+  match Conformance.Snapshot.check ~dir:(Cli.fixture "snapshots") with
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg
 
 let test_snapshot_drift_detected () =
-  rm_rf "tmp_snapshots";
-  let paths = Conformance.Snapshot.update ~dir:"tmp_snapshots" in
-  (match Conformance.Snapshot.check ~dir:"tmp_snapshots" with
+  Cli.with_temp_dir "mcdft-snapshots" @@ fun dir ->
+  let paths = Conformance.Snapshot.update ~dir in
+  (match Conformance.Snapshot.check ~dir with
   | Ok () -> ()
   | Error msg -> Alcotest.fail ("freshly written snapshots drift: " ^ msg));
   (* flip one byte: the comparison must notice *)
@@ -238,10 +220,9 @@ let test_snapshot_drift_detected () =
   output_string oc body;
   output_string oc " ";
   close_out oc;
-  (match Conformance.Snapshot.check ~dir:"tmp_snapshots" with
+  match Conformance.Snapshot.check ~dir with
   | Ok () -> Alcotest.fail "byte-level drift not detected"
-  | Error _ -> ());
-  rm_rf "tmp_snapshots"
+  | Error _ -> ()
 
 (* ---- brute-force vs exact covers ---- *)
 

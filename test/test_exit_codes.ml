@@ -16,11 +16,6 @@
    structurally full-rank netlist (fixtures/singular_vcvs.cir) must
    sail through the lint and fail in the LU. *)
 
-let mcdft_exe = "../bin/mcdft.exe"
-
-let exit_code cmd =
-  Sys.command (Printf.sprintf "%s %s > /dev/null 2>&1" mcdft_exe cmd)
-
 let table =
   [
     ("list", "list", 0);
@@ -84,30 +79,25 @@ let table =
 
 let test_exit_codes () =
   Alcotest.(check bool)
-    "binary present at ../bin/mcdft.exe" true (Sys.file_exists mcdft_exe);
+    "binary present beside the test directory" true (Sys.file_exists Cli.mcdft);
   List.iter
     (fun (what, cmd, expected) ->
       Alcotest.(check int)
         (Printf.sprintf "%s (`mcdft %s`)" what cmd)
-        expected (exit_code cmd))
+        expected (Cli.exit_code cmd))
     table
 
 let test_fuzz_exit_codes () =
   (* healthy campaign exits 0; a replay of a checked-in repro on the
      healthy engine exits 1 ("no longer reproduces") *)
-  Alcotest.(check int) "fuzz healthy campaign" 0
-    (exit_code "fuzz --seed 7 --cases 4 --shrink-dir tmp_exit_repros");
-  if Sys.file_exists "tmp_exit_repros" then begin
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat "tmp_exit_repros" f))
-      (Sys.readdir "tmp_exit_repros");
-    Sys.rmdir "tmp_exit_repros"
-  end;
+  Cli.with_temp_dir "mcdft-repros" (fun dir ->
+      Alcotest.(check int) "fuzz healthy campaign" 0
+        (Cli.exit_code ("fuzz --seed 7 --cases 4 --shrink-dir " ^ Filename.quote dir)));
   Alcotest.(check int) "replay on healthy engine" 1
-    (exit_code
+    (Cli.exit_code
        "fuzz --replay fixtures/shrunk/ladder-0--rank1-updates.expected.json");
   Alcotest.(check int) "replay of a missing repro is an i/o error" 5
-    (exit_code "fuzz --replay fixtures/shrunk/nope.expected.json")
+    (Cli.exit_code "fuzz --replay fixtures/shrunk/nope.expected.json")
 
 (* A written bigladder-100 netlist: its symbolic determinant overflows
    the float range, so the centre-frequency estimate has no usable
@@ -122,23 +112,15 @@ let test_overflowing_centre_estimate () =
   in
   Spice.Writer.to_file path netlist;
   Alcotest.(check int) "optimize on a bigladder-100 file" 0
-    (exit_code
+    (Cli.exit_code
        (Printf.sprintf "optimize %s --points-per-decade 2" (Filename.quote path)))
 
 (* ---- bench efficiency gate ---- *)
-
-let bench_exe = "../bench/main.exe"
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   nl = 0 || go 0
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
 
 (* The --baseline efficiency gate must announce when it could not arm:
    a single-core runner clamps every jobs>1 row to one effective
@@ -147,15 +129,12 @@ let rm_rf dir =
    Util.Parallel.effective_jobs exactly — on a multicore machine it
    must NOT appear. *)
 let test_efficiency_gate_announcement () =
-  let dir = "tmp_bench_gate" in
-  rm_rf dir;
-  Sys.mkdir dir 0o755;
-  let bench = Filename.concat (Sys.getcwd ()) bench_exe in
-  Alcotest.(check bool) "bench binary present" true (Sys.file_exists bench);
+  Cli.with_temp_dir "mcdft-bench-gate" @@ fun dir ->
+  Alcotest.(check bool) "bench binary present" true (Sys.file_exists Cli.bench);
   let run extra log =
     Sys.command
-      (Printf.sprintf "cd %s && %s campaign --smoke %s > %s 2>&1" dir bench extra
-         log)
+      (Printf.sprintf "cd %s && %s campaign --smoke %s > %s 2>&1" (Filename.quote dir)
+         (Filename.quote Cli.bench) extra log)
   in
   Alcotest.(check int) "baseline-producing run" 0 (run "" "run1.txt");
   let baseline =
@@ -179,8 +158,7 @@ let test_efficiency_gate_announcement () =
   Alcotest.(check bool)
     "UNARMED marker present exactly when the clamp leaves one worker"
     (not armed)
-    (contains ~needle:"efficiency gate: UNARMED (effective_jobs=1)" out);
-  rm_rf dir
+    (contains ~needle:"efficiency gate: UNARMED (effective_jobs=1)" out)
 
 let suite =
   [

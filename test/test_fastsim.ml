@@ -45,10 +45,12 @@ let qcheck_split_assembly =
       let omega = 10.0 ** expo in
       let index = Mna.Index.build netlist in
       let stamps = Mna.Stamps.build ~sources:(Mna.Assemble.Only source) index netlist in
-      let m = Mna.Stamps.matrix stamps ~omega in
-      let rhs = Mna.Stamps.rhs stamps ~omega in
-      let f_matrix, f_rhs = functor_system ~source ~omega index netlist in
       let n = Mna.Stamps.size stamps in
+      let m = Linalg.Cmat.create n n and b = Linalg.Cmat.Vec.create n in
+      Mna.Stamps.fill stamps ~omega m;
+      Mna.Stamps.rhs_into stamps ~omega b;
+      let rhs = Linalg.Cmat.Vec.to_complex b in
+      let f_matrix, f_rhs = functor_system ~source ~omega index netlist in
       let ok = ref (n = Array.length f_rhs) in
       for i = 0 to n - 1 do
         ok := !ok && close rhs.(i) f_rhs.(i);

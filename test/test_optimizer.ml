@@ -266,13 +266,9 @@ let test_petrick_width_fallback () =
    many it left out *)
 let test_cli_xi_listing () =
   let xi_line args =
-    let file = Filename.temp_file "mcdft-optimize" ".txt" in
-    Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-    let code =
-      Sys.command (Printf.sprintf "../bin/mcdft.exe optimize %s > %s 2>&1" args file)
-    in
+    let code, out = Cli.capture ("optimize " ^ args) in
     Alcotest.(check int) (args ^ ": exit code") 0 code;
-    In_channel.with_open_text file In_channel.input_lines
+    String.split_on_char '\n' out
     |> List.find_opt (fun l -> String.length l > 10 && String.sub l 0 10 = "  xi (SOP)")
   in
   Alcotest.(check (option string)) "listed at 3 terms"
