@@ -72,17 +72,17 @@ let tests =
     (* E1: one fault analysis under both criteria *)
     Test.make ~name:"detect/fault, fixed eps" (Staged.stage (fun () ->
         ignore
-          (Testability.Detect.analyze_fault
+          (Testability.Detect.analyze
              ~criterion:(Testability.Detect.Fixed_tolerance 0.1) probe grid_small
              biquad_netlist
-             (Fault.deviation ~element:"R4" 1.2))));
+             [ Fault.deviation ~element:"R4" 1.2 ])));
     Test.make ~name:"detect/fault, envelope" (Staged.stage (fun () ->
         ignore
-          (Testability.Detect.analyze_fault
+          (Testability.Detect.analyze
              ~criterion:
                (Testability.Detect.Process_envelope { component_tol = 0.04; floor = 0.02 })
              probe grid_small biquad_netlist
-             (Fault.deviation ~element:"R4" 1.2))));
+             [ Fault.deviation ~element:"R4" 1.2 ])));
     (* E3: configuration emulation *)
     Test.make ~name:"multiconfig/emulate C5" (Staged.stage (fun () ->
         ignore (Multiconfig.Transform.emulate dft c5)));

@@ -189,7 +189,9 @@ let output_opt =
 let criterion_opt =
   Arg.(value & opt criterion_conv P.default_criterion
        & info [ "criterion" ] ~docv:"CRIT"
-           ~doc:"Detectability criterion: fixed:EPS or envelope:TOL:FLOOR.")
+           ~doc:"Detectability criterion: fixed:EPS, envelope:TOL:FLOOR, phase:RAD or \
+                 phase-envelope:TOL:FLOOR; join several with $(b,,) for their \
+                 union (detectable where any fires).")
 
 let positive_int =
   Arg.conv

@@ -395,8 +395,8 @@ let structural_vs_lu (s : Gen.subject) =
      against a cold engine that solves each column on first read —
      the block kernel promises bitwise equality with scalar solves;
    - the campaign driver at stride 1, which scores every point through
-     immutable plans and planar response rows, against
-     analyze_prepared, which boxes one response per fault. *)
+     immutable plans and one solved point at a time, against
+     {!Detect.analyze}, which boxes one whole response per fault. *)
 let same_bits (a : Complex.t option array) b =
   let eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
   Array.length a = Array.length b
@@ -449,13 +449,12 @@ let block_backsolve (s : Gen.subject) =
     | None, (m, _) ->
         let failure = ref None in
         List.iteri
-          (fun i v ->
+          (fun i (v : Matrix.view) ->
             if !failure = None then
-              let pv = Detect.prepare_view v.Matrix.probe grid v.Matrix.netlist in
               List.iteri
-                (fun j fault ->
+                (fun j (r : Detect.result) ->
                   if !failure = None then begin
-                    let r = Detect.analyze_prepared pv grid fault in
+                    let fault = r.Detect.fault in
                     if r.Detect.detectable <> m.Matrix.detect.(i).(j) then
                       failure :=
                         Some
@@ -469,7 +468,7 @@ let block_backsolve (s : Gen.subject) =
                              v.Matrix.label fault.Fault.id r.Detect.omega_det
                              m.Matrix.omega.(i).(j))
                   end)
-                faults)
+                (Detect.analyze v.Matrix.probe grid v.Matrix.netlist faults))
           views;
         (match !failure with Some msg -> Fail msg | None -> Pass)
 
@@ -651,9 +650,11 @@ let diagnosis (s : Gen.subject) =
    Each certified (view, fault) row is scored at every grid point and
    compared byte by byte — a single wrong certificate anywhere fails
    the subject, whether or not it would have moved an aggregate
-   detect/omega entry. Points below the view's measurement floor are
-   undetectable by definition, whatever any proof or solve says
-   ({!Detect.measurement_mask}), so they carry no comparison. Runs on
+   detect/omega entry, by the campaign's own point scorer
+   ({!Detect.score_point}). Points below the view's measurement floor
+   are undetectable by definition, whatever any proof or solve says
+   (a static {!Detect.anchor} of a fault that is not isolated), so
+   they carry no comparison. Runs on
    every generator family, near-singular included (where poles
    crossing the sweep are exactly what the den-comfort guard must
    survive). *)
@@ -716,22 +717,18 @@ let certify_soundness (s : Gen.subject) =
             let pv =
               Detect.prepare_view ~criterion v.Matrix.probe grid v.Matrix.netlist
             in
-            let mask = Detect.view_measurement_mask pv in
-            let re = Array.make nf 0.0
-            and im = Array.make nf 0.0
-            and ok = Bytes.make nf '\000' in
             List.find_map
               (fun (fault, cell) ->
                 Option.bind cell (fun bytes ->
                     let plan = Detect.plan_fault pv fault in
-                    Detect.score_range pv plan ~lo:0 ~hi:nf ~re ~im ~ok;
                     let bad = ref None in
                     for k = nf - 1 downto 0 do
                       let b = Bytes.get bytes k in
-                      if b <> '?' && Bytes.get mask k = '\000' then
-                        let numeric =
-                          if Detect.point_verdict pv plan ~re ~im ~ok k then 'd' else 'u'
-                        in
+                      let masked =
+                        Detect.anchor pv plan k = 'u' && not (Detect.plan_isolated plan)
+                      in
+                      if b <> '?' && not masked then
+                        let numeric = fst (Detect.score_point pv plan k) in
                         if b <> numeric then bad := Some (k, b, numeric)
                     done;
                     Option.map
@@ -887,7 +884,7 @@ let all =
       name = "block-backsolve";
       doc =
         "block-warmed responses bitwise-equal to cold ones, campaign scoring to \
-         per-fault analyze_prepared";
+         the Detect.analyze reference";
       check = block_backsolve;
     };
     {

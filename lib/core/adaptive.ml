@@ -80,7 +80,7 @@ module Refine = struct
        [steer_range lo hi] is the exactly-known variation of the
        margin's static profile inside the interval (threshold and
        nominal-magnitude movement — see
-       {!Testability.Detect.steering_profiles}): near a notch the
+       {!Testability.Detect.steer_range}): near a notch the
        profile swings by decades, forcing refinement no matter how
        comfortable the endpoint margins look. A static anchor carries
        no margin and contributes zero — the guard then refines toward
@@ -164,15 +164,13 @@ let view_ns ~nf ~faults ~sweeps netlist =
   float_of_int nf *. d *. d *. (d +. (5.0 *. drifts) +. (2.0 *. float_of_int faults))
 
 let build ?backend ?criterion ?(jobs = 1) ?solve_budget
-    ?(stride = default_stride) ?(guard = default_guard) grid views faults =
+    ?(stride = default_stride) grid views faults =
   Obs.Trace.span "adaptive.build" @@ fun () ->
   (match solve_budget with
   | Some b when b <= 0 ->
       invalid_arg "Adaptive.build: solve budget must be positive"
   | _ -> ());
   if stride <= 0 then invalid_arg "Adaptive.build: stride must be positive";
-  if not (guard >= 0.0) then
-    invalid_arg "Adaptive.build: guard must be non-negative";
   let views = Array.of_list views in
   let faults = Array.of_list faults in
   let n = Array.length views and m = Array.length faults in
@@ -234,43 +232,18 @@ let build ?backend ?criterion ?(jobs = 1) ?solve_budget
       view_dead.(i) <- Detect.view_dead pv;
       view_isolated.(i) <-
         Array.fold_left (fun a p -> if Detect.plan_isolated p then a + 1 else a) 0 plans;
-      let re = Array.make nf 0.0
-      and im = Array.make nf 0.0
-      and ok = Bytes.make nf '\000' in
-      let steers = Detect.steering_profiles pv in
-      let mask = Detect.view_measurement_mask pv in
-      let steer_range lo hi =
-        List.fold_left
-          (fun acc profile ->
-            let mn = ref infinity and mx = ref neg_infinity in
-            for k = lo to hi do
-              let x = profile.(k) in
-              if x < !mn then mn := x;
-              if x > !mx then mx := x
-            done;
-            Float.max acc (!mx -. !mn))
-          0.0 steers
-      in
       Array.iteri
         (fun j plan ->
-          let solve k =
-            Detect.score_range pv plan ~lo:k ~hi:(k + 1) ~re ~im ~ok;
-            let b = if Detect.point_verdict pv plan ~re ~im ~ok k then 'd' else 'u' in
-            (b, Detect.point_margin pv plan ~re ~im ~ok k)
-          in
-          (* A point below the view's measurement floor is undetectable
-             by definition ({!Detect.view_measurement_mask}) — a static
-             'u' anchor, known without solving. It carries no margin, so
-             refinement stops at it rather than skipping past. A dead
-             view (its source cannot reach the output) is below the
-             floor everywhere and an isolated fault (its element cannot
-             affect the output) is undetectable everywhere: both rows
-             cost zero solves, at every stride. *)
-          let isolated = Detect.plan_isolated plan in
-          let anchor k = if isolated || Bytes.get mask k = '\001' then 'u' else '?' in
+          (* {!Detect.anchor} gives the points undetectable by definition
+             — below the view's measurement floor, a whole dead view, a
+             whole isolated fault's row — as static 'u' anchors, known
+             without solving. They carry no margin, so refinement stops
+             at them rather than skipping past; a dead view's and an
+             isolated fault's rows cost zero solves, at every stride. *)
           let o =
-            Refine.row ~nf ~stride ~step_dec ~guard ~steer_range
-              ~budget:solve_budget ~anchor ~solve
+            Refine.row ~nf ~stride ~step_dec ~guard:default_guard
+              ~steer_range:(Detect.steer_range pv) ~budget:solve_budget
+              ~anchor:(Detect.anchor pv plan) ~solve:(Detect.score_point pv plan)
           in
           verdict_rows.(i).(j) <- o.Refine.verdicts;
           row_solved.(i).(j) <- List.length o.Refine.solved;

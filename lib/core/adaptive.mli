@@ -11,8 +11,8 @@
     the {e final} grid, then recursively bisects the intervals whose
     endpoint verdicts disagree (a crossing is known to be inside) {e
     and} the intervals whose endpoint margins sit too close to the
-    threshold for their width — under a slope bound of [guard] nepers
-    per decade on the log deviation-to-threshold ratio, an interval of
+    threshold for their width — under a slope bound of [guard]
+    ({!default_guard}) nepers per decade on the log deviation-to-threshold ratio, an interval of
     width [w] decades whose weaker endpoint margin satisfies [min |s_lo|
     |s_hi| > guard·w] (plus the exactly-known movement of the threshold
     and nominal profile inside the interval) cannot hide a crossing.
@@ -22,14 +22,13 @@
     misses at any points-per-decade — announce themselves through the
     small margins of their shoulders, which is what the guard refines
     toward. Points below the view's measurement floor (notch bottoms,
-    outputs left at round-off) are undetectable by definition
-    ({!Testability.Detect.view_measurement_mask}) and act as free
-    static ['u'] anchors. Two structural anchors extend them to whole
-    rows, at every stride: a {e dead} view (its source cannot reach
-    the output) is below the floor everywhere, and a fault on an
-    {e isolated} passive (one that cannot affect the output,
-    {!Testability.Detect.plan_isolated}) is undetectable everywhere —
-    both cost zero solves.
+    outputs left at round-off) are undetectable by definition and act
+    as free static ['u'] anchors ({!Testability.Detect.anchor}). Two
+    structural anchors extend them to whole rows, at every stride: a
+    {e dead} view (its source cannot reach the output) is below the
+    floor everywhere, and a fault on an {e isolated} passive (one that
+    cannot affect the output) is undetectable everywhere — both cost
+    zero solves.
 
     At [~stride:1] every point is a coarse point: the row is the
     exhaustive sweep, solved point by point, and no verdict is ever
@@ -38,8 +37,8 @@
     The refinement invariant at larger strides — the filled-in verdict
     row equals the exhaustive one byte for byte — is empirical, not
     proved: the slope bound is a calibrated constant, not a
-    certificate, and a response steeper than [guard] can hide a
-    crossing. The tier-1 tests, the [adaptive-vs-exhaustive] fuzz
+    certificate, and a response steeper than {!default_guard} can hide
+    a crossing. The tier-1 tests, the [adaptive-vs-exhaustive] fuzz
     oracle and the bench (DESIGN §15) find the detect/omega matrices
     bitwise identical to the stride-1 sweep and to the independent
     per-view {!Testability.Detect.analyze} reference on the campaigns
@@ -81,7 +80,7 @@ val default_guard : float
     fast the log deviation-to-threshold ratio can move along the log
     frequency axis. Calibrated against the registry's sharpest
     resonances (see DESIGN §15); raising it buys safety, lowering it
-    buys skipped solves. *)
+    buys skipped solves. {!build} always uses it. *)
 
 (** The pure refinement core, factored out so the tier-1 property tests
     can drive it against precomputed exhaustive verdict rows without an
@@ -110,7 +109,7 @@ module Refine : sig
       the campaign passes the measurement-floor and structural anchors
       through it.
       [solve i] performs the numeric solve and returns its verdict
-      byte plus its margin in nepers ({!Testability.Detect.point_margin}
+      byte plus its margin in nepers ({!Testability.Detect.score_point}
       — sign must agree with the byte; steering only). Solves the
       coarse points (every [stride]-th plus the last) that are not
       already anchored, then refines every interval between adjacent
@@ -137,7 +136,6 @@ val build :
   ?jobs:int ->
   ?solve_budget:int ->
   ?stride:int ->
-  ?guard:float ->
   Testability.Grid.t ->
   Testability.Matrix.view list ->
   Fault.t list ->
@@ -149,9 +147,12 @@ val build :
     structural anchors first — a dead view builds no engine, no nominal
     sweep and no plans — then the engine, nominal sweep and thresholds,
     with only the envelope's drifts block-warmed), plans its faults,
-    refines every (view × fault) row sequentially by {!Refine.row} with
-    single-point {!Testability.Detect.score_range} solves, keeps the
-    verdict bytes and per-row tallies, and releases the engine. A
+    refines every (view × fault) row sequentially by {!Refine.row} —
+    {!Testability.Detect.anchor} seeds it, single-point
+    {!Testability.Detect.score_point} solves feed it and
+    {!Testability.Detect.steer_range} bounds its profile, under the
+    {!default_guard} slope bound — keeps the verdict bytes and per-row
+    tallies, and releases the engine. A
     fault's back-solve column is solved the first time a row reads it
     at that frequency, so the points refinement skips cost no
     back-solve. [jobs] > 1 spreads the view tasks over that many
@@ -161,8 +162,7 @@ val build :
 
     [stride] defaults to {!default_stride}; [~stride:1] is the
     exhaustive sweep. [solve_budget] is the per-row cap handed to
-    {!Refine.row} (positive; default unlimited). [guard] defaults to
-    {!default_guard}.
+    {!Refine.row} (positive; default unlimited).
 
     Counters — incremented sequentially after the view tasks, so they
     are jobs-invariant by construction:
@@ -170,5 +170,6 @@ val build :
     [adaptive.bisections], [adaptive.budget_exhausted] (degraded
     rows), [campaign.isolated_rows] ((view, fault) rows whose fault is
     isolated — on an unpruned campaign, exactly
-    {!Analysis.Detectability.skip_count}) and [campaign.dead_views]. Raises [Invalid_argument] on a non-positive [stride] or
-    [solve_budget] or a negative [guard]. *)
+    {!Analysis.Detectability.skip_count}) and [campaign.dead_views].
+    Raises [Invalid_argument] on a non-positive [stride] or
+    [solve_budget]. *)

@@ -118,8 +118,9 @@ let signature_of (pipeline : Pipeline.t) dict fault =
             config_index
         in
         let view = Multiconfig.Transform.emulate pipeline.Pipeline.dft config in
-        Testability.Detect.analyze_fault ~criterion:pipeline.Pipeline.criterion probe grid
-          view fault)
+        List.hd
+          (Testability.Detect.analyze ~criterion:pipeline.Pipeline.criterion probe grid
+             view [ fault ]))
       dict.configs
   in
   fault_signature ~grid per_config

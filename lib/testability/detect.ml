@@ -20,46 +20,50 @@ type result = {
 let default_tolerance = 0.10
 let default_criterion = Fixed_tolerance default_tolerance
 
-let magnitude_dev t0 tf =
-  let m0 = Complex.norm t0 and mf = Complex.norm tf in
-  if m0 = 0.0 then if mf = 0.0 then 0.0 else infinity
-  else Float.abs (mf -. m0) /. m0
+(* The two deviation measures of a faulty response [re + j·im] against
+   the nominal [t0]. The faulty response comes in planar parts so the
+   campaign's point scorer never boxes it; [Float.hypot] and [atan2]
+   are exactly [Complex.norm] and [Complex.arg]. *)
+type measure = Magnitude | Phase
 
-let phase_dev t0 tf =
-  if Complex.norm t0 = 0.0 || Complex.norm tf = 0.0 then 0.0
-  else begin
-    let d = Float.abs (Complex.arg tf -. Complex.arg t0) in
-    if d > Float.pi then (2.0 *. Float.pi) -. d else d
-  end
+let[@inline] deviation measure (t0 : Complex.t) re im =
+  let m0 = Float.hypot t0.re t0.im and mf = Float.hypot re im in
+  match measure with
+  | Magnitude ->
+      if m0 = 0.0 then if mf = 0.0 then 0.0 else infinity
+      else Float.abs (mf -. m0) /. m0
+  | Phase ->
+      if m0 = 0.0 || mf = 0.0 then 0.0
+      else begin
+        let d = Float.abs (atan2 im re -. atan2 t0.im t0.re) in
+        if d > Float.pi then (2.0 *. Float.pi) -. d else d
+      end
+
+let deviation_of measure t0 (tf : Complex.t) = deviation measure t0 tf.re tf.im
 
 let response_deviation ~nominal ~faulty =
   if Array.length nominal <> Array.length faulty then
     invalid_arg "Detect.response_deviation: length mismatch";
-  Array.map2 magnitude_dev nominal faulty
+  Array.map2 (deviation_of Magnitude) nominal faulty
 
 let phase_deviation ~nominal ~faulty =
   if Array.length nominal <> Array.length faulty then
     invalid_arg "Detect.phase_deviation: length mismatch";
-  Array.map2 phase_dev nominal faulty
+  Array.map2 (deviation_of Phase) nominal faulty
 
 let nominal_response probe grid netlist =
   Mna.Ac.sweep ~source:probe.source ~output:probe.output netlist
     ~freqs_hz:(Grid.freqs_hz grid)
-
-let make_sim ?backend probe grid netlist =
-  Fastsim.create ?backend ~source:probe.source ~output:probe.output
-    ~freqs_hz:(Grid.freqs_hz grid) netlist
 
 (* One instantiated sub-criterion: which deviation to measure and the
    per-frequency threshold it must exceed. [steer] is the statically
    known part of the point margin's log — everything in
    log(deviation/threshold) that does not involve the faulty response:
    −log threshold, plus −log |H₀| for the magnitude deviations (which
-   normalize by the nominal). The adaptive campaign driver subtracts
-   it to bound how fast margins can move between grid points; it never
-   affects a verdict. *)
+   normalize by the nominal). {!steer_range} reads it to bound how fast
+   margins can move between grid points; it never affects a verdict. *)
 type prepared_one = {
-  deviation : Complex.t -> Complex.t -> float;
+  measure : measure;
   thresholds : float array;
   steer : float array;
 }
@@ -73,7 +77,7 @@ type prepared_one = {
    fact, {!Circuit.Influence}), so their computed contribution is pure
    round-off. A grid point where a drifted good circuit has no
    solution mirrors the naive path's Singular_circuit. *)
-let envelope_thresholds ~deviation ~floor ~respond ~drifting grid netlist
+let envelope_thresholds ~measure ~floor ~respond ~drifting grid netlist
     ~nominal ~component_tol =
   let envelope = Array.make (Grid.n_points grid) floor in
   List.iter
@@ -82,7 +86,8 @@ let envelope_thresholds ~deviation ~floor ~respond ~drifting grid netlist
       Array.iteri
         (fun i tf ->
           match tf with
-          | Some tf -> envelope.(i) <- envelope.(i) +. deviation nominal.(i) tf
+          | Some tf ->
+              envelope.(i) <- envelope.(i) +. deviation_of measure nominal.(i) tf
           | None ->
               raise
                 (Mna.Ac.Singular_circuit
@@ -96,20 +101,16 @@ let envelope_thresholds ~deviation ~floor ~respond ~drifting grid netlist
    sits below it has no usable reference — the relative deviation there
    is a ratio of floating-point residues (a dead view output, the
    bottom of a notch), and any verdict computed from it is numerical
-   noise, not testability. Such points are undetectable by definition:
-   every criterion's threshold is clamped to +∞ there and the
-   failed-solve escape hatch is bypassed, so the verdict is a
-   deterministic 'u' in every scoring path. The floor is relative to
-   the view's own response scale, with an absolute backstop for views
-   that are dead across the whole band. *)
-let measurement_floor nominal =
+   noise, not testability. Such points are undetectable by definition,
+   failed solves included, so the verdict is a deterministic 'u' in
+   every scoring path. The floor is relative to the view's own response
+   scale, with an absolute backstop for views that are dead across the
+   whole band. *)
+let measurement_mask nominal =
   let mmax =
     Array.fold_left (fun a c -> Float.max a (Complex.norm c)) 0.0 nominal
   in
-  Float.max (1e-12 *. mmax) 1e-13
-
-let measurement_mask nominal =
-  let floor_abs = measurement_floor nominal in
+  let floor_abs = Float.max (1e-12 *. mmax) 1e-13 in
   Bytes.init (Array.length nominal) (fun k ->
       if Complex.norm nominal.(k) < floor_abs then '\001' else '\000')
 
@@ -158,149 +159,65 @@ let rec drift_tolerances = function
   | Fixed_tolerance _ | Phase_fixed _ -> []
 
 let rec prepare_raw ~respond ~drifting criterion grid netlist ~nominal =
-  let magnitude_steer thresholds =
-    Array.mapi
-      (fun i thr -> -.(log thr +. log (Complex.norm nominal.(i))))
-      thresholds
+  let one measure thresholds =
+    let steer =
+      match measure with
+      | Magnitude ->
+          Array.mapi
+            (fun i thr -> -.(log thr +. log (Complex.norm nominal.(i))))
+            thresholds
+      | Phase -> Array.map (fun thr -> -.log thr) thresholds
+    in
+    [ { measure; thresholds; steer } ]
   in
-  let phase_steer thresholds = Array.map (fun thr -> -.log thr) thresholds in
+  let envelope measure ~floor ~component_tol =
+    envelope_thresholds ~measure ~floor ~respond ~drifting grid netlist ~nominal
+      ~component_tol
+  in
   match criterion with
-  | Fixed_tolerance eps ->
-      let thresholds = Array.make (Grid.n_points grid) eps in
-      [
-        { deviation = magnitude_dev; thresholds;
-          steer = magnitude_steer thresholds };
-      ]
-  | Phase_fixed rad ->
-      let thresholds = Array.make (Grid.n_points grid) rad in
-      [ { deviation = phase_dev; thresholds; steer = phase_steer thresholds } ]
+  | Fixed_tolerance eps -> one Magnitude (Array.make (Grid.n_points grid) eps)
+  | Phase_fixed rad -> one Phase (Array.make (Grid.n_points grid) rad)
   | Process_envelope { component_tol; floor } ->
-      let thresholds =
-        envelope_thresholds ~deviation:magnitude_dev ~floor ~respond ~drifting
-          grid netlist ~nominal ~component_tol
-      in
-      [
-        { deviation = magnitude_dev; thresholds;
-          steer = magnitude_steer thresholds };
-      ]
+      one Magnitude (envelope Magnitude ~floor ~component_tol)
   | Phase_envelope { component_tol; floor_rad } ->
-      let thresholds =
-        envelope_thresholds ~deviation:phase_dev ~floor:floor_rad ~respond
-          ~drifting grid netlist ~nominal ~component_tol
-      in
-      [ { deviation = phase_dev; thresholds; steer = phase_steer thresholds } ]
+      one Phase (envelope Phase ~floor:floor_rad ~component_tol)
   | Any_of criteria ->
       List.concat_map
         (fun c -> prepare_raw ~respond ~drifting c grid netlist ~nominal)
         criteria
 
-(* A criterion instantiated for one view: the sub-criteria, the view's
-   structure and its measurement mask — the numeric floor, or every
-   point of a dead view. *)
-type prepared = {
-  subs : prepared_one list;
-  structure : structure;
-  mask : Bytes.t;
-}
-
-let prepare_with ~respond ~structure criterion grid ~nominal =
-  (* A dead view builds no envelope: every threshold is clamped below. *)
-  let drifting = if structure.dead then [] else structure.drifting in
-  let subs =
-    prepare_raw ~respond ~drifting criterion grid structure.netlist ~nominal
-  in
-  let mask =
-    if structure.dead then Bytes.make (Array.length nominal) '\001'
-    else measurement_mask nominal
-  in
-  List.iter
-    (fun p ->
-      Bytes.iteri
-        (fun k b ->
-          if b = '\001' then begin
-            p.thresholds.(k) <- infinity;
-            p.steer.(k) <- neg_infinity
-          end)
-        mask)
-    subs;
-  { subs; structure; mask }
-
-let prepare ?backend criterion probe grid netlist ~nominal =
-  (* Lazy: criteria without an envelope never pay for the engine. *)
-  let sim = lazy (make_sim ?backend probe grid netlist) in
-  let respond fault = Fastsim.response (Lazy.force sim) fault in
-  prepare_with ~respond ~structure:(structure_of probe netlist) criterion grid
-    ~nominal
-
-let exceeds subs t0 tf i =
-  List.exists (fun p -> p.deviation t0 tf > p.thresholds.(i)) subs
-
-let result_of_regions grid fault intervals =
-  let regions = Util.Interval.Set.of_intervals intervals in
-  let measure = Util.Interval.Set.measure regions in
-  let omega_det = measure /. Grid.log_measure grid in
-  { fault; detectable = not (Util.Interval.Set.is_empty regions); omega_det; regions }
-
-(* [respond] is only called when some point can be detectable: an
-   isolated fault's row and a dead view's rows are all-'u' by
-   definition and cost no solve. An unknown element still raises like
-   the engine. *)
-let result_of ~nominal ~prepared grid fault respond =
-  let structure = prepared.structure in
-  if not (Netlist.mem structure.netlist fault.Fault.element) then
-    raise (Fault.Unknown_element fault.Fault.element);
-  let intervals = ref [] in
-  if not (structure.dead || isolated structure fault) then begin
-    let faulty = respond fault in
-    for i = 0 to Grid.n_points grid - 1 do
-      (* Below the measurement floor there is no verdict to salvage
-         from a failed solve either — the point is undetectable by
-         definition. *)
-      let deviates =
-        Bytes.get prepared.mask i = '\000'
-        &&
-        match faulty.(i) with
-        | None -> true
-        | Some tf -> exceeds prepared.subs nominal.(i) tf i
-      in
-      if deviates then intervals := Grid.point_interval grid i :: !intervals
-    done
-  end;
-  result_of_regions grid fault !intervals
-
-(* A dead view's nominal response is exactly zero at every point. *)
-let dead_nominal grid = Array.make (Grid.n_points grid) Complex.zero
-
-let analyze_fault ?backend ?(criterion = default_criterion) ?nominal ?prepared probe
-    grid netlist fault =
-  let sim = lazy (make_sim ?backend probe grid netlist) in
-  let respond f = Fastsim.response (Lazy.force sim) f in
-  let structure =
-    match prepared with Some p -> p.structure | None -> structure_of probe netlist
-  in
-  let nominal =
-    match nominal with
-    | Some n -> n
-    | None ->
-        if structure.dead then dead_nominal grid else Fastsim.nominal (Lazy.force sim)
-  in
-  let prepared =
-    match prepared with
-    | Some p -> p
-    | None -> prepare_with ~respond ~structure criterion grid ~nominal
-  in
-  result_of ~nominal ~prepared grid fault respond
-
-(* A fully-prepared view: engine, nominal response and instantiated
-   thresholds with the view's structure, ready to score any number of
-   faults, from any number of domains — the engine solves each
+(* A fully-prepared view: engine, nominal response, the instantiated
+   sub-criteria, the view's structure and its measurement mask — the
+   numeric floor, or every point of a dead view — ready to score any
+   number of faults, from any number of domains: the engine solves each
    back-solve column on first use. A dead view has no engine: its rows
    are all 'u' by definition, so nothing is ever solved on it. *)
 type prepared_view = {
   sim : Fastsim.t option;
   nominal : Complex.t array;
-  prepared : prepared;
+  subs : prepared_one array;
+  structure : structure;
+  mask : Bytes.t;
 }
+
+let view_of ~respond ~structure ~sim criterion grid ~nominal =
+  (* A dead view builds no envelope: every point is masked. *)
+  let drifting = if structure.dead then [] else structure.drifting in
+  let subs =
+    Array.of_list
+      (prepare_raw ~respond ~drifting criterion grid structure.netlist ~nominal)
+  in
+  let mask =
+    if structure.dead then Bytes.make (Array.length nominal) '\001'
+    else measurement_mask nominal
+  in
+  (* A masked point's profile variation is infinite, so a refinement
+     driver refines into a masked region rather than skipping across. *)
+  Array.iter
+    (fun p ->
+      Bytes.iteri (fun k b -> if b = '\001' then p.steer.(k) <- neg_infinity) mask)
+    subs;
+  { sim; nominal; subs; structure; mask }
 
 (* The rest of a view's preparation once its engine exists. *)
 let live_view ~criterion ~structure grid sim =
@@ -320,22 +237,17 @@ let live_view ~criterion ~structure grid sim =
    with
   | [] -> ()
   | drifts -> Fastsim.warm_cache sim drifts);
-  let prepared =
-    prepare_with ~respond:(Fastsim.response sim) ~structure criterion grid ~nominal
-  in
-  { sim = Some sim; nominal; prepared }
+  view_of ~respond:(Fastsim.response sim) ~structure ~sim:(Some sim) criterion grid
+    ~nominal
 
 (* Deadness is decided from the structure alone, before any engine
    exists: a dead view builds no engine, runs no nominal sweep and
-   builds no envelope. *)
+   builds no envelope. Its nominal response is exactly zero. *)
 let dead_view ~criterion ~structure grid =
-  let nominal = dead_nominal grid in
-  let prepared =
-    prepare_with
-      ~respond:(fun _ -> invalid_arg "Detect: a dead view builds no envelope")
-      ~structure criterion grid ~nominal
-  in
-  { sim = None; nominal; prepared }
+  view_of
+    ~respond:(fun _ -> invalid_arg "Detect: a dead view builds no envelope")
+    ~structure ~sim:None criterion grid
+    ~nominal:(Array.make (Grid.n_points grid) Complex.zero)
 
 let prepare_view ?backend ?(criterion = default_criterion) probe grid netlist =
   (* One engine for the whole view: the fault-free factors are built
@@ -343,7 +255,10 @@ let prepare_view ?backend ?(criterion = default_criterion) probe grid netlist =
      every fault's rank-1 solve. *)
   let structure = structure_of probe netlist in
   if structure.dead then dead_view ~criterion ~structure grid
-  else live_view ~criterion ~structure grid (make_sim ?backend probe grid netlist)
+  else
+    live_view ~criterion ~structure grid
+      (Fastsim.create ?backend ~source:probe.source ~output:probe.output
+         ~freqs_hz:(Grid.freqs_hz grid) netlist)
 
 let with_view ~pool ?backend ?(criterion = default_criterion) probe grid netlist f =
   let structure = structure_of probe netlist in
@@ -359,28 +274,63 @@ let engine pv =
   | Some sim -> sim
   | None -> invalid_arg "Detect: a dead view has no engine"
 
-let analyze_prepared pv grid fault =
-  result_of ~nominal:pv.nominal ~prepared:pv.prepared grid fault (fun f ->
-      Fastsim.response (engine pv) f)
+let view_dead pv = pv.structure.dead
 
-(* ---- point scoring (the campaign matrix path) ----
+let result_of_regions grid fault intervals =
+  let regions = Util.Interval.Set.of_intervals intervals in
+  let measure = Util.Interval.Set.measure regions in
+  let omega_det = measure /. Grid.log_measure grid in
+  { fault; detectable = not (Util.Interval.Set.is_empty regions); omega_det; regions }
+
+(* The independent reference: a whole boxed {!Fastsim.response} row,
+   reduced point by point. It shares nothing with the campaign path
+   below ({!anchor}, {!score_point}) but the prepared view and the two
+   deviation measures. An
+   isolated fault's row and a dead view's rows are all-'u' by
+   definition and cost no solve; an unknown element still raises like
+   the engine. *)
+let result_of pv grid fault =
+  let structure = pv.structure in
+  if not (Netlist.mem structure.netlist fault.Fault.element) then
+    raise (Fault.Unknown_element fault.Fault.element);
+  let intervals = ref [] in
+  if not (structure.dead || isolated structure fault) then begin
+    let faulty = Fastsim.response (engine pv) fault in
+    for i = 0 to Grid.n_points grid - 1 do
+      (* Below the measurement floor there is no verdict to salvage
+         from a failed solve either — the point is undetectable by
+         definition. *)
+      let deviates =
+        Bytes.get pv.mask i = '\000'
+        &&
+        match faulty.(i) with
+        | None -> true
+        | Some tf ->
+            Array.exists
+              (fun p -> deviation_of p.measure pv.nominal.(i) tf > p.thresholds.(i))
+              pv.subs
+      in
+      if deviates then intervals := Grid.point_interval grid i :: !intervals
+    done
+  end;
+  result_of_regions grid fault !intervals
+
+let analyze ?backend ?criterion probe grid netlist faults =
+  let pv = prepare_view ?backend ?criterion probe grid netlist in
+  List.map (result_of pv grid) faults
+
+(* ---- point scoring (the campaign path) ----
 
    The campaign driver (Mcdft_core.Adaptive) builds one plan per
-   (view, fault), fills individual grid slots of planar response rows
-   and turns each filled slot into a verdict byte; the bytes reduce
-   through {!result_of_verdicts}. The arithmetic is exactly
-   {!analyze_prepared}'s — same solver, same deviation/threshold
-   comparisons, same structural anchors — just restructured so workers
-   never box per-point responses. *)
+   (view, fault), asks {!anchor} which points are decided without a
+   solve, solves the others one at a time with {!score_point} and
+   reduces the verdict bytes through {!result_of_verdicts}. *)
 
 (* [Dead]: a fault of a dead view on a passive that is not isolated. *)
 type plan = Isolated | Dead | Live of Fastsim.plan
 
-let view_uses_sparse pv = Option.fold ~none:false ~some:Fastsim.uses_sparse pv.sim
-let view_dead pv = pv.prepared.structure.dead
-
 let plan_fault pv fault =
-  let structure = pv.prepared.structure in
+  let structure = pv.structure in
   if not (Netlist.mem structure.netlist fault.Fault.element) then
     raise (Fault.Unknown_element fault.Fault.element);
   if isolated structure fault then Isolated
@@ -388,51 +338,74 @@ let plan_fault pv fault =
 
 let plan_isolated = function Isolated -> true | Dead | Live _ -> false
 
-let score_range pv plan ~lo ~hi ~re ~im ~ok =
+(* The campaign's one static rule: an isolated fault, a dead view and a
+   point below the measurement floor are undetectable by definition. *)
+let static pv plan k =
+  match plan with Isolated | Dead -> true | Live _ -> Bytes.get pv.mask k = '\001'
+
+let anchor pv plan k = if static pv plan k then 'u' else '?'
+
+(* Per-domain planar buffers for one solved point: a prepared view is
+   scored from several domains at once. *)
+type point_buffers = {
+  mutable re : float array;
+  mutable im : float array;
+  mutable ok : Bytes.t;
+}
+
+let point_key =
+  Domain.DLS.new_key (fun () -> { re = [||]; im = [||]; ok = Bytes.empty })
+
+let point_buffers nf =
+  let b = Domain.DLS.get point_key in
+  if Array.length b.re < nf then begin
+    b.re <- Array.make nf 0.0;
+    b.im <- Array.make nf 0.0;
+    b.ok <- Bytes.make nf '\000'
+  end;
+  b
+
+let undetectable = ('u', neg_infinity)
+let failed = ('d', nan)
+
+let score_point pv plan k =
   match plan with
-  | Live p -> Fastsim.response_range_into (engine pv) p ~lo ~hi ~re ~im ~ok
-  | Isolated | Dead ->
-      (* the fault cannot move the output: its response is the nominal *)
-      for k = lo to hi - 1 do
-        re.(k) <- pv.nominal.(k).Complex.re;
-        im.(k) <- pv.nominal.(k).Complex.im;
-        Bytes.set ok k '\001'
-      done
+  | Live p when not (static pv plan k) ->
+      let b = point_buffers (Array.length pv.nominal) in
+      Fastsim.response_range_into (engine pv) p ~lo:k ~hi:(k + 1) ~re:b.re ~im:b.im
+        ~ok:b.ok;
+      (* A failed solve is detectable — the response is wildly wrong,
+         not merely deviated — but says nothing about its neighbours. *)
+      if Bytes.get b.ok k = '\000' then failed
+      else begin
+        let re = b.re.(k) and im = b.im.(k) and t0 = pv.nominal.(k) in
+        (* One pass: the verdict is whether some deviation exceeds its
+           threshold, the margin the log of the worst ratio
+           (a zero threshold counts an exactly-zero deviation as 1). *)
+        let detected = ref false and ratio = ref 0.0 in
+        for j = 0 to Array.length pv.subs - 1 do
+          let p = pv.subs.(j) in
+          let dev = deviation p.measure t0 re im and thr = p.thresholds.(k) in
+          if dev > thr then detected := true;
+          let r = if thr > 0.0 then dev /. thr else if dev > 0.0 then infinity else 1.0 in
+          (* [Float.max], unboxed: a NaN ratio wins *)
+          if r > !ratio || r <> r then ratio := r
+        done;
+        ((if !detected then 'd' else 'u'), log !ratio)
+      end
+  | Isolated | Dead | Live _ -> undetectable
 
-let point_verdict pv plan ~re ~im ~ok i =
-  match plan with
-  | Isolated -> false
-  | Dead | Live _ ->
-      if Bytes.get pv.prepared.mask i = '\001' then false
-      else if Bytes.get ok i = '\000' then true
-      else
-        exceeds pv.prepared.subs pv.nominal.(i)
-          { Complex.re = re.(i); im = im.(i) }
-          i
-
-let steering_profiles pv = List.map (fun p -> p.steer) pv.prepared.subs
-let view_measurement_mask pv = pv.prepared.mask
-
-let point_margin pv plan ~re ~im ~ok i =
-  if plan_isolated plan || Bytes.get pv.prepared.mask i = '\001' then
-    Float.neg_infinity
-  else if Bytes.get ok i = '\000' then Float.nan
-  else
-    let tf = { Complex.re = re.(i); im = im.(i) } in
-    let ratio =
-      List.fold_left
-        (fun acc p ->
-          let dev = p.deviation pv.nominal.(i) tf in
-          let thr = p.thresholds.(i) in
-          let r =
-            if thr > 0.0 then dev /. thr
-            else if dev > 0.0 then infinity
-            else 1.0
-          in
-          Float.max acc r)
-        0.0 pv.prepared.subs
-    in
-    log ratio
+let steer_range pv lo hi =
+  Array.fold_left
+    (fun acc p ->
+      let mn = ref infinity and mx = ref neg_infinity in
+      for k = lo to hi do
+        let x = p.steer.(k) in
+        if x < !mn then mn := x;
+        if x > !mx then mx := x
+      done;
+      Float.max acc (!mx -. !mn))
+    0.0 pv.subs
 
 let result_of_verdicts grid fault verdicts =
   if Bytes.length verdicts <> Grid.n_points grid then
@@ -446,17 +419,13 @@ let result_of_verdicts grid fault verdicts =
   done;
   result_of_regions grid fault !intervals
 
-let analyze ?backend ?criterion probe grid netlist faults =
-  let pv = prepare_view ?backend ?criterion probe grid netlist in
-  List.map (fun fault -> analyze_prepared pv grid fault) faults
-
 let minimal_detectable_deviation ?backend ?(criterion = default_criterion)
     ?(max_factor = 10.0) probe grid netlist ~element =
   if max_factor <= 1.0 then
     invalid_arg "Detect.minimal_detectable_deviation: max_factor must exceed 1";
   let pv = prepare_view ?backend ~criterion probe grid netlist in
   let detectable factor =
-    (analyze_prepared pv grid (Fault.deviation ~element factor)).detectable
+    (result_of pv grid (Fault.deviation ~element factor)).detectable
   in
   if not (detectable max_factor) then None
   else begin

@@ -28,11 +28,11 @@ module Netlist := Circuit.Netlist
 
     Every criterion is subject to the {e measurement floor}: a grid
     point whose nominal response magnitude falls below the view's floor
-    ({!measurement_mask} — 1e-12 of the view's peak response, with an
-    absolute backstop) has no usable reference, so its relative
+    ([max (1e-12 × peak, 1e-13)] — 1e-12 of the view's peak response,
+    with an absolute backstop) has no usable reference, so its relative
     deviation is a ratio of floating-point residues and any verdict
     computed from it would be numerical noise, not testability. Such
-    points are {e undetectable by definition} in every scoring path —
+    points are {e undetectable by definition}, failed solves included —
     a reconfiguration that disconnects the probed output yields an
     all-['u'] row deterministically instead of verdict flicker (DESIGN
     §15).
@@ -42,14 +42,17 @@ module Netlist := Circuit.Netlist
     values:
     - a {e dead} view — one whose source cannot reach the output — has
       a nominal response of exactly zero, so every one of its points is
-      below the floor ({!view_measurement_mask} is all ones), whatever
-      floating-point residue its computed response carries;
+      below the floor, whatever floating-point residue its computed
+      response carries;
     - a fault on an {e isolated} passive — one that cannot affect the
       output — moves the output by exactly zero, so its whole row is
       undetectable by definition and is never solved.
 
-    Every scoring path ({!analyze}, {!analyze_fault}, {!point_verdict})
-    applies both. *)
+    Two scoring paths apply these rules, each in one place: the
+    campaign path ({!anchor} decides the static points, {!score_point}
+    solves and decides the others, {!result_of_verdicts} reduces), and
+    the independent reference {!analyze}, which the differential
+    oracles compare it against. *)
 
 type probe = { source : string; output : string }
 (** Where the test stimulus enters and where the response is read. *)
@@ -102,35 +105,9 @@ val nominal_response : probe -> Grid.t -> Netlist.t -> Complex.t array
 (** The fault-free sweep; exposed so callers can reuse it across many
     faults. *)
 
-type prepared
-(** A criterion instantiated for one circuit view: per-frequency
-    thresholds (envelope criteria cost one sweep per passive that can
-    affect the output), the view's structural anchors and its
-    measurement mask, reusable across the whole fault list of that
-    view. *)
-
-val prepare :
-  ?backend:Fastsim.backend ->
-  criterion -> probe -> Grid.t -> Netlist.t -> nominal:Complex.t array -> prepared
-
-val analyze_fault :
-  ?backend:Fastsim.backend ->
-  ?criterion:criterion ->
-  ?nominal:Complex.t array ->
-  ?prepared:prepared ->
-  probe -> Grid.t -> Netlist.t -> Fault.t -> result
-(** Simulate one fault. [nominal] and [prepared] avoid recomputation
-    when analyzing many faults of one view ([prepared] must come from
-    the same criterion/view). A frequency where the faulty circuit has
-    no solution (singular system) counts as detectable — the response
-    is wildly wrong, not merely deviated — unless the point sits below
-    the measurement floor ({!measurement_mask}), which overrides
-    everything. A fault on an isolated passive, and any fault of a dead
-    view, is undetectable without a solve. Raises
-    {!Fault.Unknown_element} when the fault's element is absent. *)
-
 type prepared_view
-(** One circuit view readied for a fault campaign: the fault-simulation
+(** One circuit view readied for a fault campaign: the view's
+    structural anchors and measurement floor, the fault-simulation
     engine, its nominal response and the instantiated thresholds. *)
 
 val prepare_view :
@@ -151,11 +128,11 @@ val prepare_view :
     score reads it, so a campaign that decides most points without
     solving them pays only for what it reads. The view can be scored
     from several domains concurrently ({!Fastsim}'s cache is safe to
-    fill in parallel). Raises like {!analyze}:
-    {!Mna.Ac.Singular_circuit} when the fault-free system of a live
-    view, or a drifted good circuit of its envelope (only drifts that
-    can reach the output are simulated), is singular at a grid
-    frequency. *)
+    fill in parallel, and {!score_point} solves into per-domain
+    buffers). Raises like {!analyze}: {!Mna.Ac.Singular_circuit} when
+    the fault-free system of a live view, or a drifted good circuit of
+    its envelope (only drifts that can reach the output are
+    simulated), is singular at a grid frequency. *)
 
 val with_view :
   pool:Fastsim.pool ->
@@ -165,17 +142,9 @@ val with_view :
 (** [with_view ~pool … netlist f] is [f] applied to what
     {!prepare_view} builds, with the engine on storage recycled through
     [pool] ({!Fastsim.with_engine}): the view lives only inside the bracket,
-    and scoring one of its live rows afterwards raises
+    and scoring one of its live points afterwards raises
     [Invalid_argument]. Results are bitwise equal to {!prepare_view}'s.
     A dead view builds no engine here either. *)
-
-val analyze_prepared : prepared_view -> Grid.t -> Fault.t -> result
-(** Score one fault against a prepared view. Thread-safe (an isolated
-    fault, or any fault of a dead view, is never solved). *)
-
-val view_uses_sparse : prepared_view -> bool
-(** Whether the view's engine factored through the sparse back-end
-    ({!Fastsim.uses_sparse}). *)
 
 val view_dead : prepared_view -> bool
 (** Whether the view's source cannot reach its output — a dead view,
@@ -192,79 +161,40 @@ val plan_fault : prepared_view -> Fault.t -> plan
 
 val plan_isolated : plan -> bool
 (** Whether the fault's element is a passive that cannot affect the
-    view's output: its row is all ['u'] by definition and a campaign
-    driver fills it without solving. *)
+    view's output: its row is all ['u'] by definition. *)
 
-val score_range :
-  prepared_view ->
-  plan ->
-  lo:int ->
-  hi:int ->
-  re:float array ->
-  im:float array ->
-  ok:Bytes.t ->
-  unit
-(** Fill grid slots [lo .. hi-1] of one fault's planar response row —
-    {!Fastsim.response_range_into} on the view's engine; an isolated
-    fault's response is the nominal one, written without a solve.
-    Disjoint ranges of one row may be filled concurrently. *)
+val anchor : prepared_view -> plan -> int -> char
+(** The static verdict of grid point [k]: ['u'] where the point is
+    undetectable by definition — an isolated fault, a dead view, or a
+    point below the view's measurement floor — and ['?'] where only a
+    solve can decide it. A campaign driver fills the ['u'] points
+    without solving. *)
 
-val point_verdict :
-  prepared_view -> plan -> re:float array -> im:float array -> ok:Bytes.t -> int -> bool
-(** The verdict of one scored grid point: [true] (detectable) when the
-    point's solve failed ([ok] byte ['\000']) or its deviation exceeds
-    some prepared threshold, [false] for an isolated fault and below
-    the measurement floor — exactly {!analyze}'s per-point
-    comparison, exposed so the campaign driver can turn individually
-    solved points into verdict bytes that reduce through
-    {!result_of_verdicts} bitwise-identically. The slot [i] must have
-    been filled by {!score_range}. *)
+val score_point : prepared_view -> plan -> int -> char * float
+(** Solve grid point [k] of one fault's row and decide it: the verdict
+    byte (['d'] when some prepared sub-criterion's deviation exceeds
+    its threshold) and its margin in nepers, the natural log of the
+    worst deviation-to-threshold ratio, from one pass over the
+    sub-criteria. The margin is positive exactly when the byte is
+    ['d'], with two exceptions: a failed solve (singular faulty
+    system) is ['d'] with margin [nan], which carries no information
+    about the point's neighbourhood; a point {!anchor} decides is
+    ['u'] with margin [-∞], without a solve. Verdicts reduce through
+    {!result_of_verdicts} to exactly {!analyze}'s results. Safe to
+    call from several domains on one view; allocates only the
+    returned pair. *)
 
-val point_margin :
-  prepared_view -> plan -> re:float array -> im:float array -> ok:Bytes.t -> int -> float
-(** The verdict's strength at one scored grid point, in nepers: the
-    natural log of the worst deviation-to-threshold ratio across the
-    prepared criteria. Positive exactly when {!point_verdict} is
-    [true], except for a failed solve (verdict [true]) which returns
-    [nan] — a refinement driver must treat such a point as carrying no
-    margin information ([-∞] marks a zero deviation, an isolated fault
-    or a point below the measurement floor). The adaptive driver
-    steers refinement with it — an interval whose endpoint margins are
-    jointly far from zero relative to its width cannot hide a
-    threshold crossing under the driver's slope bound. Steering only: verdicts always come from
-    {!point_verdict}. *)
-
-val steering_profiles : prepared_view -> float array list
-(** Per prepared sub-criterion, the statically known part of the
-    {!point_margin} log at every grid point: [-log threshold], plus
-    [-log |H₀|] for magnitude deviations (they normalize by the
-    nominal). The residual — the margin minus its profile — moves as
-    slowly as the faulty response itself, so a refinement driver can
-    bound margin excursions by a response slope bound {e plus} the
-    profile's exactly-known variation. [-∞]/[+∞] entries mark
-    zero-threshold points or points below the measurement floor (a
-    notch, a dead band), where the numeric margin is meaningless or
-    moves arbitrarily fast — the infinite profile variation forces a
-    driver to refine into such a region rather than skip across it.
-    Do not mutate the returned arrays. *)
-
-val measurement_mask : Complex.t array -> Bytes.t
-(** The numeric measurement floor of a nominal response row: byte
-    ['\001'] at every grid point whose nominal magnitude falls below
-    [max (1e-12 × peak, 1e-13)]. Those points have no usable reference
-    — every criterion declares them undetectable by definition, in
-    every scoring path ({!analyze}, {!point_verdict}), failed solves
-    included. The verdict there is
-    therefore a {e static} ['u']: a campaign driver may fill it without
-    solving, and {!prepare_view} clamps the prepared thresholds to
-    [+∞] (and steering to [-∞]) accordingly. ['\000'] everywhere on a
-    healthy view. *)
-
-val view_measurement_mask : prepared_view -> Bytes.t
-(** The view's measurement floor, computed once at preparation time:
-    {!measurement_mask} of its nominal response, or all ones on a dead
-    view ({!view_dead}), whose nominal response is exactly zero
-    whatever residue the solver computed. Do not mutate. *)
+val steer_range : prepared_view -> int -> int -> float
+(** [steer_range pv lo hi] bounds how far the statically known part
+    of the {!score_point} margin moves over the closed grid interval
+    [lo .. hi]: per sub-criterion, the spread of [-log threshold]
+    (plus [-log |H₀|] for magnitude deviations, which normalize by the
+    nominal), and the largest spread across sub-criteria. The rest of
+    the margin moves as slowly as the faulty response itself, so a
+    refinement driver bounds margin excursions by a response slope
+    bound plus this. A zero threshold or a point below the
+    measurement floor makes it infinite (or [nan]), forcing a driver
+    to refine into such a region rather than skip across it. *)
 
 val result_of_verdicts : Grid.t -> Fault.t -> Bytes.t -> result
 (** Reduce a fully decided verdict row (every byte ['d'] or ['u'],
@@ -276,8 +206,17 @@ val result_of_verdicts : Grid.t -> Fault.t -> Bytes.t -> result
 val analyze :
   ?backend:Fastsim.backend ->
   ?criterion:criterion -> probe -> Grid.t -> Netlist.t -> Fault.t list -> result list
-(** Analyze a fault list against one circuit, sharing the nominal sweep
-    and prepared thresholds ([prepare_view] + [analyze_prepared]). *)
+(** Analyze a fault list against one circuit: one {!prepare_view}, then
+    per fault a whole boxed faulty response reduced point by point —
+    the independent reference for the campaign path ({!anchor},
+    {!score_point}), sharing nothing with it past preparation. A
+    frequency where the faulty circuit has no solution (singular
+    system) counts as detectable — the response is wildly wrong, not
+    merely deviated — unless the point sits below the measurement
+    floor, which overrides everything. A fault on an isolated passive,
+    and any fault of a dead view, is undetectable without a solve.
+    Raises {!Fault.Unknown_element} when a fault's element is
+    absent. *)
 
 val minimal_detectable_deviation :
   ?backend:Fastsim.backend ->

@@ -542,7 +542,6 @@ let nominal t =
   t.nominal
 let stats t = (Atomic.get t.smw_solves, Atomic.get t.full_solves)
 let dim t = t.n
-let n_freqs t = Array.length t.freqs
 
 let uses_sparse t =
   Array.length t.freqs > 0

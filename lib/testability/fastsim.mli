@@ -142,10 +142,6 @@ val response : t -> Fault.t -> Complex.t option array
 val dim : t -> int
 (** The MNA system dimension — for callers sizing work estimates. *)
 
-val n_freqs : t -> int
-(** Number of grid frequencies (the length of {!nominal} and of
-    response rows). *)
-
 type plan
 (** A fault prepared for simulation: classification (unchanged /
     rank-1 / structural) plus any per-fault state (a structural

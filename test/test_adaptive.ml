@@ -168,6 +168,18 @@ let test_pipeline_identity_fixed () =
   in
   Alcotest.(check bool) "some points skipped" true (s.A.skipped > 0)
 
+(* the remaining criterion constructors: with envelope and fixed above,
+   stride 1 = Detect.analyze is pinned for every one of them *)
+let test_pipeline_identity_other_criteria () =
+  List.iter
+    (fun (what, criterion) -> ignore (check_identical ~what criterion ()))
+    Testability.Detect.
+      [
+        ("phase", Phase_fixed 0.1);
+        ("phase-envelope", Phase_envelope { component_tol = 0.04; floor_rad = 0.05 });
+        ("any-of", Any_of [ Fixed_tolerance 0.1; Phase_fixed 0.1 ]);
+      ]
+
 let test_pipeline_identity_starved_budget () =
   (* a 2-solve budget forces essentially every row to degrade; the
      matrices must still be the exhaustive ones *)
@@ -401,6 +413,8 @@ let suite =
       test_pipeline_identity_envelope;
     Alcotest.test_case "adaptive pipeline = exhaustive (fixed)" `Quick
       test_pipeline_identity_fixed;
+    Alcotest.test_case "adaptive pipeline = exhaustive (phase, phase-envelope, any-of)"
+      `Quick test_pipeline_identity_other_criteria;
     Alcotest.test_case "streaming campaign: bounded workspaces, dead views free" `Quick
       test_streaming_campaign_bounded;
     Alcotest.test_case "starved budget degrades, matrices intact" `Quick

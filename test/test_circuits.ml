@@ -241,15 +241,17 @@ let test_allpass_needs_phase_criterion () =
   let grid = Testability.Grid.around ~points_per_decade:10 ~center_hz:1000.0 () in
   let fault = Fault.deviation ~element:"R3" 1.2 in
   let by_mag =
-    Testability.Detect.analyze_fault
-      ~criterion:(Testability.Detect.Fixed_tolerance 0.05)
-      probe grid b.Circuits.Benchmark.netlist fault
+    List.hd
+      (Testability.Detect.analyze
+         ~criterion:(Testability.Detect.Fixed_tolerance 0.05)
+         probe grid b.Circuits.Benchmark.netlist [ fault ])
   in
   Alcotest.(check bool) "magnitude blind" false by_mag.Testability.Detect.detectable;
   let by_phase =
-    Testability.Detect.analyze_fault
-      ~criterion:(Testability.Detect.Phase_fixed 0.05)
-      probe grid b.Circuits.Benchmark.netlist fault
+    List.hd
+      (Testability.Detect.analyze
+         ~criterion:(Testability.Detect.Phase_fixed 0.05)
+         probe grid b.Circuits.Benchmark.netlist [ fault ])
   in
   Alcotest.(check bool) "phase sees it" true by_phase.Testability.Detect.detectable
 

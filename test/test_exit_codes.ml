@@ -160,6 +160,16 @@ let test_efficiency_gate_announcement () =
     (not armed)
     (contains ~needle:"efficiency gate: UNARMED (effective_jobs=1)" out)
 
+(* --criterion's help names every family its parser accepts *)
+let test_criterion_help () =
+  let code, out = Cli.capture "matrix --help=plain" in
+  Alcotest.(check int) "help exits 0" 0 code;
+  List.iter
+    (fun family ->
+      Alcotest.(check bool) ("--criterion help lists " ^ family) true
+        (contains ~needle:family out))
+    [ "fixed:EPS"; "envelope:TOL:FLOOR"; "phase:RAD"; "phase-envelope:TOL:FLOOR" ]
+
 let suite =
   [
     Alcotest.test_case "documented exit codes hold against fixtures" `Quick
@@ -170,4 +180,6 @@ let suite =
       test_overflowing_centre_estimate;
     Alcotest.test_case "bench efficiency gate announces when unarmed" `Quick
       test_efficiency_gate_announcement;
+    Alcotest.test_case "matrix --help lists every criterion family" `Quick
+      test_criterion_help;
   ]

@@ -16,6 +16,9 @@ let rc ~r ~c () =
 let probe = { Detect.source = "V1"; output = "out" }
 let grid = Testability.Grid.around ~points_per_decade:15 ~center_hz:159.0 ()
 
+let analyze_fault ~criterion probe grid n fault =
+  List.hd (Detect.analyze ~criterion probe grid n [ fault ])
+
 (* --- phase criterion --- *)
 
 let test_phase_deviation_values () =
@@ -36,22 +39,22 @@ let test_phase_criterion_detects_pole_shift () =
   let n = rc ~r:1000.0 ~c:1e-6 () in
   let fault = Fault.deviation ~element:"R1" 1.2 in
   let by_magnitude =
-    Detect.analyze_fault ~criterion:(Detect.Fixed_tolerance 0.5) probe grid n fault
+    analyze_fault ~criterion:(Detect.Fixed_tolerance 0.5) probe grid n fault
   in
   Alcotest.(check bool) "magnitude misses at eps=50%" false
     by_magnitude.Detect.detectable;
   let by_phase =
-    Detect.analyze_fault ~criterion:(Detect.Phase_fixed 0.05) probe grid n fault
+    analyze_fault ~criterion:(Detect.Phase_fixed 0.05) probe grid n fault
   in
   Alcotest.(check bool) "phase catches" true by_phase.Detect.detectable
 
 let test_any_of_is_union () =
   let n = rc ~r:1000.0 ~c:1e-6 () in
   let fault = Fault.deviation ~element:"R1" 1.2 in
-  let mag = Detect.analyze_fault ~criterion:(Detect.Fixed_tolerance 0.1) probe grid n fault in
-  let ph = Detect.analyze_fault ~criterion:(Detect.Phase_fixed 0.05) probe grid n fault in
+  let mag = analyze_fault ~criterion:(Detect.Fixed_tolerance 0.1) probe grid n fault in
+  let ph = analyze_fault ~criterion:(Detect.Phase_fixed 0.05) probe grid n fault in
   let both =
-    Detect.analyze_fault
+    analyze_fault
       ~criterion:(Detect.Any_of [ Detect.Fixed_tolerance 0.1; Detect.Phase_fixed 0.05 ])
       probe grid n fault
   in
@@ -66,7 +69,7 @@ let test_phase_envelope_masks () =
   let n = rc ~r:1000.0 ~c:1e-6 () in
   let fault = Fault.deviation ~element:"R1" 1.04 in
   let r =
-    Detect.analyze_fault
+    analyze_fault
       ~criterion:(Detect.Phase_envelope { component_tol = 0.05; floor_rad = 0.01 })
       probe grid n fault
   in
@@ -186,11 +189,6 @@ let test_montecarlo_within_linear_envelope () =
   let tol = 0.05 in
   let mc = Testability.Montecarlo.run ~seed:11 ~samples:100 ~component_tol:tol probe grid n in
   let nominal = Detect.nominal_response probe grid n in
-  let prepared =
-    Detect.prepare (Detect.Process_envelope { component_tol = tol; floor = 0.0 }) probe
-      grid n ~nominal
-  in
-  ignore prepared;
   (* envelope = sum of single-component deviations at +tol *)
   let envelope = Array.make (Testability.Grid.n_points grid) 0.0 in
   List.iter

@@ -406,10 +406,8 @@ let test_engine_after_bracket () =
   let pv, plan =
     Detect.with_view ~pool probe grid netlist (fun pv -> (pv, Detect.plan_fault pv fault))
   in
-  let nf = Grid.n_points grid in
-  Alcotest.check_raises "score_range after Detect.with_view" dead (fun () ->
-      Detect.score_range pv plan ~lo:0 ~hi:nf ~re:(Array.make nf 0.0)
-        ~im:(Array.make nf 0.0) ~ok:(Bytes.make nf '\000'))
+  Alcotest.check_raises "score_point after Detect.with_view" dead (fun () ->
+      ignore (Detect.score_point pv plan 0))
 
 (* --- worker-count independence ------------------------------------ *)
 

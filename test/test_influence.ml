@@ -167,8 +167,11 @@ let test_drives_output () =
     (List.for_all (fun r -> not r.D_.detectable) results);
   let pv = D_.prepare_view probe grid n in
   Alcotest.(check bool) "view_dead" true (D_.view_dead pv);
-  Alcotest.(check bool) "mask covers every point" true
-    (Bytes.for_all (fun b -> b = '\001') (D_.view_measurement_mask pv));
+  let r4 = D_.plan_fault pv (Fault.deviation ~element:"R4" 1.2) in
+  Alcotest.(check bool) "every point anchored 'u'" true
+    (List.for_all
+       (fun k -> D_.anchor pv r4 k = 'u' && D_.score_point pv r4 k = ('u', neg_infinity))
+       (List.init (Testability.Grid.n_points grid) Fun.id));
   Alcotest.(check bool) "R1 isolated, R4 not" true
     (D_.plan_isolated (D_.plan_fault pv (Fault.deviation ~element:"R1" 1.2))
     && not (D_.plan_isolated (D_.plan_fault pv (Fault.deviation ~element:"R4" 1.2))));
@@ -220,7 +223,8 @@ let test_isolated_faults_cannot_move_output () =
             let peak =
               Array.fold_left (fun a c -> Float.max a (Complex.norm c)) 0.0 nominal
             in
-            let mask = D_.measurement_mask nominal in
+            (* the documented measurement floor *)
+            let floor = Float.max (1e-12 *. peak) 1e-13 in
             if peak >= 1e-9 then
               List.iter
                 (fun e ->
@@ -232,7 +236,7 @@ let test_isolated_faults_cannot_move_output () =
                         let fault = { Fault.id = label; element; kind } in
                         Array.iteri
                           (fun k tf ->
-                            if Bytes.get mask k = '\000' then begin
+                            if Complex.norm nominal.(k) >= floor then begin
                               incr checked;
                               let dev =
                                 match tf with

@@ -15,6 +15,9 @@ let rc ~r ~c () =
 
 let probe = { Detect.source = "V1"; output = "out" }
 
+let analyze_fault ~criterion probe grid n fault =
+  List.hd (Detect.analyze ~criterion probe grid n [ fault ])
+
 (* --- grids --- *)
 
 let test_grid_bounds () =
@@ -60,7 +63,7 @@ let test_detect_rc_shift () =
   let grid = Grid.around ~points_per_decade:20 ~center_hz:159.0 () in
   let fault = Fault.deviation ~element:"R1" 1.2 in
   let r =
-    Detect.analyze_fault ~criterion:(Detect.Fixed_tolerance 0.10) probe grid n fault
+    analyze_fault ~criterion:(Detect.Fixed_tolerance 0.10) probe grid n fault
   in
   Alcotest.(check bool) "detectable" true r.Detect.detectable;
   Alcotest.(check bool) "partially" true (r.Detect.omega_det > 0.0 && r.Detect.omega_det < 1.0);
@@ -73,7 +76,7 @@ let test_undetectable_small_deviation () =
   let grid = Grid.around ~points_per_decade:10 ~center_hz:159.0 () in
   let fault = Fault.deviation ~element:"R1" 1.01 in
   let r =
-    Detect.analyze_fault ~criterion:(Detect.Fixed_tolerance 0.10) probe grid n fault
+    analyze_fault ~criterion:(Detect.Fixed_tolerance 0.10) probe grid n fault
   in
   Alcotest.(check bool) "1% drift invisible at eps=10%" false r.Detect.detectable;
   Alcotest.(check (float 0.0)) "omega zero" 0.0 r.Detect.omega_det
@@ -105,7 +108,7 @@ let test_envelope_masks_small_faults () =
   let grid = Grid.around ~points_per_decade:10 ~center_hz:159.0 () in
   let criterion = Detect.Process_envelope { component_tol = 0.05; floor = 0.01 } in
   let fault = Fault.deviation ~element:"R1" 1.05 in
-  let r = Detect.analyze_fault ~criterion probe grid n fault in
+  let r = analyze_fault ~criterion probe grid n fault in
   Alcotest.(check bool) "masked" false r.Detect.detectable
 
 let test_envelope_vs_fixed_ordering () =
@@ -228,3 +231,113 @@ let test_grid_rejects_nonpositive_density () =
 let suite =
   suite
   @ [ Alcotest.test_case "grid density guard" `Quick test_grid_rejects_nonpositive_density ]
+
+(* --- the campaign's point scorer --- *)
+
+(* Score every point of one row through [Detect.score_point] and check
+   its contract against [Detect.anchor]: an anchored point is 'u' with
+   margin -inf and no solve; a solved point's margin is positive exactly
+   when its byte is 'd', except a failed solve, which is 'd' with a nan
+   margin. Returns the (anchored, failed) point counts. *)
+let check_row what pv plan grid =
+  let anchored = ref 0 and failed = ref 0 in
+  for k = 0 to Grid.n_points grid - 1 do
+    let b, m = Detect.score_point pv plan k in
+    match Detect.anchor pv plan k with
+    | 'u' ->
+        incr anchored;
+        if not (b = 'u' && m = neg_infinity) then
+          Alcotest.failf "%s, point %d: anchored, scored '%c' %g" what k b m
+    | '?' ->
+        if Float.is_nan m then begin
+          incr failed;
+          if b <> 'd' then Alcotest.failf "%s, point %d: failed solve scored 'u'" what k
+        end
+        else if m > 0.0 <> (b = 'd') then
+          Alcotest.failf "%s, point %d: margin %g with '%c'" what k m b
+    | a -> Alcotest.failf "%s, point %d: anchor '%c'" what k a
+  done;
+  (!anchored, !failed)
+
+let test_score_point_contract () =
+  let grid = Grid.around ~points_per_decade:6 ~center_hz:1000.0 () in
+  let nf = Grid.n_points grid in
+  let criterion = Detect.Fixed_tolerance 0.1 in
+  (* every row of every configuration of the dead-and-singular fixture;
+     the dead view's rows are anchored throughout *)
+  let n =
+    match Spice.Parser.parse_file (Cli.fixture "dead_singular.cir") with
+    | Ok n -> n
+    | Error e -> Alcotest.fail (Spice.Parser.error_to_string e)
+  in
+  let dft = Multiconfig.Transform.make ~source:"V1" ~output:"out1" n in
+  let dead_rows = ref 0 and solved = ref 0 in
+  List.iter
+    (fun config ->
+      let view = Multiconfig.Transform.emulate dft config in
+      let pv = Detect.prepare_view ~criterion { Detect.source = "V1"; output = "out1" } grid view in
+      List.iter
+        (fun fault ->
+          let what = Multiconfig.Configuration.label config ^ " / " ^ fault.Fault.id in
+          let anchored, _ = check_row what pv (Detect.plan_fault pv fault) grid in
+          if Detect.view_dead pv then begin
+            incr dead_rows;
+            Alcotest.(check int) (what ^ ": dead row anchored") nf anchored
+          end
+          else solved := !solved + nf - anchored)
+        (Fault.catastrophic_faults view))
+    (Multiconfig.Transform.test_configurations dft);
+  Alcotest.(check bool) "dead rows scored" true (!dead_rows > 0);
+  Alcotest.(check bool) "live points solved" true (!solved > 0);
+  let score probe netlist fault =
+    let pv = Detect.prepare_view ~criterion probe grid netlist in
+    let plan = Detect.plan_fault pv fault in
+    (plan, check_row fault.Fault.id pv plan grid)
+  in
+  (* an isolated passive: the divider behind an ideal buffer *)
+  let buffered =
+    Netlist.empty ~title:"buffered" ()
+    |> Netlist.vsource ~name:"V1" "in" "0" 1.0
+    |> Netlist.resistor ~name:"R1" "in" "a" 1000.0
+    |> Netlist.capacitor ~name:"C1" "a" "0" 1e-6
+    |> Netlist.opamp ~name:"OP1" ~inp:"a" ~inn:"buf" ~out:"buf"
+    |> Netlist.resistor ~name:"R2" "buf" "post" 1000.0
+    |> Netlist.resistor ~name:"R3" "post" "0" 1000.0
+  in
+  let buf = { Detect.source = "V1"; output = "buf" } in
+  let plan, (anchored, _) = score buf buffered (Fault.deviation ~element:"R2" 1.2) in
+  Alcotest.(check bool) "R2 isolated" true (Detect.plan_isolated plan);
+  Alcotest.(check int) "isolated row anchored" nf anchored;
+  let _, (anchored, _) = score buf buffered (Fault.deviation ~element:"R1" 1.2) in
+  Alcotest.(check int) "R1 row solved" 0 anchored;
+  (* a virtual ground: the source reaches it, but its nominal response
+     is below the measurement floor everywhere *)
+  let inverting =
+    Netlist.empty ~title:"inverting" ()
+    |> Netlist.vsource ~name:"V1" "in" "0" 1.0
+    |> Netlist.resistor ~name:"R1" "in" "n" 1000.0
+    |> Netlist.resistor ~name:"R2" "n" "out" 1000.0
+    |> Netlist.opamp ~name:"OP1" ~inp:"0" ~inn:"n" ~out:"out"
+  in
+  let probe = { Detect.source = "V1"; output = "n" } in
+  Alcotest.(check bool) "virtual ground is live" false
+    (Detect.view_dead (Detect.prepare_view probe grid inverting));
+  let _, (anchored, _) = score probe inverting (Fault.deviation ~element:"R1" 1.2) in
+  Alcotest.(check int) "masked row anchored" nf anchored;
+  (* a failed solve: with C1 gone the buffer input floats *)
+  let floating =
+    Netlist.empty ~title:"floating" ()
+    |> Netlist.vsource ~name:"V1" "in" "0" 1.0
+    |> Netlist.capacitor ~name:"C1" "in" "x" 1e-6
+    |> Netlist.opamp ~name:"OP1" ~inp:"x" ~inn:"out" ~out:"out"
+    |> Netlist.resistor ~name:"R1" "out" "0" 1000.0
+  in
+  let _, (_, failed) =
+    score { Detect.source = "V1"; output = "out" } floating
+      (Fault.deviation ~element:"C1" 0.0)
+  in
+  Alcotest.(check int) "every solve failed" nf failed
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "score_point contract" `Quick test_score_point_contract ]
