@@ -6,11 +6,11 @@
    Each row runs the same campaign twice through the one campaign
    driver — at the default stride 8 (adaptive) and at stride 1
    (exhaustive, Pipeline.run ~adaptive:false) — and reports the
-   refinement counters (points, solves, skips, bisections, degraded
-   rows, plus the adaptive.solves_skipped counter of a metrics-enabled
-   rerun), both wall-clocks, and the solve reduction factor
-   points/solved. Two gates hold the process to the repo's invariants
-   instead of merely printing numbers:
+   refinement counters (points, solves, skips, bisections, plus the
+   adaptive.solves_skipped counter of a metrics-enabled rerun), both
+   wall-clocks, and the solve reduction factor points/solved. Two
+   gates hold the process to the repo's invariants instead of merely
+   printing numbers:
 
    - every row's detect/omega matrices must be bitwise identical
      between the two strides (the refinement is an optimization, never
@@ -38,7 +38,6 @@ type row = {
   solved : int;
   skipped : int;
   bisections : int;
-  degraded : int;
   solves_skipped : int;
   reduction : float;
   adaptive_seconds : float;
@@ -126,7 +125,6 @@ let row ~ppd ?faults ?min_reduction (b : Circuits.Benchmark.t) =
     solved = s.A.solved;
     skipped = s.A.skipped;
     bisections = s.A.bisections;
-    degraded = s.A.budget_exhausted;
     solves_skipped = Obs.Metrics.counter snap "adaptive.solves_skipped";
     reduction;
     adaptive_seconds;
@@ -169,7 +167,6 @@ let to_json rows =
                    ("solved", Report.Json.int r.solved);
                    ("skipped", Report.Json.int r.skipped);
                    ("bisections", Report.Json.int r.bisections);
-                   ("degraded_rows", Report.Json.int r.degraded);
                    ("solves_skipped", Report.Json.int r.solves_skipped);
                    ("solve_reduction", Report.Json.Number r.reduction);
                    ("adaptive_seconds", Report.Json.Number r.adaptive_seconds);
@@ -186,7 +183,7 @@ let print_rows rows =
   let header =
     [
       "circuit"; "ppd"; "faults"; "solved/points"; "reduction"; "bisections";
-      "degraded"; "adaptive (s)"; "exhaustive (s)"; "matrices";
+      "adaptive (s)"; "exhaustive (s)"; "matrices";
     ]
   in
   print_endline
@@ -200,7 +197,6 @@ let print_rows rows =
               Printf.sprintf "%d/%d" r.solved r.points;
               Printf.sprintf "%.2fx" r.reduction;
               string_of_int r.bisections;
-              string_of_int r.degraded;
               Printf.sprintf "%.3f" r.adaptive_seconds;
               Printf.sprintf "%.3f" r.exhaustive_seconds;
               (if r.identical then "bitwise-identical" else "DIFFER");

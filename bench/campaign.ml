@@ -50,7 +50,6 @@ let counter_columns =
   [
     "adaptive.solves_skipped";
     "adaptive.bisections";
-    "adaptive.budget_exhausted";
     "campaign.equivalence_groups";
     "campaign.pruned_configs";
     "campaign.isolated_rows";

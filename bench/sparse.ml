@@ -5,10 +5,11 @@
    small frequency grid at growing ladder sizes — create is exactly
    "assemble + factor + nominal solve per frequency", so seconds
    divided by grid points is the per-frequency solve cost each backend
-   pays. The campaign compares a full Pipeline.run on a 300-stage
-   bigladder (MNA dimension > 300) between forced backends, checks the
-   detect matrices agree verdict-for-verdict, and checks that pruning
-   (on by default) replicates rows bitwise-identically to a
+   pays. The campaign times the default Pipeline.run on a 300-stage
+   bigladder (MNA dimension > 300, so every view factors sparse),
+   checks each view's detect row against the dense per-view
+   Detect.analyze reference verdict-for-verdict, and checks that
+   pruning (on by default) replicates rows bitwise-identically to a
    ~prune:false run while skipping real work. Both facts land in
    BENCH_<date>.json next to the timings. *)
 
@@ -29,9 +30,7 @@ type campaign = {
   mna_dim : int;
   points_per_decade : int;
   n_faults : int;
-  dense_seconds : float;
   sparse_seconds : float;
-  speedup : float;
   verdicts_identical : bool;
   equivalence_groups : int;
   pruned_configs : int;
@@ -102,37 +101,35 @@ let campaign ~smoke () =
   let faults =
     List.filteri (fun i _ -> i mod 5 = 0) (Fault.deviation_faults netlist)
   in
-  let run ~backend ~prune () =
-    P.run ~points_per_decade:ppd ~faults ~jobs:1 ~backend ~prune b
-  in
-  let sparse_t = run ~backend:F.Sparse ~prune:true () in
-  let sparse_seconds = time_s (run ~backend:F.Sparse ~prune:true) in
-  Gc.full_major ();
-  let dense_t = ref sparse_t in
-  let dense_seconds =
-    time_s (fun () ->
-        dense_t := run ~backend:F.Dense ~prune:true ();
-        !dense_t)
-  in
-  let dense_t = !dense_t in
+  let run ~prune () = P.run ~points_per_decade:ppd ~faults ~jobs:1 ~prune b in
+  let sparse_t = run ~prune:true () in
+  let sparse_seconds = time_s (run ~prune:true) in
   Gc.full_major ();
   let noprune_t = ref sparse_t in
   let noprune_seconds =
     time_s (fun () ->
-        noprune_t := run ~backend:F.Sparse ~prune:false ();
+        noprune_t := run ~prune:false ();
         !noprune_t)
   in
   let noprune_t = !noprune_t in
+  let m = sparse_t.P.matrix in
+  let verdicts_identical =
+    Array.for_all2
+      (fun (v : M.view) row ->
+        List.map
+          (fun r -> r.Testability.Detect.detectable)
+          (Testability.Detect.analyze ~backend:F.Dense ~criterion:P.default_criterion
+             v.M.probe sparse_t.P.grid v.M.netlist faults)
+        = Array.to_list row)
+      m.M.views m.M.detect
+  in
   {
     circuit = b.Circuits.Benchmark.name;
     mna_dim = dim;
     points_per_decade = ppd;
     n_faults = List.length faults;
-    dense_seconds;
     sparse_seconds;
-    speedup = dense_seconds /. sparse_seconds;
-    verdicts_identical =
-      dense_t.P.matrix.M.detect = sparse_t.P.matrix.M.detect;
+    verdicts_identical;
     equivalence_groups = sparse_t.P.equivalence_groups;
     pruned_configs = sparse_t.P.pruned_configs;
     noprune_seconds;
@@ -163,9 +160,7 @@ let to_json { crossover; campaign = c } =
           ("mna_dim", Report.Json.int c.mna_dim);
           ("points_per_decade", Report.Json.int c.points_per_decade);
           ("n_faults", Report.Json.int c.n_faults);
-          ("dense_seconds", Report.Json.Number c.dense_seconds);
           ("sparse_seconds", Report.Json.Number c.sparse_seconds);
-          ("speedup", Report.Json.Number c.speedup);
           ("verdicts_identical", Report.Json.Bool c.verdicts_identical);
           ("equivalence_groups", Report.Json.int c.equivalence_groups);
           ("pruned_configs", Report.Json.int c.pruned_configs);
@@ -194,9 +189,8 @@ let print_result { crossover; campaign = c } =
   Printf.printf
     "\n==== SPARSE: %s campaign (n=%d, ppd=%d, %d faults) ====\n\n"
     c.circuit c.mna_dim c.points_per_decade c.n_faults;
-  Printf.printf "  dense   : %.3f s\n" c.dense_seconds;
-  Printf.printf "  sparse  : %.3f s   (%.1fx, verdicts %s)\n" c.sparse_seconds
-    c.speedup
+  Printf.printf "  sparse  : %.3f s   (verdicts %s to dense Detect.analyze)\n"
+    c.sparse_seconds
     (if c.verdicts_identical then "identical" else "DIFFER");
   Printf.printf
     "  pruning : %d groups, %d rows replicated; no-prune %.3f s, matrices %s\n"

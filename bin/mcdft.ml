@@ -218,21 +218,6 @@ let fault_kind_opt =
        & info [ "faults" ] ~docv:"KIND"
            ~doc:"Fault universe: deviation (+20%), both (±20%) or catastrophic.")
 
-let backend_opt =
-  Arg.(value
-       & opt
-           (enum
-              [
-                ("dense", Testability.Fastsim.Dense);
-                ("sparse", Testability.Fastsim.Sparse);
-                ("auto", Testability.Fastsim.Auto);
-              ])
-           Testability.Fastsim.Auto
-       & info [ "backend" ] ~docv:"KIND"
-           ~doc:"MNA factorization backend: dense (planar LU), sparse \
-                 (Markowitz-ordered CSC LU) or auto (sparse once the system is \
-                 large and sparse enough; default).")
-
 let no_prune_flag =
   Arg.(value & flag
        & info [ "no-prune" ]
@@ -263,19 +248,6 @@ let adaptive_opt =
                        fault) row exhaustively." );
            ])
 
-let solve_budget_opt =
-  Arg.(value & opt (some int) None
-       & info [ "solve-budget" ] ~docv:"N"
-           ~doc:"Per-row cap on the numeric solves the adaptive refinement \
-                 may issue; a row that would exceed it degrades to the \
-                 exhaustive sweep for that row — a verdict is never guessed. \
-                 Must be positive; ignored with $(b,--no-adaptive).")
-
-let check_solve_budget = function
-  | Some n when n <= 0 ->
-      die 2 "--solve-budget must be a positive integer (got %d)" n
-  | budget -> budget
-
 let adaptive_summary =
   Option.iter (fun (s : Mcdft_core.Adaptive.stats) ->
       let ratio =
@@ -284,12 +256,9 @@ let adaptive_summary =
       in
       Printf.printf
         "adaptive refinement: solved %d of %d points (%.1fx fewer solves, %d \
-         skipped, %d bisections%s)\n"
+         skipped, %d bisections)\n"
         s.Mcdft_core.Adaptive.solved s.Mcdft_core.Adaptive.points ratio
-        s.Mcdft_core.Adaptive.skipped s.Mcdft_core.Adaptive.bisections
-        (if s.Mcdft_core.Adaptive.budget_exhausted > 0 then
-           Printf.sprintf ", %d rows degraded" s.Mcdft_core.Adaptive.budget_exhausted
-         else ""))
+        s.Mcdft_core.Adaptive.skipped s.Mcdft_core.Adaptive.bisections)
 
 (* The coverage estimator needs a scalar magnitude threshold and a
    component spread; phase-only criteria expose neither. An envelope
@@ -838,7 +807,7 @@ let certify_cmd =
           $ trace_opt)
 
 let analyze_cmd =
-  let run name source output criterion ppd fault_kind fault_element backend =
+  let run name source output criterion ppd fault_kind fault_element =
     with_circuit name source output (fun b ->
         let faults =
           match fault_element with
@@ -856,7 +825,7 @@ let analyze_cmd =
           }
         in
         let results =
-          Testability.Detect.analyze ~backend ~criterion probe grid
+          Testability.Detect.analyze ~criterion probe grid
             b.Circuits.Benchmark.netlist faults
         in
         Printf.printf "circuit: %s   criterion: %s\n" b.Circuits.Benchmark.name
@@ -884,19 +853,18 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Testability of the functional configuration (paper Sec. 2)")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ fault_element_opt $ backend_opt)
+          $ fault_kind_opt $ fault_element_opt)
 
 let matrix_cmd =
-  let run name source output criterion ppd fault_kind jobs gc_default backend no_prune
-      adaptive solve_budget metrics trace =
-    let solve_budget = check_solve_budget solve_budget in
+  let run name source output criterion ppd fault_kind jobs gc_default no_prune
+      adaptive metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
         let t =
-          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs ~backend
-            ~prune:(not no_prune) ~adaptive ?solve_budget b
+          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs
+            ~prune:(not no_prune) ~adaptive b
         in
         let m = t.P.matrix in
         let fault_ids = Array.map (fun f -> f.Fault.id) m.Testability.Matrix.faults in
@@ -936,20 +904,19 @@ let matrix_cmd =
   Cmd.v
     (Cmd.info "matrix" ~doc:"Fault detectability matrix over all test configurations")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ backend_opt $ no_prune_flag
-          $ adaptive_opt $ solve_budget_opt $ metrics_opt $ trace_opt)
+          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ no_prune_flag
+          $ adaptive_opt $ metrics_opt $ trace_opt)
 
 let optimize_cmd =
-  let run name source output criterion ppd fault_kind jobs gc_default n_detect backend
-      no_prune adaptive solve_budget json metrics trace =
-    let solve_budget = check_solve_budget solve_budget in
+  let run name source output criterion ppd fault_kind jobs gc_default n_detect
+      no_prune adaptive json metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
         let t =
-          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs ~backend
-            ~prune:(not no_prune) ~adaptive ?solve_budget b
+          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs
+            ~prune:(not no_prune) ~adaptive b
         in
         let r = P.optimize ~n_detect t in
         if json then
@@ -1059,21 +1026,20 @@ let optimize_cmd =
     (Cmd.info "optimize"
        ~doc:"Ordered-requirements optimization of the multi-configuration DFT (Sec. 4)")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ n_detect_opt $ backend_opt
-          $ no_prune_flag $ adaptive_opt $ solve_budget_opt $ json_flag $ metrics_opt
+          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ n_detect_opt
+          $ no_prune_flag $ adaptive_opt $ json_flag $ metrics_opt
           $ trace_opt)
 
 let testplan_cmd =
-  let run name source output criterion ppd fault_kind jobs gc_default backend no_prune
-      adaptive solve_budget metrics trace =
-    let solve_budget = check_solve_budget solve_budget in
+  let run name source output criterion ppd fault_kind jobs gc_default no_prune
+      adaptive metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
         let t =
-          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs ~backend
-            ~prune:(not no_prune) ~adaptive ?solve_budget b
+          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs
+            ~prune:(not no_prune) ~adaptive b
         in
         let plan = Mcdft_core.Test_plan.build t in
         print_string (Mcdft_core.Test_plan.to_string plan))
@@ -1082,8 +1048,8 @@ let testplan_cmd =
     (Cmd.info "testplan"
        ~doc:"Minimal (configuration, frequency) measurement schedule")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ backend_opt $ no_prune_flag
-          $ adaptive_opt $ solve_budget_opt $ metrics_opt $ trace_opt)
+          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ no_prune_flag
+          $ adaptive_opt $ metrics_opt $ trace_opt)
 
 let sweep_cmd =
   let run name source output ppd csv =
@@ -1168,14 +1134,14 @@ let diagnose_cmd =
          (List.filteri (fun i _ -> i < show) v.T.ranking
          |> List.map (fun (f, d) -> Printf.sprintf "%s=%.3g" f.Fault.id d)))
   in
-  let run name source output criterion ppd fault_kind jobs gc_default backend tolerance
+  let run name source output criterion ppd fault_kind jobs gc_default tolerance
       configs simulate simulate_all observe metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
         let t =
-          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs ~backend b
+          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs b
         in
         let traj = T.of_pipeline ?tolerance ?configs t in
         Printf.printf "circuit: %s   measurements: %d points (%d faults)\n"
@@ -1301,16 +1267,16 @@ let diagnose_cmd =
          "Fault location by nearest response trajectory: ambiguity sets, \
           self-tests, and classification of observed responses")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ backend_opt $ tolerance_opt
+          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ tolerance_opt
           $ configs_opt $ simulate_opt $ simulate_all_flag $ observe_opt $ metrics_opt
           $ trace_opt)
 
 let blocks_cmd =
-  let run name source output criterion ppd jobs gc_default backend metrics trace =
+  let run name source output criterion ppd jobs gc_default metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
-        let t = P.run ~criterion ~points_per_decade:ppd ~jobs ~backend b in
+        let t = P.run ~criterion ~points_per_decade:ppd ~jobs b in
         let rows =
           List.map
             (fun (r : Mcdft_core.Block_access.report) ->
@@ -1335,7 +1301,7 @@ let blocks_cmd =
     (Cmd.info "blocks"
        ~doc:"Embedded-block access: per-opamp coverage via the transparency mechanism")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ jobs_opt $ gc_default_opt $ backend_opt $ metrics_opt $ trace_opt)
+          $ jobs_opt $ gc_default_opt $ metrics_opt $ trace_opt)
 
 let fuzz_cmd =
   (* "45", "45s" or "3m" *)

@@ -9,7 +9,6 @@ type stats = {
   solved : int;
   skipped : int;
   bisections : int;
-  budget_exhausted : int;
 }
 
 let default_stride = 8
@@ -20,10 +19,9 @@ module Refine = struct
     verdicts : Bytes.t;
     solved : int list;
     bisections : int;
-    degraded : bool;
   }
 
-  let row ~nf ~stride ~step_dec ~guard ~steer_range ~budget ~anchor ~solve =
+  let row ~nf ~stride ~step_dec ~guard ~steer_range ~anchor ~solve =
     if nf <= 0 then invalid_arg "Adaptive.Refine.row: empty grid";
     if stride <= 0 then invalid_arg "Adaptive.Refine.row: stride must be positive";
     if not (step_dec >= 0.0) then
@@ -37,32 +35,22 @@ module Refine = struct
           invalid_arg "Adaptive.Refine.row: anchor byte outside 'd'/'u'/'?'")
       v;
     let margins = Array.make nf Float.nan in
-    let solved = ref [] and n_solved = ref 0 in
+    let solved = ref [] in
     let bisections = ref 0 in
-    let degraded = ref false in
-    let budget_left () =
-      match budget with None -> max_int | Some b -> b - !n_solved
-    in
     let do_solve i =
       let b, m = solve i in
       if b <> 'd' && b <> 'u' then
         invalid_arg "Adaptive.Refine.row: solve returned a byte outside 'd'/'u'";
       Bytes.set v i b;
       margins.(i) <- m;
-      solved := i :: !solved;
-      incr n_solved
+      solved := i :: !solved
     in
     (* Coarse pass: every [stride]-th point plus the final one, so
        every eventual '?' run is bracketed by known anchors. Static
        anchors are free and are never re-solved. *)
-    let coarse = ref [] in
-    for i = nf - 1 downto 0 do
-      if Bytes.get v i = '?' && (i mod stride = 0 || i = nf - 1) then
-        coarse := i :: !coarse
+    for i = 0 to nf - 1 do
+      if Bytes.get v i = '?' && (i mod stride = 0 || i = nf - 1) then do_solve i
     done;
-    let coarse = !coarse in
-    if budget_left () < List.length coarse then degraded := true
-    else List.iter do_solve coarse;
     (* Refinement between adjacent known points. Disagreeing endpoint
        verdicts are bisected down to adjacency unconditionally — the
        crossing is known to be inside. Agreeing endpoints may still
@@ -94,7 +82,7 @@ module Refine = struct
       if Float.is_nan m then 0.0 else Float.abs m
     in
     let rec refine lo hi =
-      if (not !degraded) && hi - lo > 1 then begin
+      if hi - lo > 1 then begin
         let flip = Bytes.get v lo <> Bytes.get v hi in
         let safe =
           (not flip)
@@ -102,53 +90,40 @@ module Refine = struct
              > (guard *. step_dec *. float_of_int (hi - lo))
                +. steer_range lo hi
         in
-        if not safe then
-          if budget_left () < 1 then degraded := true
-          else begin
-            let mid = (lo + hi) / 2 in
-            do_solve mid;
-            incr bisections;
-            refine lo mid;
-            refine mid hi
-          end
+        if not safe then begin
+          let mid = (lo + hi) / 2 in
+          do_solve mid;
+          incr bisections;
+          refine lo mid;
+          refine mid hi
+        end
       end
     in
-    if not !degraded then begin
-      let prev = ref (-1) in
-      for i = 0 to nf - 1 do
-        if Bytes.get v i <> '?' then begin
-          if !prev >= 0 then refine !prev i;
-          prev := i
-        end
-      done
-    end;
-    if !degraded then
-      (* The budget ran out: degrade to the exhaustive sweep — solve
-         every still-unknown point rather than guess any verdict. *)
-      for i = 0 to nf - 1 do
-        if Bytes.get v i = '?' then do_solve i
-      done
-    else begin
-      (* Fill: each remaining '?' run is bracketed by anchors whose
-         verdicts agree (a disagreement would have been bisected down
-         to adjacency), so the interior inherits the shared verdict. *)
-      let p = ref 0 in
-      while !p < nf do
-        if Bytes.get v !p <> '?' then incr p
-        else begin
-          let q = ref !p in
-          while !q < nf && Bytes.get v !q = '?' do
-            incr q
-          done;
-          let b = Bytes.get v (!p - 1) in
-          assert (!q < nf && Bytes.get v !q = b);
-          Bytes.fill v !p (!q - !p) b;
-          p := !q
-        end
-      done
-    end;
-    { verdicts = v; solved = List.rev !solved; bisections = !bisections;
-      degraded = !degraded }
+    let prev = ref (-1) in
+    for i = 0 to nf - 1 do
+      if Bytes.get v i <> '?' then begin
+        if !prev >= 0 then refine !prev i;
+        prev := i
+      end
+    done;
+    (* Fill: each remaining '?' run is bracketed by anchors whose
+       verdicts agree (a disagreement would have been bisected down to
+       adjacency), so the interior inherits the shared verdict. *)
+    let p = ref 0 in
+    while !p < nf do
+      if Bytes.get v !p <> '?' then incr p
+      else begin
+        let q = ref !p in
+        while !q < nf && Bytes.get v !q = '?' do
+          incr q
+        done;
+        let b = Bytes.get v (!p - 1) in
+        assert (!q < nf && Bytes.get v !q = b);
+        Bytes.fill v !p (!q - !p) b;
+        p := !q
+      end
+    done;
+    { verdicts = v; solved = List.rev !solved; bisections = !bisections }
 end
 
 (* Order-of-magnitude cost of one view task, in ns; it only feeds the
@@ -163,13 +138,8 @@ let view_ns ~nf ~faults ~sweeps netlist =
   let drifts = sweeps *. float_of_int (List.length (Netlist.passives netlist)) in
   float_of_int nf *. d *. d *. (d +. (5.0 *. drifts) +. (2.0 *. float_of_int faults))
 
-let build ?backend ?criterion ?(jobs = 1) ?solve_budget
-    ?(stride = default_stride) grid views faults =
+let build ?criterion ?(jobs = 1) ?(stride = default_stride) grid views faults =
   Obs.Trace.span "adaptive.build" @@ fun () ->
-  (match solve_budget with
-  | Some b when b <= 0 ->
-      invalid_arg "Adaptive.build: solve budget must be positive"
-  | _ -> ());
   if stride <= 0 then invalid_arg "Adaptive.build: stride must be positive";
   let views = Array.of_list views in
   let faults = Array.of_list faults in
@@ -199,7 +169,6 @@ let build ?backend ?criterion ?(jobs = 1) ?solve_budget
   let verdict_rows = Array.make_matrix n m Bytes.empty in
   let row_solved = Array.make_matrix n m 0 in
   let row_bisections = Array.make_matrix n m 0 in
-  let row_degraded = Array.make_matrix n m false in
   let view_isolated = Array.make n 0 in
   let view_dead = Array.make n false in
   let est_ns =
@@ -225,7 +194,7 @@ let build ?backend ?criterion ?(jobs = 1) ?solve_budget
         end
       in
       Fun.protect ~finally:end_prepare @@ fun () ->
-      Detect.with_view ~pool ?backend ?criterion view.Matrix.probe grid view.Matrix.netlist
+      Detect.with_view ~pool ?criterion view.Matrix.probe grid view.Matrix.netlist
       @@ fun pv ->
       let plans = Array.map (Detect.plan_fault pv) faults in
       end_prepare ();
@@ -242,20 +211,19 @@ let build ?backend ?criterion ?(jobs = 1) ?solve_budget
              isolated fault's rows cost zero solves, at every stride. *)
           let o =
             Refine.row ~nf ~stride ~step_dec ~guard:default_guard
-              ~steer_range:(Detect.steer_range pv) ~budget:solve_budget
+              ~steer_range:(Detect.steer_range pv)
               ~anchor:(Detect.anchor pv plan) ~solve:(Detect.score_point pv plan)
           in
           verdict_rows.(i).(j) <- o.Refine.verdicts;
           row_solved.(i).(j) <- List.length o.Refine.solved;
-          row_bisections.(i).(j) <- o.Refine.bisections;
-          row_degraded.(i).(j) <- o.Refine.degraded)
+          row_bisections.(i).(j) <- o.Refine.bisections)
         plans);
   (* Phase 3 — sequential reduce and counter booking, in row order:
      the matrix and the adaptive.* / campaign.* totals are
      jobs-deterministic. *)
   let detect = Array.make_matrix n m false in
   let omega = Array.make_matrix n m 0.0 in
-  let solved = ref 0 and bisections = ref 0 and degraded_rows = ref 0 in
+  let solved = ref 0 and bisections = ref 0 in
   Obs.Trace.span "adaptive.reduce" (fun () ->
       for i = 0 to n - 1 do
         for j = 0 to m - 1 do
@@ -263,27 +231,17 @@ let build ?backend ?criterion ?(jobs = 1) ?solve_budget
           detect.(i).(j) <- r.Detect.detectable;
           omega.(i).(j) <- r.Detect.omega_det;
           solved := !solved + row_solved.(i).(j);
-          bisections := !bisections + row_bisections.(i).(j);
-          if row_degraded.(i).(j) then incr degraded_rows
+          bisections := !bisections + row_bisections.(i).(j)
         done
       done);
   let points = n * m * nf in
   let skipped = points - !solved in
   if skipped > 0 then Obs.Metrics.incr ~by:skipped "adaptive.solves_skipped";
   if !bisections > 0 then Obs.Metrics.incr ~by:!bisections "adaptive.bisections";
-  if !degraded_rows > 0 then
-    Obs.Metrics.incr ~by:!degraded_rows "adaptive.budget_exhausted";
   let isolated_rows = Array.fold_left ( + ) 0 view_isolated in
   let dead_views = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 view_dead in
   if isolated_rows > 0 then
     Obs.Metrics.incr ~by:isolated_rows "campaign.isolated_rows";
   if dead_views > 0 then Obs.Metrics.incr ~by:dead_views "campaign.dead_views";
   ( { Matrix.views; faults; detect; omega },
-    {
-      rows = n * m;
-      points;
-      solved = !solved;
-      skipped;
-      bisections = !bisections;
-      budget_exhausted = !degraded_rows;
-    } )
+    { rows = n * m; points; solved = !solved; skipped; bisections = !bisections } )

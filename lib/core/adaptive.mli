@@ -52,9 +52,10 @@
     decades, so fewer points per decade means wider intervals and
     earlier refinement.
 
-    A per-row solve budget bounds the refinement: a row that would
-    exceed it degrades to the exhaustive sweep for that row — solving
-    every remaining point — rather than ever guessing a verdict. *)
+    A row never solves a point twice, so its cost is bounded by its
+    non-anchored points — the stride-1 sweep's cost — without a solve
+    cap. Each view's engine picks its own factorization
+    ({!Testability.Fastsim.backend} [Auto]). *)
 
 type stats = {
   rows : int;  (** scored (view × fault) rows *)
@@ -65,7 +66,6 @@ type stats = {
           interval endpoints or below the measurement floor —
           [points - solved] *)
   bisections : int;  (** midpoint solves beyond the coarse pass *)
-  budget_exhausted : int;  (** rows degraded to the exhaustive sweep *)
 }
 
 val default_stride : int
@@ -91,7 +91,6 @@ module Refine : sig
         (** every byte decided (['d'] or ['u']), length [nf] *)
     solved : int list;  (** indices solved numerically, in solve order *)
     bisections : int;  (** solves issued by interval bisection *)
-    degraded : bool;  (** the budget ran out and the row went exhaustive *)
   }
 
   val row :
@@ -100,7 +99,6 @@ module Refine : sig
     step_dec:float ->
     guard:float ->
     steer_range:(int -> int -> float) ->
-    budget:int option ->
     anchor:(int -> char) ->
     solve:(int -> char * float) ->
     outcome
@@ -121,20 +119,18 @@ module Refine : sig
       variation of the margin's static profile over the closed
       interval; a static anchor or a failed solve ([nan]) carries
       no margin and contributes zero to the test, so refinement stops
-      at it rather than skipping past. [budget] caps the numeric
-      solves the adaptive strategy may issue; once it would be
-      exceeded the row degrades: every still-unknown point is solved
-      (the row {e is} the exhaustive sweep, budget notwithstanding)
-      and [degraded] is set. Raises [Invalid_argument] on [nf <= 0],
+      at it rather than skipping past. Each point is solved at most
+      once and only where its anchor is ['?'], so [solved] never
+      exceeds the row's ['?'] anchors; at [~stride:1] it is exactly
+      them — the exhaustive sweep of that row. Raises
+      [Invalid_argument] on [nf <= 0],
       [stride <= 0], negative [step_dec]/[guard] or a byte outside the
       verdict alphabet. *)
 end
 
 val build :
-  ?backend:Testability.Fastsim.backend ->
   ?criterion:Testability.Detect.criterion ->
   ?jobs:int ->
-  ?solve_budget:int ->
   ?stride:int ->
   Testability.Grid.t ->
   Testability.Matrix.view list ->
@@ -157,19 +153,17 @@ val build :
     at that frequency, so the points refinement skips cost no
     back-solve. [jobs] > 1 spreads the view tasks over that many
     domains, so at most [jobs] engines are live at once; results are
-    identical to a sequential run. [backend] selects the per-view
-    factorization ({!Testability.Fastsim.backend}, default [Auto]).
+    identical to a sequential run. Each view's engine factors through
+    the backend {!Testability.Fastsim.backend} [Auto] selects from its
+    size and density.
 
     [stride] defaults to {!default_stride}; [~stride:1] is the
-    exhaustive sweep. [solve_budget] is the per-row cap handed to
-    {!Refine.row} (positive; default unlimited).
+    exhaustive sweep.
 
     Counters — incremented sequentially after the view tasks, so they
     are jobs-invariant by construction:
     [adaptive.solves_skipped] (points decided without solving),
-    [adaptive.bisections], [adaptive.budget_exhausted] (degraded
-    rows), [campaign.isolated_rows] ((view, fault) rows whose fault is
+    [adaptive.bisections], [campaign.isolated_rows] ((view, fault) rows whose fault is
     isolated — on an unpruned campaign, exactly
     {!Analysis.Detectability.skip_count}) and [campaign.dead_views].
-    Raises [Invalid_argument] on a non-positive [stride] or
-    [solve_budget]. *)
+    Raises [Invalid_argument] on a non-positive [stride]. *)

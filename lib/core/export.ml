@@ -134,7 +134,6 @@ let adaptive_to_json (s : Adaptive.stats) =
       ("solved", J.int s.Adaptive.solved);
       ("solves_skipped", J.int s.Adaptive.skipped);
       ("bisections", J.int s.Adaptive.bisections);
-      ("budget_exhausted", J.int s.Adaptive.budget_exhausted);
     ]
 
 let coverage_to_json (c : Testability.Montecarlo.coverage) =

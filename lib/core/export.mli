@@ -13,7 +13,7 @@ val metrics_to_json : Obs.Metrics.snapshot -> Report.Json.t
 
 val adaptive_to_json : Adaptive.stats -> Report.Json.t
 (** The adaptive refinement counters (rows, points, solved,
-    solves_skipped, bisections, budget_exhausted) as a JSON object. *)
+    solves_skipped, bisections) as a JSON object. *)
 
 val coverage_to_json : Testability.Montecarlo.coverage -> Report.Json.t
 (** A {!Testability.Montecarlo.coverage_run} result: sampling

@@ -16,8 +16,8 @@ let default_criterion =
   Testability.Detect.Process_envelope { component_tol = 0.04; floor = 0.02 }
 
 let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
-    ?follower_model ?jobs ?backend ?(prune = true) ?(certify = false)
-    ?(adaptive = true) ?solve_budget (benchmark : Circuits.Benchmark.t) =
+    ?follower_model ?jobs ?(prune = true) ?(certify = false)
+    ?(adaptive = true) (benchmark : Circuits.Benchmark.t) =
   Obs.Trace.span "pipeline.run" @@ fun () ->
   let netlist = benchmark.Circuits.Benchmark.netlist in
   Circuit.Validate.check_exn netlist;
@@ -115,14 +115,10 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
      stride-1 sweep bit for bit on the campaigns the tier-1 tests and
      the adaptive-vs-exhaustive oracle run, but that is empirical: it is
      known to fail for phase:* criteria at ppd >= 8 (leapfrog5 phase:0.1
-     catastrophic at ppd 30, cell C198 x R5a-short). The solve budget
-     only bounds refinement, so the exhaustive sweep ignores it. *)
-  let stride, solve_budget =
-    if adaptive then (None, solve_budget) else (Some 1, None)
-  in
+     catastrophic at ppd 30, cell C198 x R5a-short). *)
+  let stride = if adaptive then None else Some 1 in
   let rep_matrix, stats =
-    Adaptive.build ?backend ~criterion ?jobs ?solve_budget ?stride grid
-      rep_views faults
+    Adaptive.build ~criterion ?jobs ?stride grid rep_views faults
   in
   let adaptive_stats = if adaptive then Some stats else None in
   (* Expand back to the full view list: row i is a copy of its

@@ -45,11 +45,9 @@ val run :
   ?faults:Fault.t list ->
   ?follower_model:Circuit.Element.opamp_model ->
   ?jobs:int ->
-  ?backend:Testability.Fastsim.backend ->
   ?prune:bool ->
   ?certify:bool ->
   ?adaptive:bool ->
-  ?solve_budget:int ->
   Circuits.Benchmark.t ->
   t
 (** Defaults: {!default_criterion}, the paper's +20 % deviation fault
@@ -58,9 +56,10 @@ val run :
     (default 30) points per decade. [follower_model] emulates
     follower-mode opamps as finite-GBW unity buffers instead of ideal
     ones (see {!Multiconfig.Transform.emulate}); [jobs] parallelizes
-    the campaign across domains (see {!Adaptive.build});
-    [backend] selects the per-view factorization
-    ({!Testability.Fastsim.backend}, default [Auto]).
+    the campaign across domains (see {!Adaptive.build}). The campaign
+    picks its own solver per view ({!Testability.Fastsim.backend}
+    [Auto]) and its own solve count (each grid point of a row is solved
+    at most once); neither is a parameter.
 
     [prune] (default [true]) simulates one representative per class of
     configurations whose assembled systems are value-identical up to
@@ -80,14 +79,12 @@ val run :
 
     [adaptive] (default [true]) drives the campaign through
     {!Adaptive.build} at its default stride: coarse-grid solves plus
-    flip-driven bisection replace the exhaustive per-point sweep, with
-    bitwise-identical matrices ([adaptive.solves_skipped] /
-    [adaptive.bisections] metrics). [~adaptive:false] runs the same
-    driver at stride 1 — every grid point solved — and leaves
-    {!field:adaptive} = [None]. [solve_budget] caps the adaptive
-    solves per (view × fault) row; an exceeded row degrades to the
-    exhaustive sweep ([adaptive.budget_exhausted]). Ignored with
-    [~adaptive:false]. *)
+    flip- and margin-driven bisection replace the exhaustive per-point
+    sweep ([adaptive.solves_skipped] / [adaptive.bisections] metrics).
+    The matrices match the exhaustive sweep on the tested campaigns, an
+    empirical identity with one known failure ({!Adaptive}).
+    [~adaptive:false] runs the same driver at stride 1 — every grid
+    point solved — and leaves {!field:adaptive} = [None]. *)
 
 val optimize : ?petrick_limit:int -> ?n_detect:int -> t -> Optimizer.report
 

@@ -260,11 +260,11 @@ let prepare_view ?backend ?(criterion = default_criterion) probe grid netlist =
       (Fastsim.create ?backend ~source:probe.source ~output:probe.output
          ~freqs_hz:(Grid.freqs_hz grid) netlist)
 
-let with_view ~pool ?backend ?(criterion = default_criterion) probe grid netlist f =
+let with_view ~pool ?(criterion = default_criterion) probe grid netlist f =
   let structure = structure_of probe netlist in
   if structure.dead then f (dead_view ~criterion ~structure grid)
   else
-    Fastsim.with_engine ~pool ?backend ~source:probe.source ~output:probe.output
+    Fastsim.with_engine ~pool ~source:probe.source ~output:probe.output
       ~freqs_hz:(Grid.freqs_hz grid) netlist (fun sim ->
         f (live_view ~criterion ~structure grid sim))
 
@@ -419,11 +419,11 @@ let result_of_verdicts grid fault verdicts =
   done;
   result_of_regions grid fault !intervals
 
-let minimal_detectable_deviation ?backend ?(criterion = default_criterion)
+let minimal_detectable_deviation ?(criterion = default_criterion)
     ?(max_factor = 10.0) probe grid netlist ~element =
   if max_factor <= 1.0 then
     invalid_arg "Detect.minimal_detectable_deviation: max_factor must exceed 1";
-  let pv = prepare_view ?backend ~criterion probe grid netlist in
+  let pv = prepare_view ~criterion probe grid netlist in
   let detectable factor =
     (result_of pv grid (Fault.deviation ~element factor)).detectable
   in

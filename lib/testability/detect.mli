@@ -136,7 +136,6 @@ val prepare_view :
 
 val with_view :
   pool:Fastsim.pool ->
-  ?backend:Fastsim.backend ->
   ?criterion:criterion ->
   probe -> Grid.t -> Netlist.t -> (prepared_view -> 'a) -> 'a
 (** [with_view ~pool … netlist f] is [f] applied to what
@@ -219,7 +218,6 @@ val analyze :
     absent. *)
 
 val minimal_detectable_deviation :
-  ?backend:Fastsim.backend ->
   ?criterion:criterion -> ?max_factor:float ->
   probe -> Grid.t -> Netlist.t -> element:string -> float option
 (** The smallest multiplicative deviation factor above 1 whose fault on

@@ -526,7 +526,7 @@ let build ~acquire ?(backend = Auto) ~source ~output ~freqs_hz netlist =
 let create ?backend ~source ~output ~freqs_hz netlist =
   build ~acquire:(fun _ -> None) ?backend ~source ~output ~freqs_hz netlist
 
-let with_engine ~pool ?backend ~source ~output ~freqs_hz netlist f =
+let with_engine ~pool ~source ~output ~freqs_hz netlist f =
   let leased = ref None in
   let acquire n =
     let ws = acquire_workspace pool n in
@@ -535,7 +535,7 @@ let with_engine ~pool ?backend ~source ~output ~freqs_hz netlist f =
   in
   Fun.protect
     ~finally:(fun () -> Option.iter (release pool) !leased)
-    (fun () -> f (build ~acquire ?backend ~source ~output ~freqs_hz netlist))
+    (fun () -> f (build ~acquire ~source ~output ~freqs_hz netlist))
 
 let nominal t =
   check_live t;

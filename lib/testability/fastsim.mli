@@ -58,7 +58,11 @@ type backend = Dense | Sparse | Auto
     crossover keeps the dense path and its exact bitwise behaviour.
     Either way results agree to solver rounding: the Sherman–Morrison
     update, its residual gate and the full-refactorization fallback
-    are backend-independent. *)
+    are backend-independent. Every campaign ({!with_engine}, hence
+    [Mcdft_core.Adaptive.build], [Mcdft_core.Pipeline.run] and the
+    CLI) uses [Auto]; forcing [Dense] or [Sparse] is for references —
+    {!create}, [Detect.prepare_view] and [Detect.analyze] take it,
+    so the sparse-vs-dense oracle and the tests can pin a solver. *)
 
 val create :
   ?backend:backend ->
@@ -83,7 +87,6 @@ val pool : unit -> pool
 
 val with_engine :
   pool:pool ->
-  ?backend:backend ->
   source:string ->
   output:string ->
   freqs_hz:float array ->

@@ -7,8 +7,8 @@
    such rows the skip rule is provably sound, so the refined row must
    reproduce the truth byte for byte, an isolated flip can never be
    inferred from its neighbours and must appear in the solved set, and
-   a starved budget must degrade to the exhaustive sweep rather than
-   ever guess. The end-to-end and CLI cases then pin the same
+   no point is solved twice or solved at all unless its anchor left it
+   unknown. The end-to-end and CLI cases then pin the same
    invariant on the real engine. *)
 
 module A = Mcdft_core.Adaptive
@@ -46,11 +46,9 @@ let gen_row seed =
 
 let byte_of r i = if r.margins.(i) > 0.0 then 'd' else 'u'
 
-let refine ?budget ?(anchor = fun _ -> '?') r =
+let refine ?(anchor = fun _ -> '?') r =
   A.Refine.row ~nf:r.nf ~stride:r.stride ~step_dec:r.step_dec ~guard:r.guard
-    ~steer_range:(fun _ _ -> 0.0)
-    ~budget
-    ~anchor
+    ~steer_range:(fun _ _ -> 0.0) ~anchor
     ~solve:(fun i -> (byte_of r i, r.margins.(i)))
 
 let row_matches r (o : A.Refine.outcome) =
@@ -68,7 +66,15 @@ let qcheck_refined_row_exact =
     (fun seed ->
       let r = gen_row seed in
       let o = refine r in
-      if not (row_matches r o) then false
+      let solved = o.A.Refine.solved in
+      (* every point is solved at most once, so a row never solves more
+         than its '?' anchors — here, every point *)
+      if
+        not
+          (row_matches r o
+          && List.sort_uniq Int.compare solved = List.sort Int.compare solved
+          && List.length solved <= r.nf)
+      then false
       else begin
         (* a point disagreeing with both neighbours cannot be filled
            from any interval endpoints — it must have been solved *)
@@ -80,22 +86,8 @@ let qcheck_refined_row_exact =
             && not (List.mem i o.A.Refine.solved)
           then solved_ok := false
         done;
-        !solved_ok && not o.A.Refine.degraded
+        !solved_ok
       end)
-
-let qcheck_budget_degrades_never_guesses =
-  QCheck.Test.make
-    ~name:"a starved solve budget degrades to exhaustive, never a wrong byte"
-    ~count:500
-    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
-    (fun seed ->
-      let r = gen_row seed in
-      let budget = 1 + (seed mod 6) in
-      let o = refine ~budget r in
-      row_matches r o
-      && (o.A.Refine.degraded || List.length o.A.Refine.solved <= budget)
-      && List.sort_uniq Int.compare o.A.Refine.solved
-         = List.sort Int.compare o.A.Refine.solved)
 
 let qcheck_static_anchors_never_solved =
   QCheck.Test.make
@@ -114,13 +106,13 @@ let qcheck_static_anchors_never_solved =
 (* ---- end-to-end: adaptive pipeline = exhaustive pipeline = the
    per-view Detect.analyze reference ---- *)
 
-let run_pipeline ?solve_budget ~adaptive ~criterion () =
+let run_pipeline ~adaptive ~criterion () =
   let b = Circuits.Tow_thomas.make () in
-  P.run ~criterion ~points_per_decade:6 ~jobs:1 ~adaptive ?solve_budget b
+  P.run ~criterion ~points_per_decade:6 ~jobs:1 ~adaptive b
 
-let check_identical ~what criterion ?solve_budget () =
+let check_identical ~what criterion =
   let exhaustive = run_pipeline ~adaptive:false ~criterion () in
-  let t = run_pipeline ~adaptive:true ~criterion ?solve_budget () in
+  let t = run_pipeline ~adaptive:true ~criterion () in
   let me = exhaustive.P.matrix and ma = t.P.matrix in
   let reference =
     Array.map
@@ -159,12 +151,12 @@ let check_identical ~what criterion ?solve_budget () =
       s
 
 let test_pipeline_identity_envelope () =
-  let s = check_identical ~what:"envelope" P.default_criterion () in
+  let s = check_identical ~what:"envelope" P.default_criterion in
   Alcotest.(check bool) "some points skipped" true (s.A.skipped > 0)
 
 let test_pipeline_identity_fixed () =
   let s =
-    check_identical ~what:"fixed" (Testability.Detect.Fixed_tolerance 0.10) ()
+    check_identical ~what:"fixed" (Testability.Detect.Fixed_tolerance 0.10)
   in
   Alcotest.(check bool) "some points skipped" true (s.A.skipped > 0)
 
@@ -172,21 +164,13 @@ let test_pipeline_identity_fixed () =
    stride 1 = Detect.analyze is pinned for every one of them *)
 let test_pipeline_identity_other_criteria () =
   List.iter
-    (fun (what, criterion) -> ignore (check_identical ~what criterion ()))
+    (fun (what, criterion) -> ignore (check_identical ~what criterion))
     Testability.Detect.
       [
         ("phase", Phase_fixed 0.1);
         ("phase-envelope", Phase_envelope { component_tol = 0.04; floor_rad = 0.05 });
         ("any-of", Any_of [ Fixed_tolerance 0.1; Phase_fixed 0.1 ]);
       ]
-
-let test_pipeline_identity_starved_budget () =
-  (* a 2-solve budget forces essentially every row to degrade; the
-     matrices must still be the exhaustive ones *)
-  let s =
-    check_identical ~what:"budget=2" P.default_criterion ~solve_budget:2 ()
-  in
-  Alcotest.(check bool) "rows degraded" true (s.A.budget_exhausted > 0)
 
 (* ---- CLI surface ---- *)
 
@@ -407,7 +391,6 @@ let test_coverage_run_validation () =
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_refined_row_exact;
-    QCheck_alcotest.to_alcotest qcheck_budget_degrades_never_guesses;
     QCheck_alcotest.to_alcotest qcheck_static_anchors_never_solved;
     Alcotest.test_case "adaptive pipeline = exhaustive (envelope)" `Quick
       test_pipeline_identity_envelope;
@@ -417,8 +400,6 @@ let suite =
       `Quick test_pipeline_identity_other_criteria;
     Alcotest.test_case "streaming campaign: bounded workspaces, dead views free" `Quick
       test_streaming_campaign_bounded;
-    Alcotest.test_case "starved budget degrades, matrices intact" `Quick
-      test_pipeline_identity_starved_budget;
     Alcotest.test_case "CLI --adaptive leaves every table byte-identical" `Slow
       test_cli_adaptive_identity;
     Alcotest.test_case "CLI adaptive summary line parses and adds up" `Quick

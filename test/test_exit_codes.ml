@@ -53,13 +53,6 @@ let table =
     ( "exhaustive campaign on a matrix run",
       "matrix tow-thomas --no-adaptive --points-per-decade 3",
       0 );
-    ( "bounded adaptive refinement",
-      "matrix tow-thomas --solve-budget 5 --points-per-decade 3",
-      0 );
-    (* --solve-budget is validated in the command itself (cmdliner's
-       conv layer would own exit 124; the value is accepted as an int
-       and rejected by the same path as other semantic errors) *)
-    ("solve budget must be positive", "matrix tow-thomas --solve-budget 0", 2);
     ( "missing diagnose observation file is an i/o error",
       "diagnose tow-thomas --observe no/such/log.txt --points-per-decade 2",
       5 );
@@ -75,6 +68,8 @@ let table =
     ("diagnose --no-certify is gone", "diagnose tow-thomas --no-certify", 124);
     ("blocks --no-certify is gone", "blocks tow-thomas --no-certify", 124);
     ("matrix --prefilter is gone", "matrix tow-thomas --prefilter", 124);
+    ("matrix --solve-budget is gone", "matrix tow-thomas --solve-budget 5", 124);
+    ("matrix --backend is gone", "matrix tow-thomas --backend sparse", 124);
   ]
 
 let test_exit_codes () =

@@ -306,10 +306,11 @@ let test_auto_crossover () =
   Alcotest.(check bool) "explicit Sparse overrides the heuristic" true
     (F.uses_sparse forced)
 
-(* End-to-end: a sparse pruned campaign on a bigladder must match the
-   dense one verdict-for-verdict, and pruning must replicate rows
-   bitwise while reporting what it skipped (the three buffers give 7
-   test views in exactly 2 value-equivalence classes). *)
+(* End-to-end: the default campaign on a bigladder factors sparse
+   (Auto, above the crossover) and must match the dense per-view
+   Detect.analyze reference verdict-for-verdict, and pruning must
+   replicate rows bitwise while reporting what it skipped (the three
+   buffers give 7 test views in exactly 2 value-equivalence classes). *)
 let test_bigladder_campaign () =
   let netlist, output =
     Conformance.Gen.bigladder ~stages:60 (Random.State.make [| 7 |])
@@ -327,20 +328,15 @@ let test_bigladder_campaign () =
   let faults =
     List.filteri (fun i _ -> i mod 4 = 0) (Fault.deviation_faults netlist)
   in
-  let run ~backend ~prune () =
-    P.run ~points_per_decade:3 ~faults ~jobs:1 ~backend ~prune b
-  in
+  let run ~prune () = P.run ~points_per_decade:3 ~faults ~jobs:1 ~prune b in
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
   let sparse =
-    Fun.protect
-      ~finally:(fun () -> Obs.Metrics.set_enabled false)
-      (run ~backend:F.Sparse ~prune:true)
+    Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) (run ~prune:true)
   in
   let snap = Obs.Metrics.snapshot () in
   Obs.Metrics.reset ();
-  let dense = run ~backend:F.Dense ~prune:true () in
-  let noprune = run ~backend:F.Sparse ~prune:false () in
+  let noprune = run ~prune:false () in
   Alcotest.(check int) "equivalence groups" 2 sparse.P.equivalence_groups;
   Alcotest.(check int) "pruned configs" 5 sparse.P.pruned_configs;
   Alcotest.(check int) "campaign.equivalence_groups counter" 2
@@ -349,12 +345,29 @@ let test_bigladder_campaign () =
     (Obs.Metrics.counter snap "campaign.pruned_configs");
   Alcotest.(check int) "no-prune simulates every view" 0 noprune.P.pruned_configs;
   Alcotest.(check int) "no-prune group per view" 7 noprune.P.equivalence_groups;
-  Alcotest.(check bool) "sparse verdicts equal dense verdicts" true
-    (sparse.P.matrix.Mx.detect = dense.P.matrix.Mx.detect);
+  let m = sparse.P.matrix in
+  Array.iteri
+    (fun i (v : Mx.view) ->
+      let sim =
+        F.create ~source:v.Mx.probe.Testability.Detect.source
+          ~output:v.Mx.probe.Testability.Detect.output
+          ~freqs_hz:(Testability.Grid.freqs_hz sparse.P.grid) v.Mx.netlist
+      in
+      Alcotest.(check bool) (v.Mx.label ^ ": the campaign factors sparse") true
+        (F.uses_sparse sim);
+      let dense =
+        Testability.Detect.analyze ~backend:F.Dense ~criterion:P.default_criterion
+          v.Mx.probe sparse.P.grid v.Mx.netlist faults
+      in
+      Alcotest.(check (list bool))
+        (v.Mx.label ^ ": sparse verdicts equal dense Detect.analyze")
+        (List.map (fun r -> r.Testability.Detect.detectable) dense)
+        (Array.to_list m.Mx.detect.(i)))
+    m.Mx.views;
   Alcotest.(check bool) "pruned detect bitwise-equals unpruned" true
-    (sparse.P.matrix.Mx.detect = noprune.P.matrix.Mx.detect);
+    (m.Mx.detect = noprune.P.matrix.Mx.detect);
   Alcotest.(check bool) "pruned omega bitwise-equals unpruned" true
-    (sparse.P.matrix.Mx.omega = noprune.P.matrix.Mx.omega)
+    (m.Mx.omega = noprune.P.matrix.Mx.omega)
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
