@@ -14,15 +14,6 @@
     the usual pattern is "each index writes its own slot of a
     pre-allocated array", which needs no further synchronization. *)
 
-val effective_jobs : int -> int
-(** [effective_jobs jobs] is the worker count {!for_} actually uses:
-    [jobs] clamped to [Domain.recommended_domain_count ()] (and to at
-    least 1). An OCaml 5 domain must join every stop-the-world minor
-    collection, so running more domains than cores makes every GC sync
-    wait on a descheduled worker and the whole campaign anti-scales.
-    Exposed so benchmarks can normalize parallel efficiency by the
-    worker count that really ran rather than the one requested. *)
-
 val sequential_cutoff_ns : float
 (** Workloads whose [est_ns] falls below this run inline on the
     calling domain: spawning helpers costs ~100µs each plus a GC-sync
@@ -33,7 +24,10 @@ val sequential_cutoff_ns : float
 val for_ : ?jobs:int -> ?est_ns:float -> int -> (int -> unit) -> unit
 (** [for_ ~jobs n f] runs [f i] for every [i] in [0 .. n-1].
     [jobs <= 1] (the default) runs sequentially in the calling domain,
-    in index order; [jobs] is clamped to {!effective_jobs}.
+    in index order; [jobs] is clamped to
+    [Domain.recommended_domain_count ()], since more domains than
+    cores make every stop-the-world GC sync wait on a descheduled
+    worker.
 
     [est_ns] is the caller's estimate of the {e total} work in the
     loop, in nanoseconds. When it is below {!sequential_cutoff_ns} the

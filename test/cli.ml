@@ -1,6 +1,6 @@
 (* Driving the built binaries from the test suites, independently of
    the working directory the suite was started from. Dune places
-   bin/ and bench/ beside test/ and copies the fixtures next to the
+   bin/ beside test/ and copies the fixtures next to the
    test executable, so every path resolves against the executable's
    directory; commands run from there too, so fixture-relative
    arguments ("tf fixtures/vloop.cir") resolve wherever the suite
@@ -9,22 +9,21 @@
 
 let dir = Filename.dirname Sys.executable_name
 let mcdft = Filename.concat dir "../bin/mcdft.exe"
-let bench = Filename.concat dir "../bench/main.exe"
 let fixture path = Filename.concat dir (Filename.concat "fixtures" path)
 
-let run exe args ~out =
+let run args ~out =
   Sys.command
-    (Printf.sprintf "cd %s && %s %s > %s 2>&1" (Filename.quote dir) (Filename.quote exe)
+    (Printf.sprintf "cd %s && %s %s > %s 2>&1" (Filename.quote dir) (Filename.quote mcdft)
        args (Filename.quote out))
 
 (* [mcdft args]'s exit code, output discarded *)
-let exit_code args = run mcdft args ~out:"/dev/null"
+let exit_code args = run args ~out:"/dev/null"
 
 (* [mcdft args]'s exit code and its stdout and stderr, interleaved *)
 let capture args =
   let file = Filename.temp_file "mcdft-cli" ".out" in
   Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-  let code = run mcdft args ~out:file in
+  let code = run args ~out:file in
   (code, In_channel.with_open_bin file In_channel.input_all)
 
 let rec rm_rf path =

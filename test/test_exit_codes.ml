@@ -110,50 +110,10 @@ let test_overflowing_centre_estimate () =
     (Cli.exit_code
        (Printf.sprintf "optimize %s --points-per-decade 2" (Filename.quote path)))
 
-(* ---- bench efficiency gate ---- *)
-
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   nl = 0 || go 0
-
-(* The --baseline efficiency gate must announce when it could not arm:
-   a single-core runner clamps every jobs>1 row to one effective
-   worker and the gate checks nothing. PR history shows this reading
-   as "efficiency checked, ok" on CI. The marker's presence must track
-   Util.Parallel.effective_jobs exactly — on a multicore machine it
-   must NOT appear. *)
-let test_efficiency_gate_announcement () =
-  Cli.with_temp_dir "mcdft-bench-gate" @@ fun dir ->
-  Alcotest.(check bool) "bench binary present" true (Sys.file_exists Cli.bench);
-  let run extra log =
-    Sys.command
-      (Printf.sprintf "cd %s && %s campaign --smoke %s > %s 2>&1" (Filename.quote dir)
-         (Filename.quote Cli.bench) extra log)
-  in
-  Alcotest.(check int) "baseline-producing run" 0 (run "" "run1.txt");
-  let baseline =
-    match
-      List.find_opt
-        (fun f -> Filename.check_suffix f ".json")
-        (Array.to_list (Sys.readdir dir))
-    with
-    | Some f -> f
-    | None -> Alcotest.fail "smoke campaign wrote no BENCH json"
-  in
-  Alcotest.(check int) "gated rerun passes against its own numbers" 0
-    (run (Printf.sprintf "--baseline %s" baseline) "run2.txt");
-  let out =
-    In_channel.with_open_text (Filename.concat dir "run2.txt")
-      In_channel.input_all
-  in
-  Alcotest.(check bool) "baseline verdict printed" true
-    (contains ~needle:"baseline check: ok" out);
-  let armed = Util.Parallel.effective_jobs 4 > 1 in
-  Alcotest.(check bool)
-    "UNARMED marker present exactly when the clamp leaves one worker"
-    (not armed)
-    (contains ~needle:"efficiency gate: UNARMED (effective_jobs=1)" out)
 
 (* --criterion's help names every family its parser accepts *)
 let test_criterion_help () =
@@ -173,8 +133,6 @@ let suite =
       test_fuzz_exit_codes;
     Alcotest.test_case "overflowing pole estimate falls back to 1 kHz" `Quick
       test_overflowing_centre_estimate;
-    Alcotest.test_case "bench efficiency gate announces when unarmed" `Quick
-      test_efficiency_gate_announcement;
     Alcotest.test_case "matrix --help lists every criterion family" `Quick
       test_criterion_help;
   ]
