@@ -444,6 +444,32 @@ let lu_solve_block_into { mat = m; perm; _ } ~b ~x =
     end
   done
 
+(* ‖|L̂||Û|‖∞ as |L̂|·(|Û|·1): first the row sums of |Û|, then one
+   pass of the unit-diagonal |L̂| over them, O(n²) in all. *)
+let lu_abs_norm_inf { mat = m; _ } =
+  let n = m.nrows in
+  let dre = m.re and dim = m.im in
+  let[@inline always] mag k =
+    Float.abs (Array1.unsafe_get dre k) +. Float.abs (Array1.unsafe_get dim k)
+  in
+  let u_rows = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    let acc = ref 0.0 in
+    for j = i to n - 1 do
+      acc := !acc +. mag ((i * n) + j)
+    done;
+    u_rows.(i) <- !acc
+  done;
+  let best = ref 0.0 in
+  for i = 0 to n - 1 do
+    let acc = ref u_rows.(i) in
+    for j = 0 to i - 1 do
+      acc := !acc +. (mag ((i * n) + j) *. Array.unsafe_get u_rows j)
+    done;
+    if !acc > !best || Float.is_nan !acc then best := !acc
+  done;
+  !best
+
 let solve a b =
   let n = Array.length b in
   let x = Vec.create n in

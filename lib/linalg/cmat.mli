@@ -131,6 +131,13 @@ val lu_solve_block_into : lu -> b:t -> x:t -> unit
     results are bitwise-equal to [k] scalar solves. [b] and [x] must
     be distinct. *)
 
+val lu_abs_norm_inf : lu -> float
+(** [‖|L̂||Û|‖∞] of the last factorization in the workspace, with the
+    entry magnitude [|z| = |re| + |im|]: the quantity the LU backward
+    error bound (Higham, Thm 9.4: [|ΔA| ≤ γ₃ₙ|L̂||Û|]) scales. Row
+    order is the pivoted one, which leaves the norm unchanged. O(n²).
+    [nan] if an entry is [nan]. *)
+
 val solve : t -> Complex.t array -> Complex.t array
 (** One-shot boxed [solve a b]: factorizes a fresh workspace; raises
     {!Singular}. *)

@@ -18,7 +18,9 @@ module Netlist := Circuit.Netlist
       back-solves are cached across faults sharing a stamp pattern
       (the ±20 % pair on one component, or R‖C on one node pair),
       each solved only when some point first reads it;
-    - every update is verified by a cheap residual check; an
+    - every update is verified by a residual check — on a dense
+      engine most points are cleared a priori by an LU backward-error
+      bound, at O(|u|) instead of an O(n²) mat-vec; an
       ill-conditioned update falls back to a full refactorization of
       the perturbed matrix, and a structural fault (e.g. an inductor
       open, which changes the system dimension) falls back to a fresh
@@ -181,9 +183,30 @@ val set_chaos : [ `None | `Smw_denominator of float ] -> unit
 (** Conformance-testing hook. [`Smw_denominator k] multiplies the
     Sherman–Morrison update denominator by [k] {e and} bypasses the
     residual guard, simulating the silent-wrong-answer bug class the
-    differential oracles must catch (see {!Conformance.Oracle}).
+    differential oracles must catch (see {!Conformance.Oracle}). The
+    hook is read first: a chaotic point is never cleared by the
+    a-priori bound that spares most dense points the residual (sparse
+    engines always compute it), it skips bound and residual alike.
     [`None] — the default — restores correct behaviour. Tests that
     enable it must restore [`None] before returning. *)
+
+val guard_probe :
+  a:Linalg.Cmat.t ->
+  b:Linalg.Cmat.Vec.t ->
+  u:(int * float) list ->
+  alpha:Complex.t ->
+  out:int ->
+  bool * bool * bool
+(** Soundness probe of the a-priori residual bound, for tests. The
+    dense system [a x = b] read at entry [out], perturbed by
+    [alpha·uuᵀ] ([u] a stamp pattern: one or two (index, ±1) pairs on
+    distinct indices), is
+    solved as one engine point twice: with the bound, and with the
+    residual gate alone. Returns [(cleared, passes, same)]: whether
+    the bound cleared the point, whether the gate's computed residual
+    passed its [1024·ε·scale] test without refinement, and whether the
+    two runs wrote the same bits. Soundness is [cleared ⇒ passes]
+    (and [same]). Raises {!Linalg.Cmat.Singular} if [a] is. *)
 
 val stats : t -> int * int
 (** [(smw, full)]: faulty point-solves served by the rank-1 update vs
@@ -194,8 +217,12 @@ val stats : t -> int * int
     the global registry — [fastsim.smw_solves] and
     [fastsim.full_solves] totals across all engines equal the
     per-engine [stats] sums exactly — alongside
-    [fastsim.refine_steps], [fastsim.structural_faults],
-    [fastsim.wcache_hits] and [fastsim.wcache_misses]. Every rank-1
+    [fastsim.smw_cleared], [fastsim.refine_steps],
+    [fastsim.structural_faults], [fastsim.wcache_hits] and
+    [fastsim.wcache_misses]. [smw_cleared] counts the SMW solves an
+    a-priori bound proved to pass the residual gate, so they skipped
+    the residual and built only the output entry: dense engines only,
+    and at most [smw_solves]. Every rank-1
     point solve reads one A⁻¹u column: the first read of each
     (pattern, frequency) column books a miss — whether the read
     solved the column or {!warm_cache} had block-solved it — and every

@@ -196,7 +196,25 @@ let test_metrics_batching_exact () =
       Alcotest.(check int) "smw_solves flushed exactly" smw
         (Obs.Metrics.counter snap "fastsim.smw_solves");
       Alcotest.(check int) "full_solves flushed exactly" full
-        (Obs.Metrics.counter snap "fastsim.full_solves"))
+        (Obs.Metrics.counter snap "fastsim.full_solves");
+      (* On a deviation campaign the a-priori residual bound clears
+         points, and every cleared point is one of the SMW solves. *)
+      Obs.Metrics.reset ();
+      let sim =
+        Fastsim.create ~source:b.Circuits.Benchmark.source
+          ~output:b.Circuits.Benchmark.output ~freqs_hz
+          b.Circuits.Benchmark.netlist
+      in
+      List.iter
+        (fun fault -> ignore (Fastsim.response sim fault))
+        (Fault.deviation_faults b.Circuits.Benchmark.netlist);
+      let snap = Obs.Metrics.snapshot () in
+      let smw, _ = Fastsim.stats sim in
+      let cleared = Obs.Metrics.counter snap "fastsim.smw_cleared" in
+      Alcotest.(check int) "deviation smw_solves flushed exactly" smw
+        (Obs.Metrics.counter snap "fastsim.smw_solves");
+      if not (0 < cleared && cleared <= smw) then
+        Alcotest.failf "smw_cleared %d outside (0, smw_solves = %d]" cleared smw)
 
 (* --- demand-driven back-solve cache --------------------------------- *)
 
@@ -409,6 +427,88 @@ let test_engine_after_bracket () =
   Alcotest.check_raises "score_point after Detect.with_view" dead (fun () ->
       ignore (Detect.score_point pv plan 0))
 
+(* --- the a-priori residual bound ------------------------------------ *)
+
+(* A dense point skips the residual gate when an LU backward-error
+   bound proves the gate would pass. Soundness: on random dense complex
+   systems and rank-1 updates — entries over 12 decades, mild and
+   catastrophic |α| up to 1e9, denominators cancelling to within 1e-10
+   — every point the bound clears is one whose computed residual passes
+   the 1024·ε·scale gate at once, and the two runs write the same bits.
+   The sample must exercise both sides: points cleared, and points the
+   gate sends to refinement. *)
+let random_rank1_case st =
+  let module Cmat = Linalg.Cmat in
+  let float_in lo hi = lo +. Random.State.float st (hi -. lo) in
+  let magnitude () = 10.0 ** float_in (-6.0) 6.0 in
+  let complex m =
+    match Random.State.int st 4 with
+    | 0 -> { Complex.re = (if Random.State.bool st then m else -.m); im = 0.0 }
+    | 1 -> { Complex.re = 0.0; im = (if Random.State.bool st then m else -.m) }
+    | _ -> Complex.polar m (float_in 0.0 (2.0 *. Float.pi))
+  in
+  let n = 2 + Random.State.int st 11 in
+  let density = float_in 0.2 1.0 in
+  let a = Cmat.create n n in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i = j || Random.State.float st 1.0 < density then
+        Cmat.set a i j (complex (magnitude ()))
+    done
+  done;
+  let b = Cmat.Vec.create n in
+  for i = 0 to n - 1 do
+    if i = 0 || Random.State.float st 1.0 < 0.3 then
+      Cmat.Vec.set b i (complex (magnitude ()))
+  done;
+  let i = Random.State.int st n in
+  let u =
+    let j = Random.State.int st n in
+    if j = i then [ (i, 1.0) ] else [ (i, 1.0); (j, -1.0) ]
+  in
+  let alpha () =
+    match Random.State.int st 3 with
+    | 0 -> complex (magnitude ())
+    | 1 -> complex (10.0 ** float_in 3.0 9.0)
+    | _ -> (
+        (* α = −(1 + η)/(uᵀA⁻¹u): the denominator 1 + α·uᵀA⁻¹u is −η *)
+        let uvec = Array.make n Complex.zero in
+        List.iter (fun (k, s) -> uvec.(k) <- { Complex.re = s; im = 0.0 }) u;
+        match Cmat.solve a uvec with
+        | exception Cmat.Singular -> Complex.one
+        | w ->
+            let uw =
+              List.fold_left
+                (fun acc (k, s) -> Complex.add acc (Complex.mul { Complex.re = s; im = 0.0 } w.(k)))
+                Complex.zero u
+            in
+            let eta = complex (10.0 ** float_in (-10.0) (-1.0)) in
+            Complex.neg (Complex.div (Complex.add Complex.one eta) uw))
+  in
+  (a, b, u, alpha (), Random.State.int st n)
+
+let test_bound_soundness () =
+  let st = Random.State.make [| 2104 |] in
+  let cases = ref 0 and cleared = ref 0 and gated = ref 0 in
+  while !cases < 4000 do
+    let a, b, u, alpha, out = random_rank1_case st in
+    match Fastsim.guard_probe ~a ~b ~u ~alpha ~out with
+    | exception Linalg.Cmat.Singular -> ()
+    | c, passes, same ->
+        incr cases;
+        if c then incr cleared;
+        if not passes then incr gated;
+        if c && not (passes && same) then
+          Alcotest.failf
+            "case %d (n = %d, alpha = %g%+gi): cleared, but the gate %s" !cases
+            (Linalg.Cmat.rows a) alpha.Complex.re alpha.Complex.im
+            (if passes then "wrote other bits" else "refines")
+  done;
+  if !cleared < !cases / 10 then
+    Alcotest.failf "the bound cleared only %d of %d points" !cleared !cases;
+  if !gated < !cases / 20 then
+    Alcotest.failf "the gate refused only %d of %d points" !gated !cases
+
 (* --- worker-count independence ------------------------------------ *)
 
 let test_pipeline_jobs_deterministic () =
@@ -462,6 +562,8 @@ let suite =
       test_recycled_storage;
     Alcotest.test_case "engine use after its bracket raises" `Quick
       test_engine_after_bracket;
+    Alcotest.test_case "a-priori bound clears only points the gate passes" `Quick
+      test_bound_soundness;
     Alcotest.test_case "Pipeline.run independent of jobs" `Quick
       test_pipeline_jobs_deterministic;
     Alcotest.test_case "Montecarlo.run independent of jobs" `Quick
