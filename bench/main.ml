@@ -5,7 +5,6 @@
      dune exec bench/main.exe -- perf       - bechamel kernel timings only
      dune exec bench/main.exe -- diag       - diagnosis/cover structural numbers only
      dune exec bench/main.exe -- sparse     - dense/sparse crossover + bigladder campaign
-     dune exec bench/main.exe -- adaptive   - coverage-directed refinement solve counts
 
    Add --smoke to shrink the workloads (CI). Any run that produces
    timings also writes them to BENCH_<yyyy-mm-dd>.json in the current
@@ -18,7 +17,7 @@ let today () =
   Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
     tm.Unix.tm_mday
 
-let write_json ~kernels ~diag ~sparse ~adaptive =
+let write_json ~kernels ~diag ~sparse =
   let num_obj rows =
     Report.Json.Object (List.map (fun (k, v) -> (k, Report.Json.Number v)) rows)
   in
@@ -50,8 +49,7 @@ let write_json ~kernels ~diag ~sparse ~adaptive =
                   diag) );
          ]
        else [])
-    @ (match sparse with Some s -> Sparse.to_json s | None -> [])
-    @ match adaptive with [] -> [] | rows -> Adaptive.to_json rows
+    @ match sparse with Some s -> Sparse.to_json s | None -> []
   in
   if sections <> [] then begin
     let date = today () in
@@ -79,7 +77,7 @@ let write_json ~kernels ~diag ~sparse ~adaptive =
   end
 
 let usage () =
-  prerr_endline "usage: main.exe [repro|perf|diag|sparse|adaptive|all] [--smoke]";
+  prerr_endline "usage: main.exe [repro|perf|diag|sparse|all] [--smoke]";
   exit 2
 
 let () =
@@ -92,17 +90,16 @@ let () =
     | _ -> usage ()
   in
   let kernels = ref [] and diag = ref [] in
-  let sparse = ref None and adaptive = ref [] in
+  let sparse = ref None in
   (match what with
   | "repro" -> Repro.all ()
   | "perf" -> kernels := Perf.all ()
   | "diag" -> diag := Diag.all ~smoke ()
   | "sparse" -> sparse := Some (Sparse.all ~smoke ())
-  | "adaptive" -> adaptive := Adaptive.all ~smoke ()
   | "all" ->
       Repro.all ();
       kernels := Perf.all ();
       diag := Diag.all ~smoke ()
   | _ -> usage ());
-  write_json ~kernels:!kernels ~diag:!diag ~sparse:!sparse ~adaptive:!adaptive;
+  write_json ~kernels:!kernels ~diag:!diag ~sparse:!sparse;
   print_newline ()

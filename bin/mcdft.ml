@@ -226,40 +226,6 @@ let no_prune_flag =
                  per equivalence class is solved and its verdict rows are \
                  replicated.")
 
-let adaptive_opt =
-  Arg.(value
-       & vflag true
-           [
-             ( true,
-               info [ "adaptive" ]
-                 ~doc:"Coverage-directed coarse-to-fine campaign (the \
-                       default): each (configuration, fault) row starts on a \
-                       coarse subgrid and bisects only where verdicts flip or \
-                       margins run thin. The matrices have matched the \
-                       exhaustive sweep bit for bit on the tested campaigns, \
-                       but that is empirical, not proved, and it is known to \
-                       fail for phase:* criteria at 8 or more points per \
-                       decade (leapfrog5 phase:0.1 catastrophic at ppd 30: \
-                       cell C198 x R5a-short); use --no-adaptive where the \
-                       exact sweep matters." );
-             ( false,
-               info [ "no-adaptive" ]
-                 ~doc:"Solve every grid point of every (configuration, \
-                       fault) row exhaustively." );
-           ])
-
-let adaptive_summary =
-  Option.iter (fun (s : Mcdft_core.Adaptive.stats) ->
-      let ratio =
-        float_of_int s.Mcdft_core.Adaptive.points
-        /. float_of_int (max 1 s.Mcdft_core.Adaptive.solved)
-      in
-      Printf.printf
-        "adaptive refinement: solved %d of %d points (%.1fx fewer solves, %d \
-         skipped, %d bisections)\n"
-        s.Mcdft_core.Adaptive.solved s.Mcdft_core.Adaptive.points ratio
-        s.Mcdft_core.Adaptive.skipped s.Mcdft_core.Adaptive.bisections)
-
 (* The coverage estimator needs a scalar magnitude threshold and a
    component spread; phase-only criteria expose neither. An envelope
    criterion contributes its floor — the tightest threshold it ever
@@ -857,14 +823,14 @@ let analyze_cmd =
 
 let matrix_cmd =
   let run name source output criterion ppd fault_kind jobs gc_default no_prune
-      adaptive metrics trace =
+      metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
         let t =
           P.run ~criterion ~points_per_decade:ppd ~faults ~jobs
-            ~prune:(not no_prune) ~adaptive b
+            ~prune:(not no_prune) b
         in
         let m = t.P.matrix in
         let fault_ids = Array.map (fun f -> f.Fault.id) m.Testability.Matrix.faults in
@@ -898,25 +864,24 @@ let matrix_cmd =
           groups
           (if groups = 1 then "" else "s")
           pruned
-          (if pruned = 1 then "" else "s");
-        adaptive_summary t.P.adaptive)
+          (if pruned = 1 then "" else "s"))
   in
   Cmd.v
     (Cmd.info "matrix" ~doc:"Fault detectability matrix over all test configurations")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
           $ fault_kind_opt $ jobs_opt $ gc_default_opt $ no_prune_flag
-          $ adaptive_opt $ metrics_opt $ trace_opt)
+          $ metrics_opt $ trace_opt)
 
 let optimize_cmd =
   let run name source output criterion ppd fault_kind jobs gc_default n_detect
-      no_prune adaptive json metrics trace =
+      no_prune json metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
         let t =
           P.run ~criterion ~points_per_decade:ppd ~faults ~jobs
-            ~prune:(not no_prune) ~adaptive b
+            ~prune:(not no_prune) b
         in
         let r = P.optimize ~n_detect t in
         if json then
@@ -1027,19 +992,19 @@ let optimize_cmd =
        ~doc:"Ordered-requirements optimization of the multi-configuration DFT (Sec. 4)")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
           $ fault_kind_opt $ jobs_opt $ gc_default_opt $ n_detect_opt
-          $ no_prune_flag $ adaptive_opt $ json_flag $ metrics_opt
+          $ no_prune_flag $ json_flag $ metrics_opt
           $ trace_opt)
 
 let testplan_cmd =
   let run name source output criterion ppd fault_kind jobs gc_default no_prune
-      adaptive metrics trace =
+      metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
         tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
         let t =
           P.run ~criterion ~points_per_decade:ppd ~faults ~jobs
-            ~prune:(not no_prune) ~adaptive b
+            ~prune:(not no_prune) b
         in
         let plan = Mcdft_core.Test_plan.build t in
         print_string (Mcdft_core.Test_plan.to_string plan))
@@ -1049,7 +1014,7 @@ let testplan_cmd =
        ~doc:"Minimal (configuration, frequency) measurement schedule")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
           $ fault_kind_opt $ jobs_opt $ gc_default_opt $ no_prune_flag
-          $ adaptive_opt $ metrics_opt $ trace_opt)
+          $ metrics_opt $ trace_opt)
 
 let sweep_cmd =
   let run name source output ppd csv =

@@ -253,9 +253,9 @@ let sparse_vs_dense (s : Gen.subject) =
 (* --- jobs-invariance: parallel campaign = sequential campaign ----- *)
 
 (* Every subject gets a multi-view campaign: opamp circuits through
-   the real multi-configuration pipeline (adaptive, the default),
-   passive ones through per-node probe views swept exhaustively (any
-   view family works for the campaign driver). *)
+   the real multi-configuration pipeline, passive ones through
+   per-node probe views (any view family works for the campaign
+   driver). *)
 let campaign ~jobs (s : Gen.subject) =
   if Netlist.opamps s.netlist <> [] then
     let b =
@@ -281,7 +281,7 @@ let campaign ~jobs (s : Gen.subject) =
         (Netlist.internal_nodes s.netlist)
     in
     fst
-      (Mcdft_core.Adaptive.build ~stride:1 ~jobs grid views
+      (Mcdft_core.Adaptive.build ~jobs grid views
          (Fault.both_deviations s.netlist))
 
 (* Every counter but the ones that count how the schedule ran: the
@@ -394,8 +394,8 @@ let structural_vs_lu (s : Gen.subject) =
      multi-RHS block back-solves ({!Testability.Fastsim.warm_cache})
      against a cold engine that solves each column on first read —
      the block kernel promises bitwise equality with scalar solves;
-   - the campaign driver at stride 1, which scores every point through
-     immutable plans and one solved point at a time, against
+   - the campaign driver, which scores every point through immutable
+     plans and one solved point at a time, against
      {!Detect.analyze}, which boxes one whole response per fault. *)
 let same_bits (a : Complex.t option array) b =
   let eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
@@ -442,7 +442,7 @@ let block_backsolve (s : Gen.subject) =
   else
     match
       ( List.find_map warmed_vs_cold views,
-        Mcdft_core.Adaptive.build ~stride:1 ~jobs:1 grid views faults )
+        Mcdft_core.Adaptive.build ~jobs:1 grid views faults )
     with
     | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
     | Some msg, _ -> Fail msg
@@ -728,7 +728,7 @@ let certify_soundness (s : Gen.subject) =
                         Detect.anchor pv plan k = 'u' && not (Detect.plan_isolated plan)
                       in
                       if b <> '?' && not masked then
-                        let numeric = fst (Detect.score_point pv plan k) in
+                        let numeric = Detect.score_point pv plan k in
                         if b <> numeric then bad := Some (k, b, numeric)
                     done;
                     Option.map
@@ -749,18 +749,16 @@ let certify_soundness (s : Gen.subject) =
         | None -> Pass
       end
 
-(* --- adaptive-vs-exhaustive: coarse-to-fine refinement bitwise ----- *)
+(* --- campaign-vs-analyze: the campaign driver against the reference *)
 
-(* The adversarial check on {!Mcdft_core.Adaptive}: the refinement's
-   skip rule is a calibrated slope bound, not a certificate, so every
-   family — near-singular included, where failed solves and
-   measurement-floor masking interleave — must produce detect/omega
-   matrices bitwise identical at the default stride and at stride 1,
-   and both must equal the independent per-view reference
-   ({!Detect.analyze}: boxed faulty responses reduced point by point).
-   The adaptive.* counters must be jobs-invariant (they are
-   accumulated in the sequential reduce, so any divergence means
-   scoring itself raced). *)
+(* The adversarial check on {!Mcdft_core.Adaptive}: on every family —
+   near-singular included, where failed solves and measurement-floor
+   masking interleave — the campaign's detect/omega matrices must be
+   bitwise identical to the independent per-view reference
+   ({!Detect.analyze}: boxed faulty responses reduced point by point),
+   at jobs:1 and at jobs:4. Its solve accounting must be
+   jobs-invariant too (it is accumulated in the sequential reduce, so
+   any divergence means scoring itself raced). *)
 let reference_matrix ?criterion grid (views : Matrix.view array) faults =
   let results =
     Array.map
@@ -772,26 +770,33 @@ let reference_matrix ?criterion grid (views : Matrix.view array) faults =
   ( Array.map (Array.map (fun r -> r.Detect.detectable)) results,
     Array.map (Array.map (fun r -> r.Detect.omega_det)) results )
 
-let compare_campaigns ~reference ~exhaustive ~adaptive1 ~adaptive4 ~stats1 ~stats4
-    =
+let compare_campaigns ~reference ~m1 ~m4 ~stats1 ~stats4 =
   let detect_ref, omega_ref = reference in
-  let same (m : Matrix.t) =
-    m.Matrix.detect = detect_ref && m.Matrix.omega = omega_ref
-  in
-  if not (same exhaustive) then
-    Fail "stride-1 matrices differ from the per-view Detect.analyze reference"
-  else if adaptive1.Matrix.detect <> exhaustive.Matrix.detect then
-    Fail "adaptive detect matrix differs from the exhaustive sweep"
-  else if adaptive1.Matrix.omega <> exhaustive.Matrix.omega then
-    Fail "adaptive omega matrix differs from the exhaustive sweep"
-  else if not (same adaptive4) then
-    Fail "adaptive jobs:4 matrices differ from the exhaustive sweep"
-  else if stats1 <> stats4 then
-    Fail "adaptive.* counters differ between jobs:1 and jobs:4"
+  if m1.Matrix.detect <> detect_ref then
+    Fail "campaign detect matrix differs from the per-view Detect.analyze reference"
+  else if m1.Matrix.omega <> omega_ref then
+    Fail "campaign omega matrix differs from the per-view Detect.analyze reference"
+  else if m4.Matrix.detect <> detect_ref || m4.Matrix.omega <> omega_ref then
+    Fail "campaign jobs:4 matrices differ from the Detect.analyze reference"
+  else if stats1 <> stats4 then Fail "campaign solve counts differ between jobs:1 and jobs:4"
   else Pass
 
-let adaptive_vs_exhaustive (s : Gen.subject) =
-  let module A = Mcdft_core.Adaptive in
+(* [run jobs] is the campaign's matrix, its solve accounting and its
+   reference thunk; the jobs:1 run's reference is the one compared. *)
+let check_campaign run =
+  match run 1 with
+  | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
+  | m1, stats1, reference -> (
+      match run 4 with
+      | exception Mna.Ac.Singular_circuit msg ->
+          Fail ("campaign jobs:4 singular where jobs:1 solved: " ^ msg)
+      | m4, stats4, _ -> (
+          match reference () with
+          | exception Mna.Ac.Singular_circuit msg ->
+              Fail ("Detect.analyze singular where the campaign solved: " ^ msg)
+          | reference -> compare_campaigns ~reference ~m1 ~m4 ~stats1 ~stats4))
+
+let campaign_vs_analyze (s : Gen.subject) =
   let module P = Mcdft_core.Pipeline in
   if Netlist.opamps s.netlist <> [] then
     let b =
@@ -804,29 +809,13 @@ let adaptive_vs_exhaustive (s : Gen.subject) =
         center_hz = 1_000.0;
       }
     in
-    match P.run ~points_per_decade:3 ~jobs:1 ~adaptive:false b with
-    | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
-    | exhaustive -> (
-        let run_adaptive jobs = P.run ~points_per_decade:3 ~jobs ~adaptive:true b in
-        match run_adaptive 1 with
-        | exception Mna.Ac.Singular_circuit msg ->
-            Fail ("adaptive campaign singular where the exhaustive one solved: " ^ msg)
-        | t1 -> (
-            match run_adaptive 4 with
-            | exception Mna.Ac.Singular_circuit msg ->
-                Fail ("adaptive jobs:4 singular where jobs:1 solved: " ^ msg)
-            | t4 -> (
-                let m = exhaustive.P.matrix in
-                match
-                  reference_matrix ~criterion:exhaustive.P.criterion
-                    exhaustive.P.grid m.Matrix.views exhaustive.P.faults
-                with
-                | exception Mna.Ac.Singular_circuit msg ->
-                    Fail ("Detect.analyze singular where the campaign solved: " ^ msg)
-                | reference ->
-                    compare_campaigns ~reference ~exhaustive:m
-                      ~adaptive1:t1.P.matrix ~adaptive4:t4.P.matrix
-                      ~stats1:t1.P.adaptive ~stats4:t4.P.adaptive)))
+    check_campaign (fun jobs ->
+        let t = P.run ~points_per_decade:3 ~jobs b in
+        ( t.P.matrix,
+          t.P.adaptive,
+          fun () ->
+            reference_matrix ~criterion:t.P.criterion t.P.grid t.P.matrix.Matrix.views
+              t.P.faults ))
   else
     let views =
       List.map
@@ -841,25 +830,9 @@ let adaptive_vs_exhaustive (s : Gen.subject) =
     let faults = Fault.both_deviations s.netlist in
     if views = [] || faults = [] then Skip "no views or no faults to score"
     else
-      match A.build ~stride:1 ~jobs:1 grid views faults with
-      | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
-      | exhaustive, _ -> (
-          match A.build ~jobs:1 grid views faults with
-          | exception Mna.Ac.Singular_circuit msg ->
-              Fail ("adaptive build singular where the exhaustive one solved: " ^ msg)
-          | m1, s1 -> (
-              match A.build ~jobs:4 grid views faults with
-              | exception Mna.Ac.Singular_circuit msg ->
-                  Fail ("adaptive jobs:4 singular where jobs:1 solved: " ^ msg)
-              | m4, s4 -> (
-                  match
-                    reference_matrix grid (Array.of_list views) faults
-                  with
-                  | exception Mna.Ac.Singular_circuit msg ->
-                      Fail ("Detect.analyze singular where the campaign solved: " ^ msg)
-                  | reference ->
-                      compare_campaigns ~reference ~exhaustive ~adaptive1:m1
-                        ~adaptive4:m4 ~stats1:s1 ~stats4:s4)))
+      check_campaign (fun jobs ->
+          let m, stats = Mcdft_core.Adaptive.build ~jobs grid views faults in
+          (m, Some stats, fun () -> reference_matrix grid m.Matrix.views faults))
 
 let all =
   [
@@ -920,11 +893,11 @@ let all =
       check = certify_soundness;
     };
     {
-      name = "adaptive-vs-exhaustive";
+      name = "campaign-vs-analyze";
       doc =
-        "stride-8 and stride-1 campaign matrices bitwise equal to per-view \
-         Detect.analyze, adaptive counters jobs-invariant";
-      check = adaptive_vs_exhaustive;
+        "campaign matrices at jobs:1 and jobs:4 bitwise equal to per-view \
+         Detect.analyze, solve counts jobs-invariant";
+      check = campaign_vs_analyze;
     };
   ]
 

@@ -126,16 +126,6 @@ let metrics_to_json (s : Obs.Metrics.snapshot) =
       );
     ]
 
-let adaptive_to_json (s : Adaptive.stats) =
-  J.Object
-    [
-      ("rows", J.int s.Adaptive.rows);
-      ("points", J.int s.Adaptive.points);
-      ("solved", J.int s.Adaptive.solved);
-      ("solves_skipped", J.int s.Adaptive.skipped);
-      ("bisections", J.int s.Adaptive.bisections);
-    ]
-
 let coverage_to_json (c : Testability.Montecarlo.coverage) =
   J.Object
     [
@@ -170,14 +160,10 @@ let pipeline_to_json ?metrics ?coverage (t : Pipeline.t) r =
        ("grid_points", J.int (Testability.Grid.n_points t.Pipeline.grid));
        ( "campaign",
          J.Object
-           ([
-              ("equivalence_groups", J.int t.Pipeline.equivalence_groups);
-              ("pruned_configs", J.int t.Pipeline.pruned_configs);
-            ]
-           @
-           match t.Pipeline.adaptive with
-           | None -> []
-           | Some s -> [ ("adaptive", adaptive_to_json s) ]) );
+           [
+             ("equivalence_groups", J.int t.Pipeline.equivalence_groups);
+             ("pruned_configs", J.int t.Pipeline.pruned_configs);
+           ] );
        ("report", report_to_json ~faults:t.Pipeline.faults r);
      ]
     @ (match coverage with

@@ -11,10 +11,6 @@ val metrics_to_json : Obs.Metrics.snapshot -> Report.Json.t
 (** A metrics snapshot as [{counters: {...}, histograms: {...}}];
     non-finite histogram min/max (empty histograms) export as null. *)
 
-val adaptive_to_json : Adaptive.stats -> Report.Json.t
-(** The adaptive refinement counters (rows, points, solved,
-    solves_skipped, bisections) as a JSON object. *)
-
 val coverage_to_json : Testability.Montecarlo.coverage -> Report.Json.t
 (** A {!Testability.Montecarlo.coverage_run} result: sampling
     parameters, estimated boundary radius, per-stratum sample counts
@@ -26,8 +22,7 @@ val pipeline_to_json :
   Pipeline.t -> Optimizer.report -> Report.Json.t
 (** {!report_to_json} wrapped with circuit metadata (name, opamps,
     criterion, grid). The ["campaign"] block records the pruning
-    counters, plus an ["adaptive"] sub-object ({!adaptive_to_json})
-    when the campaign ran coverage-directed. [coverage] adds a
+    counters. [coverage] adds a
     ["coverage"] block ({!coverage_to_json}); [metrics] adds a
     ["metrics"] block ({!metrics_to_json}) capturing the campaign's
     solver counters and phase timings. *)

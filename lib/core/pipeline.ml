@@ -16,8 +16,8 @@ let default_criterion =
   Testability.Detect.Process_envelope { component_tol = 0.04; floor = 0.02 }
 
 let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
-    ?follower_model ?jobs ?(prune = true) ?(certify = false)
-    ?(adaptive = true) (benchmark : Circuits.Benchmark.t) =
+    ?follower_model ?jobs ?(prune = true) ?(certify = false) ?adaptive:_
+    (benchmark : Circuits.Benchmark.t) =
   Obs.Trace.span "pipeline.run" @@ fun () ->
   let netlist = benchmark.Circuits.Benchmark.netlist in
   Circuit.Validate.check_exn netlist;
@@ -110,17 +110,9 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
              specs faults)
     | _ -> None
   in
-  (* One campaign driver: coarse-to-fine refinement by default, stride
-     1 (every point solved) without it. The refined matrices match the
-     stride-1 sweep bit for bit on the campaigns the tier-1 tests and
-     the adaptive-vs-exhaustive oracle run, but that is empirical: it is
-     known to fail for phase:* criteria at ppd >= 8 (leapfrog5 phase:0.1
-     catastrophic at ppd 30, cell C198 x R5a-short). *)
-  let stride = if adaptive then None else Some 1 in
-  let rep_matrix, stats =
-    Adaptive.build ~criterion ?jobs ?stride grid rep_views faults
-  in
-  let adaptive_stats = if adaptive then Some stats else None in
+  (* One campaign driver: every grid point of every representative row
+     is an anchor or a solve. *)
+  let rep_matrix, stats = Adaptive.build ~criterion ?jobs grid rep_views faults in
   (* Expand back to the full view list: row i is a copy of its
      representative's row, so the matrix is indistinguishable from an
      unpruned build. *)
@@ -154,7 +146,7 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
     equivalence_groups = n_groups;
     pruned_configs = pruned;
     certify = certification;
-    adaptive = adaptive_stats;
+    adaptive = Some stats;
   }
 
 let optimize ?petrick_limit ?n_detect t =

@@ -56,17 +56,8 @@ let nominal_response probe grid netlist =
     ~freqs_hz:(Grid.freqs_hz grid)
 
 (* One instantiated sub-criterion: which deviation to measure and the
-   per-frequency threshold it must exceed. [steer] is the statically
-   known part of the point margin's log — everything in
-   log(deviation/threshold) that does not involve the faulty response:
-   −log threshold, plus −log |H₀| for the magnitude deviations (which
-   normalize by the nominal). {!steer_range} reads it to bound how fast
-   margins can move between grid points; it never affects a verdict. *)
-type prepared_one = {
-  measure : measure;
-  thresholds : float array;
-  steer : float array;
-}
+   per-frequency threshold it must exceed. *)
+type prepared_one = { measure : measure; thresholds : float array }
 
 (* Envelope accumulation over the per-component process drifts. Each
    drift is a single-passive deviation — exactly a rank-1 fault for
@@ -159,17 +150,7 @@ let rec drift_tolerances = function
   | Fixed_tolerance _ | Phase_fixed _ -> []
 
 let rec prepare_raw ~respond ~drifting criterion grid netlist ~nominal =
-  let one measure thresholds =
-    let steer =
-      match measure with
-      | Magnitude ->
-          Array.mapi
-            (fun i thr -> -.(log thr +. log (Complex.norm nominal.(i))))
-            thresholds
-      | Phase -> Array.map (fun thr -> -.log thr) thresholds
-    in
-    [ { measure; thresholds; steer } ]
-  in
+  let one measure thresholds = [ { measure; thresholds } ] in
   let envelope measure ~floor ~component_tol =
     envelope_thresholds ~measure ~floor ~respond ~drifting grid netlist ~nominal
       ~component_tol
@@ -211,12 +192,6 @@ let view_of ~respond ~structure ~sim criterion grid ~nominal =
     if structure.dead then Bytes.make (Array.length nominal) '\001'
     else measurement_mask nominal
   in
-  (* A masked point's profile variation is infinite, so a refinement
-     driver refines into a masked region rather than skipping across. *)
-  Array.iter
-    (fun p ->
-      Bytes.iteri (fun k b -> if b = '\001' then p.steer.(k) <- neg_infinity) mask)
-    subs;
   { sim; nominal; subs; structure; mask }
 
 (* The rest of a view's preparation once its engine exists. *)
@@ -225,8 +200,8 @@ let live_view ~criterion ~structure grid sim =
   (* The envelope reads every drift at every frequency, so its columns
      come from one multi-RHS block back-solve per frequency instead of
      column by column; a deviation fault on a drifting passive later
-     reads the same column. Faults are not warmed: adaptive scoring
-     reads a small share of their columns, each solved on first use. *)
+     reads the same column. Faults are not warmed: each of their
+     columns is solved the first time a point of the row reads it. *)
   (match
      List.concat_map
        (fun tol ->
@@ -323,8 +298,8 @@ let analyze ?backend ?criterion probe grid netlist faults =
 
    The campaign driver (Mcdft_core.Adaptive) builds one plan per
    (view, fault), asks {!anchor} which points are decided without a
-   solve, solves the others one at a time with {!score_point} and
-   reduces the verdict bytes through {!result_of_verdicts}. *)
+   solve, solves every other one with {!score_point} and reduces the
+   verdict bytes through {!result_of_verdicts}. *)
 
 (* [Dead]: a fault of a dead view on a passive that is not isolated. *)
 type plan = Isolated | Dead | Live of Fastsim.plan
@@ -365,9 +340,6 @@ let point_buffers nf =
   end;
   b
 
-let undetectable = ('u', neg_infinity)
-let failed = ('d', nan)
-
 let score_point pv plan k =
   match plan with
   | Live p when not (static pv plan k) ->
@@ -375,37 +347,18 @@ let score_point pv plan k =
       Fastsim.response_range_into (engine pv) p ~lo:k ~hi:(k + 1) ~re:b.re ~im:b.im
         ~ok:b.ok;
       (* A failed solve is detectable — the response is wildly wrong,
-         not merely deviated — but says nothing about its neighbours. *)
-      if Bytes.get b.ok k = '\000' then failed
+         not merely deviated. *)
+      if Bytes.get b.ok k = '\000' then 'd'
       else begin
         let re = b.re.(k) and im = b.im.(k) and t0 = pv.nominal.(k) in
-        (* One pass: the verdict is whether some deviation exceeds its
-           threshold, the margin the log of the worst ratio
-           (a zero threshold counts an exactly-zero deviation as 1). *)
-        let detected = ref false and ratio = ref 0.0 in
+        let detected = ref false in
         for j = 0 to Array.length pv.subs - 1 do
           let p = pv.subs.(j) in
-          let dev = deviation p.measure t0 re im and thr = p.thresholds.(k) in
-          if dev > thr then detected := true;
-          let r = if thr > 0.0 then dev /. thr else if dev > 0.0 then infinity else 1.0 in
-          (* [Float.max], unboxed: a NaN ratio wins *)
-          if r > !ratio || r <> r then ratio := r
+          if deviation p.measure t0 re im > p.thresholds.(k) then detected := true
         done;
-        ((if !detected then 'd' else 'u'), log !ratio)
+        if !detected then 'd' else 'u'
       end
-  | Isolated | Dead | Live _ -> undetectable
-
-let steer_range pv lo hi =
-  Array.fold_left
-    (fun acc p ->
-      let mn = ref infinity and mx = ref neg_infinity in
-      for k = lo to hi do
-        let x = p.steer.(k) in
-        if x < !mn then mn := x;
-        if x > !mx then mx := x
-      done;
-      Float.max acc (!mx -. !mn))
-    0.0 pv.subs
+  | Isolated | Dead | Live _ -> 'u'
 
 let result_of_verdicts grid fault verdicts =
   if Bytes.length verdicts <> Grid.n_points grid then

@@ -125,8 +125,8 @@ val prepare_view :
     frequency), restricted to passives that can affect the output,
     because the envelope reads each of them at every frequency. Faults
     are not warmed: each of their back-solves runs the first time a
-    score reads it, so a campaign that decides most points without
-    solving them pays only for what it reads. The view can be scored
+    score reads it, so a point {!anchor} decides costs no back-solve.
+    The view can be scored
     from several domains concurrently ({!Fastsim}'s cache is safe to
     fill in parallel, and {!score_point} solves into per-domain
     buffers). Raises like {!analyze}: {!Mna.Ac.Singular_circuit} when
@@ -166,34 +166,17 @@ val anchor : prepared_view -> plan -> int -> char
 (** The static verdict of grid point [k]: ['u'] where the point is
     undetectable by definition — an isolated fault, a dead view, or a
     point below the view's measurement floor — and ['?'] where only a
-    solve can decide it. A campaign driver fills the ['u'] points
-    without solving. *)
+    solve can decide it. The campaign driver takes the ['u'] points as
+    they are and solves every ['?'] point with {!score_point}; no
+    verdict is ever inferred from a neighbouring point. *)
 
-val score_point : prepared_view -> plan -> int -> char * float
-(** Solve grid point [k] of one fault's row and decide it: the verdict
-    byte (['d'] when some prepared sub-criterion's deviation exceeds
-    its threshold) and its margin in nepers, the natural log of the
-    worst deviation-to-threshold ratio, from one pass over the
-    sub-criteria. The margin is positive exactly when the byte is
-    ['d'], with two exceptions: a failed solve (singular faulty
-    system) is ['d'] with margin [nan], which carries no information
-    about the point's neighbourhood; a point {!anchor} decides is
-    ['u'] with margin [-∞], without a solve. Verdicts reduce through
-    {!result_of_verdicts} to exactly {!analyze}'s results. Safe to
-    call from several domains on one view; allocates only the
-    returned pair. *)
-
-val steer_range : prepared_view -> int -> int -> float
-(** [steer_range pv lo hi] bounds how far the statically known part
-    of the {!score_point} margin moves over the closed grid interval
-    [lo .. hi]: per sub-criterion, the spread of [-log threshold]
-    (plus [-log |H₀|] for magnitude deviations, which normalize by the
-    nominal), and the largest spread across sub-criteria. The rest of
-    the margin moves as slowly as the faulty response itself, so a
-    refinement driver bounds margin excursions by a response slope
-    bound plus this. A zero threshold or a point below the
-    measurement floor makes it infinite (or [nan]), forcing a driver
-    to refine into such a region rather than skip across it. *)
+val score_point : prepared_view -> plan -> int -> char
+(** Solve grid point [k] of one fault's row and decide it: ['d'] when
+    some prepared sub-criterion's deviation exceeds its threshold or
+    the solve fails (singular faulty system), ['u'] otherwise. A point
+    {!anchor} decides is ['u'] without a solve. Verdicts reduce through
+    {!result_of_verdicts} to exactly {!analyze}'s results. Safe to call
+    from several domains on one view. *)
 
 val result_of_verdicts : Grid.t -> Fault.t -> Bytes.t -> result
 (** Reduce a fully decided verdict row (every byte ['d'] or ['u'],

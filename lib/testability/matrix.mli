@@ -8,8 +8,8 @@ module Netlist := Circuit.Netlist
     deliberately independent of how views are produced: the
     multi-configuration transform supplies them, but any family of
     netlists sharing the faulty elements works (e.g. different probe
-    points). The campaign that fills it is [Mcdft_core.Adaptive.build]
-    (stride 1 is the exhaustive sweep). *)
+    points). The campaign that fills it is [Mcdft_core.Adaptive.build],
+    which solves every grid point. *)
 
 type view = { label : string; netlist : Netlist.t; probe : Detect.probe }
 

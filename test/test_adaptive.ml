@@ -1,170 +1,63 @@
-(* Properties of the coverage-directed refinement (Mcdft_core.Adaptive)
-   and the tolerance-space coverage estimator (Montecarlo.coverage_run).
+(* Properties of the campaign driver (Mcdft_core.Adaptive) and the
+   tolerance-space coverage estimator (Montecarlo.coverage_run).
 
-   The qcheck properties drive Refine.row against synthetic truth rows
-   whose margins obey the slope bound the refinement assumes — a
-   random Lipschitz walk in the log deviation-to-threshold ratio. On
-   such rows the skip rule is provably sound, so the refined row must
-   reproduce the truth byte for byte, an isolated flip can never be
-   inferred from its neighbours and must appear in the solved set, and
-   no point is solved twice or solved at all unless its anchor left it
-   unknown. The end-to-end and CLI cases then pin the same
-   invariant on the real engine. *)
+   The campaign decides every grid point of every (view × fault) row
+   with a static anchor or a solve, so its matrices must equal the
+   independent per-view Detect.analyze reference bit for bit, on every
+   criterion family, including the leapfrog5 cell a coarse-to-fine
+   refinement once got wrong. *)
 
 module A = Mcdft_core.Adaptive
 module P = Mcdft_core.Pipeline
 
-(* ---- synthetic truth rows with slope-bounded margins ---- *)
+(* ---- end-to-end: campaign = the per-view Detect.analyze reference ---- *)
 
-type row = {
-  nf : int;
-  stride : int;
-  step_dec : float;
-  guard : float;
-  margins : float array;
-}
-
-let gen_row seed =
-  let rng = Random.State.make [| seed |] in
-  let nf = 2 + Random.State.int rng 120 in
-  let stride = 1 + Random.State.int rng 8 in
-  let step_dec = 0.01 +. Random.State.float rng 0.2 in
-  let guard = 4.0 +. Random.State.float rng 12.0 in
-  let margins = Array.make nf 0.0 in
-  margins.(0) <- Random.State.float rng 6.0 -. 3.0;
-  for i = 1 to nf - 1 do
-    (* increments strictly inside the slope bound so float rounding in
-       the walk cannot graze the skip test's strict inequality *)
-    let slope = 0.999 *. guard *. step_dec in
-    margins.(i) <- margins.(i - 1) +. (Random.State.float rng (2.0 *. slope)) -. slope
-  done;
-  (* keep every margin away from zero: the byte is its sign *)
-  Array.iteri
-    (fun i m -> if Float.abs m < 1e-9 then margins.(i) <- 1e-6)
-    margins;
-  { nf; stride; step_dec; guard; margins }
-
-let byte_of r i = if r.margins.(i) > 0.0 then 'd' else 'u'
-
-let refine ?(anchor = fun _ -> '?') r =
-  A.Refine.row ~nf:r.nf ~stride:r.stride ~step_dec:r.step_dec ~guard:r.guard
-    ~steer_range:(fun _ _ -> 0.0) ~anchor
-    ~solve:(fun i -> (byte_of r i, r.margins.(i)))
-
-let row_matches r (o : A.Refine.outcome) =
-  let ok = ref true in
-  for i = 0 to r.nf - 1 do
-    if Bytes.get o.A.Refine.verdicts i <> byte_of r i then ok := false
-  done;
-  !ok
-
-let qcheck_refined_row_exact =
-  QCheck.Test.make
-    ~name:"Refine.row reproduces Lipschitz truth rows; isolated flips are solved"
-    ~count:500
-    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
-    (fun seed ->
-      let r = gen_row seed in
-      let o = refine r in
-      let solved = o.A.Refine.solved in
-      (* every point is solved at most once, so a row never solves more
-         than its '?' anchors — here, every point *)
-      if
-        not
-          (row_matches r o
-          && List.sort_uniq Int.compare solved = List.sort Int.compare solved
-          && List.length solved <= r.nf)
-      then false
-      else begin
-        (* a point disagreeing with both neighbours cannot be filled
-           from any interval endpoints — it must have been solved *)
-        let solved_ok = ref true in
-        for i = 1 to r.nf - 2 do
-          if
-            byte_of r i <> byte_of r (i - 1)
-            && byte_of r i <> byte_of r (i + 1)
-            && not (List.mem i o.A.Refine.solved)
-          then solved_ok := false
-        done;
-        !solved_ok
-      end)
-
-let qcheck_static_anchors_never_solved =
-  QCheck.Test.make
-    ~name:"static anchors seed the refinement and are never re-solved"
-    ~count:500
-    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
-    (fun seed ->
-      let r = gen_row seed in
-      let rng = Random.State.make [| seed + 7 |] in
-      let known = Array.init r.nf (fun _ -> Random.State.int rng 3 = 0) in
-      let anchor i = if known.(i) then byte_of r i else '?' in
-      let o = refine ~anchor r in
-      row_matches r o
-      && List.for_all (fun i -> not known.(i)) o.A.Refine.solved)
-
-(* ---- end-to-end: adaptive pipeline = exhaustive pipeline = the
-   per-view Detect.analyze reference ---- *)
-
-let run_pipeline ~adaptive ~criterion () =
-  let b = Circuits.Tow_thomas.make () in
-  P.run ~criterion ~points_per_decade:6 ~jobs:1 ~adaptive b
-
-let check_identical ~what criterion =
-  let exhaustive = run_pipeline ~adaptive:false ~criterion () in
-  let t = run_pipeline ~adaptive:true ~criterion () in
-  let me = exhaustive.P.matrix and ma = t.P.matrix in
+let check_against_analyze ~what ~criterion grid faults (m : Testability.Matrix.t) =
   let reference =
     Array.map
       (fun (v : Testability.Matrix.view) ->
         Array.of_list
-          (Testability.Detect.analyze ~criterion v.Testability.Matrix.probe
-             exhaustive.P.grid v.Testability.Matrix.netlist exhaustive.P.faults))
-      me.Testability.Matrix.views
+          (Testability.Detect.analyze ~criterion v.Testability.Matrix.probe grid
+             v.Testability.Matrix.netlist faults))
+      m.Testability.Matrix.views
   in
   Alcotest.(check bool)
-    (what ^ ": stride-1 detect = Detect.analyze")
+    (what ^ ": detect = Detect.analyze")
     true
-    (me.Testability.Matrix.detect
+    (m.Testability.Matrix.detect
     = Array.map (Array.map (fun r -> r.Testability.Detect.detectable)) reference);
   Alcotest.(check bool)
-    (what ^ ": stride-1 omega = Detect.analyze")
+    (what ^ ": omega = Detect.analyze")
     true
-    (me.Testability.Matrix.omega
-    = Array.map (Array.map (fun r -> r.Testability.Detect.omega_det)) reference);
-  Alcotest.(check bool)
-    (what ^ ": detect bitwise identical")
-    true
-    (ma.Testability.Matrix.detect = me.Testability.Matrix.detect);
-  Alcotest.(check bool)
-    (what ^ ": omega bitwise identical")
-    true
-    (ma.Testability.Matrix.omega = me.Testability.Matrix.omega);
-  Alcotest.(check bool) (what ^ ": exhaustive run carries no stats") true
-    (exhaustive.P.adaptive = None);
+    (m.Testability.Matrix.omega
+    = Array.map (Array.map (fun r -> r.Testability.Detect.omega_det)) reference)
+
+let check_identical ~what criterion =
+  let b = Circuits.Tow_thomas.make () in
+  let t = P.run ~criterion ~points_per_decade:6 ~jobs:1 b in
+  check_against_analyze ~what ~criterion t.P.grid t.P.faults t.P.matrix;
   match t.P.adaptive with
-  | None -> Alcotest.fail (what ^ ": adaptive run carries no stats")
+  | None -> Alcotest.fail (what ^ ": campaign carries no stats")
   | Some s ->
       Alcotest.(check int)
-        (what ^ ": points = solved + skipped")
-        s.A.points (s.A.solved + s.A.skipped);
-      s
+        (what ^ ": points = representative rows x grid points")
+        (t.P.equivalence_groups * List.length t.P.faults
+        * Testability.Grid.n_points t.P.grid)
+        s.A.points;
+      Alcotest.(check bool) (what ^ ": 0 < solved <= points") true
+        (0 < s.A.solved && s.A.solved <= s.A.points)
 
 let test_pipeline_identity_envelope () =
-  let s = check_identical ~what:"envelope" P.default_criterion in
-  Alcotest.(check bool) "some points skipped" true (s.A.skipped > 0)
+  check_identical ~what:"envelope" P.default_criterion
 
 let test_pipeline_identity_fixed () =
-  let s =
-    check_identical ~what:"fixed" (Testability.Detect.Fixed_tolerance 0.10)
-  in
-  Alcotest.(check bool) "some points skipped" true (s.A.skipped > 0)
+  check_identical ~what:"fixed" (Testability.Detect.Fixed_tolerance 0.10)
 
 (* the remaining criterion constructors: with envelope and fixed above,
-   stride 1 = Detect.analyze is pinned for every one of them *)
+   campaign = Detect.analyze is pinned for every one of them *)
 let test_pipeline_identity_other_criteria () =
   List.iter
-    (fun (what, criterion) -> ignore (check_identical ~what criterion))
+    (fun (what, criterion) -> check_identical ~what criterion)
     Testability.Detect.
       [
         ("phase", Phase_fixed 0.1);
@@ -172,64 +65,46 @@ let test_pipeline_identity_other_criteria () =
         ("any-of", Any_of [ Fixed_tolerance 0.1; Phase_fixed 0.1 ]);
       ]
 
-(* ---- CLI surface ---- *)
-
-let non_summary_lines out =
-  List.filter
-    (fun l -> not (String.length l >= 8 && String.sub l 0 8 = "adaptive"))
-    (String.split_on_char '\n' out)
-
-(* table-driven: the numeric tables printed with and without
-   --adaptive must be byte-identical on every criterion family *)
-let cli_criteria =
-  [
-    ("envelope", "envelope:0.04:0.02");
-    ("fixed", "fixed:0.1");
-    ("phase", "phase:0.1");
-  ]
-
-let test_cli_adaptive_identity () =
-  List.iter
-    (fun (what, crit) ->
-      let args =
-        Printf.sprintf "matrix tow-thomas --points-per-decade 4 --criterion %s"
-          crit
-      in
-      let c1, on = Cli.capture (args ^ " --adaptive") in
-      let c2, off = Cli.capture (args ^ " --no-adaptive") in
-      Alcotest.(check int) (what ^ ": --adaptive exits 0") 0 c1;
-      Alcotest.(check int) (what ^ ": --no-adaptive exits 0") 0 c2;
-      Alcotest.(check (list string))
-        (what ^ ": tables identical modulo the summary line")
-        (non_summary_lines off) (non_summary_lines on))
-    cli_criteria
-
-let test_cli_summary_line_format () =
-  let _, out = Cli.capture "matrix tow-thomas --points-per-decade 4" in
-  let line =
-    List.find_opt
-      (fun l -> String.length l >= 8 && String.sub l 0 8 = "adaptive")
-      (String.split_on_char '\n' out)
+(* leapfrog5's C198 view under phase:0.1 with open/short faults at ppd
+   30: R5a-short's phase deviation exceeds 0.1 rad at a single grid
+   point (ω 0.8 %). A coarse-to-fine refinement under a 12
+   nepers/decade slope guard stepped over it and read the cell as
+   undetectable; solving every point finds it. *)
+let test_leapfrog_c198_phase_cell () =
+  let b = Option.get (Circuits.Registry.find "leapfrog5") in
+  let netlist = b.Circuits.Benchmark.netlist in
+  let dft =
+    Multiconfig.Transform.make ~source:b.Circuits.Benchmark.source
+      ~output:b.Circuits.Benchmark.output netlist
   in
-  match line with
-  | None -> Alcotest.fail "no adaptive summary line in matrix output"
-  | Some l -> (
-      match
-        Scanf.sscanf l
-          "adaptive refinement: solved %d of %d points (%fx fewer solves, %d \
-           skipped, %d bisections"
-          (fun solved points ratio skipped bisections ->
-            (solved, points, ratio, skipped, bisections))
-      with
-      | exception Scanf.Scan_failure _ ->
-          Alcotest.failf "summary line does not parse: %s" l
-      | solved, points, ratio, skipped, _ ->
-          Alcotest.(check bool) "solved <= points" true (solved <= points);
-          Alcotest.(check int) "skipped = points - solved" (points - solved)
-            skipped;
-          Alcotest.(check bool) "ratio consistent" true
-            (Float.abs (ratio -. (float_of_int points /. float_of_int solved))
-             < 0.06))
+  let config =
+    List.find
+      (fun c -> Multiconfig.Configuration.label c = "C198")
+      (Multiconfig.Transform.test_configurations dft)
+  in
+  let view =
+    {
+      Testability.Matrix.label = "C198";
+      netlist = Multiconfig.Transform.emulate dft config;
+      probe =
+        {
+          Testability.Detect.source = b.Circuits.Benchmark.source;
+          output = b.Circuits.Benchmark.output;
+        };
+    }
+  in
+  let grid =
+    Testability.Grid.around ~points_per_decade:30 ~center_hz:b.Circuits.Benchmark.center_hz ()
+  in
+  let criterion = Testability.Detect.Phase_fixed 0.1 in
+  let faults = Fault.catastrophic_faults netlist in
+  let m, _ = A.build ~criterion ~jobs:1 grid [ view ] faults in
+  check_against_analyze ~what:"C198 phase:0.1" ~criterion grid faults m;
+  let j =
+    Option.get
+      (List.find_index (fun (f : Fault.t) -> f.Fault.id = "R5a-short") faults)
+  in
+  Alcotest.(check bool) "C198 x R5a-short detectable" true m.Testability.Matrix.detect.(0).(j)
 
 (* ---- streaming campaign on recycled storage ---- *)
 
@@ -237,9 +112,9 @@ let test_cli_summary_line_format () =
    task builds its engine on a workspace of the campaign's pool for the
    view's dimension, so the workspace allocations stay within (distinct
    view dimensions) × jobs however many views stream through. The 64
-   dead views build nothing, and the matrices equal the exhaustive
-   stride-1 sweep and the per-view Detect.analyze reference, which
-   builds every engine on storage of its own. The campaigns run one
+   dead views build nothing, and the matrices are the same at jobs 1
+   and 2 and equal the per-view Detect.analyze reference, which builds
+   every engine on storage of its own. The campaigns run one
    after another on the calling domain, and each starts from nothing:
    a campaign's storage does not outlive it. *)
 let test_streaming_campaign_bounded () =
@@ -276,7 +151,7 @@ let test_streaming_campaign_bounded () =
          (fun v -> Mna.Index.size (Mna.Index.build v.Testability.Matrix.netlist))
          views)
   in
-  let campaign ?stride jobs =
+  let campaign jobs =
     Obs.Metrics.reset ();
     Obs.Metrics.set_enabled true;
     Fun.protect
@@ -284,12 +159,12 @@ let test_streaming_campaign_bounded () =
         Obs.Metrics.set_enabled false;
         Obs.Metrics.reset ())
       (fun () ->
-        let m, _ = A.build ~criterion ~jobs ?stride grid views faults in
+        let m, _ = A.build ~criterion ~jobs grid views faults in
         let snap = Obs.Metrics.snapshot () in
         let c = Obs.Metrics.counter snap in
         (m, c "fastsim.workspace_allocs", c "campaign.dead_views"))
   in
-  let exhaustive, first_allocs, _ = campaign ~stride:1 1 in
+  let first, first_allocs, _ = campaign 1 in
   List.iter
     (fun jobs ->
       let m, allocs, dead = campaign jobs in
@@ -300,15 +175,15 @@ let test_streaming_campaign_bounded () =
         true
         (allocs >= 1 && allocs <= List.length dims * jobs);
       Alcotest.(check int) (label ^ ": dead views") 64 dead;
-      Alcotest.(check bool) (label ^ ": detect = stride 1") true
-        (m.Testability.Matrix.detect = exhaustive.Testability.Matrix.detect);
-      Alcotest.(check bool) (label ^ ": omega = stride 1") true
-        (m.Testability.Matrix.omega = exhaustive.Testability.Matrix.omega))
+      Alcotest.(check bool) (label ^ ": detect = first run") true
+        (m.Testability.Matrix.detect = first.Testability.Matrix.detect);
+      Alcotest.(check bool) (label ^ ": omega = first run") true
+        (m.Testability.Matrix.omega = first.Testability.Matrix.omega))
     [ 1; 2 ];
   (* a tow-thomas campaign in between, on views of other dimensions *)
   let tt = Circuits.Tow_thomas.make () in
   ignore (P.run ~points_per_decade:3 ~jobs:1 tt);
-  let _, again, _ = campaign ~stride:1 1 in
+  let _, again, _ = campaign 1 in
   Alcotest.(check int) "a later campaign reuses no storage of an earlier one" first_allocs
     again;
   List.iteri
@@ -316,8 +191,8 @@ let test_streaming_campaign_bounded () =
       List.iteri
         (fun j (r : Testability.Detect.result) ->
           if
-            r.Testability.Detect.detectable <> exhaustive.Testability.Matrix.detect.(i).(j)
-            || r.Testability.Detect.omega_det <> exhaustive.Testability.Matrix.omega.(i).(j)
+            r.Testability.Detect.detectable <> first.Testability.Matrix.detect.(i).(j)
+            || r.Testability.Detect.omega_det <> first.Testability.Matrix.omega.(i).(j)
           then
             Alcotest.failf "%s / %s: campaign differs from Detect.analyze"
               v.Testability.Matrix.label r.Testability.Detect.fault.Fault.id)
@@ -390,20 +265,16 @@ let test_coverage_run_validation () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest qcheck_refined_row_exact;
-    QCheck_alcotest.to_alcotest qcheck_static_anchors_never_solved;
-    Alcotest.test_case "adaptive pipeline = exhaustive (envelope)" `Quick
+    Alcotest.test_case "campaign = Detect.analyze (envelope)" `Quick
       test_pipeline_identity_envelope;
-    Alcotest.test_case "adaptive pipeline = exhaustive (fixed)" `Quick
+    Alcotest.test_case "campaign = Detect.analyze (fixed)" `Quick
       test_pipeline_identity_fixed;
-    Alcotest.test_case "adaptive pipeline = exhaustive (phase, phase-envelope, any-of)"
+    Alcotest.test_case "campaign = Detect.analyze (phase, phase-envelope, any-of)"
       `Quick test_pipeline_identity_other_criteria;
+    Alcotest.test_case "leapfrog5 C198 x R5a-short detectable at phase:0.1" `Quick
+      test_leapfrog_c198_phase_cell;
     Alcotest.test_case "streaming campaign: bounded workspaces, dead views free" `Quick
       test_streaming_campaign_bounded;
-    Alcotest.test_case "CLI --adaptive leaves every table byte-identical" `Slow
-      test_cli_adaptive_identity;
-    Alcotest.test_case "CLI adaptive summary line parses and adds up" `Quick
-      test_cli_summary_line_format;
     Alcotest.test_case "coverage_run accounting is sound" `Quick
       test_coverage_run_sound;
     Alcotest.test_case "coverage_run is jobs-invariant" `Quick

@@ -47,12 +47,6 @@ let table =
     ( "n-detect must be positive",
       "optimize tow-thomas --n-detect 0",
       124 );
-    ( "adaptive campaign on a matrix run",
-      "matrix tow-thomas --adaptive --points-per-decade 3",
-      0 );
-    ( "exhaustive campaign on a matrix run",
-      "matrix tow-thomas --no-adaptive --points-per-decade 3",
-      0 );
     ( "missing diagnose observation file is an i/o error",
       "diagnose tow-thomas --observe no/such/log.txt --points-per-decade 2",
       5 );
@@ -70,6 +64,8 @@ let table =
     ("matrix --prefilter is gone", "matrix tow-thomas --prefilter", 124);
     ("matrix --solve-budget is gone", "matrix tow-thomas --solve-budget 5", 124);
     ("matrix --backend is gone", "matrix tow-thomas --backend sparse", 124);
+    ("matrix --adaptive is gone", "matrix tow-thomas --adaptive", 124);
+    ("optimize --no-adaptive is gone", "optimize tow-thomas --no-adaptive", 124);
   ]
 
 let test_exit_codes () =

@@ -170,7 +170,7 @@ let test_drives_output () =
   let r4 = D_.plan_fault pv (Fault.deviation ~element:"R4" 1.2) in
   Alcotest.(check bool) "every point anchored 'u'" true
     (List.for_all
-       (fun k -> D_.anchor pv r4 k = 'u' && D_.score_point pv r4 k = ('u', neg_infinity))
+       (fun k -> D_.anchor pv r4 k = 'u' && D_.score_point pv r4 k = 'u')
        (List.init (Testability.Grid.n_points grid) Fun.id));
   Alcotest.(check bool) "R1 isolated, R4 not" true
     (D_.plan_isolated (D_.plan_fault pv (Fault.deviation ~element:"R1" 1.2))
@@ -277,18 +277,15 @@ let count_true m =
    computed responses are residue just above the numeric floor (dead
    views C57 and C185 peak at 3.3e-13 and 1.7e-13), and two live views
    (C198, C214) peak near 1.5e-12 with C_y3 isolated; read
-   numerically, that residue yields 38 'd' cells. The adaptive and exhaustive campaigns and the
+   numerically, that residue yields 38 'd' cells. The campaign and the
    per-view Detect.analyze reference must agree bit for bit, and no
    'd' may land in a dead view or on an isolated fault. *)
 let test_leapfrog_catastrophic_residue () =
   let b = Circuits.Leapfrog.make () in
   let criterion = D_.Fixed_tolerance 0.1 in
   let faults = Fault.catastrophic_faults b.Circuits.Benchmark.netlist in
-  let run adaptive =
-    P.run ~criterion ~points_per_decade:10 ~faults ~jobs:1 ~adaptive b
-  in
-  let a = run true and e = run false in
-  let ma = a.P.matrix and me = e.P.matrix in
+  let e = P.run ~criterion ~points_per_decade:10 ~faults ~jobs:1 b in
+  let me = e.P.matrix in
   let reference =
     Array.map
       (fun (v : M.view) ->
@@ -296,11 +293,9 @@ let test_leapfrog_catastrophic_residue () =
           (D_.analyze ~criterion v.M.probe e.P.grid v.M.netlist faults))
       me.M.views
   in
-  Alcotest.(check bool) "stride 8 detect = stride 1" true (ma.M.detect = me.M.detect);
-  Alcotest.(check bool) "stride 8 omega = stride 1" true (ma.M.omega = me.M.omega);
-  Alcotest.(check bool) "stride 1 detect = Detect.analyze" true
+  Alcotest.(check bool) "campaign detect = Detect.analyze" true
     (me.M.detect = Array.map (Array.map (fun r -> r.D_.detectable)) reference);
-  Alcotest.(check bool) "stride 1 omega = Detect.analyze" true
+  Alcotest.(check bool) "campaign omega = Detect.analyze" true
     (me.M.omega = Array.map (Array.map (fun r -> r.D_.omega_det)) reference);
   let dead = ref 0 in
   Array.iteri

@@ -3,9 +3,9 @@ module Grid = Testability.Grid
 module Detect = Testability.Detect
 module Matrix = Testability.Matrix
 
-(* The exhaustive campaign: the single driver at stride 1. *)
+(* The campaign driver, matrices only. *)
 let build ?criterion ?jobs grid views faults =
-  fst (Mcdft_core.Adaptive.build ?criterion ?jobs ~stride:1 grid views faults)
+  fst (Mcdft_core.Adaptive.build ?criterion ?jobs grid views faults)
 
 let rc ~r ~c () =
   Netlist.empty ~title:"rc" ()
@@ -235,29 +235,24 @@ let suite =
 (* --- the campaign's point scorer --- *)
 
 (* Score every point of one row through [Detect.score_point] and check
-   its contract against [Detect.anchor]: an anchored point is 'u' with
-   margin -inf and no solve; a solved point's margin is positive exactly
-   when its byte is 'd', except a failed solve, which is 'd' with a nan
-   margin. Returns the (anchored, failed) point counts. *)
+   its contract against [Detect.anchor]: an anchored point is 'u', a
+   solved point 'd' or 'u'. Returns the (anchored, detected) point
+   counts. *)
 let check_row what pv plan grid =
-  let anchored = ref 0 and failed = ref 0 in
+  let anchored = ref 0 and detected = ref 0 in
   for k = 0 to Grid.n_points grid - 1 do
-    let b, m = Detect.score_point pv plan k in
+    let b = Detect.score_point pv plan k in
+    if b = 'd' then incr detected;
     match Detect.anchor pv plan k with
     | 'u' ->
         incr anchored;
-        if not (b = 'u' && m = neg_infinity) then
-          Alcotest.failf "%s, point %d: anchored, scored '%c' %g" what k b m
+        if b <> 'u' then Alcotest.failf "%s, point %d: anchored, scored '%c'" what k b
     | '?' ->
-        if Float.is_nan m then begin
-          incr failed;
-          if b <> 'd' then Alcotest.failf "%s, point %d: failed solve scored 'u'" what k
-        end
-        else if m > 0.0 <> (b = 'd') then
-          Alcotest.failf "%s, point %d: margin %g with '%c'" what k m b
+        if b <> 'd' && b <> 'u' then
+          Alcotest.failf "%s, point %d: scored '%c'" what k b
     | a -> Alcotest.failf "%s, point %d: anchor '%c'" what k a
   done;
-  (!anchored, !failed)
+  (!anchored, !detected)
 
 let test_score_point_contract () =
   let grid = Grid.around ~points_per_decade:6 ~center_hz:1000.0 () in
@@ -332,11 +327,15 @@ let test_score_point_contract () =
     |> Netlist.opamp ~name:"OP1" ~inp:"x" ~inn:"out" ~out:"out"
     |> Netlist.resistor ~name:"R1" "out" "0" 1000.0
   in
-  let _, (_, failed) =
-    score { Detect.source = "V1"; output = "out" } floating
-      (Fault.deviation ~element:"C1" 0.0)
+  let c1_open = Fault.deviation ~element:"C1" 0.0 in
+  let sim =
+    Testability.Fastsim.create ~source:"V1" ~output:"out" ~freqs_hz:(Grid.freqs_hz grid)
+      floating
   in
-  Alcotest.(check int) "every solve failed" nf failed
+  Alcotest.(check bool) "every solve fails" true
+    (Array.for_all Option.is_none (Testability.Fastsim.response sim c1_open));
+  let _, (_, detected) = score { Detect.source = "V1"; output = "out" } floating c1_open in
+  Alcotest.(check int) "every failed solve detectable" nf detected
 
 let suite =
   suite
