@@ -385,18 +385,14 @@ let structural_vs_lu (s : Gen.subject) =
              "structurally full-rank yet LU singular at omega = %g rad/s" omega)
     | None -> Pass
 
-(* --- block-backsolve: block-warmed vs cold, campaign vs per-fault -- *)
+(* --- block-backsolve: block-warmed vs cold engines ------------------ *)
 
-(* Two comparisons, each of which must hold exactly — every response
-   bit, every detect verdict and every omega measure, not just within
-   tolerance:
-   - per view, an engine whose back-solve cache was filled by
-     multi-RHS block back-solves ({!Testability.Fastsim.warm_cache})
-     against a cold engine that solves each column on first read —
-     the block kernel promises bitwise equality with scalar solves;
-   - the campaign driver, which scores every point through immutable
-     plans and one solved point at a time, against
-     {!Detect.analyze}, which boxes one whole response per fault. *)
+(* Per view, an engine whose back-solve cache was filled by multi-RHS
+   block back-solves ({!Testability.Fastsim.warm_cache}) against a cold
+   engine that solves each column on first read: every response bit
+   must agree, since the block kernel promises bitwise equality with
+   scalar solves. The campaign's scoring of the same faults against
+   {!Detect.analyze} is campaign-vs-analyze's. *)
 let same_bits (a : Complex.t option array) b =
   let eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
   Array.length a = Array.length b
@@ -411,21 +407,9 @@ let same_bits (a : Complex.t option array) b =
 
 let block_backsolve (s : Gen.subject) =
   let faults = Fault.both_deviations s.netlist @ Fault.catastrophic_faults s.netlist in
-  let views =
-    List.map
-      (fun node ->
-        {
-          Matrix.label = "probe:" ^ node;
-          netlist = s.netlist;
-          probe = { Detect.source = s.source; output = node };
-        })
-      (Netlist.internal_nodes s.netlist)
-  in
-  let warmed_vs_cold (v : Matrix.view) =
-    let engine () =
-      Fastsim.create ~source:v.Matrix.probe.Detect.source
-        ~output:v.Matrix.probe.Detect.output ~freqs_hz v.Matrix.netlist
-    in
+  let outputs = Netlist.internal_nodes s.netlist in
+  let warmed_vs_cold output =
+    let engine () = Fastsim.create ~source:s.source ~output ~freqs_hz s.netlist in
     let warmed = engine () and cold = engine () in
     Fastsim.warm_cache warmed faults;
     List.find_map
@@ -434,43 +418,16 @@ let block_backsolve (s : Gen.subject) =
         then None
         else
           Some
-            (Printf.sprintf "%s / %s: block-warmed response differs from cold"
-               v.Matrix.label fault.Fault.id))
+            (Printf.sprintf "probe:%s / %s: block-warmed response differs from cold"
+               output fault.Fault.id))
       faults
   in
-  if views = [] || faults = [] then Skip "no views or no faults to score"
+  if outputs = [] || faults = [] then Skip "no views or no faults to score"
   else
-    match
-      ( List.find_map warmed_vs_cold views,
-        Mcdft_core.Adaptive.build ~jobs:1 grid views faults )
-    with
+    match List.find_map warmed_vs_cold outputs with
     | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
-    | Some msg, _ -> Fail msg
-    | None, (m, _) ->
-        let failure = ref None in
-        List.iteri
-          (fun i (v : Matrix.view) ->
-            if !failure = None then
-              List.iteri
-                (fun j (r : Detect.result) ->
-                  if !failure = None then begin
-                    let fault = r.Detect.fault in
-                    if r.Detect.detectable <> m.Matrix.detect.(i).(j) then
-                      failure :=
-                        Some
-                          (Printf.sprintf "%s / %s: detect verdicts differ"
-                             v.Matrix.label fault.Fault.id)
-                    else if r.Detect.omega_det <> m.Matrix.omega.(i).(j) then
-                      failure :=
-                        Some
-                          (Printf.sprintf
-                             "%s / %s: per-fault omega %.17g, campaign %.17g"
-                             v.Matrix.label fault.Fault.id r.Detect.omega_det
-                             m.Matrix.omega.(i).(j))
-                  end)
-                (Detect.analyze v.Matrix.probe grid v.Matrix.netlist faults))
-          views;
-        (match !failure with Some msg -> Fail msg | None -> Pass)
+    | Some msg -> Fail msg
+    | None -> Pass
 
 (* --- cover-minimality: branch-and-bound vs exhaustive covers ------ *)
 
@@ -650,11 +607,11 @@ let diagnosis (s : Gen.subject) =
    Each certified (view, fault) row is scored at every grid point and
    compared byte by byte — a single wrong certificate anywhere fails
    the subject, whether or not it would have moved an aggregate
-   detect/omega entry, by the campaign's own point scorer
-   ({!Detect.score_point}). Points below the view's measurement floor
-   are undetectable by definition, whatever any proof or solve says
-   (a static {!Detect.anchor} of a fault that is not isolated), so
-   they carry no comparison. Runs on
+   detect/omega entry, by the campaign's own row scorer
+   ({!Detect.score_row}). Points below the view's measurement floor
+   are undetectable by definition for a fault that is not isolated,
+   whatever any proof or solve says ({!Detect.below_floor}), so they
+   carry no comparison. Runs on
    every generator family, near-singular included (where poles
    crossing the sweep are exactly what the den-comfort guard must
    survive). *)
@@ -721,15 +678,16 @@ let certify_soundness (s : Gen.subject) =
               (fun (fault, cell) ->
                 Option.bind cell (fun bytes ->
                     let plan = Detect.plan_fault pv fault in
+                    let verdicts, _ = Detect.score_row pv plan in
                     let bad = ref None in
                     for k = nf - 1 downto 0 do
                       let b = Bytes.get bytes k in
                       let masked =
-                        Detect.anchor pv plan k = 'u' && not (Detect.plan_isolated plan)
+                        Detect.below_floor pv k && not (Detect.plan_isolated plan)
                       in
-                      if b <> '?' && not masked then
-                        let numeric = Detect.score_point pv plan k in
-                        if b <> numeric then bad := Some (k, b, numeric)
+                      let numeric = Bytes.get verdicts k in
+                      if b <> '?' && (not masked) && b <> numeric then
+                        bad := Some (k, b, numeric)
                     done;
                     Option.map
                       (fun (k, b, numeric) ->
@@ -756,7 +714,9 @@ let certify_soundness (s : Gen.subject) =
    masking interleave — the campaign's detect/omega matrices must be
    bitwise identical to the independent per-view reference
    ({!Detect.analyze}: boxed faulty responses reduced point by point),
-   at jobs:1 and at jobs:4. Its solve accounting must be
+   at jobs:1 and at jobs:4. Opamp subjects run the Pipeline's
+   deviation campaign; passive subjects run every probe view against
+   deviation and catastrophic faults alike. Its solve accounting must be
    jobs-invariant too (it is accumulated in the sequential reduce, so
    any divergence means scoring itself raced). *)
 let reference_matrix ?criterion grid (views : Matrix.view array) faults =
@@ -827,7 +787,7 @@ let campaign_vs_analyze (s : Gen.subject) =
           })
         (Netlist.internal_nodes s.netlist)
     in
-    let faults = Fault.both_deviations s.netlist in
+    let faults = Fault.both_deviations s.netlist @ Fault.catastrophic_faults s.netlist in
     if views = [] || faults = [] then Skip "no views or no faults to score"
     else
       check_campaign (fun jobs ->
@@ -855,9 +815,7 @@ let all =
     };
     {
       name = "block-backsolve";
-      doc =
-        "block-warmed responses bitwise-equal to cold ones, campaign scoring to \
-         the Detect.analyze reference";
+      doc = "block-warmed responses bitwise-equal to cold ones";
       check = block_backsolve;
     };
     {
@@ -896,7 +854,8 @@ let all =
       name = "campaign-vs-analyze";
       doc =
         "campaign matrices at jobs:1 and jobs:4 bitwise equal to per-view \
-         Detect.analyze, solve counts jobs-invariant";
+         Detect.analyze (deviation and catastrophic faults on probe views), \
+         solve counts jobs-invariant";
       check = campaign_vs_analyze;
     };
   ]

@@ -28,12 +28,12 @@ let build ?criterion ?(jobs = 1) grid views faults =
   (* Phases 1–2 — one task per view, streamed: prepare the view on
      storage recycled through the campaign's pool ({!Detect.with_view}:
      structural anchors, engine, envelope thresholds — a dead view
-     builds nothing), plan its faults, decide every point of every
-     (view × fault) row, keep the verdict bytes and per-row solve
-     counts, and release the engine to the pool. At most [jobs] engines
-     are live at once, work-stealing balances views whose cost differs,
-     and the pool's storage is dropped with the campaign. Counters are
-     booked sequentially in phase 3. *)
+     builds nothing), plan its faults, score every (view × fault) row
+     with one engine call ({!Detect.score_row}), keep the verdict bytes
+     and per-row solve counts, and release the engine to the pool. At
+     most [jobs] engines are live at once, work-stealing balances views
+     whose cost differs, and the pool's storage is dropped with the
+     campaign. Counters are booked sequentially in phase 3. *)
   let pool = Testability.Fastsim.pool () in
   let verdict_rows = Array.make_matrix n m Bytes.empty in
   let row_solved = Array.make_matrix n m 0 in
@@ -71,19 +71,9 @@ let build ?criterion ?(jobs = 1) grid views faults =
         Array.fold_left (fun a p -> if Detect.plan_isolated p then a + 1 else a) 0 plans;
       Array.iteri
         (fun j plan ->
-          (* {!Detect.anchor} decides the points undetectable by
-             definition — below the view's measurement floor, a whole
-             dead view, a whole isolated fault's row — without a solve;
-             {!Detect.score_point} solves and decides every other. *)
-          let solved = ref 0 in
-          verdict_rows.(i).(j) <-
-            Bytes.init nf (fun k ->
-                match Detect.anchor pv plan k with
-                | '?' ->
-                    incr solved;
-                    Detect.score_point pv plan k
-                | b -> b);
-          row_solved.(i).(j) <- !solved)
+          let v, solved = Detect.score_row pv plan in
+          verdict_rows.(i).(j) <- v;
+          row_solved.(i).(j) <- solved)
         plans);
   (* Phase 3 — sequential reduce and counter booking, in row order:
      the matrix and the campaign.* totals are jobs-deterministic. *)

@@ -3,15 +3,15 @@
     paper's fault simulation of every configuration over the whole
     frequency region (§3).
 
-    A point is decided in one of two ways. Points undetectable by
-    definition are static ['u'] anchors, known without a solve
-    ({!Testability.Detect.anchor}): a point below the view's
+    Each (view × fault) row is scored by one
+    {!Testability.Detect.score_row} call. Points undetectable by
+    definition are ['u'] without a solve: a point below the view's
     measurement floor (notch bottoms, outputs left at round-off), every
     point of a {e dead} view (its source cannot reach the output) and
     every point of a fault on an {e isolated} passive (one that cannot
-    affect the output). Every other point is solved and decided by
-    {!Testability.Detect.score_point}. No verdict is inferred from its
-    neighbours, so the matrices equal the independent per-view
+    affect the output). One engine call solves every other point of the
+    row. No verdict is inferred from its neighbours, so the matrices
+    equal the independent per-view
     {!Testability.Detect.analyze} reference bit for bit; the tier-1
     tests and the [campaign-vs-analyze] fuzz oracle check that. Each
     view's engine picks its own factorization
@@ -24,7 +24,9 @@
 
 type stats = {
   points : int;  (** rows × grid points *)
-  solved : int;  (** points solved numerically; the rest are anchors *)
+  solved : int;
+      (** points solved numerically; the rest are undetectable by
+          definition *)
   bisections : int;
       (** always 0; kept only because the campaign benchmark reads it *)
 }
@@ -43,10 +45,9 @@ val build :
     structural anchors first — a dead view builds no engine, no nominal
     sweep and no plans — then the engine, nominal sweep and thresholds,
     with only the envelope's drifts block-warmed), plans its faults,
-    decides every point of every (view × fault) row — the
-    {!Testability.Detect.anchor} byte where it is static, one
-    {!Testability.Detect.score_point} solve everywhere else — keeps the
-    verdict bytes and per-row solve counts, and releases the engine. A
+    scores every (view × fault) row with one
+    {!Testability.Detect.score_row} call, keeps the verdict bytes and
+    per-row solve counts, and releases the engine. A
     fault's back-solve column is solved the first time a point reads it
     at that frequency. [jobs] > 1 spreads the view tasks over that many
     domains, so at most [jobs] engines are live at once; results are

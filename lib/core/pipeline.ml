@@ -110,8 +110,8 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
              specs faults)
     | _ -> None
   in
-  (* One campaign driver: every grid point of every representative row
-     is an anchor or a solve. *)
+  (* One campaign driver: one engine call per representative row, which
+     solves every point not undetectable by definition. *)
   let rep_matrix, stats = Adaptive.build ~criterion ?jobs grid rep_views faults in
   (* Expand back to the full view list: row i is a copy of its
      representative's row, so the matrix is indistinguishable from an

@@ -60,8 +60,8 @@ val run :
     the campaign across domains (see {!Adaptive.build}). The campaign
     picks its own solver per view ({!Testability.Fastsim.backend}
     [Auto]) and solves every grid point of a row that is not
-    undetectable by definition ({!Testability.Detect.anchor}); neither
-    is a parameter.
+    undetectable by definition ({!Testability.Detect.score_row});
+    neither is a parameter.
 
     [prune] (default [true]) simulates one representative per class of
     configurations whose assembled systems are value-identical up to

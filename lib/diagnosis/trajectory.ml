@@ -31,7 +31,7 @@ let signature_into ~engines ~nominal_mag ~nf fault out =
       let plan = Fastsim.plan_of e fault in
       let re = Array.make nf 0.0 and im = Array.make nf 0.0 in
       let ok = Bytes.make nf '\000' in
-      Fastsim.response_range_into e plan ~lo:0 ~hi:nf ~re ~im ~ok;
+      Fastsim.response_into e plan ~skip:(Bytes.make nf '\000') ~re ~im ~ok;
       for k = 0 to nf - 1 do
         let nom = nominal_mag.(vi).(k) in
         let dev =

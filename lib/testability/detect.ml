@@ -22,7 +22,7 @@ let default_criterion = Fixed_tolerance default_tolerance
 
 (* The two deviation measures of a faulty response [re + j·im] against
    the nominal [t0]. The faulty response comes in planar parts so the
-   campaign's point scorer never boxes it; [Float.hypot] and [atan2]
+   campaign's row scorer never boxes it; [Float.hypot] and [atan2]
    are exactly [Complex.norm] and [Complex.arg]. *)
 type measure = Magnitude | Phase
 
@@ -259,8 +259,8 @@ let result_of_regions grid fault intervals =
 
 (* The independent reference: a whole boxed {!Fastsim.response} row,
    reduced point by point. It shares nothing with the campaign path
-   below ({!anchor}, {!score_point}) but the prepared view and the two
-   deviation measures. An
+   below ({!score_row}) but the prepared view and the two deviation
+   measures. An
    isolated fault's row and a dead view's rows are all-'u' by
    definition and cost no solve; an unknown element still raises like
    the engine. *)
@@ -294,11 +294,10 @@ let analyze ?backend ?criterion probe grid netlist faults =
   let pv = prepare_view ?backend ?criterion probe grid netlist in
   List.map (result_of pv grid) faults
 
-(* ---- point scoring (the campaign path) ----
+(* ---- row scoring (the campaign path) ----
 
    The campaign driver (Mcdft_core.Adaptive) builds one plan per
-   (view, fault), asks {!anchor} which points are decided without a
-   solve, solves every other one with {!score_point} and reduces the
+   (view, fault), scores each row with {!score_row} and reduces the
    verdict bytes through {!result_of_verdicts}. *)
 
 (* [Dead]: a fault of a dead view on a passive that is not isolated. *)
@@ -313,58 +312,42 @@ let plan_fault pv fault =
 
 let plan_isolated = function Isolated -> true | Dead | Live _ -> false
 
+(* A dead view's mask covers every point. *)
+let below_floor pv k = Bytes.get pv.mask k = '\001'
+
 (* The campaign's one static rule: an isolated fault, a dead view and a
-   point below the measurement floor are undetectable by definition. *)
-let static pv plan k =
-  match plan with Isolated | Dead -> true | Live _ -> Bytes.get pv.mask k = '\001'
-
-let anchor pv plan k = if static pv plan k then 'u' else '?'
-
-(* Per-domain planar buffers for one solved point: a prepared view is
-   scored from several domains at once. *)
-type point_buffers = {
-  mutable re : float array;
-  mutable im : float array;
-  mutable ok : Bytes.t;
-}
-
-let point_key =
-  Domain.DLS.new_key (fun () -> { re = [||]; im = [||]; ok = Bytes.empty })
-
-let point_buffers nf =
-  let b = Domain.DLS.get point_key in
-  if Array.length b.re < nf then begin
-    b.re <- Array.make nf 0.0;
-    b.im <- Array.make nf 0.0;
-    b.ok <- Bytes.make nf '\000'
-  end;
-  b
-
-let score_point pv plan k =
+   point below the measurement floor are undetectable by definition;
+   the engine solves every other point of the row in one call. *)
+let score_row pv plan =
+  let nf = Array.length pv.nominal in
   match plan with
-  | Live p when not (static pv plan k) ->
-      let b = point_buffers (Array.length pv.nominal) in
-      Fastsim.response_range_into (engine pv) p ~lo:k ~hi:(k + 1) ~re:b.re ~im:b.im
-        ~ok:b.ok;
-      (* A failed solve is detectable — the response is wildly wrong,
-         not merely deviated. *)
-      if Bytes.get b.ok k = '\000' then 'd'
-      else begin
-        let re = b.re.(k) and im = b.im.(k) and t0 = pv.nominal.(k) in
-        let detected = ref false in
-        for j = 0 to Array.length pv.subs - 1 do
-          let p = pv.subs.(j) in
-          if deviation p.measure t0 re im > p.thresholds.(k) then detected := true
-        done;
-        if !detected then 'd' else 'u'
-      end
-  | Isolated | Dead | Live _ -> 'u'
+  | Isolated | Dead -> (Bytes.make nf 'u', 0)
+  | Live p ->
+      let re = Array.make nf 0.0 and im = Array.make nf 0.0 in
+      let ok = Bytes.make nf '\000' in
+      Fastsim.response_into (engine pv) p ~skip:pv.mask ~re ~im ~ok;
+      let verdicts = Bytes.make nf 'u' and solved = ref 0 in
+      for k = 0 to nf - 1 do
+        if not (below_floor pv k) then begin
+          incr solved;
+          (* A failed solve is detectable — the response is wildly
+             wrong, not merely deviated. *)
+          if Bytes.get ok k = '\000' then Bytes.set verdicts k 'd'
+          else begin
+            let re = re.(k) and im = im.(k) and t0 = pv.nominal.(k) in
+            for j = 0 to Array.length pv.subs - 1 do
+              let p = pv.subs.(j) in
+              if deviation p.measure t0 re im > p.thresholds.(k) then
+                Bytes.set verdicts k 'd'
+            done
+          end
+        end
+      done;
+      (verdicts, !solved)
 
 let result_of_verdicts grid fault verdicts =
   if Bytes.length verdicts <> Grid.n_points grid then
     invalid_arg "Detect.result_of_verdicts: verdict length mismatch";
-  if Bytes.exists (fun b -> b = '?') verdicts then
-    invalid_arg "Detect.result_of_verdicts: undecided point";
   let intervals = ref [] in
   for i = 0 to Grid.n_points grid - 1 do
     if Bytes.get verdicts i = 'd' then

@@ -49,10 +49,10 @@ module Netlist := Circuit.Netlist
       undetectable by definition and is never solved.
 
     Two scoring paths apply these rules, each in one place: the
-    campaign path ({!anchor} decides the static points, {!score_point}
-    solves and decides the others, {!result_of_verdicts} reduces), and
-    the independent reference {!analyze}, which the differential
-    oracles compare it against. *)
+    campaign path ({!score_row} decides one (view × fault) row with one
+    engine call, {!result_of_verdicts} reduces it), and the independent
+    reference {!analyze}, which the differential oracles compare it
+    against. *)
 
 type probe = { source : string; output : string }
 (** Where the test stimulus enters and where the response is read. *)
@@ -107,14 +107,15 @@ val nominal_response : probe -> Grid.t -> Netlist.t -> Complex.t array
 
 type prepared_view
 (** One circuit view readied for a fault campaign: the view's
-    structural anchors and measurement floor, the fault-simulation
-    engine, its nominal response and the instantiated thresholds. *)
+    structure (dead or live, isolated passives) and measurement floor,
+    the fault-simulation engine, its nominal response and the
+    instantiated thresholds. *)
 
 val prepare_view :
   ?backend:Fastsim.backend ->
   ?criterion:criterion ->
   probe -> Grid.t -> Netlist.t -> prepared_view
-(** Build the structural anchors, engine and thresholds for one view
+(** Build the structural facts, engine and thresholds for one view
     (default criterion {!default_criterion}). Deadness is decided from
     the structure first: a dead view builds no engine, runs no nominal
     sweep and builds no envelope, so a dead view whose system is
@@ -125,14 +126,14 @@ val prepare_view :
     frequency), restricted to passives that can affect the output,
     because the envelope reads each of them at every frequency. Faults
     are not warmed: each of their back-solves runs the first time a
-    score reads it, so a point {!anchor} decides costs no back-solve.
-    The view can be scored
-    from several domains concurrently ({!Fastsim}'s cache is safe to
-    fill in parallel, and {!score_point} solves into per-domain
-    buffers). Raises like {!analyze}: {!Mna.Ac.Singular_circuit} when
-    the fault-free system of a live view, or a drifted good circuit of
-    its envelope (only drifts that can reach the output are
-    simulated), is singular at a grid frequency. *)
+    score reads it, so a point below the floor costs no back-solve.
+    The view can be scored from several domains concurrently
+    ({!Fastsim}'s cache is safe to fill in parallel, and {!score_row}
+    solves into buffers of its own). Raises like {!analyze}:
+    {!Mna.Ac.Singular_circuit} when the fault-free system of a live
+    view, or a drifted good circuit of its envelope (only drifts that
+    can reach the output are simulated), is singular at a grid
+    frequency. *)
 
 val with_view :
   pool:Fastsim.pool ->
@@ -141,7 +142,7 @@ val with_view :
 (** [with_view ~pool … netlist f] is [f] applied to what
     {!prepare_view} builds, with the engine on storage recycled through
     [pool] ({!Fastsim.with_engine}): the view lives only inside the bracket,
-    and scoring one of its live points afterwards raises
+    and scoring one of its live rows afterwards raises
     [Invalid_argument]. Results are bitwise equal to {!prepare_view}'s.
     A dead view builds no engine here either. *)
 
@@ -162,36 +163,37 @@ val plan_isolated : plan -> bool
 (** Whether the fault's element is a passive that cannot affect the
     view's output: its row is all ['u'] by definition. *)
 
-val anchor : prepared_view -> plan -> int -> char
-(** The static verdict of grid point [k]: ['u'] where the point is
-    undetectable by definition — an isolated fault, a dead view, or a
-    point below the view's measurement floor — and ['?'] where only a
-    solve can decide it. The campaign driver takes the ['u'] points as
-    they are and solves every ['?'] point with {!score_point}; no
-    verdict is ever inferred from a neighbouring point. *)
+val below_floor : prepared_view -> int -> bool
+(** Whether grid point [k] is undetectable by definition for every
+    fault that is not isolated: the view is dead, or the point's
+    nominal response sits below the view's measurement floor. *)
 
-val score_point : prepared_view -> plan -> int -> char
-(** Solve grid point [k] of one fault's row and decide it: ['d'] when
-    some prepared sub-criterion's deviation exceeds its threshold or
-    the solve fails (singular faulty system), ['u'] otherwise. A point
-    {!anchor} decides is ['u'] without a solve. Verdicts reduce through
-    {!result_of_verdicts} to exactly {!analyze}'s results. Safe to call
-    from several domains on one view. *)
+val score_row : prepared_view -> plan -> Bytes.t * int
+(** Decide every grid point of one fault's row: the verdict bytes (one
+    per grid point, ['d'] or ['u']) and the number of points solved. A
+    fault on an isolated passive, and any fault of a dead view, gives
+    all ['u'] with no solve and without touching an engine. Otherwise
+    one {!Fastsim.response_into} call solves the row, skipping the
+    points {!below_floor}, which are ['u']; a solved point is ['d']
+    when some prepared sub-criterion's deviation exceeds its threshold
+    or the solve fails (singular faulty system), ['u'] otherwise. No
+    verdict is inferred from a neighbouring point. Verdicts reduce
+    through {!result_of_verdicts} to exactly {!analyze}'s results.
+    Safe to call from several domains on one view. *)
 
 val result_of_verdicts : Grid.t -> Fault.t -> Bytes.t -> result
-(** Reduce a fully decided verdict row (every byte ['d'] or ['u'],
-    one per grid point) to a {!result} without any simulation — the
-    same interval bookkeeping as {!analyze}. Raises
-    [Invalid_argument] on a length mismatch or a residual ['?']
-    byte. *)
+(** Reduce a verdict row (one byte per grid point, ['d'] where the
+    fault is detectable) to a {!result} without any simulation — the
+    same interval bookkeeping as {!analyze}. Raises [Invalid_argument]
+    on a length mismatch. *)
 
 val analyze :
   ?backend:Fastsim.backend ->
   ?criterion:criterion -> probe -> Grid.t -> Netlist.t -> Fault.t list -> result list
 (** Analyze a fault list against one circuit: one {!prepare_view}, then
     per fault a whole boxed faulty response reduced point by point —
-    the independent reference for the campaign path ({!anchor},
-    {!score_point}), sharing nothing with it past preparation. A
+    the independent reference for the campaign path ({!score_row}),
+    sharing nothing with it past preparation. A
     frequency where the faulty circuit has no solution (singular
     system) counts as detectable — the response is wildly wrong, not
     merely deviated — unless the point sits below the measurement

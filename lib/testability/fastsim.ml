@@ -226,8 +226,6 @@ type t = {
   nom_im : float array;
   slot_of : (string, int) Hashtbl.t;  (* passive -> its stamp pattern's slot *)
   slot_pats : pat array;
-  smw_solves : int Atomic.t;
-  full_solves : int Atomic.t;
   lease : (workspace * int) option;  (* bracket storage and its generation *)
 }
 
@@ -251,13 +249,10 @@ type plan =
 
 (* Counter increments batched per domain: the solver hot loop bumps
    plain mutable ints and {!flush_pending} folds them into the
-   engine's atomics and the {!Obs.Metrics} registry once per response
-   / range call, instead of one sharded-counter operation per solve
-   (which was ~17% of a metrics-enabled campaign). [p_owner] records
-   which engine the pending counts belong to so a domain interleaving
-   several engines can never misattribute them. *)
+   {!Obs.Metrics} registry once per {!response_into} call, instead of
+   one sharded-counter operation per solve (which was ~17% of a
+   metrics-enabled campaign). *)
 type pending = {
-  mutable p_owner : t option;
   mutable p_smw : int;
   mutable p_cleared : int;  (* of [p_smw]: cleared by the a-priori bound *)
   mutable p_full : int;
@@ -302,7 +297,6 @@ let scratch_key =
         sx = Bvec.create 0;
         pend =
           {
-            p_owner = None;
             p_smw = 0;
             p_cleared = 0;
             p_full = 0;
@@ -313,40 +307,21 @@ let scratch_key =
       })
 
 let flush_pending (p : pending) =
-  match p.p_owner with
-  | None -> ()
-  | Some t ->
-      if p.p_smw > 0 then begin
-        ignore (Atomic.fetch_and_add t.smw_solves p.p_smw);
-        Obs.Metrics.incr "fastsim.smw_solves" ~by:p.p_smw
-      end;
-      if p.p_cleared > 0 then Obs.Metrics.incr "fastsim.smw_cleared" ~by:p.p_cleared;
-      if p.p_full > 0 then begin
-        ignore (Atomic.fetch_and_add t.full_solves p.p_full);
-        Obs.Metrics.incr "fastsim.full_solves" ~by:p.p_full
-      end;
-      if p.p_refine > 0 then Obs.Metrics.incr "fastsim.refine_steps" ~by:p.p_refine;
-      if p.p_hits > 0 then Obs.Metrics.incr "fastsim.wcache_hits" ~by:p.p_hits;
-      if p.p_misses > 0 then Obs.Metrics.incr "fastsim.wcache_misses" ~by:p.p_misses;
-      p.p_smw <- 0;
-      p.p_cleared <- 0;
-      p.p_full <- 0;
-      p.p_refine <- 0;
-      p.p_hits <- 0;
-      p.p_misses <- 0;
-      p.p_owner <- None
+  if p.p_smw > 0 then Obs.Metrics.incr "fastsim.smw_solves" ~by:p.p_smw;
+  if p.p_cleared > 0 then Obs.Metrics.incr "fastsim.smw_cleared" ~by:p.p_cleared;
+  if p.p_full > 0 then Obs.Metrics.incr "fastsim.full_solves" ~by:p.p_full;
+  if p.p_refine > 0 then Obs.Metrics.incr "fastsim.refine_steps" ~by:p.p_refine;
+  if p.p_hits > 0 then Obs.Metrics.incr "fastsim.wcache_hits" ~by:p.p_hits;
+  if p.p_misses > 0 then Obs.Metrics.incr "fastsim.wcache_misses" ~by:p.p_misses;
+  p.p_smw <- 0;
+  p.p_cleared <- 0;
+  p.p_full <- 0;
+  p.p_refine <- 0;
+  p.p_hits <- 0;
+  p.p_misses <- 0
 
-(* The pending record for engine [t]: re-targets (flushing first) if
-   the previous counts belonged to a different engine. *)
-let pend_for t s =
-  let p = s.pend in
-  (match p.p_owner with
-  | Some o when o == t -> ()
-  | Some _ ->
-      flush_pending p;
-      p.p_owner <- Some t
-  | None -> p.p_owner <- Some t);
-  p
+(* This domain's pending counts. *)
+let pending () = (Domain.DLS.get scratch_key).pend
 
 let scratch_for n =
   let s = Domain.DLS.get scratch_key in
@@ -542,8 +517,6 @@ let build ~acquire ?(backend = Auto) ~source ~output ~freqs_hz netlist =
     nom_im = Array.map (fun (z : Complex.t) -> z.Complex.im) nominal;
     slot_of;
     slot_pats;
-    smw_solves = Atomic.make 0;
-    full_solves = Atomic.make 0;
     lease = Option.map (fun ws -> (ws, Atomic.get ws.gen)) ws;
   }
 
@@ -564,8 +537,6 @@ let with_engine ~pool ~source ~output ~freqs_hz netlist f =
 let nominal t =
   check_live t;
   t.nominal
-let stats t = (Atomic.get t.smw_solves, Atomic.get t.full_solves)
-let dim t = t.n
 
 let uses_sparse t =
   Array.length t.freqs > 0
@@ -688,7 +659,7 @@ let solve_pattern fs (u : pat) (w : Bvec.t) =
    depend on the schedule or on what was warmed. *)
 let rec w_for t fs slot =
   let cell = Array.unsafe_get fs.cells slot in
-  let p = pend_for t (Domain.DLS.get scratch_key) in
+  let p = pending () in
   match Atomic.get cell with
   | Read w ->
       p.p_hits <- p.p_hits + 1;
@@ -775,8 +746,7 @@ let write_out t (x : Bvec.t) ~re ~im ~ok ~ix =
    refactorize — exactly the naive path, minus the assembly. *)
 let full_point_solve t fs ~al_re ~al_im ~u ~re ~im ~ok ~ix =
   let s = Domain.DLS.get scratch_key in
-  let p = pend_for t s in
-  p.p_full <- p.p_full + 1;
+  s.pend.p_full <- s.pend.p_full + 1;
   let s = fallback_ws s t.n in
   solver_dense_into fs s.sm;
   List.iter
@@ -1013,7 +983,7 @@ let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im 
         && bound_clears fs ~slot w u ~out_idx:t.out_idx ~al_re ~al_im ~den_re ~den_im
              ~coef_re ~coef_im
       then begin
-        let p = pend_for t (Domain.DLS.get scratch_key) in
+        let p = pending () in
         p.p_smw <- p.p_smw + 1;
         p.p_cleared <- p.p_cleared + 1;
         (match t.out_idx with
@@ -1096,7 +1066,7 @@ let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im 
           done
         in
         if chaotic then begin
-          let p = pend_for t (Domain.DLS.get scratch_key) in
+          let p = pending () in
           p.p_smw <- p.p_smw + 1;
           write_out t xf ~re ~im ~ok ~ix
         end
@@ -1107,7 +1077,7 @@ let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im 
           let res =
             if res <= 1024.0 *. epsilon_float *. scale_of () then res
             else begin
-              let p = pend_for t (Domain.DLS.get scratch_key) in
+              let p = pending () in
               p.p_refine <- p.p_refine + 1;
               refine ();
               faulty_residual ();
@@ -1115,7 +1085,7 @@ let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im 
             end
           in
           if res <= smw_tolerance *. scale_of () then begin
-            let p = pend_for t (Domain.DLS.get scratch_key) in
+            let p = pending () in
             p.p_smw <- p.p_smw + 1;
             write_out t xf ~re ~im ~ok ~ix
           end
@@ -1161,15 +1131,13 @@ let guard_probe ~a ~b ~u ~(alpha : Complex.t) ~out =
       nom_im = [| nominal.(0).Complex.im |];
       slot_of = Hashtbl.create 1;
       slot_pats = [| u |];
-      smw_solves = Atomic.make 0;
-      full_solves = Atomic.make 0;
       lease = None;
     }
   in
   let r1 = { slot = 0; u; alpha_g = alpha.Complex.re; alpha_c = alpha.Complex.im } in
   let run ~guard =
     let re = [| 0.0 |] and im = [| 0.0 |] and ok = Bytes.make 1 '\000' in
-    let p = pend_for t (Domain.DLS.get scratch_key) in
+    let p = pending () in
     let cleared = p.p_cleared and refined = p.p_refine and full = p.p_full in
     Fun.protect ~finally:(fun () -> flush_pending p) @@ fun () ->
     smw_point_solve ~guard t fs r1 ~re ~im ~ok ~ix:0;
@@ -1185,10 +1153,9 @@ let guard_probe ~a ~b ~u ~(alpha : Complex.t) ~out =
    stamps; each point assembles and factorizes in per-domain fallback
    workspaces ---- *)
 
-let structural_point t ~s_stamps ~s_n ~s_out fs ~re ~im ~ok ~ix =
+let structural_point ~s_stamps ~s_n ~s_out fs ~re ~im ~ok ~ix =
   let s = Domain.DLS.get scratch_key in
-  let p = pend_for t s in
-  p.p_full <- p.p_full + 1;
+  s.pend.p_full <- s.pend.p_full + 1;
   let s = fallback_ws s s_n in
   Mna.Stamps.fill s_stamps ~omega:fs.omega s.sm;
   Mna.Stamps.rhs_into s_stamps ~omega:fs.omega s.sb;
@@ -1212,32 +1179,29 @@ let structural_point t ~s_stamps ~s_n ~s_out fs ~re ~im ~ok ~ix =
       Array.unsafe_set im ix 0.0;
       Bytes.unsafe_set ok ix '\000'
 
-(* ---- response over a frequency range ---- *)
+(* ---- one fault's row ---- *)
 
-let response_range_into t plan ~lo ~hi ~re ~im ~ok =
+let response_into t plan ~skip ~re ~im ~ok =
   check_live t;
-  if lo < 0 || hi > Array.length t.freqs || lo > hi then
-    invalid_arg "Fastsim.response_range_into: bad frequency range";
-  if Array.length re < hi || Array.length im < hi || Bytes.length ok < hi then
-    invalid_arg "Fastsim.response_range_into: row buffers too short";
-  Fun.protect ~finally:(fun () -> flush_pending (Domain.DLS.get scratch_key).pend)
-  @@ fun () ->
-  match plan with
-  | P_unchanged ->
-      for i = lo to hi - 1 do
-        Array.unsafe_set re i (Array.unsafe_get t.nom_re i);
-        Array.unsafe_set im i (Array.unsafe_get t.nom_im i);
-        Bytes.unsafe_set ok i '\001'
-      done
-  | P_rank1 r1 ->
-      for i = lo to hi - 1 do
-        smw_point_solve ~guard:true t (Array.unsafe_get t.freqs i) r1 ~re ~im ~ok ~ix:i
-      done
-  | P_structural { s_stamps; s_n; s_out } ->
-      for i = lo to hi - 1 do
-        structural_point t ~s_stamps ~s_n ~s_out (Array.unsafe_get t.freqs i) ~re ~im
-          ~ok ~ix:i
-      done
+  let nf = Array.length t.freqs in
+  if
+    Bytes.length skip < nf || Array.length re < nf || Array.length im < nf
+    || Bytes.length ok < nf
+  then invalid_arg "Fastsim.response_into: row buffers too short";
+  Fun.protect ~finally:(fun () -> flush_pending (pending ())) @@ fun () ->
+  for i = 0 to nf - 1 do
+    if Bytes.unsafe_get skip i = '\000' then
+      match plan with
+      | P_unchanged ->
+          Array.unsafe_set re i (Array.unsafe_get t.nom_re i);
+          Array.unsafe_set im i (Array.unsafe_get t.nom_im i);
+          Bytes.unsafe_set ok i '\001'
+      | P_rank1 r1 ->
+          smw_point_solve ~guard:true t (Array.unsafe_get t.freqs i) r1 ~re ~im ~ok ~ix:i
+      | P_structural { s_stamps; s_n; s_out } ->
+          structural_point ~s_stamps ~s_n ~s_out (Array.unsafe_get t.freqs i) ~re ~im ~ok
+            ~ix:i
+  done
 
 let response t fault =
   let plan = plan_of t fault in
@@ -1245,7 +1209,7 @@ let response t fault =
   let rre = Array.make nf 0.0
   and rim = Array.make nf 0.0
   and ok = Bytes.make nf '\000' in
-  response_range_into t plan ~lo:0 ~hi:nf ~re:rre ~im:rim ~ok;
+  response_into t plan ~skip:(Bytes.make nf '\000') ~re:rre ~im:rim ~ok;
   Array.init nf (fun i ->
       if Bytes.get ok i = '\000' then None
       else Some { Complex.re = rre.(i); im = rim.(i) })

@@ -44,7 +44,32 @@ module Netlist := Circuit.Netlist
     publishes it with a compare-and-set; a domain that loses the race
     uses the winner's column, which is bitwise equal to its own.
     Lookups therefore need no warming first, and several domains may
-    score one engine from the start. Stats counters are atomic. *)
+    score one engine from the start.
+
+    One entry solves points: {!response_into}, one fault's row per
+    call, skipping the slots its caller's mask names. {!response} is
+    that call over the whole grid, boxed.
+
+    Accounting. When {!Obs.Metrics} is enabled the engine counts its
+    work in the global registry: [fastsim.smw_solves] (faulty point
+    solves served by the rank-1 update) and [fastsim.full_solves]
+    (served by a full assembly or refactorization: fallbacks and
+    structural faults), alongside [fastsim.smw_cleared],
+    [fastsim.refine_steps], [fastsim.structural_faults],
+    [fastsim.wcache_hits] and [fastsim.wcache_misses]. [smw_cleared]
+    counts the SMW solves an a-priori bound proved to pass the
+    residual gate, so they skipped the residual and built only the
+    output entry: dense engines only, and at most [smw_solves]. Every
+    rank-1 point solve reads one A⁻¹u column: the first read of each
+    (pattern, frequency) column books a miss — whether the read solved
+    the column or {!warm_cache} had block-solved it — and every later
+    read books a hit. So misses count the distinct columns read, hits
+    the reads they served again, and both totals are the same at every
+    [jobs] setting and with or without warming. Increments are batched
+    in per-domain locals and flushed into the registry once, when each
+    {!response_into} call returns, so totals are exact at every call
+    boundary without paying one sharded-counter operation per
+    solve. *)
 
 type t
 
@@ -132,7 +157,8 @@ val warm_cache : t -> Fault.t list -> unit
     listed fault (envelope drifts, diagnosis trajectories); it is never
     needed for correctness or parallel safety, and the columns are
     bitwise equal to the ones a point solve computes on demand.
-    Warming books no [wcache_*] counts (see {!stats}). Classifying a
+    Warming books no [wcache_*] counts (see the accounting above).
+    Classifying a
     fault never injects it; structural faults and unknown elements are
     skipped (the matching {!response} call still raises). *)
 
@@ -142,10 +168,7 @@ val response : t -> Fault.t -> Complex.t option array
     [Singular_circuit]-per-point outcome). Raises
     {!Fault.Unknown_element} when the fault's element is absent from
     the netlist, like {!Fault.inject}. Equivalent to {!plan_of} + a
-    full-range {!response_range_into}. *)
-
-val dim : t -> int
-(** The MNA system dimension — for callers sizing work estimates. *)
+    {!response_into} that skips no slot. *)
 
 type plan
 (** A fault prepared for simulation: classification (unchanged /
@@ -159,25 +182,20 @@ val plan_of : t -> Fault.t -> plan
     once per plan — so build each (engine, fault) plan once. Raises
     {!Fault.Unknown_element} like {!response}. *)
 
-val response_range_into :
-  t ->
-  plan ->
-  lo:int ->
-  hi:int ->
-  re:float array ->
-  im:float array ->
-  ok:Bytes.t ->
-  unit
-(** [response_range_into t plan ~lo ~hi ~re ~im ~ok] writes the faulty
-    transfer for grid indices [lo .. hi-1] into slots [lo .. hi-1] of
-    the planar row buffers: [re]/[im] hold the response, [ok.(i)] is
-    ['\001'] for a valid point and ['\000'] where the faulty system is
-    singular ({!response}'s [None]). Buffers must extend to at least
-    [hi]; slots outside the range are untouched, so campaign workers
-    can fill disjoint frequency blocks of one row concurrently. Values
-    are bitwise-identical to {!response} — this is the same solver
-    walked over a sub-range, writing planar output instead of boxing
-    per-point [Complex.t option]s. *)
+val response_into :
+  t -> plan -> skip:Bytes.t -> re:float array -> im:float array -> ok:Bytes.t -> unit
+(** [response_into t plan ~skip ~re ~im ~ok] solves the fault's row:
+    at every grid index [i] whose [skip] byte is ['\000'] it writes
+    the faulty transfer into slot [i] of the planar row buffers —
+    [re]/[im] hold the response, [ok.(i)] is ['\001'] for a valid
+    point and ['\000'] where the faulty system is singular
+    ({!response}'s [None]). A slot whose [skip] byte is ['\001'] is
+    left untouched: it is not solved, reads no column and books no
+    counter. Every buffer must hold at least one slot per grid point
+    ([Invalid_argument] otherwise). Values are bitwise-identical to
+    {!response}'s, without boxing per-point [Complex.t option]s. The
+    call's counters are flushed once, when it returns. Safe to call
+    from several domains on one engine. *)
 
 val set_chaos : [ `None | `Smw_denominator of float ] -> unit
 (** Conformance-testing hook. [`Smw_denominator k] multiplies the
@@ -207,30 +225,3 @@ val guard_probe :
     passed its [1024·ε·scale] test without refinement, and whether the
     two runs wrote the same bits. Soundness is [cleared ⇒ passes]
     (and [same]). Raises {!Linalg.Cmat.Singular} if [a] is. *)
-
-val stats : t -> int * int
-(** [(smw, full)]: faulty point-solves served by the rank-1 update vs
-    by a full assembly/refactorization (fallbacks and structural
-    faults). For benches and tests.
-
-    When {!Obs.Metrics} is enabled the same events are mirrored into
-    the global registry — [fastsim.smw_solves] and
-    [fastsim.full_solves] totals across all engines equal the
-    per-engine [stats] sums exactly — alongside
-    [fastsim.smw_cleared], [fastsim.refine_steps],
-    [fastsim.structural_faults], [fastsim.wcache_hits] and
-    [fastsim.wcache_misses]. [smw_cleared] counts the SMW solves an
-    a-priori bound proved to pass the residual gate, so they skipped
-    the residual and built only the output entry: dense engines only,
-    and at most [smw_solves]. Every rank-1
-    point solve reads one A⁻¹u column: the first read of each
-    (pattern, frequency) column books a miss — whether the read
-    solved the column or {!warm_cache} had block-solved it — and every
-    later read books a hit. So misses count the distinct columns read,
-    hits the reads they served again, and both totals are the same at
-    every [jobs] setting and with or without warming. Increments are
-    batched in per-domain locals and flushed (into the atomics and the
-    registry together) when each {!response} /
-    {!response_range_into} / {!warm_cache} call returns, so totals are
-    exact at every call boundary without paying one sharded-counter
-    operation per solve. *)

@@ -12,6 +12,24 @@ let benchmarks = Circuits.Registry.all ()
 let grid_of b =
   Grid.around ~points_per_decade:4 ~center_hz:b.Circuits.Benchmark.center_hz ()
 
+(* [metered f] runs [f] with Obs.Metrics enabled from zero and returns
+   its result with the counters it booked. *)
+let metered f =
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled false;
+      Obs.Metrics.reset ())
+    (fun () ->
+      let r = f () in
+      (r, Obs.Metrics.snapshot ()))
+
+let counter = Obs.Metrics.counter
+
+(* (SMW, full) point solves booked in a snapshot. *)
+let solves snap = (counter snap "fastsim.smw_solves", counter snap "fastsim.full_solves")
+
 (* A passive RLC divider: the zoo is opamp-RC only, and the inductor
    branch is what exercises the engine's structural-fault fallback
    (an inductor open/short changes the MNA dimension). *)
@@ -125,11 +143,14 @@ let test_fault_equivalence_rlc () =
     Grid.freqs_hz (Grid.around ~points_per_decade:4 ~center_hz:rlc_center_hz ())
   in
   let sim = Fastsim.create ~source:"Vin" ~output:"out" ~freqs_hz rlc in
-  List.iter
-    (fun fault ->
-      check_fault_equivalence ~source:"Vin" ~output:"out" ~freqs_hz sim fault rlc)
-    (all_faults rlc);
-  let smw, full = Fastsim.stats sim in
+  let (), snap =
+    metered (fun () ->
+        List.iter
+          (fun fault ->
+            check_fault_equivalence ~source:"Vin" ~output:"out" ~freqs_hz sim fault rlc)
+          (all_faults rlc))
+  in
+  let smw, full = solves snap in
   if smw = 0 then Alcotest.fail "rank-1 path never used";
   (* the four L1 catastrophic/deviation point-solves include structural
      ones, which must not be claimed by the rank-1 counter *)
@@ -142,10 +163,13 @@ let test_smw_actually_used () =
     Fastsim.create ~source:b.Circuits.Benchmark.source
       ~output:b.Circuits.Benchmark.output ~freqs_hz b.Circuits.Benchmark.netlist
   in
-  List.iter
-    (fun fault -> ignore (Fastsim.response sim fault))
-    (Fault.both_deviations b.Circuits.Benchmark.netlist);
-  let smw, full = Fastsim.stats sim in
+  let (), snap =
+    metered (fun () ->
+        List.iter
+          (fun fault -> ignore (Fastsim.response sim fault))
+          (Fault.both_deviations b.Circuits.Benchmark.netlist))
+  in
+  let smw, full = solves snap in
   Alcotest.(check bool) "rank-1 dominates" true (smw > 10 * Stdlib.max 1 full)
 
 let test_nominal_matches_sweep () =
@@ -169,52 +193,91 @@ let test_nominal_matches_sweep () =
 (* --- batched metrics flushes -------------------------------------- *)
 
 (* The engine batches its Obs.Metrics increments into per-domain
-   locals and flushes them once per scored range, so the hot loop
+   locals and flushes them once per response call, so the hot loop
    never touches the shared counter table. The batching must be
-   invisible at call boundaries: after any sequence of responses, the
-   Obs totals equal the engine's own atomic counters exactly. *)
+   invisible at call boundaries: every solved point is booked once, as
+   an SMW or a full solve (no tow-thomas fault is structural or leaves
+   the system unchanged). On a deviation campaign the a-priori
+   residual bound clears points, and every cleared point is one of the
+   SMW solves. *)
 let test_metrics_batching_exact () =
   let b = Circuits.Tow_thomas.make () in
   let freqs_hz = Grid.freqs_hz (grid_of b) in
-  Obs.Metrics.reset ();
-  Obs.Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Metrics.set_enabled false;
-      Obs.Metrics.reset ())
-    (fun () ->
-      let sim =
-        Fastsim.create ~source:b.Circuits.Benchmark.source
-          ~output:b.Circuits.Benchmark.output ~freqs_hz
-          b.Circuits.Benchmark.netlist
+  let run faults =
+    let sim =
+      Fastsim.create ~source:b.Circuits.Benchmark.source
+        ~output:b.Circuits.Benchmark.output ~freqs_hz b.Circuits.Benchmark.netlist
+    in
+    let (), snap =
+      metered (fun () ->
+          List.iter (fun fault -> ignore (Fastsim.response sim fault)) faults)
+    in
+    let smw, full = solves snap in
+    Alcotest.(check int) "one solve booked per point"
+      (List.length faults * Array.length freqs_hz)
+      (smw + full);
+    (smw, counter snap "fastsim.smw_cleared")
+  in
+  ignore (run (all_faults b.Circuits.Benchmark.netlist));
+  let smw, cleared = run (Fault.deviation_faults b.Circuits.Benchmark.netlist) in
+  if not (0 < cleared && cleared <= smw) then
+    Alcotest.failf "smw_cleared %d outside (0, smw_solves = %d]" cleared smw
+
+(* A mixed mask: [response_into] solves exactly the unskipped slots,
+   bitwise equal to [response] there, and leaves every skipped slot's
+   buffers untouched, reading no column and booking no count for it.
+   The RLC divider's faults cover rank-1 and structural plans. *)
+let test_response_into_skip () =
+  let freqs_hz =
+    Grid.freqs_hz (Grid.around ~points_per_decade:4 ~center_hz:rlc_center_hz ())
+  in
+  let nf = Array.length freqs_hz in
+  let skip = Bytes.init nf (fun k -> if k mod 3 = 1 then '\001' else '\000') in
+  let solved = Bytes.fold_left (fun a c -> if c = '\000' then a + 1 else a) 0 skip in
+  let bits (z : Complex.t) =
+    (Int64.bits_of_float z.Complex.re, Int64.bits_of_float z.Complex.im)
+  in
+  let engine () = Fastsim.create ~source:"Vin" ~output:"out" ~freqs_hz rlc in
+  List.iter
+    (fun fault ->
+      let what = fault.Fault.id in
+      let expected = Array.map (Option.map bits) (Fastsim.response (engine ()) fault) in
+      let sim = engine () in
+      let plan = Fastsim.plan_of sim fault in
+      let re = Array.make nf 42.0 and im = Array.make nf (-7.0) in
+      let ok = Bytes.make nf 'x' in
+      let (), snap =
+        metered (fun () -> Fastsim.response_into sim plan ~skip ~re ~im ~ok)
       in
-      List.iter
-        (fun fault -> ignore (Fastsim.response sim fault))
-        (all_faults b.Circuits.Benchmark.netlist);
-      let snap = Obs.Metrics.snapshot () in
-      let smw, full = Fastsim.stats sim in
-      Alcotest.(check int) "smw_solves flushed exactly" smw
-        (Obs.Metrics.counter snap "fastsim.smw_solves");
-      Alcotest.(check int) "full_solves flushed exactly" full
-        (Obs.Metrics.counter snap "fastsim.full_solves");
-      (* On a deviation campaign the a-priori residual bound clears
-         points, and every cleared point is one of the SMW solves. *)
-      Obs.Metrics.reset ();
-      let sim =
-        Fastsim.create ~source:b.Circuits.Benchmark.source
-          ~output:b.Circuits.Benchmark.output ~freqs_hz
-          b.Circuits.Benchmark.netlist
+      for k = 0 to nf - 1 do
+        if Bytes.get skip k = '\001' then begin
+          if not (re.(k) = 42.0 && im.(k) = -7.0 && Bytes.get ok k = 'x') then
+            Alcotest.failf "%s, slot %d: skipped slot written" what k
+        end
+        else
+          let got =
+            if Bytes.get ok k = '\000' then None
+            else Some (bits { Complex.re = re.(k); im = im.(k) })
+          in
+          if got <> expected.(k) then
+            Alcotest.failf "%s, slot %d: differs from response" what k
+      done;
+      let smw, full = solves snap in
+      Alcotest.(check int) (what ^ ": one solve booked per unskipped slot") solved
+        (smw + full);
+      let reads snap =
+        counter snap "fastsim.wcache_misses" + counter snap "fastsim.wcache_hits"
       in
-      List.iter
-        (fun fault -> ignore (Fastsim.response sim fault))
-        (Fault.deviation_faults b.Circuits.Benchmark.netlist);
-      let snap = Obs.Metrics.snapshot () in
-      let smw, _ = Fastsim.stats sim in
-      let cleared = Obs.Metrics.counter snap "fastsim.smw_cleared" in
-      Alcotest.(check int) "deviation smw_solves flushed exactly" smw
-        (Obs.Metrics.counter snap "fastsim.smw_solves");
-      if not (0 < cleared && cleared <= smw) then
-        Alcotest.failf "smw_cleared %d outside (0, smw_solves = %d]" cleared smw)
+      if reads snap > 0 then begin
+        (* a rank-1 row reads one column per solved slot; the skipped
+           slots' columns are still unread *)
+        Alcotest.(check int) (what ^ ": one column read per unskipped slot") solved
+          (reads snap);
+        let (), after = metered (fun () -> ignore (Fastsim.response sim fault)) in
+        Alcotest.(check int) (what ^ ": skipped slots read no column") (nf - solved)
+          (counter after "fastsim.wcache_misses")
+      end)
+    (all_faults rlc)
 
 (* --- demand-driven back-solve cache --------------------------------- *)
 
@@ -225,18 +288,8 @@ let test_metrics_batching_exact () =
    a hit for every other read. *)
 
 let cache_counters f =
-  Obs.Metrics.reset ();
-  Obs.Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Metrics.set_enabled false;
-      Obs.Metrics.reset ())
-    (fun () ->
-      let r = f () in
-      let snap = Obs.Metrics.snapshot () in
-      ( r,
-        ( Obs.Metrics.counter snap "fastsim.wcache_misses",
-          Obs.Metrics.counter snap "fastsim.wcache_hits" ) ))
+  let r, snap = metered f in
+  (r, (counter snap "fastsim.wcache_misses", counter snap "fastsim.wcache_hits"))
 
 let response_bits sim fault =
   Array.map
@@ -370,7 +423,7 @@ let test_recycled_storage () =
                  label (if warm then "warmed" else "cold"))
               true (got = expected))
           [ false; true ];
-        Fastsim.dim fresh)
+        Mna.Index.size (Mna.Index.build netlist))
       sequence
   in
   let allocs = Obs.Metrics.counter (Obs.Metrics.snapshot ()) "fastsim.workspace_allocs" in
@@ -424,8 +477,8 @@ let test_engine_after_bracket () =
   let pv, plan =
     Detect.with_view ~pool probe grid netlist (fun pv -> (pv, Detect.plan_fault pv fault))
   in
-  Alcotest.check_raises "score_point after Detect.with_view" dead (fun () ->
-      ignore (Detect.score_point pv plan 0))
+  Alcotest.check_raises "score_row after Detect.with_view" dead (fun () ->
+      ignore (Detect.score_row pv plan))
 
 (* --- the a-priori residual bound ------------------------------------ *)
 
@@ -552,8 +605,10 @@ let suite =
     Alcotest.test_case "rank-1 path serves deviation faults" `Quick
       test_smw_actually_used;
     Alcotest.test_case "nominal equals Ac.sweep" `Quick test_nominal_matches_sweep;
-    Alcotest.test_case "batched metrics equal engine stats" `Quick
+    Alcotest.test_case "batched metrics book every solve once" `Quick
       test_metrics_batching_exact;
+    Alcotest.test_case "response_into leaves skipped slots untouched" `Quick
+      test_response_into_skip;
     Alcotest.test_case "cold engine equals block-warmed (dense)" `Quick
       test_cold_vs_warmed_dense;
     Alcotest.test_case "cold engine equals block-warmed (sparse)" `Quick

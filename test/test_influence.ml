@@ -168,10 +168,12 @@ let test_drives_output () =
   let pv = D_.prepare_view probe grid n in
   Alcotest.(check bool) "view_dead" true (D_.view_dead pv);
   let r4 = D_.plan_fault pv (Fault.deviation ~element:"R4" 1.2) in
-  Alcotest.(check bool) "every point anchored 'u'" true
-    (List.for_all
-       (fun k -> D_.anchor pv r4 k = 'u' && D_.score_point pv r4 k = 'u')
-       (List.init (Testability.Grid.n_points grid) Fun.id));
+  let nf = Testability.Grid.n_points grid in
+  Alcotest.(check bool) "every point below the floor" true
+    (List.for_all (D_.below_floor pv) (List.init nf Fun.id));
+  Alcotest.(check (pair string int)) "all 'u', nothing solved" (String.make nf 'u', 0)
+    (let v, solved = D_.score_row pv r4 in
+     (Bytes.to_string v, solved));
   Alcotest.(check bool) "R1 isolated, R4 not" true
     (D_.plan_isolated (D_.plan_fault pv (Fault.deviation ~element:"R1" 1.2))
     && not (D_.plan_isolated (D_.plan_fault pv (Fault.deviation ~element:"R4" 1.2))));

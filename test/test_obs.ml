@@ -2,7 +2,6 @@
    - disabled means no-op (the default state);
    - snapshots merge per-domain shards exactly once helpers are joined;
    - counter totals are worker-count invariant on a real campaign;
-   - the metric mirror of Fastsim.stats matches the engine's own sums;
    - the trace exporter emits valid Chrome-trace JSON. *)
 
 module Metrics = Obs.Metrics
@@ -183,32 +182,6 @@ let test_racing_insertion () =
         hits4)
     [ false; true ]
 
-(* ISSUE acceptance: the emitted counters match Fastsim.stats exactly —
-   same increment sites, so the sums cannot drift. *)
-let test_fastsim_stats_mirror () =
-  let b = Circuits.Tow_thomas.make () in
-  let netlist = b.Circuits.Benchmark.netlist in
-  let grid =
-    Testability.Grid.around ~points_per_decade:8
-      ~center_hz:b.Circuits.Benchmark.center_hz ()
-  in
-  with_metrics (fun () ->
-      let sim =
-        Testability.Fastsim.create ~source:b.Circuits.Benchmark.source
-          ~output:b.Circuits.Benchmark.output
-          ~freqs_hz:(Testability.Grid.freqs_hz grid)
-          netlist
-      in
-      List.iter
-        (fun fault -> ignore (Testability.Fastsim.response sim fault))
-        (Fault.both_deviations netlist @ Fault.catastrophic_faults netlist);
-      let smw, full = Testability.Fastsim.stats sim in
-      let snap = Metrics.snapshot () in
-      Alcotest.(check int) "smw_solves mirrors stats" smw
-        (Metrics.counter snap "fastsim.smw_solves");
-      Alcotest.(check int) "full_solves mirrors stats" full
-        (Metrics.counter snap "fastsim.full_solves"))
-
 let test_trace_spans_and_export () =
   Trace.reset ();
   Trace.set_enabled true;
@@ -333,8 +306,6 @@ let suite =
       test_jobs_invariant_counters;
     Alcotest.test_case "racing cold readers book the sequential counters" `Quick
       test_racing_insertion;
-    Alcotest.test_case "fastsim metrics mirror stats" `Quick
-      test_fastsim_stats_mirror;
     Alcotest.test_case "trace spans nest and export as Chrome JSON" `Quick
       test_trace_spans_and_export;
     Alcotest.test_case "trace lanes stay nested under concurrent emitters"

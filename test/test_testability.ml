@@ -232,34 +232,39 @@ let suite =
   suite
   @ [ Alcotest.test_case "grid density guard" `Quick test_grid_rejects_nonpositive_density ]
 
-(* --- the campaign's point scorer --- *)
+(* --- the campaign's row scorer --- *)
 
-(* Score every point of one row through [Detect.score_point] and check
-   its contract against [Detect.anchor]: an anchored point is 'u', a
-   solved point 'd' or 'u'. Returns the (anchored, detected) point
-   counts. *)
+(* Score one row through [Detect.score_row] and check its contract:
+   one 'd' or 'u' per point, 'u' below the measurement floor, and one
+   solve per point above it unless the row is isolated or the view
+   dead. Returns the (solved, detected) point counts. *)
 let check_row what pv plan grid =
-  let anchored = ref 0 and detected = ref 0 in
-  for k = 0 to Grid.n_points grid - 1 do
-    let b = Detect.score_point pv plan k in
-    if b = 'd' then incr detected;
-    match Detect.anchor pv plan k with
-    | 'u' ->
-        incr anchored;
-        if b <> 'u' then Alcotest.failf "%s, point %d: anchored, scored '%c'" what k b
-    | '?' ->
-        if b <> 'd' && b <> 'u' then
-          Alcotest.failf "%s, point %d: scored '%c'" what k b
-    | a -> Alcotest.failf "%s, point %d: anchor '%c'" what k a
-  done;
-  (!anchored, !detected)
+  let verdicts, solved = Detect.score_row pv plan in
+  let nf = Grid.n_points grid in
+  Alcotest.(check int) (what ^ ": one verdict per point") nf (Bytes.length verdicts);
+  let detected = ref 0 and open_points = ref 0 in
+  Bytes.iteri
+    (fun k b ->
+      if not (Detect.below_floor pv k) then incr open_points
+      else if b <> 'u' then
+        Alcotest.failf "%s, point %d: below the floor, scored '%c'" what k b;
+      match b with
+      | 'd' -> incr detected
+      | 'u' -> ()
+      | b -> Alcotest.failf "%s, point %d: scored '%c'" what k b)
+    verdicts;
+  let expected =
+    if Detect.plan_isolated plan || Detect.view_dead pv then 0 else !open_points
+  in
+  Alcotest.(check int) (what ^ ": points solved") expected solved;
+  (solved, !detected)
 
-let test_score_point_contract () =
+let test_score_row_contract () =
   let grid = Grid.around ~points_per_decade:6 ~center_hz:1000.0 () in
   let nf = Grid.n_points grid in
   let criterion = Detect.Fixed_tolerance 0.1 in
   (* every row of every configuration of the dead-and-singular fixture;
-     the dead view's rows are anchored throughout *)
+     the dead view's rows solve nothing *)
   let n =
     match Spice.Parser.parse_file (Cli.fixture "dead_singular.cir") with
     | Ok n -> n
@@ -274,12 +279,12 @@ let test_score_point_contract () =
       List.iter
         (fun fault ->
           let what = Multiconfig.Configuration.label config ^ " / " ^ fault.Fault.id in
-          let anchored, _ = check_row what pv (Detect.plan_fault pv fault) grid in
+          let row_solved, _ = check_row what pv (Detect.plan_fault pv fault) grid in
           if Detect.view_dead pv then begin
             incr dead_rows;
-            Alcotest.(check int) (what ^ ": dead row anchored") nf anchored
+            Alcotest.(check int) (what ^ ": dead row solves nothing") 0 row_solved
           end
-          else solved := !solved + nf - anchored)
+          else solved := !solved + row_solved)
         (Fault.catastrophic_faults view))
     (Multiconfig.Transform.test_configurations dft);
   Alcotest.(check bool) "dead rows scored" true (!dead_rows > 0);
@@ -300,11 +305,11 @@ let test_score_point_contract () =
     |> Netlist.resistor ~name:"R3" "post" "0" 1000.0
   in
   let buf = { Detect.source = "V1"; output = "buf" } in
-  let plan, (anchored, _) = score buf buffered (Fault.deviation ~element:"R2" 1.2) in
+  let plan, (solved, _) = score buf buffered (Fault.deviation ~element:"R2" 1.2) in
   Alcotest.(check bool) "R2 isolated" true (Detect.plan_isolated plan);
-  Alcotest.(check int) "isolated row anchored" nf anchored;
-  let _, (anchored, _) = score buf buffered (Fault.deviation ~element:"R1" 1.2) in
-  Alcotest.(check int) "R1 row solved" 0 anchored;
+  Alcotest.(check int) "isolated row solves nothing" 0 solved;
+  let _, (solved, _) = score buf buffered (Fault.deviation ~element:"R1" 1.2) in
+  Alcotest.(check int) "R1 row solves every point" nf solved;
   (* a virtual ground: the source reaches it, but its nominal response
      is below the measurement floor everywhere *)
   let inverting =
@@ -317,8 +322,8 @@ let test_score_point_contract () =
   let probe = { Detect.source = "V1"; output = "n" } in
   Alcotest.(check bool) "virtual ground is live" false
     (Detect.view_dead (Detect.prepare_view probe grid inverting));
-  let _, (anchored, _) = score probe inverting (Fault.deviation ~element:"R1" 1.2) in
-  Alcotest.(check int) "masked row anchored" nf anchored;
+  let _, (solved, _) = score probe inverting (Fault.deviation ~element:"R1" 1.2) in
+  Alcotest.(check int) "masked row solves nothing" 0 solved;
   (* a failed solve: with C1 gone the buffer input floats *)
   let floating =
     Netlist.empty ~title:"floating" ()
@@ -339,4 +344,4 @@ let test_score_point_contract () =
 
 let suite =
   suite
-  @ [ Alcotest.test_case "score_point contract" `Quick test_score_point_contract ]
+  @ [ Alcotest.test_case "score_row contract" `Quick test_score_row_contract ]
