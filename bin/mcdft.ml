@@ -1396,7 +1396,7 @@ let fuzz_cmd =
              ~doc:"Log every case and verdict to stderr as the campaign runs.")
   in
   let run seed budget cases families oracles shrink_dir snapshot_dir
-      update_snapshots check_snapshots replay list_oracles verbose _jobs =
+      update_snapshots check_snapshots replay list_oracles verbose =
     handle_errors @@ fun () ->
     if list_oracles then begin
       List.iter
@@ -1471,11 +1471,11 @@ let fuzz_cmd =
              structural vs numeric rank, exhaustive vs branch-and-bound \
              covers), with failing cases shrunk to minimal repro fixtures. \
              Verdicts depend only on --seed and the case index — never on \
-             --jobs or --budget.")
+             --budget.")
     Term.(const run $ seed_opt $ budget_opt $ cases_opt $ families_opt
           $ oracles_opt $ shrink_dir_opt $ snapshot_dir_opt
           $ update_snapshots_flag $ check_snapshots_flag $ replay_opt
-          $ list_oracles_flag $ verbose_flag $ jobs_opt)
+          $ list_oracles_flag $ verbose_flag)
 
 let () =
   let doc = "multi-configuration DFT analysis for analog circuits (DATE 1998 reproduction)" in

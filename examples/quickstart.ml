@@ -23,8 +23,15 @@ let () =
     (Testability.Matrix.n_faults t.P.matrix)
     (Testability.Grid.n_points t.P.grid);
 
-  (* 3. look at the functional circuit first (the paper's Section 2) *)
-  let functional = P.functional_results t in
+  (* 3. look at the functional circuit first (the paper's Section 2):
+     row C0 of the campaign's per-point verdicts *)
+  let functional =
+    List.mapi
+      (fun j fault ->
+        Testability.Detect.result_of_verdicts t.P.grid fault
+          t.P.matrix.Testability.Matrix.verdicts.(0).(j))
+      t.P.faults
+  in
   Printf.printf "without DFT: fault coverage %.1f%%, <w-det> %.1f%%\n"
     (100.0 *. Testability.Detect.fault_coverage functional)
     (100.0 *. Testability.Detect.average_omega_det functional);

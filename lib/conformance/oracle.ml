@@ -714,47 +714,56 @@ let certify_soundness (s : Gen.subject) =
    masking interleave — the campaign's detect/omega matrices must be
    bitwise identical to the independent per-view reference
    ({!Detect.analyze}: boxed faulty responses reduced point by point),
-   at jobs:1 and at jobs:4. Opamp subjects run the Pipeline's
-   deviation campaign; passive subjects run every probe view against
-   deviation and catastrophic faults alike. Its solve accounting must be
-   jobs-invariant too (it is accumulated in the sequential reduce, so
-   any divergence means scoring itself raced). *)
-let reference_matrix ?criterion grid (views : Matrix.view array) faults =
-  let results =
-    Array.map
-      (fun (v : Matrix.view) ->
-        Array.of_list
-          (Detect.analyze ?criterion v.Matrix.probe grid v.Matrix.netlist faults))
-      views
-  in
-  ( Array.map (Array.map (fun r -> r.Detect.detectable)) results,
-    Array.map (Array.map (fun r -> r.Detect.omega_det)) results )
+   at jobs:1 and at jobs:4, and so must every retained verdict row
+   point by point: reduced through {!Detect.result_of_verdicts}, it
+   must give the reference result, detectability regions included
+   (equal detect/omega alone would not see two swapped points, and the
+   test planner and the fault dictionary read single points). Opamp
+   subjects run the Pipeline's deviation campaign; passive subjects
+   run every probe view against deviation and catastrophic faults
+   alike. Its solve accounting must be jobs-invariant too (it is
+   accumulated in the sequential reduce, so any divergence means
+   scoring itself raced). *)
+let reference_results ?criterion grid (views : Matrix.view array) faults =
+  Array.map
+    (fun (v : Matrix.view) ->
+      Array.of_list (Detect.analyze ?criterion v.Matrix.probe grid v.Matrix.netlist faults))
+    views
 
-let compare_campaigns ~reference ~m1 ~m4 ~stats1 ~stats4 =
-  let detect_ref, omega_ref = reference in
+let compare_campaigns ~grid ~reference ~m1 ~m4 ~stats1 ~stats4 =
+  let detect_ref = Array.map (Array.map (fun r -> r.Detect.detectable)) reference in
+  let omega_ref = Array.map (Array.map (fun r -> r.Detect.omega_det)) reference in
+  let rows_match (m : Matrix.t) =
+    Array.for_all2
+      (Array.for_all2 (fun row (r : Detect.result) ->
+           Detect.result_of_verdicts grid r.Detect.fault row = r))
+      m.Matrix.verdicts reference
+  in
   if m1.Matrix.detect <> detect_ref then
     Fail "campaign detect matrix differs from the per-view Detect.analyze reference"
   else if m1.Matrix.omega <> omega_ref then
     Fail "campaign omega matrix differs from the per-view Detect.analyze reference"
-  else if m4.Matrix.detect <> detect_ref || m4.Matrix.omega <> omega_ref then
-    Fail "campaign jobs:4 matrices differ from the Detect.analyze reference"
+  else if not (rows_match m1) then
+    Fail "campaign verdict rows differ point by point from the Detect.analyze reference"
+  else if m4.Matrix.detect <> detect_ref || m4.Matrix.omega <> omega_ref || not (rows_match m4)
+  then Fail "campaign jobs:4 matrices or verdict rows differ from the Detect.analyze reference"
   else if stats1 <> stats4 then Fail "campaign solve counts differ between jobs:1 and jobs:4"
   else Pass
 
-(* [run jobs] is the campaign's matrix, its solve accounting and its
+(* [run jobs] is the campaign's grid, matrix, solve accounting and
    reference thunk; the jobs:1 run's reference is the one compared. *)
 let check_campaign run =
   match run 1 with
   | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
-  | m1, stats1, reference -> (
+  | grid, m1, stats1, reference -> (
       match run 4 with
       | exception Mna.Ac.Singular_circuit msg ->
           Fail ("campaign jobs:4 singular where jobs:1 solved: " ^ msg)
-      | m4, stats4, _ -> (
+      | _, m4, stats4, _ -> (
           match reference () with
           | exception Mna.Ac.Singular_circuit msg ->
               Fail ("Detect.analyze singular where the campaign solved: " ^ msg)
-          | reference -> compare_campaigns ~reference ~m1 ~m4 ~stats1 ~stats4))
+          | reference -> compare_campaigns ~grid ~reference ~m1 ~m4 ~stats1 ~stats4))
 
 let campaign_vs_analyze (s : Gen.subject) =
   let module P = Mcdft_core.Pipeline in
@@ -771,10 +780,11 @@ let campaign_vs_analyze (s : Gen.subject) =
     in
     check_campaign (fun jobs ->
         let t = P.run ~points_per_decade:3 ~jobs b in
-        ( t.P.matrix,
+        ( t.P.grid,
+          t.P.matrix,
           t.P.adaptive,
           fun () ->
-            reference_matrix ~criterion:t.P.criterion t.P.grid t.P.matrix.Matrix.views
+            reference_results ~criterion:t.P.criterion t.P.grid t.P.matrix.Matrix.views
               t.P.faults ))
   else
     let views =
@@ -792,7 +802,7 @@ let campaign_vs_analyze (s : Gen.subject) =
     else
       check_campaign (fun jobs ->
           let m, stats = Mcdft_core.Adaptive.build ~jobs grid views faults in
-          (m, Some stats, fun () -> reference_matrix grid m.Matrix.views faults))
+          (grid, m, Some stats, fun () -> reference_results grid m.Matrix.views faults))
 
 let all =
   [
@@ -853,9 +863,9 @@ let all =
     {
       name = "campaign-vs-analyze";
       doc =
-        "campaign matrices at jobs:1 and jobs:4 bitwise equal to per-view \
-         Detect.analyze (deviation and catastrophic faults on probe views), \
-         solve counts jobs-invariant";
+        "campaign matrices and every verdict row, point by point, at jobs:1 \
+         and jobs:4 equal to per-view Detect.analyze (deviation and \
+         catastrophic faults on probe views), solve counts jobs-invariant";
       check = campaign_vs_analyze;
     };
   ]

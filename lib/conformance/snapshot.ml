@@ -126,6 +126,13 @@ let read_file path =
   s
 
 let check ~dir =
+  if not (Sys.file_exists dir && Sys.is_directory dir) then
+    raise
+      (Sys_error
+         (Printf.sprintf
+            "snapshot directory %s not found; run from the repository root or \
+             pass --snapshot-dir"
+            dir));
   let drifts =
     List.filter_map
       (fun (name, render) ->

@@ -18,7 +18,9 @@ val all : (string * (unit -> string)) list
 
 val check : dir:string -> (unit, string) result
 (** Render every snapshot and byte-compare against [dir]. [Error]
-    lists each missing or drifted file. *)
+    lists each missing or drifted file. Raises [Sys_error] naming [dir]
+    when [dir] itself is not a directory (a run from outside the
+    repository root), instead of reporting every file missing. *)
 
 val update : dir:string -> string list
 (** (Re)write every snapshot under [dir] (created if needed); returns

@@ -76,7 +76,8 @@ let build ?criterion ?(jobs = 1) grid views faults =
           row_solved.(i).(j) <- solved)
         plans);
   (* Phase 3 — sequential reduce and counter booking, in row order:
-     the matrix and the campaign.* totals are jobs-deterministic. *)
+     the matrix and the campaign.* totals are jobs-deterministic. The
+     verdict rows stay in the matrix as its per-point record. *)
   let detect = Array.make_matrix n m false in
   let omega = Array.make_matrix n m 0.0 in
   let solved = ref 0 in
@@ -94,5 +95,5 @@ let build ?criterion ?(jobs = 1) grid views faults =
   if isolated_rows > 0 then
     Obs.Metrics.incr ~by:isolated_rows "campaign.isolated_rows";
   if dead_views > 0 then Obs.Metrics.incr ~by:dead_views "campaign.dead_views";
-  ( { Matrix.views; faults; detect; omega },
+  ( { Matrix.views; faults; detect; omega; verdicts = verdict_rows },
     { points = n * m * nf; solved = !solved; bisections = 0 } )

@@ -46,8 +46,9 @@ val build :
     sweep and no plans — then the engine, nominal sweep and thresholds,
     with only the envelope's drifts block-warmed), plans its faults,
     scores every (view × fault) row with one
-    {!Testability.Detect.score_row} call, keeps the verdict bytes and
-    per-row solve counts, and releases the engine. A
+    {!Testability.Detect.score_row} call, keeps the verdict bytes
+    ({!Testability.Matrix.verdicts}) and per-row solve counts, and
+    releases the engine. A
     fault's back-solve column is solved the first time a point reads it
     at that frequency. [jobs] > 1 spreads the view tasks over that many
     domains, so at most [jobs] engines are live at once; results are

@@ -115,17 +115,15 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
   let rep_matrix, stats = Adaptive.build ~criterion ?jobs grid rep_views faults in
   (* Expand back to the full view list: row i is a copy of its
      representative's row, so the matrix is indistinguishable from an
-     unpruned build. *)
+     unpruned build. The verdict bytes are shared, never mutated. *)
+  let expand rows = Array.init n_views (fun i -> Array.copy rows.(rep_of.(i))) in
   let matrix =
     {
       Testability.Matrix.views = views_arr;
       faults = rep_matrix.Testability.Matrix.faults;
-      detect =
-        Array.init n_views (fun i ->
-            Array.copy rep_matrix.Testability.Matrix.detect.(rep_of.(i)));
-      omega =
-        Array.init n_views (fun i ->
-            Array.copy rep_matrix.Testability.Matrix.omega.(rep_of.(i)));
+      detect = expand rep_matrix.Testability.Matrix.detect;
+      omega = expand rep_matrix.Testability.Matrix.omega;
+      verdicts = expand rep_matrix.Testability.Matrix.verdicts;
     }
   in
   let omega_percent =
@@ -152,13 +150,3 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
 let optimize ?petrick_limit ?n_detect t =
   Obs.Trace.span "pipeline.optimize" @@ fun () ->
   Optimizer.optimize ?petrick_limit ?n_detect t.input
-
-let functional_results t =
-  let probe =
-    {
-      Testability.Detect.source = t.benchmark.Circuits.Benchmark.source;
-      output = t.benchmark.Circuits.Benchmark.output;
-    }
-  in
-  Testability.Detect.analyze ~criterion:t.criterion probe t.grid
-    t.benchmark.Circuits.Benchmark.netlist t.faults

@@ -13,8 +13,9 @@ type t = {
   faults : Fault.t list;
   matrix : Testability.Matrix.t;
       (** Rows are the test configurations C₀ … C_{2ⁿ-2} in index
-          order; ω values in [0, 1]. Always full-height: pruned rows
-          are replicated from their group representative. *)
+          order; ω values in [0, 1]. Always full-height: pruned rows,
+          verdict rows included, are replicated from their group
+          representative. *)
   input : Optimizer.input;  (** Same data, ω in percent. *)
   equivalence_groups : int;
       (** Number of value-distinct configuration classes simulated. *)
@@ -83,7 +84,3 @@ val run :
     passes it. Every campaign solves every grid point. *)
 
 val optimize : ?petrick_limit:int -> ?n_detect:int -> t -> Optimizer.report
-
-val functional_results : t -> Testability.Detect.result list
-(** Per-fault results in the functional configuration C₀ alone —
-    the paper's Section 2 analysis (Graph 1). *)

@@ -11,120 +11,70 @@ type t = {
 
 (* Candidate encoding: measurement (config position c, grid point k)
    becomes integer c * n_points + k, where c indexes into the chosen
-   configuration list. *)
+   configuration list. Whether a measurement catches a fault is read
+   from the campaign's verdict rows; nothing is simulated here. *)
 let build_with ~distinguish ~configs (pipeline : Pipeline.t) =
   let grid = pipeline.Pipeline.grid in
   let n_points = Testability.Grid.n_points grid in
   let freqs = Testability.Grid.freqs_hz grid in
-  let probe =
-    {
-      Testability.Detect.source =
-        pipeline.Pipeline.benchmark.Circuits.Benchmark.source;
-      output = pipeline.Pipeline.benchmark.Circuits.Benchmark.output;
-    }
+  let matrix = pipeline.Pipeline.matrix in
+  let configs = Array.of_list configs in
+  Array.iter
+    (fun c ->
+      if c < 0 || c >= Testability.Matrix.n_views matrix then
+        invalid_arg (Printf.sprintf "Test_plan: no test configuration C%d" c))
+    configs;
+  let catches m j =
+    Testability.Matrix.detectable_at matrix configs.(m / n_points) j (m mod n_points)
   in
-  (* per chosen configuration: the per-fault detectability regions,
-     as arrays for random access in the pair loops below *)
-  let per_config_results =
-    List.map
-      (fun config_index ->
-        let config =
-          Multiconfig.Configuration.make
-            ~n_opamps:(Multiconfig.Transform.n_opamps pipeline.Pipeline.dft)
-            config_index
-        in
-        let view = Multiconfig.Transform.emulate pipeline.Pipeline.dft config in
-        Array.of_list
-          (Testability.Detect.analyze ~criterion:pipeline.Pipeline.criterion probe grid
-             view pipeline.Pipeline.faults))
-      configs
-  in
-  let catches k (r : Testability.Detect.result) =
-    Util.Interval.Set.contains r.Testability.Detect.regions (log10 freqs.(k))
-  in
+  let n_candidates = Array.length configs * n_points in
+  let candidates p = IntSet.of_list (List.filter p (List.init n_candidates Fun.id)) in
   let faults = Array.of_list pipeline.Pipeline.faults in
   let n_faults = Array.length faults in
   (* clause per coverable fault: the measurements that catch it *)
-  let clauses = ref [] in
-  let coverable = ref 0 in
-  for j = 0 to n_faults - 1 do
-    let candidates = ref IntSet.empty in
-    List.iteri
-      (fun c results ->
-        let r = results.(j) in
-        for k = 0 to n_points - 1 do
-          if catches k r then candidates := IntSet.add ((c * n_points) + k) !candidates
-        done)
-      per_config_results;
-    if not (IntSet.is_empty !candidates) then begin
-      incr coverable;
-      clauses := !candidates :: !clauses
-    end
-  done;
+  let detection =
+    List.filter
+      (fun s -> not (IntSet.is_empty s))
+      (List.init n_faults (fun j -> candidates (fun m -> catches m j)))
+  in
   (* diagnosis mode: additionally, for every separable fault pair, at
      least one separating measurement must be scheduled *)
-  if distinguish then begin
-    for j1 = 0 to n_faults - 1 do
-      for j2 = j1 + 1 to n_faults - 1 do
-        let separating = ref IntSet.empty in
-        List.iteri
-          (fun c results ->
-            let r1 = results.(j1) and r2 = results.(j2) in
-            for k = 0 to n_points - 1 do
-              if catches k r1 <> catches k r2 then
-                separating := IntSet.add ((c * n_points) + k) !separating
-            done)
-          per_config_results;
-        if not (IntSet.is_empty !separating) then clauses := !separating :: !clauses
-      done
-    done
-  end;
-  let problem =
-    Cover.Clause.of_sets
-      ~n_candidates:(List.length configs * n_points)
-      (List.rev !clauses)
+  let separation =
+    if not distinguish then []
+    else
+      List.concat_map
+        (fun j1 ->
+          List.filter_map
+            (fun j2 ->
+              let s = candidates (fun m -> catches m j1 <> catches m j2) in
+              if IntSet.is_empty s then None else Some s)
+            (List.init (n_faults - j1 - 1) (fun d -> j1 + 1 + d)))
+        (List.init n_faults Fun.id)
   in
-  (* feasible by construction: only non-empty candidate sets are queued *)
-  let chosen = Cover.Solver.cover_exn (Cover.Solver.exact problem) in
-  let decode m =
-    let c = m / n_points and k = m mod n_points in
-    { config = List.nth configs c; freq_hz = freqs.(k) }
-  in
-  let measurements =
+  let problem = Cover.Clause.of_sets ~n_candidates (detection @ separation) in
+  (* feasible by construction: only non-empty candidate sets are queued;
+     the schedule is sorted by configuration, then frequency *)
+  let chosen =
     List.sort
       (fun a b ->
-        match Int.compare a.config b.config with
-        | 0 -> Float.compare a.freq_hz b.freq_hz
-        | cmp -> cmp)
-      (List.map decode (IntSet.elements chosen))
+        compare (configs.(a / n_points), a mod n_points) (configs.(b / n_points), b mod n_points))
+      (IntSet.elements (Cover.Solver.cover_exn (Cover.Solver.exact problem)))
   in
+  let decode m = { config = configs.(m / n_points); freq_hz = freqs.(m mod n_points) } in
   (* witness: the first scheduled measurement catching each fault *)
-  let witnesses = ref [] in
-  let covered = ref 0 in
-  for j = 0 to n_faults - 1 do
-    let witness =
-      List.find_opt
-        (fun m ->
-          List.exists2
-            (fun config_index results ->
-              config_index = m.config
-              &&
-              let r = results.(j) in
-              Util.Interval.Set.contains r.Testability.Detect.regions (log10 m.freq_hz))
-            configs per_config_results)
-        measurements
-    in
-    match witness with
-    | Some m ->
-        incr covered;
-        witnesses := (faults.(j), m) :: !witnesses
-    | None -> ()
-  done;
+  let witnesses =
+    List.filter_map
+      (fun j ->
+        Option.map
+          (fun m -> (faults.(j), decode m))
+          (List.find_opt (fun m -> catches m j) chosen))
+      (List.init n_faults Fun.id)
+  in
   {
-    measurements;
-    covered = !covered;
-    total_coverable = !coverable;
-    witnesses = List.rev !witnesses;
+    measurements = List.map decode chosen;
+    covered = List.length witnesses;
+    total_coverable = List.length detection;
+    witnesses;
   }
 
 let build ?configs pipeline =

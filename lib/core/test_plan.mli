@@ -2,13 +2,15 @@
 
     The paper selects {e which configurations} to use; a tester still
     has to pick {e which frequencies} to measure in each of them. Since
-    the detectability analysis already produced, for every fault, the
-    frequency region where it is visible in every configuration,
-    choosing the measurements is one more unate covering problem: pick
-    a minimum set of (configuration, frequency) points such that every
-    coverable fault is caught by at least one. This is the
-    frequency-domain test-generation step the paper points to through
-    its references [12, 13]. *)
+    the campaign already decided, for every fault, every grid point of
+    every configuration ({!Testability.Matrix.verdicts}), choosing the
+    measurements is one more unate covering problem: pick a minimum
+    set of (configuration, frequency) points such that every coverable
+    fault is caught by at least one. This is the frequency-domain
+    test-generation step the paper points to through its references
+    [12, 13]. Both schedules read the pipeline's verdict rows and
+    simulate nothing, so they describe exactly the views the matrix
+    was built from (finite-GBW followers included). *)
 
 type measurement = { config : int; freq_hz : float }
 
@@ -25,8 +27,9 @@ type t = {
 
 val build : ?configs:int list -> Pipeline.t -> t
 (** Build the minimal schedule over the given configuration subset
-    (default: the optimizer's minimal test-configuration choice). Uses
-    the pipeline's criterion, grid and fault list. *)
+    (default: the optimizer's minimal test-configuration choice), from
+    the pipeline's grid, fault list and verdict rows. Raises
+    [Invalid_argument] on an index that is not a test configuration. *)
 
 val build_diagnostic : ?configs:int list -> Pipeline.t -> t
 (** Like {!build}, but the schedule must also {e separate} every fault

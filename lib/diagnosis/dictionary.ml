@@ -7,24 +7,12 @@ type dictionary = {
   signatures : bool array array;
 }
 
-let probe_of (pipeline : Pipeline.t) =
-  {
-    Testability.Detect.source = pipeline.Pipeline.benchmark.Circuits.Benchmark.source;
-    output = pipeline.Pipeline.benchmark.Circuits.Benchmark.output;
-  }
-
-let fault_signature ~grid results_per_config =
-  let freqs = Testability.Grid.freqs_hz grid in
-  let n_points = Array.length freqs in
-  let bits = Array.make (List.length results_per_config * n_points) false in
-  List.iteri
-    (fun c (r : Testability.Detect.result) ->
-      for k = 0 to n_points - 1 do
-        bits.((c * n_points) + k) <-
-          Util.Interval.Set.contains r.Testability.Detect.regions (log10 freqs.(k))
-      done)
-    results_per_config;
-  bits
+(* Fault j's pass/fail pattern over the given views of [m], view-major. *)
+let signature (m : Testability.Matrix.t) ~n_points views j =
+  Array.concat
+    (List.map
+       (fun i -> Array.init n_points (fun k -> Testability.Matrix.detectable_at m i j k))
+       views)
 
 let build ?configs (pipeline : Pipeline.t) =
   let configs =
@@ -34,28 +22,21 @@ let build ?configs (pipeline : Pipeline.t) =
         List.map Multiconfig.Configuration.index
           (Multiconfig.Transform.test_configurations pipeline.Pipeline.dft)
   in
-  let grid = pipeline.Pipeline.grid in
-  let probe = probe_of pipeline in
-  let per_config =
-    List.map
-      (fun config_index ->
-        let config =
-          Multiconfig.Configuration.make
-            ~n_opamps:(Multiconfig.Transform.n_opamps pipeline.Pipeline.dft)
-            config_index
-        in
-        let view = Multiconfig.Transform.emulate pipeline.Pipeline.dft config in
-        Testability.Detect.analyze ~criterion:pipeline.Pipeline.criterion probe grid view
-          pipeline.Pipeline.faults)
-      configs
-  in
+  let matrix = pipeline.Pipeline.matrix in
+  List.iter
+    (fun c ->
+      if c < 0 || c >= Testability.Matrix.n_views matrix then
+        invalid_arg
+          (Printf.sprintf "Diagnosis.Dictionary.build: no test configuration C%d" c))
+    configs;
+  let n_points = Testability.Grid.n_points pipeline.Pipeline.grid in
   let faults = Array.of_list pipeline.Pipeline.faults in
-  let signatures =
-    Array.mapi
-      (fun j _ -> fault_signature ~grid (List.map (fun results -> List.nth results j) per_config))
-      faults
-  in
-  { configs; freqs_hz = Testability.Grid.freqs_hz grid; faults; signatures }
+  {
+    configs;
+    freqs_hz = Testability.Grid.freqs_hz pipeline.Pipeline.grid;
+    faults;
+    signatures = Array.mapi (fun j _ -> signature matrix ~n_points configs j) faults;
+  }
 
 let ambiguity_groups dict =
   let table = Hashtbl.create 16 in
@@ -107,20 +88,14 @@ let diagnose dict observed =
   |> List.sort (fun (_, a) (_, b) -> Int.compare a b)
 
 let signature_of (pipeline : Pipeline.t) dict fault =
-  let grid = pipeline.Pipeline.grid in
-  let probe = probe_of pipeline in
-  let per_config =
-    List.map
-      (fun config_index ->
-        let config =
-          Multiconfig.Configuration.make
-            ~n_opamps:(Multiconfig.Transform.n_opamps pipeline.Pipeline.dft)
-            config_index
-        in
-        let view = Multiconfig.Transform.emulate pipeline.Pipeline.dft config in
-        List.hd
-          (Testability.Detect.analyze ~criterion:pipeline.Pipeline.criterion probe grid
-             view [ fault ]))
-      dict.configs
+  let views =
+    List.map (fun c -> pipeline.Pipeline.matrix.Testability.Matrix.views.(c)) dict.configs
   in
-  fault_signature ~grid per_config
+  let m, _ =
+    Mcdft_core.Adaptive.build ~criterion:pipeline.Pipeline.criterion pipeline.Pipeline.grid
+      views [ fault ]
+  in
+  signature m
+    ~n_points:(Testability.Grid.n_points pipeline.Pipeline.grid)
+    (List.init (List.length views) Fun.id)
+    0

@@ -8,7 +8,11 @@
     identical signatures form ambiguity groups. Reconfiguration
     improves diagnosability for the same reason it improves coverage:
     different configurations separate faults that look alike at the
-    functional output. *)
+    functional output.
+
+    The signatures are the campaign's per-point verdicts
+    ({!Testability.Matrix.verdicts}): building a dictionary simulates
+    nothing. *)
 
 type dictionary = {
   configs : int list;  (** Configuration indices, measurement-major order. *)
@@ -21,7 +25,9 @@ type dictionary = {
 
 val build : ?configs:int list -> Mcdft_core.Pipeline.t -> dictionary
 (** Build the dictionary over the given configurations (default: all
-    test configurations of the pipeline). *)
+    test configurations of the pipeline) from the pipeline's verdict
+    rows. Raises [Invalid_argument] on an index that is not a test
+    configuration. *)
 
 val ambiguity_groups : dictionary -> Fault.t list list
 (** Partition of the faults by identical signature. The all-pass
@@ -39,6 +45,10 @@ val diagnose : dictionary -> bool array -> (Fault.t * int) list
     [Invalid_argument] on a signature length mismatch. *)
 
 val signature_of : Mcdft_core.Pipeline.t -> dictionary -> Fault.t -> bool array
-(** Simulate the signature a given fault would produce under the
-    dictionary's measurement set — the "tester side" for closed-loop
-    experiments. *)
+(** The signature a given fault, in the universe or not, would
+    produce under the dictionary's measurement set — the "tester side"
+    for closed-loop experiments. Runs a one-fault campaign
+    ({!Mcdft_core.Adaptive.build}) over the pipeline's views of the
+    dictionary's configurations, under the pipeline's criterion and
+    grid. Raises {!Fault.Unknown_element} when the fault's element is
+    absent. *)

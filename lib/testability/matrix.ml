@@ -7,10 +7,13 @@ type t = {
   faults : Fault.t array;
   detect : bool array array;
   omega : float array array;
+  verdicts : Bytes.t array array;
 }
 
 let n_views t = Array.length t.views
 let n_faults t = Array.length t.faults
+
+let detectable_at t i j k = Bytes.get t.verdicts.(i).(j) k = 'd'
 
 let detectable_anywhere t j =
   Util.Floatx.fold_range (n_views t) ~init:false ~f:(fun acc i -> acc || t.detect.(i).(j))

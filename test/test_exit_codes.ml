@@ -111,6 +111,20 @@ let contains ~needle hay =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   nl = 0 || go 0
 
+(* The CLI cases run from the test executable's directory, where the
+   default --snapshot-dir (test/fixtures/snapshots) does not exist: the
+   check must name the directory and fail as an i/o error instead of
+   reporting every snapshot missing. *)
+let test_snapshot_dir_missing () =
+  let code, out = Cli.capture "fuzz --check-snapshots" in
+  Alcotest.(check int) "missing snapshot directory is an i/o error" 5 code;
+  Alcotest.(check bool) "names the directory" true
+    (contains ~needle:"snapshot directory test/fixtures/snapshots not found" out);
+  Alcotest.(check bool) "suggests --snapshot-dir" true (contains ~needle:"--snapshot-dir" out);
+  Alcotest.(check bool) "no per-file missing report" false (contains ~needle:"missing" out);
+  Alcotest.(check int) "existing snapshot directory" 0
+    (Cli.exit_code "fuzz --check-snapshots --snapshot-dir fixtures/snapshots")
+
 (* --criterion's help names every family its parser accepts *)
 let test_criterion_help () =
   let code, out = Cli.capture "matrix --help=plain" in
@@ -127,6 +141,8 @@ let suite =
       test_exit_codes;
     Alcotest.test_case "fuzz subcommand exit codes" `Quick
       test_fuzz_exit_codes;
+    Alcotest.test_case "fuzz --check-snapshots without the snapshot directory" `Quick
+      test_snapshot_dir_missing;
     Alcotest.test_case "overflowing pole estimate falls back to 1 kHz" `Quick
       test_overflowing_centre_estimate;
     Alcotest.test_case "matrix --help lists every criterion family" `Quick

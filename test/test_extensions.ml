@@ -339,6 +339,195 @@ let test_diagnostic_plan_at_least_detection_size () =
     (List.length diag_plan.Mcdft_core.Test_plan.measurements
     >= List.length detect_plan.Mcdft_core.Test_plan.measurements)
 
+(* --- the planner and the dictionary read the campaign --- *)
+
+module TP = Mcdft_core.Test_plan
+module Dict = Diagnosis.Dictionary
+module IntSet = Cover.Clause.IntSet
+
+(* Per-point verdicts decoded the old way: Detect.analyze on one
+   netlist per configuration, each grid point read back out of the
+   detectability regions. [bits.(c).(j).(k)]: fault j caught at grid
+   point k of the c-th netlist. *)
+let analyzed_bits (t : P.t) netlists =
+  let freqs = Testability.Grid.freqs_hz t.P.grid in
+  let probe =
+    {
+      Detect.source = t.P.benchmark.Circuits.Benchmark.source;
+      output = t.P.benchmark.Circuits.Benchmark.output;
+    }
+  in
+  Array.of_list
+    (List.map
+       (fun netlist ->
+         Array.of_list
+           (List.map
+              (fun (r : Detect.result) ->
+                Array.map (fun f -> Util.Interval.Set.contains r.Detect.regions (log10 f)) freqs)
+              (Detect.analyze ~criterion:t.P.criterion probe t.P.grid netlist t.P.faults)))
+       netlists)
+
+(* The netlists the campaign scored, and the ones the planner and the
+   dictionary used to re-emulate (ideal followers whatever the
+   pipeline's follower model). *)
+let matrix_netlists (t : P.t) configs =
+  List.map (fun c -> t.P.matrix.Testability.Matrix.views.(c).Testability.Matrix.netlist) configs
+
+let reemulated_netlists (t : P.t) configs =
+  let n_opamps = Multiconfig.Transform.n_opamps t.P.dft in
+  List.map
+    (fun c ->
+      Multiconfig.Transform.emulate t.P.dft (Multiconfig.Configuration.make ~n_opamps c))
+    configs
+
+let all_configs (t : P.t) =
+  List.map Multiconfig.Configuration.index (Multiconfig.Transform.test_configurations t.P.dft)
+
+let signatures_of bits =
+  Array.init
+    (Array.length bits.(0))
+    (fun j -> Array.concat (Array.to_list (Array.map (fun row -> row.(j)) bits)))
+
+let freq_index (t : P.t) f =
+  let freqs = Testability.Grid.freqs_hz t.P.grid in
+  let rec go k = if freqs.(k) = f then k else go (k + 1) in
+  go 0
+
+(* The planner as it was before it read the campaign's verdict rows,
+   over per-point bits from {!analyzed_bits}. *)
+let reference_plan ~distinguish ~configs (t : P.t) bits =
+  let freqs = Testability.Grid.freqs_hz t.P.grid in
+  let n_points = Array.length freqs in
+  let faults = Array.of_list t.P.faults in
+  let n_faults = Array.length faults in
+  let where p =
+    let s = ref IntSet.empty in
+    Array.iteri
+      (fun c _ ->
+        for k = 0 to n_points - 1 do
+          if p c k then s := IntSet.add ((c * n_points) + k) !s
+        done)
+      bits;
+    !s
+  in
+  let clauses = ref [] and coverable = ref 0 in
+  for j = 0 to n_faults - 1 do
+    let s = where (fun c k -> bits.(c).(j).(k)) in
+    if not (IntSet.is_empty s) then begin
+      incr coverable;
+      clauses := s :: !clauses
+    end
+  done;
+  if distinguish then
+    for j1 = 0 to n_faults - 1 do
+      for j2 = j1 + 1 to n_faults - 1 do
+        let s = where (fun c k -> bits.(c).(j1).(k) <> bits.(c).(j2).(k)) in
+        if not (IntSet.is_empty s) then clauses := s :: !clauses
+      done
+    done;
+  let problem =
+    Cover.Clause.of_sets ~n_candidates:(List.length configs * n_points) (List.rev !clauses)
+  in
+  let chosen = Cover.Solver.cover_exn (Cover.Solver.exact problem) in
+  let decode m =
+    { TP.config = List.nth configs (m / n_points); freq_hz = freqs.(m mod n_points) }
+  in
+  let measurements =
+    List.sort
+      (fun a b ->
+        match Int.compare a.TP.config b.TP.config with
+        | 0 -> Float.compare a.TP.freq_hz b.TP.freq_hz
+        | cmp -> cmp)
+      (List.map decode (IntSet.elements chosen))
+  in
+  let catches j (m : TP.measurement) =
+    List.exists2
+      (fun c row -> c = m.TP.config && row.(j).(freq_index t m.TP.freq_hz))
+      configs (Array.to_list bits)
+  in
+  let witnesses =
+    List.filter_map
+      (fun j -> Option.map (fun m -> (faults.(j), m)) (List.find_opt (catches j) measurements))
+      (List.init n_faults Fun.id)
+  in
+  {
+    TP.measurements;
+    covered = List.length witnesses;
+    total_coverable = !coverable;
+    witnesses;
+  }
+
+(* With finite-GBW followers the re-emulated ideal-follower views
+   differ from the campaign's; the dictionary and the planner must
+   describe the views the matrix was built from. *)
+let test_finite_gbw_reads_campaign_views () =
+  let t =
+    P.run ~points_per_decade:10
+      ~follower_model:(Circuit.Element.Single_pole { dc_gain = 1e5; pole_hz = 10.0 })
+      (Circuits.Khn.make ())
+  in
+  let configs = all_configs t in
+  let bits = analyzed_bits t (matrix_netlists t configs) in
+  Alcotest.(check bool) "the ideal-follower views score differently" true
+    (bits <> analyzed_bits t (reemulated_netlists t configs));
+  let dict = Dict.build t in
+  Alcotest.(check bool) "dictionary signatures = per-point verdicts of the matrix views" true
+    (dict.Dict.signatures = signatures_of bits);
+  let plan = TP.build t in
+  let faults = Array.of_list t.P.faults in
+  Alcotest.(check bool) "some witnesses" true (plan.TP.witnesses <> []);
+  List.iter
+    (fun ((f : Fault.t), (m : TP.measurement)) ->
+      let j =
+        let rec find j = if faults.(j).Fault.id = f.Fault.id then j else find (j + 1) in
+        find 0
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s caught at C%d @ %.1f Hz" f.Fault.id m.TP.config m.TP.freq_hz)
+        true
+        bits.(m.TP.config).(j).(freq_index t m.TP.freq_hz))
+    plan.TP.witnesses
+
+let check_resimulating_reference (t : P.t) =
+  let name = t.P.benchmark.Circuits.Benchmark.name ^ ": " in
+  let all = all_configs t in
+  let dict = Dict.build t in
+  Alcotest.(check bool) (name ^ "dictionary = re-simulated reference") true
+    (dict.Dict.signatures = signatures_of (analyzed_bits t (reemulated_netlists t all)));
+  let choice = (P.optimize t).O.choice_a.O.configs in
+  let bits = analyzed_bits t (reemulated_netlists t choice) in
+  Alcotest.(check bool) (name ^ "detection plan = re-simulated reference") true
+    (TP.build t = reference_plan ~distinguish:false ~configs:choice t bits);
+  Alcotest.(check bool) (name ^ "diagnostic plan = re-simulated reference") true
+    (TP.build_diagnostic ~configs:choice t
+    = reference_plan ~distinguish:true ~configs:choice t bits)
+
+(* Under ideal followers the verdict rows equal the re-emulated
+   reference point for point, so the dictionary and both schedules
+   are the ones the re-simulating implementation produced: on
+   tt-notch, and on a bigladder whose 7 views pruning merges into 2
+   classes, so most rows read are a representative's shared rows. *)
+let test_equals_resimulating_reference () =
+  let bigladder =
+    let netlist, output = Conformance.Gen.bigladder ~stages:60 (Random.State.make [| 7 |]) in
+    let b =
+      {
+        Circuits.Benchmark.name = "bigladder-60";
+        description = "pruned campaign";
+        netlist;
+        source = "V1";
+        output;
+        center_hz = 10_000.0;
+      }
+    in
+    let faults = List.filteri (fun i _ -> i mod 4 = 0) (Fault.deviation_faults netlist) in
+    let t = P.run ~points_per_decade:3 ~faults b in
+    Alcotest.(check int) "bigladder-60: pruned views" 5 t.P.pruned_configs;
+    t
+  in
+  List.iter check_resimulating_reference
+    [ P.run ~points_per_decade:10 (Circuits.Notch.make ()); bigladder ]
+
 let suite =
   suite
   @ [
@@ -347,6 +536,10 @@ let suite =
       Alcotest.test_case "minimal deviation monotone" `Quick test_minimal_deviation_monotone_in_eps;
       Alcotest.test_case "diagnostic plan separates" `Quick test_diagnostic_plan_separates_pairs;
       Alcotest.test_case "diagnostic plan size" `Quick test_diagnostic_plan_at_least_detection_size;
+      Alcotest.test_case "finite-GBW plan and dictionary read the campaign views" `Quick
+        test_finite_gbw_reads_campaign_views;
+      Alcotest.test_case "plan and dictionary = re-simulating reference" `Quick
+        test_equals_resimulating_reference;
     ]
 
 (* --- test time --- *)

@@ -367,7 +367,9 @@ let test_bigladder_campaign () =
   Alcotest.(check bool) "pruned detect bitwise-equals unpruned" true
     (m.Mx.detect = noprune.P.matrix.Mx.detect);
   Alcotest.(check bool) "pruned omega bitwise-equals unpruned" true
-    (m.Mx.omega = noprune.P.matrix.Mx.omega)
+    (m.Mx.omega = noprune.P.matrix.Mx.omega);
+  Alcotest.(check bool) "pruned verdict rows bitwise-equal unpruned" true
+    (m.Mx.verdicts = noprune.P.matrix.Mx.verdicts)
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
