@@ -76,8 +76,8 @@ module A = Mna.Assemble.Make (Mna.Field.Polynomial)
    flip — faulty responses then coincide too, for rank-1 updates and
    for structural re-assemblies alike.
 
-   Coefficients are rendered in hex (%h) — bit-exact, no rounding
-   collisions. [sources] must match the mode the campaign assembles
+   Coefficients are emitted as their IEEE bits — bit-exact, no rounding
+   collisions, and no decimal formatting. [sources] must match the mode the campaign assembles
    with (the signature of the driven system, not just the nominal
    one). *)
 let value_signature ?(sources = Mna.Assemble.Nominal) ?(locked_elements = []) view =
@@ -113,27 +113,36 @@ let value_signature ?(sources = Mna.Assemble.Nominal) ?(locked_elements = []) vi
       if c < 0.0 then -1.0 else 1.0
     end
   in
+  (* Binary tokens, each a tag byte and a fixed-width payload, so the
+     encoding decodes one way and equal strings mean equal systems:
+     'R'/'L' opens row i (locked or not; i is the count of rows
+     opened), 'E' j an entry in column j, 'B' the excitation entry, and
+     'C' k bits one nonzero coefficient of s^k. *)
   let buf = Buffer.create (32 * n) in
+  let add_int k = Buffer.add_int32_le buf (Int32.of_int k) in
   let add_poly sigma p =
     for k = 0 to Poly.degree p do
       let c = Poly.coeff p k in
-      if c <> 0.0 then Buffer.add_string buf (Printf.sprintf "%d=%h," k (sigma *. c))
+      if c <> 0.0 then begin
+        Buffer.add_char buf 'C';
+        add_int k;
+        Buffer.add_int64_le buf (Int64.bits_of_float (sigma *. c))
+      end
     done
   in
   for i = 0 to n - 1 do
     let sigma = row_sign i in
-    if locked.(i) then Buffer.add_char buf 'L';
+    Buffer.add_char buf (if locked.(i) then 'L' else 'R');
     for j = 0 to n - 1 do
       if not (Poly.is_zero matrix.(i).(j)) then begin
-        Buffer.add_string buf (Printf.sprintf "%d,%d:" i j);
-        add_poly sigma matrix.(i).(j);
-        Buffer.add_char buf ';'
+        Buffer.add_char buf 'E';
+        add_int j;
+        add_poly sigma matrix.(i).(j)
       end
     done;
     if not (Poly.is_zero rhs.(i)) then begin
-      Buffer.add_string buf (Printf.sprintf "r%d:" i);
-      add_poly sigma rhs.(i);
-      Buffer.add_char buf ';'
+      Buffer.add_char buf 'B';
+      add_poly sigma rhs.(i)
     end
   done;
   Buffer.contents buf
@@ -154,9 +163,6 @@ let group_by_key keys =
           order := members :: !order)
     keys;
   List.rev_map (fun members -> List.rev !members) !order
-
-let equivalence_groups ?sources ?locked_elements views =
-  group_by_key (List.map (value_signature ?sources ?locked_elements) views)
 
 let anchor config = "configuration " ^ Configuration.label config
 

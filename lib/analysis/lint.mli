@@ -55,18 +55,15 @@ val value_signature :
     equal {e faulty} responses too (a rank-1 perturbation or a
     structural re-assembly lands in sign-identical equations).
     [sources] (default [Nominal]) must match the assembly mode of the
-    consumer. Coefficients are rendered bit-exactly (hex floats). *)
+    consumer. The signature is a binary string; coefficients are
+    emitted as their IEEE bits, so equality is bit-exact. *)
 
-val equivalence_groups :
-  ?sources:Mna.Assemble.source_mode ->
-  ?locked_elements:string list ->
-  Circuit.Netlist.t list ->
-  int list list
-(** Partition views (by position) into classes of equal
-    {!value_signature}: each group lists member indices ascending,
-    groups ordered by first member. Simulating one representative per
-    group and replicating its verdicts is exact under the conditions
-    above. *)
+val group_by_key : string list -> int list list
+(** Partition positions by equal key: each group lists its member
+    indices ascending, groups ordered by first member. Keyed on
+    {!value_signature} (the campaign adds its cone facts), simulating
+    one representative per group and replicating its verdicts is exact
+    under the conditions above. *)
 
 val configuration_findings :
   ?src:src ->

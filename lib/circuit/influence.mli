@@ -46,3 +46,17 @@ val drives_output : t -> string -> bool
     on the stimulus — the transfer from [source] is exactly zero in
     exact arithmetic, whatever the element values. Raises [Not_found]
     for an unknown element. *)
+
+val cone : t -> Netlist.t option
+(** The output's cone sub-circuit: every element whose stamps reach an
+    MNA row that fixes the output — passives with a soft influential
+    terminal, the drivers of influential stiff nodes, sources touching
+    the set, transconductances into soft nodes — in netlist order, with
+    any terminal outside the set tied to ground. Its system solves the
+    output exactly in exact arithmetic whatever the element values: the
+    rows of soft nodes and the drivers' equations read only cone
+    unknowns, and a stiff node's row only fixes its driver's current
+    (DESIGN §13). [None] where that argument does not hold: a floating
+    voltage source or VCVS, a controlled source whose controls leave
+    the set, a current-controlled source touching it, a stiff node with
+    two drivers, or an output no kept element touches. *)

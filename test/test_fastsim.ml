@@ -399,7 +399,7 @@ let test_recycled_storage () =
       bench_subject lf5 (lf5_view 0);
     ]
   in
-  let pool = Fastsim.pool () in
+  let pool = Fastsim.pool ~dim:0 in
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
   let dims =
@@ -454,7 +454,7 @@ let test_engine_after_bracket () =
   let freqs_hz = Grid.freqs_hz grid in
   let fault = Fault.deviation ~element:"R1" 1.2 in
   let dead = Invalid_argument "Fastsim: engine used after its with_engine bracket ended" in
-  let pool = Fastsim.pool () in
+  let pool = Fastsim.pool ~dim:0 in
   let escaped = Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist Fun.id in
   Alcotest.check_raises "response" dead (fun () -> ignore (Fastsim.response escaped fault));
   Alcotest.check_raises "plan_of" dead (fun () -> ignore (Fastsim.plan_of escaped fault));
@@ -475,7 +475,8 @@ let test_engine_after_bracket () =
       Alcotest.(check bool) "outer engine intact" true (response_bits outer fault = expected));
   let probe = { Detect.source; output } in
   let pv, plan =
-    Detect.with_view ~pool probe grid netlist (fun pv -> (pv, Detect.plan_fault pv fault))
+    Detect.with_view ~pool probe grid (Detect.structure probe netlist) (fun pv ->
+        (pv, Detect.plan_fault pv fault))
   in
   Alcotest.check_raises "score_row after Detect.with_view" dead (fun () ->
       ignore (Detect.score_row pv plan))

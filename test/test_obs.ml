@@ -131,7 +131,7 @@ let test_racing_insertion () =
     with_metrics (fun () ->
         let with_sim f =
           if bracketed then
-            Testability.Fastsim.with_engine ~pool:(Testability.Fastsim.pool ()) ~source
+            Testability.Fastsim.with_engine ~pool:(Testability.Fastsim.pool ~dim:0) ~source
               ~output ~freqs_hz netlist f
           else f (Testability.Fastsim.create ~source ~output ~freqs_hz netlist)
         in
