@@ -172,6 +172,29 @@ let qcheck_gen_family_round_trip =
       | Oracle.Fail m ->
           QCheck.Test.fail_reportf "%s seed %d: %s" (CGen.family_name family) seed m)
 
+(* [mcdft diagnose --configs] without a fault to simulate prints both
+   resolutions over the measured configurations: the dictionary's is
+   built from those configurations too, not from all of them. On
+   tow-thomas at ppd 10, C0 alone resolves 1 of 3 detectable faults
+   where all seven configurations resolve 6 of 8. *)
+let test_cli_configs_dictionary () =
+  let t = P.run ~points_per_decade:10 (Circuits.Tow_thomas.make ()) in
+  let line configs =
+    Printf.sprintf "trajectory resolution: %.1f%%   (dictionary: %.1f%%)"
+      (100.0 *. T.resolution (T.of_pipeline ?configs t))
+      (100.0 *. D.resolution (D.build ?configs t))
+  in
+  List.iter
+    (fun (args, configs) ->
+      let code, out = Cli.capture ("diagnose tow-thomas --points-per-decade 10" ^ args) in
+      Alcotest.(check int) ("exit code" ^ args) 0 code;
+      let expected = line configs in
+      if not (List.mem expected (String.split_on_char '\n' out)) then
+        Alcotest.failf "diagnose%s: no line %S in\n%s" args expected out)
+    [ ("", None); (" --configs 0", Some [ 0 ]) ];
+  Alcotest.(check bool) "C0 alone resolves less than every configuration" true
+    (D.resolution (D.build ~configs:[ 0 ] t) < D.resolution (D.build t))
+
 let suite =
   [
     Alcotest.test_case "dictionary shape" `Quick test_dictionary_shape;
@@ -189,5 +212,7 @@ let suite =
       test_trajectory_rejects_bad_input;
     Alcotest.test_case "unknown element on simulate" `Quick
       test_unknown_element_simulate;
+    Alcotest.test_case "CLI diagnose --configs: dictionary over the measured set" `Quick
+      test_cli_configs_dictionary;
     QCheck_alcotest.to_alcotest qcheck_gen_family_round_trip;
   ]
