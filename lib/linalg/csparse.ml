@@ -127,6 +127,22 @@ let mul_vec_into p ~re ~im ~(x : Bvec.t) ~(y : Bvec.t) =
       done
   done
 
+(* Σᵢ |yᵢ| Σₖ |aᵢₖ| |xₖ| over the stored entries, |z| = |re| + |im|. *)
+let abs_bilinear p ~re ~im ~(y : Bvec.t) ~(x : Bvec.t) =
+  check_values p re im;
+  if Bvec.length x <> p.n || Bvec.length y <> p.n then
+    invalid_arg "Csparse.abs_bilinear: dimension mismatch";
+  let mag (a : plane) (b : plane) k = Float.abs (Array1.get a k) +. Float.abs (Array1.get b k) in
+  let acc = ref 0.0 in
+  for c = 0 to p.n - 1 do
+    let xc = mag x.Bvec.re x.Bvec.im c in
+    if xc <> 0.0 then
+      for k = p.colptr.(c) to p.colptr.(c + 1) - 1 do
+        acc := !acc +. (mag y.Bvec.re y.Bvec.im p.rowind.(k) *. mag re im k *. xc)
+      done
+  done;
+  !acc
+
 (* Densify into an off-heap matrix — the bridge to the dense fallback
    paths (full refactorization on a perturbed copy). *)
 let dense_into p ~re ~im (m : Cmat.t) =
@@ -615,6 +631,35 @@ let solve_into num ~(b : Bvec.t) ~(x : Bvec.t) =
     Array1.unsafe_set x.Bvec.re c (Array1.unsafe_get yre j);
     Array1.unsafe_set x.Bvec.im c (Array1.unsafe_get yim j)
   done
+
+(* Aᵀ x = b through the same factors: with P·A·Q = L·U,
+   Aᵀ = Q·Uᵀ·Lᵀ·P, so Uᵀ w = Qᵀ b runs forward and Lᵀ z = w backward,
+   each reading one stored column per step as a dot product, and
+   x = Pᵀ z. Off the hot paths: boxed arithmetic, O(fill). *)
+let solve_transpose_into num ~(b : Bvec.t) ~(x : Bvec.t) =
+  let s = num.sym in
+  let n = s.pat.n in
+  if Bvec.length b <> n || Bvec.length x <> n then
+    invalid_arg "Csparse.solve_transpose_into: dimension mismatch";
+  let entry (re : plane) (im : plane) k =
+    { Complex.re = Array1.get re k; im = Array1.get im k }
+  in
+  let w = Array.init n (fun j -> Bvec.get b s.colorder.(j)) in
+  for j = 0 to n - 1 do
+    let acc = ref w.(j) in
+    for uix = s.u_colptr.(j) to s.u_colptr.(j + 1) - 1 do
+      acc := Complex.sub !acc (Complex.mul (entry num.ure num.uim uix) w.(s.u_rowind.(uix)))
+    done;
+    w.(j) <- Complex.div !acc (entry num.dre num.dim_ j)
+  done;
+  for kk = n - 1 downto 0 do
+    let acc = ref w.(kk) in
+    for lix = s.l_colptr.(kk) to s.l_colptr.(kk + 1) - 1 do
+      acc := Complex.sub !acc (Complex.mul (entry num.lre num.lim lix) w.(s.l_rowind.(lix)))
+    done;
+    w.(kk) <- !acc
+  done;
+  Array.iteri (fun k z -> Bvec.set x s.roworder.(k) z) w
 
 (* Multi-RHS back-solve mirroring {!Cmat.lu_solve_block_into}: [b]
    and [x] are n×k row-major blocks whose column r is the r-th

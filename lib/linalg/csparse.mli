@@ -52,6 +52,10 @@ val mul_vec_into :
 (** [y <- A x], column-wise over the stored entries: O(nnz), no
     allocation. *)
 
+val abs_bilinear :
+  pattern -> re:plane -> im:plane -> y:Cmat.Vec.t -> x:Cmat.Vec.t -> float
+(** {!Cmat.abs_bilinear} over the stored entries: O(nnz). *)
+
 val dense_into : pattern -> re:plane -> im:plane -> Cmat.t -> unit
 (** Densify into an off-heap matrix (zeroing it first) — the bridge to
     the dense fallback paths. *)
@@ -97,6 +101,10 @@ val solve_into : numeric -> b:Cmat.Vec.t -> x:Cmat.Vec.t -> unit
 (** [x <- A⁻¹ b] through the sparse factors. [b] and [x] must not
     alias. Uses per-domain scratch for the permuted intermediate, so
     concurrent solves from several domains are safe. *)
+
+val solve_transpose_into : numeric -> b:Cmat.Vec.t -> x:Cmat.Vec.t -> unit
+(** [x <- A⁻ᵀ b] (the transpose, not the conjugate transpose) through
+    the same factors, O(fill). [b] and [x] must not alias. *)
 
 val solve_block_into : numeric -> b:Cmat.t -> x:Cmat.t -> unit
 (** Multi-RHS variant mirroring {!Cmat.lu_solve_block_into}: [b]
