@@ -91,6 +91,8 @@ let tests =
         ignore (Cover.Petrick.expand paper_problem)));
     Test.make ~name:"cover/petrick raw tt-notch" (Staged.stage (fun () ->
         ignore (Cover.Petrick.expand_raw (Lazy.force tt_notch_xi))));
+    Test.make ~name:"cover/petrick count tt-notch" (Staged.stage (fun () ->
+        ignore (Cover.Petrick.count_raw (Lazy.force tt_notch_xi))));
     Test.make ~name:"cover/petrick min tt-notch" (Staged.stage (fun () ->
         ignore (Cover.Petrick.expand (Lazy.force tt_notch_xi))));
     Test.make ~name:"cover/exact paper 7x8" (Staged.stage (fun () ->

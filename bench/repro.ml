@@ -276,10 +276,11 @@ let table3_xi_star () =
   print_endline (Report.Table.render ~header:[ "Conf"; "Conf Op" ] rows);
   let dump label (r : O.report) =
     Printf.printf "\n%s:\n" label;
-    (match r.O.xi_star with
+    (match r.O.xi_terms_raw with
     | Some terms ->
         Printf.printf "  xi* = %s\n"
-          (String.concat " + " (List.map opamp_term_to_string terms))
+          (String.concat " + "
+             (List.map opamp_term_to_string (Cover.Mapping.xi_star terms)))
     | None -> ());
     Printf.printf "  minimal opamp sets = %s\n"
       (String.concat "  "

@@ -943,18 +943,18 @@ let optimize_cmd =
                     r.O.short_faults))
         end;
         Printf.printf "  essential configs   : %s\n" (configs_to_string r.O.essential);
-        (match r.O.xi_terms_raw with
-        | Some terms when List.length terms <= 12 ->
+        (match (r.O.xi_terms_raw, r.O.xi_raw_count) with
+        | Some terms, _ ->
             Printf.printf "  xi (SOP)            : %s\n"
               (String.concat " + "
                  (List.map
                     (fun s ->
                       String.concat "." (List.map (Printf.sprintf "C%d") (IntSet.elements s)))
                     terms))
-        | Some terms ->
-            Printf.printf "  xi (SOP)            : %d terms (listing suppressed above 12)\n"
-              (List.length terms)
-        | None -> ());
+        | None, Some n ->
+            Printf.printf "  xi (SOP)            : %d terms (listing suppressed above %d)\n" n
+              O.xi_listing_limit
+        | None, None -> ());
         Printf.printf "\nobjective A - minimal test configurations:\n";
         Printf.printf "  chosen set          : %s\n" (configs_to_string r.O.choice_a.O.configs);
         Printf.printf "  <w-det>             : %.1f%%\n" r.O.choice_a.O.avg_omega;

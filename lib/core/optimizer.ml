@@ -59,11 +59,11 @@ type report = {
   essential : int list;
   xi : Clause.t;
   xi_reduced : Clause.t;
+  xi_raw_count : int option;
   xi_terms_raw : IntSet.t list option;
   xi_terms_min : IntSet.t list option;
   min_config_sets : IntSet.t list;
   choice_a : config_choice;
-  xi_star : IntSet.t list option;
   min_opamp_sets : IntSet.t list;
   choice_b : opamp_choice;
   detection_a : detection_stats;
@@ -195,6 +195,8 @@ let reachable_test_configs input ~mask =
 
 (* ---- the full ordered-requirements flow --------------------------- *)
 
+let xi_listing_limit = 12
+
 let optimize ?(petrick_limit = 5) ?(n_detect = 1) input =
   if n_detect < 1 then invalid_arg "Optimizer.optimize: n_detect must be at least 1";
   let xi = Clause.of_matrix ~n:n_detect input.detect in
@@ -207,9 +209,16 @@ let optimize ?(petrick_limit = 5) ?(n_detect = 1) input =
     && IntSet.cardinal (Clause.candidates xi_reduced) <= Cover.Petrick.max_candidates
   in
   let with_essential terms = List.map (IntSet.union essential) terms in
+  (* essentials are disjoint from the reduced candidates, so adding
+     them merges no raw terms and the reduced count is the count *)
+  let xi_raw_count =
+    if use_petrick then Some (Cover.Petrick.count_raw xi_reduced) else None
+  in
   let xi_terms_raw =
-    if use_petrick then Some (with_essential (Cover.Petrick.expand_raw xi_reduced))
-    else None
+    match xi_raw_count with
+    | Some n when n <= xi_listing_limit ->
+        Some (with_essential (Cover.Petrick.expand_raw xi_reduced))
+    | _ -> None
   in
   let xi_terms_min =
     if use_petrick then
@@ -244,7 +253,6 @@ let optimize ?(petrick_limit = 5) ?(n_detect = 1) input =
         else best)
       (List.hd scored) (List.tl scored)
   in
-  let xi_star = Option.map Cover.Mapping.xi_star xi_terms_raw in
   let min_opamp_sets = min_opamp_subsets ~n_detect input in
   let choice_b =
     let scored =
@@ -288,11 +296,11 @@ let optimize ?(petrick_limit = 5) ?(n_detect = 1) input =
     essential = IntSet.elements essential;
     xi;
     xi_reduced;
+    xi_raw_count;
     xi_terms_raw;
     xi_terms_min;
     min_config_sets;
     choice_a;
-    xi_star;
     min_opamp_sets;
     choice_b;
     detection_a;

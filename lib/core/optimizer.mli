@@ -65,15 +65,18 @@ type report = {
   essential : int list;  (** Essential configurations (paper: {C₂}). *)
   xi : Cover.Clause.t;  (** The full POS expression. *)
   xi_reduced : Cover.Clause.t;  (** After removing essential-covered faults. *)
+  xi_raw_count : int option;
+      (** The number of terms of the paper-style SOP (no absorption);
+          [None] when Petrick expansion was skipped for size. *)
   xi_terms_raw : IntSet.t list option;
-      (** The paper-style SOP (no absorption), essential configurations
-          included in every term; [None] when Petrick expansion was
-          skipped for size. *)
+      (** That SOP itself, essential configurations included in every
+          term, in derivation order; built only when it has at most
+          {!xi_listing_limit} terms, [None] otherwise. The paper's ξ*
+          (§4.3) is [Cover.Mapping.xi_star] of this list. *)
   xi_terms_min : IntSet.t list option;
       (** All irredundant covers (with absorption), same convention. *)
   min_config_sets : IntSet.t list;  (** 2nd-order-A ties. *)
   choice_a : config_choice;  (** After the 3rd-order tie-break. *)
-  xi_star : IntSet.t list option;  (** Opamp-mapped SOP terms. *)
   min_opamp_sets : IntSet.t list;  (** 2nd-order-B ties. *)
   choice_b : opamp_choice;  (** After the 3rd-order tie-break. *)
   detection_a : detection_stats;  (** Counts delivered by [choice_a.configs]. *)
@@ -85,8 +88,12 @@ val avg_omega_of : input -> int list -> float
 (** ⟨ω-det⟩ of a configuration subset: mean over every fault of the
     best ω among the subset's rows. *)
 
+val xi_listing_limit : int
+(** 12: the longest raw SOP that {!optimize} builds and [mcdft
+    optimize] lists; longer ones are only counted. *)
+
 val optimize : ?petrick_limit:int -> ?n_detect:int -> input -> report
-(** Run the full flow. Petrick expansion (and the raw SOP listing) is
+(** Run the full flow. Petrick expansion (and the raw SOP count) is
     only attempted when the number of opamps is at most
     [petrick_limit] (default 5) and the reduced ξ has at most
     {!Cover.Petrick.max_candidates} distinct configurations (always

@@ -52,8 +52,7 @@ let distribute products subsets =
 
 (* Each step keeps first occurrences, in derivation order, through a
    seen set of the masks it has produced so far. *)
-let expand_raw (t : Clause.t) =
-  let configs, clauses = ranked t in
+let raw_masks clauses =
   let seen = IntTbl.create 1024 in
   let step products subsets =
     IntTbl.clear seen;
@@ -71,7 +70,38 @@ let expand_raw (t : Clause.t) =
       products;
     List.rev !kept
   in
-  List.map (to_set configs) (List.fold_left step [ 0 ] clauses)
+  List.fold_left step [ 0 ] clauses
+
+let expand_raw (t : Clause.t) =
+  let configs, clauses = ranked t in
+  List.map (to_set configs) (raw_masks clauses)
+
+(* The raw terms are the distinct ORs of one subset per clause. Up to
+   bitset_limit candidates, each step marks them in a byte per mask,
+   read from the previous step's table; two tables alternate. *)
+let bitset_limit = 20
+
+let count_raw (t : Clause.t) =
+  let configs, clauses = ranked t in
+  let k = Array.length configs in
+  if k > bitset_limit then List.length (raw_masks clauses)
+  else begin
+    let size = 1 lsl k in
+    let rec go products next = function
+      | [] -> products
+      | subsets :: rest ->
+          Bytes.fill next 0 size '\000';
+          for m = 0 to size - 1 do
+            if Bytes.get products m <> '\000' then
+              List.iter (fun s -> Bytes.set next (s lor m) '\001') subsets
+          done;
+          go next products rest
+    in
+    let start = Bytes.make size '\000' in
+    Bytes.set start 0 '\001';
+    let products = go start (Bytes.make size '\000') clauses in
+    Bytes.fold_left (fun n b -> if b = '\000' then n else n + 1) 0 products
+  end
 
 (* Keep only minimal terms: in popcount order, a mask survives unless
    an already-kept mask is a subset of it (an equal one included). *)

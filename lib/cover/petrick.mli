@@ -11,12 +11,14 @@
 
     Two variants are exposed because the paper's worked example (§4.1)
     develops ξ applying idempotence but {e not} absorption — its five
-    product terms include absorbable ones like C1·C2·C5 ⊃ C1·C2.
+    product terms include absorbable ones like C1·C2·C5 ⊃ C1·C2. Where
+    only the size of that expression is wanted, {!count_raw} gives it
+    without building the terms.
 
     Representation: the system's k distinct candidates are ranked
     0 … k−1 in increasing order and a product term is an [int] mask over
     those ranks, so a union is one [lor] and a subset test one
-    [land lnot]. This bounds k by {!max_candidates}; both expansions
+    [land lnot]. This bounds k by {!max_candidates}; all three functions
     raise [Invalid_argument] above it (an [n]-opamp circuit has
     [2^n − 1] test configurations, so every system of up to 6 opamps
     fits). Terms are converted back to {!Clause.IntSet.t} once, at the
@@ -36,6 +38,16 @@ val expand_raw : Clause.t -> Clause.IntSet.t list
     products through an int-keyed hash set, so a step costs
     O(products × subsets); the output itself is exponential in the worst case, so
     this is intended for paper-scale instances. Raises
+    [Invalid_argument] beyond {!max_candidates} candidates. *)
+
+val count_raw : Clause.t -> int
+(** [List.length (expand_raw t)], without building the terms. The raw
+    terms are exactly the distinct ORs of one [need]-subset per clause,
+    so with k ≤ 20 candidates each clause is one pass over a 2{^k}-byte
+    table of rank masks (no hashing, no sets, O(clauses × (2{^k} +
+    products × subsets))); above 20 it counts the masks of
+    {!expand_raw}'s hash pass without converting them. 1 on the empty
+    clause list, 0 when a clause is unsatisfiable. Raises
     [Invalid_argument] beyond {!max_candidates} candidates. *)
 
 val expand : Clause.t -> Clause.IntSet.t list

@@ -574,6 +574,9 @@ let test_petrick_wide_systems () =
     (fun (what, p) ->
       Alcotest.(check bool) (what ^ ": raw") true
         (same_lists (Cover.Petrick.expand_raw p) (Reference.expand_raw p));
+      Alcotest.(check int) (what ^ ": raw count")
+        (List.length (Reference.expand_raw p))
+        (Cover.Petrick.count_raw p);
       Alcotest.(check bool) (what ^ ": minimal") true
         (same_lists (Cover.Petrick.expand p) (Reference.expand p)))
     [
@@ -596,7 +599,9 @@ let test_petrick_width_guard () =
   Alcotest.check_raises "expand_raw beyond max_candidates" error (fun () ->
       ignore (Cover.Petrick.expand_raw wide));
   Alcotest.check_raises "expand beyond max_candidates" error (fun () ->
-      ignore (Cover.Petrick.expand wide))
+      ignore (Cover.Petrick.expand wide));
+  Alcotest.check_raises "count_raw beyond max_candidates" error (fun () ->
+      ignore (Cover.Petrick.count_raw wide))
 
 let suite =
   suite
@@ -604,4 +609,110 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_bitmask_petrick_matches_reference;
       Alcotest.test_case "petrick wide systems" `Quick test_petrick_wide_systems;
       Alcotest.test_case "petrick candidate-width guard" `Quick test_petrick_width_guard;
+    ]
+
+(* --- counting the raw terms without building them --- *)
+
+(* Dense systems for the bitset count: a pool of 1–20 candidates drawn
+   from 0..62 (so ranks differ from indices), clauses of need 1–3 over
+   it. The running number of distinct products is at most
+   min(∏ binomials, 2^k); clauses are added while that stays within
+   ~4000, up to 10 of them, and one system in eight gets an
+   unsatisfiable clause. *)
+let random_dense_system rng =
+  let int_bound = Fun.flip QCheck.Gen.int_bound rng in
+  let indices = Array.init 63 Fun.id in
+  for i = 62 downto 1 do
+    let j = int_bound i in
+    let x = indices.(i) in
+    indices.(i) <- indices.(j);
+    indices.(j) <- x
+  done;
+  let k = 1 + int_bound 19 in
+  let pool = Array.sub indices 0 k in
+  let random_clause j =
+    let l =
+      IntSet.of_list (List.init (1 + int_bound (k - 1)) (fun _ -> pool.(int_bound (k - 1))))
+    in
+    Clause.clause ~need:(1 + int_bound (Int.min 3 (IntSet.cardinal l) - 1)) ~tag:j l
+  in
+  let rec grow j size acc =
+    let c = random_clause j in
+    let size =
+      Int.min (1 lsl k) (size * binomial (IntSet.cardinal c.Clause.lits) c.Clause.need)
+    in
+    if j > 0 && (size > 4000 || j >= 10) then List.rev acc else grow (j + 1) size (c :: acc)
+  in
+  let clauses = grow 0 1 [] in
+  let clauses =
+    if int_bound 7 > 0 then clauses
+    else
+      let l = IntSet.singleton pool.(0) in
+      clauses @ [ Clause.clause ~need:2 ~tag:(List.length clauses) l ]
+  in
+  { Clause.n_candidates = 63; clauses }
+
+let count_matches p = Cover.Petrick.count_raw p = List.length (Cover.Petrick.expand_raw p)
+
+let qcheck_count_raw_dense =
+  QCheck.Test.make ~name:"count_raw = |expand_raw| on dense systems (bitset path)"
+    ~count:300
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let p = random_dense_system (Random.State.make [| seed |]) in
+      IntSet.cardinal (Clause.candidates p) <= 20 && count_matches p)
+
+let qcheck_count_raw_sparse =
+  QCheck.Test.make
+    ~name:"count_raw = |expand_raw| on sparse systems (mostly > 20 candidates)" ~count:200
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed -> count_matches (random_sparse_system (Random.State.make [| seed |])))
+
+let test_count_raw_edges () =
+  let check what expected p =
+    Alcotest.(check int) (what ^ ": count") expected (Cover.Petrick.count_raw p);
+    Alcotest.(check int) (what ^ ": expand_raw") expected
+      (List.length (Cover.Petrick.expand_raw p))
+  in
+  check "empty clause list (xi = 1)" 1 { Clause.n_candidates = 63; clauses = [] };
+  check "unsatisfiable clause (xi = 0)" 0
+    {
+      Clause.n_candidates = 63;
+      clauses =
+        [ Clause.clause ~tag:0 (set [ 3; 9 ]); Clause.clause ~need:2 ~tag:1 (set [ 5 ]) ];
+    };
+  check "paper reduced xi" 5 paper_reduced;
+  (* 20 candidates take the bitset path with the top rank in play, 21
+     take the hash path: clauses pair candidate 2i with 2i+1 *)
+  List.iter
+    (fun k ->
+      let pairs = List.init (k / 2) (fun i -> set [ 2 * i; (2 * i) + 1 ]) in
+      let pairs = if k mod 2 = 1 then pairs @ [ set [ k - 1; 0 ] ] else pairs in
+      let p = Clause.of_sets ~n_candidates:63 pairs in
+      Alcotest.(check int) (Printf.sprintf "%d candidates" k) k
+        (IntSet.cardinal (Clause.candidates p));
+      check (Printf.sprintf "%d candidates" k) (List.length (Reference.expand_raw p)) p)
+    [ 20; 21 ]
+
+(* C_i ↦ ∏OP_k is monotone and every minimal term is a raw term, so
+   the cheapest opamp sets of the raw terms are those of the minimal
+   terms: objective B needs no raw expansion. *)
+let qcheck_opamp_sets_from_minimal_terms =
+  QCheck.Test.make ~name:"minimal opamp sets of raw terms = those of minimal terms"
+    ~count:200
+    (QCheck.make QCheck.Gen.(pair bool (int_bound 1_000_000)))
+    (fun (dense, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let p = if dense then random_dense_system rng else random_sparse_system rng in
+      same_lists
+        (Cover.Mapping.minimal_opamp_sets (Cover.Petrick.expand_raw p))
+        (Cover.Mapping.minimal_opamp_sets (Cover.Petrick.expand p)))
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest qcheck_count_raw_dense;
+      QCheck_alcotest.to_alcotest qcheck_count_raw_sparse;
+      Alcotest.test_case "count_raw edge cases" `Quick test_count_raw_edges;
+      QCheck_alcotest.to_alcotest qcheck_opamp_sets_from_minimal_terms;
     ]

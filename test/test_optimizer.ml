@@ -64,13 +64,13 @@ let test_third_order_choice () =
 
 let test_xi_star () =
   let r = Lazy.force paper_report in
-  match r.O.xi_star with
-  | None -> Alcotest.fail "xi* expected"
+  match r.O.xi_terms_raw with
+  | None -> Alcotest.fail "raw SOP expected"
   | Some terms ->
       Alcotest.(check (list (list int)))
         "OP1OP2 + 4x OP1OP2OP3"
         [ [ 0; 1 ]; [ 0; 1; 2 ]; [ 0; 1; 2 ]; [ 0; 1; 2 ]; [ 0; 1; 2 ] ]
-        (List.map IntSet.elements terms)
+        (List.map IntSet.elements (Cover.Mapping.xi_star terms))
 
 let test_partial_dft_choice () =
   let r = Lazy.force paper_report in
@@ -240,7 +240,10 @@ let test_registry_petrick_fixture () =
           b
       in
       let r = Mcdft_core.Pipeline.optimize t in
-      let raw = Option.get r.O.xi_terms_raw and min = Option.get r.O.xi_terms_min in
+      Alcotest.(check (option int)) (name ^ ": raw count") (Some n_raw) r.O.xi_raw_count;
+      Alcotest.(check bool) (name ^ ": raw SOP not built") true (r.O.xi_terms_raw = None);
+      let raw = Cover.Petrick.expand_raw r.O.xi_reduced
+      and min = Option.get r.O.xi_terms_min in
       Alcotest.(check int) (name ^ ": raw terms") n_raw (List.length raw);
       Alcotest.(check int) (name ^ ": minimal terms") n_min (List.length min);
       Alcotest.(check string) (name ^ ": raw listing digest") digest
@@ -276,7 +279,11 @@ let test_cli_xi_listing () =
     (xi_line "tow-thomas --points-per-decade 10");
   Alcotest.(check (option string)) "suppressed at 46 terms"
     (Some "  xi (SOP)            : 46 terms (listing suppressed above 12)")
-    (xi_line "tow-thomas --points-per-decade 10 --criterion fixed:0.1")
+    (xi_line "tow-thomas --points-per-decade 10 --criterion fixed:0.1");
+  Alcotest.(check (option string)) "suppressed at 31,619 terms"
+    (Some "  xi (SOP)            : 31619 terms (listing suppressed above 12)")
+    (xi_line
+       "tt-notch --faults catastrophic --criterion fixed:0.1 --points-per-decade 10")
 
 let suite =
   suite
