@@ -3,6 +3,7 @@ module Validate = Circuit.Validate
 module Poly = Linalg.Poly
 module Transform = Multiconfig.Transform
 module Configuration = Multiconfig.Configuration
+module StringSet = Set.Make (String)
 
 type src = { file : string; lines : (string * int) list }
 
@@ -70,8 +71,8 @@ module A = Mna.Assemble.Make (Mna.Field.Polynomial)
    Sherman–Morrison rank-1 update α·uvᵀ added to a σ-flipped row would
    no longer commute with the flip. [locked_elements] therefore names
    the elements a campaign will perturb; every row any of them stamps
-   into (matrix or excitation, per {!Mna.Assemble.Make.row_occupancy})
-   keeps σ = +1 and is marked in the signature, so views only group
+   into (matrix or excitation, whatever the stamp's value) keeps
+   σ = +1 and is marked in the signature, so views only group
    together when their fault-reachable equations agree without any
    flip — faulty responses then coincide too, for rank-1 updates and
    for structural re-assemblies alike.
@@ -79,18 +80,57 @@ module A = Mna.Assemble.Make (Mna.Field.Polynomial)
    Coefficients are emitted as their IEEE bits — bit-exact, no rounding
    collisions, and no decimal formatting. [sources] must match the mode the campaign assembles
    with (the signature of the driven system, not just the nominal
-   one). *)
+   one).
+
+   The key costs the view's stamps, not n²: one stamping pass sorted
+   into per-row entry lists, each row emitted by ascending column —
+   the same bytes the dense n×n scan it replaced produced. *)
 let value_signature ?(sources = Mna.Assemble.Nominal) ?(locked_elements = []) view =
   let index = Mna.Index.build view in
   let n = Mna.Index.size index in
-  let { A.matrix; rhs } = A.assemble ~sources index view in
+  (* One stamping pass in element order: matrix stamps are collected
+     as (row, column, value) triples, the excitation accumulates per
+     row, and every row a locked element stamps into (matrix or
+     excitation, ground columns included) is marked. *)
+  let locked_names = StringSet.of_list locked_elements in
   let locked = Array.make n false in
-  if locked_elements <> [] then
-    List.iter
-      (fun (name, rows) ->
-        if List.mem name locked_elements then
-          List.iter (fun i -> locked.(i) <- true) rows)
-      (A.row_occupancy ~sources index view);
+  let stamps = ref [] in
+  let rhs = Array.make n Poly.zero in
+  List.iter
+    (fun e ->
+      let lock = StringSet.mem (Circuit.Element.name e) locked_names in
+      let touch = function Some i when lock -> locked.(i) <- true | _ -> () in
+      let add_m i j v =
+        touch i;
+        match (i, j) with Some i, Some j -> stamps := (i, j, v) :: !stamps | _ -> ()
+      in
+      let add_b i v =
+        touch i;
+        match i with Some i -> rhs.(i) <- Poly.add rhs.(i) v | None -> ()
+      in
+      A.stamp_element ~sources ~add_m ~add_b index e)
+    (Netlist.elements view);
+  (* Each row's entries by ascending column, every entry the sum of its
+     stamps in element order from zero — the dense assembler's
+     accumulation exactly, so each coefficient carries the same bits. *)
+  let rows = Array.make n [] in
+  let rec merge = function
+    | [] -> ()
+    | (i, j, _) :: _ as stamps ->
+        let rec sum acc = function
+          | (i', j', v) :: rest when i' = i && j' = j -> sum (Poly.add acc v) rest
+          | rest -> (acc, rest)
+        in
+        let p, rest = sum Poly.zero stamps in
+        rows.(i) <- (j, p) :: rows.(i);
+        merge rest
+  in
+  merge
+    (List.stable_sort
+       (fun (i1, j1, _) (i2, j2, _) ->
+         if i1 <> i2 then Int.compare i1 i2 else Int.compare j1 j2)
+       (List.rev !stamps));
+  let rows = Array.map List.rev rows in
   let lowest_nonzero p =
     let rec go k =
       if k > Poly.degree p then 0.0
@@ -103,13 +143,13 @@ let value_signature ?(sources = Mna.Assemble.Nominal) ?(locked_elements = []) vi
   let row_sign i =
     if locked.(i) then 1.0
     else begin
-      let rec first j =
-        if j >= n then lowest_nonzero rhs.(i)
-        else
-          let c = lowest_nonzero matrix.(i).(j) in
-          if c <> 0.0 then c else first (j + 1)
+      let rec first = function
+        | [] -> lowest_nonzero rhs.(i)
+        | (_, p) :: rest ->
+            let c = lowest_nonzero p in
+            if c <> 0.0 then c else first rest
       in
-      let c = first 0 in
+      let c = first rows.(i) in
       if c < 0.0 then -1.0 else 1.0
     end
   in
@@ -133,13 +173,14 @@ let value_signature ?(sources = Mna.Assemble.Nominal) ?(locked_elements = []) vi
   for i = 0 to n - 1 do
     let sigma = row_sign i in
     Buffer.add_char buf (if locked.(i) then 'L' else 'R');
-    for j = 0 to n - 1 do
-      if not (Poly.is_zero matrix.(i).(j)) then begin
-        Buffer.add_char buf 'E';
-        add_int j;
-        add_poly sigma matrix.(i).(j)
-      end
-    done;
+    List.iter
+      (fun (j, p) ->
+        if not (Poly.is_zero p) then begin
+          Buffer.add_char buf 'E';
+          add_int j;
+          add_poly sigma p
+        end)
+      rows.(i);
     if not (Poly.is_zero rhs.(i)) then begin
       Buffer.add_char buf 'B';
       add_poly sigma rhs.(i)

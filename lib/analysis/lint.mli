@@ -48,15 +48,19 @@ val value_signature :
     arithmetic and does not move the solution.
 
     [locked_elements] names elements whose equations must match
-    {e without} any sign flip — rows they stamp into
-    ({!Mna.Assemble.Make.row_occupancy}) keep their assembled sign and
-    are marked in the signature. A campaign pruner passes its fault
+    {e without} any sign flip — rows they stamp into (matrix or
+    excitation, whatever the stamp's value) keep their assembled sign
+    and are marked in the signature. A campaign pruner passes its fault
     universe here: with those rows locked, equal signatures imply
     equal {e faulty} responses too (a rank-1 perturbation or a
     structural re-assembly lands in sign-identical equations).
     [sources] (default [Nominal]) must match the assembly mode of the
     consumer. The signature is a binary string; coefficients are
-    emitted as their IEEE bits, so equality is bit-exact. *)
+    emitted as their IEEE bits, so equality is bit-exact.
+
+    Cost: one stamping pass over the elements and a sort of the
+    stamps, O(s log s) for s stamps — linear in the view's nonzeros up
+    to the log, never the n² of a dense scan. *)
 
 val group_by_key : string list -> int list list
 (** Partition positions by equal key: each group lists its member

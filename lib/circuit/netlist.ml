@@ -1,19 +1,25 @@
 module StringSet = Set.Make (String)
+module StringMap = Map.Make (String)
 
-type t = { title : string; rev_elements : Element.t list; names : StringSet.t }
-(* Elements kept in reverse insertion order; [names] caches uniqueness. *)
+type t = {
+  title : string;
+  rev_elements : Element.t list;
+  index : Element.t StringMap.t;
+}
+(* Elements kept in reverse insertion order; [index] maps each name to
+   its element, so lookups and the uniqueness check are O(log n). *)
 
 let empty ?(title = "untitled") () =
-  { title; rev_elements = []; names = StringSet.empty }
+  { title; rev_elements = []; index = StringMap.empty }
 
 let title t = t.title
 let elements t = List.rev t.rev_elements
 
 let add e t =
   let n = Element.name e in
-  if StringSet.mem n t.names then
+  if StringMap.mem n t.index then
     invalid_arg (Printf.sprintf "Netlist.add: duplicate element name %S" n);
-  { t with rev_elements = e :: t.rev_elements; names = StringSet.add n t.names }
+  { t with rev_elements = e :: t.rev_elements; index = StringMap.add n e t.index }
 
 let of_elements ?title es =
   List.fold_left (fun acc e -> add e acc) (empty ?title ()) es
@@ -33,9 +39,9 @@ let vccs ~name npos nneg cpos cneg gm t =
 let opamp ?(model = Element.Ideal) ~name ~inp ~inn ~out t =
   add (Element.Opamp { name; inp; inn; out; model }) t
 
-let find t n = List.find_opt (fun e -> Element.name e = n) t.rev_elements
-let find_exn t n = match find t n with Some e -> e | None -> raise Not_found
-let mem t n = StringSet.mem n t.names
+let find t n = StringMap.find_opt n t.index
+let find_exn t n = StringMap.find n t.index
+let mem t n = StringMap.mem n t.index
 
 let nodes t =
   let all =
@@ -55,15 +61,15 @@ let size t = List.length t.rev_elements
 
 let replace e t =
   let n = Element.name e in
-  if not (StringSet.mem n t.names) then raise Not_found;
+  if not (StringMap.mem n t.index) then raise Not_found;
   let swap e' = if Element.name e' = n then e else e' in
-  { t with rev_elements = List.map swap t.rev_elements }
+  { t with rev_elements = List.map swap t.rev_elements; index = StringMap.add n e t.index }
 
 let remove n t =
-  if not (StringSet.mem n t.names) then raise Not_found;
+  if not (StringMap.mem n t.index) then raise Not_found;
   { t with
     rev_elements = List.filter (fun e -> Element.name e <> n) t.rev_elements;
-    names = StringSet.remove n t.names }
+    index = StringMap.remove n t.index }
 
 let map_value ~name ~f t =
   let e = find_exn t name in

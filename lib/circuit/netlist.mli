@@ -1,8 +1,12 @@
 (** Immutable netlists and a builder API.
 
     A netlist is an ordered collection of {!Element.t} with unique
-    names. Fault injection and the multi-configuration DFT transform
-    are expressed as pure netlist-to-netlist functions. *)
+    names, indexed by name: {!find}, {!find_exn} and {!mem} are
+    O(log n), and {!add}, {!replace} and {!remove} keep the index
+    current. Fault injection and the multi-configuration DFT transform
+    are expressed as pure netlist-to-netlist functions. Compare
+    netlists through {!elements}, not with polymorphic equality: two
+    equal netlists may hold differently shaped indexes. *)
 
 type t
 

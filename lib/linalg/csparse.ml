@@ -181,6 +181,13 @@ type symbolic = {
 }
 
 let symbolic_nnz s = s.pat.nnz
+let pivot_order s = (Array.copy s.roworder, Array.copy s.colorder)
+
+let factor_pattern s =
+  ( Array.copy s.l_colptr,
+    Array.copy s.l_rowind,
+    Array.copy s.u_colptr,
+    Array.copy s.u_rowind )
 let fill_nnz s = Array.length s.l_rowind + Array.length s.u_rowind + s.pat.n
 
 (* Parity of the permutation [k -> p.(k)] by cycle decomposition. *)
@@ -209,6 +216,22 @@ let pivot_threshold = 0.001
 let tiny_of ~n ~scale_norm =
   1e-300 +. (scale_norm *. float_of_int n *. 4.0 *. epsilon_float)
 
+(* A pivot candidate under the search's total order: the smaller
+   Markowitz count, then the larger magnitude, then the smaller
+   (row, column) pair. Candidate magnitudes exceed [tiny], so they are
+   never NaN and the order is total. *)
+module Candidate = struct
+  type t = { cost : int; mag : float; row : int; col : int }
+
+  let compare a b =
+    if a.cost <> b.cost then Int.compare a.cost b.cost
+    else if a.mag <> b.mag then Float.compare b.mag a.mag
+    else if a.row <> b.row then Int.compare a.row b.row
+    else Int.compare a.col b.col
+end
+
+module Candidates = Set.Make (Candidate)
+
 let analyze p ~re ~im =
   check_values p re im;
   let n = p.n in
@@ -226,140 +249,157 @@ let analyze p ~re ~im =
       perm_sign = 1;
     }
   else begin
-    (* Working sparse matrix with dynamic fill: per-row and per-column
-       active-index sets plus a value table keyed by flat index. One-time
-       cost per netlist pattern, so hash overhead is acceptable. *)
+    (* Working sparse matrix with dynamic fill: column c maps each of
+       its active rows to the slot of that entry's value in the growable
+       [vre]/[vim] arrays, and row i holds its set of active columns
+       (its Markowitz count). *)
+    let col_tbl = Array.init n (fun _ -> Hashtbl.create 8) in
     let row_set = Array.init n (fun _ -> Hashtbl.create 8) in
-    let col_set = Array.init n (fun _ -> Hashtbl.create 8) in
-    let value : (int, float ref * float ref) Hashtbl.t =
-      Hashtbl.create (4 * p.nnz)
+    let cap = Int.max 16 (2 * p.nnz) in
+    let vre = ref (Array.make cap 0.0) and vim = ref (Array.make cap 0.0) in
+    let used = ref 0 in
+    let new_slot i c ~re:x ~im:y =
+      if !used = Array.length !vre then begin
+        let grow a = Array.append a (Array.make (Array.length a) 0.0) in
+        vre := grow !vre;
+        vim := grow !vim
+      end;
+      let s = !used in
+      incr used;
+      !vre.(s) <- x;
+      !vim.(s) <- y;
+      Hashtbl.replace col_tbl.(c) i s;
+      Hashtbl.replace row_set.(i) c ()
     in
     let scale_norm = ref 0.0 in
     for c = 0 to n - 1 do
       for k = p.colptr.(c) to p.colptr.(c + 1) - 1 do
-        let i = p.rowind.(k) in
-        Hashtbl.replace row_set.(i) c ();
-        Hashtbl.replace col_set.(c) i ();
-        Hashtbl.replace value ((i * n) + c) (ref (Array1.get re k), ref (Array1.get im k));
-        let m = Cmat.norm2 (Array1.get re k) (Array1.get im k) in
+        let x = Array1.get re k and y = Array1.get im k in
+        new_slot p.rowind.(k) c ~re:x ~im:y;
+        let m = Cmat.norm2 x y in
         if m > !scale_norm then scale_norm := m
       done
     done;
     let tiny = tiny_of ~n ~scale_norm:!scale_norm in
-    let mag i c =
-      match Hashtbl.find_opt value ((i * n) + c) with
-      | None -> 0.0
-      | Some (vr, vi) -> Cmat.norm2 !vr !vi
+    let mag s = Cmat.norm2 !vre.(s) !vim.(s) in
+    (* Column c's best acceptable candidate: magnitude at least
+       [pivot_threshold] of the column's maximum, column maximum above
+       [tiny]. It reads only the column's entries and the counts of its
+       rows, so a pivot invalidates exactly the columns it touches. *)
+    let best_in c =
+      let tbl = col_tbl.(c) in
+      let colmax =
+        Hashtbl.fold (fun _ s acc -> if mag s > acc then mag s else acc) tbl 0.0
+      in
+      if colmax > tiny then begin
+        let acceptable = pivot_threshold *. colmax in
+        let clen = Hashtbl.length tbl in
+        Hashtbl.fold
+          (fun i s best ->
+            let m = mag s in
+            if m >= acceptable && m > tiny then begin
+              let cand =
+                {
+                  Candidate.cost = (Hashtbl.length row_set.(i) - 1) * (clen - 1);
+                  mag = m;
+                  row = i;
+                  col = c;
+                }
+              in
+              match best with
+              | Some b when Candidate.compare b cand <= 0 -> best
+              | _ -> Some cand
+            end
+            else best)
+          tbl None
+      end
+      else None
     in
-    let row_active = Array.make n true and col_active = Array.make n true in
+    let cached = Array.make n None in
+    let candidates = ref Candidates.empty in
+    let reevaluate c =
+      Option.iter (fun b -> candidates := Candidates.remove b !candidates) cached.(c);
+      let best = best_in c in
+      cached.(c) <- best;
+      Option.iter (fun b -> candidates := Candidates.add b !candidates) best
+    in
+    for c = 0 to n - 1 do
+      reevaluate c
+    done;
     let roworder = Array.make n 0 and colorder = Array.make n 0 in
     let lcols = Array.make n [] and urows = Array.make n [] in
+    let touched = Array.make n (-1) in
     for k = 0 to n - 1 do
-      (* Pivot search: among every acceptable entry (magnitude at least
-         [pivot_threshold] of its column's maximum, column maximum above
-         [tiny]) minimize the Markowitz count
-         (row_len − 1)·(col_len − 1); break ties toward the larger
-         magnitude, then the smaller (row, column) pair for
-         determinism. *)
-      let best_cost = ref max_int
-      and best_mag = ref 0.0
-      and best_r = ref (-1)
-      and best_c = ref (-1) in
-      for c = 0 to n - 1 do
-        if col_active.(c) then begin
-          let colmax = ref 0.0 in
-          Hashtbl.iter
-            (fun i () ->
-              let m = mag i c in
-              if m > !colmax then colmax := m)
-            col_set.(c);
-          if !colmax > tiny then begin
-            let acceptable = pivot_threshold *. !colmax in
-            let clen = Hashtbl.length col_set.(c) in
-            Hashtbl.iter
-              (fun i () ->
-                let m = mag i c in
-                if m >= acceptable && m > tiny then begin
-                  let cost = (Hashtbl.length row_set.(i) - 1) * (clen - 1) in
-                  if
-                    cost < !best_cost
-                    || (cost = !best_cost && m > !best_mag)
-                    || cost = !best_cost && m = !best_mag
-                       && (i < !best_r || (i = !best_r && c < !best_c))
-                  then begin
-                    best_cost := cost;
-                    best_mag := m;
-                    best_r := i;
-                    best_c := c
-                  end
-                end)
-              col_set.(c)
-          end
-        end
-      done;
-      if !best_r < 0 then raise Cmat.Singular;
-      let r = !best_r and c = !best_c in
+      (* The pivot is the least candidate over every active column: the
+         minimum of the column minima under the same total order. *)
+      let { Candidate.row = r; col = c; _ } =
+        match Candidates.min_elt_opt !candidates with
+        | Some b -> b
+        | None -> raise Cmat.Singular
+      in
+      candidates := Candidates.remove (Option.get cached.(c)) !candidates;
+      cached.(c) <- None;
       roworder.(k) <- r;
       colorder.(k) <- c;
-      row_active.(r) <- false;
-      col_active.(c) <- false;
-      (* Record the factor patterns before the update mutates the sets. *)
-      let lrows = Hashtbl.fold (fun i () acc -> if i <> r then i :: acc else acc) col_set.(c) [] in
-      let ucols = Hashtbl.fold (fun j () acc -> if j <> c then j :: acc else acc) row_set.(r) [] in
+      let lrows =
+        Hashtbl.fold (fun i _ acc -> if i <> r then i :: acc else acc) col_tbl.(c) []
+      in
+      let ucols =
+        Hashtbl.fold (fun j () acc -> if j <> c then j :: acc else acc) row_set.(r) []
+      in
       lcols.(k) <- lrows;
       urows.(k) <- ucols;
-      (* Detach the pivot row and column from the active structure. *)
-      List.iter (fun j -> Hashtbl.remove col_set.(j) r) ucols;
-      List.iter (fun i -> Hashtbl.remove row_set.(i) c) lrows;
-      Hashtbl.remove col_set.(c) r;
-      Hashtbl.remove row_set.(r) c;
       (* Numeric right-looking update, so later pivot choices see real
          magnitudes (fill entries are created here — this is the fill
          simulation the static pattern records). *)
-      let pr, pi =
-        match Hashtbl.find_opt value ((r * n) + c) with
-        | Some (vr, vi) -> (!vr, !vi)
-        | None -> (0.0, 0.0)
-      in
+      let ps = Hashtbl.find col_tbl.(c) r in
+      let pr = !vre.(ps) and pi = !vim.(ps) in
       List.iter
         (fun i ->
-          match Hashtbl.find_opt value ((i * n) + c) with
-          | None -> ()
-          | Some (ar, ai) ->
-              (* f = a_ic / pivot, Smith division. *)
-              let f_re, f_im =
-                if Float.abs pr >= Float.abs pi then begin
-                  let q = pi /. pr in
-                  let d = pr +. (q *. pi) in
-                  ((!ar +. (q *. !ai)) /. d, (!ai -. (q *. !ar)) /. d)
-                end
-                else begin
-                  let q = pr /. pi in
-                  let d = pi +. (q *. pr) in
-                  (((q *. !ar) +. !ai) /. d, ((q *. !ai) -. !ar) /. d)
-                end
-              in
-              List.iter
-                (fun j ->
-                  let rr, ri =
-                    match Hashtbl.find_opt value ((r * n) + j) with
-                    | Some (vr, vi) -> (!vr, !vi)
-                    | None -> (0.0, 0.0)
-                  in
-                  let key = (i * n) + j in
-                  match Hashtbl.find_opt value key with
-                  | Some (vr, vi) ->
-                      vr := !vr -. ((f_re *. rr) -. (f_im *. ri));
-                      vi := !vi -. ((f_re *. ri) +. (f_im *. rr))
-                  | None ->
-                      (* fill *)
-                      Hashtbl.replace value key
-                        (ref (-.((f_re *. rr) -. (f_im *. ri))),
-                         ref (-.((f_re *. ri) +. (f_im *. rr))));
-                      Hashtbl.replace row_set.(i) j ();
-                      Hashtbl.replace col_set.(j) i ())
-                ucols)
-        lrows
+          let s = Hashtbl.find col_tbl.(c) i in
+          let ar = !vre.(s) and ai = !vim.(s) in
+          (* f = a_ic / pivot, Smith division. *)
+          let f_re, f_im =
+            if Float.abs pr >= Float.abs pi then begin
+              let q = pi /. pr in
+              let d = pr +. (q *. pi) in
+              ((ar +. (q *. ai)) /. d, (ai -. (q *. ar)) /. d)
+            end
+            else begin
+              let q = pr /. pi in
+              let d = pi +. (q *. pr) in
+              (((q *. ar) +. ai) /. d, ((q *. ai) -. ar) /. d)
+            end
+          in
+          List.iter
+            (fun j ->
+              let rs = Hashtbl.find col_tbl.(j) r in
+              let rr = !vre.(rs) and ri = !vim.(rs) in
+              match Hashtbl.find_opt col_tbl.(j) i with
+              | Some s ->
+                  !vre.(s) <- !vre.(s) -. ((f_re *. rr) -. (f_im *. ri));
+                  !vim.(s) <- !vim.(s) -. ((f_re *. ri) +. (f_im *. rr))
+              | None ->
+                  (* fill *)
+                  new_slot i j
+                    ~re:(-.((f_re *. rr) -. (f_im *. ri)))
+                    ~im:(-.((f_re *. ri) +. (f_im *. rr))))
+            ucols)
+        lrows;
+      (* Detach the pivot row and column from the active structure. *)
+      List.iter (fun j -> Hashtbl.remove col_tbl.(j) r) ucols;
+      List.iter (fun i -> Hashtbl.remove row_set.(i) c) lrows;
+      (* Re-evaluate the columns the pivot changed: those that lost row
+         r or took fill, and every column holding a row whose count
+         moved. *)
+      let touch j =
+        if touched.(j) <> k then begin
+          touched.(j) <- k;
+          reevaluate j
+        end
+      in
+      List.iter touch ucols;
+      List.iter (fun i -> Hashtbl.iter (fun j () -> touch j) row_set.(i)) lrows
     done;
     let rowpos = Array.make n 0 and colpos = Array.make n 0 in
     for k = 0 to n - 1 do
@@ -549,7 +589,8 @@ let solve_scratch_for n =
 (* Forward/back substitution in permuted coordinates, column-oriented:
    processing columns in order finalizes y.(k) before it is used. [k]
    is the number of interleaved right-hand sides (stride). *)
-let substitute_stride s ~lre ~lim ~ure ~uim ~dre ~dim_ (yre : plane) (yim : plane) ~k =
+let substitute_stride s ~(lre : plane) ~(lim : plane) ~(ure : plane) ~(uim : plane)
+    ~(dre : plane) ~(dim_ : plane) (yre : plane) (yim : plane) ~k =
   let n = s.pat.n in
   (* L y = Pb, unit diagonal *)
   for kk = 0 to n - 1 do

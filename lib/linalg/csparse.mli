@@ -71,12 +71,27 @@ val analyze : pattern -> re:plane -> im:plane -> symbolic
     [(row_count−1)·(col_count−1)]) under threshold partial pivoting
     (candidates within 1e-3 of their column's maximum magnitude) on the
     given representative values; records the pivot order and the filled
-    pattern for {!refactor}. Raises {!Cmat.Singular} when no acceptable
-    pivot above the dense singularity threshold exists (structural or
-    numeric singularity at the representative values). *)
+    pattern for {!refactor}. Ties go to the larger magnitude, then the
+    smaller (row, column), so the order is a function of the pattern
+    and values alone. Each column's best candidate is cached and only
+    the columns a pivot changes (entries or row counts) are searched
+    again, so the search costs about the fill, not n per pivot. Raises
+    {!Cmat.Singular} when no acceptable pivot above the dense
+    singularity threshold exists (structural or numeric singularity at
+    the representative values). *)
 
 val symbolic_nnz : symbolic -> int
 (** Stored entries of the analyzed matrix. *)
+
+val pivot_order : symbolic -> int array * int array
+(** [(roworder, colorder)]: the original row and column pivoted at
+    each elimination step (copies; for tests that pin the order). *)
+
+val factor_pattern : symbolic -> int array * int array * int array * int array
+(** [(l_colptr, l_rowind, u_colptr, u_rowind)]: the filled factor
+    patterns in permuted coordinates, CSC, rows ascending within a
+    column; L strictly lower, U strictly upper (the diagonal is
+    implicit). *)
 
 val fill_nnz : symbolic -> int
 (** Entries of the filled factors L + U (diagonal included). *)
@@ -98,7 +113,8 @@ val refactor : numeric -> re:plane -> im:plane -> unit
     retry with different values. *)
 
 val solve_into : numeric -> b:Cmat.Vec.t -> x:Cmat.Vec.t -> unit
-(** [x <- A⁻¹ b] through the sparse factors. [b] and [x] must not
+(** [x <- A⁻¹ b] through the sparse factors, O(fill) with unboxed
+    reads (no float is allocated per entry). [b] and [x] must not
     alias. Uses per-domain scratch for the permuted intermediate, so
     concurrent solves from several domains are safe. *)
 

@@ -8,8 +8,9 @@ module Make (F : Field.S) = struct
   (* One element's stamps, delivered through callbacks so the same
      stamping rules serve every storage layout: the dense [array array]
      system below, the sparse COO pattern in {!Stamps}, and the
-     row-occupancy instrumentation. [add_m]/[add_b] receive [None] for
-     ground, exactly as the accumulating closures always did. *)
+     campaign's class key in [Analysis.Lint]. [add_m]/[add_b] receive
+     [None] for ground, exactly as the accumulating closures always
+     did. *)
   let stamp_element ~sources ~add_m ~add_b index e =
     let node = Index.node index in
     let br name = Some (Index.branch index name) in
@@ -117,20 +118,4 @@ module Make (F : Field.S) = struct
     in
     stamp_into ~sources ~add_m ~add_b index netlist;
     { matrix; rhs }
-
-  (* Which system rows each element stamps into (matrix rows and rhs
-     rows alike), by element name. The campaign pruner uses this to
-     lock the rows fault injection can touch out of its row-sign
-     normalization. *)
-  let row_occupancy ?(sources = Nominal) index netlist =
-    List.map
-      (fun e ->
-        let rows = Hashtbl.create 8 in
-        let touch = function Some i -> Hashtbl.replace rows i () | None -> () in
-        let add_m i _j _v = touch i in
-        let add_b i _v = touch i in
-        stamp_element ~sources ~add_m ~add_b index e;
-        ( Element.name e,
-          Hashtbl.fold (fun i () acc -> i :: acc) rows [] |> List.sort compare ))
-      (Netlist.elements netlist)
 end

@@ -25,6 +25,16 @@ module Make (F : Field.S) : sig
       voltage source absent from the index (catch earlier with
       {!Validate.check}). *)
 
+  val stamp_element :
+    sources:source_mode ->
+    add_m:(int option -> int option -> F.t -> unit) ->
+    add_b:(int option -> F.t -> unit) ->
+    Index.t ->
+    Circuit.Element.t ->
+    unit
+  (** One element's stamps through the callbacks of {!stamp_into}, so a
+      caller can tell which element each stamp comes from. *)
+
   val stamp_into :
     ?sources:source_mode ->
     add_m:(int option -> int option -> F.t -> unit) ->
@@ -39,11 +49,4 @@ module Make (F : Field.S) : sig
       netlist element order — exactly the accumulation order
       {!assemble} produces — so any storage layout built through these
       callbacks holds entry-for-entry identical sums. *)
-
-  val row_occupancy :
-    ?sources:source_mode -> Index.t -> Netlist.t -> (string * int list) list
-  (** For each element (by name, in netlist order) the sorted system
-      rows it stamps into — matrix rows and excitation rows alike,
-      value-independent. Used to mark rows that fault injection on an
-      element can perturb. *)
 end

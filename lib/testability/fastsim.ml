@@ -1127,20 +1127,20 @@ let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im 
           write_out t xf ~re ~im ~ok ~ix
         end
         else begin
+          (* The gate's scale reads x̂f, so it is recomputed only when a
+             refinement step moved x̂f. *)
           let scale_of () = (fs.anorm *. Bvec.norm_inf xf) +. fs.bnorm +. 1e-300 in
           faulty_residual ();
-          let res = Bvec.norm_inf resid in
-          let res =
-            if res <= 1024.0 *. epsilon_float *. scale_of () then res
-            else begin
-              let p = pending () in
-              p.p_refine <- p.p_refine + 1;
-              refine ();
-              faulty_residual ();
-              Bvec.norm_inf resid
-            end
-          in
-          if res <= smw_tolerance *. scale_of () then begin
+          let res = ref (Bvec.norm_inf resid) and scale = ref (scale_of ()) in
+          if not (!res <= 1024.0 *. epsilon_float *. !scale) then begin
+            let p = pending () in
+            p.p_refine <- p.p_refine + 1;
+            refine ();
+            faulty_residual ();
+            res := Bvec.norm_inf resid;
+            scale := scale_of ()
+          end;
+          if !res <= smw_tolerance *. !scale then begin
             let p = pending () in
             p.p_smw <- p.p_smw + 1;
             write_out t xf ~re ~im ~ok ~ix

@@ -271,6 +271,161 @@ let qcheck_structural_sound =
       let solvable = numerically_solvable netlist ~omega in
       if verdict then not solvable else solvable)
 
+
+(* ---- the class key against its dense reference ----
+
+   [dense_signature] is the n×n implementation {!Lint.value_signature}
+   replaced, kept here as the reference: the sparse key must produce
+   the same bytes on every key a campaign computes. *)
+
+module PA = Mna.Assemble.Make (Mna.Field.Polynomial)
+module Poly = Linalg.Poly
+
+let row_occupancy ~sources index netlist =
+  List.map
+    (fun e ->
+      let rows = Hashtbl.create 8 in
+      let touch = function Some i -> Hashtbl.replace rows i () | None -> () in
+      PA.stamp_element ~sources
+        ~add_m:(fun i _ _ -> touch i)
+        ~add_b:(fun i _ -> touch i)
+        index e;
+      ( Circuit.Element.name e,
+        Hashtbl.fold (fun i () acc -> i :: acc) rows [] |> List.sort compare ))
+    (Netlist.elements netlist)
+
+let dense_signature ~sources ~locked_elements view =
+  let index = Mna.Index.build view in
+  let n = Mna.Index.size index in
+  let { PA.matrix; rhs } = PA.assemble ~sources index view in
+  let locked = Array.make n false in
+  if locked_elements <> [] then
+    List.iter
+      (fun (name, rows) ->
+        if List.mem name locked_elements then
+          List.iter (fun i -> locked.(i) <- true) rows)
+      (row_occupancy ~sources index view);
+  let lowest_nonzero p =
+    let rec go k =
+      if k > Poly.degree p then 0.0
+      else
+        let c = Poly.coeff p k in
+        if c <> 0.0 then c else go (k + 1)
+    in
+    go 0
+  in
+  let row_sign i =
+    if locked.(i) then 1.0
+    else begin
+      let rec first j =
+        if j >= n then lowest_nonzero rhs.(i)
+        else
+          let c = lowest_nonzero matrix.(i).(j) in
+          if c <> 0.0 then c else first (j + 1)
+      in
+      let c = first 0 in
+      if c < 0.0 then -1.0 else 1.0
+    end
+  in
+  (* Binary tokens, each a tag byte and a fixed-width payload, so the
+     encoding decodes one way and equal strings mean equal systems:
+     'R'/'L' opens row i (locked or not; i is the count of rows
+     opened), 'E' j an entry in column j, 'B' the excitation entry, and
+     'C' k bits one nonzero coefficient of s^k. *)
+  let buf = Buffer.create (32 * n) in
+  let add_int k = Buffer.add_int32_le buf (Int32.of_int k) in
+  let add_poly sigma p =
+    for k = 0 to Poly.degree p do
+      let c = Poly.coeff p k in
+      if c <> 0.0 then begin
+        Buffer.add_char buf 'C';
+        add_int k;
+        Buffer.add_int64_le buf (Int64.bits_of_float (sigma *. c))
+      end
+    done
+  in
+  for i = 0 to n - 1 do
+    let sigma = row_sign i in
+    Buffer.add_char buf (if locked.(i) then 'L' else 'R');
+    for j = 0 to n - 1 do
+      if not (Poly.is_zero matrix.(i).(j)) then begin
+        Buffer.add_char buf 'E';
+        add_int j;
+        add_poly sigma matrix.(i).(j)
+      end
+    done;
+    if not (Poly.is_zero rhs.(i)) then begin
+      Buffer.add_char buf 'B';
+      add_poly sigma rhs.(i)
+    end
+  done;
+  Buffer.contents buf
+
+(* Every key the campaign's grouping computes, and the lint's: each
+   registry circuit's test views (and a bigladder-40's) under the
+   deviation and catastrophic fault lists, on the cone netlist and the
+   whole view, under [Only source] and [Nominal]. *)
+let test_signature_matches_dense () =
+  let bigladder =
+    let netlist, output =
+      Conformance.Gen.bigladder ~stages:40 (Random.State.make [| 0x5bad; 40 |])
+    in
+    {
+      Circuits.Benchmark.name = "bigladder-40";
+      description = "";
+      netlist;
+      source = "V1";
+      output;
+      center_hz = 10_000.0;
+    }
+  in
+  let compared = ref 0 in
+  List.iter
+    (fun (b : Circuits.Benchmark.t) ->
+      let netlist = b.Circuits.Benchmark.netlist in
+      let dft =
+        Multiconfig.Transform.make ~source:b.Circuits.Benchmark.source
+          ~output:b.Circuits.Benchmark.output netlist
+      in
+      let probe =
+        {
+          Testability.Detect.source = b.Circuits.Benchmark.source;
+          output = b.Circuits.Benchmark.output;
+        }
+      in
+      List.iter
+        (fun faults ->
+          let locked_elements =
+            List.sort_uniq String.compare (List.map (fun f -> f.Fault.element) faults)
+          in
+          List.iter
+            (fun config ->
+              let view = Multiconfig.Transform.emulate dft config in
+              let s = Testability.Detect.structure ~faults probe view in
+              let cone = Testability.Detect.engine_netlist s in
+              let only = Mna.Assemble.Only probe.Testability.Detect.source in
+              List.iter
+                (fun (sources, locked_elements, net) ->
+                  incr compared;
+                  let label =
+                    Printf.sprintf "%s %s" b.Circuits.Benchmark.name
+                      (Multiconfig.Configuration.label config)
+                  in
+                  Alcotest.(check string)
+                    label
+                    (dense_signature ~sources ~locked_elements net)
+                    (Lint.value_signature ~sources ~locked_elements net))
+                [
+                  (only, locked_elements, cone);
+                  (only, locked_elements, view);
+                  (Mna.Assemble.Nominal, [], view);
+                  (Mna.Assemble.Nominal, locked_elements, cone);
+                ])
+            (Multiconfig.Transform.test_configurations dft))
+        [ Fault.deviation_faults netlist; Fault.catastrophic_faults netlist ])
+    (Circuits.Registry.all () @ [ bigladder ]);
+  Alcotest.(check bool) "keys compared" true (!compared > 2000)
+
 let suite =
   [
     Alcotest.test_case "structural: V loop" `Quick test_structural_vloop;
@@ -285,4 +440,6 @@ let suite =
     Alcotest.test_case "detectability: prefilter consistency" `Quick
       test_detectability_consistency;
     QCheck_alcotest.to_alcotest qcheck_structural_sound;
+    Alcotest.test_case "value_signature: equal to the dense key" `Quick
+      test_signature_matches_dense;
   ]

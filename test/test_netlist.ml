@@ -121,6 +121,53 @@ let test_validate_empty () =
   | Error [ Validate.Empty_netlist ] -> ()
   | _ -> Alcotest.fail "expected Empty_netlist"
 
+(* The name index stays consistent with the element list: after any
+   sequence of add/replace/remove/map_value (invalid steps raise and
+   are skipped, as a caller would), [find], [find_exn] and [mem] agree
+   with a scan of [elements] for every name in play. *)
+type op = Add of int * float | Replace of int * float | Remove of int | Scale of int * float
+
+let op_gen =
+  QCheck2.Gen.(
+    let name = int_bound 7 and value = float_range 1.0 1e4 in
+    oneof
+      [
+        map2 (fun k v -> Add (k, v)) name value;
+        map2 (fun k v -> Replace (k, v)) name value;
+        map (fun k -> Remove k) name;
+        map2 (fun k v -> Scale (k, v)) name value;
+      ])
+
+let element k v =
+  let name = Printf.sprintf "E%d" k in
+  if k land 1 = 0 then Element.Resistor { name; n1 = "a"; n2 = "0"; value = v }
+  else Element.Capacitor { name; n1 = "a"; n2 = "b"; value = v }
+
+let prop_index_consistent =
+  QCheck2.Test.make ~name:"name index agrees with a scan of the elements" ~count:300
+    QCheck2.Gen.(list_size (int_bound 40) op_gen)
+    (fun ops ->
+      let step n op =
+        try
+          match op with
+          | Add (k, v) -> Netlist.add (element k v) n
+          | Replace (k, v) -> Netlist.replace (element k v) n
+          | Remove k -> Netlist.remove (Printf.sprintf "E%d" k) n
+          | Scale (k, v) -> Netlist.map_value ~name:(Printf.sprintf "E%d" k) ~f:(( *. ) v) n
+        with Invalid_argument _ | Not_found -> n
+      in
+      let n = List.fold_left step (Netlist.empty ()) ops in
+      List.for_all
+        (fun k ->
+          let name = Printf.sprintf "E%d" k in
+          let scan = List.find_opt (fun e -> Element.name e = name) (Netlist.elements n) in
+          Netlist.find n name = scan
+          && Netlist.mem n name = Option.is_some scan
+          && (match Netlist.find_exn n name with
+             | e -> Some e = scan
+             | exception Not_found -> scan = None))
+        (List.init 8 Fun.id))
+
 let suite =
   [
     Alcotest.test_case "builder" `Quick test_builder;
@@ -138,4 +185,5 @@ let suite =
     Alcotest.test_case "validate missing sense" `Quick test_validate_missing_sense;
     Alcotest.test_case "validate self loop" `Quick test_validate_self_loop;
     Alcotest.test_case "validate empty" `Quick test_validate_empty;
+    QCheck_alcotest.to_alcotest prop_index_consistent;
   ]

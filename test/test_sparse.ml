@@ -450,12 +450,28 @@ let test_leapfrog_round_off_views () =
       end)
     (Multiconfig.Transform.test_configurations dft)
 
+(* The Markowitz search's pivot order and fill are pinned: every case
+   of {!Markowitz_cases} must reproduce its fixture line exactly, so a
+   change to the search's data structures cannot move a pivot. *)
+let test_markowitz_order () =
+  let expected =
+    In_channel.with_open_text (Cli.fixture "markowitz_order.txt") In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let actual = List.map Markowitz_cases.render (Markowitz_cases.cases ()) in
+  Alcotest.(check int) "case count" (List.length expected) (List.length actual);
+  List.iter2
+    (fun e a -> Alcotest.(check string) "pivot order and L/U pattern" e a)
+    expected actual
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
     ("pattern-slot", `Quick, test_pattern_slot);
     ("singular-zero-column", `Quick, test_singular_zero_column);
     ("refactor-reuse", `Quick, test_refactor_reuse);
+    ("markowitz order pinned", `Quick, test_markowitz_order);
     q prop_solve;
     q prop_determinant;
     q prop_block_bitwise;
