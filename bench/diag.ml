@@ -41,7 +41,7 @@ let row ~ppd b =
     (Cover.Solver.greedy
        (Cover.Clause.of_matrix ~n:2 t.P.input.Mcdft_core.Optimizer.detect));
   let traj = T.of_pipeline t in
-  List.iter (fun f -> ignore (T.classify traj (T.simulate traj f))) (T.faults traj);
+  List.iteri (fun j _ -> ignore (T.classify traj (T.signature traj j))) (T.faults traj);
   let snap = Obs.Metrics.snapshot () in
   Obs.Metrics.set_enabled false;
   Obs.Metrics.reset ();

@@ -1136,9 +1136,9 @@ let diagnose_cmd =
                 f.Fault.id v.T.fault.Fault.id
         | None, true, None ->
             let exact = ref 0 and via_set = ref 0 and missed = ref [] in
-            List.iter
-              (fun f ->
-                let v = T.classify ?tolerance traj (T.simulate traj f) in
+            List.iteri
+              (fun j (f : Fault.t) ->
+                let v = T.classify ?tolerance traj (T.signature traj j) in
                 if v.T.fault.Fault.id = f.Fault.id then incr exact
                 else if List.exists (fun g -> g.Fault.id = f.Fault.id) v.T.ambiguous
                 then begin
@@ -1214,8 +1214,9 @@ let diagnose_cmd =
       value & flag
       & info [ "simulate-all" ]
           ~doc:
-            "Self-test every fault in the universe; exits non-zero if any fault is \
-             classified outside its ambiguity set.")
+            "Self-test every fault in the universe: classify the trajectory the \
+             campaign recorded for it; exits non-zero if any fault is classified \
+             outside its ambiguity set.")
   in
   let observe_opt =
     Arg.(

@@ -537,10 +537,11 @@ let n_detect (s : Gen.subject) =
 
 (* --- diagnosis: trajectory self-test round-trip -------------------- *)
 
-(* For every fault in the universe, the trajectory its own simulator
-   produces must classify back to that fault — or land in an ambiguity
-   set containing it, when another fault's trajectory collides within
-   the tolerance envelope. *)
+(* For every fault in the universe, the trajectory a one-fault campaign
+   produces ({!Diagnosis.Trajectory.simulate}) must classify back to
+   that fault in the dictionary the whole campaign recorded — or land
+   in an ambiguity set containing it, when another fault's trajectory
+   collides within the tolerance envelope. *)
 let diagnosis (s : Gen.subject) =
   let faults = Fault.both_deviations s.netlist in
   if faults = [] then Skip "no deviation faults to diagnose"
@@ -557,45 +558,9 @@ let diagnosis (s : Gen.subject) =
             center_hz = 1_000.0;
           }
         in
-        (* The campaign solves each live view's output cone, the
-           trajectory engines the whole view. Only a view whose whole
-           system is singular while its cone's is not excuses a
-           trajectory build that raises (the dictionary is as
-           unbuildable as before the campaign solved cones); any other
-           raise fails the case. *)
-        let singular_outside_cone (p : Mcdft_core.Pipeline.t) =
-          let freqs_hz = Grid.freqs_hz p.Mcdft_core.Pipeline.grid in
-          Array.to_list p.Mcdft_core.Pipeline.matrix.Matrix.views
-          |> List.find_map (fun (v : Matrix.view) ->
-                 let st = Detect.structure ~faults v.Matrix.probe v.Matrix.netlist in
-                 let create n =
-                   Fastsim.create ~source:s.source ~output:v.Matrix.probe.Detect.output
-                     ~freqs_hz n
-                 in
-                 if Detect.structure_dead st || Detect.engine_netlist st == v.Matrix.netlist
-                 then None
-                 else
-                   match create v.Matrix.netlist with
-                   | _ -> None
-                   | exception Mna.Ac.Singular_circuit _ -> (
-                       match create (Detect.engine_netlist st) with
-                       | _ -> Some v.Matrix.label
-                       | exception Mna.Ac.Singular_circuit _ -> None))
-        in
         match Mcdft_core.Pipeline.run ~points_per_decade:3 ~faults ~jobs:1 b with
         | exception Mna.Ac.Singular_circuit msg -> Error msg
-        | p -> (
-            match Diagnosis.Trajectory.of_pipeline p with
-            | t -> Ok t
-            | exception (Mna.Ac.Singular_circuit msg as e) -> (
-                match singular_outside_cone p with
-                | Some label ->
-                    Error
-                      (Printf.sprintf
-                         "%s (view %s is singular only outside the output cone the \
-                          campaign solves; the trajectory engines solve whole views)"
-                         msg label)
-                | None -> raise e))
+        | p -> Ok (Diagnosis.Trajectory.of_pipeline p)
       else
         let views =
           List.map
@@ -714,7 +679,7 @@ let certify_soundness (s : Gen.subject) =
               (fun (fault, cell) ->
                 Option.bind cell (fun bytes ->
                     let plan = Detect.plan_fault pv fault in
-                    let verdicts, _ = Detect.score_row pv plan in
+                    let verdicts, _, _ = Detect.score_row pv plan in
                     let bad = ref None in
                     for k = nf - 1 downto 0 do
                       let b = Bytes.get bytes k in

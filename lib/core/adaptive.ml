@@ -31,17 +31,21 @@ let campaign ?criterion ?(jobs = 1) grid views faults =
      structural anchors, the engine on the view's output cone, envelope
      thresholds — a dead view builds nothing), plan its faults, score
      every (view × fault) row with one engine call
-     ({!Detect.score_row}), keep the verdict bytes and per-row solve
-     counts, and release the engine to the pool. Every workspace of the
-     pool is sized for the campaign's largest engine, so at most [jobs]
-     are ever allocated; work-stealing balances views whose cost
-     differs, and the pool's storage is dropped with the campaign.
-     Counters are booked sequentially in phase 3. *)
+     ({!Detect.score_row}), keep the verdict bytes, deviation rows and
+     per-row solve counts, and release the engine to the pool. Every
+     workspace of the pool is sized for the campaign's largest engine,
+     so at most [jobs] are ever allocated; work-stealing balances views
+     whose cost differs, and the pool's storage is dropped with the
+     campaign. Counters are booked sequentially in phase 3. *)
   let pool =
     Testability.Fastsim.pool
       ~dim:(Array.fold_left (fun a s -> Int.max a (Detect.engine_dim s)) 0 structures)
   in
   let verdict_rows = Array.make_matrix n m Bytes.empty in
+  (* Every masked row records zeros: rows that solve nothing share one
+     all-zero array. *)
+  let deviation_rows = Array.make_matrix n m (Array.make nf 0.0) in
+  let view_nominal = Array.make n [||] in
   let row_solved = Array.make_matrix n m 0 in
   let view_isolated = Array.make n 0 in
   let view_dead = Array.make n false in
@@ -74,18 +78,21 @@ let campaign ?criterion ?(jobs = 1) grid views faults =
       let plans = Array.map (Detect.plan_fault pv) faults in
       end_prepare ();
       view_dead.(i) <- Detect.view_dead pv;
+      view_nominal.(i) <- Detect.measured_nominal pv;
       view_fallback.(i) <- Detect.view_fallback pv;
       view_isolated.(i) <-
         Array.fold_left (fun a p -> if Detect.plan_isolated p then a + 1 else a) 0 plans;
       Array.iteri
         (fun j plan ->
-          let v, solved = Detect.score_row pv plan in
+          let v, deviations, solved = Detect.score_row pv plan in
           verdict_rows.(i).(j) <- v;
+          if solved > 0 then deviation_rows.(i).(j) <- deviations;
           row_solved.(i).(j) <- solved)
         plans);
   (* Phase 3 — sequential reduce and counter booking, in row order:
      the matrix and the campaign.* totals are jobs-deterministic. The
-     verdict rows stay in the matrix as its per-point record. *)
+     verdict and deviation rows stay in the matrix as its per-point
+     records. *)
   let detect = Array.make_matrix n m false in
   let omega = Array.make_matrix n m 0.0 in
   let solved = ref 0 in
@@ -105,7 +112,15 @@ let campaign ?criterion ?(jobs = 1) grid views faults =
   if dead_views > 0 then Obs.Metrics.incr ~by:dead_views "campaign.dead_views";
   let fallbacks = Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 view_fallback in
   if fallbacks > 0 then Obs.Metrics.incr ~by:fallbacks "campaign.cone_fallbacks";
-  ( { Matrix.views; faults; detect; omega; verdicts = verdict_rows },
+  ( {
+      Matrix.views;
+      faults;
+      detect;
+      omega;
+      verdicts = verdict_rows;
+      deviations = deviation_rows;
+      nominal = view_nominal;
+    },
     { points = n * m * nf; solved = !solved; bisections = 0 } )
 
 let build ?criterion ?jobs grid views faults =

@@ -59,7 +59,9 @@ val build :
     block-warmed), plans its faults,
     scores every (view × fault) row with one
     {!Testability.Detect.score_row} call, keeps the verdict bytes
-    ({!Testability.Matrix.verdicts}) and per-row solve counts, and
+    ({!Testability.Matrix.verdicts}), the deviation rows
+    ({!Testability.Matrix.deviations}), the view's measured nominal
+    ({!Testability.Matrix.nominal}) and per-row solve counts, and
     releases the engine. A
     fault's back-solve column is solved the first time a point reads it
     at that frequency. [jobs] > 1 spreads the view tasks over that many

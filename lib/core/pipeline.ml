@@ -150,7 +150,8 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
   in
   (* Expand back to the full view list: row i is a copy of its
      representative's row, so the matrix is indistinguishable from an
-     unpruned build. The verdict bytes are shared, never mutated. *)
+     unpruned build. The verdict bytes, deviation rows and nominal rows
+     are shared, never mutated. *)
   let expand rows = Array.init n_views (fun i -> Array.copy rows.(rep_of.(i))) in
   let matrix =
     {
@@ -159,6 +160,8 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
       detect = expand rep_matrix.Testability.Matrix.detect;
       omega = expand rep_matrix.Testability.Matrix.omega;
       verdicts = expand rep_matrix.Testability.Matrix.verdicts;
+      deviations = expand rep_matrix.Testability.Matrix.deviations;
+      nominal = Array.init n_views (fun i -> rep_matrix.Testability.Matrix.nominal.(rep_of.(i)));
     }
   in
   let omega_percent =

@@ -1,116 +1,82 @@
 module Detect = Testability.Detect
 module Matrix = Testability.Matrix
-module Fastsim = Testability.Fastsim
 module Grid = Testability.Grid
 module Pipeline = Mcdft_core.Pipeline
+module Adaptive = Mcdft_core.Adaptive
 
 type t = {
-  labels : string array;
-  freqs_hz : float array;
+  grid : Grid.t;
+  views : Matrix.view list;
   faults : Fault.t array;
-  engines : Fastsim.t array;
-  nominal_mag : float array array;
+  nominal_mag : float array;
   signatures : float array array;
   tolerance : float;
 }
 
-(* A singular faulty system has no finite response; clamp its deviation
-   to a large constant so the point stays comparable (and maximally
-   distinct from any healthy trajectory). *)
-let singular_deviation = 1e3
-let magnitude_floor = 1e-12
-
-let n_measurements t = Array.length t.labels * Array.length t.freqs_hz
+let n_measurements t = Array.length t.nominal_mag
 let faults t = Array.to_list t.faults
-let labels t = Array.to_list t.labels
+let labels t = List.map (fun v -> v.Matrix.label) t.views
 let signature t j = Array.copy t.signatures.(j)
 
-let signature_into ~engines ~nominal_mag ~nf fault out =
-  Array.iteri
-    (fun vi e ->
-      let plan = Fastsim.plan_of e fault in
-      let re = Array.make nf 0.0 and im = Array.make nf 0.0 in
-      let ok = Bytes.make nf '\000' in
-      Fastsim.response_into e plan ~skip:(Bytes.make nf '\000') ~re ~im ~ok;
-      for k = 0 to nf - 1 do
-        let nom = nominal_mag.(vi).(k) in
-        let dev =
-          if Bytes.get ok k = '\001' then
-            (Float.hypot re.(k) im.(k) -. nom) /. Float.max nom magnitude_floor
-          else singular_deviation
-        in
-        out.((vi * nf) + k) <- dev
-      done)
-    engines
+(* Fault j's recorded deviation rows over views [rows] of [m],
+   view-major. *)
+let trajectory (m : Matrix.t) rows j =
+  Array.concat (List.map (fun i -> m.Matrix.deviations.(i).(j)) rows)
 
-let build ?(tolerance = 0.02) grid views faults =
-  Obs.Trace.span "diagnosis.build" @@ fun () ->
-  if tolerance < 0.0 then invalid_arg "Trajectory.build: tolerance must be >= 0";
-  let views = Array.of_list views in
-  if Array.length views = 0 then invalid_arg "Trajectory.build: no views";
-  let faults = Array.of_list faults in
-  let freqs_hz = Grid.freqs_hz grid in
-  let nf = Array.length freqs_hz in
-  let engines =
-    Array.map
-      (fun v ->
-        Fastsim.create ~source:v.Matrix.probe.Detect.source
-          ~output:v.Matrix.probe.Detect.output ~freqs_hz v.Matrix.netlist)
-      views
-  in
-  (* Every trajectory reads its fault's column at every frequency, so
-     one block back-solve per frequency fills each engine's cache up
-     front. A shortcut only: an engine solves a missing column on
-     first read. *)
-  let fault_list = Array.to_list faults in
-  Array.iter (fun e -> Fastsim.warm_cache e fault_list) engines;
-  let nominal_mag = Array.map (fun e -> Array.map Complex.norm (Fastsim.nominal e)) engines in
-  let nv = Array.length views in
-  let signatures =
-    Array.map
-      (fun f ->
-        let s = Array.make (nv * nf) 0.0 in
-        signature_into ~engines ~nominal_mag ~nf f s;
-        s)
-      faults
-  in
+(* The dictionary over views [rows] of a campaign's matrix: every
+   trajectory is the campaign's own record, nothing is simulated. *)
+let of_matrix ~tolerance grid (m : Matrix.t) rows =
+  let faults = m.Matrix.faults in
   Obs.Metrics.incr "diagnosis.trajectories_built" ~by:(Array.length faults);
   {
-    labels = Array.map (fun v -> v.Matrix.label) views;
-    freqs_hz;
+    grid;
+    views = List.map (fun i -> m.Matrix.views.(i)) rows;
     faults;
-    engines;
-    nominal_mag;
-    signatures;
+    nominal_mag = Array.concat (List.map (fun i -> m.Matrix.nominal.(i)) rows);
+    signatures = Array.mapi (fun j _ -> trajectory m rows j) faults;
     tolerance;
   }
 
-let of_pipeline ?tolerance ?configs (p : Pipeline.t) =
-  let all_views = p.Pipeline.matrix.Matrix.views in
-  let views =
+(* The deviation rows do not depend on the criterion, and the fixed one
+   builds no envelope. *)
+let campaign grid views faults =
+  fst (Adaptive.build ~criterion:Detect.default_criterion grid views faults)
+
+let check ~tolerance ~n_views =
+  if tolerance < 0.0 then invalid_arg "Trajectory.build: tolerance must be >= 0";
+  if n_views = 0 then invalid_arg "Trajectory.build: no views"
+
+let build ?(tolerance = 0.02) grid views faults =
+  Obs.Trace.span "diagnosis.build" @@ fun () ->
+  check ~tolerance ~n_views:(List.length views);
+  of_matrix ~tolerance grid
+    (campaign grid views faults)
+    (List.init (List.length views) Fun.id)
+
+let of_pipeline ?(tolerance = 0.02) ?configs (p : Pipeline.t) =
+  Obs.Trace.span "diagnosis.build" @@ fun () ->
+  let n_views = Matrix.n_views p.Pipeline.matrix in
+  let rows =
     match configs with
-    | None -> Array.to_list all_views
+    | None -> List.init n_views Fun.id
     | Some cs ->
-        List.map
+        List.iter
           (fun c ->
-            if c < 0 || c >= Array.length all_views then
+            if c < 0 || c >= n_views then
               invalid_arg
-                (Printf.sprintf "Trajectory.of_pipeline: no test configuration C%d" c);
-            all_views.(c))
-          cs
+                (Printf.sprintf "Trajectory.of_pipeline: no test configuration C%d" c))
+          cs;
+        cs
   in
-  build ?tolerance p.Pipeline.grid views p.Pipeline.faults
+  check ~tolerance ~n_views:(List.length rows);
+  of_matrix ~tolerance p.Pipeline.grid p.Pipeline.matrix rows
 
 let simulate t fault =
   Obs.Trace.span "diagnosis.simulate" @@ fun () ->
-  let nf = Array.length t.freqs_hz in
-  let s = Array.make (n_measurements t) 0.0 in
-  signature_into ~engines:t.engines ~nominal_mag:t.nominal_mag ~nf fault s;
-  s
+  let m = campaign t.grid t.views [ fault ] in
+  trajectory m (List.init (List.length t.views) Fun.id) 0
 
-let nominal_magnitudes t =
-  let nf = Array.length t.freqs_hz in
-  Array.init (n_measurements t) (fun i -> t.nominal_mag.(i / nf).(i mod nf))
+let nominal_magnitudes t = Array.copy t.nominal_mag
 
 let deviations_of_magnitudes t mags =
   if Array.length mags <> n_measurements t then
@@ -118,11 +84,10 @@ let deviations_of_magnitudes t mags =
       (Printf.sprintf
          "Trajectory.deviations_of_magnitudes: expected %d measurements, got %d"
          (n_measurements t) (Array.length mags));
-  let nf = Array.length t.freqs_hz in
   Array.mapi
     (fun i m ->
-      let nom = t.nominal_mag.(i / nf).(i mod nf) in
-      (m -. nom) /. Float.max nom magnitude_floor)
+      let nominal = t.nominal_mag.(i) in
+      if nominal = 0.0 then 0.0 else Detect.signed_deviation ~nominal m)
     mags
 
 (* RMS distance between two deviation trajectories. *)

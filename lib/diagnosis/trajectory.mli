@@ -10,14 +10,21 @@
     whose trajectories collide within a tolerance envelope form
     ambiguity sets that no tester on this measurement set can separate.
 
-    Trajectories are simulated over the planar {!Testability.Fastsim}
-    plans (one engine per view, warmed once), so building a dictionary
-    for a 7-view, tens-of-faults circuit costs one campaign. *)
+    Nothing here simulates: a trajectory is the campaign's own record
+    ({!Testability.Matrix.deviations}, written by
+    {!Testability.Detect.score_row} beside each verdict row, on the
+    view's output-cone engine). A point the campaign masks — below the
+    measurement floor, on a dead or numerically dead view, or in an
+    isolated fault's row — carries no measurement and reads 0; a point
+    where the faulty system is singular reads 1e3. Building a
+    dictionary from a pipeline costs no solve; {!build} and {!simulate}
+    run a campaign of their own. *)
 
 type t
-(** A precomputed trajectory dictionary: per-fault deviation
-    trajectories over a fixed (view × frequency) measurement set, plus
-    the warmed simulation engines for {!simulate}. *)
+(** A trajectory dictionary: per-fault deviation trajectories over a
+    fixed (view × frequency) measurement set, the nominal magnitudes
+    they were taken against, and the views {!simulate} runs its
+    campaign over. *)
 
 val build :
   ?tolerance:float ->
@@ -25,19 +32,25 @@ val build :
   Testability.Matrix.view list ->
   Fault.t list ->
   t
-(** [build grid views faults] simulates every fault in every view.
-    [tolerance] (default 0.02) is the RMS deviation envelope within
-    which two trajectories count as colliding — the default for
-    {!classify} and {!ambiguity_sets}. Raises
-    {!Mna.Ac.Singular_circuit} if a view's nominal system is singular,
+(** [build grid views faults] runs the fault-simulation campaign over
+    every view ([Mcdft_core.Adaptive.build] under
+    {!Testability.Detect.default_criterion}: the deviation rows do not
+    depend on the criterion, and a fixed one builds no envelope) and
+    keeps its deviation rows. [tolerance] (default 0.02) is the RMS
+    deviation envelope within which two trajectories count as
+    colliding — the default for {!classify} and {!ambiguity_sets}.
+    Raises {!Mna.Ac.Singular_circuit} where the campaign does (a live
+    view whose cone system and whole system are both singular),
     {!Fault.Unknown_element} if a fault names an element absent from
     some view, and [Invalid_argument] on an empty view list or a
     negative tolerance. *)
 
 val of_pipeline : ?tolerance:float -> ?configs:int list -> Mcdft_core.Pipeline.t -> t
-(** Build over a pipeline's test-configuration views (default: all of
-    C₀ … C_{2ⁿ-2}; [configs] selects a subset by index, e.g. an
-    optimized cover). *)
+(** The dictionary over a pipeline's test-configuration views (default:
+    all of C₀ … C_{2ⁿ-2}; [configs] selects a subset by index, e.g. an
+    optimized cover), read from the pipeline's matrix without a solve.
+    Raises [Invalid_argument] on an index out of range, an empty
+    subset or a negative tolerance. *)
 
 val n_measurements : t -> int
 (** Measurements per trajectory: views × grid frequencies. *)
@@ -50,20 +63,22 @@ val signature : t -> int -> float array
 
 val simulate : t -> Fault.t -> float array
 (** The trajectory a given fault would produce on this measurement set
-    — the "tester side" for closed-loop self-tests. The fault need not
-    be in the dictionary. Raises {!Fault.Unknown_element} when the
-    fault's element is absent. *)
+    — the "tester side" for closed-loop self-tests: a one-fault
+    campaign over the dictionary's views, with the dictionary's mask.
+    The fault need not be in the dictionary. Raises
+    {!Fault.Unknown_element} when the fault's element is absent. *)
 
 val nominal_magnitudes : t -> float array
-(** The fault-free [|H|] at every measurement point (view-major,
-    frequency-minor) — the reference a tester compares its logged
-    magnitudes against. *)
+(** The recorded fault-free [|H|] at every measurement point
+    (view-major, frequency-minor), 0 at every masked point — the
+    reference a tester compares its logged magnitudes against. *)
 
 val deviations_of_magnitudes : t -> float array -> float array
 (** Convert observed magnitudes [|H|] (view-major, frequency-minor, as
     a tester would log them) into the signed relative deviations
-    {!classify} consumes. Raises [Invalid_argument] on a length
-    mismatch. *)
+    {!classify} consumes, 0 wherever the recorded nominal is 0: a
+    tester's log is masked exactly as the dictionary is. Raises
+    [Invalid_argument] on a length mismatch. *)
 
 val distance : float array -> float array -> float
 (** RMS distance between two equal-length trajectories. *)

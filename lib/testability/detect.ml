@@ -21,13 +21,15 @@ let default_tolerance = 0.10
 let default_criterion = Fixed_tolerance default_tolerance
 
 (* The two deviation measures of a faulty response [re + j·im] against
-   the nominal [t0]. The faulty response comes in planar parts so the
-   campaign's row scorer never boxes it; [Float.hypot] and [atan2]
-   are exactly [Complex.norm] and [Complex.arg]. *)
+   the nominal [t0], whose magnitudes [m0 = |t0|] and [mf = |re + j·im|]
+   the caller passes in. The faulty response comes in planar parts so
+   the campaign's row scorer never boxes it, and it takes each
+   magnitude once per point for every sub-criterion and the deviation
+   row; [Float.hypot] and [atan2] are exactly [Complex.norm] and
+   [Complex.arg]. *)
 type measure = Magnitude | Phase
 
-let[@inline] deviation measure (t0 : Complex.t) re im =
-  let m0 = Float.hypot t0.re t0.im and mf = Float.hypot re im in
+let[@inline] deviation measure (t0 : Complex.t) ~m0 ~mf re im =
   match measure with
   | Magnitude ->
       if m0 = 0.0 then if mf = 0.0 then 0.0 else infinity
@@ -39,7 +41,9 @@ let[@inline] deviation measure (t0 : Complex.t) re im =
         if d > Float.pi then (2.0 *. Float.pi) -. d else d
       end
 
-let deviation_of measure t0 (tf : Complex.t) = deviation measure t0 tf.re tf.im
+let deviation_of measure (t0 : Complex.t) (tf : Complex.t) =
+  let m0 = Float.hypot t0.re t0.im and mf = Float.hypot tf.re tf.im in
+  deviation measure t0 ~m0 ~mf tf.re tf.im
 
 let response_deviation ~nominal ~faulty =
   if Array.length nominal <> Array.length faulty then
@@ -244,6 +248,7 @@ let rec prepare_raw ~respond ~drifting criterion grid netlist ~nominal =
 type prepared_view = {
   sim : Fastsim.t option;
   nominal : Complex.t array;
+  nominal_mag : float array;  (* |nominal| *)
   subs : prepared_one array;
   structure : structure;
   mask : Bytes.t;
@@ -257,7 +262,8 @@ let view_of ~respond ~structure ~sim ~fallback ~mask criterion grid ~nominal =
     Array.of_list
       (prepare_raw ~respond ~drifting criterion grid structure.netlist ~nominal)
   in
-  { sim; nominal; subs; structure; mask; fallback }
+  let nominal_mag = Array.map (fun (t0 : Complex.t) -> Float.hypot t0.re t0.im) nominal in
+  { sim; nominal; nominal_mag; subs; structure; mask; fallback }
 
 (* The rest of a view's preparation once its engine exists. *)
 let live_view ~criterion ~structure grid ~fallback sim =
@@ -423,35 +429,51 @@ let plan_isolated = function Isolated -> true | Dead | Live _ -> false
 (* A dead view's mask covers every point. *)
 let below_floor pv k = Bytes.get pv.mask k = '\001'
 
+let signed_deviation ~nominal m = (m -. nominal) /. Float.max nominal 1e-12
+
+(* A singular faulty system has no finite response; its recorded
+   deviation is a large constant, so the point stays comparable (and
+   maximally distinct from any healthy trajectory). *)
+let singular_deviation = 1e3
+
+let measured_nominal pv =
+  Array.mapi (fun k m0 -> if below_floor pv k then 0.0 else m0) pv.nominal_mag
+
 (* The campaign's one static rule: an isolated fault, a dead view and a
    point below the measurement floor are undetectable by definition;
    the engine solves every other point of the row in one call. *)
 let score_row pv plan =
   let nf = Array.length pv.nominal in
   match plan with
-  | Isolated | Dead -> (Bytes.make nf 'u', 0)
+  | Isolated | Dead -> (Bytes.make nf 'u', Array.make nf 0.0, 0)
   | Live p ->
       let re = Array.make nf 0.0 and im = Array.make nf 0.0 in
       let ok = Bytes.make nf '\000' in
       Fastsim.response_into (Option.get pv.sim) p ~skip:pv.mask ~re ~im ~ok;
-      let verdicts = Bytes.make nf 'u' and solved = ref 0 in
+      let verdicts = Bytes.make nf 'u' and deviations = Array.make nf 0.0 in
+      let solved = ref 0 in
       for k = 0 to nf - 1 do
         if not (below_floor pv k) then begin
           incr solved;
           (* A failed solve is detectable — the response is wildly
              wrong, not merely deviated. *)
-          if Bytes.get ok k = '\000' then Bytes.set verdicts k 'd'
+          if Bytes.get ok k = '\000' then begin
+            Bytes.set verdicts k 'd';
+            deviations.(k) <- singular_deviation
+          end
           else begin
             let re = re.(k) and im = im.(k) and t0 = pv.nominal.(k) in
+            let m0 = pv.nominal_mag.(k) and mf = Float.hypot re im in
+            deviations.(k) <- signed_deviation ~nominal:m0 mf;
             for j = 0 to Array.length pv.subs - 1 do
               let p = pv.subs.(j) in
-              if deviation p.measure t0 re im > p.thresholds.(k) then
+              if deviation p.measure t0 ~m0 ~mf re im > p.thresholds.(k) then
                 Bytes.set verdicts k 'd'
             done
           end
         end
       done;
-      (verdicts, !solved)
+      (verdicts, deviations, !solved)
 
 let result_of_verdicts grid fault verdicts =
   if Bytes.length verdicts <> Grid.n_points grid then

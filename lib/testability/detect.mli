@@ -229,18 +229,31 @@ val below_floor : prepared_view -> int -> bool
     fault that is not isolated: the view is dead, or the point's
     nominal response sits below the view's measurement floor. *)
 
-val score_row : prepared_view -> plan -> Bytes.t * int
+val score_row : prepared_view -> plan -> Bytes.t * float array * int
 (** Decide every grid point of one fault's row: the verdict bytes (one
-    per grid point, ['d'] or ['u']) and the number of points solved. A
-    fault on an isolated passive, and any fault of a dead view, gives
-    all ['u'] with no solve and without touching an engine. Otherwise
-    one {!Fastsim.response_into} call solves the row, skipping the
-    points {!below_floor}, which are ['u']; a solved point is ['d']
-    when some prepared sub-criterion's deviation exceeds its threshold
-    or the solve fails (singular faulty system), ['u'] otherwise. No
-    verdict is inferred from a neighbouring point. Verdicts reduce
-    through {!result_of_verdicts} to exactly {!analyze}'s results.
-    Safe to call from several domains on one view. *)
+    per grid point, ['d'] or ['u']), the signed magnitude deviation row
+    and the number of points solved. A fault on an isolated passive,
+    and any fault of a dead view, gives all ['u'] and an all-zero
+    deviation row with no solve and without touching an engine.
+    Otherwise one {!Fastsim.response_into} call solves the row,
+    skipping the points {!below_floor}, which are ['u'] with deviation
+    0; a solved point is ['d'] when some prepared sub-criterion's
+    deviation exceeds its threshold or the solve fails (singular faulty
+    system), ['u'] otherwise. Its deviation is
+    {!signed_deviation} of the faulty [|H|] against the nominal, or
+    1e3 where the solve fails. No verdict is inferred from a
+    neighbouring point. Verdicts reduce through {!result_of_verdicts}
+    to exactly {!analyze}'s results; the deviations do not depend on
+    the criterion. Safe to call from several domains on one view. *)
+
+val signed_deviation : nominal:float -> float -> float
+(** [signed_deviation ~nominal m] is [(m − nominal) / max nominal 1e-12]:
+    the signed relative magnitude deviation of a faulty [|H| = m] from
+    the nominal [|H|], as {!score_row} records it. *)
+
+val measured_nominal : prepared_view -> float array
+(** The nominal [|H|] at every grid point, 0 at the points
+    {!below_floor} — every point of a dead or numerically dead view. *)
 
 val result_of_verdicts : Grid.t -> Fault.t -> Bytes.t -> result
 (** Reduce a verdict row (one byte per grid point, ['d'] where the

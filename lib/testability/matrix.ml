@@ -8,6 +8,8 @@ type t = {
   detect : bool array array;
   omega : float array array;
   verdicts : Bytes.t array array;
+  deviations : float array array array;
+  nominal : float array array;
 }
 
 let n_views t = Array.length t.views

@@ -26,6 +26,21 @@ type t = {
           {!Detect.result_of_verdicts} reduction, and the test planner
           and the fault dictionary read it instead of simulating
           again. *)
+  deviations : float array array array;
+      (** [deviations.(i).(j)]: fault j's signed magnitude deviation
+          row in view i, one float per grid point — the deviation row
+          {!Detect.score_row} returned beside the verdicts, 0 at every
+          masked point (below the floor, a dead or numerically dead
+          view, an isolated fault's row). The campaign's per-point
+          analog record: the trajectory dictionary reads it instead of
+          simulating again. Rows are shared between views of one cone
+          class, and every row that solved no point is one shared
+          all-zero array: never mutate one. *)
+  nominal : float array array;
+      (** [nominal.(i)]: view i's fault-free [|H|] at every grid point,
+          0 at its masked points ({!Detect.measured_nominal}) — the
+          reference a tester's logged magnitudes are compared against.
+          Shared between views of one cone class. *)
 }
 
 val n_views : t -> int

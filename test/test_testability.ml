@@ -235,13 +235,19 @@ let suite =
 (* --- the campaign's row scorer --- *)
 
 (* Score one row through [Detect.score_row] and check its contract:
-   one 'd' or 'u' per point, 'u' below the measurement floor, and one
-   solve per point above it unless the row is isolated or the view
-   dead. Returns the (solved, detected) point counts. *)
+   one 'd' or 'u' per point, 'u' and deviation 0 below the measurement
+   floor, and one solve per point above it unless the row is isolated
+   or the view dead. Returns the (solved, detected) point counts. *)
 let check_row what pv plan grid =
-  let verdicts, solved = Detect.score_row pv plan in
+  let verdicts, deviations, solved = Detect.score_row pv plan in
   let nf = Grid.n_points grid in
   Alcotest.(check int) (what ^ ": one verdict per point") nf (Bytes.length verdicts);
+  Alcotest.(check int) (what ^ ": one deviation per point") nf (Array.length deviations);
+  Array.iteri
+    (fun k d ->
+      if (Detect.below_floor pv k || Detect.plan_isolated plan) && d <> 0.0 then
+        Alcotest.failf "%s, point %d: masked, deviation %g" what k d)
+    deviations;
   let detected = ref 0 and open_points = ref 0 in
   Bytes.iteri
     (fun k b ->
