@@ -218,14 +218,6 @@ let fault_kind_opt =
        & info [ "faults" ] ~docv:"KIND"
            ~doc:"Fault universe: deviation (+20%), both (±20%) or catastrophic.")
 
-let no_prune_flag =
-  Arg.(value & flag
-       & info [ "no-prune" ]
-           ~doc:"Simulate every test configuration even when several have \
-                 value-identical output-cone systems; by default one \
-                 representative per cone class is solved and its verdict rows \
-                 are replicated.")
-
 (* The coverage estimator needs a scalar magnitude threshold and a
    component spread; phase-only criteria expose neither. An envelope
    criterion contributes its floor — the tightest threshold it ever
@@ -297,29 +289,6 @@ let trace_opt =
        & info [ "trace" ] ~docv:"FILE"
            ~doc:"Write a Chrome-trace-format span timeline to $(docv); load it \
                  in chrome://tracing or https://ui.perfetto.dev.")
-
-(* ---- per-domain GC tuning for campaign subcommands ----
-
-   A campaign is a short-lived, allocation-aware batch job: the solver
-   hot path is allocation-free, but assembly, classification and
-   reporting still allocate, and with the stock 256 KiB minor heap
-   every worker domain triggers frequent minor collections — each of
-   which is a stop-the-world sync across *all* domains. A larger
-   minor heap (4 MiB words here) makes those syncs rare, and a higher
-   space_overhead trades heap size for fewer major slices; both are
-   the right trade for a process that exits when the campaign ends.
-   Must run before the first Domain.spawn: a domain sizes its minor
-   heap when it starts. *)
-let gc_default_opt =
-  Arg.(value & flag
-       & info [ "gc-default" ]
-           ~doc:"Keep the OCaml runtime's default GC parameters instead of the \
-                 campaign tuning (larger per-domain minor heap, higher space \
-                 overhead).")
-
-let tune_gc ~gc_default =
-  if not gc_default then
-    Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 22; space_overhead = 200 }
 
 (* Enable the requested sinks, run, then write the files — also on the
    error path, so a failing campaign still leaves its partial trace. *)
@@ -822,16 +791,11 @@ let analyze_cmd =
           $ fault_kind_opt $ fault_element_opt)
 
 let matrix_cmd =
-  let run name source output criterion ppd fault_kind jobs gc_default no_prune
-      metrics trace =
+  let run name source output criterion ppd fault_kind jobs metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
-        tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
-        let t =
-          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs
-            ~prune:(not no_prune) b
-        in
+        let t = P.run ~criterion ~points_per_decade:ppd ~faults ~jobs b in
         let m = t.P.matrix in
         let fault_ids = Array.map (fun f -> f.Fault.id) m.Testability.Matrix.faults in
         let header = "" :: Array.to_list fault_ids in
@@ -869,20 +833,15 @@ let matrix_cmd =
   Cmd.v
     (Cmd.info "matrix" ~doc:"Fault detectability matrix over all test configurations")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ no_prune_flag
-          $ metrics_opt $ trace_opt)
+          $ fault_kind_opt $ jobs_opt $ metrics_opt $ trace_opt)
 
 let optimize_cmd =
-  let run name source output criterion ppd fault_kind jobs gc_default n_detect
-      no_prune json metrics trace =
+  let run name source output criterion ppd fault_kind jobs n_detect json
+      metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
-        tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
-        let t =
-          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs
-            ~prune:(not no_prune) b
-        in
+        let t = P.run ~criterion ~points_per_decade:ppd ~faults ~jobs b in
         let r = P.optimize ~n_detect t in
         if json then
           let snap =
@@ -991,21 +950,15 @@ let optimize_cmd =
     (Cmd.info "optimize"
        ~doc:"Ordered-requirements optimization of the multi-configuration DFT (Sec. 4)")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ n_detect_opt
-          $ no_prune_flag $ json_flag $ metrics_opt
+          $ fault_kind_opt $ jobs_opt $ n_detect_opt $ json_flag $ metrics_opt
           $ trace_opt)
 
 let testplan_cmd =
-  let run name source output criterion ppd fault_kind jobs gc_default no_prune
-      metrics trace =
+  let run name source output criterion ppd fault_kind jobs metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
-        tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
-        let t =
-          P.run ~criterion ~points_per_decade:ppd ~faults ~jobs
-            ~prune:(not no_prune) b
-        in
+        let t = P.run ~criterion ~points_per_decade:ppd ~faults ~jobs b in
         let plan = Mcdft_core.Test_plan.build t in
         print_string (Mcdft_core.Test_plan.to_string plan))
   in
@@ -1013,8 +966,7 @@ let testplan_cmd =
     (Cmd.info "testplan"
        ~doc:"Minimal (configuration, frequency) measurement schedule")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ no_prune_flag
-          $ metrics_opt $ trace_opt)
+          $ fault_kind_opt $ jobs_opt $ metrics_opt $ trace_opt)
 
 let sweep_cmd =
   let run name source output ppd csv =
@@ -1099,11 +1051,10 @@ let diagnose_cmd =
          (List.filteri (fun i _ -> i < show) v.T.ranking
          |> List.map (fun (f, d) -> Printf.sprintf "%s=%.3g" f.Fault.id d)))
   in
-  let run name source output criterion ppd fault_kind jobs gc_default tolerance
+  let run name source output criterion ppd fault_kind jobs tolerance
       configs simulate simulate_all observe metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
-        tune_gc ~gc_default;
         let faults = faults_of fault_kind b.Circuits.Benchmark.netlist in
         let t =
           P.run ~criterion ~points_per_decade:ppd ~faults ~jobs b
@@ -1234,15 +1185,14 @@ let diagnose_cmd =
          "Fault location by nearest response trajectory: ambiguity sets, \
           self-tests, and classification of observed responses")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ fault_kind_opt $ jobs_opt $ gc_default_opt $ tolerance_opt
+          $ fault_kind_opt $ jobs_opt $ tolerance_opt
           $ configs_opt $ simulate_opt $ simulate_all_flag $ observe_opt $ metrics_opt
           $ trace_opt)
 
 let blocks_cmd =
-  let run name source output criterion ppd jobs gc_default metrics trace =
+  let run name source output criterion ppd jobs metrics trace =
     with_observability ~metrics ~trace @@ fun () ->
     with_circuit name source output (fun b ->
-        tune_gc ~gc_default;
         let t = P.run ~criterion ~points_per_decade:ppd ~jobs b in
         let rows =
           List.map
@@ -1268,7 +1218,7 @@ let blocks_cmd =
     (Cmd.info "blocks"
        ~doc:"Embedded-block access: per-opamp coverage via the transparency mechanism")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_opt $ ppd_opt
-          $ jobs_opt $ gc_default_opt $ metrics_opt $ trace_opt)
+          $ jobs_opt $ metrics_opt $ trace_opt)
 
 let fuzz_cmd =
   (* "45", "45s" or "3m" *)

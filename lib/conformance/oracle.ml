@@ -284,16 +284,12 @@ let campaign ~jobs (s : Gen.subject) =
       (Mcdft_core.Adaptive.build ~jobs grid views
          (Fault.both_deviations s.netlist))
 
-(* Every counter but the ones that count how the schedule ran: the
-   scheduler's own activity (the parallel. prefix) and the engine
-   workspaces ([fastsim.workspace_allocs] — the campaign's pool makes
-   one more whenever views of one dimension overlap in time). *)
+(* Every counter but the one that counts how the schedule ran: the
+   engine workspaces ([fastsim.workspace_allocs] — the campaign's pool
+   makes one more whenever views of one dimension overlap in time). *)
 let schedule_invariant_counters snap =
   List.filter
-    (fun (name, _) ->
-      not
-        (String.starts_with ~prefix:"parallel." name
-        || name = "fastsim.workspace_allocs"))
+    (fun (name, _) -> name <> "fastsim.workspace_allocs")
     snap.Obs.Metrics.counters
 
 let jobs_invariance (s : Gen.subject) =

@@ -5,20 +5,6 @@ module Netlist = Circuit.Netlist
 
 type stats = { points : int; solved : int; bisections : int }
 
-(* Order-of-magnitude cost of one view task, in ns; it only feeds the
-   scheduler's sequential cutoff and chunk sizing. d is the dimension
-   of the engine the task builds (its output cone's, 0 for a dead
-   view). Per frequency: one factorization (d³); per envelope drift, a
-   block back-solve column and a rank-1 solve (~5d²); per fault, a
-   rank-1 solve at every point the measurement floor leaves open — its
-   column's back-solve plus, where the a-priori bound does not clear
-   the point, the O(d²) residual (~2d²). The floor is unknown before
-   the nominal sweep, so every point is charged. *)
-let view_ns ~nf ~faults ~sweeps structure =
-  let d = float_of_int (Detect.engine_dim structure) in
-  let drifts = sweeps *. float_of_int (Detect.drift_count structure) in
-  float_of_int nf *. d *. d *. (d +. (5.0 *. drifts) +. (2.0 *. float_of_int faults))
-
 let campaign ?criterion ?(jobs = 1) grid views faults =
   Obs.Trace.span "adaptive.build" @@ fun () ->
   let views = Array.of_list views in
@@ -34,8 +20,8 @@ let campaign ?criterion ?(jobs = 1) grid views faults =
      ({!Detect.score_row}), keep the verdict bytes, deviation rows and
      per-row solve counts, and release the engine to the pool. Every
      workspace of the pool is sized for the campaign's largest engine,
-     so at most [jobs] are ever allocated; work-stealing balances views
-     whose cost differs, and the pool's storage is dropped with the
+     so at most [jobs] are ever allocated; the shared cursor balances
+     views whose cost differs, and the pool's storage is dropped with the
      campaign. Counters are booked sequentially in phase 3. *)
   let pool =
     Testability.Fastsim.pool
@@ -50,17 +36,7 @@ let campaign ?criterion ?(jobs = 1) grid views faults =
   let view_isolated = Array.make n 0 in
   let view_dead = Array.make n false in
   let view_fallback = Array.make n false in
-  let est_ns =
-    let sweeps =
-      float_of_int
-        (List.length
-           (Detect.drift_tolerances
-              (Option.value criterion ~default:Detect.default_criterion)))
-    in
-    Util.Floatx.fold_range n ~init:0.0 ~f:(fun acc i ->
-        acc +. view_ns ~nf ~faults:m ~sweeps structures.(i))
-  in
-  Util.Parallel.for_ ~jobs ~est_ns n (fun i ->
+  Util.Parallel.for_ ~jobs n (fun i ->
       let view = views.(i) in
       (* The preparation — and only it — is the "adaptive.prepare" span;
          scoring runs directly under adaptive.build. *)

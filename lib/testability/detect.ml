@@ -181,7 +181,6 @@ let structure ?(faults = []) probe netlist =
 let structure_dead s = s.dead
 let engine_dim s = s.dim
 let engine_netlist s = Option.value s.cone ~default:s.netlist
-let drift_count s = List.length s.drifting
 
 (* What a cone class must share besides its system: every passive the
    engine can perturb, by name, with its value bits, its stamp pattern

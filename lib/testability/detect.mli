@@ -92,11 +92,6 @@ val default_tolerance : float
 val default_criterion : criterion
 (** [Fixed_tolerance default_tolerance]. *)
 
-val drift_tolerances : criterion -> float list
-(** The component tolerance of each envelope in the criterion, one per
-    envelope: a view's thresholds drift every passive that can reach
-    the output once per entry. Empty for fixed-threshold criteria. *)
-
 val response_deviation : nominal:Complex.t array -> faulty:Complex.t array -> float array
 (** Point-wise relative magnitude deviation | |Tf| - |T0| | / |T0|.
     Infinite when the nominal response is exactly zero at a point and
@@ -137,10 +132,6 @@ val engine_netlist : structure -> Netlist.t
 val engine_dim : structure -> int
 (** The MNA dimension of {!engine_netlist}; 0 for a dead view, which
     builds no engine. *)
-
-val drift_count : structure -> int
-(** The passives that can affect the output: the drifts of each
-    envelope. *)
 
 val passive_layout : structure -> string
 (** Every passive of {!engine_netlist} with its value bits, its stamp

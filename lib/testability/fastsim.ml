@@ -190,7 +190,7 @@ type freq_state = {
   omega : float;
   f_hz : float;
   solver : solver;
-  anorm : float;
+  anorm : float Atomic.t;  (* ‖A(jω)‖∞, nan until a point first reads it *)
   b : Bvec.t;
   bnorm : float;
   x0 : Bvec.t;
@@ -220,6 +220,23 @@ let solver_mul_vec_into fs ~x ~y =
   | Dense_solver { da; _ } -> Cmat.mul_vec_into da ~x ~y
   | Sparse_solver { spat; sre; sim_; _ } ->
       Csparse.mul_vec_into spat ~re:sre ~im:sim_ ~x ~y
+
+(* ‖A(jω)‖∞, taken at the first point that reads it, so an engine that
+   only reports its nominal (Monte-Carlo's sweeps) never pays the pass
+   over A. A(jω) is never written after the build, so domains racing
+   to fill it store the same value. *)
+let anorm fs =
+  let v = Atomic.get fs.anorm in
+  if not (Float.is_nan v) then v
+  else begin
+    let v =
+      match fs.solver with
+      | Dense_solver { da; _ } -> Cmat.norm_inf da
+      | Sparse_solver { spat; sre; sim_; _ } -> Csparse.norm_inf spat ~re:sre ~im:sim_
+    in
+    Atomic.set fs.anorm v;
+    v
+  end
 
 (* Materialize A(jω) into a dense workspace (the full-refactorization
    fallback's starting point). *)
@@ -464,7 +481,7 @@ let build ~acquire ?(backend = Auto) ~source ~output ~freqs_hz netlist =
                   omega;
                   f_hz;
                   solver = Dense_solver { da = a; dlu = lu };
-                  anorm = Cmat.norm_inf a;
+                  anorm = Atomic.make Float.nan;
                   b;
                   bnorm = Bvec.norm_inf b;
                   x0;
@@ -510,7 +527,7 @@ let build ~acquire ?(backend = Auto) ~source ~output ~freqs_hz netlist =
               omega;
               f_hz;
               solver = Sparse_solver { spat; sre; sim_; num };
-              anorm = Csparse.norm_inf spat ~re:sre ~im:sim_;
+              anorm = Atomic.make Float.nan;
               b;
               bnorm = Bvec.norm_inf b;
               x0;
@@ -1001,7 +1018,7 @@ let[@inline always] bound_clears fs ~slot (w : Bvec.t) (u : pat) ~out_idx ~al_re
     | None -> lower
     | Some oi -> Float.max lower (xf_lower x0 w ~coef_re ~coef_im oi)
   in
-  let thr = 1024.0 *. epsilon_float *. ((fs.anorm *. lower) +. fs.bnorm) in
+  let thr = 1024.0 *. epsilon_float *. ((anorm fs *. lower) +. fs.bnorm) in
   (bound *. (1.0 +. 0x1p-20)) +. 1e-250 <= thr
   && thr < Float.infinity
   && p < 1e300
@@ -1129,7 +1146,7 @@ let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im 
         else begin
           (* The gate's scale reads x̂f, so it is recomputed only when a
              refinement step moved x̂f. *)
-          let scale_of () = (fs.anorm *. Bvec.norm_inf xf) +. fs.bnorm +. 1e-300 in
+          let scale_of () = (anorm fs *. Bvec.norm_inf xf) +. fs.bnorm +. 1e-300 in
           faulty_residual ();
           let res = ref (Bvec.norm_inf resid) and scale = ref (scale_of ()) in
           if not (!res <= 1024.0 *. epsilon_float *. !scale) then begin
@@ -1165,7 +1182,7 @@ let guard_probe ~a ~b ~u ~(alpha : Complex.t) ~out =
       omega = 1.0;
       f_hz = 1.0 /. (2.0 *. Float.pi);
       solver = Dense_solver { da = a; dlu };
-      anorm = Cmat.norm_inf a;
+      anorm = Atomic.make Float.nan;
       b;
       bnorm = Bvec.norm_inf b;
       x0;

@@ -16,11 +16,26 @@ let drift_all rng ~component_tol netlist =
       Netlist.map_value ~name:(Element.name e) ~f:(fun v -> v *. factor) acc)
     netlist (Netlist.passives netlist)
 
+(* The fault-free transfer of a drifted copy of [netlist], on the
+   campaign engine ({!Fastsim.with_engine}): the [Auto] backend, so
+   sparse LU on large circuits, with one pool's per-frequency buffers
+   recycled across samples. Every sample has [netlist]'s MNA system
+   with other values, so one pool sized for it serves them all. Below
+   the sparse crossover the engine is dense and its nominal equals
+   {!Mna.Ac.sweep} bit for bit. *)
+let sweeper (probe : Detect.probe) grid netlist =
+  let pool = Fastsim.pool ~dim:(Mna.Index.size (Mna.Index.build netlist)) in
+  let freqs_hz = Grid.freqs_hz grid in
+  fun drifted ->
+    Fastsim.with_engine ~pool ~source:probe.source ~output:probe.output ~freqs_hz
+      drifted Fastsim.nominal
+
 let run ?(seed = 42) ?(samples = 200) ?jobs ~component_tol probe grid netlist =
   if samples <= 0 then invalid_arg "Montecarlo.run: samples must be positive";
   Obs.Trace.span "montecarlo.run" @@ fun () ->
   let rng = Random.State.make [| seed |] in
-  let nominal = Detect.nominal_response probe grid netlist in
+  let sweep = sweeper probe grid netlist in
+  let nominal = sweep netlist in
   let n = Grid.n_points grid in
   let max_dev = Array.make n 0.0 in
   let sum_dev = Array.make n 0.0 in
@@ -34,17 +49,9 @@ let run ?(seed = 42) ?(samples = 200) ?jobs ~component_tol probe grid netlist =
         drifted.(s) <- drift_all rng ~component_tol netlist
       done);
   let deviations =
-    (* One sweep per sample: nf LU factorizations of the MNA system —
-       the element count stands in for the dimension; the estimate
-       only feeds the scheduler's sequential cutoff. *)
-    let est_ns =
-      let d = float_of_int (List.length (Netlist.elements netlist)) in
-      float_of_int (samples * n) *. d *. d *. d
-    in
     Obs.Trace.span "montecarlo.sweep" (fun () ->
-        Util.Parallel.map ?jobs ~est_ns samples (fun s ->
-            let response = Detect.nominal_response probe grid drifted.(s) in
-            Detect.response_deviation ~nominal ~faulty:response))
+        Util.Parallel.map ?jobs samples (fun s ->
+            Detect.response_deviation ~nominal ~faulty:(sweep drifted.(s))))
   in
   Obs.Trace.span "montecarlo.reduce" (fun () ->
       for s = 0 to samples - 1 do
@@ -116,15 +123,10 @@ let coverage_run ?(seed = 42) ?(samples = 200) ?(strata = 8) ?jobs ~component_to
     invalid_arg "Montecarlo.coverage_run: epsilon must be positive";
   Obs.Trace.span "montecarlo.coverage" @@ fun () ->
   let rng = Random.State.make [| seed |] in
-  let nominal = Detect.nominal_response probe grid netlist in
-  let n = Grid.n_points grid in
-  let est_ns count =
-    let d = float_of_int (List.length (Netlist.elements netlist)) in
-    float_of_int (count * n) *. d *. d *. d
-  in
+  let sweep = sweeper probe grid netlist in
+  let nominal = sweep netlist in
   let peak_of drifted_netlist =
-    let response = Detect.nominal_response probe grid drifted_netlist in
-    let dev = Detect.response_deviation ~nominal ~faulty:response in
+    let dev = Detect.response_deviation ~nominal ~faulty:(sweep drifted_netlist) in
     Array.fold_left Float.max 0.0 dev
   in
   (* Phase 1: probe the full-spread shell (radius 1) to locate the ε
@@ -139,8 +141,7 @@ let coverage_run ?(seed = 42) ?(samples = 200) ?(strata = 8) ?jobs ~component_to
       done);
   let probe_peaks =
     Obs.Trace.span "montecarlo.coverage_probe" (fun () ->
-        Util.Parallel.map ?jobs ~est_ns:(est_ns n_probe) n_probe (fun s ->
-            peak_of probes.(s)))
+        Util.Parallel.map ?jobs n_probe (fun s -> peak_of probes.(s)))
   in
   let full_peak = Array.fold_left Float.max 0.0 probe_peaks in
   let boundary_radius =
@@ -192,8 +193,7 @@ let coverage_run ?(seed = 42) ?(samples = 200) ?(strata = 8) ?jobs ~component_to
       done);
   let peaks =
     Obs.Trace.span "montecarlo.coverage_sweep" (fun () ->
-        Util.Parallel.map ?jobs ~est_ns:(est_ns total) total (fun s ->
-            peak_of draws.(s)))
+        Util.Parallel.map ?jobs total (fun s -> peak_of draws.(s)))
   in
   (* Sequential reduce in draw order; the probe draws sit on the outer
      surface of the outermost shell and sharpen its estimate for free. *)

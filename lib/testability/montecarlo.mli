@@ -9,7 +9,12 @@ module Netlist := Circuit.Netlist
       worst-case envelope should dominate sampled good circuits);
     - quantifying the false-alarm rate of the paper's fixed-ε test: a
       good circuit whose natural variation exceeds ε somewhere would be
-      rejected as faulty. *)
+      rejected as faulty.
+
+    Every sample is swept on the campaign engine ({!Fastsim.with_engine},
+    [Auto] backend) over one pool per call, so large circuits factor
+    through sparse LU; below the sparse crossover the sweep equals
+    {!Mna.Ac.sweep} bit for bit. *)
 
 type stats = {
   samples : int;

@@ -1,8 +1,3 @@
-let sequential n f =
-  for i = 0 to n - 1 do
-    f i
-  done
-
 let effective_jobs jobs =
   (* Never run more domains than the hardware can: every OCaml 5
      domain must join every stop-the-world minor collection, so an
@@ -13,156 +8,72 @@ let effective_jobs jobs =
   Int.max 1 (Int.min jobs (Domain.recommended_domain_count ()))
 
 (* Spawning helper domains costs ~100µs each plus a GC-sync tax for
-   the rest of their lifetime; below this much total work the calling
-   domain finishes faster alone. *)
+   the rest of their lifetime; a loop the calling domain finishes
+   within this much wall clock is faster alone. *)
 let sequential_cutoff_ns = 5e6
 
-(* Owner chunk hand-out targets about this much work per claim: big
-   enough that the CAS and the thieves' range scans disappear next to
-   the work itself, small enough that uneven per-index cost still
-   migrates to idle workers. *)
-let target_chunk_ns = 1e6
-
-(* Without a cost estimate, fall back to the fixed 8-chunks-per-worker
-   split; with one, size chunks by [target_chunk_ns] but never so
-   coarse that a worker's initial slice is fewer than 4 chunks —
-   stealing needs a divisible back half to take. Cheap indexes on
-   small ranges (a few hundred sub-millisecond rows at jobs=4) used to
-   get grain 1 here, and the per-index CAS plus steal-scan churn cost
-   more than the rows themselves. *)
-let grain_for ~jobs ?est_ns n =
-  let balance_cap = Int.max 1 (n / (jobs * 4)) in
-  match est_ns with
-  | Some total when total > 0.0 ->
-      let per_index = Float.max 1.0 (total /. float_of_int n) in
-      Int.max 1 (Int.min balance_cap (int_of_float (target_chunk_ns /. per_index)))
-  | _ -> Int.max 1 (n / (jobs * 8))
-
-(* A worker's pending index range [lo, hi) packed into one immediate
-   int — lo in the upper 31 bits, hi in the lower 31 — so both bounds
-   move under a single CAS with no allocation. The owner pops small
-   chunks from the front; thieves take the back half in one step. *)
-let pack lo hi = (lo lsl 31) lor hi
-let range_lo v = v lsr 31
-let range_hi v = v land 0x7FFFFFFF
-let max_n = 1 lsl 31
-
-let for_ ?(jobs = 1) ?est_ns n f =
-  if n >= max_n then invalid_arg "Parallel.for_: range too large";
+let for_ ?(jobs = 1) n f =
   let jobs = Int.min (effective_jobs jobs) n in
-  let tiny = match est_ns with Some e -> e < sequential_cutoff_ns | None -> false in
-  if n <= 0 then ()
-  else if jobs <= 1 || n = 1 || tiny then sequential n f
+  if jobs <= 1 then
+    for i = 0 to n - 1 do
+      f i
+    done
   else begin
-    (* Work stealing over per-worker ranges. Each worker starts with an
-       even slice; the owner pops [grain]-sized chunks off the front of
-       its own range (an uncontended CAS in the common case) and, when
-       empty, steals the back half of the largest remaining range. This
-       keeps the hand-out dynamic — uneven per-index work migrates to
-       idle workers — without funnelling every claim through one shared
-       cursor. *)
-    let grain = grain_for ~jobs ?est_ns n in
-    let ranges =
-      Array.init jobs (fun k -> Atomic.make (pack (k * n / jobs) ((k + 1) * n / jobs)))
-    in
-    let failed = Atomic.make false in
-    (* One failure slot per worker (slot 0 is the calling domain).
-       Every worker traps its own exception so the join loop below
-       always runs — a raise must never leak helper domains that are
-       still writing into shared buffers. *)
-    let failures = Array.make jobs None in
-    let pop_own k =
-      let r = ranges.(k) in
-      let rec go () =
-        let v = Atomic.get r in
-        let lo = range_lo v and hi = range_hi v in
-        if lo >= hi then None
-        else
-          let stop = Int.min hi (lo + grain) in
-          if Atomic.compare_and_set r v (pack stop hi) then Some (lo, stop) else go ()
+    (* Inline phase: the calling domain runs indices in order until the
+       cutoff has elapsed; a raise here propagates before any spawn. *)
+    let deadline = Obs.Metrics.now () +. (sequential_cutoff_ns *. 1e-9) in
+    let next = ref 0 in
+    while !next < n && Obs.Metrics.now () < deadline do
+      f !next;
+      incr next
+    done;
+    if !next < n then begin
+      (* Self-scheduling over one shared cursor: every worker (slot 0
+         is the calling domain) claims the next index until the range
+         is spent. Each worker traps its own exception so the join
+         below always runs — a raise must never leak helper domains
+         that are still writing into shared buffers — and moves the
+         cursor to the end so the others stop claiming. *)
+      let cursor = Atomic.make !next in
+      let failures = Array.make jobs None in
+      let worker k () =
+        let t_busy = if Obs.Metrics.enabled () then Obs.Metrics.now () else 0.0 in
+        (try
+           Obs.Trace.span "parallel.worker" (fun () ->
+               let rec loop () =
+                 let i = Atomic.fetch_and_add cursor 1 in
+                 if i < n then begin
+                   f i;
+                   loop ()
+                 end
+               in
+               loop ())
+         with e ->
+           failures.(k) <- Some (e, Printexc.get_raw_backtrace ());
+           Atomic.set cursor n);
+        if Obs.Metrics.enabled () then
+          Obs.Metrics.observe "parallel.worker_busy_s" (Obs.Metrics.now () -. t_busy)
       in
-      go ()
-    in
-    (* Scan for the largest other range; [`Got] installs its back half
-       as our own, [`Retry] lost a CAS race, [`Empty] means every range
-       was empty at scan time (a concurrent thief may still be holding
-       claimed work — that is its to finish, not ours to wait for). *)
-    let try_steal k steals =
-      let victim = ref (-1) and victim_v = ref 0 and best = ref 0 in
-      for j = 0 to jobs - 1 do
-        if j <> k then begin
-          let v = Atomic.get ranges.(j) in
-          let len = range_hi v - range_lo v in
-          if len > !best then begin
-            best := len;
-            victim := j;
-            victim_v := v
-          end
-        end
-      done;
-      if !victim < 0 then `Empty
-      else begin
-        let v = !victim_v in
-        let lo = range_lo v and hi = range_hi v in
-        let mid = hi - ((hi - lo + 1) / 2) in
-        if Atomic.compare_and_set ranges.(!victim) v (pack lo mid) then begin
-          incr steals;
-          Atomic.set ranges.(k) (pack mid hi);
-          `Got
-        end
-        else `Retry
-      end
-    in
-    let worker k () =
-      let claimed = ref 0 and steals = ref 0 in
-      let t_busy = if Obs.Metrics.enabled () then Obs.Metrics.now () else 0.0 in
-      (try
-         let rec loop () =
-           if not (Atomic.get failed) then
-             match pop_own k with
-             | Some (start, stop) ->
-                 incr claimed;
-                 for i = start to stop - 1 do
-                   f i
-                 done;
-                 loop ()
-             | None -> (
-                 match try_steal k steals with
-                 | `Got | `Retry -> loop ()
-                 | `Empty -> ())
-         in
-         Obs.Trace.span "parallel.worker" loop
-       with e ->
-         failures.(k) <- Some (e, Printexc.get_raw_backtrace ());
-         (* Drain every range so the other workers stop claiming new
-            chunks instead of finishing a doomed campaign. *)
-         Atomic.set failed true;
-         Array.iter (fun r -> Atomic.set r 0) ranges);
-      if Obs.Metrics.enabled () then begin
-        Obs.Metrics.incr "parallel.chunks" ~by:!claimed;
-        if !steals > 0 then Obs.Metrics.incr "parallel.steals" ~by:!steals;
-        Obs.Metrics.observe "parallel.worker_busy_s" (Obs.Metrics.now () -. t_busy)
-      end
-    in
-    let helpers =
-      List.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1) ()))
-    in
-    worker 0 ();
-    List.iter Domain.join helpers;
-    (* Deterministic choice among racing failures: the lowest worker
-       index that recorded one. *)
-    Array.iter
-      (function
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> ())
-      failures
+      let helpers =
+        List.init (jobs - 1) (fun k -> Domain.spawn (worker (k + 1)))
+      in
+      worker 0 ();
+      List.iter Domain.join helpers;
+      (* Deterministic choice among racing failures: the lowest worker
+         index that recorded one. *)
+      Array.iter
+        (function
+          | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+          | None -> ())
+        failures
+    end
   end
 
-let map ?jobs ?est_ns n f =
+let map ?jobs n f =
   if n <= 0 then [||]
   else begin
     let results = Array.make n None in
-    for_ ?jobs ?est_ns n (fun i -> results.(i) <- Some (f i));
+    for_ ?jobs n (fun i -> results.(i) <- Some (f i));
     Array.map
       (function Some v -> v | None -> assert false (* for_ covers 0..n-1 *))
       results

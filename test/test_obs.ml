@@ -69,9 +69,8 @@ let test_snapshot_merges_domains () =
 
 (* Solver counters are a property of the campaign, not of its
    schedule — jobs:1 and jobs:4 must agree on the matrices and on every
-   counter total except the scheduler's own activity counters and the
-   engine workspace allocations, which follow how views overlap in
-   time. Two
+   counter total except the engine workspace allocations, which follow
+   how views overlap in time. Two
    campaigns: the default envelope criterion, whose drifts block-warm
    every deviation fault's back-solve columns before scoring; and a
    fixed-tolerance campaign of catastrophic faults, where nothing is
@@ -85,10 +84,7 @@ let check_jobs_invariant label run =
         let snap = Metrics.snapshot () in
         ( t.Mcdft_core.Pipeline.matrix,
           List.filter
-            (fun (name, _) ->
-              not
-                (String.starts_with ~prefix:"parallel." name
-                || name = "fastsim.workspace_allocs"))
+            (fun (name, _) -> name <> "fastsim.workspace_allocs")
             snap.Metrics.counters ))
   in
   let m1, sequential = campaign 1 and m4, parallel = campaign 4 in

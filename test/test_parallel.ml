@@ -35,26 +35,104 @@ let test_map_complete () =
   let sum = Array.fold_left ( + ) 0 r in
   Alcotest.(check int) "sum 1..1000" (1000 * 1001 / 2) sum
 
-(* The sequential cutoff: a tiny declared workload must run inline on
-   the calling domain even under jobs:4 — observable as strictly
-   ascending index order, which the work-stealing schedule does not
-   guarantee (and as zero spawned domains, which we cannot observe
-   directly). *)
-let test_est_ns_cutoff_runs_inline () =
-  let seen = ref [] in
-  Util.Parallel.for_ ~jobs:4 ~est_ns:1.0 64 (fun i -> seen := i :: !seen);
-  Alcotest.(check (list int))
-    "tiny est_ns runs in order on the caller"
-    (List.init 64 Fun.id) (List.rev !seen)
+(* [busy_observations f] runs [f] with Obs.Metrics enabled from zero
+   and returns the number of [parallel.worker_busy_s] observations it
+   booked: one per worker, once helpers were spawned. *)
+let busy_observations f =
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled false;
+      Obs.Metrics.reset ())
+    (fun () ->
+      f ();
+      match List.assoc_opt "parallel.worker_busy_s" (Obs.Metrics.snapshot ()).histograms with
+      | Some h -> h.Obs.Metrics.count
+      | None -> 0)
 
-let test_est_ns_above_cutoff_completes () =
-  (* a large estimate keeps the parallel path; coverage must be exact *)
-  let hits = Array.make 200 0 in
-  Util.Parallel.for_ ~jobs:4 ~est_ns:1e9 200 (fun i ->
-      hits.(i) <- hits.(i) + 1);
+(* The workers a jobs:4 loop over [n] indices spawns past the cutoff:
+   the clamp to the machine and to [n]; none when that leaves one. *)
+let spawned_workers n =
+  let w = Int.min n (Int.min 4 (Domain.recommended_domain_count ())) in
+  if w > 1 then w else 0
+
+let spin_s s =
+  let t0 = Obs.Metrics.now () in
+  while Obs.Metrics.now () -. t0 < s do
+    ()
+  done
+
+(* Long enough that a handful of indices outlast the cutoff. *)
+let slow_index_s = Util.Parallel.sequential_cutoff_ns *. 1e-9 /. 4.0
+
+(* A loop the caller finishes within the cutoff runs inline: strictly
+   ascending index order, which the shared cursor does not guarantee
+   once helpers claim indices, and no worker observation. *)
+let test_fast_loop_runs_inline () =
+  let seen = ref [] in
+  let workers =
+    busy_observations (fun () ->
+        Util.Parallel.for_ ~jobs:4 64 (fun i -> seen := i :: !seen))
+  in
+  Alcotest.(check (list int))
+    "a fast loop runs in order on the caller" (List.init 64 Fun.id) (List.rev !seen);
+  Alcotest.(check int) "no worker spawned" 0 workers
+
+let test_slow_loop_spawns () =
+  let n = 24 in
+  let hits = Array.init n (fun _ -> Atomic.make 0) in
+  let workers =
+    busy_observations (fun () ->
+        Util.Parallel.for_ ~jobs:4 n (fun i ->
+            spin_s slow_index_s;
+            Atomic.incr hits.(i)))
+  in
   Array.iteri
-    (fun i n -> if n <> 1 then Alcotest.failf "index %d ran %d times" i n)
-    hits
+    (fun i h ->
+      let k = Atomic.get h in
+      if k <> 1 then Alcotest.failf "index %d ran %d times" i k)
+    hits;
+  Alcotest.(check int) "one busy observation per worker" (spawned_workers n) workers
+
+let test_inline_raise_before_spawn () =
+  let ran = ref [] in
+  let workers =
+    busy_observations (fun () ->
+        match
+          Util.Parallel.for_ ~jobs:4 64 (fun i ->
+              ran := i :: !ran;
+              if i = 3 then failwith "inline")
+        with
+        | () -> Alcotest.fail "expected the inline exception"
+        | exception Failure msg -> Alcotest.(check string) "payload" "inline" msg)
+  in
+  Alcotest.(check (list int)) "stopped at the raising index" [ 0; 1; 2; 3 ]
+    (List.rev !ran);
+  Alcotest.(check int) "no worker spawned" 0 workers
+
+(* Indices past the cutoff raise; when the exception surfaces no body
+   may still be running, and every worker has booked its observation. *)
+let test_raise_after_spawn () =
+  let n = 24 in
+  let running = Atomic.make 0 in
+  let workers =
+    busy_observations (fun () ->
+        match
+          Util.Parallel.for_ ~jobs:4 n (fun i ->
+              Atomic.incr running;
+              Fun.protect
+                ~finally:(fun () -> Atomic.decr running)
+                (fun () ->
+                  spin_s slow_index_s;
+                  if i >= n / 2 then failwith "late"))
+        with
+        | () -> Alcotest.fail "expected the late exception"
+        | exception Failure msg ->
+            Alcotest.(check string) "payload" "late" msg;
+            Alcotest.(check int) "every body finished" 0 (Atomic.get running))
+  in
+  Alcotest.(check int) "one busy observation per worker" (spawned_workers n) workers
 
 let suite =
   [
@@ -66,8 +144,12 @@ let suite =
     Alcotest.test_case "scheduler usable after failures" `Quick
       test_usable_after_failures;
     Alcotest.test_case "map covers every slot" `Quick test_map_complete;
-    Alcotest.test_case "tiny est_ns takes the sequential cutoff" `Quick
-      test_est_ns_cutoff_runs_inline;
-    Alcotest.test_case "large est_ns keeps exact coverage" `Quick
-      test_est_ns_above_cutoff_completes;
+    Alcotest.test_case "fast loop runs inline in order" `Quick
+      test_fast_loop_runs_inline;
+    Alcotest.test_case "slow loop spawns and covers every index" `Quick
+      test_slow_loop_spawns;
+    Alcotest.test_case "inline raise propagates before any spawn" `Quick
+      test_inline_raise_before_spawn;
+    Alcotest.test_case "raise after spawn re-raises after join" `Quick
+      test_raise_after_spawn;
   ]
