@@ -43,28 +43,6 @@ let die code fmt =
 
 (* ---- loading circuits ---- *)
 
-(* The geometric mean of the pole magnitudes; 1 kHz when there are no
-   usable poles — a singular symbolic system, or a determinant whose
-   coefficients overflow the float range (large ladders), which
-   Poly.roots refuses. *)
-let estimate_center_hz ~source ~output netlist =
-  match Mna.Symbolic.poles ~source ~output netlist with
-  | exception (Mna.Symbolic.Singular_circuit _ | Invalid_argument _) -> 1000.0
-  | [||] -> 1000.0
-  | poles ->
-      let magnitudes =
-        Array.to_list (Array.map Complex.norm poles)
-        |> List.filter (fun m -> m > 1e-3)
-      in
-      if magnitudes = [] then 1000.0
-      else begin
-        let log_mean =
-          List.fold_left (fun acc m -> acc +. log m) 0.0 magnitudes
-          /. float_of_int (List.length magnitudes)
-        in
-        exp log_mean /. (2.0 *. Float.pi)
-      end
-
 let default_source netlist =
   List.find_map
     (function Circuit.Element.Vsource { name; _ } -> Some name | _ -> None)
@@ -105,7 +83,7 @@ let load_circuit name ~source ~output =
             | None, _ -> Error "no voltage source found; pass --source"
             | _, None -> Error "no opamp output found; pass --output"
             | Some source, Some output ->
-                let center_hz = estimate_center_hz ~source ~output netlist in
+                let center_hz = Mna.Symbolic.center_hz ~source ~output netlist in
                 Ok
                   {
                     Circuits.Benchmark.name = Filename.basename name;

@@ -188,23 +188,6 @@ let value_signature ?(sources = Mna.Assemble.Nominal) ?(locked_elements = []) vi
   done;
   Buffer.contents buf
 
-(* Group the index list [0 .. len-1] of [keys] by equal key,
-   order-preserving: each group lists its member indices ascending,
-   groups ordered by first member. *)
-let group_by_key keys =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iteri
-    (fun i key ->
-      match Hashtbl.find_opt tbl key with
-      | Some members -> members := i :: !members
-      | None ->
-          let members = ref [ i ] in
-          Hashtbl.add tbl key members;
-          order := members :: !order)
-    keys;
-  List.rev_map (fun members -> List.rev !members) !order
-
 let anchor config = "configuration " ^ Configuration.label config
 
 let configuration_findings ?src ?follower_model ?(max_opamps = 10) dft =
@@ -298,9 +281,9 @@ let configuration_findings ?src ?follower_model ?(max_opamps = 10) dft =
                 (List.length broken) (List.length test)
                 (String.concat ", " shown)
                 ellipsis dft.Transform.input_node dft.Transform.output)));
-    (* equivalent configurations: identical assembled systems up to
-       row sign (value-exact) — the same grouping the campaign pruner
-       uses, minus its fault-row locking (lint has no fault list) *)
+    (* equivalent configurations: identical assembled whole-view
+       systems up to row sign (value-exact); the campaign's cone
+       classes, with faulted rows locked, are finer *)
     let groups = Hashtbl.create 16 in
     List.iter
       (fun (config, view) ->
@@ -357,23 +340,8 @@ let configuration_findings ?src ?follower_model ?(max_opamps = 10) dft =
       && List.length test * (1 + List.length faults) <= Certify.default_work_cap
     then begin
       let center_hz =
-        match
-          Mna.Symbolic.poles ~source:dft.Transform.source
-            ~output:dft.Transform.output dft.Transform.base
-        with
-        | exception Mna.Symbolic.Singular_circuit _ -> 1000.0
-        | [||] -> 1000.0
-        | poles ->
-            let ms =
-              Array.to_list (Array.map Complex.norm poles)
-              |> List.filter (fun m -> m > 1e-3)
-            in
-            if ms = [] then 1000.0
-            else
-              exp
-                (List.fold_left (fun a m -> a +. log m) 0.0 ms
-                /. float_of_int (List.length ms))
-              /. (2.0 *. Float.pi)
+        Mna.Symbolic.center_hz ~source:dft.Transform.source ~output:dft.Transform.output
+          dft.Transform.base
       in
       let freqs_hz =
         let lo = log10 center_hz -. 2.0 and n = 33 in

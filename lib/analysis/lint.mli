@@ -62,13 +62,6 @@ val value_signature :
     stamps, O(s log s) for s stamps — linear in the view's nonzeros up
     to the log, never the n² of a dense scan. *)
 
-val group_by_key : string list -> int list list
-(** Partition positions by equal key: each group lists its member
-    indices ascending, groups ordered by first member. Keyed on
-    {!value_signature} (the campaign adds its cone facts), simulating
-    one representative per group and replicating its verdicts is exact
-    under the conditions above. *)
-
 val configuration_findings :
   ?src:src ->
   ?follower_model:Circuit.Element.opamp_model ->

@@ -3,13 +3,55 @@ module Detect = Testability.Detect
 module Matrix = Testability.Matrix
 module Netlist = Circuit.Netlist
 
-type stats = { points : int; solved : int; bisections : int }
+type stats = {
+  points : int;
+  solved : int;
+  bisections : int;
+  classes : int list list;
+}
 
-let campaign ?criterion ?(jobs = 1) grid views faults =
-  Obs.Trace.span "adaptive.build" @@ fun () ->
-  let views = Array.of_list views in
-  let structures = Array.map snd views and views = Array.map fst views in
-  let faults = Array.of_list faults in
+(* Group the positions of [keys] by equal key, order-preserving: each
+   group lists its member indices ascending, groups ordered by first
+   member. *)
+let group_by_key keys =
+  let tbl = Hashtbl.create 16 in
+  let order = ref [] in
+  Array.iteri
+    (fun i key ->
+      match Hashtbl.find_opt tbl key with
+      | Some members -> members := i :: !members
+      | None ->
+          let members = ref [ i ] in
+          Hashtbl.add tbl key members;
+          order := members :: !order)
+    keys;
+  List.rev_map (fun members -> List.rev !members) !order
+
+(* Cone classes (see the interface): the key of a live view is its
+   engine system's signature with every faulted element's rows locked,
+   under the view's own source mode — what makes the replication exact
+   rather than heuristic — plus its probe and passive layout. *)
+let cone_classes faults (views : Matrix.view array) structures =
+  let locked_elements =
+    List.sort_uniq String.compare (List.map (fun f -> f.Fault.element) faults)
+  in
+  group_by_key
+    (Array.mapi
+       (fun i s ->
+         if Detect.structure_dead s then "dead"
+         else
+           let signature =
+             Analysis.Lint.value_signature
+               ~sources:(Mna.Assemble.Only views.(i).Matrix.probe.Detect.source)
+               ~locked_elements (Detect.engine_netlist s)
+           in
+           (* length-prefixed, so the concatenation is one-to-one *)
+           string_of_int (String.length signature) ^ ":" ^ signature
+           ^ Detect.passive_layout s)
+       structures)
+
+(* The campaign over the class representatives [views]. *)
+let simulate ?criterion ~jobs grid views structures faults =
   let n = Array.length views and m = Array.length faults in
   let nf = Grid.n_points grid in
   (* Phases 1–2 — one task per view, streamed: prepare the view on
@@ -97,12 +139,61 @@ let campaign ?criterion ?(jobs = 1) grid views faults =
       deviations = deviation_rows;
       nominal = view_nominal;
     },
-    { points = n * m * nf; solved = !solved; bisections = 0 } )
+    !solved )
 
-let build ?criterion ?jobs grid views faults =
-  campaign ?criterion ?jobs grid
-    (List.map
-       (fun (v : Matrix.view) ->
-         (v, Detect.structure ~faults v.Matrix.probe v.Matrix.netlist))
-       views)
-    faults
+let build ?criterion ?(jobs = 1) ?(prune = true) grid views faults =
+  Obs.Trace.span "adaptive.build" @@ fun () ->
+  let views = Array.of_list views in
+  let n_views = Array.length views in
+  (* Every view's structure and, when pruning, its cone class. The span
+     keeps its old name: the campaign benchmark reads it. A fault absent
+     from any view raises here, whether or not its class simulates it. *)
+  let structures, classes =
+    Obs.Trace.span "pipeline.prune" @@ fun () ->
+    let check (v : Matrix.view) (f : Fault.t) =
+      if not (Netlist.mem v.Matrix.netlist f.Fault.element) then
+        raise (Fault.Unknown_element f.Fault.element)
+    in
+    Array.iter (fun v -> List.iter (check v) faults) views;
+    let structures =
+      Array.map
+        (fun (v : Matrix.view) -> Detect.structure ~faults v.Matrix.probe v.Matrix.netlist)
+        views
+    in
+    ( structures,
+      if prune then cone_classes faults views structures
+      else List.init n_views (fun i -> [ i ]) )
+  in
+  let n_classes = List.length classes in
+  Obs.Metrics.incr "campaign.equivalence_groups" ~by:n_classes;
+  if n_views > n_classes then
+    Obs.Metrics.incr "campaign.pruned_configs" ~by:(n_views - n_classes);
+  let reps = Array.of_list (List.map List.hd classes) in
+  let faults = Array.of_list faults in
+  let rep, solved =
+    simulate ?criterion ~jobs grid
+      (Array.map (fun i -> views.(i)) reps)
+      (Array.map (fun i -> structures.(i)) reps)
+      faults
+  in
+  (* Row i is its representative's: the matrix is indistinguishable from
+     an unpruned build. The verdict bytes, deviation rows and nominal
+     rows are shared, never mutated. *)
+  let class_of = Array.make n_views 0 in
+  List.iteri (fun c members -> List.iter (fun i -> class_of.(i) <- c) members) classes;
+  let expand rows = Array.map (fun c -> Array.copy rows.(c)) class_of in
+  ( {
+      Matrix.views;
+      faults;
+      detect = expand rep.Matrix.detect;
+      omega = expand rep.Matrix.omega;
+      verdicts = expand rep.Matrix.verdicts;
+      deviations = expand rep.Matrix.deviations;
+      nominal = Array.map (fun c -> rep.Matrix.nominal.(c)) class_of;
+    },
+    {
+      points = n_classes * Array.length faults * Grid.n_points grid;
+      solved;
+      bisections = 0;
+      classes;
+    } )

@@ -18,8 +18,9 @@ type t = {
           representative. *)
   input : Optimizer.input;  (** Same data, ω in percent. *)
   equivalence_groups : int;
-      (** Number of cone classes simulated: every dead configuration in
-          one, the live ones by value-identical output-cone systems. *)
+      (** Number of cone classes simulated ({!Adaptive.stats.classes}):
+          every dead configuration in one, the live ones by
+          value-identical output-cone systems. *)
   pruned_configs : int;
       (** Configurations whose rows were replicated instead of
           simulated ([n_views − equivalence_groups]; 0 with
@@ -65,21 +66,12 @@ val run :
     undetectable by definition ({!Testability.Detect.score_row});
     neither is a parameter.
 
-    Every view's engine solves its output cone
-    ({!Testability.Detect.structure}, one influence analysis per view).
-    [prune] (default [true]) simulates one representative per
-    {e cone class} and replicates its verdict rows: every dead
-    configuration forms one class, and live ones share a class when
-    their cone systems are value-identical up to row sign with every
-    fault-touched row locked ({!Analysis.Lint.value_signature}) and
-    their passives sit on the same entries with the same values
-    ({!Testability.Detect.passive_layout}); with a fault on an element
-    other than a passive in the list, every engine solves its whole
-    view and the whole views' systems are compared. The resulting
-    matrix is exactly the unpruned one. The skipped work is counted in
-    {!field:pruned_configs} and in the [campaign.pruned_configs]
-    metric; pass [~prune:false] to force every row through the
-    solver.
+    [prune] (default [true]) is passed to {!Adaptive.build}, which
+    decides the campaign's cone classes, simulates one representative
+    per class and replicates its rows, so the matrix is exactly the
+    unpruned one; pass [~prune:false] to force every row through the
+    solver. The skipped work is counted in {!field:pruned_configs} and
+    in the [campaign.pruned_configs] metric.
 
     [certify] (default [false]) attaches the {!Analysis.Certify}
     report over the representative views when the criterion is a

@@ -48,7 +48,8 @@ val signature_of : Mcdft_core.Pipeline.t -> dictionary -> Fault.t -> bool array
 (** The signature a given fault, in the universe or not, would
     produce under the dictionary's measurement set — the "tester side"
     for closed-loop experiments. Runs a one-fault campaign
-    ({!Mcdft_core.Adaptive.build}) over the pipeline's views of the
+    ({!Mcdft_core.Adaptive.build}, one simulation per cone class)
+    over the pipeline's views of the
     dictionary's configurations, under the pipeline's criterion and
     grid. Raises {!Fault.Unknown_element} when the fault's element is
     absent. *)

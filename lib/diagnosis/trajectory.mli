@@ -64,7 +64,9 @@ val signature : t -> int -> float array
 val simulate : t -> Fault.t -> float array
 (** The trajectory a given fault would produce on this measurement set
     — the "tester side" for closed-loop self-tests: a one-fault
-    campaign over the dictionary's views, with the dictionary's mask.
+    campaign over the dictionary's views
+    ([Mcdft_core.Adaptive.build], one simulation per cone class), with
+    the dictionary's mask.
     The fault need not be in the dictionary. Raises
     {!Fault.Unknown_element} when the fault's element is absent. *)
 

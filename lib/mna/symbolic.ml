@@ -196,3 +196,18 @@ let poles ~source ~output netlist =
 
 let zeros ~source ~output netlist =
   Linalg.Ratfunc.zeros (transfer ~source ~output netlist)
+
+let center_hz ~source ~output netlist =
+  match poles ~source ~output netlist with
+  | exception (Singular_circuit _ | Invalid_argument _) -> 1000.0
+  | poles -> (
+      match
+        Array.to_list (Array.map Complex.norm poles) |> List.filter (fun m -> m > 1e-3)
+      with
+      | [] -> 1000.0
+      | magnitudes ->
+          let log_mean =
+            List.fold_left (fun acc m -> acc +. log m) 0.0 magnitudes
+            /. float_of_int (List.length magnitudes)
+          in
+          exp log_mean /. (2.0 *. Float.pi))

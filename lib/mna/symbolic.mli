@@ -21,3 +21,11 @@ val transfer : source:string -> output:string -> Netlist.t -> Linalg.Ratfunc.t
 
 val poles : source:string -> output:string -> Netlist.t -> Complex.t array
 val zeros : source:string -> output:string -> Netlist.t -> Complex.t array
+
+val center_hz : source:string -> output:string -> Netlist.t -> float
+(** The geometric mean of the pole magnitudes above 1e-3 rad/s, in Hz —
+    the centre of a frequency grid for a circuit with no declared one.
+    1 kHz when there is no usable pole: none above 1e-3 rad/s, a
+    singular symbolic system, or a determinant whose coefficients
+    overflow the float range (large ladders), which
+    {!Linalg.Poly.roots} refuses with [Invalid_argument]. *)

@@ -139,6 +139,7 @@ let measurement_mask nominal =
 module StringSet = Set.Make (String)
 
 type structure = {
+  probe : probe;
   netlist : Netlist.t;
   cone : Netlist.t option;  (* the certified output cone of a live view *)
   dim : int;  (* the engine's MNA dimension; 0 for a dead view *)
@@ -168,6 +169,7 @@ let structure ?(faults = []) probe netlist =
     else Circuit.Influence.cone influence
   in
   {
+    probe;
     netlist;
     cone;
     dim =
@@ -182,16 +184,20 @@ let structure_dead s = s.dead
 let engine_dim s = s.dim
 let engine_netlist s = Option.value s.cone ~default:s.netlist
 
-(* What a cone class must share besides its system: every passive the
-   engine can perturb, by name, with its value bits, its stamp pattern
-   in the engine's index and whether it drifts, so that each fault
-   lands on the same entries with the same size in every member. *)
+(* What a cone class must share besides its system: the probe, with
+   the output's position in the engine's index, so that every member
+   reads the same unknown; and every passive the engine can perturb, by
+   name, with its value bits, its stamp pattern in the engine's index
+   and whether it drifts, so that each fault lands on the same entries
+   with the same size in every member. *)
 let passive_layout s =
   let netlist = engine_netlist s in
   let index = Mna.Index.build netlist in
   let buf = Buffer.create 256 in
   let add_int k = Buffer.add_int32_le buf (Int32.of_int k) in
   let add_node n = add_int (match Mna.Index.node index n with Some i -> i | None -> -1) in
+  Buffer.add_string buf (String.concat "\000" [ s.probe.source; s.probe.output; "" ]);
+  add_node s.probe.output;
   List.iter
     (fun e ->
       Buffer.add_string buf (Element.name e);

@@ -134,12 +134,14 @@ val engine_dim : structure -> int
     builds no engine. *)
 
 val passive_layout : structure -> string
-(** Every passive of {!engine_netlist} with its value bits, its stamp
-    pattern in the engine's MNA index and whether it can affect the
-    output, as a binary string: two views whose engine systems agree
-    (up to row sign, with every faulted row locked) and whose layouts
-    are equal perturb the same entries by the same amounts under every
-    passive fault, so a campaign can solve one of them for both. *)
+(** The probe (source and output names, and the output's position in
+    the engine's MNA index) and every passive of {!engine_netlist} with
+    its value bits, its stamp pattern in that index and whether it can
+    affect the output, as a binary string: two views whose engine
+    systems agree (up to row sign, with every faulted row locked) and
+    whose layouts are equal read the same unknown and perturb the same
+    entries by the same amounts under every passive fault, so a
+    campaign can solve one of them for both. *)
 
 type prepared_view
 (** One circuit view readied for a fault campaign: the view's

@@ -170,7 +170,7 @@ val warm_cache : t -> Fault.t list -> unit
     every grid frequency, with one multi-RHS block back-solve per
     frequency instead of one solve per (pattern, frequency). A
     shortcut for callers that will read every frequency of every
-    listed fault (envelope drifts, diagnosis trajectories); it is never
+    listed fault (the envelope's drifts); it is never
     needed for correctness or parallel safety, and the columns are
     bitwise equal to the ones a point solve computes on demand.
     Warming books no [wcache_*] counts (see the accounting above).

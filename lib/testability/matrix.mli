@@ -9,7 +9,10 @@ module Netlist := Circuit.Netlist
     multi-configuration transform supplies them, but any family of
     netlists sharing the faulty elements works (e.g. different probe
     points). The campaign that fills it is [Mcdft_core.Adaptive.build],
-    which solves every grid point. *)
+    which solves every grid point of one representative view per cone
+    class and gives every other member of the class the
+    representative's rows: the matrix is always full-height, one row
+    per view. *)
 
 type view = { label : string; netlist : Netlist.t; probe : Detect.probe }
 

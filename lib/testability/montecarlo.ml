@@ -9,12 +9,22 @@ type stats = {
   per_sample_peak : float array;
 }
 
+(* [netlist] with its [i]-th passive scaled by [factor i], rebuilt in
+   one pass; [factor] is called once per passive, in element order. *)
+let scale_passives netlist factor =
+  let _, rev =
+    List.fold_left
+      (fun (i, acc) e ->
+        match Element.value e with
+        | Some v when Element.is_passive e -> (i + 1, Element.with_value e (v *. factor i) :: acc)
+        | _ -> (i, e :: acc))
+      (0, []) (Netlist.elements netlist)
+  in
+  Netlist.of_elements ~title:(Netlist.title netlist) (List.rev rev)
+
 let drift_all rng ~component_tol netlist =
-  List.fold_left
-    (fun acc e ->
-      let factor = 1.0 +. (component_tol *. ((Random.State.float rng 2.0) -. 1.0)) in
-      Netlist.map_value ~name:(Element.name e) ~f:(fun v -> v *. factor) acc)
-    netlist (Netlist.passives netlist)
+  scale_passives netlist (fun _ ->
+      1.0 +. (component_tol *. ((Random.State.float rng 2.0) -. 1.0)))
 
 (* The fault-free transfer of a drifted copy of [netlist], on the
    campaign engine ({!Fastsim.with_engine}): the [Auto] backend, so
@@ -101,17 +111,7 @@ let drift_directed rng ~component_tol ~radius netlist =
     let mx = Array.fold_left (fun a x -> Float.max a (Float.abs x)) 0.0 u in
     if mx = 0.0 then u.(0) <- 1.0;
     let mx = Float.max mx 1e-300 in
-    let _, drifted =
-      List.fold_left
-        (fun (i, acc) e ->
-          let factor = 1.0 +. (component_tol *. radius *. (u.(i) /. mx)) in
-          ( i + 1,
-            Netlist.map_value ~name:(Element.name e)
-              ~f:(fun v -> v *. factor)
-              acc ))
-        (0, netlist) passives
-    in
-    drifted
+    scale_passives netlist (fun i -> 1.0 +. (component_tol *. radius *. (u.(i) /. mx)))
   end
 
 let coverage_run ?(seed = 42) ?(samples = 200) ?(strata = 8) ?jobs ~component_tol

@@ -135,16 +135,9 @@ let test_leapfrog_c198_numerically_dead () =
 
 (* ---- streaming campaign on recycled storage ---- *)
 
-(* leapfrog5 at ppd 3 under the default envelope criterion: each view
-   task builds its engine on a workspace of the campaign's pool for the
-   view's dimension, so the workspace allocations stay within (distinct
-   view dimensions) × jobs however many views stream through. The 64
-   dead views build nothing, and the matrices are the same at jobs 1
-   and 2 and equal the per-view Detect.analyze reference, which builds
-   every engine on storage of its own. The campaigns run one
-   after another on the calling domain, and each starts from nothing:
-   a campaign's storage does not outlive it. *)
-let test_streaming_campaign_bounded () =
+(* leapfrog5's 255 test-configuration views at ppd 3 around its centre,
+   with the probe and the +20 % deviation faults. *)
+let leapfrog_ppd3 () =
   let b = Option.get (Circuits.Registry.find "leapfrog5") in
   let netlist = b.Circuits.Benchmark.netlist in
   let dft =
@@ -170,7 +163,20 @@ let test_streaming_campaign_bounded () =
         })
       (Multiconfig.Transform.test_configurations dft)
   in
-  let faults = Fault.deviation_faults netlist in
+  (probe, grid, views, Fault.deviation_faults netlist)
+
+(* leapfrog5 at ppd 3 under the default envelope criterion, every view
+   simulated ([~prune:false]): each view
+   task builds its engine on a workspace of the campaign's pool for the
+   view's dimension, so the workspace allocations stay within (distinct
+   view dimensions) × jobs however many views stream through. The 64
+   dead views build nothing, and the matrices are the same at jobs 1
+   and 2 and equal the per-view Detect.analyze reference, which builds
+   every engine on storage of its own. The campaigns run one
+   after another on the calling domain, and each starts from nothing:
+   a campaign's storage does not outlive it. *)
+let test_streaming_campaign_bounded () =
+  let probe, grid, views, faults = leapfrog_ppd3 () in
   let criterion = P.default_criterion in
   let dims =
     List.sort_uniq compare
@@ -186,7 +192,7 @@ let test_streaming_campaign_bounded () =
         Obs.Metrics.set_enabled false;
         Obs.Metrics.reset ())
       (fun () ->
-        let m, _ = A.build ~criterion ~jobs grid views faults in
+        let m, _ = A.build ~criterion ~jobs ~prune:false grid views faults in
         let snap = Obs.Metrics.snapshot () in
         let c = Obs.Metrics.counter snap in
         (m, c "fastsim.workspace_allocs", c "campaign.dead_views"))
@@ -225,6 +231,37 @@ let test_streaming_campaign_bounded () =
               v.Testability.Matrix.label r.Testability.Detect.fault.Fault.id)
         (Testability.Detect.analyze ~criterion probe grid v.Testability.Matrix.netlist faults))
     views
+
+(* Cone classes are exact: on leapfrog5 (255 views, 64 of them dead)
+   the grouped campaign equals the one that simulates every view, bit
+   for bit, in every record it keeps, and it simulates fewer rows. *)
+let test_grouped_equals_unpruned () =
+  let _, grid, views, faults = leapfrog_ppd3 () in
+  let criterion = P.default_criterion in
+  let grouped, gs = A.build ~criterion ~jobs:1 grid views faults in
+  let every, es = A.build ~criterion ~jobs:1 ~prune:false grid views faults in
+  let bits a b =
+    Array.length a = Array.length b
+    && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+  in
+  let rows eq a b = Array.length a = Array.length b && Array.for_all2 eq a b in
+  let module M = Testability.Matrix in
+  Alcotest.(check bool) "detect" true (grouped.M.detect = every.M.detect);
+  Alcotest.(check bool) "omega" true (rows bits grouped.M.omega every.M.omega);
+  Alcotest.(check bool) "verdicts" true
+    (rows (rows Bytes.equal) grouped.M.verdicts every.M.verdicts);
+  Alcotest.(check bool) "deviations" true
+    (rows (rows bits) grouped.M.deviations every.M.deviations);
+  Alcotest.(check bool) "nominal" true (rows bits grouped.M.nominal every.M.nominal);
+  Alcotest.(check int) "one class per view unpruned" (List.length views)
+    (List.length es.A.classes);
+  Alcotest.(check bool) "fewer classes than views" true
+    (List.length gs.A.classes < List.length views);
+  Alcotest.(check bool) "classes partition the views" true
+    (List.sort compare (List.concat gs.A.classes) = List.init (List.length views) Fun.id);
+  Alcotest.(check int) "points = classes x faults x grid points"
+    (List.length gs.A.classes * List.length faults * Testability.Grid.n_points grid)
+    gs.A.points
 
 (* ---- tolerance-space coverage sampling ---- *)
 
@@ -300,6 +337,8 @@ let suite =
       `Quick test_pipeline_identity_other_criteria;
     Alcotest.test_case "leapfrog5 C198 is numerically dead" `Quick
       test_leapfrog_c198_numerically_dead;
+    Alcotest.test_case "grouped campaign = every view simulated (leapfrog5)" `Quick
+      test_grouped_equals_unpruned;
     Alcotest.test_case "streaming campaign: bounded workspaces, dead views free" `Quick
       test_streaming_campaign_bounded;
     Alcotest.test_case "coverage_run accounting is sound" `Quick

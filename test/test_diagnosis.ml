@@ -278,6 +278,26 @@ let test_rows_match_whole_view () =
     (Lazy.force registry_pipelines);
   Alcotest.(check bool) "points compared" true (!compared > 0)
 
+(* A one-fault campaign ({!T.simulate}) reproduces the fault's row in
+   the pipeline's campaign bit for bit, although it locks only that
+   fault's rows when it groups the views into cone classes: every fault
+   of tow-thomas, tt-notch and leapfrog5 at ppd 10. *)
+let test_simulate_equals_recorded () =
+  let bits a b =
+    Array.length a = Array.length b
+    && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+  in
+  List.iter
+    (fun name ->
+      let t = T.of_pipeline (List.assoc name (Lazy.force registry_pipelines)) in
+      List.iteri
+        (fun j (f : Fault.t) ->
+          if not (bits (T.simulate t f) (T.signature t j)) then
+            Alcotest.failf "%s %s: simulated trajectory differs from the recorded one" name
+              f.Fault.id)
+        (T.faults t))
+    [ "tow-thomas"; "tt-notch"; "leapfrog5" ]
+
 (* leapfrog5's C196–C199 and C212–C215 cancel: their nominal output is
    round-off. A fault that breaks the cancellation lifts it by many
    decades (C214 × R4a+20 % at 100 Hz: faulty |H| ~1e3 against a
@@ -421,6 +441,8 @@ let suite =
       test_cli_configs_dictionary;
     Alcotest.test_case "recorded rows = whole-view trajectories (registry, ppd 10)" `Quick
       test_rows_match_whole_view;
+    Alcotest.test_case "simulate = recorded trajectory (tow-thomas, tt-notch, leapfrog5)"
+      `Quick test_simulate_equals_recorded;
     Alcotest.test_case "leapfrog5 cancelling views read 0" `Quick
       test_leapfrog_cancelling_views_read_zero;
     Alcotest.test_case "singular only outside the cone" `Quick test_singular_outside_cone;
