@@ -381,13 +381,14 @@ let structural_vs_lu (s : Gen.subject) =
              "structurally full-rank yet LU singular at omega = %g rad/s" omega)
     | None -> Pass
 
-(* --- block-backsolve: block-warmed vs cold engines ------------------ *)
+(* --- block-backsolve: many-row sweeps vs one-row responses ---------- *)
 
-(* Per view, an engine whose back-solve cache was filled by multi-RHS
-   block back-solves ({!Testability.Fastsim.warm_cache}) against a cold
-   engine that solves each column on first read: every response bit
-   must agree, since the block kernel promises bitwise equality with
-   scalar solves. The campaign's scoring of the same faults against
+(* Per view, every fault's row swept together — each frequency's A⁻¹u
+   columns solved as one multi-RHS block of k > 1 columns — against
+   one {!Testability.Fastsim.response} per fault, whose block holds one
+   column: every response bit must agree, since the block kernels
+   promise bitwise equality with single solves and a point reads only
+   its own column. The campaign's scoring of the same faults against
    {!Detect.analyze} is campaign-vs-analyze's. *)
 let same_bits (a : Complex.t option array) b =
   let eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
@@ -404,23 +405,33 @@ let same_bits (a : Complex.t option array) b =
 let block_backsolve (s : Gen.subject) =
   let faults = Fault.both_deviations s.netlist @ Fault.catastrophic_faults s.netlist in
   let outputs = Netlist.internal_nodes s.netlist in
-  let warmed_vs_cold output =
-    let engine () = Fastsim.create ~source:s.source ~output ~freqs_hz s.netlist in
-    let warmed = engine () and cold = engine () in
-    Fastsim.warm_cache warmed faults;
+  let nf = Array.length freqs_hz and m = List.length faults in
+  let swept_vs_single output =
+    let sim = Fastsim.create ~source:s.source ~output ~freqs_hz s.netlist in
+    let re = Array.init m (fun _ -> Array.make nf 0.0)
+    and im = Array.init m (fun _ -> Array.make nf 0.0)
+    and ok = Array.init m (fun _ -> Bytes.make nf '\000') in
+    Fastsim.sweep sim
+      (Array.of_list (List.map (Fastsim.plan_of sim) faults))
+      ~skip:(Array.make m (Bytes.make nf '\000'))
+      ~re ~im ~ok;
     List.find_map
-      (fun fault ->
-        if same_bits (Fastsim.response warmed fault) (Fastsim.response cold fault)
-        then None
+      (fun (r, fault) ->
+        let swept =
+          Array.init nf (fun i ->
+              if Bytes.get ok.(r) i = '\000' then None
+              else Some { Complex.re = re.(r).(i); im = im.(r).(i) })
+        in
+        if same_bits swept (Fastsim.response sim fault) then None
         else
           Some
-            (Printf.sprintf "probe:%s / %s: block-warmed response differs from cold"
+            (Printf.sprintf "probe:%s / %s: swept row differs from its one-row response"
                output fault.Fault.id))
-      faults
+      (List.mapi (fun r fault -> (r, fault)) faults)
   in
   if outputs = [] || faults = [] then Skip "no views or no faults to score"
   else
-    match List.find_map warmed_vs_cold outputs with
+    match List.find_map swept_vs_single outputs with
     | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
     | Some msg -> Fail msg
     | None -> Pass
@@ -605,7 +616,7 @@ let diagnosis (s : Gen.subject) =
    compared byte by byte — a single wrong certificate anywhere fails
    the subject, whether or not it would have moved an aggregate
    detect/omega entry, by the campaign's own row scorer
-   ({!Detect.score_row}). Points below the view's measurement floor
+   ({!Detect.score_rows}). Points below the view's measurement floor
    are undetectable by definition for a fault that is not isolated,
    whatever any proof or solve says ({!Detect.below_floor}), so they
    carry no comparison. Runs on
@@ -675,7 +686,7 @@ let certify_soundness (s : Gen.subject) =
               (fun (fault, cell) ->
                 Option.bind cell (fun bytes ->
                     let plan = Detect.plan_fault pv fault in
-                    let verdicts, _, _ = Detect.score_row pv plan in
+                    let verdicts, _, _ = (Detect.score_rows pv [| plan |]).(0) in
                     let bad = ref None in
                     for k = nf - 1 downto 0 do
                       let b = Bytes.get bytes k in
@@ -899,7 +910,7 @@ let all =
     };
     {
       name = "block-backsolve";
-      doc = "block-warmed responses bitwise-equal to cold ones";
+      doc = "many-row sweeps bitwise-equal to one-row responses";
       check = block_backsolve;
     };
     {

@@ -56,10 +56,10 @@ let simulate ?criterion ~jobs grid views structures faults =
   let nf = Grid.n_points grid in
   (* Phases 1–2 — one task per view, streamed: prepare the view on
      storage recycled through the campaign's pool ({!Detect.with_view}:
-     structural anchors, the engine on the view's output cone, envelope
-     thresholds — a dead view builds nothing), plan its faults, score
-     every (view × fault) row with one engine call
-     ({!Detect.score_row}), keep the verdict bytes, deviation rows and
+     structural anchors, the engine on the view's output cone — a dead
+     view builds nothing), plan its faults, score every (view × fault)
+     row and the envelope's drifts in one engine sweep
+     ({!Detect.score_rows}), keep the verdict bytes, deviation rows and
      per-row solve counts, and release the engine to the pool. Every
      workspace of the pool is sized for the campaign's largest engine,
      so at most [jobs] are ever allocated; the shared cursor balances
@@ -101,12 +101,11 @@ let simulate ?criterion ~jobs grid views structures faults =
       view_isolated.(i) <-
         Array.fold_left (fun a p -> if Detect.plan_isolated p then a + 1 else a) 0 plans;
       Array.iteri
-        (fun j plan ->
-          let v, deviations, solved = Detect.score_row pv plan in
+        (fun j (v, deviations, solved) ->
           verdict_rows.(i).(j) <- v;
           if solved > 0 then deviation_rows.(i).(j) <- deviations;
           row_solved.(i).(j) <- solved)
-        plans);
+        (Detect.score_rows pv plans));
   (* Phase 3 — sequential reduce and counter booking, in row order:
      the matrix and the campaign.* totals are jobs-deterministic. The
      verdict and deviation rows stay in the matrix as its per-point

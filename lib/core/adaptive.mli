@@ -3,14 +3,14 @@
     paper's fault simulation of every configuration over the whole
     frequency region (§3).
 
-    Each (view × fault) row is scored by one
-    {!Testability.Detect.score_row} call. Points undetectable by
+    A view's (view × fault) rows are scored by one
+    {!Testability.Detect.score_rows} call. Points undetectable by
     definition are ['u'] without a solve: a point below the view's
     measurement floor (notch bottoms, outputs left at round-off), every
     point of a {e dead} view (its source cannot reach the output) and
     every point of a fault on an {e isolated} passive (one that cannot
-    affect the output). One engine call solves every other point of the
-    row. Views whose rows are provably identical — a {e cone class} —
+    affect the output). One engine sweep solves every other point of the
+    view's rows. Views whose rows are provably identical — a {e cone class} —
     are simulated once ({!build}), and this module is the one place
     that grouping is decided: the pipeline, trajectory and dictionary
     campaigns and the conformance oracles all share it. No verdict is
@@ -70,15 +70,16 @@ val build :
     view on engine storage recycled through a pool that the campaign
     owns and drops when it returns ({!Testability.Detect.with_view}:
     structural anchors first — a dead view builds no engine, no nominal
-    sweep and no plans — then the engine on the view's output cone,
-    nominal sweep and thresholds, with only the envelope's drifts
-    block-warmed), plans its faults, scores every (view × fault) row
-    with one {!Testability.Detect.score_row} call, keeps the verdict
+    sweep and no plans — then the engine on the view's output cone and
+    its nominal sweep), plans its faults, scores every (view × fault)
+    row with one {!Testability.Detect.score_rows} call — one engine
+    sweep over the envelope's drifts and the fault rows, which sums the
+    thresholds and decides every point — keeps the verdict
     bytes ({!Testability.Matrix.verdicts}), the deviation rows
     ({!Testability.Matrix.deviations}), the view's measured nominal
     ({!Testability.Matrix.nominal}) and per-row solve counts, and
-    releases the engine. A fault's back-solve column is solved the
-    first time a point reads it at that frequency. [jobs] > 1 spreads
+    releases the engine. At each frequency the sweep solves the
+    back-solve columns its rows read as one block. [jobs] > 1 spreads
     the view tasks over that many domains, so at most [jobs] engines
     are live at once; the pool sizes every workspace for the
     campaign's largest engine, so at most [jobs] workspaces are

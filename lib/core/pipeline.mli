@@ -63,7 +63,7 @@ val run :
     the campaign across domains (see {!Adaptive.build}). The campaign
     picks its own solver per view ({!Testability.Fastsim.backend}
     [Auto]) and solves every grid point of a row that is not
-    undetectable by definition ({!Testability.Detect.score_row});
+    undetectable by definition ({!Testability.Detect.score_rows});
     neither is a parameter.
 
     [prune] (default [true]) is passed to {!Adaptive.build}, which

@@ -12,7 +12,7 @@
 
     Nothing here simulates: a trajectory is the campaign's own record
     ({!Testability.Matrix.deviations}, written by
-    {!Testability.Detect.score_row} beside each verdict row, on the
+    {!Testability.Detect.score_rows} beside each verdict row, on the
     view's output-cone engine). A point the campaign masks — below the
     measurement floor, on a dead or numerically dead view, or in an
     isolated fault's row — carries no measurement and reads 0; a point

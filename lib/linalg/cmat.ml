@@ -98,6 +98,11 @@ let prefix m n =
     { nrows = n; ncols = n; re = Array1.sub m.re 0 len; im = Array1.sub m.im 0 len }
   end
 
+let reshape m ~rows ~cols =
+  if rows < 0 || cols < 0 || rows * cols > Array1.dim m.re then
+    invalid_arg "Cmat.reshape: storage too small";
+  { m with nrows = rows; ncols = cols }
+
 let rows m = m.nrows
 let cols m = m.ncols
 let re_plane m = m.re
@@ -152,15 +157,6 @@ let fill_parts m ~re ~im_scale ~im =
   for k = 0 to len - 1 do
     Array1.unsafe_set dre k (Array.unsafe_get re k);
     Array1.unsafe_set dim k (im_scale *. Array.unsafe_get im k)
-  done
-
-let col_into m ~c (v : Vec.t) =
-  if c < 0 || c >= m.ncols || Vec.length v <> m.nrows then
-    invalid_arg "Cmat.col_into: dimension mismatch";
-  let nc = m.ncols in
-  for i = 0 to m.nrows - 1 do
-    Array1.unsafe_set v.Vec.re i (Array1.unsafe_get m.re ((i * nc) + c));
-    Array1.unsafe_set v.Vec.im i (Array1.unsafe_get m.im ((i * nc) + c))
   done
 
 let norm_inf m =

@@ -68,6 +68,13 @@ val prefix : t -> int -> t
     [n x n]): one buffer serves every system up to its size. Raises
     [Invalid_argument] when [m] holds fewer than [n²] elements. *)
 
+val reshape : t -> rows:int -> cols:int -> t
+(** [reshape m ~rows ~cols] is a [rows x cols] matrix on the leading
+    elements of [m]'s planes, shared without a copy: one grown-only
+    buffer serves blocks of every shape up to its size ({!blit} needs
+    planes of exactly [rows·cols]). Raises [Invalid_argument] when [m]
+    holds fewer elements. *)
+
 val rows : t -> int
 val cols : t -> int
 
@@ -97,10 +104,6 @@ val fill_parts : t -> re:float array -> im_scale:float -> im:float array -> unit
     A(jω) = G + jωC from two real stamp planes without touching the
     stamping code. Both arrays must have exactly [rows * cols]
     elements. *)
-
-val col_into : t -> c:int -> Vec.t -> unit
-(** [col_into m ~c v] copies column [c] of [m] into [v] — extracts
-    one right-hand side / solution from a multi-RHS block. *)
 
 val norm_inf : t -> float
 (** Maximum absolute row sum. *)

@@ -705,18 +705,20 @@ let solve_transpose_into num ~(b : Bvec.t) ~(x : Bvec.t) =
 (* Multi-RHS back-solve mirroring {!Cmat.lu_solve_block_into}: [b]
    and [x] are n×k row-major blocks whose column r is the r-th
    right-hand side / solution, and per column the operation sequence is
-   exactly {!solve_into}'s. Allocates its own permuted block — callers
-   use this at cache-warming time, not in the per-point hot loop. *)
-let solve_block_into num ~(b : Cmat.t) ~(x : Cmat.t) =
+   exactly {!solve_into}'s. The permuted block lives in the caller's
+   [work], so a solve per frequency allocates nothing. *)
+let solve_block_into num ~(work : Cmat.t) ~(b : Cmat.t) ~(x : Cmat.t) =
   let s = num.sym in
   let n = s.pat.n in
   let k = Cmat.cols b in
-  if Cmat.rows b <> n || Cmat.rows x <> n || Cmat.cols x <> k then
-    invalid_arg "Csparse.solve_block_into: dimension mismatch";
+  if
+    Cmat.rows b <> n || Cmat.rows x <> n || Cmat.cols x <> k || Cmat.rows work <> n
+    || Cmat.cols work <> k
+  then invalid_arg "Csparse.solve_block_into: dimension mismatch";
   if k > 0 then begin
     let bre = Cmat.re_plane b and bim = Cmat.im_plane b in
     let xre = Cmat.re_plane x and xim = Cmat.im_plane x in
-    let yre = plane (n * k) and yim = plane (n * k) in
+    let yre = Cmat.re_plane work and yim = Cmat.im_plane work in
     for kk = 0 to n - 1 do
       let p = Array.unsafe_get s.roworder kk in
       let rk = kk * k and rp = p * k in

@@ -122,11 +122,12 @@ val solve_transpose_into : numeric -> b:Cmat.Vec.t -> x:Cmat.Vec.t -> unit
 (** [x <- A⁻ᵀ b] (the transpose, not the conjugate transpose) through
     the same factors, O(fill). [b] and [x] must not alias. *)
 
-val solve_block_into : numeric -> b:Cmat.t -> x:Cmat.t -> unit
+val solve_block_into : numeric -> work:Cmat.t -> b:Cmat.t -> x:Cmat.t -> unit
 (** Multi-RHS variant mirroring {!Cmat.lu_solve_block_into}: [b]
     and [x] are n×k row-major blocks, column r the r-th right-hand
     side/solution; per column the operation order is exactly
-    {!solve_into}'s. *)
+    {!solve_into}'s. [work], a third n×k block distinct from both,
+    holds the permuted intermediate, so the call allocates nothing. *)
 
 val determinant : numeric -> Complex.t
 (** Determinant of the last refactored matrix: permutation sign times

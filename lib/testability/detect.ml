@@ -63,35 +63,6 @@ let nominal_response probe grid netlist =
    per-frequency threshold it must exceed. *)
 type prepared_one = { measure : measure; thresholds : float array }
 
-(* Envelope accumulation over the per-component process drifts. Each
-   drift is a single-passive deviation — exactly a rank-1 fault for
-   the campaign engine, so the whole envelope costs one back-solve per
-   (passive, frequency) instead of a full sweep per passive. Only the
-   drifts of passives that can reach the output are summed: the others
-   move the output by exactly zero in exact arithmetic (a structural
-   fact, {!Circuit.Influence}), so their computed contribution is pure
-   round-off. A grid point where a drifted good circuit has no
-   solution mirrors the naive path's Singular_circuit. *)
-let envelope_thresholds ~measure ~floor ~respond ~drifting grid netlist
-    ~nominal ~component_tol =
-  let envelope = Array.make (Grid.n_points grid) floor in
-  List.iter
-    (fun element ->
-      let response = respond (Fault.deviation ~element (1.0 +. component_tol)) in
-      Array.iteri
-        (fun i tf ->
-          match tf with
-          | Some tf ->
-              envelope.(i) <- envelope.(i) +. deviation_of measure nominal.(i) tf
-          | None ->
-              raise
-                (Mna.Ac.Singular_circuit
-                   (Printf.sprintf "MNA matrix singular at f = %g Hz for %S"
-                      (Grid.freqs_hz grid).(i) (Netlist.title netlist))))
-        response)
-    drifting;
-  envelope
-
 (* The measurement floor: a grid point whose nominal response magnitude
    sits below it has no usable reference — the relative deviation there
    is a ratio of floating-point residues (a dead view output, the
@@ -224,85 +195,126 @@ let rec drift_tolerances = function
   | Any_of criteria -> List.concat_map drift_tolerances criteria
   | Fixed_tolerance _ | Phase_fixed _ -> []
 
-let rec prepare_raw ~respond ~drifting criterion grid netlist ~nominal =
-  let one measure thresholds = [ { measure; thresholds } ] in
-  let envelope measure ~floor ~component_tol =
-    envelope_thresholds ~measure ~floor ~respond ~drifting grid netlist ~nominal
-      ~component_tol
-  in
-  match criterion with
-  | Fixed_tolerance eps -> one Magnitude (Array.make (Grid.n_points grid) eps)
-  | Phase_fixed rad -> one Phase (Array.make (Grid.n_points grid) rad)
-  | Process_envelope { component_tol; floor } ->
-      one Magnitude (envelope Magnitude ~floor ~component_tol)
-  | Phase_envelope { component_tol; floor_rad } ->
-      one Phase (envelope Phase ~floor:floor_rad ~component_tol)
-  | Any_of criteria ->
-      List.concat_map
-        (fun c -> prepare_raw ~respond ~drifting c grid netlist ~nominal)
-        criteria
-
-(* A fully-prepared view: engine, nominal response, the instantiated
-   sub-criteria, the view's structure and its measurement mask — the
-   numeric floor, or every point of a dead view — ready to score any
-   number of faults, from any number of domains: the engine solves each
-   back-solve column on first use. A dead view has no engine: its rows
-   are all 'u' by definition, so nothing is ever solved on it. A live
-   view's engine solves its output cone, or the whole view on a
-   [fallback]. *)
+(* A fully-prepared view: engine, nominal response, the view's
+   structure and its measurement mask — the numeric floor, or every
+   point of a dead view — ready to score any number of faults, from any
+   number of domains. A dead view has no engine: its rows are all 'u'
+   by definition, so nothing is ever solved on it. A live view's engine
+   solves its output cone, or the whole view on a [fallback]. The
+   criterion's thresholds are built where rows are scored: from the
+   campaign's own sweep ({!score_rows}) or from a sweep of the drifts
+   alone ({!analyze}). *)
 type prepared_view = {
   sim : Fastsim.t option;
+  criterion : criterion;
+  grid : Grid.t;
   nominal : Complex.t array;
   nominal_mag : float array;  (* |nominal| *)
-  subs : prepared_one array;
   structure : structure;
   mask : Bytes.t;
   fallback : bool;
 }
 
-let view_of ~respond ~structure ~sim ~fallback ~mask criterion grid ~nominal =
-  (* A dead view builds no envelope: every point is masked. *)
-  let drifting = if structure.dead then [] else structure.drifting in
-  let subs =
-    Array.of_list
-      (prepare_raw ~respond ~drifting criterion grid structure.netlist ~nominal)
+(* A live view's envelope drifts as engine plans, in the order its sums
+   take them: per envelope sub-criterion, one single-passive deviation
+   — a rank-1 fault — per passive that can reach the output. The other
+   passives' drifts move the output by exactly zero in exact
+   arithmetic ({!Circuit.Influence}), so they would add round-off. *)
+let drift_plans pv sim =
+  Array.of_list
+    (List.concat_map
+       (fun tol ->
+         List.map
+           (fun element -> Fastsim.plan_of sim (Fault.deviation ~element (1.0 +. tol)))
+           pv.structure.drifting)
+       (drift_tolerances pv.criterion))
+
+(* A live view's instantiated sub-criteria, each envelope summed over
+   the swept drift rows of {!drift_plans}, rows [0 ..] of [re]/[im]/[ok]
+   in that order. A grid point where a drifted good circuit has no
+   solution mirrors the naive path's Singular_circuit. *)
+let thresholds pv ~re ~im ~ok =
+  let nf = Grid.n_points pv.grid in
+  let next = ref 0 in
+  let envelope measure ~floor =
+    let envelope = Array.make nf floor in
+    List.iter
+      (fun _ ->
+        let r = !next in
+        incr next;
+        for i = 0 to nf - 1 do
+          if Bytes.get ok.(r) i = '\000' then
+            raise
+              (Mna.Ac.Singular_circuit
+                 (Printf.sprintf "MNA matrix singular at f = %g Hz for %S"
+                    (Grid.freqs_hz pv.grid).(i)
+                    (Netlist.title pv.structure.netlist)));
+          let re = re.(r).(i) and im = im.(r).(i) in
+          envelope.(i) <-
+            envelope.(i)
+            +. deviation measure pv.nominal.(i) ~m0:pv.nominal_mag.(i)
+                 ~mf:(Float.hypot re im) re im
+        done)
+      pv.structure.drifting;
+    envelope
   in
+  let rec subs = function
+    | Fixed_tolerance eps -> [ { measure = Magnitude; thresholds = Array.make nf eps } ]
+    | Phase_fixed rad -> [ { measure = Phase; thresholds = Array.make nf rad } ]
+    | Process_envelope { floor; _ } ->
+        [ { measure = Magnitude; thresholds = envelope Magnitude ~floor } ]
+    | Phase_envelope { floor_rad; _ } ->
+        [ { measure = Phase; thresholds = envelope Phase ~floor:floor_rad } ]
+    | Any_of criteria -> List.concat_map subs criteria
+  in
+  Array.of_list (subs pv.criterion)
+
+(* One engine sweep over a live view: the envelope's drifts at every
+   point, then [plans] under the view's measurement mask. Returns the
+   view's thresholds, summed from the drift rows, and the planar rows
+   of [plans]. *)
+let sweep_view pv sim plans =
+  let nf = Grid.n_points pv.grid in
+  let drifts = drift_plans pv sim in
+  let n_drifts = Array.length drifts in
+  let swept = Array.append drifts plans in
+  let re = Array.map (fun _ -> Array.make nf 0.0) swept
+  and im = Array.map (fun _ -> Array.make nf 0.0) swept
+  and ok = Array.map (fun _ -> Bytes.make nf '\000') swept in
+  let every_point = Bytes.make nf '\000' in
+  Fastsim.sweep sim swept ~re ~im ~ok
+    ~skip:(Array.mapi (fun r _ -> if r < n_drifts then every_point else pv.mask) swept);
+  let rows a = Array.sub a n_drifts (Array.length plans) in
+  (thresholds pv ~re ~im ~ok, rows re, rows im, rows ok)
+
+(* The reference's thresholds: the drifts swept alone. A dead view
+   reads none. *)
+let reference_thresholds pv =
+  match pv.sim with
+  | None -> [||]
+  | Some sim ->
+      let subs, _, _, _ = sweep_view pv sim [||] in
+      subs
+
+let view_of ~structure ~sim ~fallback ~mask criterion grid ~nominal =
   let nominal_mag = Array.map (fun (t0 : Complex.t) -> Float.hypot t0.re t0.im) nominal in
-  { sim; nominal; nominal_mag; subs; structure; mask; fallback }
+  { sim; criterion; grid; nominal; nominal_mag; structure; mask; fallback }
 
 (* The rest of a view's preparation once its engine exists. *)
 let live_view ~criterion ~structure grid ~fallback sim =
   let nominal = Fastsim.nominal sim in
-  (* The envelope reads every drift at every frequency, so its columns
-     come from one multi-RHS block back-solve per frequency instead of
-     column by column; a deviation fault on a drifting passive later
-     reads the same column. Faults are not warmed: each of their
-     columns is solved the first time a point of the row reads it. *)
-  (match
-     List.concat_map
-       (fun tol ->
-         List.map
-           (fun element -> Fault.deviation ~element (1.0 +. tol))
-           structure.drifting)
-       (drift_tolerances criterion)
-   with
-  | [] -> ()
-  | drifts -> Fastsim.warm_cache sim drifts);
   let mask =
     if Fastsim.output_cancels sim then Bytes.make (Array.length nominal) '\001'
     else measurement_mask nominal
   in
-  view_of ~respond:(Fastsim.response sim) ~structure ~sim:(Some sim) ~fallback ~mask
-    criterion grid ~nominal
+  view_of ~structure ~sim:(Some sim) ~fallback ~mask criterion grid ~nominal
 
 (* Deadness is decided from the structure alone, before any engine
    exists: a dead view builds no engine, runs no nominal sweep and
    builds no envelope. Its nominal response is exactly zero. *)
 let dead_view ~criterion ~structure grid =
   let nf = Grid.n_points grid in
-  view_of
-    ~respond:(fun _ -> invalid_arg "Detect: a dead view builds no envelope")
-    ~structure ~sim:None ~fallback:false ~mask:(Bytes.make nf '\001') criterion grid
+  view_of ~structure ~sim:None ~fallback:false ~mask:(Bytes.make nf '\001') criterion grid
     ~nominal:(Array.make nf Complex.zero)
 
 (* Open a live view's engine with [open_engine netlist k] and hand it
@@ -376,13 +388,13 @@ let result_of_regions grid fault intervals =
   { fault; detectable = not (Util.Interval.Set.is_empty regions); omega_det; regions }
 
 (* The independent reference: a whole boxed {!Fastsim.response} row,
-   reduced point by point. It shares nothing with the campaign path
-   below ({!score_row}) but the prepared view and the two deviation
-   measures. An
-   isolated fault's row and a dead view's rows are all-'u' by
-   definition and cost no solve; an unknown element still raises like
-   the engine. *)
-let result_of pv grid fault =
+   reduced point by point against [subs] ({!reference_thresholds}). It
+   shares nothing with the campaign path below ({!score_rows}) but the
+   prepared view, the engine's single-row sweep and the two deviation
+   measures. An isolated fault's row and a dead view's rows are
+   all-'u' by definition and cost no solve; an unknown element still
+   raises like the engine. *)
+let result_of pv subs grid fault =
   let structure = pv.structure in
   if not (Netlist.mem structure.netlist fault.Fault.element) then
     raise (Fault.Unknown_element fault.Fault.element);
@@ -401,7 +413,7 @@ let result_of pv grid fault =
         | Some tf ->
             Array.exists
               (fun p -> deviation_of p.measure pv.nominal.(i) tf > p.thresholds.(i))
-              pv.subs
+              subs
       in
       if deviates then intervals := Grid.point_interval grid i :: !intervals
     done
@@ -410,13 +422,14 @@ let result_of pv grid fault =
 
 let analyze ?backend ?criterion probe grid netlist faults =
   let pv = prepare_view ?backend ?criterion ~faults probe grid netlist in
-  List.map (result_of pv grid) faults
+  let subs = reference_thresholds pv in
+  List.map (result_of pv subs grid) faults
 
 (* ---- row scoring (the campaign path) ----
 
    The campaign driver (Mcdft_core.Adaptive) builds one plan per
-   (view, fault), scores each row with {!score_row} and reduces the
-   verdict bytes through {!result_of_verdicts}. *)
+   (view, fault), scores a view's rows with {!score_rows} and reduces
+   the verdict bytes through {!result_of_verdicts}. *)
 
 (* [Dead]: a fault of a dead view on a passive that is not isolated. *)
 type plan = Isolated | Dead | Live of Fastsim.plan
@@ -445,40 +458,50 @@ let measured_nominal pv =
   Array.mapi (fun k m0 -> if below_floor pv k then 0.0 else m0) pv.nominal_mag
 
 (* The campaign's one static rule: an isolated fault, a dead view and a
-   point below the measurement floor are undetectable by definition;
-   the engine solves every other point of the row in one call. *)
-let score_row pv plan =
+   point below the measurement floor are undetectable by definition.
+   Every other point of every row, and every point of the envelope's
+   drifts, is solved in one engine sweep; the thresholds are summed
+   from the drift rows, then each fault row is decided. *)
+let score_rows pv plans =
   let nf = Array.length pv.nominal in
-  match plan with
-  | Isolated | Dead -> (Bytes.make nf 'u', Array.make nf 0.0, 0)
-  | Live p ->
-      let re = Array.make nf 0.0 and im = Array.make nf 0.0 in
-      let ok = Bytes.make nf '\000' in
-      Fastsim.response_into (Option.get pv.sim) p ~skip:pv.mask ~re ~im ~ok;
-      let verdicts = Bytes.make nf 'u' and deviations = Array.make nf 0.0 in
-      let solved = ref 0 in
-      for k = 0 to nf - 1 do
-        if not (below_floor pv k) then begin
-          incr solved;
-          (* A failed solve is detectable — the response is wildly
-             wrong, not merely deviated. *)
-          if Bytes.get ok k = '\000' then begin
-            Bytes.set verdicts k 'd';
-            deviations.(k) <- singular_deviation
-          end
-          else begin
-            let re = re.(k) and im = im.(k) and t0 = pv.nominal.(k) in
-            let m0 = pv.nominal_mag.(k) and mf = Float.hypot re im in
-            deviations.(k) <- signed_deviation ~nominal:m0 mf;
-            for j = 0 to Array.length pv.subs - 1 do
-              let p = pv.subs.(j) in
-              if deviation p.measure t0 ~m0 ~mf re im > p.thresholds.(k) then
-                Bytes.set verdicts k 'd'
-            done
-          end
-        end
-      done;
-      (verdicts, deviations, !solved)
+  let masked () = (Bytes.make nf 'u', Array.make nf 0.0, 0) in
+  match pv.sim with
+  | None -> Array.map (fun _ -> masked ()) plans
+  | Some sim ->
+      let live = List.filter_map (function Live p -> Some p | Isolated | Dead -> None) in
+      let subs, re, im, ok = sweep_view pv sim (Array.of_list (live (Array.to_list plans))) in
+      let next = ref (-1) in
+      Array.map
+        (function
+          | Isolated | Dead -> masked ()
+          | Live _ ->
+              incr next;
+              let re = re.(!next) and im = im.(!next) and ok = ok.(!next) in
+              let verdicts = Bytes.make nf 'u' and deviations = Array.make nf 0.0 in
+              let solved = ref 0 in
+              for k = 0 to nf - 1 do
+                if not (below_floor pv k) then begin
+                  incr solved;
+                  (* A failed solve is detectable — the response is
+                     wildly wrong, not merely deviated. *)
+                  if Bytes.get ok k = '\000' then begin
+                    Bytes.set verdicts k 'd';
+                    deviations.(k) <- singular_deviation
+                  end
+                  else begin
+                    let re = re.(k) and im = im.(k) and t0 = pv.nominal.(k) in
+                    let m0 = pv.nominal_mag.(k) and mf = Float.hypot re im in
+                    deviations.(k) <- signed_deviation ~nominal:m0 mf;
+                    for j = 0 to Array.length subs - 1 do
+                      let p = subs.(j) in
+                      if deviation p.measure t0 ~m0 ~mf re im > p.thresholds.(k) then
+                        Bytes.set verdicts k 'd'
+                    done
+                  end
+                end
+              done;
+              (verdicts, deviations, !solved))
+        plans
 
 let result_of_verdicts grid fault verdicts =
   if Bytes.length verdicts <> Grid.n_points grid then
@@ -498,8 +521,9 @@ let minimal_detectable_deviation ?(criterion = default_criterion)
     prepare_view ~criterion ~faults:[ Fault.deviation ~element max_factor ] probe grid
       netlist
   in
+  let subs = reference_thresholds pv in
   let detectable factor =
-    (result_of pv grid (Fault.deviation ~element factor)).detectable
+    (result_of pv subs grid (Fault.deviation ~element factor)).detectable
   in
   if not (detectable max_factor) then None
   else begin

@@ -53,10 +53,10 @@ module Netlist := Circuit.Netlist
       undetectable by definition and is never solved.
 
     Two scoring paths apply these rules, each in one place: the
-    campaign path ({!score_row} decides one (view × fault) row with one
-    engine call, {!result_of_verdicts} reduces it), and the independent
-    reference {!analyze}, which the differential oracles compare it
-    against. *)
+    campaign path ({!score_rows} decides every (view × fault) row of a
+    view with one engine sweep, {!result_of_verdicts} reduces each),
+    and the independent reference {!analyze}, one engine response per
+    row, which the differential oracles compare it against. *)
 
 type probe = { source : string; output : string }
 (** Where the test stimulus enters and where the response is read. *)
@@ -147,15 +147,16 @@ type prepared_view
 (** One circuit view readied for a fault campaign: the view's
     structure (dead or live, isolated passives) and measurement floor,
     the fault-simulation engine, its nominal response and the
-    instantiated thresholds. *)
+    criterion. The criterion's thresholds are instantiated where rows
+    are scored ({!score_rows}, {!analyze}). *)
 
 val prepare_view :
   ?backend:Fastsim.backend ->
   ?criterion:criterion ->
   ?faults:Fault.t list ->
   probe -> Grid.t -> Netlist.t -> prepared_view
-(** Build the structural facts, engine and thresholds for one view
-    (default criterion {!default_criterion}). Deadness is decided from
+(** Build the structural facts and engine for one view (default
+    criterion {!default_criterion}). Deadness is decided from
     the structure first: a dead view builds no engine, runs no nominal
     sweep and builds no envelope, so a dead view whose system is
     singular raises nothing — its rows are all ['u'] whatever the
@@ -165,20 +166,12 @@ val prepare_view :
     cone's system is singular and the view's is not, or [faults] holds
     a fault on an element other than a passive ({!structure}). Every
     point of a live view whose output cancels
-    ({!Fastsim.output_cancels}) is masked. On a live view, before any threshold is computed, the engine's back-solve
-    cache is warmed for the envelope's drifts ({!Fastsim.warm_cache},
-    one block back-solve per frequency), restricted to passives that
-    can affect the output, because the envelope reads each of them at
-    every frequency. Faults are not warmed: each of their back-solves
-    runs the first time a score reads it, so a point below the floor
-    costs no back-solve. The view can be scored from several domains
-    concurrently ({!Fastsim}'s cache is safe to fill in parallel, and
-    {!score_row} solves into buffers of its own). Raises like
-    {!analyze}: {!Mna.Ac.Singular_circuit} when the fault-free system
-    of a live view's engine (the whole view's, once the cone's is
-    singular), or a drifted good circuit of its envelope (only drifts
-    that can reach the output are simulated), is singular at a grid
-    frequency. *)
+    ({!Fastsim.output_cancels}) is masked. The view can be scored from
+    several domains concurrently (its engine is read-only, and
+    {!score_rows} sweeps into buffers of its own). Raises
+    {!Mna.Ac.Singular_circuit} when the fault-free system of a live
+    view's engine (the whole view's, once the cone's is singular) is
+    singular at a grid frequency. *)
 
 val with_view :
   pool:Fastsim.pool ->
@@ -222,27 +215,34 @@ val below_floor : prepared_view -> int -> bool
     fault that is not isolated: the view is dead, or the point's
     nominal response sits below the view's measurement floor. *)
 
-val score_row : prepared_view -> plan -> Bytes.t * float array * int
-(** Decide every grid point of one fault's row: the verdict bytes (one
+val score_rows : prepared_view -> plan array -> (Bytes.t * float array * int) array
+(** Decide every grid point of each plan's row: the verdict bytes (one
     per grid point, ['d'] or ['u']), the signed magnitude deviation row
-    and the number of points solved. A fault on an isolated passive,
-    and any fault of a dead view, gives all ['u'] and an all-zero
-    deviation row with no solve and without touching an engine.
-    Otherwise one {!Fastsim.response_into} call solves the row,
-    skipping the points {!below_floor}, which are ['u'] with deviation
-    0; a solved point is ['d'] when some prepared sub-criterion's
-    deviation exceeds its threshold or the solve fails (singular faulty
-    system), ['u'] otherwise. Its deviation is
-    {!signed_deviation} of the faulty [|H|] against the nominal, or
-    1e3 where the solve fails. No verdict is inferred from a
-    neighbouring point. Verdicts reduce through {!result_of_verdicts}
-    to exactly {!analyze}'s results; the deviations do not depend on
-    the criterion. Safe to call from several domains on one view. *)
+    and the number of points solved, one triple per plan, in order. A
+    fault on an isolated passive, and any fault of a dead view, gives
+    all ['u'] and an all-zero deviation row with no solve and without
+    touching an engine. Every other row goes through one
+    {!Fastsim.sweep}, together with the envelope's drifts (one
+    [+component_tol] deviation per passive that can affect the output,
+    per envelope sub-criterion, at every grid point): fault rows skip
+    the points {!below_floor}, which are ['u'] with deviation 0, and
+    share each frequency's back-solves with the drifts and with each
+    other. The envelope thresholds are summed from the drift rows; a
+    solved point is then ['d'] when some sub-criterion's deviation
+    exceeds its threshold or the solve fails (singular faulty system),
+    ['u'] otherwise. Its deviation is {!signed_deviation} of the faulty
+    [|H|] against the nominal, or 1e3 where the solve fails. No
+    verdict is inferred from a neighbouring point. Verdicts reduce
+    through {!result_of_verdicts} to exactly {!analyze}'s results,
+    whatever rows are scored together; the deviations do not depend on
+    the criterion. Raises {!Mna.Ac.Singular_circuit} when a drifted
+    good circuit is singular at a grid frequency. Safe to call from
+    several domains on one view. *)
 
 val signed_deviation : nominal:float -> float -> float
 (** [signed_deviation ~nominal m] is [(m − nominal) / max nominal 1e-12]:
     the signed relative magnitude deviation of a faulty [|H| = m] from
-    the nominal [|H|], as {!score_row} records it. *)
+    the nominal [|H|], as {!score_rows} records it. *)
 
 val measured_nominal : prepared_view -> float array
 (** The nominal [|H|] at every grid point, 0 at the points
@@ -259,15 +259,17 @@ val analyze :
   ?criterion:criterion -> probe -> Grid.t -> Netlist.t -> Fault.t list -> result list
 (** Analyze a fault list against one circuit: one {!prepare_view}, then
     per fault a whole boxed faulty response reduced point by point —
-    the independent reference for the campaign path ({!score_row}),
-    sharing nothing with it past preparation. A
+    the independent reference for the campaign path ({!score_rows}),
+    whose many-row sweep it checks; its envelope thresholds come from
+    a sweep of the drifts alone. A
     frequency where the faulty circuit has no solution (singular
     system) counts as detectable — the response is wildly wrong, not
     merely deviated — unless the point sits below the measurement
     floor, which overrides everything. A fault on an isolated passive,
     and any fault of a dead view, is undetectable without a solve.
     Raises {!Fault.Unknown_element} when a fault's element is
-    absent. *)
+    absent, and {!Mna.Ac.Singular_circuit} like {!prepare_view} and
+    {!score_rows}. *)
 
 val minimal_detectable_deviation :
   ?criterion:criterion -> ?max_factor:float ->

@@ -20,8 +20,8 @@ type pat = (int * float) list
 
 (* ΔA(ω) = (alpha_g + jω alpha_c) · u uᵀ — every rank-1 stamp here is
    symmetric (an admittance across a node pair, or an inductor's own
-   branch diagonal). [slot] names the pattern's column in the
-   engine's back-solve cache. *)
+   branch diagonal). [slot] names the pattern: rows on one slot read
+   one A⁻¹u column at each frequency. *)
 type rank1 = { slot : int; u : pat; alpha_g : float; alpha_c : float }
 
 (* Fault classification, before any per-plan state is built. *)
@@ -30,37 +30,15 @@ type cls =
   | Rank_one of rank1
   | Structural  (* full path on the injected netlist *)
 
-(* One cached A⁻¹u column at one frequency. [Unread] is a column
-   {!warm_cache} block-solved that no point solve has read yet; its
-   first reader turns it [Read] and books the miss an on-demand solve
-   would have booked, so warming never moves the counters. *)
-type cell = Empty | Unread of Bvec.t | Read of Bvec.t
-
 (* ---- recycled engine storage ----
 
    An engine built inside {!with_engine} takes its per-frequency
    buffers from a workspace of its pool, sized for the largest system
-   the pool serves, and its A⁻¹u columns from that workspace's column
-   arena; a smaller engine uses the leading part of each buffer
-   ({!Cmat.prefix}). Leaving the bracket bumps the workspace's
-   generation — every engine built on it is dead from then on —
-   rewinds the arena and hands the workspace back to the pool, so the
-   next engine, of whatever dimension up to the workspace's, reuses
-   all of it. *)
-
-(* Growable column storage: chunks of [chunk_cols] slots of length
-   [a_n], handed out front to back and rewound when the bracket ends;
-   a column of a smaller engine uses the front of its slot. Chunks are
-   added on demand, so storage follows the columns actually solved.
-   Each slot is handed out once, under the lock, so no two domains ever
-   write one slot. *)
-type arena = {
-  a_n : int;
-  chunk_cols : int;
-  lock : Mutex.t;
-  mutable chunks : (Cmat.plane * Cmat.plane) array;
-  mutable used : int;  (* columns handed out since the last rewind *)
-}
+   the pool serves; a smaller engine uses the leading part of each
+   buffer ({!Cmat.prefix}). Leaving the bracket bumps the workspace's
+   generation — every engine built on it is dead from then on — and
+   hands the workspace back to the pool, so the next engine, of
+   whatever dimension up to the workspace's, reuses all of it. *)
 
 type workspace = {
   ws_n : int;  (* the largest dimension it serves *)
@@ -68,7 +46,6 @@ type workspace = {
   mutable ws_lu : Cmat.lu array;
   mutable ws_b : Bvec.t array;
   mutable ws_x0 : Bvec.t array;
-  arena : arena;
   gen : int Atomic.t;  (* bumped when a bracket ends *)
 }
 
@@ -78,41 +55,8 @@ type pool = { pool_lock : Mutex.t; mutable idle : workspace list; pool_dim : int
 
 let pool ~dim = { pool_lock = Mutex.create (); idle = []; pool_dim = dim }
 
-(* ~256 KiB per plane per chunk. *)
-let chunk_floats = 32768
-
-let arena_column a n =
-  let (re, im), k =
-    Mutex.protect a.lock (fun () ->
-        let k = a.used in
-        if k / a.chunk_cols >= Array.length a.chunks then begin
-          let len = a.chunk_cols * a.a_n in
-          let plane () = Bigarray.(Array1.create Float64 C_layout len) in
-          a.chunks <- Array.append a.chunks [| (plane (), plane ()) |]
-        end;
-        a.used <- k + 1;
-        (a.chunks.(k / a.chunk_cols), k))
-  in
-  let off = k mod a.chunk_cols * a.a_n in
-  { Bvec.re = Bigarray.Array1.sub re off n; im = Bigarray.Array1.sub im off n }
-
 let workspace_create n =
-  {
-    ws_n = n;
-    ws_a = [||];
-    ws_lu = [||];
-    ws_b = [||];
-    ws_x0 = [||];
-    arena =
-      {
-        a_n = n;
-        chunk_cols = Int.max 16 (chunk_floats / Int.max n 1);
-        lock = Mutex.create ();
-        chunks = [||];
-        used = 0;
-      };
-    gen = Atomic.make 0;
-  }
+  { ws_n = n; ws_a = [||]; ws_lu = [||]; ws_b = [||]; ws_x0 = [||]; gen = Atomic.make 0 }
 
 (* The smallest idle workspace of [pool] that holds dimension [n], or
    a new one sized for the pool's dimension (or [n], if larger). *)
@@ -155,7 +99,6 @@ let ensure_buffers ws ~nf ~dense =
 
 let release pool ws =
   Atomic.incr ws.gen;
-  Mutex.protect ws.arena.lock (fun () -> ws.arena.used <- 0);
   Mutex.protect pool.pool_lock (fun () -> pool.idle <- ws :: pool.idle)
 
 (* The factored fault-free system at one frequency. The dense arm
@@ -183,18 +126,15 @@ type bound_data = {
   jmax : int;  (* where |x̂₀ᵢ|₁ peaks *)
   g_lu : float;  (* γ₃ₙ₊₄₀: the LU backward error's constant *)
   g_mv : float;  (* γₙ₊₈: the residual mat-vec's rounding constant *)
-  wnorm : float array;  (* slot -> ‖ŵ‖, −1 until a point first needs it *)
 }
 
 type freq_state = {
   omega : float;
-  f_hz : float;
   solver : solver;
   anorm : float Atomic.t;  (* ‖A(jω)‖∞, nan until a point first reads it *)
   b : Bvec.t;
   bnorm : float;
   x0 : Bvec.t;
-  cells : cell Atomic.t array;  (* slot -> A⁻¹u this frequency *)
   bound : bound_data option Atomic.t;  (* dense only; built at the first rank-1 point *)
 }
 
@@ -210,10 +150,10 @@ let solver_solve_into fs ~b ~x =
   | Dense_solver { dlu; _ } -> Cmat.lu_solve_into dlu ~b ~x
   | Sparse_solver { num; _ } -> Csparse.solve_into num ~b ~x
 
-let solver_solve_block_into fs ~b ~x =
+let solver_solve_block_into fs ~work ~b ~x =
   match fs.solver with
   | Dense_solver { dlu; _ } -> Cmat.lu_solve_block_into dlu ~b ~x
-  | Sparse_solver { num; _ } -> Csparse.solve_block_into num ~b ~x
+  | Sparse_solver { num; _ } -> Csparse.solve_block_into num ~work ~b ~x
 
 let solver_mul_vec_into fs ~x ~y =
   match fs.solver with
@@ -253,8 +193,6 @@ type t = {
   n : int;
   freqs : freq_state array;
   nominal : Complex.t array;
-  nom_re : float array;  (* nominal, planar, for the Unchanged fast path *)
-  nom_im : float array;
   slot_of : (string, int) Hashtbl.t;  (* passive -> its stamp pattern's slot *)
   slot_pats : pat array;
   lease : (workspace * int) option;  (* bracket storage and its generation *)
@@ -266,10 +204,6 @@ let check_live t =
       invalid_arg "Fastsim: engine used after its with_engine bracket ended"
   | _ -> ()
 
-(* Storage for one published A⁻¹u column. *)
-let new_column t =
-  match t.lease with Some (ws, _) -> arena_column ws.arena t.n | None -> Bvec.create t.n
-
 (* A fault ready to simulate. Plans are immutable and safe to share
    across domains; all mutable solve state lives in per-domain
    scratch. *)
@@ -280,7 +214,7 @@ type plan =
 
 (* Counter increments batched per domain: the solver hot loop bumps
    plain mutable ints and {!flush_pending} folds them into the
-   {!Obs.Metrics} registry once per {!response_into} call, instead of
+   {!Obs.Metrics} registry once per {!sweep} call, instead of
    one sharded-counter operation per solve (which was ~17% of a
    metrics-enabled campaign). *)
 type pending = {
@@ -290,6 +224,21 @@ type pending = {
   mutable p_refine : int;
   mutable p_hits : int;
   mutable p_misses : int;
+}
+
+(* One frequency's A⁻¹u columns: the distinct slots its rank-1 rows
+   read, solved as one n×k block. [rhs] is all zero between
+   frequencies, [cols] holds the solutions column by column so that a
+   point reads its column contiguously, and every plane only grows. *)
+type block = {
+  mutable cap : int;  (* elements per plane of each of the four blocks *)
+  mutable rhs : Cmat.t;
+  mutable sol : Cmat.t;
+  mutable work : Cmat.t;  (* a sparse solve's permuted block *)
+  mutable cols : Cmat.t;  (* column c at offset c·n *)
+  mutable col_of : int array;  (* slot -> its column at this frequency, −1 if none *)
+  mutable slot_at : int array;  (* column -> slot *)
+  mutable wnorm : float array;  (* column -> ‖ŵ‖ (|z|₁ = |re| + |im|), for the a-priori bound *)
 }
 
 (* Per-domain off-heap workspaces for the rank-1 hot path: one scratch
@@ -304,12 +253,12 @@ type scratch = {
   mutable xf : Bvec.t;  (* candidate faulty solution *)
   mutable resid : Bvec.t;  (* faulty residual b_f − A_f xf *)
   mutable d0 : Bvec.t;  (* refinement back-solve *)
-  mutable uvec : Bvec.t;  (* densified u pattern for cache misses *)
   mutable sdim : int;
   mutable sm : Cmat.t;  (* fallback assembly / perturbed-copy target *)
   mutable slu : Cmat.lu;
   mutable sb : Bvec.t;
   mutable sx : Bvec.t;
+  blk : block;
   pend : pending;
 }
 
@@ -320,12 +269,22 @@ let scratch_key =
         xf = Bvec.create 0;
         resid = Bvec.create 0;
         d0 = Bvec.create 0;
-        uvec = Bvec.create 0;
         sdim = -1;
         sm = Cmat.create 0 0;
         slu = Cmat.lu_create 0;
         sb = Bvec.create 0;
         sx = Bvec.create 0;
+        blk =
+          {
+            cap = 0;
+            rhs = Cmat.create 0 0;
+            sol = Cmat.create 0 0;
+            work = Cmat.create 0 0;
+            cols = Cmat.create 0 0;
+            col_of = [||];
+            slot_at = [||];
+            wnorm = [||];
+          };
         pend =
           {
             p_smw = 0;
@@ -360,8 +319,7 @@ let scratch_for n =
     s.dim <- n;
     s.xf <- Bvec.create n;
     s.resid <- Bvec.create n;
-    s.d0 <- Bvec.create n;
-    s.uvec <- Bvec.create n
+    s.d0 <- Bvec.create n
   end;
   s
 
@@ -383,9 +341,9 @@ let two_node_pat index n1 n2 : pat =
   | None, Some j -> [ (j, -1.0) ]
   | None, None -> []
 
-(* The back-solve cache's slots, fixed when the engine is built: one
-   per distinct non-empty stamp pattern of a passive, so elements on
-   one node pair (R‖C) share a column. A passive with an empty pattern
+(* The engine's slots, fixed when it is built: one per distinct
+   non-empty stamp pattern of a passive, so elements on one node pair
+   (R‖C) share an A⁻¹u column. A passive with an empty pattern
    (both ends on one node) has no slot: none of its faults can move
    the system. *)
 let intern_slots index netlist =
@@ -426,7 +384,6 @@ let build ~acquire ?(backend = Auto) ~source ~output ~freqs_hz netlist =
   let ws = acquire n in
   let out_idx = Mna.Index.node index output in
   let slot_of, slot_pats = intern_slots index netlist in
-  let new_cells () = Array.init (Array.length slot_pats) (fun _ -> Atomic.make Empty) in
   let singular_at f_hz =
     raise
       (Mna.Ac.Singular_circuit
@@ -479,13 +436,11 @@ let build ~acquire ?(backend = Auto) ~source ~output ~freqs_hz netlist =
                 Cmat.lu_solve_into lu ~b ~x:x0;
                 {
                   omega;
-                  f_hz;
                   solver = Dense_solver { da = a; dlu = lu };
                   anorm = Atomic.make Float.nan;
                   b;
                   bnorm = Bvec.norm_inf b;
                   x0;
-                  cells = new_cells ();
                   bound = Atomic.make None;
                 })
           freqs_hz
@@ -525,13 +480,11 @@ let build ~acquire ?(backend = Auto) ~source ~output ~freqs_hz netlist =
             Csparse.solve_into num ~b ~x:x0;
             {
               omega;
-              f_hz;
               solver = Sparse_solver { spat; sre; sim_; num };
               anorm = Atomic.make Float.nan;
               b;
               bnorm = Bvec.norm_inf b;
               x0;
-              cells = new_cells ();
               bound = Atomic.make None;
             })
           freqs_hz
@@ -549,8 +502,6 @@ let build ~acquire ?(backend = Auto) ~source ~output ~freqs_hz netlist =
     n;
     freqs;
     nominal;
-    nom_re = Array.map (fun (z : Complex.t) -> z.Complex.re) nominal;
-    nom_im = Array.map (fun (z : Complex.t) -> z.Complex.im) nominal;
     slot_of;
     slot_pats;
     lease = Option.map (fun ws -> (ws, Atomic.get ws.gen)) ws;
@@ -679,14 +630,16 @@ let plan_of t fault =
 
 (* ---- rank-1 solves ---- *)
 
-(* Pattern dot product against one plane: Σ s·plane.(i). The complex
-   dot against a planar vector is two of these, one per plane. *)
-let rec dot_pat (pat : pat) (plane : Cmat.plane) acc =
+(* Pattern dot product against one plane, read from offset [off]:
+   Σ s·plane.(off + i). The complex dot against a planar vector is two
+   of these, one per plane. *)
+let rec dot_pat (pat : pat) (plane : Cmat.plane) off acc =
   match pat with
   | [] -> acc
-  | (i, s) :: tl -> dot_pat tl plane (acc +. (s *. Bigarray.Array1.unsafe_get plane i))
+  | (i, s) :: tl ->
+      dot_pat tl plane off (acc +. (s *. Bigarray.Array1.unsafe_get plane (off + i)))
 
-let dot_pat pat plane = dot_pat pat plane 0.0
+let dot_pat pat plane off = dot_pat pat plane off 0.0
 
 (* (nr + i·ni) / (dr + i·di) — Smith's algorithm, exactly Complex.div. *)
 let div2 nr ni dr di =
@@ -715,88 +668,6 @@ let norm1_inf_arg (v : Bvec.t) =
   done;
   (!acc, !arg)
 
-let solve_pattern fs (u : pat) (w : Bvec.t) =
-  let s = scratch_for (Bvec.length fs.x0) in
-  let uvec = s.uvec in
-  List.iter (fun (i, sg) -> Bigarray.Array1.set uvec.Bvec.re i sg) u;
-  solver_solve_into fs ~b:uvec ~x:w;
-  List.iter (fun (i, _) -> Bigarray.Array1.set uvec.Bvec.re i 0.0) u
-
-(* The A⁻¹u column of [slot] at one frequency. A column is solved the
-   first time any point solve needs it and published with a CAS; a
-   domain that loses the race adopts the winner's column, which is
-   bitwise equal, and abandons its own (an arena slot stays unused
-   until the bracket ends). A miss is the first read of a column,
-   whoever solved it: the reader that wins the transition to [Read]
-   books it, every other read books a hit — so the totals do not
-   depend on the schedule or on what was warmed. *)
-let rec w_for t fs slot =
-  let cell = Array.unsafe_get fs.cells slot in
-  let p = pending () in
-  match Atomic.get cell with
-  | Read w ->
-      p.p_hits <- p.p_hits + 1;
-      w
-  | Unread w as c ->
-      if Atomic.compare_and_set cell c (Read w) then p.p_misses <- p.p_misses + 1
-      else p.p_hits <- p.p_hits + 1;
-      w
-  | Empty ->
-      let w = new_column t in
-      solve_pattern fs t.slot_pats.(slot) w;
-      if Atomic.compare_and_set cell Empty (Read w) then begin
-        p.p_misses <- p.p_misses + 1;
-        w
-      end
-      else w_for t fs slot
-
-(* Fill the A⁻¹u columns of [faults]' patterns with one multi-RHS
-   block back-solve per frequency: the wanted patterns are the columns
-   of one n×k block, built once per call, so the cached LU factor is
-   swept once per frequency instead of once per (pattern, frequency). A
-   frequency whose wanted columns are all present is skipped; otherwise
-   the block is solved whole and only the empty cells are filled.
-   Column results are bitwise-identical to the per-pattern
-   {!solve_pattern} path (see {!Linalg.Cmat.Cmat.lu_solve_block_into}). *)
-let warm_cache t faults =
-  check_live t;
-  Obs.Trace.span "fastsim.warm_cache" @@ fun () ->
-  let wanted = Array.make (Array.length t.slot_pats) false in
-  List.iter
-    (fun fault ->
-      match classify t fault with
-      | Rank_one { slot; _ } -> wanted.(slot) <- true
-      | Unchanged | Structural -> ()
-      | exception Fault.Unknown_element _ -> ())
-    faults;
-  let slots =
-    List.filter (fun slot -> wanted.(slot)) (List.init (Array.length wanted) Fun.id)
-  in
-  let k = List.length slots in
-  if k > 0 then begin
-    let b = Cmat.create t.n k and x = Cmat.create t.n k in
-    List.iteri
-      (fun r slot ->
-        List.iter
-          (fun (i, sg) -> Cmat.set b i r Complex.{ re = sg; im = 0.0 })
-          t.slot_pats.(slot))
-      slots;
-    Array.iter
-      (fun fs ->
-        if List.exists (fun slot -> Atomic.get fs.cells.(slot) == Empty) slots then begin
-          solver_solve_block_into fs ~b ~x;
-          List.iteri
-            (fun r slot ->
-              let cell = fs.cells.(slot) in
-              if Atomic.get cell == Empty then begin
-                let w = new_column t in
-                Cmat.col_into x ~c:r w;
-                ignore (Atomic.compare_and_set cell Empty (Unread w))
-              end)
-            slots
-        end)
-      t.freqs
-  end
 
 (* ---- point solvers ----
 
@@ -805,8 +676,8 @@ let warm_cache t faults =
    the output planar avoids boxing a [Some Complex.t] per point in the
    campaign inner loop. *)
 
-let write_out t (x : Bvec.t) ~re ~im ~ok ~ix =
-  (match t.out_idx with
+let write_out out (x : Bvec.t) ~re ~im ~ok ~ix =
+  (match out with
   | None ->
       Array.unsafe_set re ix 0.0;
       Array.unsafe_set im ix 0.0
@@ -815,12 +686,26 @@ let write_out t (x : Bvec.t) ~re ~im ~ok ~ix =
       Array.unsafe_set im ix (Bigarray.Array1.unsafe_get x.Bvec.im oi));
   Bytes.unsafe_set ok ix '\001'
 
+(* The fallbacks' common end, booked as one full solve: factor the
+   fallback workspace's matrix, solve it for [b] and write entry [out]
+   of the solution, or a singular point. *)
+let fallback_solve s ~b ~out ~re ~im ~ok ~ix =
+  s.pend.p_full <- s.pend.p_full + 1;
+  match
+    Obs.Metrics.time "mna.solve_s" (fun () ->
+        Cmat.lu_factor_into s.slu s.sm;
+        Cmat.lu_solve_into s.slu ~b ~x:s.sx)
+  with
+  | () -> write_out out s.sx ~re ~im ~ok ~ix
+  | exception Cmat.Singular ->
+      Array.unsafe_set re ix 0.0;
+      Array.unsafe_set im ix 0.0;
+      Bytes.unsafe_set ok ix '\000'
+
 (* Full fallback at one frequency: perturb a copy of A(jω) and
    refactorize — exactly the naive path, minus the assembly. *)
 let full_point_solve t fs ~al_re ~al_im ~u ~re ~im ~ok ~ix =
-  let s = Domain.DLS.get scratch_key in
-  s.pend.p_full <- s.pend.p_full + 1;
-  let s = fallback_ws s t.n in
+  let s = fallback_ws (Domain.DLS.get scratch_key) t.n in
   solver_dense_into fs s.sm;
   List.iter
     (fun (i, si) ->
@@ -830,16 +715,7 @@ let full_point_solve t fs ~al_re ~al_im ~u ~re ~im ~ok ~ix =
             { Complex.re = al_re *. si *. sj; Complex.im = al_im *. si *. sj })
         u)
     u;
-  match
-    Obs.Metrics.time "mna.solve_s" (fun () ->
-        Cmat.lu_factor_into s.slu s.sm;
-        Cmat.lu_solve_into s.slu ~b:fs.b ~x:s.sx)
-  with
-  | () -> write_out t s.sx ~re ~im ~ok ~ix
-  | exception Cmat.Singular ->
-      Array.unsafe_set re ix 0.0;
-      Array.unsafe_set im ix 0.0;
-      Bytes.unsafe_set ok ix '\000'
+  fallback_solve s ~b:fs.b ~out:t.out_idx ~re ~im ~ok ~ix
 
 (* After refinement a healthy update sits at ~machine-precision
    normwise relative residual; anything above this bound means the
@@ -951,7 +827,6 @@ let bound_of fs =
           jmax;
           g_lu = gamma ((3 * n) + 40);
           g_mv = gamma (n + 8);
-          wnorm = Array.make (Array.length fs.cells) (-1.0);
         }
       in
       ignore (Atomic.compare_and_set fs.bound None (Some g));
@@ -966,44 +841,38 @@ let[@inline always] xf_entry_re ~x0r ~wr ~wi ~coef_re ~coef_im =
 let[@inline always] xf_entry_im ~x0i ~wr ~wi ~coef_re ~coef_im =
   x0i -. ((coef_re *. wi) +. (coef_im *. wr))
 
-(* max(|re|, |im|) of x̂f[i]: a lower bound on the gate's ‖x̂f‖∞. *)
-let[@inline always] xf_lower (x0 : Bvec.t) (w : Bvec.t) ~coef_re ~coef_im i =
+(* max(|re|, |im|) of x̂f[i]: a lower bound on the gate's ‖x̂f‖∞. The
+   column ŵ starts at offset [woff] of its planes. *)
+let[@inline always] xf_lower (x0 : Bvec.t) ~wre ~wim ~woff ~coef_re ~coef_im i =
   let open Bigarray in
-  let wr = Array1.unsafe_get w.Bvec.re i and wi = Array1.unsafe_get w.Bvec.im i in
+  let wr = Array1.unsafe_get wre (woff + i) and wi = Array1.unsafe_get wim (woff + i) in
   let x0r = Array1.unsafe_get x0.Bvec.re i and x0i = Array1.unsafe_get x0.Bvec.im i in
   Float.max
     (Float.abs (xf_entry_re ~x0r ~wr ~wi ~coef_re ~coef_im))
     (Float.abs (xf_entry_im ~x0i ~wr ~wi ~coef_re ~coef_im))
 
-(* Σ |vⱼ|₁ over the pattern's entries. *)
-let rec abs_pat (pat : pat) (v : Bvec.t) acc =
+(* Σ |vⱼ|₁ over the pattern's entries, read from offset [off]. *)
+let rec abs_pat (pat : pat) (re : Cmat.plane) (im : Cmat.plane) off acc =
   match pat with
   | [] -> acc
   | (i, _) :: tl ->
-      abs_pat tl v
+      abs_pat tl re im off
         (acc
-        +. Float.abs (Bigarray.Array1.unsafe_get v.Bvec.re i)
-        +. Float.abs (Bigarray.Array1.unsafe_get v.Bvec.im i))
+        +. Float.abs (Bigarray.Array1.unsafe_get re (off + i))
+        +. Float.abs (Bigarray.Array1.unsafe_get im (off + i)))
 
-(* Whether the bound B clears this point: B ≤ 1024ε(anorm·L + bnorm). *)
-let[@inline always] bound_clears fs ~slot (w : Bvec.t) (u : pat) ~out_idx ~al_re ~al_im
-    ~den_re ~den_im ~coef_re ~coef_im =
+(* Whether the bound B clears this point: B ≤ 1024ε(anorm·L + bnorm).
+   ŵ is column [col] of the frequency's block. *)
+let[@inline always] bound_clears fs (blk : block) ~col ~wre ~wim ~woff (u : pat) ~out_idx
+    ~al_re ~al_im ~den_re ~den_im ~coef_re ~coef_im =
   let g = bound_of fs in
   let x0 = fs.x0 in
-  (* Columns are bitwise equal whoever solved them, so a domain racing
-     on an unset norm stores the same value. *)
-  let wnorm =
-    let k = Array.unsafe_get g.wnorm slot in
-    if k <> -1.0 then k
-    else begin
-      let k, _ = norm1_inf_arg w in
-      Array.unsafe_set g.wnorm slot k;
-      k
-    end
-  in
+  let wnorm = Array.unsafe_get blk.wnorm col in
   let c1 = Float.abs coef_re +. Float.abs coef_im in
   let p = g.x01 +. (c1 *. wnorm) in
-  let q = abs_pat u x0 0.0 +. (c1 *. abs_pat u w 0.0) in
+  let q =
+    abs_pat u x0.Bvec.re x0.Bvec.im 0 0.0 +. (c1 *. abs_pat u wre wim woff 0.0)
+  in
   let bound =
     g.r0
     +. (g.g_lu *. c1 *. g.lu1 *. wnorm)
@@ -1012,11 +881,11 @@ let[@inline always] bound_clears fs ~slot (w : Bvec.t) (u : pat) ~out_idx ~al_re
        *. ((c1 *. (Float.abs den_re +. Float.abs den_im))
           +. ((Float.abs al_re +. Float.abs al_im) *. q))
   in
-  let lower = xf_lower x0 w ~coef_re ~coef_im g.jmax in
+  let lower = xf_lower x0 ~wre ~wim ~woff ~coef_re ~coef_im g.jmax in
   let lower =
     match out_idx with
     | None -> lower
-    | Some oi -> Float.max lower (xf_lower x0 w ~coef_re ~coef_im oi)
+    | Some oi -> Float.max lower (xf_lower x0 ~wre ~wim ~woff ~coef_re ~coef_im oi)
   in
   let thr = 1024.0 *. epsilon_float *. ((anorm fs *. lower) +. fs.bnorm) in
   (bound *. (1.0 +. 0x1p-20)) +. 1e-250 <= thr
@@ -1027,13 +896,16 @@ let[@inline always] bound_clears fs ~slot (w : Bvec.t) (u : pat) ~out_idx ~al_re
 let is_dense fs = match fs.solver with Dense_solver _ -> true | Sparse_solver _ -> false
 
 (* [guard] false skips the a-priori bound: {!guard_probe}'s reference
-   run. *)
-let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im ~ok ~ix =
+   run. The point's column is the one [blk] holds for its slot. *)
+let smw_point_solve ~guard t fs (blk : block) ({ slot; u; alpha_g; alpha_c } : rank1) ~re
+    ~im ~ok ~ix =
   let al_re = alpha_g and al_im = fs.omega *. alpha_c in
-  if al_re = 0.0 && al_im = 0.0 then write_out t fs.x0 ~re ~im ~ok ~ix
+  if al_re = 0.0 && al_im = 0.0 then write_out t.out_idx fs.x0 ~re ~im ~ok ~ix
   else begin
-    let w = w_for t fs slot in
-    let vw_re = dot_pat u w.Bvec.re and vw_im = dot_pat u w.Bvec.im in
+    let col = blk.col_of.(slot) in
+    let woff = col * t.n in
+    let wre = Cmat.re_plane blk.cols and wim = Cmat.im_plane blk.cols in
+    let vw_re = dot_pat u wre woff and vw_im = dot_pat u wim woff in
     let den_re = 1.0 +. ((al_re *. vw_re) -. (al_im *. vw_im))
     and den_im = (al_re *. vw_im) +. (al_im *. vw_re) in
     let chaotic, den_re, den_im =
@@ -1044,7 +916,7 @@ let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im 
     if Cmat.norm2 den_re den_im <= 1e-12 then
       full_point_solve t fs ~al_re ~al_im ~u ~re ~im ~ok ~ix
     else begin
-      let vx0_re = dot_pat u fs.x0.Bvec.re and vx0_im = dot_pat u fs.x0.Bvec.im in
+      let vx0_re = dot_pat u fs.x0.Bvec.re 0 and vx0_im = dot_pat u fs.x0.Bvec.im 0 in
       let coef_re, coef_im =
         div2
           ((al_re *. vx0_re) -. (al_im *. vx0_im))
@@ -1053,8 +925,8 @@ let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im 
       in
       if
         guard && (not chaotic) && is_dense fs
-        && bound_clears fs ~slot w u ~out_idx:t.out_idx ~al_re ~al_im ~den_re ~den_im
-             ~coef_re ~coef_im
+        && bound_clears fs blk ~col ~wre ~wim ~woff u ~out_idx:t.out_idx ~al_re ~al_im
+             ~den_re ~den_im ~coef_re ~coef_im
       then begin
         let p = pending () in
         p.p_smw <- p.p_smw + 1;
@@ -1065,7 +937,8 @@ let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im 
             Array.unsafe_set im ix 0.0
         | Some oi ->
             let open Bigarray in
-            let wr = Array1.unsafe_get w.Bvec.re oi and wi = Array1.unsafe_get w.Bvec.im oi in
+            let wr = Array1.unsafe_get wre (woff + oi)
+            and wi = Array1.unsafe_get wim (woff + oi) in
             let x0r = Array1.unsafe_get fs.x0.Bvec.re oi
             and x0i = Array1.unsafe_get fs.x0.Bvec.im oi in
             Array.unsafe_set re ix (xf_entry_re ~x0r ~wr ~wi ~coef_re ~coef_im);
@@ -1077,11 +950,10 @@ let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im 
         let s = scratch_for n in
         let xf = s.xf and resid = s.resid in
         let xf_re = xf.Bvec.re and xf_im = xf.Bvec.im in
-        let wre = w.Bvec.re and wim = w.Bvec.im in
         let x0re = fs.x0.Bvec.re and x0im = fs.x0.Bvec.im in
         let open Bigarray in
         for i = 0 to n - 1 do
-          let wr = Array1.unsafe_get wre i and wi = Array1.unsafe_get wim i in
+          let wr = Array1.unsafe_get wre (woff + i) and wi = Array1.unsafe_get wim (woff + i) in
           Array1.unsafe_set xf_re i
             (xf_entry_re ~x0r:(Array1.unsafe_get x0re i) ~wr ~wi ~coef_re ~coef_im);
           Array1.unsafe_set xf_im i
@@ -1092,7 +964,7 @@ let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im 
            above clears most dense points before this; a sparse engine
            always computes it. *)
         let faulty_residual () =
-          let vxf_re = dot_pat u xf_re and vxf_im = dot_pat u xf_im in
+          let vxf_re = dot_pat u xf_re 0 and vxf_im = dot_pat u xf_im 0 in
           let av_re = (al_re *. vxf_re) -. (al_im *. vxf_im)
           and av_im = (al_re *. vxf_im) +. (al_im *. vxf_re) in
           solver_mul_vec_into fs ~x:xf ~y:resid;
@@ -1121,7 +993,7 @@ let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im 
           let d0 = s.d0 in
           solver_solve_into fs ~b:resid ~x:d0;
           let d0re = d0.Bvec.re and d0im = d0.Bvec.im in
-          let vd_re = dot_pat u d0re and vd_im = dot_pat u d0im in
+          let vd_re = dot_pat u d0re 0 and vd_im = dot_pat u d0im 0 in
           let dc_re, dc_im =
             div2
               ((al_re *. vd_re) -. (al_im *. vd_im))
@@ -1129,7 +1001,7 @@ let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im 
               den_re den_im
           in
           for i = 0 to n - 1 do
-            let wr = Array1.unsafe_get wre i and wi = Array1.unsafe_get wim i in
+            let wr = Array1.unsafe_get wre (woff + i) and wi = Array1.unsafe_get wim (woff + i) in
             Array1.unsafe_set xf_re i
               (Array1.unsafe_get xf_re i
               +. (Array1.unsafe_get d0re i -. ((dc_re *. wr) -. (dc_im *. wi))));
@@ -1141,7 +1013,7 @@ let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im 
         if chaotic then begin
           let p = pending () in
           p.p_smw <- p.p_smw + 1;
-          write_out t xf ~re ~im ~ok ~ix
+          write_out t.out_idx xf ~re ~im ~ok ~ix
         end
         else begin
           (* The gate's scale reads x̂f, so it is recomputed only when a
@@ -1160,13 +1032,161 @@ let smw_point_solve ~guard t fs ({ slot; u; alpha_g; alpha_c } : rank1) ~re ~im 
           if !res <= smw_tolerance *. !scale then begin
             let p = pending () in
             p.p_smw <- p.p_smw + 1;
-            write_out t xf ~re ~im ~ok ~ix
+            write_out t.out_idx xf ~re ~im ~ok ~ix
           end
           else full_point_solve t fs ~al_re ~al_im ~u ~re ~im ~ok ~ix
         end
       end
     end
   end
+
+(* ---- structural fallback: the plan holds the split-assembled
+   stamps; each point assembles and factorizes in per-domain fallback
+   workspaces ---- *)
+
+let structural_point ~s_stamps ~s_n ~s_out fs ~re ~im ~ok ~ix =
+  let s = fallback_ws (Domain.DLS.get scratch_key) s_n in
+  Mna.Stamps.fill s_stamps ~omega:fs.omega s.sm;
+  Mna.Stamps.rhs_into s_stamps ~omega:fs.omega s.sb;
+  fallback_solve s ~b:s.sb ~out:s_out ~re ~im ~ok ~ix
+
+(* ---- the sweep: every row of a view, one frequency at a time ---- *)
+
+(* This domain's block, sized for [k] columns of dimension [n] on an
+   engine of [slots] slots; storage only grows. *)
+let block_for s ~n ~k ~slots =
+  let b = s.blk in
+  if b.cap < n * k then begin
+    b.cap <- n * k;
+    b.rhs <- Cmat.create 1 b.cap;
+    b.sol <- Cmat.create 1 b.cap;
+    b.work <- Cmat.create 1 b.cap;
+    b.cols <- Cmat.create 1 b.cap
+  end;
+  if Array.length b.col_of < slots then b.col_of <- Array.make slots (-1);
+  if Array.length b.slot_at < k then begin
+    b.slot_at <- Array.make k 0;
+    b.wnorm <- Array.make k 0.0
+  end;
+  b
+
+(* Write the pattern's signs into column [c] of an n×k row-major plane,
+   or zeros with [~clear]. *)
+let rec stamp_pat (pat : pat) plane ~k ~c ~clear =
+  match pat with
+  | [] -> ()
+  | (i, sg) :: tl ->
+      Bigarray.Array1.unsafe_set plane ((i * k) + c) (if clear then 0.0 else sg);
+      stamp_pat tl plane ~k ~c ~clear
+
+(* The frequency's [k] columns, named by [blk.slot_at]: one block
+   back-solve, bitwise equal to [k] single solves, then a transpose so
+   that column [c] lies contiguously at offset [c·n] of [blk.cols],
+   taking each column's norm on the way. *)
+let solve_columns t fs blk ~k =
+  let open Bigarray in
+  let n = t.n in
+  let rhs = Cmat.reshape blk.rhs ~rows:n ~cols:k
+  and sol = Cmat.reshape blk.sol ~rows:n ~cols:k in
+  let bre = Cmat.re_plane rhs in
+  for c = 0 to k - 1 do
+    stamp_pat t.slot_pats.(blk.slot_at.(c)) bre ~k ~c ~clear:false
+  done;
+  solver_solve_block_into fs ~work:(Cmat.reshape blk.work ~rows:n ~cols:k) ~b:rhs ~x:sol;
+  for c = 0 to k - 1 do
+    stamp_pat t.slot_pats.(blk.slot_at.(c)) bre ~k ~c ~clear:true;
+    blk.wnorm.(c) <- 0.0
+  done;
+  let sre = Cmat.re_plane sol and sim = Cmat.im_plane sol in
+  let cre = Cmat.re_plane blk.cols and cim = Cmat.im_plane blk.cols in
+  for i = 0 to n - 1 do
+    let ri = i * k in
+    for c = 0 to k - 1 do
+      let wr = Array1.unsafe_get sre (ri + c) and wi = Array1.unsafe_get sim (ri + c) in
+      Array1.unsafe_set cre ((c * n) + i) wr;
+      Array1.unsafe_set cim ((c * n) + i) wi;
+      (* max over i of |ŵᵢ|₁, [nan] once an entry is *)
+      let m = Float.abs wr +. Float.abs wi in
+      if m > blk.wnorm.(c) || Float.is_nan m then blk.wnorm.(c) <- m
+    done
+  done
+
+(* At each frequency in turn: gather the distinct slots the rank-1 rows
+   read there, solve them as one block, then run every row's point.
+   A column lives only while its frequency is processed. Counts stay
+   in this domain's pending record for the caller to flush. *)
+let sweep_rows ~guard t plans ~skip ~re ~im ~ok =
+  check_live t;
+  let rows = Array.length plans and nf = Array.length t.freqs in
+  let short b = Bytes.length b < nf and short_a a = Array.length a < nf in
+  if
+    Array.length skip <> rows || Array.length re <> rows || Array.length im <> rows
+    || Array.length ok <> rows || Array.exists short skip || Array.exists short_a re
+    || Array.exists short_a im || Array.exists short ok
+  then invalid_arg "Fastsim.sweep: one skip mask and one set of row buffers per plan";
+  let s = Domain.DLS.get scratch_key in
+  let p = s.pend in
+  let slots = Array.length t.slot_pats in
+  (* The distinct slots of all rank-1 rows bound every frequency's k,
+     so the block is sized once, before the first frequency. *)
+  let seen = Bytes.make slots '\000' and kmax = ref 0 in
+  Array.iter
+    (function
+      | P_rank1 { slot; _ } when Bytes.get seen slot = '\000' ->
+          Bytes.set seen slot '\001';
+          incr kmax
+      | P_rank1 _ | P_unchanged | P_structural _ -> ())
+    plans;
+  let blk = block_for s ~n:t.n ~k:!kmax ~slots in
+  Array.fill blk.col_of 0 slots (-1);
+  for i = 0 to nf - 1 do
+    let fs = t.freqs.(i) in
+    let k = ref 0 and reads = ref 0 in
+    for r = 0 to rows - 1 do
+      if Bytes.unsafe_get skip.(r) i = '\000' then
+        match plans.(r) with
+        (* a point whose α(ω) is zero keeps the nominal and reads no column *)
+        | P_rank1 r1 when not (r1.alpha_g = 0.0 && fs.omega *. r1.alpha_c = 0.0) ->
+            incr reads;
+            if blk.col_of.(r1.slot) < 0 then begin
+              blk.col_of.(r1.slot) <- !k;
+              blk.slot_at.(!k) <- r1.slot;
+              incr k
+            end
+        | P_rank1 _ | P_unchanged | P_structural _ -> ()
+    done;
+    let k = !k in
+    p.p_misses <- p.p_misses + k;
+    p.p_hits <- p.p_hits + (!reads - k);
+    if k > 0 then solve_columns t fs blk ~k;
+    for r = 0 to rows - 1 do
+      if Bytes.unsafe_get skip.(r) i = '\000' then
+        let re = re.(r) and im = im.(r) and ok = ok.(r) in
+        match plans.(r) with
+        | P_unchanged -> write_out t.out_idx fs.x0 ~re ~im ~ok ~ix:i
+        | P_rank1 r1 -> smw_point_solve ~guard t fs blk r1 ~re ~im ~ok ~ix:i
+        | P_structural { s_stamps; s_n; s_out } ->
+            structural_point ~s_stamps ~s_n ~s_out fs ~re ~im ~ok ~ix:i
+    done;
+    for c = 0 to k - 1 do
+      blk.col_of.(blk.slot_at.(c)) <- -1
+    done
+  done
+
+let sweep t plans ~skip ~re ~im ~ok =
+  Fun.protect ~finally:(fun () -> flush_pending (pending ())) @@ fun () ->
+  sweep_rows ~guard:true t plans ~skip ~re ~im ~ok
+
+let response t fault =
+  let plan = plan_of t fault in
+  let nf = Array.length t.freqs in
+  let rre = Array.make nf 0.0
+  and rim = Array.make nf 0.0
+  and ok = Bytes.make nf '\000' in
+  sweep t [| plan |] ~skip:[| Bytes.make nf '\000' |] ~re:[| rre |] ~im:[| rim |] ~ok:[| ok |];
+  Array.init nf (fun i ->
+      if Bytes.get ok i = '\000' then None
+      else Some { Complex.re = rre.(i); im = rim.(i) })
 
 (* One dense system A x = b, output entry [out], and the rank-1 update
    α·uuᵀ, solved as an engine point at ω = 1 (so α's imaginary part
@@ -1180,13 +1200,11 @@ let guard_probe ~a ~b ~u ~(alpha : Complex.t) ~out =
   let fs =
     {
       omega = 1.0;
-      f_hz = 1.0 /. (2.0 *. Float.pi);
       solver = Dense_solver { da = a; dlu };
       anorm = Atomic.make Float.nan;
       b;
       bnorm = Bvec.norm_inf b;
       x0;
-      cells = [| Atomic.make Empty |];
       bound = Atomic.make None;
     }
   in
@@ -1200,8 +1218,6 @@ let guard_probe ~a ~b ~u ~(alpha : Complex.t) ~out =
       n;
       freqs = [| fs |];
       nominal;
-      nom_re = [| nominal.(0).Complex.re |];
-      nom_im = [| nominal.(0).Complex.im |];
       slot_of = Hashtbl.create 1;
       slot_pats = [| u |];
       lease = None;
@@ -1213,7 +1229,8 @@ let guard_probe ~a ~b ~u ~(alpha : Complex.t) ~out =
     let p = pending () in
     let cleared = p.p_cleared and refined = p.p_refine and full = p.p_full in
     Fun.protect ~finally:(fun () -> flush_pending p) @@ fun () ->
-    smw_point_solve ~guard t fs r1 ~re ~im ~ok ~ix:0;
+    sweep_rows ~guard t [| P_rank1 r1 |] ~skip:[| Bytes.make 1 '\000' |] ~re:[| re |] ~im:[| im |]
+      ~ok:[| ok |];
     ( p.p_cleared > cleared,
       p.p_refine = refined && p.p_full = full,
       (Int64.bits_of_float re.(0), Int64.bits_of_float im.(0), Bytes.get ok 0) )
@@ -1221,68 +1238,3 @@ let guard_probe ~a ~b ~u ~(alpha : Complex.t) ~out =
   let cleared, _, guarded = run ~guard:true in
   let _, passes, plain = run ~guard:false in
   (cleared, passes, guarded = plain)
-
-(* ---- structural fallback: the plan holds the split-assembled
-   stamps; each point assembles and factorizes in per-domain fallback
-   workspaces ---- *)
-
-let structural_point ~s_stamps ~s_n ~s_out fs ~re ~im ~ok ~ix =
-  let s = Domain.DLS.get scratch_key in
-  s.pend.p_full <- s.pend.p_full + 1;
-  let s = fallback_ws s s_n in
-  Mna.Stamps.fill s_stamps ~omega:fs.omega s.sm;
-  Mna.Stamps.rhs_into s_stamps ~omega:fs.omega s.sb;
-  match
-    Obs.Metrics.time "mna.solve_s" (fun () ->
-        Cmat.lu_factor_into s.slu s.sm;
-        Cmat.lu_solve_into s.slu ~b:s.sb ~x:s.sx)
-  with
-  | () -> (
-      match s_out with
-      | None ->
-          Array.unsafe_set re ix 0.0;
-          Array.unsafe_set im ix 0.0;
-          Bytes.unsafe_set ok ix '\001'
-      | Some oi ->
-          Array.unsafe_set re ix (Bigarray.Array1.unsafe_get s.sx.Bvec.re oi);
-          Array.unsafe_set im ix (Bigarray.Array1.unsafe_get s.sx.Bvec.im oi);
-          Bytes.unsafe_set ok ix '\001')
-  | exception Cmat.Singular ->
-      Array.unsafe_set re ix 0.0;
-      Array.unsafe_set im ix 0.0;
-      Bytes.unsafe_set ok ix '\000'
-
-(* ---- one fault's row ---- *)
-
-let response_into t plan ~skip ~re ~im ~ok =
-  check_live t;
-  let nf = Array.length t.freqs in
-  if
-    Bytes.length skip < nf || Array.length re < nf || Array.length im < nf
-    || Bytes.length ok < nf
-  then invalid_arg "Fastsim.response_into: row buffers too short";
-  Fun.protect ~finally:(fun () -> flush_pending (pending ())) @@ fun () ->
-  for i = 0 to nf - 1 do
-    if Bytes.unsafe_get skip i = '\000' then
-      match plan with
-      | P_unchanged ->
-          Array.unsafe_set re i (Array.unsafe_get t.nom_re i);
-          Array.unsafe_set im i (Array.unsafe_get t.nom_im i);
-          Bytes.unsafe_set ok i '\001'
-      | P_rank1 r1 ->
-          smw_point_solve ~guard:true t (Array.unsafe_get t.freqs i) r1 ~re ~im ~ok ~ix:i
-      | P_structural { s_stamps; s_n; s_out } ->
-          structural_point ~s_stamps ~s_n ~s_out (Array.unsafe_get t.freqs i) ~re ~im ~ok
-            ~ix:i
-  done
-
-let response t fault =
-  let plan = plan_of t fault in
-  let nf = Array.length t.freqs in
-  let rre = Array.make nf 0.0
-  and rim = Array.make nf 0.0
-  and ok = Bytes.make nf '\000' in
-  response_into t plan ~skip:(Bytes.make nf '\000') ~re:rre ~im:rim ~ok;
-  Array.init nf (fun i ->
-      if Bytes.get ok i = '\000' then None
-      else Some { Complex.re = rre.(i); im = rim.(i) })

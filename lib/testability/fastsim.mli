@@ -14,10 +14,12 @@ module Netlist := Circuit.Netlist
       passive R, C or L perturbs the MNA matrix by a rank-1 term
       α(ω)·uuᵀ with u a sparse ±1 pattern, so each faulty solve is
       a Sherman–Morrison update against the cached LU — O(n²),
-      polished by one step of iterative refinement — and the A⁻¹u
-      back-solves are cached across faults sharing a stamp pattern
-      (the ±20 % pair on one component, or R‖C on one node pair),
-      each solved only when some point first reads it;
+      polished by one step of iterative refinement. The A⁻¹u
+      back-solves are shared by every row of a {!sweep} that reads a
+      stamp pattern at a frequency (the ±20 % pair on one component,
+      R‖C on one node pair, a drift and the faults on its passive),
+      and a frequency's columns are solved together, as one multi-RHS
+      block;
     - every update is verified by a residual check — on a dense
       engine most points are cleared a priori by an LU backward-error
       bound, at O(|u|) instead of an O(n²) mat-vec; an
@@ -36,19 +38,24 @@ module Netlist := Circuit.Netlist
     domains scale: the engine's numeric state contributes nothing to
     any collection.
 
-    Parallel safety. The back-solve cache is a table of slots fixed by
-    {!create}: one per distinct stamp pattern of a passive, so
-    elements on one node pair share a slot. Each (slot, frequency)
-    cell is an atomic that starts empty. A point solve that finds its
-    cell empty back-solves the column into storage of its own and
-    publishes it with a compare-and-set; a domain that loses the race
-    uses the winner's column, which is bitwise equal to its own.
-    Lookups therefore need no warming first, and several domains may
-    score one engine from the start.
+    Columns are scoped to a frequency. {!create} fixes the engine's
+    slots: one per distinct stamp pattern of a passive, so elements on
+    one node pair share a slot. A {!sweep} walks the grid in order;
+    at each frequency it collects the slots its rank-1 rows read there,
+    solves them as the columns of one n×k block
+    ({!Linalg.Cmat.lu_solve_block_into} or
+    {!Linalg.Csparse.solve_block_into}, bitwise equal to k single
+    solves), and runs every row's point from that block. The block
+    lives in per-domain scratch that only grows, so a column lives
+    only while its frequency is processed and an engine holds no
+    column at all. Several domains may sweep one engine at once: its
+    only lazily set state, ‖A(jω)‖∞ and the a-priori bound's
+    per-frequency data, is published atomically, and racing domains
+    compute the same bits.
 
-    One entry solves points: {!response_into}, one fault's row per
-    call, skipping the slots its caller's mask names. {!response} is
-    that call over the whole grid, boxed.
+    One entry solves points: {!sweep}, any number of rows per call,
+    each skipping the grid indices its mask names. {!response} is a
+    one-row sweep over the whole grid, boxed.
 
     Accounting. When {!Obs.Metrics} is enabled the engine counts its
     work in the global registry: [fastsim.smw_solves] (faulty point
@@ -60,15 +67,14 @@ module Netlist := Circuit.Netlist
     counts the SMW solves an a-priori bound proved to pass the
     residual gate, so they skipped the residual and built only the
     output entry: dense engines only, and at most [smw_solves]. Every
-    rank-1 point solve reads one A⁻¹u column: the first read of each
-    (pattern, frequency) column books a miss — whether the read solved
-    the column or {!warm_cache} had block-solved it — and every later
-    read books a hit. So misses count the distinct columns read, hits
-    the reads they served again, and both totals are the same at every
-    [jobs] setting and with or without warming. Increments are batched
-    in per-domain locals and flushed into the registry once, when each
-    {!response_into} call returns, so totals are exact at every call
-    boundary without paying one sharded-counter operation per
+    rank-1 point solve with a nonzero α(ω) reads one A⁻¹u column. Per
+    {!sweep} call, [wcache_misses] counts the distinct (pattern,
+    frequency) columns read — the block's columns — and
+    [wcache_hits] the other reads, so the totals depend only on the
+    rows swept together, never on the schedule. Increments are
+    batched in per-domain locals and flushed into the registry once,
+    when each {!sweep} call returns, so totals are exact at every
+    call boundary without paying one sharded-counter operation per
     solve. *)
 
 type t
@@ -127,10 +133,8 @@ val with_engine :
     bracket takes an idle workspace of the pool that holds the engine's
     dimension, or makes one of the pool's dimension (or the engine's,
     if larger): the per-frequency A(jω), LU factor, right-hand side and
-    nominal solution buffers, and a column arena that holds the
-    engine's A⁻¹u columns. A smaller engine works on the leading part
-    of each buffer. The arena grows in chunks as columns are first
-    read, so storage follows the columns actually solved. When the
+    nominal solution buffers. A smaller engine works on the leading
+    part of each buffer. When the
     bracket ends the workspace goes back to the pool, so a campaign
     that streams its views through brackets on [jobs] domains, with
     every engine within the pool's dimension, holds at most [jobs]
@@ -140,7 +144,7 @@ val with_engine :
     The engine lives only inside the bracket: once [f] returns or
     raises, any use of it raises [Invalid_argument] (a generation
     check). A bracket nested inside another takes a workspace of its
-    own. The engine may be scored from several domains inside the
+    own. The engine may be swept from several domains inside the
     bracket, as with {!create}.
     When {!Obs.Metrics} is enabled, [fastsim.workspace_allocs] counts
     the times a workspace's per-frequency buffers are allocated or
@@ -165,26 +169,13 @@ val output_cancels : t -> bool
     part. One transposed solve per frequency tried, largest output
     first; a view with any significant point stops at the first. *)
 
-val warm_cache : t -> Fault.t list -> unit
-(** Fill the A⁻¹u column of every rank-1 fault's stamp pattern at
-    every grid frequency, with one multi-RHS block back-solve per
-    frequency instead of one solve per (pattern, frequency). A
-    shortcut for callers that will read every frequency of every
-    listed fault (the envelope's drifts); it is never
-    needed for correctness or parallel safety, and the columns are
-    bitwise equal to the ones a point solve computes on demand.
-    Warming books no [wcache_*] counts (see the accounting above).
-    Classifying a
-    fault never injects it; structural faults and unknown elements are
-    skipped (the matching {!response} call still raises). *)
-
 val response : t -> Fault.t -> Complex.t option array
 (** The faulty transfer at every grid frequency; [None] where the
     faulty system is singular (the naive path's
     [Singular_circuit]-per-point outcome). Raises
     {!Fault.Unknown_element} when the fault's element is absent from
     the netlist, like {!Fault.inject}. Equivalent to {!plan_of} + a
-    {!response_into} that skips no slot. *)
+    one-row {!sweep} that skips no grid index. *)
 
 type plan
 (** A fault prepared for simulation: classification (unchanged /
@@ -198,20 +189,32 @@ val plan_of : t -> Fault.t -> plan
     once per plan — so build each (engine, fault) plan once. Raises
     {!Fault.Unknown_element} like {!response}. *)
 
-val response_into :
-  t -> plan -> skip:Bytes.t -> re:float array -> im:float array -> ok:Bytes.t -> unit
-(** [response_into t plan ~skip ~re ~im ~ok] solves the fault's row:
-    at every grid index [i] whose [skip] byte is ['\000'] it writes
-    the faulty transfer into slot [i] of the planar row buffers —
-    [re]/[im] hold the response, [ok.(i)] is ['\001'] for a valid
-    point and ['\000'] where the faulty system is singular
-    ({!response}'s [None]). A slot whose [skip] byte is ['\001'] is
-    left untouched: it is not solved, reads no column and books no
-    counter. Every buffer must hold at least one slot per grid point
-    ([Invalid_argument] otherwise). Values are bitwise-identical to
-    {!response}'s, without boxing per-point [Complex.t option]s. The
-    call's counters are flushed once, when it returns. Safe to call
-    from several domains on one engine. *)
+val sweep :
+  t ->
+  plan array ->
+  skip:Bytes.t array ->
+  re:float array array ->
+  im:float array array ->
+  ok:Bytes.t array ->
+  unit
+(** [sweep t plans ~skip ~re ~im ~ok] solves row [r], the fault of
+    [plans.(r)], at every grid index [i] whose byte [skip.(r).[i]] is
+    ['\000']: it writes the faulty transfer into slot [i] of the
+    row's planar buffers — [re.(r)]/[im.(r)] hold the response,
+    [ok.(r).[i]] is ['\001'] for a valid point and ['\000'] where
+    the faulty system is singular ({!response}'s [None]). A slot whose
+    [skip] byte is ['\001'] is left untouched: it is not solved, reads
+    no column and books no counter. Rows may share a mask. Every
+    buffer must hold at least one slot per grid point, with one mask
+    and one set of buffers per plan ([Invalid_argument] otherwise).
+
+    Frequencies are processed in order, and each one's A⁻¹u columns
+    come from one block back-solve over the distinct patterns its
+    rank-1 rows read, into per-domain storage that is sized before the
+    first frequency and only grows. Values are bitwise equal to one
+    {!response} per row, whatever rows share the sweep. The call's
+    counters are flushed once, when it returns. Safe to call from
+    several domains on one engine. *)
 
 val set_chaos : [ `None | `Smw_denominator of float ] -> unit
 (** Conformance-testing hook. [`Smw_denominator k] multiplies the

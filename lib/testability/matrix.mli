@@ -24,7 +24,7 @@ type t = {
   verdicts : Bytes.t array array;
       (** [verdicts.(i).(j)]: fault j's verdict row in view i, one byte
           per grid point, ['d'] where the fault is detectable — exactly
-          what {!Detect.score_row} decided. The campaign's one
+          what {!Detect.score_rows} decided. The campaign's one
           per-point detectability record: [detect] and [omega] are its
           {!Detect.result_of_verdicts} reduction, and the test planner
           and the fault dictionary read it instead of simulating
@@ -32,7 +32,7 @@ type t = {
   deviations : float array array array;
       (** [deviations.(i).(j)]: fault j's signed magnitude deviation
           row in view i, one float per grid point — the deviation row
-          {!Detect.score_row} returned beside the verdicts, 0 at every
+          {!Detect.score_rows} returned beside the verdicts, 0 at every
           masked point (below the floor, a dead or numerically dead
           view, an isolated fault's row). The campaign's per-point
           analog record: the trajectory dictionary reads it instead of

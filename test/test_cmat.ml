@@ -27,7 +27,9 @@ let mul a b =
   let r = Cmat.create (Cmat.rows a) (Cmat.cols b) in
   let col = Cmat.Vec.create (Cmat.rows b) and y = Cmat.Vec.create (Cmat.rows a) in
   for j = 0 to Cmat.cols b - 1 do
-    Cmat.col_into b ~c:j col;
+    for i = 0 to Cmat.rows b - 1 do
+      Cmat.Vec.set col i (Cmat.get b i j)
+    done;
     Cmat.mul_vec_into a ~x:col ~y;
     for i = 0 to Cmat.rows a - 1 do
       Cmat.set r i j (Cmat.Vec.get y i)

@@ -206,7 +206,7 @@ let registry_pipelines =
 
 (* The whole-view trajectories the dictionary once simulated on engines
    of its own, kept as the reference for the campaign's records: one
-   engine per view, every fault's column block-warmed, the signed
+   engine per view, every fault's row in one unmasked sweep, the signed
    deviation (|H_f| − |H_0|)/max(|H_0|, 1e-12) at every point, 1e3
    where the faulty system is singular. Returns the nominal |H| row
    and one trajectory per fault. *)
@@ -215,19 +215,22 @@ let whole_view_trajectories grid (v : Matrix.view) faults =
   let nf = Array.length freqs_hz in
   let { Detect.source; output } = v.Matrix.probe in
   let e = Fastsim.create ~source ~output ~freqs_hz v.Matrix.netlist in
-  Fastsim.warm_cache e faults;
   let nominal = Array.map Complex.norm (Fastsim.nominal e) in
-  let trajectory fault =
-    let plan = Fastsim.plan_of e fault in
-    let re = Array.make nf 0.0 and im = Array.make nf 0.0 in
-    let ok = Bytes.make nf '\000' in
-    Fastsim.response_into e plan ~skip:(Bytes.make nf '\000') ~re ~im ~ok;
+  let rows = List.length faults in
+  let re = Array.init rows (fun _ -> Array.make nf 0.0)
+  and im = Array.init rows (fun _ -> Array.make nf 0.0)
+  and ok = Array.init rows (fun _ -> Bytes.make nf '\000') in
+  Fastsim.sweep e
+    (Array.of_list (List.map (Fastsim.plan_of e) faults))
+    ~skip:(Array.make rows (Bytes.make nf '\000'))
+    ~re ~im ~ok;
+  let trajectory r =
     Array.init nf (fun k ->
-        if Bytes.get ok k = '\001' then
-          (Float.hypot re.(k) im.(k) -. nominal.(k)) /. Float.max nominal.(k) 1e-12
+        if Bytes.get ok.(r) k = '\001' then
+          (Float.hypot re.(r).(k) im.(r).(k) -. nominal.(k)) /. Float.max nominal.(k) 1e-12
         else 1e3)
   in
-  (nominal, List.map trajectory faults)
+  (nominal, List.init rows trajectory)
 
 (* On every point the campaign measures (recorded nominal not 0) of
    every live view whose engine solves its output cone, the recorded

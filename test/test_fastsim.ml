@@ -223,73 +223,7 @@ let test_metrics_batching_exact () =
   if not (0 < cleared && cleared <= smw) then
     Alcotest.failf "smw_cleared %d outside (0, smw_solves = %d]" cleared smw
 
-(* A mixed mask: [response_into] solves exactly the unskipped slots,
-   bitwise equal to [response] there, and leaves every skipped slot's
-   buffers untouched, reading no column and booking no count for it.
-   The RLC divider's faults cover rank-1 and structural plans. *)
-let test_response_into_skip () =
-  let freqs_hz =
-    Grid.freqs_hz (Grid.around ~points_per_decade:4 ~center_hz:rlc_center_hz ())
-  in
-  let nf = Array.length freqs_hz in
-  let skip = Bytes.init nf (fun k -> if k mod 3 = 1 then '\001' else '\000') in
-  let solved = Bytes.fold_left (fun a c -> if c = '\000' then a + 1 else a) 0 skip in
-  let bits (z : Complex.t) =
-    (Int64.bits_of_float z.Complex.re, Int64.bits_of_float z.Complex.im)
-  in
-  let engine () = Fastsim.create ~source:"Vin" ~output:"out" ~freqs_hz rlc in
-  List.iter
-    (fun fault ->
-      let what = fault.Fault.id in
-      let expected = Array.map (Option.map bits) (Fastsim.response (engine ()) fault) in
-      let sim = engine () in
-      let plan = Fastsim.plan_of sim fault in
-      let re = Array.make nf 42.0 and im = Array.make nf (-7.0) in
-      let ok = Bytes.make nf 'x' in
-      let (), snap =
-        metered (fun () -> Fastsim.response_into sim plan ~skip ~re ~im ~ok)
-      in
-      for k = 0 to nf - 1 do
-        if Bytes.get skip k = '\001' then begin
-          if not (re.(k) = 42.0 && im.(k) = -7.0 && Bytes.get ok k = 'x') then
-            Alcotest.failf "%s, slot %d: skipped slot written" what k
-        end
-        else
-          let got =
-            if Bytes.get ok k = '\000' then None
-            else Some (bits { Complex.re = re.(k); im = im.(k) })
-          in
-          if got <> expected.(k) then
-            Alcotest.failf "%s, slot %d: differs from response" what k
-      done;
-      let smw, full = solves snap in
-      Alcotest.(check int) (what ^ ": one solve booked per unskipped slot") solved
-        (smw + full);
-      let reads snap =
-        counter snap "fastsim.wcache_misses" + counter snap "fastsim.wcache_hits"
-      in
-      if reads snap > 0 then begin
-        (* a rank-1 row reads one column per solved slot; the skipped
-           slots' columns are still unread *)
-        Alcotest.(check int) (what ^ ": one column read per unskipped slot") solved
-          (reads snap);
-        let (), after = metered (fun () -> ignore (Fastsim.response sim fault)) in
-        Alcotest.(check int) (what ^ ": skipped slots read no column") (nf - solved)
-          (counter after "fastsim.wcache_misses")
-      end)
-    (all_faults rlc)
-
-(* --- demand-driven back-solve cache --------------------------------- *)
-
-(* A cold engine back-solves each A⁻¹u column the first time a point
-   reads it; Fastsim.warm_cache block-solves the same columns up front.
-   The two must agree bit for bit on every response and book the same
-   counters: one miss per distinct (pattern, frequency) column read,
-   a hit for every other read. *)
-
-let cache_counters f =
-  let r, snap = metered f in
-  (r, (counter snap "fastsim.wcache_misses", counter snap "fastsim.wcache_hits"))
+(* --- the sweep: every row of a view, one block per frequency ------- *)
 
 let response_bits sim fault =
   Array.map
@@ -297,62 +231,167 @@ let response_bits sim fault =
          (Int64.bits_of_float z.Complex.re, Int64.bits_of_float z.Complex.im)))
     (Fastsim.response sim fault)
 
-(* The node pair of a two-terminal passive: the key of its stamp
-   pattern, which faults on one node pair share. *)
-let node_pair netlist (fault : Fault.t) =
-  match Netlist.find netlist fault.Fault.element with
-  | Some (Circuit.Element.Resistor { n1; n2; _ } | Circuit.Element.Capacitor { n1; n2; _ })
-    ->
-      (n1, n2)
-  | _ -> Alcotest.failf "%s: expected a resistor or capacitor" fault.Fault.element
+(* The column a fault's row reads at each point it solves: its
+   element's stamp pattern, keyed like the engine's slots by ordered
+   node pair (or an inductor's branch), so faults on one node pair
+   share it; [None] for a row that reads none — a structural fault, or
+   one that leaves the system unchanged. *)
+let column_key netlist (fault : Fault.t) =
+  match (fault.Fault.kind, Netlist.find netlist fault.Fault.element) with
+  | Fault.Deviation 1.0, _ -> None
+  | _, Some (Circuit.Element.Resistor { n1; n2; _ } | Circuit.Element.Capacitor { n1; n2; _ })
+    when n1 <> n2 ->
+      Some (n1, n2)
+  | Fault.Deviation _, Some (Circuit.Element.Inductor { name; _ }) -> Some ("branch", name)
+  | _ -> None
 
-let check_cold_vs_warmed ~label ~sparse ~source ~output ~freqs_hz netlist =
-  let faults = Fault.both_deviations netlist in
-  let nf = Array.length freqs_hz in
-  let run ~warm =
-    cache_counters (fun () ->
-        let sim = Fastsim.create ~source ~output ~freqs_hz netlist in
-        Alcotest.(check bool) (label ^ ": sparse backend") sparse (Fastsim.uses_sparse sim);
-        if warm then Fastsim.warm_cache sim faults;
-        List.map (response_bits sim) faults)
+(* Sweep [rows] — (fault, skip mask) pairs — in one call and hold it to
+   one [Fastsim.response] per row: bitwise equal at every unskipped
+   slot, untouched at every skipped one. The counters are the sweep's:
+   at each frequency a miss per distinct column its rows read, a hit
+   for every other read. Returns the sweep's counter snapshot. *)
+let check_sweep ~label sim netlist rows =
+  let nf = Array.length (Fastsim.nominal sim) in
+  let m = List.length rows in
+  let plans = Array.of_list (List.map (fun (fault, _) -> Fastsim.plan_of sim fault) rows) in
+  let re = Array.init m (fun _ -> Array.make nf 42.0)
+  and im = Array.init m (fun _ -> Array.make nf (-7.0))
+  and ok = Array.init m (fun _ -> Bytes.make nf 'x') in
+  let (), snap =
+    metered (fun () ->
+        Fastsim.sweep sim plans ~skip:(Array.of_list (List.map snd rows)) ~re ~im ~ok)
   in
-  let cold, cold_counts = run ~warm:false in
-  let warmed, warmed_counts = run ~warm:true in
-  Alcotest.(check bool) (label ^ ": cold responses bitwise equal warmed") true
-    (cold = warmed);
-  (* every deviation fault reads its column at every frequency *)
-  let columns = nf * List.length (List.sort_uniq compare (List.map (node_pair netlist) faults)) in
-  let reads = nf * List.length faults in
+  List.iteri
+    (fun r ((fault : Fault.t), mask) ->
+      let expected = response_bits sim fault in
+      for k = 0 to nf - 1 do
+        if Bytes.get mask k = '\001' then begin
+          if not (re.(r).(k) = 42.0 && im.(r).(k) = -7.0 && Bytes.get ok.(r) k = 'x') then
+            Alcotest.failf "%s, %s, slot %d: skipped slot written" label fault.Fault.id k
+        end
+        else
+          let got =
+            if Bytes.get ok.(r) k = '\000' then None
+            else Some (Int64.bits_of_float re.(r).(k), Int64.bits_of_float im.(r).(k))
+          in
+          if got <> expected.(k) then
+            Alcotest.failf "%s, %s, slot %d: differs from its one-fault response" label
+              fault.Fault.id k
+      done)
+    rows;
+  let misses = ref 0 and hits = ref 0 in
+  for k = 0 to nf - 1 do
+    let keys =
+      List.filter_map
+        (fun (fault, mask) -> if Bytes.get mask k = '\000' then column_key netlist fault else None)
+        rows
+    in
+    let distinct = List.length (List.sort_uniq compare keys) in
+    misses := !misses + distinct;
+    hits := !hits + List.length keys - distinct
+  done;
   Alcotest.(check (pair int int))
-    (label ^ ": misses = distinct columns read, hits = the other reads")
-    (columns, reads - columns) cold_counts;
-  Alcotest.(check (pair int int)) (label ^ ": warming books the same counters")
-    cold_counts warmed_counts
+    (label ^ ": misses = distinct (slot, f) columns read, hits = the other reads")
+    (!misses, !hits)
+    (counter snap "fastsim.wcache_misses", counter snap "fastsim.wcache_hits");
+  snap
 
-let test_cold_vs_warmed_dense () =
-  let b = Circuits.Tow_thomas.make () in
-  let netlist = b.Circuits.Benchmark.netlist
-  and source = b.Circuits.Benchmark.source
-  and output = b.Circuits.Benchmark.output in
-  let freqs_hz = Grid.freqs_hz (grid_of b) in
-  check_cold_vs_warmed ~label:"tow-thomas" ~sparse:false ~source ~output ~freqs_hz netlist;
-  (* R2 ‖ C1 share the node pair m1–v1, so they share one column per
-     frequency: the second element's fault books hits only *)
-  let r2 = Fault.deviation ~element:"R2" 1.2 and c1 = Fault.deviation ~element:"C1" 1.2 in
-  Alcotest.(check bool) "R2 and C1 share a node pair" true
-    (node_pair netlist r2 = node_pair netlist c1);
+(* A view's rows as the campaign sweeps them: a +5 % drift of every
+   passive at every point, then the view's faults under its
+   measurement mask. *)
+let view_rows ~label ~sparse ~source ~output grid netlist =
+  let freqs_hz = Grid.freqs_hz grid in
   let nf = Array.length freqs_hz in
+  let pv =
+    Detect.prepare_view ~criterion:(Detect.Fixed_tolerance 0.1) { Detect.source; output } grid
+      netlist
+  in
+  let mask = Bytes.init nf (fun k -> if Detect.below_floor pv k then '\001' else '\000') in
+  let every = Bytes.make nf '\000' in
   let sim = Fastsim.create ~source ~output ~freqs_hz netlist in
-  let (), first = cache_counters (fun () -> ignore (Fastsim.response sim r2)) in
-  let (), second = cache_counters (fun () -> ignore (Fastsim.response sim c1)) in
-  Alcotest.(check (pair int int)) "R2 misses every column" (nf, 0) first;
-  Alcotest.(check (pair int int)) "C1 hits R2's columns" (0, nf) second
+  Alcotest.(check bool) (label ^ ": sparse backend") sparse (Fastsim.uses_sparse sim);
+  let drifts =
+    List.map
+      (fun e -> (Fault.deviation ~element:(Circuit.Element.name e) 1.05, every))
+      (Netlist.passives netlist)
+  in
+  let faults = List.map (fun f -> (f, mask)) (all_faults netlist) in
+  (sim, mask, drifts @ faults)
 
-let test_cold_vs_warmed_sparse () =
-  let netlist, output = Conformance.Gen.bigladder ~stages:80 (Random.State.make [| 7 |]) in
-  let freqs_hz = Grid.freqs_hz (Grid.make ~points_per_decade:2 ~f_lo:10.0 ~f_hi:1e6 ()) in
-  check_cold_vs_warmed ~label:"bigladder-80" ~sparse:true ~source:"V1" ~output ~freqs_hz
-    netlist
+let lf5_view k =
+  let b = Option.get (Circuits.Registry.find "leapfrog5") in
+  let dft =
+    Multiconfig.Transform.make ~source:b.Circuits.Benchmark.source
+      ~output:b.Circuits.Benchmark.output b.Circuits.Benchmark.netlist
+  in
+  let config = List.nth (Multiconfig.Transform.test_configurations dft) k in
+  (b, Multiconfig.Configuration.label config, Multiconfig.Transform.emulate dft config)
+
+(* Dense views with envelope drifts: tow-thomas, two leapfrog5
+   configurations and the numerically dead C198, whose mask covers
+   every point, so only its drifts are solved. R2 ‖ C1 share a node
+   pair on tow-thomas, so its drifts alone already read shared
+   columns. *)
+let test_sweep_dense () =
+  let tt = Circuits.Tow_thomas.make () in
+  let subject (b : Circuits.Benchmark.t) label netlist =
+    let grid = grid_of b in
+    let sim, mask, rows =
+      view_rows ~label ~sparse:false ~source:b.Circuits.Benchmark.source
+        ~output:b.Circuits.Benchmark.output grid netlist
+    in
+    (mask, check_sweep ~label sim netlist rows)
+  in
+  let _, tt_snap = subject tt "tow-thomas" tt.Circuits.Benchmark.netlist in
+  Alcotest.(check bool) "tow-thomas: rows share columns" true
+    (counter tt_snap "fastsim.wcache_hits" > 0);
+  List.iter
+    (fun k ->
+      let b, label, netlist = lf5_view k in
+      ignore (subject b ("leapfrog5 " ^ label) netlist))
+    [ 0; 100 ];
+  let b, _, _ = lf5_view 0 in
+  let dft =
+    Multiconfig.Transform.make ~source:b.Circuits.Benchmark.source
+      ~output:b.Circuits.Benchmark.output b.Circuits.Benchmark.netlist
+  in
+  let c198 =
+    List.find
+      (fun c -> Multiconfig.Configuration.label c = "C198")
+      (Multiconfig.Transform.test_configurations dft)
+  in
+  let mask, _ =
+    subject b "leapfrog5 C198" (Multiconfig.Transform.emulate dft c198)
+  in
+  Alcotest.(check bool) "C198: every point masked" true
+    (Bytes.for_all (fun c -> c = '\001') mask)
+
+let test_sweep_sparse () =
+  let netlist, output = Conformance.Gen.bigladder ~stages:70 (Random.State.make [| 7 |]) in
+  let grid = Grid.make ~points_per_decade:2 ~f_lo:10.0 ~f_hi:1e6 () in
+  let sim, _, rows = view_rows ~label:"bigladder-70" ~sparse:true ~source:"V1" ~output grid netlist in
+  ignore (check_sweep ~label:"bigladder-70" sim netlist rows)
+
+(* A mixed mask on the RLC divider, whose faults cover rank-1 and
+   structural plans (an inductor open or short changes the dimension),
+   plus an unchanged one (a deviation by 1.0). Each kind of row solves
+   exactly its unskipped slots, and only the rank-1 rows read
+   columns. *)
+let test_sweep_skip () =
+  let freqs_hz =
+    Grid.freqs_hz (Grid.around ~points_per_decade:4 ~center_hz:rlc_center_hz ())
+  in
+  let nf = Array.length freqs_hz in
+  let skip = Bytes.init nf (fun k -> if k mod 3 = 1 then '\001' else '\000') in
+  let solved = Bytes.fold_left (fun a c -> if c = '\000' then a + 1 else a) 0 skip in
+  let sim = Fastsim.create ~source:"Vin" ~output:"out" ~freqs_hz rlc in
+  let faults = Fault.deviation ~element:"R1" 1.0 :: all_faults rlc in
+  let rows = List.map (fun f -> (f, skip)) faults in
+  let smw, full = solves (check_sweep ~label:"rlc" sim rlc rows) in
+  Alcotest.(check int) "one solve booked per unskipped slot of a row that moves the system"
+    ((List.length faults - 1) * solved)
+    (smw + full);
+  Alcotest.(check bool) "structural rows solved in full" true (full > 0)
 
 (* --- recycled engine storage ---------------------------------------- *)
 
@@ -360,22 +399,15 @@ let test_cold_vs_warmed_sparse () =
    its workspace for their dimension. A sequence whose MNA dimension
    grows, shrinks and repeats — tow-thomas, leapfrog5 views and a
    sparse bigladder — must leave no trace of an earlier engine in a
-   later one: every response equals a fresh engine's bit for bit,
-   whether its columns were block-warmed or solved on first read. The
+   later one: every response equals a fresh engine's bit for bit. The
    pool allocates one workspace per distinct dimension, however many
    brackets reuse it. *)
 let test_recycled_storage () =
   let tt = Circuits.Tow_thomas.make () in
   let lf5 = Option.get (Circuits.Registry.find "leapfrog5") in
   let lf5_view k =
-    let b = lf5 in
-    let dft =
-      Multiconfig.Transform.make ~source:b.Circuits.Benchmark.source
-        ~output:b.Circuits.Benchmark.output b.Circuits.Benchmark.netlist
-    in
-    let config = List.nth (Multiconfig.Transform.test_configurations dft) k in
-    ( "leapfrog5 " ^ Multiconfig.Configuration.label config,
-      Multiconfig.Transform.emulate dft config )
+    let _, label, netlist = lf5_view k in
+    ("leapfrog5 " ^ label, netlist)
   in
   let ladder, ladder_out = Conformance.Gen.bigladder ~stages:70 (Random.State.make [| 11 |]) in
   let ladder_freqs = Grid.freqs_hz (Grid.make ~points_per_decade:2 ~f_lo:10.0 ~f_hi:1e6 ()) in
@@ -408,21 +440,16 @@ let test_recycled_storage () =
         let faults = Fault.both_deviations netlist @ Fault.catastrophic_faults netlist in
         let fresh = Fastsim.create ~source ~output ~freqs_hz netlist in
         let expected = List.map (response_bits fresh) faults in
-        List.iter
-          (fun warm ->
-            let got =
-              Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (fun sim ->
-                  Alcotest.(check bool)
-                    (label ^ ": same backend as a fresh engine")
-                    (Fastsim.uses_sparse fresh) (Fastsim.uses_sparse sim);
-                  if warm then Fastsim.warm_cache sim (Fault.deviation_faults netlist);
-                  List.map (response_bits sim) faults)
-            in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s (%s): recycled responses bitwise equal a fresh engine's"
-                 label (if warm then "warmed" else "cold"))
-              true (got = expected))
-          [ false; true ];
+        let got =
+          Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (fun sim ->
+              Alcotest.(check bool)
+                (label ^ ": same backend as a fresh engine")
+                (Fastsim.uses_sparse fresh) (Fastsim.uses_sparse sim);
+              List.map (response_bits sim) faults)
+        in
+        Alcotest.(check bool)
+          (label ^ ": recycled responses bitwise equal a fresh engine's")
+          true (got = expected);
         Mna.Index.size (Mna.Index.build netlist))
       sequence
   in
@@ -459,7 +486,8 @@ let test_engine_after_bracket () =
   Alcotest.check_raises "response" dead (fun () -> ignore (Fastsim.response escaped fault));
   Alcotest.check_raises "plan_of" dead (fun () -> ignore (Fastsim.plan_of escaped fault));
   Alcotest.check_raises "nominal" dead (fun () -> ignore (Fastsim.nominal escaped));
-  Alcotest.check_raises "warm_cache" dead (fun () -> Fastsim.warm_cache escaped [ fault ]);
+  Alcotest.check_raises "sweep" dead (fun () ->
+      Fastsim.sweep escaped [||] ~skip:[||] ~re:[||] ~im:[||] ~ok:[||]);
   let fresh = Fastsim.create ~source ~output ~freqs_hz netlist in
   let expected = response_bits fresh fault in
   Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (fun outer ->
@@ -478,8 +506,8 @@ let test_engine_after_bracket () =
     Detect.with_view ~pool probe grid (Detect.structure probe netlist) (fun pv ->
         (pv, Detect.plan_fault pv fault))
   in
-  Alcotest.check_raises "score_row after Detect.with_view" dead (fun () ->
-      ignore (Detect.score_row pv plan))
+  Alcotest.check_raises "score_rows after Detect.with_view" dead (fun () ->
+      ignore (Detect.score_rows pv [| plan |]))
 
 (* --- the a-priori residual bound ------------------------------------ *)
 
@@ -608,12 +636,9 @@ let suite =
     Alcotest.test_case "nominal equals Ac.sweep" `Quick test_nominal_matches_sweep;
     Alcotest.test_case "batched metrics book every solve once" `Quick
       test_metrics_batching_exact;
-    Alcotest.test_case "response_into leaves skipped slots untouched" `Quick
-      test_response_into_skip;
-    Alcotest.test_case "cold engine equals block-warmed (dense)" `Quick
-      test_cold_vs_warmed_dense;
-    Alcotest.test_case "cold engine equals block-warmed (sparse)" `Quick
-      test_cold_vs_warmed_sparse;
+    Alcotest.test_case "sweep leaves skipped slots untouched" `Quick test_sweep_skip;
+    Alcotest.test_case "sweep equals one-fault responses (dense)" `Quick test_sweep_dense;
+    Alcotest.test_case "sweep equals one-fault responses (sparse)" `Quick test_sweep_sparse;
     Alcotest.test_case "recycled storage equals fresh engines" `Quick
       test_recycled_storage;
     Alcotest.test_case "engine use after its bracket raises" `Quick

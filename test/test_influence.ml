@@ -172,7 +172,7 @@ let test_drives_output () =
   Alcotest.(check bool) "every point below the floor" true
     (List.for_all (D_.below_floor pv) (List.init nf Fun.id));
   Alcotest.(check (pair string int)) "all 'u', nothing solved" (String.make nf 'u', 0)
-    (let v, _, solved = D_.score_row pv r4 in
+    (let v, _, solved = (D_.score_rows pv [| r4 |]).(0) in
      (Bytes.to_string v, solved));
   Alcotest.(check bool) "R1 isolated, R4 not" true
     (D_.plan_isolated (D_.plan_fault pv (Fault.deviation ~element:"R1" 1.2))

@@ -107,12 +107,13 @@ let test_jobs_invariant_counters () =
 
 (* The same contract one level down, with the contention forced: four
    domains released together walk the same catastrophic faults over
-   one cold engine, so they reach each empty (pattern, frequency) cell
-   at about the same time and race to insert it. Every domain must see
-   the sequential responses bit for bit, and the column count must not
-   depend on who won: misses equal one reader's, and every other read
-   is a hit. The race runs on an engine with storage of its own and on
-   a bracketed one, whose columns all live in one shared arena. *)
+   one engine, so their sweeps of each frequency overlap in time. Every
+   domain must see the sequential responses bit for bit, and the
+   counters must not depend on the schedule: each call books its own
+   columns, so four readers book exactly four times one reader's misses
+   and hits. The race runs on an engine with storage of its own and on
+   a bracketed one, whose per-frequency buffers live in one shared pool
+   workspace. *)
 let test_racing_insertion () =
   let b = Circuits.Tow_thomas.make () in
   let netlist = b.Circuits.Benchmark.netlist in
@@ -159,7 +160,7 @@ let test_racing_insertion () =
   let reference = bits (List.hd solo) in
   List.iter
     (fun bracketed ->
-      let storage = if bracketed then "arena" else "own storage" in
+      let storage = if bracketed then "pooled storage" else "own storage" in
       let raced, misses4, hits4 = race ~bracketed 4 in
       List.iteri
         (fun d rows ->
@@ -170,12 +171,11 @@ let test_racing_insertion () =
             (bits rows = reference))
         raced;
       Alcotest.(check int)
-        (storage ^ ": misses: one per distinct column, whoever inserted it")
-        misses1 misses4;
+        (storage ^ ": misses: each call's distinct columns, four readers' worth")
+        (4 * misses1) misses4;
       Alcotest.(check int)
-        (storage ^ ": hits: every other read")
-        ((4 * (misses1 + hits1)) - misses1)
-        hits4)
+        (storage ^ ": hits: each call's other reads, four readers' worth")
+        (4 * hits1) hits4)
     [ false; true ]
 
 let test_trace_spans_and_export () =
@@ -300,7 +300,7 @@ let suite =
       test_snapshot_merges_domains;
     Alcotest.test_case "campaign counters invariant under jobs" `Slow
       test_jobs_invariant_counters;
-    Alcotest.test_case "racing cold readers book the sequential counters" `Quick
+    Alcotest.test_case "racing cold readers book the sequential counters per call" `Quick
       test_racing_insertion;
     Alcotest.test_case "trace spans nest and export as Chrome JSON" `Quick
       test_trace_spans_and_export;

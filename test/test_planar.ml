@@ -216,14 +216,12 @@ let qcheck_big_block_solve =
           let b = Cmat.create n k and x = Cmat.create n k in
           Array.iteri (fun r col -> Array.iteri (fun i z -> Cmat.set b i r z) col) cols;
           Cmat.lu_solve_block_into lu ~b ~x;
-          let xv = Cmat.Vec.create n in
           Array.for_all
             (fun r ->
               let bv = Cmat.Vec.of_complex cols.(r) in
               let sx = Cmat.Vec.create n in
               Cmat.lu_solve_into lu ~b:bv ~x:sx;
-              Cmat.col_into x ~c:r xv;
-              exact_vec (Cmat.Vec.to_complex xv) (Cmat.Vec.to_complex sx))
+              exact_vec (Array.init n (fun i -> Cmat.get x i r)) (Cmat.Vec.to_complex sx))
             (Array.init k Fun.id))
 
 (* The headline contract of the off-heap storage: a warmed block
@@ -282,7 +280,6 @@ let test_allocation_per_rank1_solve () =
     | f :: _ -> f
     | [] -> Alcotest.fail "no deviation faults on tow-thomas"
   in
-  Testability.Fastsim.warm_cache sim [ fault ];
   (* The first call pays one-time costs (domain-local scratch sizing)
      and shows that every point of the row is one rank-1 solve. *)
   Obs.Metrics.reset ();
@@ -306,6 +303,93 @@ let test_allocation_per_rank1_solve () =
     Alcotest.failf "rank-1 solve allocates %.1f minor words (bound %.0f)" per_solve
       max_minor_words_per_solve
 
+(* The sweep extends that contract to many rows: its block is sized
+   before the first frequency, from per-domain storage that only grows,
+   so a warmed sweep allocates nothing per column. Sweeping every row
+   twice over reads the same columns for twice the points, so
+   2·words(rows) − words(rows twice) is what the sweep allocates per
+   frequency and per call, with the points' own words cancelled: a
+   few records per frequency, well under [max_words_per_frequency].
+   Each engine's frequencies hold at least [min_columns] columns, so a
+   Bigarray or sub per column (five words or more each) would exceed
+   it. The points themselves stay within the rank-1 bound. Dense
+   (leapfrog5) and sparse (bigladder-70) engines alike; and brackets
+   over equal-dimension views on one pool allocate one workspace. *)
+let max_words_per_frequency = 32.0
+let min_columns = 8
+
+let test_sweep_allocation () =
+  let module Fastsim = Testability.Fastsim in
+  let check label sim faults =
+    let nf = Array.length (Fastsim.nominal sim) in
+    let sweep plans =
+      let m = Array.length plans in
+      let skip = Array.make m (Bytes.make nf '\000')
+      and re = Array.init m (fun _ -> Array.make nf 0.0)
+      and im = Array.init m (fun _ -> Array.make nf 0.0)
+      and ok = Array.init m (fun _ -> Bytes.make nf '\000') in
+      fun () -> Fastsim.sweep sim plans ~skip ~re ~im ~ok
+    in
+    let plans = Array.of_list (List.map (Fastsim.plan_of sim) faults) in
+    let once = sweep plans and twice = sweep (Array.append plans plans) in
+    Obs.Metrics.reset ();
+    Obs.Metrics.set_enabled true;
+    once ();
+    let columns = Obs.Metrics.counter (Obs.Metrics.snapshot ()) "fastsim.wcache_misses" in
+    Obs.Metrics.set_enabled false;
+    Obs.Metrics.reset ();
+    if columns < min_columns * nf then
+      Alcotest.failf "%s: %d columns over %d frequencies, fewer than %d each" label columns nf
+        min_columns;
+    twice ();
+    if Sys.backend_type = Sys.Native then begin
+      let words f =
+        let w0 = Gc.minor_words () in
+        f ();
+        Gc.minor_words () -. w0
+      in
+      let a = words once and b = words twice in
+      let per_frequency = ((2.0 *. a) -. b) /. float_of_int nf in
+      if per_frequency > max_words_per_frequency then
+        Alcotest.failf "%s: the sweep allocates %.1f words per frequency (bound %.0f)" label
+          per_frequency max_words_per_frequency;
+      let per_point = (b -. a) /. float_of_int (nf * Array.length plans) in
+      if per_point > max_minor_words_per_solve then
+        Alcotest.failf "%s: %.1f minor words per point (bound %.0f)" label per_point
+          max_minor_words_per_solve
+    end
+  in
+  let lf5 = Option.get (Circuits.Registry.find "leapfrog5") in
+  let source = lf5.Circuits.Benchmark.source and output = lf5.Circuits.Benchmark.output in
+  let netlist = lf5.Circuits.Benchmark.netlist in
+  let freqs_hz =
+    Testability.Grid.freqs_hz
+      (Testability.Grid.around ~points_per_decade:10
+         ~center_hz:lf5.Circuits.Benchmark.center_hz ())
+  in
+  let faults = Fault.both_deviations netlist in
+  let sim = Fastsim.create ~source ~output ~freqs_hz netlist in
+  Alcotest.(check bool) "leapfrog5 runs dense" false (Fastsim.uses_sparse sim);
+  check "leapfrog5" sim faults;
+  let ladder, ladder_out = Conformance.Gen.bigladder ~stages:70 (Random.State.make [| 7 |]) in
+  let ladder_freqs =
+    Testability.Grid.freqs_hz (Testability.Grid.make ~points_per_decade:2 ~f_lo:10.0 ~f_hi:1e6 ())
+  in
+  let sparse = Fastsim.create ~source:"V1" ~output:ladder_out ~freqs_hz:ladder_freqs ladder in
+  Alcotest.(check bool) "bigladder-70 runs sparse" true (Fastsim.uses_sparse sparse);
+  check "bigladder-70" sparse (Fault.both_deviations ladder);
+  let pool = Fastsim.pool ~dim:0 in
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_enabled true;
+  for _ = 1 to 3 do
+    Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (fun sim ->
+        List.iter (fun fault -> ignore (Fastsim.response sim fault)) faults)
+  done;
+  let allocs = Obs.Metrics.counter (Obs.Metrics.snapshot ()) "fastsim.workspace_allocs" in
+  Obs.Metrics.set_enabled false;
+  Obs.Metrics.reset ();
+  Alcotest.(check int) "three equal-dimension brackets allocate one workspace" 1 allocs
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_solve_equiv;
@@ -318,4 +402,6 @@ let suite =
       test_big_block_solve_zero_alloc;
     Alcotest.test_case "rank-1 solve allocation bound" `Quick
       test_allocation_per_rank1_solve;
+    Alcotest.test_case "sweep allocates no per-column storage" `Quick
+      test_sweep_allocation;
   ]

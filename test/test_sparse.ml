@@ -134,6 +134,7 @@ let prop_block_bitwise =
       | _, _, _, num ->
           let k = 3 in
           let b = Cmat.create sys.n k and x = Cmat.create sys.n k in
+          let work = Cmat.create sys.n k in
           let rng = Random.State.make [| 13; sys.n |] in
           let cols = Array.init k (fun _ -> rand_rhs rng sys.n) in
           Array.iteri
@@ -142,7 +143,7 @@ let prop_block_bitwise =
                 Cmat.set b i c (Bvec.get bc i)
               done)
             cols;
-          Csparse.solve_block_into num ~b ~x;
+          Csparse.solve_block_into num ~work ~b ~x;
           let ok = ref true in
           Array.iteri
             (fun c bc ->
@@ -153,6 +154,33 @@ let prop_block_bitwise =
               done)
             cols;
           !ok)
+
+(* The block back-solve takes its permuted block from the caller's
+   [work], so once its buffers exist a solve per frequency allocates
+   zero GC-visible words (native only: bytecode allocates on its
+   own). *)
+let test_block_zero_alloc () =
+  if Sys.backend_type = Sys.Native then begin
+    let n = 12 and k = 5 in
+    let sys =
+      {
+        n;
+        entries = Array.init n (fun i -> (i, i)) |> Array.append [| (0, n - 1); (n - 1, 0) |];
+        vals = Array.init (n + 2) (fun i -> { Complex.re = 2.0 +. float_of_int i; im = 0.5 });
+      }
+    in
+    let _, _, _, num = factored sys in
+    let b = Cmat.create n k and x = Cmat.create n k and work = Cmat.create n k in
+    for i = 0 to n - 1 do
+      Cmat.set b i (i mod k) Complex.one
+    done;
+    Csparse.solve_block_into num ~work ~b ~x;
+    let w0 = Gc.minor_words () in
+    Csparse.solve_block_into num ~work ~b ~x;
+    let w1 = Gc.minor_words () in
+    ignore (Sys.opaque_identity x);
+    Alcotest.(check (float 0.0)) "a sparse block back-solve allocates zero words" 0.0 (w1 -. w0)
+  end
 
 let prop_mul_vec =
   QCheck2.Test.make ~name:"sparse mul_vec agrees with dense" ~count:200 sys_gen
@@ -475,6 +503,7 @@ let suite =
     q prop_solve;
     q prop_determinant;
     q prop_block_bitwise;
+    ("block back-solve zero allocation", `Quick, test_block_zero_alloc);
     q prop_mul_vec;
     q prop_dense_into;
     q prop_transpose_solve;

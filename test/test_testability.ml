@@ -234,12 +234,12 @@ let suite =
 
 (* --- the campaign's row scorer --- *)
 
-(* Score one row through [Detect.score_row] and check its contract:
+(* Score one row through [Detect.score_rows] and check its contract:
    one 'd' or 'u' per point, 'u' and deviation 0 below the measurement
    floor, and one solve per point above it unless the row is isolated
    or the view dead. Returns the (solved, detected) point counts. *)
 let check_row what pv plan grid =
-  let verdicts, deviations, solved = Detect.score_row pv plan in
+  let verdicts, deviations, solved = (Detect.score_rows pv [| plan |]).(0) in
   let nf = Grid.n_points grid in
   Alcotest.(check int) (what ^ ": one verdict per point") nf (Bytes.length verdicts);
   Alcotest.(check int) (what ^ ": one deviation per point") nf (Array.length deviations);
