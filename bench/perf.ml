@@ -99,17 +99,6 @@ let tests =
         ignore (Cover.Solver.exact paper_problem)));
     Test.make ~name:"cover/greedy paper 7x8" (Staged.stage (fun () ->
         ignore (Cover.Solver.greedy paper_problem)));
-    (* extension kernels: adjoint methods and the transient engine *)
-    Test.make ~name:"mna/adjoint sensitivities" (Staged.stage (fun () ->
-        ignore
-          (Mna.Sensitivity.at_omega ~source:"Vin" ~output:"v2" biquad_netlist
-             ~omega:6283.0)));
-    Test.make ~name:"mna/noise psd" (Staged.stage (fun () ->
-        ignore (Mna.Noise.at_omega ~output:"v2" biquad_netlist ~omega:6283.0)));
-    Test.make ~name:"mna/transient 100 steps" (Staged.stage (fun () ->
-        ignore
-          (Mna.Transient.simulate ~record:[ "v2" ] ~t_stop:1e-4 ~dt:1e-6
-             biquad_netlist)));
     (* X2 kernel: a leapfrog-sized covering instance *)
     Test.make ~name:"cover/exact random 31x60" (Staged.stage (fun () ->
         ignore (Cover.Solver.exact big_problem)));

@@ -35,9 +35,15 @@ type t = {
   stats : stats;
 }
 
-let default_budget = 256
-let default_max_dim = 40
-let default_margin = 0.02
+(* interval evaluations per cell *)
+let budget = 256
+
+(* MNA unknowns: symbolic extraction beyond this is gated out *)
+let max_dim = 40
+
+(* certificates must clear ε by a 2 % relative margin, the room left
+   for the numeric engine's own rounding *)
+let margin = 0.02
 let default_work_cap = 256
 let min_band_width = 1e-4 (* decades *)
 
@@ -45,11 +51,6 @@ let byte_of_verdict = function
   | Certified_detectable -> 'd'
   | Certified_undetectable -> 'u'
   | Unknown -> '?'
-
-let verdict_of_byte = function
-  | 'd' -> Certified_detectable
-  | 'u' -> Certified_undetectable
-  | _ -> Unknown
 
 (* ω enclosure of a log10-Hz band. The campaign engine evaluates at
    ω̂ = fl(2π̂ · f_i) for grid floats f_i whose log10 lies in the band;
@@ -158,9 +159,7 @@ let validates ~source ~output netlist h freqs_hz =
         fs;
       !ok
 
-let certify ?(budget = default_budget) ?(max_dim = default_max_dim)
-    ?(margin = default_margin) ?(work_cap = default_work_cap) ~eps ~freqs_hz
-    specs faults =
+let certify ?(work_cap = default_work_cap) ~eps ~freqs_hz specs faults =
   if eps <= 0.0 then invalid_arg "Certify.certify: eps must be positive";
   let n = Array.length freqs_hz in
   let log_freqs = Array.map log10 freqs_hz in
@@ -282,10 +281,3 @@ let verdict_cube t =
           else None)
         v.cells)
     t.views
-
-let pp_verdict ppf v =
-  Format.pp_print_string ppf
-    (match v with
-    | Certified_detectable -> "detectable"
-    | Certified_undetectable -> "undetectable"
-    | Unknown -> "unknown")

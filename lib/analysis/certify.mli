@@ -76,25 +76,12 @@ type t = {
   stats : stats;
 }
 
-val default_budget : int
-(** 256 interval evaluations per cell. *)
-
-val default_max_dim : int
-(** 40 MNA unknowns — symbolic extraction beyond this is gated out. *)
-
-val default_margin : float
-(** 0.02: certificates must clear ε by a 2 % relative margin, the
-    room left for the numeric engine's own rounding. *)
-
 val default_work_cap : int
 (** 256 symbolic extractions per {!certify} call — the knob bounding
     the pass's cost on circuits with hundreds of configuration
     views. *)
 
 val certify :
-  ?budget:int ->
-  ?max_dim:int ->
-  ?margin:float ->
   ?work_cap:int ->
   eps:float ->
   freqs_hz:float array ->
@@ -105,12 +92,16 @@ val certify :
     the {!Fixed_tolerance}-style criterion |ΔT|/|T| > [eps] on the
     given frequency grid (Hz, ascending). Never raises on singular or
     ill-posed views — they degrade to Unknown. Raises
-    [Invalid_argument] when [eps <= 0]. *)
+    [Invalid_argument] when [eps <= 0].
+
+    Each cell spends at most 256 interval evaluations; views above 40
+    MNA unknowns are gated out of symbolic extraction; a certificate
+    must clear ε by a 2 % relative margin, the room left for the
+    numeric engine's own rounding. *)
 
 val verdict_cube : t -> Bytes.t option array array
 (** Per-[view][fault] verdict bytes for the campaign engine — [Some]
     only for validated cells with at least one certified point. *)
 
 val byte_of_verdict : verdict -> char
-val verdict_of_byte : char -> verdict
-val pp_verdict : Format.formatter -> verdict -> unit
+(** The byte {!verdict_cube} stores for a verdict. *)

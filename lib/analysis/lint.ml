@@ -190,7 +190,9 @@ let value_signature ?(sources = Mna.Assemble.Nominal) ?(locked_elements = []) vi
 
 let anchor config = "configuration " ^ Configuration.label config
 
-let configuration_findings ?src ?follower_model ?(max_opamps = 10) dft =
+let max_opamps = 10
+
+let configuration_findings ?src ?follower_model dft =
   let n_opamps = Transform.n_opamps dft in
   if n_opamps > max_opamps then
     [

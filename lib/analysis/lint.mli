@@ -29,9 +29,6 @@ type src = { file : string; lines : (string * int) list }
     1-based source line that declared them (see
     {!Spice.Parser.parse_file_with_lines}). *)
 
-val loc_of : src option -> string -> Finding.loc option
-(** Look an element name up in the source table. *)
-
 val netlist_findings : ?src:src -> Circuit.Netlist.t -> Finding.t list
 (** Validation plus structural-rank findings on one netlist. *)
 
@@ -62,17 +59,6 @@ val value_signature :
     stamps, O(s log s) for s stamps — linear in the view's nonzeros up
     to the log, never the n² of a dense scan. *)
 
-val configuration_findings :
-  ?src:src ->
-  ?follower_model:Circuit.Element.opamp_model ->
-  ?max_opamps:int ->
-  Multiconfig.Transform.t ->
-  Finding.t list
-(** The configuration-space and detectability passes. When the circuit
-    has more than [max_opamps] opamps (default 10, i.e. 1024
-    configurations) the pass is skipped with an info finding instead of
-    exploding. *)
-
 val run :
   ?src:src ->
   ?follower_model:Circuit.Element.opamp_model ->
@@ -83,4 +69,6 @@ val run :
 (** The whole pipeline, sorted by severity then source line. The
     configuration-space passes need a driving [source] and an observed
     [output] and a netlist with at least one opamp and no
-    error-severity finding; otherwise they are skipped silently. *)
+    error-severity finding; otherwise they are skipped silently. When
+    the circuit has more than 10 opamps (1024 configurations) they are
+    skipped with an info finding instead of exploding. *)

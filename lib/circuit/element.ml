@@ -69,18 +69,6 @@ let is_passive = function
   | Resistor _ | Capacitor _ | Inductor _ -> true
   | Vsource _ | Isource _ | Vcvs _ | Vccs _ | Ccvs _ | Cccs _ | Opamp _ -> false
 
-let kind_letter = function
-  | Resistor _ -> 'R'
-  | Capacitor _ -> 'C'
-  | Inductor _ -> 'L'
-  | Vsource _ -> 'V'
-  | Isource _ -> 'I'
-  | Vcvs _ -> 'E'
-  | Vccs _ -> 'G'
-  | Ccvs _ -> 'H'
-  | Cccs _ -> 'F'
-  | Opamp _ -> 'X'
-
 let pp ppf e =
   match e with
   | Resistor { name; n1; n2; value } ->

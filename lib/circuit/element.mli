@@ -43,8 +43,4 @@ val with_value : t -> float -> t
 val is_passive : t -> bool
 (** True for R, L, C — the fault universe of the paper. *)
 
-val kind_letter : t -> char
-(** SPICE-style leading letter: 'R', 'C', 'L', 'V', 'I', 'E', 'G',
-    'H', 'F', 'X' (opamp). *)
-
 val pp : Format.formatter -> t -> unit

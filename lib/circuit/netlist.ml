@@ -28,13 +28,6 @@ let resistor ~name n1 n2 value t = add (Element.Resistor { name; n1; n2; value }
 let capacitor ~name n1 n2 value t = add (Element.Capacitor { name; n1; n2; value }) t
 let inductor ~name n1 n2 value t = add (Element.Inductor { name; n1; n2; value }) t
 let vsource ~name npos nneg value t = add (Element.Vsource { name; npos; nneg; value }) t
-let isource ~name npos nneg value t = add (Element.Isource { name; npos; nneg; value }) t
-
-let vcvs ~name npos nneg cpos cneg gain t =
-  add (Element.Vcvs { name; npos; nneg; cpos; cneg; gain }) t
-
-let vccs ~name npos nneg cpos cneg gm t =
-  add (Element.Vccs { name; npos; nneg; cpos; cneg; gm }) t
 
 let opamp ?(model = Element.Ideal) ~name ~inp ~inn ~out t =
   add (Element.Opamp { name; inp; inn; out; model }) t
@@ -78,14 +71,6 @@ let map_value ~name ~f t =
       invalid_arg
         (Printf.sprintf "Netlist.map_value: element %S has no scalar parameter" name)
   | Some v -> replace (Element.with_value e (f v)) t
-
-let fresh_node t ~prefix =
-  let used = StringSet.of_list (nodes t) in
-  let rec search k =
-    let candidate = Printf.sprintf "%s%d" prefix k in
-    if StringSet.mem candidate used then search (k + 1) else candidate
-  in
-  if StringSet.mem prefix used then search 1 else prefix
 
 let pp ppf t =
   Format.fprintf ppf "* %s@." t.title;

@@ -27,9 +27,6 @@ val resistor : name:string -> string -> string -> float -> t -> t
 val capacitor : name:string -> string -> string -> float -> t -> t
 val inductor : name:string -> string -> string -> float -> t -> t
 val vsource : name:string -> string -> string -> float -> t -> t
-val isource : name:string -> string -> string -> float -> t -> t
-val vcvs : name:string -> string -> string -> string -> string -> float -> t -> t
-val vccs : name:string -> string -> string -> string -> string -> float -> t -> t
 val opamp : ?model:Element.opamp_model -> name:string -> inp:string -> inn:string -> out:string -> t -> t
 
 (** {1 Queries} *)
@@ -66,8 +63,5 @@ val map_value : name:string -> f:(float -> float) -> t -> t
 (** Apply [f] to the scalar parameter of element [name]; raises
     [Not_found] when absent, [Invalid_argument] when the element has no
     scalar parameter. *)
-
-val fresh_node : t -> prefix:string -> string
-(** A node name not yet used in the netlist. *)
 
 val pp : Format.formatter -> t -> unit

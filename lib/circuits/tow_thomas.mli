@@ -24,10 +24,6 @@ type params = {
   c2 : float;
 }
 
-val default_params : params
-(** f₀ = 1 kHz, Q ≈ 1, unity DC gain: R = 15.915 kΩ all around,
-    C = 10 nF. *)
-
 val params_for : ?q:float -> ?gain:float -> f0_hz:float -> unit -> params
 (** Equal-R/equal-C design for a given centre frequency, quality factor
     (default 1) and DC gain (default 1). *)
@@ -41,4 +37,6 @@ type output_tap = Lowpass  (** OP2's output (node "v2"). *)
 
 val make : ?params:params -> ?tap:output_tap -> unit -> Benchmark.t
 (** The biquad driven by source "Vin" at node "in"; opamps are named
-    OP1, OP2, OP3 in chain order. Default tap: {!Lowpass}. *)
+    OP1, OP2, OP3 in chain order. Default tap: {!Lowpass}. Default
+    params: [params_for ~f0_hz:1000. ()] — f₀ = 1 kHz, Q ≈ 1, unity DC
+    gain, R = 15.915 kΩ all around, C = 10 nF. *)

@@ -2,7 +2,7 @@ module Netlist := Circuit.Netlist
 
 (** Seeded random-circuit generation — the fuzzer's topology families.
 
-    The raw generators ([ladder], [soup], …) take a [Random.State.t]
+    The raw generators ([ladder], [bigladder]) take a [Random.State.t]
     so property tests can drive them from their own seeds; {!generate}
     wraps them into a self-describing {!subject} derived purely from a
     [(family, seed)] pair, the unit of deterministic replay. All
@@ -17,15 +17,17 @@ type family =
   | Soup
       (** Ladder + optional bridge + one of three hazards: a
           voltage-source loop, a nullor with shorted inputs, or a
-          healthy feedback opamp — the structural-analysis stressor. *)
+          healthy feedback opamp — the structural-analysis stressor.
+          May be genuinely singular. *)
   | Active_chain
-      (** Randomized opamp stages (inverting amp, lossy-integrator
-          cascade, or a full Tow-Thomas loop) — the multiconfig /
-          campaign stressor. *)
+      (** Randomized 1-3 opamp stages (inverting amp, lossy-integrator
+          cascade, or a full Tow-Thomas loop), solvable in the
+          functional configuration with well-posed DFT views — the
+          multiconfig / campaign stressor. *)
   | Near_singular
       (** Ladders with pathological value spreads (up to ~12 decades
-          between neighbouring impedances) — the LU-threshold and
-          refinement stressor. *)
+          between neighbouring impedances), solvable in exact
+          arithmetic — the LU-threshold and refinement stressor. *)
   | Bigladder
       (** Two long RC ladders (hundreds of stages, seed-parameterized)
           bridged by a three-buffer opamp chain — the sparse back-end
@@ -53,19 +55,6 @@ val ladder : Random.State.t -> Netlist.t * string
 (** A random 1-5 stage series/shunt ladder; returns the netlist and
     its output node. Every node keeps a DC path to ground through the
     series resistors, so the system is solvable at every frequency. *)
-
-val soup : Random.State.t -> Netlist.t * string
-(** A random connected soup: ladder + optional bridge + at most one
-    opamp hazard (see {!Soup}). May be genuinely singular. *)
-
-val active_chain : Random.State.t -> Netlist.t * string
-(** A random 1-3 opamp active circuit, solvable in the functional
-    configuration and built from topologies whose DFT configuration
-    views are well-posed. *)
-
-val near_singular : Random.State.t -> Netlist.t * string
-(** A ladder with extreme value spreads; solvable in exact arithmetic
-    but hostile to fixed pivot/residual thresholds. *)
 
 val bigladder : ?stages:int -> Random.State.t -> Netlist.t * string
 (** Two RC ladder sections of [stages] total stages (default: drawn in

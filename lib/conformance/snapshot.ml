@@ -112,6 +112,10 @@ let render_tow_thomas () =
   in
   J.to_string ~indent:2 doc ^ "\n"
 
+(* The snapshot registry: [(file_name, render)] pairs.
+   "paper_tables.json" embeds the published Figure 5 / Table 2 data and
+   the optimizer's §4 results on them; "tow_thomas_simulated.json" the
+   full simulated pipeline (jobs:1) on the Tow-Thomas benchmark. *)
 let all =
   [
     ("paper_tables.json", render_paper_tables);

@@ -10,12 +10,6 @@
     companion test refuses to pass until the snapshot is regenerated
     deliberately via [mcdft fuzz --update-snapshots]. *)
 
-val all : (string * (unit -> string)) list
-(** The snapshot registry: [(file_name, render)] pairs.
-    ["paper_tables.json"] embeds the published Figure 5 / Table 2 data
-    and the optimizer's §4 results on them; ["tow_thomas_simulated.json"]
-    the full simulated pipeline (jobs:1) on the Tow-Thomas benchmark. *)
-
 val check : dir:string -> (unit, string) result
 (** Render every snapshot and byte-compare against [dir]. [Error]
     lists each missing or drifted file. Raises [Sys_error] naming [dir]

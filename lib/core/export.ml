@@ -35,20 +35,11 @@ let detection_stats_to_json (d : Optimizer.detection_stats) =
       ("per_fault", J.List (Array.to_list (Array.map J.int d.Optimizer.per_fault)));
     ]
 
-let report_to_json ?faults (r : Optimizer.report) =
-  let fault_labels =
-    match faults with
-    | Some fs -> List.map (fun f -> J.String f.Fault.id) fs
-    | None ->
-        List.init
-          (if Array.length r.Optimizer.input.Optimizer.detect = 0 then 0
-           else Array.length r.Optimizer.input.Optimizer.detect.(0))
-          (fun j -> J.String (Printf.sprintf "f%d" j))
-  in
+let report_to_json ~faults (r : Optimizer.report) =
   J.Object
     [
       ("n_opamps", J.int r.Optimizer.input.Optimizer.n_opamps);
-      ("faults", J.List fault_labels);
+      ("faults", J.List (List.map (fun f -> J.String f.Fault.id) faults));
       ("max_coverage", J.Number r.Optimizer.max_coverage);
       ("functional_coverage", J.Number r.Optimizer.functional_coverage);
       ("functional_avg_omega", J.Number r.Optimizer.functional_avg_omega);

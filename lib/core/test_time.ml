@@ -1,15 +1,11 @@
-type parameters = {
-  settle_taus : float;
-  measure_periods : float;
-  switch_overhead_s : float;
-  fallback_settle_s : float;
-}
+let settle_taus = 7.0
+let measure_periods = 5.0
+let switch_overhead_s = 1e-3
+let fallback_settle_s = 10e-3
 
-let default_parameters =
-  { settle_taus = 7.0; measure_periods = 5.0; switch_overhead_s = 1e-3;
-    fallback_settle_s = 10e-3 }
-
-let settle_time_s ?(parameters = default_parameters) (pipeline : Pipeline.t) config_index =
+(* Settling time of one emulated configuration, from its slowest
+   stable pole. *)
+let settle_time_s (pipeline : Pipeline.t) config_index =
   let dft = pipeline.Pipeline.dft in
   let config =
     Multiconfig.Configuration.make ~n_opamps:(Multiconfig.Transform.n_opamps dft)
@@ -20,7 +16,7 @@ let settle_time_s ?(parameters = default_parameters) (pipeline : Pipeline.t) con
     Mna.Symbolic.poles ~source:dft.Multiconfig.Transform.source
       ~output:dft.Multiconfig.Transform.output view
   with
-  | exception Mna.Symbolic.Singular_circuit _ -> parameters.fallback_settle_s
+  | exception Mna.Symbolic.Singular_circuit _ -> fallback_settle_s
   | poles ->
       (* slowest stable pole bounds the settling; a configuration with
          no strictly stable pole gets the fallback *)
@@ -30,11 +26,11 @@ let settle_time_s ?(parameters = default_parameters) (pipeline : Pipeline.t) con
             if p.Complex.re < -1e-6 then Float.min acc (-.p.Complex.re) else acc)
           infinity poles
       in
-      if Float.is_finite slowest then parameters.settle_taus /. slowest
-      else parameters.fallback_settle_s
+      if Float.is_finite slowest then settle_taus /. slowest
+      else fallback_settle_s
 
-let estimate_s ?(parameters = default_parameters) (pipeline : Pipeline.t)
-    (plan : Test_plan.t) =
+(* Total estimated test time of a measurement schedule, in seconds. *)
+let estimate_s (pipeline : Pipeline.t) (plan : Test_plan.t) =
   let by_config = Hashtbl.create 8 in
   List.iter
     (fun m ->
@@ -55,23 +51,23 @@ let estimate_s ?(parameters = default_parameters) (pipeline : Pipeline.t)
           let rec pop n acc = if n = 0 then acc else pop (n lsr 1) (acc + (n land 1)) in
           pop x 0
         in
-        let settle = settle_time_s ~parameters pipeline config in
+        let settle = settle_time_s pipeline config in
         let freqs = Hashtbl.find by_config config in
         let measures =
-          List.fold_left (fun t f -> t +. (parameters.measure_periods /. f)) 0.0 freqs
+          List.fold_left (fun t f -> t +. (measure_periods /. f)) 0.0 freqs
         in
         walk config
-          (total +. (float_of_int bits *. parameters.switch_overhead_s) +. settle +. measures)
+          (total +. (float_of_int bits *. switch_overhead_s) +. settle +. measures)
           rest
   in
   walk 0 0.0 ordered
 
-let compare_sets ?parameters (pipeline : Pipeline.t) candidate_sets =
+let compare_sets (pipeline : Pipeline.t) candidate_sets =
   let scored =
     List.map
       (fun configs ->
         let plan = Test_plan.build ~configs pipeline in
-        (configs, estimate_s ?parameters pipeline plan))
+        (configs, estimate_s pipeline plan))
       candidate_sets
   in
   List.sort (fun (_, a) (_, b) -> Float.compare a b) scored

@@ -8,26 +8,13 @@
     in order, so the settle cost is paid once per configuration, not
     per frequency. Marginal or unstable configurations (poles at or
     right of the imaginary axis) get a fallback settle time — a real
-    tester would use a bounded burst there. *)
+    tester would use a bounded burst there.
 
-type parameters = {
-  settle_taus : float;  (** Settling accuracy, in time constants (default 7). *)
-  measure_periods : float;  (** Stimulus periods per measurement (default 5). *)
-  switch_overhead_s : float;  (** Per configuration-switch fixed cost. *)
-  fallback_settle_s : float;  (** Used when no stable pole bounds settling. *)
-}
+    Settling runs to 7 time constants, each measurement takes 5
+    stimulus periods, a configuration switch costs 1 ms per flipped
+    selection bit and the fallback settle time is 10 ms. *)
 
-val default_parameters : parameters
-
-val settle_time_s : ?parameters:parameters -> Pipeline.t -> int -> float
-(** Settling time of one emulated configuration, from its slowest
-    stable pole. *)
-
-val estimate_s : ?parameters:parameters -> Pipeline.t -> Test_plan.t -> float
-(** Total estimated test time of a measurement schedule, in seconds. *)
-
-val compare_sets :
-  ?parameters:parameters -> Pipeline.t -> int list list -> (int list * float) list
+val compare_sets : Pipeline.t -> int list list -> (int list * float) list
 (** For each candidate configuration set: the estimated time of its
     minimal measurement schedule. Sorted fastest first — a quantitative
     re-ranking of the paper's 2nd-order ties. *)

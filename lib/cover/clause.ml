@@ -90,8 +90,6 @@ let infeasible_tags t =
 let candidates t =
   List.fold_left (fun acc c -> IntSet.union acc c.lits) IntSet.empty t.clauses
 
-let max_need t = List.fold_left (fun acc c -> Int.max acc c.need) 1 t.clauses
-
 let pp ppf t =
   let pp_clause ppf c =
     Format.fprintf ppf "(%s)%s"

@@ -64,9 +64,6 @@ val reduce : t -> chosen:IntSet.t -> t
     residual requirement — the paper's reduced fault detectability
     matrix, generalized to residual multiplicities. *)
 
-val satisfied : clause -> IntSet.t -> bool
-(** Does the candidate set hit this clause at least [need] times? *)
-
 val is_cover : t -> IntSet.t -> bool
 (** Does the candidate set satisfy every clause? True on the empty
     clause list. *)
@@ -78,9 +75,6 @@ val infeasible_tags : t -> int list
 
 val candidates : t -> IntSet.t
 (** All candidates appearing in at least one clause. *)
-
-val max_need : t -> int
-(** The largest clause requirement (1 on the empty system). *)
 
 val pp : Format.formatter -> t -> unit
 (** Render as the paper does: (C0+C2+C4+C6).(C2+C4+C6)...; clauses with

@@ -13,14 +13,3 @@ let opamps_of_config i =
 let opamps_of_term term = opamps_of_config (IntSet.fold (fun c acc -> acc lor c) term 0)
 
 let xi_star terms = List.map opamps_of_term terms
-
-let minimal_opamp_sets terms =
-  let mapped = xi_star terms in
-  match mapped with
-  | [] -> []
-  | _ ->
-      let best =
-        List.fold_left (fun acc s -> Int.min acc (IntSet.cardinal s)) max_int mapped
-      in
-      let minimal = List.filter (fun s -> IntSet.cardinal s = best) mapped in
-      List.sort_uniq (fun a b -> List.compare Int.compare (IntSet.elements a) (IntSet.elements b)) minimal

@@ -12,13 +12,6 @@ val opamps_of_config : int -> Clause.IntSet.t
 (** The 0-based opamp positions a configuration requires — the set bits
     of its index. C₀ needs none. *)
 
-val opamps_of_term : Clause.IntSet.t -> Clause.IntSet.t
-(** Union over the configurations of a product term. *)
-
 val xi_star : Clause.IntSet.t list -> Clause.IntSet.t list
-(** Map every ξ term, keeping duplicates — the paper's raw ξ*
-    expression. *)
-
-val minimal_opamp_sets : Clause.IntSet.t list -> Clause.IntSet.t list
-(** The distinct opamp sets of minimum cardinality among the mapped
-    terms — the partial-DFT optima. *)
+(** Map every ξ term to the union of its configurations' opamp sets,
+    keeping duplicates — the paper's raw ξ* expression. *)

@@ -82,9 +82,6 @@ val deviations_of_magnitudes : t -> float array -> float array
     tester's log is masked exactly as the dictionary is. Raises
     [Invalid_argument] on a length mismatch. *)
 
-val distance : float array -> float array -> float
-(** RMS distance between two equal-length trajectories. *)
-
 type verdict = {
   fault : Fault.t;  (** Nearest-trajectory fault. *)
   distance : float;  (** RMS distance to it. *)

@@ -180,7 +180,6 @@ type symbolic = {
   perm_sign : int;  (* sign(P)·sign(Q) *)
 }
 
-let symbolic_nnz s = s.pat.nnz
 let pivot_order s = (Array.copy s.roworder, Array.copy s.colorder)
 
 let factor_pattern s =
@@ -188,7 +187,6 @@ let factor_pattern s =
     Array.copy s.l_rowind,
     Array.copy s.u_colptr,
     Array.copy s.u_rowind )
-let fill_nnz s = Array.length s.l_rowind + Array.length s.u_rowind + s.pat.n
 
 (* Parity of the permutation [k -> p.(k)] by cycle decomposition. *)
 let permutation_sign p =
@@ -467,8 +465,6 @@ let numeric sym =
     wre = plane sym.pat.n;
     wim = plane sym.pat.n;
   }
-
-let numeric_dim num = num.sym.pat.n
 
 (* Left-looking refactorization over the static filled pattern. The
    workspace planes are owned by the [numeric] value, so refactoring is

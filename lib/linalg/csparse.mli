@@ -80,9 +80,6 @@ val analyze : pattern -> re:plane -> im:plane -> symbolic
     singularity threshold exists (structural or numeric singularity at
     the representative values). *)
 
-val symbolic_nnz : symbolic -> int
-(** Stored entries of the analyzed matrix. *)
-
 val pivot_order : symbolic -> int array * int array
 (** [(roworder, colorder)]: the original row and column pivoted at
     each elimination step (copies; for tests that pin the order). *)
@@ -93,9 +90,6 @@ val factor_pattern : symbolic -> int array * int array * int array * int array
     column; L strictly lower, U strictly upper (the diagonal is
     implicit). *)
 
-val fill_nnz : symbolic -> int
-(** Entries of the filled factors L + U (diagonal included). *)
-
 (** {1 Numeric factorization} *)
 
 type numeric
@@ -104,7 +98,6 @@ type numeric
     workspace are read-only and safe from concurrent domains. *)
 
 val numeric : symbolic -> numeric
-val numeric_dim : numeric -> int
 
 val refactor : numeric -> re:plane -> im:plane -> unit
 (** Factor the values over the static pattern (left-looking, static

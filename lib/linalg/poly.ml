@@ -102,13 +102,6 @@ let eval_jw_box p w =
   let u = I.sqr w in
   I.Complex_box.make (horner even u) (I.mul w (horner odd u))
 
-let eval_real p x =
-  let acc = ref 0.0 in
-  for i = Array.length p - 1 downto 0 do
-    acc := (!acc *. x) +. p.(i)
-  done;
-  !acc
-
 let derivative p =
   if Array.length p <= 1 then zero
   else trim (Array.init (Array.length p - 1) (fun i -> float_of_int (i + 1) *. p.(i + 1)))

@@ -48,10 +48,7 @@ val eval_jw_box : t -> Util.Interval.t -> Util.Interval.Complex_box.t
     interval Horner in u = ω². Every point value [eval p (jω)] with ω
     in the input is contained in the returned box. *)
 
-val eval_real : t -> float -> float
 val derivative : t -> t
-val normalize : t -> t
-(** Divide by the leading coefficient (monic form); zero stays zero. *)
 
 val roots : ?max_iter:int -> ?tol:float -> t -> Complex.t array
 (** All complex roots via the Aberth–Ehrlich simultaneous iteration.

@@ -9,7 +9,6 @@ let const c = make (Poly.const c) Poly.one
 
 let eval { num; den } z = Complex.div (Poly.eval num z) (Poly.eval den z)
 let eval_jw h w = eval h Complex.{ re = 0.0; im = w }
-let magnitude_jw h w = Complex.norm (eval_jw h w)
 
 let den_magnitude_jw_box { den; _ } w =
   Util.Interval.Complex_box.abs (Poly.eval_jw_box den w)

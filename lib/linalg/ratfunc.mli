@@ -12,14 +12,9 @@ val make : Poly.t -> Poly.t -> t
     monic. *)
 
 val const : float -> t
-val eval : t -> Complex.t -> Complex.t
-(** Evaluate H at a complex frequency point. *)
 
 val eval_jw : t -> float -> Complex.t
 (** [eval_jw h w] is H(jω) for the angular frequency [w]. *)
-
-val magnitude_jw : t -> float -> float
-(** |H(jω)|. *)
 
 val magnitude_jw_box : t -> Util.Interval.t -> Util.Interval.t
 (** Sound enclosure of |H(jω)| for ω ranging over the given interval

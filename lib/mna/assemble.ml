@@ -1,6 +1,6 @@
 module Netlist = Circuit.Netlist
 module Element = Circuit.Element
-type source_mode = Nominal | Only of string | Zeroed
+type source_mode = Nominal | Only of string
 
 module Make (F : Field.S) = struct
   type system = { matrix : F.t array array; rhs : F.t array }
@@ -18,7 +18,6 @@ module Make (F : Field.S) = struct
       match sources with
       | Nominal -> declared
       | Only s -> if String.equal s name then 1.0 else 0.0
-      | Zeroed -> 0.0
     in
     (* Conductance-style stamp between two nodes. *)
     let stamp_admittance n1 n2 y =

@@ -12,10 +12,6 @@ type source_mode =
   | Only of string
       (** The named independent source is driven with unit amplitude;
           all others are zeroed. Used for transfer functions. *)
-  | Zeroed
-      (** Every independent source is zeroed (V sources short, I
-          sources open). Used by noise analysis, where the signal
-          enters through the adjoint instead. *)
 
 module Make (F : Field.S) : sig
   type system = { matrix : F.t array array; rhs : F.t array }

@@ -41,4 +41,3 @@ let node t n =
 let branch t name = Hashtbl.find t.branch_idx name
 let has_branch t name = Hashtbl.mem t.branch_idx name
 let node_names t = Array.copy t.names
-let n_nodes t = Array.length t.names

@@ -25,9 +25,5 @@ val branch : t -> string -> int
 
 val has_branch : t -> string -> bool
 val node_names : t -> string array
-(** Node names in index order (indices [0 .. n_nodes-1]). *)
+(** Node names in index order (indices [0 .. number of nodes - 1]). *)
 
-val n_nodes : t -> int
-
-val needs_branch : Element.t -> bool
-(** Whether this element type contributes a branch-current unknown. *)

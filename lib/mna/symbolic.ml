@@ -194,9 +194,6 @@ let transfer ~source ~output netlist =
 let poles ~source ~output netlist =
   Linalg.Ratfunc.poles (transfer ~source ~output netlist)
 
-let zeros ~source ~output netlist =
-  Linalg.Ratfunc.zeros (transfer ~source ~output netlist)
-
 let center_hz ~source ~output netlist =
   match poles ~source ~output netlist with
   | exception (Singular_circuit _ | Invalid_argument _) -> 1000.0

@@ -20,7 +20,6 @@ val transfer : source:string -> output:string -> Netlist.t -> Linalg.Ratfunc.t
     unknown. *)
 
 val poles : source:string -> output:string -> Netlist.t -> Complex.t array
-val zeros : source:string -> output:string -> Netlist.t -> Complex.t array
 
 val center_hz : source:string -> output:string -> Netlist.t -> float
 (** The geometric mean of the pole magnitudes above 1e-3 rad/s, in Hz —

@@ -29,8 +29,6 @@ let follower c k =
 let followers c =
   List.filter (fun k -> follower c k) (List.init c.n_opamps Fun.id)
 
-let n_followers c = List.length (followers c)
-
 let restricted_to ~subset c =
   List.for_all (fun k -> List.mem k subset) (followers c)
 

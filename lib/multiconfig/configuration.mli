@@ -37,16 +37,10 @@ val follower : t -> int -> bool
 val followers : t -> int list
 (** 0-based positions of opamps in follower mode, increasing. *)
 
-val n_followers : t -> int
-
-val restricted_to : subset:int list -> t -> bool
-(** True when every follower of the configuration lies in [subset]
-    (0-based opamp positions) — i.e. the configuration is reachable
-    with only those opamps made configurable (partial DFT). *)
-
 val reachable : subset:int list -> n_opamps:int -> t list
-(** All configurations reachable when only [subset] opamps are
-    configurable, in index order. Includes the functional
+(** All configurations reachable when only [subset] opamps (0-based
+    positions) are configurable — those whose every follower lies in
+    [subset] — in index order. Includes the functional
     configuration. *)
 
 val label : t -> string

@@ -11,7 +11,6 @@ type event = { name : string; ts_us : float; dur_us : float; tid : int }
 (** One completed span: microseconds since process start, duration,
     and the owning domain's id. *)
 
-val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 val span : string -> (unit -> 'a) -> 'a
@@ -28,11 +27,9 @@ val end_ : unit -> unit
 val events : unit -> event list
 (** All completed spans from every domain, sorted by start time. *)
 
-val export_chrome : unit -> string
-(** The Chrome trace-event JSON document for {!events}. *)
-
 val write : string -> unit
-(** Write {!export_chrome} to a file. *)
+(** Write the Chrome trace-event JSON document for {!events} to a
+    file. *)
 
 val reset : unit -> unit
 (** Drop all recorded events and any open begin/end stacks. *)

@@ -21,17 +21,6 @@ let render ?(align_left_first = true) ~header rows =
   in
   String.concat "\n" ((line header :: rule :: List.map line rows) @ [])
 
-let render_matrix ~row_labels ~col_labels ~cell =
-  let header = "" :: Array.to_list col_labels in
-  let rows =
-    Array.to_list
-      (Array.mapi
-         (fun i label ->
-           label :: List.init (Array.length col_labels) (fun j -> cell i j))
-         row_labels)
-  in
-  render ~header rows
-
 let csv_escape cell =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') cell then
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' cell) ^ "\""

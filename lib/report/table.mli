@@ -6,12 +6,6 @@ val render : ?align_left_first:bool -> header:string list -> string list list ->
     (default true); all other cells are right-aligned. Raises
     [Invalid_argument] when a row's width differs from the header's. *)
 
-val render_matrix :
-  row_labels:string array -> col_labels:string array -> cell:(int -> int -> string) ->
-  string
-(** Matrix-shaped table: one row label per line, one column label in
-    the header, [cell i j] as the body. *)
-
 val csv : header:string list -> string list list -> string
 (** The same data as RFC-4180-ish CSV (quotes cells containing commas,
     quotes or newlines). *)

@@ -33,14 +33,12 @@ val parse_string : string -> (Netlist.t, error) result
 val parse_file : string -> (Netlist.t, error) result
 (** Raises [Sys_error] when the file cannot be read. *)
 
-val parse_string_with_lines : string -> (Netlist.t * (string * int) list, error) result
-(** Like {!parse_string}, additionally returning a side table mapping
+val parse_file_with_lines : string -> (Netlist.t * (string * int) list, error) result
+(** Like {!parse_file}, additionally returning a side table mapping
     each element name to the 1-based source line of the card that
     declared it. Continuation lines map to their opening line; elements
     flattened out of a subcircuit instance keep the line of the
     definition body card, under their prefixed instance name
     ("inst.R1"). The table feeds diagnostics — the netlist itself is
-    unchanged, so writer round-trips are unaffected. *)
-
-val parse_file_with_lines : string -> (Netlist.t * (string * int) list, error) result
-(** Raises [Sys_error] when the file cannot be read. *)
+    unchanged, so writer round-trips are unaffected. Raises
+    [Sys_error] when the file cannot be read. *)

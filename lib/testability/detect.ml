@@ -17,8 +17,7 @@ type result = {
   regions : Util.Interval.Set.t;
 }
 
-let default_tolerance = 0.10
-let default_criterion = Fixed_tolerance default_tolerance
+let default_criterion = Fixed_tolerance 0.10
 
 (* The two deviation measures of a faulty response [re + j·im] against
    the nominal [t0], whose magnitudes [m0 = |t0|] and [mf = |re + j·im|]

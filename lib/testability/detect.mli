@@ -86,11 +86,8 @@ type result = {
       (** Detectability region Ω_detection, in log10(Hz) coordinates. *)
 }
 
-val default_tolerance : float
-(** ε = 0.10, the paper's setting. *)
-
 val default_criterion : criterion
-(** [Fixed_tolerance default_tolerance]. *)
+(** [Fixed_tolerance 0.10]: ε = 0.10, the paper's setting. *)
 
 val response_deviation : nominal:Complex.t array -> faulty:Complex.t array -> float array
 (** Point-wise relative magnitude deviation | |Tf| - |T0| | / |T0|.

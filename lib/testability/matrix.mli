@@ -53,25 +53,6 @@ val detectable_at : t -> int -> int -> int -> bool
 (** [detectable_at t i j k]: whether fault [j] is detectable at grid
     point [k] of view [i] — its verdict byte. *)
 
-val detectable_anywhere : t -> int -> bool
-(** Whether fault [j] is detectable in at least one view. *)
-
 val max_fault_coverage : t -> float
 (** Fraction of faults detectable in at least one view — the maximum
     fault coverage achievable by any configuration set. *)
-
-val coverage_of_view : t -> int -> float
-(** Fault coverage of a single view. *)
-
-val best_omega_det : t -> int -> float
-(** Max over views of the ω-detectability of fault [j]. *)
-
-val best_omega_det_over : t -> int list -> int -> float
-(** Max over the given view subset. *)
-
-val average_best_omega_det : ?views:int list -> t -> float
-(** The paper's ⟨ω-det⟩ figure of merit: each fault tested in its best
-    view among [views] (default: all), averaged over faults. *)
-
-val column : t -> int -> bool array
-val row : t -> int -> bool array

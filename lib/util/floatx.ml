@@ -6,12 +6,6 @@ let clamp ~lo ~hi x =
   assert (lo <= hi);
   if x < lo then lo else if x > hi then hi else x
 
-let is_finite x = Float.is_finite x
-
-let log10_safe x =
-  if x <= 0.0 then invalid_arg "Floatx.log10_safe: non-positive argument"
-  else log10 x
-
 let linspace a b n =
   if n < 2 then invalid_arg "Floatx.linspace: need at least two points";
   let step = (b -. a) /. float_of_int (n - 1) in

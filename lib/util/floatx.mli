@@ -9,20 +9,10 @@ val clamp : lo:float -> hi:float -> float -> float
 (** [clamp ~lo ~hi x] restricts [x] to the closed interval [lo, hi].
     Requires [lo <= hi]. *)
 
-val is_finite : float -> bool
-(** True when the float is neither infinite nor NaN. *)
-
-val log10_safe : float -> float
-(** [log10_safe x] is [log10 x] for positive [x]; raises
-    [Invalid_argument] otherwise. *)
-
-val linspace : float -> float -> int -> float array
-(** [linspace a b n] is [n] evenly spaced points from [a] to [b]
-    inclusive. Requires [n >= 2]. *)
-
 val logspace : float -> float -> int -> float array
 (** [logspace a b n] is [n] logarithmically spaced points from [a] to
-    [b] inclusive. Requires [0 < a], [0 < b], [n >= 2]. *)
+    [b] inclusive: their log10 values are evenly spaced. Requires
+    [0 < a], [0 < b], [n >= 2]. *)
 
 val mean : float array -> float
 (** Arithmetic mean; raises [Invalid_argument] on the empty array. *)

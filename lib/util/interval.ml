@@ -14,7 +14,6 @@ let intersect a b =
   if overlaps a b then Some { lo = Float.max a.lo b.lo; hi = Float.min a.hi b.hi }
   else None
 
-let hull a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
 let pp ppf i = Format.fprintf ppf "[%g, %g]" i.lo i.hi
 
 (* --- Extended (possibly unbounded) intervals with outward rounding.
@@ -29,7 +28,6 @@ let pp ppf i = Format.fprintf ppf "[%g, %g]" i.lo i.hi
 
 let whole = { lo = neg_infinity; hi = infinity }
 let point x = if Float.is_nan x then whole else { lo = x; hi = x }
-let is_bounded i = Float.is_finite i.lo && Float.is_finite i.hi
 
 let down x = if Float.is_nan x then neg_infinity else Float.pred x
 let up x = if Float.is_nan x then infinity else Float.succ x
@@ -75,43 +73,12 @@ let sqrt a =
       hi = up (Float.sqrt a.hi);
     }
 
-let scale c a =
-  if c >= 0.0 then out (c *. a.lo) (c *. a.hi) else out (c *. a.hi) (c *. a.lo)
-
 module Complex_box = struct
   type interval = t
-
-  let radd = add
-  let rsub = sub
-  let rmul = mul
-  let rneg = neg
-  let rsqr = sqr
-  let rsqrt = sqrt
-  let rscale = scale
-  let rcontains = contains
-  let rpp = pp
-
   type t = { re : interval; im : interval }
 
   let make re im = { re; im }
-  let of_complex (z : Complex.t) = { re = point z.Complex.re; im = point z.Complex.im }
-  let add a b = { re = radd a.re b.re; im = radd a.im b.im }
-  let sub a b = { re = rsub a.re b.re; im = rsub a.im b.im }
-  let neg a = { re = rneg a.re; im = rneg a.im }
-
-  let mul a b =
-    {
-      re = rsub (rmul a.re b.re) (rmul a.im b.im);
-      im = radd (rmul a.re b.im) (rmul a.im b.re);
-    }
-
-  let scale c a = { re = rscale c a.re; im = rscale c a.im }
-  let abs a = rsqrt (radd (rsqr a.re) (rsqr a.im))
-
-  let contains a (z : Complex.t) =
-    rcontains a.re z.Complex.re && rcontains a.im z.Complex.im
-
-  let pp ppf a = Format.fprintf ppf "(%a + i%a)" rpp a.re rpp a.im
+  let abs a = sqrt (add (sqr a.re) (sqr a.im))
 end
 
 module Set = struct
@@ -139,7 +106,6 @@ module Set = struct
     List.rev (List.fold_left merge [] sorted)
 
   let to_intervals s = s
-  let add i s = of_intervals (i :: s)
   let union a b = of_intervals (a @ b)
 
   let inter a b =

@@ -16,17 +16,6 @@ val length : t -> float
 val contains : t -> float -> bool
 (** [contains i x] is true when [i.lo <= x <= i.hi]. *)
 
-val overlaps : t -> t -> bool
-(** True when the two intervals share at least one point. *)
-
-val intersect : t -> t -> t option
-(** Intersection, when non-empty. *)
-
-val hull : t -> t -> t
-(** Smallest interval containing both arguments. *)
-
-val pp : Format.formatter -> t -> unit
-
 (** {1 Extended interval arithmetic}
 
     Sound enclosures for the certification pass: every operation
@@ -42,18 +31,11 @@ val whole : t
 val point : float -> t
 (** Degenerate interval [[x, x]]; {!whole} when [x] is NaN. *)
 
-val is_bounded : t -> bool
-(** True when both bounds are finite. *)
-
 val add : t -> t -> t
 val sub : t -> t -> t
-val neg : t -> t
 
 val mul : t -> t -> t
 (** Endpoint products, outward-rounded; [0 * inf] widens to {!whole}. *)
-
-val inv : t -> t
-(** Reciprocal; {!whole} when the argument contains zero. *)
 
 val div : t -> t -> t
 (** [div a b] is {!whole} when [b] contains zero (including a bound
@@ -71,13 +53,10 @@ val sqrt : t -> t
 (** Square root of the non-negative part; the lower bound is clamped
     at 0. Raises [Invalid_argument] on intervals entirely below 0. *)
 
-val scale : float -> t -> t
-
 (** {1 Rectangular complex intervals}
 
-    A box [re + i im] in the complex plane; the arithmetic is the
-    usual rectangular complex interval arithmetic built from the
-    outward-rounded real ops above. *)
+    A box [re + i im] in the complex plane, with its modulus built from
+    the outward-rounded real ops above. *)
 
 module Complex_box : sig
   type interval := t
@@ -85,19 +64,10 @@ module Complex_box : sig
   type t = { re : interval; im : interval }
 
   val make : interval -> interval -> t
-  val of_complex : Complex.t -> t
-  val add : t -> t -> t
-  val sub : t -> t -> t
-  val neg : t -> t
-  val mul : t -> t -> t
-  val scale : float -> t -> t
 
   val abs : t -> interval
   (** Enclosure of the modulus [|z|] over the box; a subset of
       [[0, inf]]. *)
-
-  val contains : t -> Complex.t -> bool
-  val pp : Format.formatter -> t -> unit
 end
 
 (** {1 Unions of intervals} *)
@@ -120,7 +90,6 @@ module Set : sig
   val to_intervals : t -> interval list
   (** The disjoint intervals in increasing order. *)
 
-  val add : interval -> t -> t
   val union : t -> t -> t
   val inter : t -> t -> t
   val measure : t -> float

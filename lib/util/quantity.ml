@@ -62,9 +62,6 @@ let parse s =
           | Some scale -> Ok (v *. scale)
           | None -> Error (Printf.sprintf "unknown suffix %S" tail))
 
-let parse_exn s =
-  match parse s with Ok v -> v | Error msg -> invalid_arg ("Quantity.parse: " ^ msg)
-
 let suffixes =
   [ (1e12, "t"); (1e9, "g"); (1e6, "meg"); (1e3, "k"); (1.0, "");
     (1e-3, "m"); (1e-6, "u"); (1e-9, "n"); (1e-12, "p"); (1e-15, "f") ]

@@ -9,9 +9,6 @@ val parse : string -> (float, string) result
 (** Parse an engineering-notation value; [Error msg] on malformed
     input. *)
 
-val parse_exn : string -> float
-(** Like {!parse} but raises [Invalid_argument]. *)
-
 val to_string : float -> string
 (** Render a value using the closest engineering suffix, e.g.
     [to_string 4700.0 = "4.7k"]. Values outside the suffix range fall

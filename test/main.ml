@@ -12,9 +12,6 @@ let () =
       ("netlist", Test_netlist.suite);
       ("mna", Test_mna.suite);
       ("symbolic", Test_symbolic.suite);
-      ("sensitivity", Test_sensitivity.suite);
-      ("transient", Test_transient.suite);
-      ("noise", Test_noise.suite);
       ("circuits", Test_circuits.suite);
       ("parallel", Test_parallel.suite);
       ("obs", Test_obs.suite);

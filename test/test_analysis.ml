@@ -29,9 +29,14 @@ let broken_chain_cir =
    .end\n"
 
 let parse_with_lines text =
-  match Spice.Parser.parse_string_with_lines text with
-  | Ok r -> r
-  | Error e -> Alcotest.failf "parse failed: %s" (Spice.Parser.error_to_string e)
+  let path = Filename.temp_file "mcdft_lint" ".cir" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      match Spice.Parser.parse_file_with_lines path with
+      | Ok r -> r
+      | Error e -> Alcotest.failf "parse failed: %s" (Spice.Parser.error_to_string e))
 
 (* ---- structural rank ---- *)
 
@@ -248,7 +253,7 @@ let test_detectability_consistency () =
    opamp/source hazard. The generator lives in Conformance.Gen (the
    fuzzer's Soup family); see its doc for why at most ONE opamp is
    allowed in the hazard set. *)
-let random_soup rng = fst (Conformance.Gen.soup rng)
+let random_soup ~seed = (Conformance.Gen.generate Conformance.Gen.Soup ~seed).netlist
 
 let numerically_solvable netlist ~omega =
   let module F = (val Mna.Field.complex ~omega) in
@@ -265,7 +270,7 @@ let qcheck_structural_sound =
   QCheck.Test.make ~name:"structural singular => LU Singular; full rank => solvable"
     ~count:200 gen_seed (fun seed ->
       let rng = Random.State.make [| seed |] in
-      let netlist = random_soup rng in
+      let netlist = random_soup ~seed in
       let omega = 2.0 *. Float.pi *. (10.0 ** QCheck.Gen.float_range 1.0 5.0 rng) in
       let verdict = Structural.is_singular (Structural.analyse netlist) in
       let solvable = numerically_solvable netlist ~omega in

@@ -56,19 +56,13 @@ let test_cube_invariants () =
                     c.C.views.(i).C.validated;
                   Bytes.iter
                     (fun byte ->
-                      match C.verdict_of_byte byte with
-                      | C.Certified_detectable | C.Certified_undetectable
-                      | C.Unknown ->
-                          ())
+                      Alcotest.(check bool) "cube byte is a verdict's byte" true
+                        (List.mem byte
+                           (List.map C.byte_of_verdict
+                              [ C.Certified_detectable; C.Certified_undetectable; C.Unknown ])))
                     v)
             row)
-        cube;
-      (* byte round-trip *)
-      List.iter
-        (fun v ->
-          Alcotest.(check bool) "byte round-trip" true
-            (C.verdict_of_byte (C.byte_of_verdict v) = v))
-        [ C.Certified_detectable; C.Certified_undetectable; C.Unknown ]
+        cube
 
 let test_eps_validation () =
   Alcotest.check_raises "eps = 0 rejected"

@@ -49,7 +49,7 @@ let test_tow_thomas_formulas () =
 
 let test_tow_thomas_symbolic () =
   (* the extracted H(s) must equal the textbook expression *)
-  let p = Circuits.Tow_thomas.default_params in
+  let p = Circuits.Tow_thomas.params_for ~f0_hz:1000.0 () in
   let b = Circuits.Tow_thomas.make ~params:p () in
   let h =
     Mna.Symbolic.transfer ~source:b.Circuits.Benchmark.source

@@ -6,6 +6,15 @@ let exact_exn p = Cover.Solver.(cover_exn (exact p))
 let greedy_exn p = Cover.Solver.(cover_exn (greedy p))
 let brute_exn p = Cover.Solver.(cover_exn (brute_force p))
 
+(* The paper's route to the partial-DFT optima: the distinct opamp sets
+   of minimum cardinality among the ξ* terms. *)
+let minimal_opamp_sets terms =
+  match Cover.Mapping.xi_star terms with
+  | [] -> []
+  | mapped ->
+      let best = List.fold_left (fun acc s -> Int.min acc (IntSet.cardinal s)) max_int mapped in
+      List.sort_uniq IntSet.compare (List.filter (fun s -> IntSet.cardinal s = best) mapped)
+
 let matrix_3x4 =
   (* candidates 0..2, faults 0..3; fault 3 uncoverable *)
   [|
@@ -215,7 +224,7 @@ let test_paper_mapping () =
   Alcotest.(check int) "five mapped terms" 5 (List.length mapped);
   Alcotest.(check (list int)) "first term = OP1 OP2" [ 0; 1 ]
     (IntSet.elements (List.hd mapped));
-  let minimal = Cover.Mapping.minimal_opamp_sets xi_terms in
+  let minimal = minimal_opamp_sets xi_terms in
   Alcotest.(check (list (list int))) "unique minimum" [ [ 0; 1 ] ]
     (List.map IntSet.elements minimal)
 
@@ -299,7 +308,6 @@ let test_of_matrix_exact_infeasible () =
      (every coverable fault has 2 candidates) *)
   let capped = Clause.of_matrix ~n:2 matrix_3x4 in
   Alcotest.(check (list int)) "no infeasible clause" [] (Clause.infeasible_tags capped);
-  Alcotest.(check int) "max_need" 2 (Clause.max_need capped);
   Alcotest.(check (list (pair int int)))
     "short at n=3: all coverable faults have only 2 candidates"
     [ (0, 2); (1, 2); (2, 2) ]
@@ -705,8 +713,8 @@ let qcheck_opamp_sets_from_minimal_terms =
       let rng = Random.State.make [| seed |] in
       let p = if dense then random_dense_system rng else random_sparse_system rng in
       same_lists
-        (Cover.Mapping.minimal_opamp_sets (Cover.Petrick.expand_raw p))
-        (Cover.Mapping.minimal_opamp_sets (Cover.Petrick.expand p)))
+        (minimal_opamp_sets (Cover.Petrick.expand_raw p))
+        (minimal_opamp_sets (Cover.Petrick.expand p)))
 
 let suite =
   suite

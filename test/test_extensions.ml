@@ -547,21 +547,46 @@ let suite =
 let test_settle_time_reflects_poles () =
   let t = Lazy.force pipeline in
   (* C0 of the 1 kHz biquad: dominant pole ~ -pi*1000, so settling
-     within tens of milliseconds *)
-  let s = Mcdft_core.Test_time.settle_time_s t 0 in
-  Alcotest.(check bool) (Printf.sprintf "settle %g s plausible" s) true
-    (s > 1e-4 && s < 0.1)
+     within milliseconds. C0's schedule starts in C0 (no switch), pays
+     the settle once and then 5 stimulus periods per measurement. *)
+  let dft = t.P.dft in
+  let c0 =
+    Multiconfig.Transform.emulate dft
+      (Multiconfig.Configuration.make ~n_opamps:(Multiconfig.Transform.n_opamps dft) 0)
+  in
+  let slowest =
+    Array.fold_left
+      (fun acc p -> Float.min acc (-.p.Complex.re))
+      infinity
+      (Mna.Symbolic.poles ~source:dft.Multiconfig.Transform.source
+         ~output:dft.Multiconfig.Transform.output c0)
+  in
+  let settle = 7.0 /. slowest in
+  Alcotest.(check bool) (Printf.sprintf "settle %g s plausible" settle) true
+    (settle > 1e-4 && settle < 0.1);
+  let plan = TP.build ~configs:[ 0 ] t in
+  let expected =
+    List.fold_left
+      (fun acc m -> acc +. (5.0 /. m.TP.freq_hz))
+      settle plan.TP.measurements
+  in
+  match Mcdft_core.Test_time.compare_sets t [ [ 0 ] ] with
+  | [ (_, s) ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "C0 schedule %g s = settle + periods %g s" s expected)
+        true
+        (Float.abs (s -. expected) <= 1e-12 *. expected)
+  | _ -> Alcotest.fail "one set in, one estimate out"
 
-let test_estimate_positive_and_additive () =
+let test_estimate_positive () =
   let t = Lazy.force pipeline in
-  let plan = Mcdft_core.Test_plan.build t in
-  let total = Mcdft_core.Test_time.estimate_s t plan in
-  Alcotest.(check bool) "positive" true (total > 0.0);
-  (* a diagnosis plan cannot be faster than the detection plan over the
-     same configurations if it contains more measurements there *)
-  let diag = Mcdft_core.Test_plan.build_diagnostic t in
-  let total_diag = Mcdft_core.Test_time.estimate_s t diag in
-  Alcotest.(check bool) "finite" true (Float.is_finite total_diag)
+  let r = P.optimize t in
+  let sets = List.map Cover.Clause.IntSet.elements r.O.min_config_sets in
+  List.iter
+    (fun (_, total) ->
+      Alcotest.(check bool) (Printf.sprintf "%g s positive and finite" total) true
+        (total > 0.0 && Float.is_finite total))
+    (Mcdft_core.Test_time.compare_sets t sets)
 
 let test_compare_sets_ranks () =
   let t = Lazy.force pipeline in
@@ -578,7 +603,7 @@ let suite =
   suite
   @ [
       Alcotest.test_case "settle time" `Quick test_settle_time_reflects_poles;
-      Alcotest.test_case "estimate positive" `Quick test_estimate_positive_and_additive;
+      Alcotest.test_case "estimate positive" `Quick test_estimate_positive;
       Alcotest.test_case "compare sets" `Quick test_compare_sets_ranks;
     ]
 

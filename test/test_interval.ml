@@ -14,14 +14,18 @@ let test_basic () =
   Alcotest.(check bool) "outside" false (Interval.contains i 3.5)
 
 let test_intersect () =
+  let single i = Interval.Set.of_intervals [ i ] in
   let a = Interval.make 0.0 2.0 and b = Interval.make 1.0 3.0 in
-  (match Interval.intersect a b with
-  | Some i ->
+  (match Interval.Set.to_intervals (Interval.Set.inter (single a) (single b)) with
+  | [ i ] ->
       check_float "lo" 1.0 i.Interval.lo;
       check_float "hi" 2.0 i.Interval.hi
-  | None -> Alcotest.fail "expected overlap");
+  | _ -> Alcotest.fail "expected overlap");
   let c = Interval.make 5.0 6.0 in
-  Alcotest.(check bool) "disjoint" true (Interval.intersect a c = None)
+  Alcotest.(check bool) "disjoint" true
+    (Interval.Set.is_empty (Interval.Set.inter (single a) (single c)));
+  Alcotest.(check bool) "self" true
+    (Interval.Set.to_intervals (Interval.Set.inter (single a) (single a)) = [ a ])
 
 let test_set_merge () =
   let s =
@@ -90,12 +94,13 @@ let test_zero_straddling_div () =
     (is_whole (Interval.div a (Interval.make 0.0 1.0)));
   Alcotest.(check bool) "denominator touching zero at hi -> whole" true
     (is_whole (Interval.div a (Interval.make (-1.0) 0.0)));
-  Alcotest.(check bool) "inv through zero -> whole" true
-    (is_whole (Interval.inv (Interval.make (-2.0) 3.0)));
+  Alcotest.(check bool) "reciprocal through zero -> whole" true
+    (is_whole (Interval.div (Interval.point 1.0) (Interval.make (-2.0) 3.0)));
   (* bounded away from zero: finite, outward-rounded, correct orientation *)
   let q = Interval.div (Interval.make 1.0 2.0) (Interval.make 4.0 8.0) in
   Alcotest.(check bool) "bounded quotient encloses exact range" true
-    (q.Interval.lo <= 0.125 && q.Interval.hi >= 0.5 && Interval.is_bounded q)
+    (q.Interval.lo <= 0.125 && q.Interval.hi >= 0.5
+    && Float.is_finite q.Interval.lo && Float.is_finite q.Interval.hi)
 
 let test_outward_rounding () =
   (* 0.1 + 0.2 is inexact: the enclosure must strictly contain the

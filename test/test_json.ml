@@ -59,16 +59,19 @@ let test_ints_print_clean () =
   Alcotest.(check string) "negative" "-7" (J.to_string (J.int (-7)))
 
 let test_export_report () =
-  let input =
-    Mcdft_core.Optimizer.input_of_matrices ~n_opamps:Mcdft_core.Paper_data.n_opamps
-      Mcdft_core.Paper_data.detectability_matrix Mcdft_core.Paper_data.omega_table
+  let t =
+    Mcdft_core.Pipeline.run ~points_per_decade:10 (Circuits.Tow_thomas.make ())
   in
-  let r = Mcdft_core.Optimizer.optimize input in
-  let json = Mcdft_core.Export.report_to_json r in
+  let json = Mcdft_core.Export.pipeline_to_json t (Mcdft_core.Pipeline.optimize t) in
   (* it parses back and carries the headline values *)
   match J.of_string (J.to_string ~indent:2 json) with
   | Error e -> Alcotest.fail e
-  | Ok v -> (
+  | Ok json -> (
+      let v =
+        match J.member "report" json with
+        | Some v -> v
+        | None -> Alcotest.fail "report missing"
+      in
       (match J.member "max_coverage" v with
       | Some (J.Number c) -> Alcotest.(check (float 1e-9)) "coverage" 1.0 c
       | _ -> Alcotest.fail "max_coverage missing");

@@ -21,11 +21,12 @@ let inverting_amp ~r1 ~r2 () =
   |> Netlist.opamp ~name:"OP1" ~inp:"0" ~inn:"minus" ~out:"out"
 
 let test_divider_dc () =
-  let sol = Mna.Dc.solve (divider ()) in
-  Alcotest.(check (float 1e-9)) "vout" 0.75 (Mna.Dc.voltage sol "out");
-  Alcotest.(check (float 1e-9)) "vin" 1.0 (Mna.Dc.voltage sol "in");
+  (* nominal sources at omega = 0: the DC operating point *)
+  let sol = Mna.Ac.solve (divider ()) ~omega:0.0 in
+  Alcotest.(check (float 1e-9)) "vout" 0.75 (Mna.Ac.voltage sol "out").Complex.re;
+  Alcotest.(check (float 1e-9)) "vin" 1.0 (Mna.Ac.voltage sol "in").Complex.re;
   (* branch current of V1: 1 V across 4 kOhm, flowing out of + *)
-  Alcotest.(check (float 1e-12)) "i(V1)" (-0.00025) (Mna.Dc.current sol "V1")
+  Alcotest.(check (float 1e-12)) "i(V1)" (-0.00025) (Mna.Ac.current sol "V1").Complex.re
 
 let test_divider_ac () =
   (* frequency independent *)
@@ -90,7 +91,8 @@ let test_vcvs () =
     Netlist.empty ~title:"vcvs" ()
     |> Netlist.vsource ~name:"V1" "in" "0" 1.0
     |> Netlist.resistor ~name:"R1" "in" "0" 1000.0
-    |> Netlist.vcvs ~name:"E1" "out" "0" "in" "0" 2.5
+    |> Netlist.add
+         (Element.Vcvs { name = "E1"; npos = "out"; nneg = "0"; cpos = "in"; cneg = "0"; gain = 2.5 })
     |> Netlist.resistor ~name:"RL" "out" "0" 500.0
   in
   let h = Mna.Ac.transfer ~source:"V1" ~output:"out" n ~omega:0.0 in
@@ -101,7 +103,8 @@ let test_vccs () =
   let n =
     Netlist.empty ~title:"vccs" ()
     |> Netlist.vsource ~name:"V1" "in" "0" 1.0
-    |> Netlist.vccs ~name:"G1" "out" "0" "in" "0" 0.002
+    |> Netlist.add
+         (Element.Vccs { name = "G1"; npos = "out"; nneg = "0"; cpos = "in"; cneg = "0"; gm = 0.002 })
     |> Netlist.resistor ~name:"RL" "out" "0" 1000.0
   in
   let h = Mna.Ac.transfer ~source:"V1" ~output:"out" n ~omega:0.0 in
@@ -143,7 +146,7 @@ let test_ccvs () =
 let test_isource () =
   let n =
     Netlist.empty ~title:"isource" ()
-    |> Netlist.isource ~name:"I1" "0" "out" 0.001
+    |> Netlist.add (Element.Isource { name = "I1"; npos = "0"; nneg = "out"; value = 0.001 })
     |> Netlist.resistor ~name:"R1" "out" "0" 2000.0
   in
   let sol = Mna.Ac.solve n ~omega:0.0 in

@@ -52,11 +52,6 @@ let test_remove_replace () =
   | Element.Resistor { n2 = terminal; _ } -> Alcotest.(check string) "rewired" "0" terminal
   | _ -> Alcotest.fail "R1 missing"
 
-let test_fresh_node () =
-  let n = divider () in
-  Alcotest.(check string) "unused prefix" "t" (Netlist.fresh_node n ~prefix:"t");
-  Alcotest.(check string) "used prefix" "in1" (Netlist.fresh_node n ~prefix:"in")
-
 let test_passives_opamps () =
   let n =
     divider () |> Netlist.opamp ~name:"OP1" ~inp:"out" ~inn:"0" ~out:"amp"
@@ -176,7 +171,6 @@ let suite =
     Alcotest.test_case "map_value" `Quick test_map_value;
     Alcotest.test_case "map_value preserves order" `Quick test_map_value_preserves_order;
     Alcotest.test_case "remove/replace" `Quick test_remove_replace;
-    Alcotest.test_case "fresh_node" `Quick test_fresh_node;
     Alcotest.test_case "passives/opamps" `Quick test_passives_opamps;
     Alcotest.test_case "validate ok" `Quick test_validate_ok;
     Alcotest.test_case "validate no ground" `Quick test_validate_no_ground;

@@ -13,19 +13,6 @@ let test_table_arity_check () =
   Alcotest.check_raises "bad row" (Invalid_argument "Table.render: row 0 has wrong arity")
     (fun () -> ignore (Report.Table.render ~header:[ "a"; "b" ] [ [ "x" ] ]))
 
-let test_matrix_render () =
-  let s =
-    Report.Table.render_matrix ~row_labels:[| "C0"; "C1" |] ~col_labels:[| "f1"; "f2" |]
-      ~cell:(fun i j -> string_of_int ((10 * i) + j))
-  in
-  let contains sub =
-    let n = String.length s and m = String.length sub in
-    let rec probe i = i + m <= n && (String.sub s i m = sub || probe (i + 1)) in
-    probe 0
-  in
-  Alcotest.(check bool) "contains cells" true
-    (contains "C0" && contains "C1" && contains "f2" && contains "11")
-
 let test_csv () =
   let s = Report.Table.csv ~header:[ "a"; "b" ] [ [ "1,5"; "x\"y" ] ] in
   Alcotest.(check string) "escaping" "a,b\n\"1,5\",\"x\"\"y\"" s
@@ -55,7 +42,6 @@ let suite =
   [
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table arity" `Quick test_table_arity_check;
-    Alcotest.test_case "matrix render" `Quick test_matrix_render;
     Alcotest.test_case "csv" `Quick test_csv;
     Alcotest.test_case "bars" `Quick test_bars;
     Alcotest.test_case "bars mismatch" `Quick test_bars_mismatch;
