@@ -53,9 +53,16 @@ let default_output netlist =
   | Circuit.Element.Opamp { out; _ } :: _ -> Some out
   | _ -> None
 
-let load_circuit name ~source ~output =
+(* [name] as a registry benchmark, or else as a SPICE file parsed with
+   its source lines, and [source]/[output] defaulted from the benchmark
+   or the netlist when not given. *)
+let read_circuit name ~source ~output =
   match Circuits.Registry.find name with
-  | Some b -> Ok b
+  | Some b ->
+      Ok
+        ( `Benchmark b,
+          Some (Option.value source ~default:b.Circuits.Benchmark.source),
+          Some (Option.value output ~default:b.Circuits.Benchmark.output) )
   | None -> (
       if not (Sys.file_exists name) then
         Error
@@ -63,36 +70,40 @@ let load_circuit name ~source ~output =
       else
         match Spice.Parser.parse_file_with_lines name with
         | Error e -> Error (Printf.sprintf "%s: %s" name (Spice.Parser.error_to_string e))
-        | Ok (netlist, lines) -> (
-            (* pre-flight lint: catch structurally singular or invalid
-               netlists here, with element/line diagnostics, instead of
-               dying deep in the solver with a bare Singular *)
-            let src = { Analysis.Lint.file = name; lines } in
-            (match Analysis.Finding.errors (Analysis.Lint.netlist_findings ~src netlist) with
-            | [] -> ()
-            | errors ->
-                List.iter
-                  (fun f -> Printf.eprintf "%s\n" (Analysis.Finding.to_string f))
-                  errors;
-                die 6 "%s: %s — run `mcdft lint %s` for the full report" name
-                  (Analysis.Finding.summary errors) name);
-            match
-              ( (match source with Some s -> Some s | None -> default_source netlist),
-                match output with Some o -> Some o | None -> default_output netlist )
-            with
-            | None, _ -> Error "no voltage source found; pass --source"
-            | _, None -> Error "no opamp output found; pass --output"
-            | Some source, Some output ->
-                let center_hz = Mna.Symbolic.center_hz ~source ~output netlist in
-                Ok
-                  {
-                    Circuits.Benchmark.name = Filename.basename name;
-                    description = Circuit.Netlist.title netlist;
-                    netlist;
-                    source;
-                    output;
-                    center_hz;
-                  }))
+        | Ok (netlist, lines) ->
+            let given v default = match v with Some _ -> v | None -> default netlist in
+            Ok
+              ( `File (netlist, { Analysis.Lint.file = name; lines }),
+                given source default_source,
+                given output default_output ))
+
+let load_circuit name ~source ~output =
+  Result.bind (read_circuit name ~source ~output) @@ function
+  | `Benchmark b, _, _ -> Ok b
+  | `File (netlist, src), source, output -> (
+      (* pre-flight lint: catch structurally singular or invalid
+         netlists here, with element/line diagnostics, instead of
+         dying deep in the solver with a bare Singular *)
+      (match Analysis.Finding.errors (Analysis.Lint.netlist_findings ~src netlist) with
+      | [] -> ()
+      | errors ->
+          List.iter (fun f -> Printf.eprintf "%s\n" (Analysis.Finding.to_string f)) errors;
+          die 6 "%s: %s — run `mcdft lint %s` for the full report" name
+            (Analysis.Finding.summary errors) name);
+      match (source, output) with
+      | None, _ -> Error "no voltage source found; pass --source"
+      | _, None -> Error "no opamp output found; pass --output"
+      | Some source, Some output ->
+          let center_hz = Mna.Symbolic.center_hz ~source ~output netlist in
+          Ok
+            {
+              Circuits.Benchmark.name = Filename.basename name;
+              description = Circuit.Netlist.title netlist;
+              netlist;
+              source;
+              output;
+              center_hz;
+            })
 
 let parse_one_criterion s =
   match String.split_on_char ':' (String.lowercase_ascii s) with
@@ -446,23 +457,10 @@ let lint_cmd =
   let run name source output json sarif strict =
     handle_errors @@ fun () ->
     let netlist, src, source, output =
-      match Circuits.Registry.find name with
-      | Some b ->
-          ( b.Circuits.Benchmark.netlist,
-            None,
-            Some (Option.value source ~default:b.Circuits.Benchmark.source),
-            Some (Option.value output ~default:b.Circuits.Benchmark.output) )
-      | None ->
-          if not (Sys.file_exists name) then
-            die 1 "%S is neither a benchmark (see `mcdft list`) nor a file" name
-          else (
-            match Spice.Parser.parse_file_with_lines name with
-            | Error e -> die 1 "%s: %s" name (Spice.Parser.error_to_string e)
-            | Ok (netlist, lines) ->
-                ( netlist,
-                  Some { Analysis.Lint.file = name; lines },
-                  (match source with Some _ -> source | None -> default_source netlist),
-                  match output with Some _ -> output | None -> default_output netlist ))
+      match read_circuit name ~source ~output with
+      | Error msg -> die 1 "%s" msg
+      | Ok (`Benchmark b, source, output) -> (b.Circuits.Benchmark.netlist, None, source, output)
+      | Ok (`File (netlist, src), source, output) -> (netlist, Some src, source, output)
     in
     let findings = Analysis.Lint.run ?src ?source ?output netlist in
     Option.iter

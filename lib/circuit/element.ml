@@ -68,30 +68,3 @@ let with_value e v =
 let is_passive = function
   | Resistor _ | Capacitor _ | Inductor _ -> true
   | Vsource _ | Isource _ | Vcvs _ | Vccs _ | Ccvs _ | Cccs _ | Opamp _ -> false
-
-let pp ppf e =
-  match e with
-  | Resistor { name; n1; n2; value } ->
-      Format.fprintf ppf "%s %s %s %s" name n1 n2 (Util.Quantity.to_string value)
-  | Capacitor { name; n1; n2; value } ->
-      Format.fprintf ppf "%s %s %s %s" name n1 n2 (Util.Quantity.to_string value)
-  | Inductor { name; n1; n2; value } ->
-      Format.fprintf ppf "%s %s %s %s" name n1 n2 (Util.Quantity.to_string value)
-  | Vsource { name; npos; nneg; value } ->
-      Format.fprintf ppf "%s %s %s AC %g" name npos nneg value
-  | Isource { name; npos; nneg; value } ->
-      Format.fprintf ppf "%s %s %s AC %g" name npos nneg value
-  | Vcvs { name; npos; nneg; cpos; cneg; gain } ->
-      Format.fprintf ppf "%s %s %s %s %s %g" name npos nneg cpos cneg gain
-  | Vccs { name; npos; nneg; cpos; cneg; gm } ->
-      Format.fprintf ppf "%s %s %s %s %s %g" name npos nneg cpos cneg gm
-  | Ccvs { name; npos; nneg; vsense; r } ->
-      Format.fprintf ppf "%s %s %s %s %g" name npos nneg vsense r
-  | Cccs { name; npos; nneg; vsense; gain } ->
-      Format.fprintf ppf "%s %s %s %s %g" name npos nneg vsense gain
-  | Opamp { name; inp; inn; out; model } -> (
-      match model with
-      | Ideal -> Format.fprintf ppf "%s %s %s %s OPAMP" name inp inn out
-      | Single_pole { dc_gain; pole_hz } ->
-          Format.fprintf ppf "%s %s %s %s OPAMP A0=%g FP=%g" name inp inn out dc_gain
-            pole_hz)

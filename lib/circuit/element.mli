@@ -42,5 +42,3 @@ val with_value : t -> float -> t
 
 val is_passive : t -> bool
 (** True for R, L, C — the fault universe of the paper. *)
-
-val pp : Format.formatter -> t -> unit

@@ -71,7 +71,3 @@ let map_value ~name ~f t =
       invalid_arg
         (Printf.sprintf "Netlist.map_value: element %S has no scalar parameter" name)
   | Some v -> replace (Element.with_value e (f v)) t
-
-let pp ppf t =
-  Format.fprintf ppf "* %s@." t.title;
-  List.iter (fun e -> Format.fprintf ppf "%a@." Element.pp e) (elements t)

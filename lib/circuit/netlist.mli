@@ -63,5 +63,3 @@ val map_value : name:string -> f:(float -> float) -> t -> t
 (** Apply [f] to the scalar parameter of element [name]; raises
     [Not_found] when absent, [Invalid_argument] when the element has no
     scalar parameter. *)
-
-val pp : Format.formatter -> t -> unit

@@ -25,8 +25,6 @@ let default_params = params_for ~f0_hz:1000.0 ()
 let f0_hz p =
   sqrt (p.r6 /. (p.r3 *. p.r4 *. p.r5 *. p.c1 *. p.c2)) /. (2.0 *. Float.pi)
 
-let quality p = 2.0 *. Float.pi *. f0_hz p *. p.r2 *. p.c1
-
 type output_tap = Lowpass | Bandpass | Inverted_lowpass
 
 let make ?(params = default_params) ?(tap = Lowpass) () =

@@ -28,9 +28,6 @@ val params_for : ?q:float -> ?gain:float -> f0_hz:float -> unit -> params
 (** Equal-R/equal-C design for a given centre frequency, quality factor
     (default 1) and DC gain (default 1). *)
 
-val f0_hz : params -> float
-val quality : params -> float
-
 type output_tap = Lowpass  (** OP2's output (node "v2"). *)
                 | Bandpass  (** OP1's output (node "v1"). *)
                 | Inverted_lowpass  (** OP3's output (node "v3"). *)

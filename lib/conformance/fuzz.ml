@@ -8,17 +8,6 @@ type config = {
   log : string -> unit;
 }
 
-let default =
-  {
-    seed = 0;
-    budget_s = None;
-    max_cases = Some 50;
-    families = Gen.families;
-    oracles = Oracle.all;
-    shrink_dir = None;
-    log = ignore;
-  }
-
 type failure = {
   case : int;
   oracle : string;

@@ -14,15 +14,11 @@ type config = {
   seed : int;
   budget_s : float option;  (** Wall-clock stop condition. *)
   max_cases : int option;  (** Exact-count stop condition (deterministic reports). *)
-  families : Gen.family list;  (** Rotation, default {!Gen.families}. *)
-  oracles : Oracle.t list;  (** Default {!Oracle.all}. *)
+  families : Gen.family list;  (** Rotation ([mcdft fuzz]'s default: {!Gen.families}). *)
+  oracles : Oracle.t list;  (** [mcdft fuzz]'s default: {!Oracle.all}. *)
   shrink_dir : string option;  (** Where failure repros are written. *)
   log : string -> unit;  (** Progress sink (one line per event). *)
 }
-
-val default : config
-(** seed 0, no budget, 50 cases, all families, all oracles, no shrink
-    dir, silent log. *)
 
 type failure = {
   case : int;

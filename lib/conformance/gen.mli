@@ -2,9 +2,9 @@ module Netlist := Circuit.Netlist
 
 (** Seeded random-circuit generation — the fuzzer's topology families.
 
-    The raw generators ([ladder], [bigladder]) take a [Random.State.t]
-    so property tests can drive them from their own seeds; {!generate}
-    wraps them into a self-describing {!subject} derived purely from a
+    The raw generator {!bigladder} takes a [Random.State.t] so property
+    tests can drive it from their own seeds; {!generate} wraps every
+    family's generator into a self-describing {!subject} derived purely from a
     [(family, seed)] pair, the unit of deterministic replay. All
     generated netlists drive node ["n0"] from source ["V1"] (actives
     use dedicated stage nodes) and name elements with the conventions
@@ -50,11 +50,6 @@ type subject = {
   source : string;  (** Driving voltage source. *)
   output : string;  (** Observed output node. *)
 }
-
-val ladder : Random.State.t -> Netlist.t * string
-(** A random 1-5 stage series/shunt ladder; returns the netlist and
-    its output node. Every node keeps a DC path to ground through the
-    series resistors, so the system is solvable at every frequency. *)
 
 val bigladder : ?stages:int -> Random.State.t -> Netlist.t * string
 (** Two RC ladder sections of [stages] total stages (default: drawn in

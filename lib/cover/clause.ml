@@ -4,7 +4,7 @@ type clause = { lits : IntSet.t; need : int; tag : int }
 
 type t = { n_candidates : int; clauses : clause list }
 
-let clause ?(need = 1) ?(tag = -1) lits =
+let clause ?(need = 1) ~tag lits =
   if need < 1 then invalid_arg "Clause.clause: need must be at least 1";
   { lits; need; tag }
 

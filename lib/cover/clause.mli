@@ -17,14 +17,10 @@ type clause = {
   tag : int;
       (** Caller-meaningful identity, reported on infeasibility — the
           fault column for matrix-built systems, the list position for
-          {!of_sets}, -1 when unset. *)
+          {!of_sets}. *)
 }
 
 type t = { n_candidates : int; clauses : clause list }
-
-val clause : ?need:int -> ?tag:int -> IntSet.t -> clause
-(** [need] defaults to 1, [tag] to -1. Raises [Invalid_argument] when
-    [need < 1]. *)
 
 val of_sets : n_candidates:int -> IntSet.t list -> t
 (** Classical (need = 1) system from plain candidate sets; clause [i]

@@ -72,21 +72,6 @@ let resolution dict =
       let singletons = Hashtbl.fold (fun _ n acc -> if n = 1 then acc + 1 else acc) table 0 in
       float_of_int singletons /. float_of_int (List.length detected)
 
-let hamming a b =
-  let d = ref 0 in
-  Array.iteri (fun i x -> if x <> b.(i) then incr d) a;
-  !d
-
-let diagnose dict observed =
-  let expected_len =
-    List.length dict.configs * Array.length dict.freqs_hz
-  in
-  if Array.length observed <> expected_len then
-    invalid_arg "Diagnosis.Dictionary.diagnose: signature length mismatch";
-  Array.to_list
-    (Array.mapi (fun j signature -> (dict.faults.(j), hamming observed signature)) dict.signatures)
-  |> List.sort (fun (_, a) (_, b) -> Int.compare a b)
-
 let signature_of (pipeline : Pipeline.t) dict fault =
   let views =
     List.map (fun c -> pipeline.Pipeline.matrix.Testability.Matrix.views.(c)) dict.configs

@@ -39,11 +39,6 @@ val resolution : dictionary -> float
     faults) / (number of detectable faults); 1.0 means every detectable
     fault is uniquely identifiable. 0 when nothing is detectable. *)
 
-val diagnose : dictionary -> bool array -> (Fault.t * int) list
-(** Candidate faults for an observed signature, sorted by Hamming
-    distance (distance 0 first — exact matches). Raises
-    [Invalid_argument] on a signature length mismatch. *)
-
 val signature_of : Mcdft_core.Pipeline.t -> dictionary -> Fault.t -> bool array
 (** The signature a given fault, in the universe or not, would
     produce under the dictionary's measurement set — the "tester side"

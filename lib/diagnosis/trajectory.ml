@@ -15,7 +15,6 @@ type t = {
 
 let n_measurements t = Array.length t.nominal_mag
 let faults t = Array.to_list t.faults
-let labels t = List.map (fun v -> v.Matrix.label) t.views
 let signature t j = Array.copy t.signatures.(j)
 
 (* Fault j's recorded deviation rows over views [rows] of [m],

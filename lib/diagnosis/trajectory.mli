@@ -56,7 +56,6 @@ val n_measurements : t -> int
 (** Measurements per trajectory: views × grid frequencies. *)
 
 val faults : t -> Fault.t list
-val labels : t -> string list
 
 val signature : t -> int -> float array
 (** Copy of fault [j]'s trajectory (view-major, frequency-minor). *)

@@ -63,5 +63,3 @@ let inject fault netlist =
       Netlist.map_value ~name:fault.element ~f:(fun v -> v *. factor) netlist
   | Open_circuit -> replace_with_resistance netlist fault.element open_resistance
   | Short_circuit -> replace_with_resistance netlist fault.element short_resistance
-
-let pp ppf f = Format.fprintf ppf "%s" f.id

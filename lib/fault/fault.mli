@@ -45,5 +45,3 @@ val inject : t -> Netlist.t -> Netlist.t
     configuration view, since the multi-configuration transform
     preserves passive elements. Raises {!Unknown_element} when the
     element is absent. *)
-
-val pp : Format.formatter -> t -> unit

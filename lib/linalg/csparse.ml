@@ -45,7 +45,6 @@ type pattern = {
   rowind : int array;  (* length nnz; rows ascending within a column *)
 }
 
-let n p = p.n
 let nnz p = p.nnz
 
 let pattern ~n entries =
@@ -82,8 +81,6 @@ let slot p ~row ~col =
   done;
   if !found < 0 then raise Not_found;
   !found
-
-let values p = (plane p.nnz, plane p.nnz)
 
 (* ---- whole-matrix helpers on (pattern, value planes) ---- *)
 
@@ -177,7 +174,6 @@ type symbolic = {
   l_rowind : int array;
   u_colptr : int array;
   u_rowind : int array;
-  perm_sign : int;  (* sign(P)·sign(Q) *)
 }
 
 let pivot_order s = (Array.copy s.roworder, Array.copy s.colorder)
@@ -187,24 +183,6 @@ let factor_pattern s =
     Array.copy s.l_rowind,
     Array.copy s.u_colptr,
     Array.copy s.u_rowind )
-
-(* Parity of the permutation [k -> p.(k)] by cycle decomposition. *)
-let permutation_sign p =
-  let n = Array.length p in
-  let seen = Array.make n false in
-  let sign = ref 1 in
-  for k = 0 to n - 1 do
-    if not seen.(k) then begin
-      let len = ref 0 and i = ref k in
-      while not seen.(!i) do
-        seen.(!i) <- true;
-        i := p.(!i);
-        incr len
-      done;
-      if !len land 1 = 0 then sign := - !sign
-    end
-  done;
-  !sign
 
 (* Markowitz threshold: a candidate pivot must be at least this
    fraction of the largest magnitude in its column. The classic SPICE
@@ -244,7 +222,6 @@ let analyze p ~re ~im =
       l_rowind = [||];
       u_colptr = [| 0 |];
       u_rowind = [||];
-      perm_sign = 1;
     }
   else begin
     (* Working sparse matrix with dynamic fill: column c maps each of
@@ -435,7 +412,6 @@ let analyze p ~re ~im =
       l_rowind;
       u_colptr;
       u_rowind;
-      perm_sign = permutation_sign roworder * permutation_sign colorder;
     }
   end
 
@@ -550,32 +526,21 @@ let refactor num ~re ~im =
     clear ()
   done
 
-let determinant num =
-  let n = num.sym.pat.n in
-  let acc_re = ref (if num.sym.perm_sign >= 0 then 1.0 else -1.0)
-  and acc_im = ref 0.0 in
-  for j = 0 to n - 1 do
-    let d_re = Array1.get num.dre j and d_im = Array1.get num.dim_ j in
-    let r = (!acc_re *. d_re) -. (!acc_im *. d_im) in
-    acc_im := (!acc_re *. d_im) +. (!acc_im *. d_re);
-    acc_re := r
-  done;
-  Complex.{ re = !acc_re; im = !acc_im }
-
 (* ---- triangular solves ----
 
    Shared factors are read-only here, so concurrent solves from several
    domains are safe; the permuted intermediate lives in per-domain
-   scratch (DLS), mirroring the engine-wide scratch discipline. *)
+   scratch (DLS), mirroring the engine-wide scratch discipline. Its
+   planes only grow: a solve reads its first n entries. *)
 
 type solve_scratch = { mutable len : int; mutable yre : plane; mutable yim : plane }
 
 let solve_key =
-  Domain.DLS.new_key (fun () -> { len = -1; yre = plane 0; yim = plane 0 })
+  Domain.DLS.new_key (fun () -> { len = 0; yre = plane 0; yim = plane 0 })
 
 let solve_scratch_for n =
   let s = Domain.DLS.get solve_key in
-  if s.len <> n then begin
+  if s.len < n then begin
     s.len <- n;
     s.yre <- plane n;
     s.yim <- plane n

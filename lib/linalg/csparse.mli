@@ -33,15 +33,11 @@ val pattern : n:int -> (int * int) array -> pattern
 (** Build from [(row, col)] coordinates. Raises [Invalid_argument] on
     out-of-bounds or duplicate entries. *)
 
-val n : pattern -> int
 val nnz : pattern -> int
 
 val slot : pattern -> row:int -> col:int -> int
 (** Index of [(row, col)] in the value planes; raises [Not_found] when
     the position is not stored. *)
-
-val values : pattern -> plane * plane
-(** Freshly allocated zero [(re, im)] value planes of length [nnz]. *)
 
 val norm_inf : pattern -> re:plane -> im:plane -> float
 (** Row-sum infinity norm; equals {!Cmat.norm_inf} of the
@@ -121,7 +117,3 @@ val solve_block_into : numeric -> work:Cmat.t -> b:Cmat.t -> x:Cmat.t -> unit
     side/solution; per column the operation order is exactly
     {!solve_into}'s. [work], a third n×k block distinct from both,
     holds the permuted intermediate, so the call allocates nothing. *)
-
-val determinant : numeric -> Complex.t
-(** Determinant of the last refactored matrix: permutation sign times
-    the product of the U diagonal. *)

@@ -48,30 +48,6 @@ let equal ?(tol = 1e-9) a b =
   let scale_ref = Float.max (infnorm a) (infnorm b) in
   infnorm d <= tol *. Float.max 1.0 scale_ref
 
-(* Long division keeping only the quotient.  The Bareiss elimination
-   guarantees exact divisibility over the rationals; in floating point
-   a small remainder remains and is discarded. *)
-let div_exact a b =
-  if is_zero b then invalid_arg "Poly.div_exact: division by zero polynomial";
-  if is_zero a then zero
-  else begin
-    let da = degree a and db = degree b in
-    if da < db then zero
-    else begin
-      let rem = Array.copy a in
-      let q = Array.make (da - db + 1) 0.0 in
-      let lead_b = b.(db) in
-      for k = da - db downto 0 do
-        let factor = rem.(k + db) /. lead_b in
-        q.(k) <- factor;
-        for j = 0 to db do
-          rem.(k + j) <- rem.(k + j) -. (factor *. b.(j))
-        done
-      done;
-      trim q
-    end
-  end
-
 let eval p (z : Complex.t) =
   let acc = ref Complex.zero in
   for i = Array.length p - 1 downto 0 do
@@ -204,5 +180,3 @@ let pp ppf p =
         end)
       p
   end
-
-let to_string p = Format.asprintf "%a" pp p

@@ -33,12 +33,6 @@ val neg : t -> t
 val mul : t -> t -> t
 val scale : float -> t -> t
 
-val div_exact : t -> t -> t
-(** [div_exact a b] is the quotient when [b] divides [a] (numerically);
-    used by the fraction-free elimination. Raises [Invalid_argument] on
-    division by zero; a non-negligible remainder indicates accumulated
-    round-off and is tolerated (the remainder is dropped). *)
-
 val eval : t -> Complex.t -> Complex.t
 (** Evaluate at a complex point by Horner's rule. *)
 
@@ -58,4 +52,3 @@ val roots : ?max_iter:int -> ?tol:float -> t -> Complex.t array
     small to normalize by. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

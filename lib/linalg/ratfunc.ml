@@ -5,8 +5,6 @@ let make num den =
   let lead = Poly.coeff den (Poly.degree den) in
   { num = Poly.scale (1.0 /. lead) num; den = Poly.scale (1.0 /. lead) den }
 
-let const c = make (Poly.const c) Poly.one
-
 let eval { num; den } z = Complex.div (Poly.eval num z) (Poly.eval den z)
 let eval_jw h w = eval h Complex.{ re = 0.0; im = w }
 
@@ -32,13 +30,6 @@ let zeros { num; _ } = Poly.roots num
 let dc_gain { num; den } =
   let d0 = Poly.coeff den 0 in
   if d0 = 0.0 then infinity else Poly.coeff num 0 /. d0
-
-let add a b =
-  make
-    (Poly.add (Poly.mul a.num b.den) (Poly.mul b.num a.den))
-    (Poly.mul a.den b.den)
-
-let mul a b = make (Poly.mul a.num b.num) (Poly.mul a.den b.den)
 
 let equal_at ?(points = 16) ?(tol = 1e-7) a b =
   (* Sample along a spiral avoiding poles sitting exactly on the grid. *)

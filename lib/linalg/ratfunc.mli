@@ -11,8 +11,6 @@ val make : Poly.t -> Poly.t -> t
     polynomial. The representation is normalized so the denominator is
     monic. *)
 
-val const : float -> t
-
 val eval_jw : t -> float -> Complex.t
 (** [eval_jw h w] is H(jω) for the angular frequency [w]. *)
 
@@ -31,9 +29,6 @@ val poles : t -> Complex.t array
 val zeros : t -> Complex.t array
 val dc_gain : t -> float
 (** H(0); infinite when the denominator vanishes at 0. *)
-
-val add : t -> t -> t
-val mul : t -> t -> t
 
 val simplify : ?tol:float -> t -> t
 (** Cancel numerator/denominator root pairs closer than [tol] relative

@@ -4,57 +4,6 @@ exception Singular_circuit of string
 module P = Linalg.Poly
 module Cmat = Linalg.Cmat
 
-(* Fraction-free Bareiss elimination.  Exact over exact coefficients
-   (integers, rationals); used directly in tests and for hand-built
-   matrices.  For circuit matrices — whose float entries span many
-   orders of magnitude — the divisibility invariant degrades, so
-   {!transfer} uses evaluation-interpolation instead. *)
-let determinant matrix =
-  let n = Array.length matrix in
-  Array.iter
-    (fun row ->
-      if Array.length row <> n then invalid_arg "Symbolic.determinant: non-square")
-    matrix;
-  if n = 0 then P.one
-  else begin
-    let m = Array.map Array.copy matrix in
-    let sign = ref 1 in
-    let prev = ref P.one in
-    let singular = ref false in
-    (try
-       for k = 0 to n - 2 do
-         if P.is_zero m.(k).(k) then begin
-           (* find a row below with a non-zero entry in column k *)
-           let pivot = ref (-1) in
-           for i = k + 1 to n - 1 do
-             if !pivot < 0 && not (P.is_zero m.(i).(k)) then pivot := i
-           done;
-           if !pivot < 0 then begin
-             singular := true;
-             raise Exit
-           end;
-           let tmp = m.(k) in
-           m.(k) <- m.(!pivot);
-           m.(!pivot) <- tmp;
-           sign := - !sign
-         end;
-         for i = k + 1 to n - 1 do
-           for j = k + 1 to n - 1 do
-             let num = P.sub (P.mul m.(k).(k) m.(i).(j)) (P.mul m.(i).(k) m.(k).(j)) in
-             m.(i).(j) <- P.div_exact num !prev
-           done;
-           m.(i).(k) <- P.zero
-         done;
-         prev := m.(k).(k)
-       done
-     with Exit -> ());
-    if !singular then P.zero
-    else begin
-      let d = m.(n - 1).(n - 1) in
-      if !sign >= 0 then d else P.neg d
-    end
-  end
-
 let system netlist ~source =
   let index = Index.build netlist in
   let module A = Assemble.Make (Field.Polynomial) in

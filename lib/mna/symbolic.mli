@@ -10,9 +10,6 @@ module Netlist := Circuit.Netlist
 
 exception Singular_circuit of string
 
-val determinant : Linalg.Poly.t array array -> Linalg.Poly.t
-(** Fraction-free determinant of a square polynomial matrix. *)
-
 val transfer : source:string -> output:string -> Netlist.t -> Linalg.Ratfunc.t
 (** Transfer function from the named source (unit amplitude) to the
     output node voltage. Raises {!Singular_circuit} when det(A) is the

@@ -14,8 +14,6 @@ let n_opamps c = c.n_opamps
 
 let all ~n_opamps = List.init (1 lsl n_opamps) (fun i -> make ~n_opamps i)
 
-let functional ~n_opamps = make ~n_opamps 0
-let transparent ~n_opamps = make ~n_opamps ((1 lsl n_opamps) - 1)
 let is_functional c = c.index = 0
 let is_transparent c = c.index = (1 lsl c.n_opamps) - 1
 
@@ -26,15 +24,6 @@ let follower c k =
   if k < 0 || k >= c.n_opamps then invalid_arg "Configuration.follower: bad opamp index";
   c.index land (1 lsl k) <> 0
 
-let followers c =
-  List.filter (fun k -> follower c k) (List.init c.n_opamps Fun.id)
-
-let restricted_to ~subset c =
-  List.for_all (fun k -> List.mem k subset) (followers c)
-
-let reachable ~subset ~n_opamps =
-  List.filter (restricted_to ~subset) (all ~n_opamps)
-
 let label c = Printf.sprintf "C%d" c.index
 
 let vector c =
@@ -43,11 +32,3 @@ let vector c =
 let vector_partial ~subset c =
   String.init c.n_opamps (fun k ->
       if List.mem k subset then if follower c k then '1' else '0' else '-')
-
-let equal a b = a.index = b.index && a.n_opamps = b.n_opamps
-let compare a b =
-  match Int.compare a.n_opamps b.n_opamps with
-  | 0 -> Int.compare a.index b.index
-  | c -> c
-
-let pp ppf c = Format.fprintf ppf "%s(%s)" (label c) (vector c)

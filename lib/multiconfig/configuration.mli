@@ -25,23 +25,12 @@ val test_configurations : n_opamps:int -> t list
     transparent one (the paper's C₀…C₆ for n = 3). Includes the
     functional configuration C₀. *)
 
-val functional : n_opamps:int -> t
-val transparent : n_opamps:int -> t
 val is_functional : t -> bool
 val is_transparent : t -> bool
 
 val follower : t -> int -> bool
 (** [follower c k] is true when opamp [k] (0-based) is in follower
     mode. *)
-
-val followers : t -> int list
-(** 0-based positions of opamps in follower mode, increasing. *)
-
-val reachable : subset:int list -> n_opamps:int -> t list
-(** All configurations reachable when only [subset] opamps (0-based
-    positions) are configurable — those whose every follower lies in
-    [subset] — in index order. Includes the functional
-    configuration. *)
 
 val label : t -> string
 (** ["C5"]. *)
@@ -53,7 +42,3 @@ val vector : t -> string
 val vector_partial : subset:int list -> t -> string
 (** Like {!vector} but positions outside [subset] print as ['-'],
     matching the paper's "C₁ (10-)" notation. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

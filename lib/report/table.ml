@@ -20,12 +20,3 @@ let render ?(align_left_first = true) ~header rows =
     String.concat "--" (List.map (fun w -> String.make w '-') widths)
   in
   String.concat "\n" ((line header :: rule :: List.map line rows) @ [])
-
-let csv_escape cell =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') cell then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' cell) ^ "\""
-  else cell
-
-let csv ~header rows =
-  let line row = String.concat "," (List.map csv_escape row) in
-  String.concat "\n" (line header :: List.map line rows)

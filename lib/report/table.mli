@@ -5,7 +5,3 @@ val render : ?align_left_first:bool -> header:string list -> string list list ->
     cell. The first column is left-aligned when [align_left_first]
     (default true); all other cells are right-aligned. Raises
     [Invalid_argument] when a row's width differs from the header's. *)
-
-val csv : header:string list -> string list list -> string
-(** The same data as RFC-4180-ish CSV (quotes cells containing commas,
-    quotes or newlines). *)

@@ -242,22 +242,31 @@ type block = {
 }
 
 (* Per-domain off-heap workspaces for the rank-1 hot path: one scratch
-   record per domain (via DLS), re-sized when the engine dimension
-   changes. Workers therefore share nothing but the scheduler state
-   and the read-only engine/plan state. The [s*] fields are the
-   fallback workspace (full refactorization and structural assembly),
-   sized independently because a structural netlist can change the
-   system dimension. *)
+   record per domain (via DLS). Workers therefore share nothing but the
+   scheduler state and the read-only engine/plan state. The [s*] fields
+   are the fallback workspace (full refactorization and structural
+   assembly), sized independently because a structural netlist can
+   change the system dimension. Storage only grows: the fields a
+   solve reads are prefix views of the [*_store] buffers at the
+   dimension last asked for, so engines of alternating dimensions
+   reuse one allocation. *)
 type scratch = {
   mutable dim : int;
   mutable xf : Bvec.t;  (* candidate faulty solution *)
   mutable resid : Bvec.t;  (* faulty residual b_f − A_f xf *)
   mutable d0 : Bvec.t;  (* refinement back-solve *)
+  mutable xf_store : Bvec.t;
+  mutable resid_store : Bvec.t;
+  mutable d0_store : Bvec.t;
   mutable sdim : int;
   mutable sm : Cmat.t;  (* fallback assembly / perturbed-copy target *)
   mutable slu : Cmat.lu;
   mutable sb : Bvec.t;
   mutable sx : Bvec.t;
+  mutable sm_store : Cmat.t;
+  mutable slu_store : Cmat.lu;
+  mutable sb_store : Bvec.t;
+  mutable sx_store : Bvec.t;
   blk : block;
   pend : pending;
 }
@@ -269,11 +278,18 @@ let scratch_key =
         xf = Bvec.create 0;
         resid = Bvec.create 0;
         d0 = Bvec.create 0;
+        xf_store = Bvec.create 0;
+        resid_store = Bvec.create 0;
+        d0_store = Bvec.create 0;
         sdim = -1;
         sm = Cmat.create 0 0;
         slu = Cmat.lu_create 0;
         sb = Bvec.create 0;
         sx = Bvec.create 0;
+        sm_store = Cmat.create 0 0;
+        slu_store = Cmat.lu_create 0;
+        sb_store = Bvec.create 0;
+        sx_store = Bvec.create 0;
         blk =
           {
             cap = 0;
@@ -316,20 +332,31 @@ let pending () = (Domain.DLS.get scratch_key).pend
 let scratch_for n =
   let s = Domain.DLS.get scratch_key in
   if s.dim <> n then begin
+    if Bvec.length s.xf_store < n then begin
+      s.xf_store <- Bvec.create n;
+      s.resid_store <- Bvec.create n;
+      s.d0_store <- Bvec.create n
+    end;
     s.dim <- n;
-    s.xf <- Bvec.create n;
-    s.resid <- Bvec.create n;
-    s.d0 <- Bvec.create n
+    s.xf <- Bvec.prefix s.xf_store n;
+    s.resid <- Bvec.prefix s.resid_store n;
+    s.d0 <- Bvec.prefix s.d0_store n
   end;
   s
 
 let fallback_ws s n =
   if s.sdim <> n then begin
+    if Bvec.length s.sb_store < n then begin
+      s.sm_store <- Cmat.create n n;
+      s.slu_store <- Cmat.lu_create n;
+      s.sb_store <- Bvec.create n;
+      s.sx_store <- Bvec.create n
+    end;
     s.sdim <- n;
-    s.sm <- Cmat.create n n;
-    s.slu <- Cmat.lu_create n;
-    s.sb <- Bvec.create n;
-    s.sx <- Bvec.create n
+    s.sm <- Cmat.prefix s.sm_store n;
+    s.slu <- Cmat.lu_prefix s.slu_store n;
+    s.sb <- Bvec.prefix s.sb_store n;
+    s.sx <- Bvec.prefix s.sx_store n
   end;
   s
 
@@ -843,7 +870,8 @@ let[@inline always] xf_entry_im ~x0i ~wr ~wi ~coef_re ~coef_im =
 
 (* max(|re|, |im|) of x̂f[i]: a lower bound on the gate's ‖x̂f‖∞. The
    column ŵ starts at offset [woff] of its planes. *)
-let[@inline always] xf_lower (x0 : Bvec.t) ~wre ~wim ~woff ~coef_re ~coef_im i =
+let[@inline always] xf_lower (x0 : Bvec.t) ~(wre : Cmat.plane) ~(wim : Cmat.plane) ~woff ~coef_re
+    ~coef_im i =
   let open Bigarray in
   let wr = Array1.unsafe_get wre (woff + i) and wi = Array1.unsafe_get wim (woff + i) in
   let x0r = Array1.unsafe_get x0.Bvec.re i and x0i = Array1.unsafe_get x0.Bvec.im i in
@@ -1072,7 +1100,7 @@ let block_for s ~n ~k ~slots =
 
 (* Write the pattern's signs into column [c] of an n×k row-major plane,
    or zeros with [~clear]. *)
-let rec stamp_pat (pat : pat) plane ~k ~c ~clear =
+let rec stamp_pat (pat : pat) (plane : Cmat.plane) ~k ~c ~clear =
   match pat with
   | [] -> ()
   | (i, sg) :: tl ->

@@ -33,7 +33,8 @@ module Netlist := Circuit.Netlist
     planes in Bigarray storage the GC never scans), and the rank-1 hot
     path allocates zero GC-visible words proportional to the system:
     solve buffers live in a per-domain scratch workspace (domain-local
-    storage), so an engine may be shared by several workers. Under
+    storage that only grows: a smaller engine works on its leading
+    part), so an engine may be shared by several workers. Under
     OCaml 5's stop-the-world minor GC this is what lets campaign
     domains scale: the engine's numeric state contributes nothing to
     any collection.

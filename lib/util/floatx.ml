@@ -17,10 +17,6 @@ let logspace a b n =
   let la = log10 a and lb = log10 b in
   Array.map (fun e -> 10.0 ** e) (linspace la lb n)
 
-let mean xs =
-  if Array.length xs = 0 then invalid_arg "Floatx.mean: empty array";
-  Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
-
 let fold_range n ~init ~f =
   let rec loop acc i = if i >= n then acc else loop (f acc i) (i + 1) in
   loop init 0

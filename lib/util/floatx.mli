@@ -14,8 +14,5 @@ val logspace : float -> float -> int -> float array
     [b] inclusive: their log10 values are evenly spaced. Requires
     [0 < a], [0 < b], [n >= 2]. *)
 
-val mean : float array -> float
-(** Arithmetic mean; raises [Invalid_argument] on the empty array. *)
-
 val fold_range : int -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** [fold_range n ~init ~f] folds [f] over [0 .. n-1]. *)

@@ -8,12 +8,6 @@ let make lo hi =
 
 let length i = i.hi -. i.lo
 let contains i x = i.lo <= x && x <= i.hi
-let overlaps a b = a.lo <= b.hi && b.lo <= a.hi
-
-let intersect a b =
-  if overlaps a b then Some { lo = Float.max a.lo b.lo; hi = Float.min a.hi b.hi }
-  else None
-
 let pp ppf i = Format.fprintf ppf "[%g, %g]" i.lo i.hi
 
 (* --- Extended (possibly unbounded) intervals with outward rounding.
@@ -87,7 +81,6 @@ module Set = struct
   (* Invariant: sorted by [lo], pairwise disjoint and non-touching. *)
   type t = interval list
 
-  let empty = []
   let is_empty s = s = []
 
   let of_intervals is =
@@ -106,14 +99,7 @@ module Set = struct
     List.rev (List.fold_left merge [] sorted)
 
   let to_intervals s = s
-  let union a b = of_intervals (a @ b)
-
-  let inter a b =
-    let pairwise i = List.filter_map (intersect i) b in
-    of_intervals (List.concat_map pairwise a)
-
   let measure s = List.fold_left (fun acc i -> acc +. length i) 0.0 s
-  let contains s x = List.exists (fun i -> contains i x) s
 
   let pp ppf s =
     Format.fprintf ppf "{%a}" (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " u ") pp) s

@@ -21,24 +21,21 @@ val contains : t -> float -> bool
     Sound enclosures for the certification pass: every operation
     rounds its bounds outward by one ulp, bounds may be infinite, and
     any indeterminate form (inf - inf, 0 * inf, division through an
-    interval containing zero, NaN input) widens to {!whole} rather
-    than producing a NaN bound. Bounds are never NaN. *)
-
-val whole : t
-(** The whole extended real line, [[-inf, inf]] — the "don't know"
-    element. *)
+    interval containing zero, NaN input) widens to the whole line
+    [[-inf, inf]], the "don't know" element, rather than producing a
+    NaN bound. Bounds are never NaN. *)
 
 val point : float -> t
-(** Degenerate interval [[x, x]]; {!whole} when [x] is NaN. *)
+(** Degenerate interval [[x, x]]; [[-inf, inf]] when [x] is NaN. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t
 
 val mul : t -> t -> t
-(** Endpoint products, outward-rounded; [0 * inf] widens to {!whole}. *)
+(** Endpoint products, outward-rounded; [0 * inf] widens to [[-inf, inf]]. *)
 
 val div : t -> t -> t
-(** [div a b] is {!whole} when [b] contains zero (including a bound
+(** [div a b] is [[-inf, inf]] when [b] contains zero (including a bound
     exactly at zero) — division is never trusted near a pole. *)
 
 val abs : t -> t
@@ -48,10 +45,6 @@ val abs : t -> t
 val sqr : t -> t
 (** Square, range-aware: the result's lower bound is clamped at 0 for
     zero-straddling inputs. *)
-
-val sqrt : t -> t
-(** Square root of the non-negative part; the lower bound is clamped
-    at 0. Raises [Invalid_argument] on intervals entirely below 0. *)
 
 (** {1 Rectangular complex intervals}
 
@@ -79,7 +72,6 @@ module Set : sig
   (** A finite union of disjoint closed intervals, kept normalized
       (sorted, non-overlapping, non-adjacent merged). *)
 
-  val empty : t
   val is_empty : t -> bool
 
   val of_intervals : interval list -> t
@@ -90,11 +82,8 @@ module Set : sig
   val to_intervals : t -> interval list
   (** The disjoint intervals in increasing order. *)
 
-  val union : t -> t -> t
-  val inter : t -> t -> t
   val measure : t -> float
   (** Total length of the union. *)
 
-  val contains : t -> float -> bool
   val pp : Format.formatter -> t -> unit
 end

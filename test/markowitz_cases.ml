@@ -23,7 +23,7 @@ let of_netlist ~label ~source ~omega netlist =
       netlist
   in
   let pattern = Mna.Stamps.sparse_pattern sp in
-  let re, im = Csparse.values pattern in
+  let re = Csparse.plane (Csparse.nnz pattern) and im = Csparse.plane (Csparse.nnz pattern) in
   Mna.Stamps.fill_sparse sp ~omega ~re ~im;
   { label; pattern; re; im }
 
@@ -72,7 +72,7 @@ let random_soup seed =
   done;
   let entries = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare in
   let pattern = Csparse.pattern ~n (Array.of_list entries) in
-  let re, im = Csparse.values pattern in
+  let re = Csparse.plane (Csparse.nnz pattern) and im = Csparse.plane (Csparse.nnz pattern) in
   let draw () =
     let v = [| -2.0; -1.0; 1.0; 2.0 |].(Random.State.int rng 4) in
     if Random.State.int rng 8 = 0 then v *. 1e-6 else v

@@ -42,9 +42,15 @@ let test_tow_thomas_response () =
 
 let test_tow_thomas_formulas () =
   let p = Circuits.Tow_thomas.params_for ~q:2.5 ~gain:3.0 ~f0_hz:2500.0 () in
-  Alcotest.(check (float 1e-6)) "f0" 2500.0 (Circuits.Tow_thomas.f0_hz p);
-  Alcotest.(check (float 1e-6)) "q" 2.5 (Circuits.Tow_thomas.quality p);
   let b = Circuits.Tow_thomas.make ~params:p () in
+  (* a second-order lowpass K w0^2 / (s^2 + s w0/Q + w0^2) is -90
+     degrees at f0, with |H| = K Q there *)
+  let h =
+    Mna.Ac.transfer ~source:b.Circuits.Benchmark.source ~output:b.Circuits.Benchmark.output
+      b.Circuits.Benchmark.netlist ~omega:(2.0 *. Float.pi *. 2500.0)
+  in
+  Alcotest.(check (float 1e-6)) "f0" (Float.pi /. 2.0) (Float.abs (Complex.arg h));
+  Alcotest.(check (float 1e-6)) "q" 7.5 (Complex.norm h);
   Alcotest.(check (float 1e-3)) "dc gain 3" 3.0 (magnitude b 0.1)
 
 let test_tow_thomas_symbolic () =

@@ -72,17 +72,26 @@ let test_gen_subjects_wellformed () =
 
 (* ---- healthy engines pass the oracles ---- *)
 
+let config ~seed ~max_cases =
+  {
+    Fuzz.seed;
+    budget_s = None;
+    max_cases = Some max_cases;
+    families = Gen.families;
+    oracles = Oracle.all;
+    shrink_dir = None;
+    log = ignore;
+  }
+
 let test_fuzz_healthy_run () =
-  let outcome =
-    Fuzz.run { Fuzz.default with Fuzz.seed = 1; max_cases = Some 16 }
-  in
+  let outcome = Fuzz.run (config ~seed:1 ~max_cases:16) in
   Alcotest.(check int) "cases" 16 outcome.Fuzz.cases;
   Alcotest.(check int) "failures" 0 (List.length outcome.Fuzz.failures);
   Alcotest.(check bool) "mostly passes" true
     (outcome.Fuzz.passes > outcome.Fuzz.skips)
 
 let test_fuzz_deterministic () =
-  let config = { Fuzz.default with Fuzz.seed = 5; max_cases = Some 10 } in
+  let config = config ~seed:5 ~max_cases:10 in
   let a = Fuzz.run config and b = Fuzz.run config in
   Alcotest.(check string) "identical summaries" (Fuzz.summary a) (Fuzz.summary b)
 

@@ -2,6 +2,7 @@ module Clause = Cover.Clause
 module IntSet = Clause.IntSet
 
 let set = IntSet.of_list
+let clause ?(need = 1) ~tag lits = { Clause.lits; need; tag }
 let exact_exn p = Cover.Solver.(cover_exn (exact p))
 let greedy_exn p = Cover.Solver.(cover_exn (greedy p))
 let brute_exn p = Cover.Solver.(cover_exn (brute_force p))
@@ -361,7 +362,7 @@ let random_multiplicity_system rng =
           IntSet.of_list
             (List.filter (fun _ -> QCheck.Gen.bool rng) (List.init n Fun.id))
         in
-        Clause.clause ~need:(1 + QCheck.Gen.int_bound 2 rng) ~tag:j lits)
+        clause ~need:(1 + QCheck.Gen.int_bound 2 rng) ~tag:j lits)
   in
   { Clause.n_candidates = n; clauses }
 
@@ -539,10 +540,10 @@ let random_sparse_system rng =
   let lits n = IntSet.of_list (List.init n (fun _ -> int_bound 62)) in
   let wide = int_bound 2 = 0 in
   let random_clause j =
-    if wide then Clause.clause ~tag:j (lits (14 + int_bound 10))
+    if wide then clause ~tag:j (lits (14 + int_bound 10))
     else
       let l = lits (1 + int_bound 11) in
-      Clause.clause ~need:(1 + int_bound (Int.min 3 (IntSet.cardinal l) - 1)) ~tag:j l
+      clause ~need:(1 + int_bound (Int.min 3 (IntSet.cardinal l) - 1)) ~tag:j l
   in
   let rec grow j size acc =
     let c = random_clause j in
@@ -554,7 +555,7 @@ let random_sparse_system rng =
     if int_bound 7 > 0 then clauses
     else
       let l = lits (int_bound 2) in
-      clauses @ [ Clause.clause ~need:(IntSet.cardinal l + 1) ~tag:(List.length clauses) l ]
+      clauses @ [ clause ~need:(IntSet.cardinal l + 1) ~tag:(List.length clauses) l ]
   in
   { Clause.n_candidates = 63; clauses }
 
@@ -642,7 +643,7 @@ let random_dense_system rng =
     let l =
       IntSet.of_list (List.init (1 + int_bound (k - 1)) (fun _ -> pool.(int_bound (k - 1))))
     in
-    Clause.clause ~need:(1 + int_bound (Int.min 3 (IntSet.cardinal l) - 1)) ~tag:j l
+    clause ~need:(1 + int_bound (Int.min 3 (IntSet.cardinal l) - 1)) ~tag:j l
   in
   let rec grow j size acc =
     let c = random_clause j in
@@ -656,7 +657,7 @@ let random_dense_system rng =
     if int_bound 7 > 0 then clauses
     else
       let l = IntSet.singleton pool.(0) in
-      clauses @ [ Clause.clause ~need:2 ~tag:(List.length clauses) l ]
+      clauses @ [ clause ~need:2 ~tag:(List.length clauses) l ]
   in
   { Clause.n_candidates = 63; clauses }
 
@@ -687,7 +688,7 @@ let test_count_raw_edges () =
     {
       Clause.n_candidates = 63;
       clauses =
-        [ Clause.clause ~tag:0 (set [ 3; 9 ]); Clause.clause ~need:2 ~tag:1 (set [ 5 ]) ];
+        [ clause ~tag:0 (set [ 3; 9 ]); clause ~need:2 ~tag:1 (set [ 5 ]) ];
     };
   check "paper reduced xi" 5 paper_reduced;
   (* 20 candidates take the bitset path with the top rank in play, 21

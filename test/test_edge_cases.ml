@@ -29,7 +29,7 @@ let test_cmat_one_by_one () =
     (Complex.norm (Complex.sub (Cmat.Vec.get ax 0) b))
 
 let test_poly_corner_cases () =
-  Alcotest.(check string) "zero prints" "0" (Linalg.Poly.to_string Linalg.Poly.zero);
+  Alcotest.(check string) "zero prints" "0" (Format.asprintf "%a" Linalg.Poly.pp Linalg.Poly.zero);
   Alcotest.(check int) "no roots of constants" 0
     (Array.length (Linalg.Poly.roots Linalg.Poly.one));
   (* 2 + 4x^2 is normalized by its leading 4 before the iteration:
@@ -50,12 +50,6 @@ let test_element_with_value_errors () =
     (Invalid_argument "Element.with_value: ideal opamp has no scalar parameter")
     (fun () -> ignore (Element.with_value op 2.0));
   Alcotest.(check bool) "no value" true (Element.value op = None)
-
-let test_netlist_pp_contains_title () =
-  let n = Netlist.empty ~title:"my circuit" () |> Netlist.resistor ~name:"R1" "a" "0" 1.0 in
-  let s = Format.asprintf "%a" Netlist.pp n in
-  Alcotest.(check bool) "title present" true
-    (String.length s > 0 && String.sub s 0 2 = "* ")
 
 let test_single_pole_value_is_gain () =
   let op =
@@ -137,15 +131,6 @@ let test_sequence_trivial () =
   Alcotest.(check (list int)) "singleton" [ 5 ] (Multiconfig.Sequence.order [ 5 ]);
   Alcotest.(check int) "cost from C0" 2 (Multiconfig.Sequence.switch_cost [ 3 ])
 
-let test_configuration_compare () =
-  let a = Multiconfig.Configuration.make ~n_opamps:3 1 in
-  let b = Multiconfig.Configuration.make ~n_opamps:3 2 in
-  Alcotest.(check bool) "equal self" true (Multiconfig.Configuration.equal a a);
-  Alcotest.(check bool) "ordered" true (Multiconfig.Configuration.compare a b < 0);
-  Alcotest.(check string) "pp" "C5(101)"
-    (Format.asprintf "%a" Multiconfig.Configuration.pp
-       (Multiconfig.Configuration.make ~n_opamps:3 5))
-
 (* --- report --- *)
 
 let test_json_member_non_object () =
@@ -158,7 +143,6 @@ let suite =
     Alcotest.test_case "cmat 1x1" `Quick test_cmat_one_by_one;
     Alcotest.test_case "poly corners" `Quick test_poly_corner_cases;
     Alcotest.test_case "element with_value" `Quick test_element_with_value_errors;
-    Alcotest.test_case "netlist pp" `Quick test_netlist_pp_contains_title;
     Alcotest.test_case "single-pole value" `Quick test_single_pole_value_is_gain;
     Alcotest.test_case "magnitude db" `Quick test_magnitude_db;
     Alcotest.test_case "dc nominal sources" `Quick test_dc_with_nominal_sources;
@@ -167,6 +151,5 @@ let suite =
     Alcotest.test_case "mapping empty" `Quick test_mapping_empty;
     Alcotest.test_case "spice directives/case" `Quick test_spice_directives_and_case;
     Alcotest.test_case "sequence trivial" `Quick test_sequence_trivial;
-    Alcotest.test_case "configuration compare" `Quick test_configuration_compare;
     Alcotest.test_case "json member" `Quick test_json_member_non_object;
   ]

@@ -60,7 +60,8 @@ let test_any_of_is_union () =
   in
   let m_union =
     Util.Interval.Set.measure
-      (Util.Interval.Set.union mag.Detect.regions ph.Detect.regions)
+      Util.Interval.Set.(
+        of_intervals (to_intervals mag.Detect.regions @ to_intervals ph.Detect.regions))
   in
   Alcotest.(check (float 1e-9)) "union of regions" m_union
     (Util.Interval.Set.measure both.Detect.regions)
@@ -81,7 +82,7 @@ let test_phase_envelope_masks () =
 let test_follower_model_degrades_transparency () =
   let b = Circuits.Tow_thomas.make () in
   let dft = Multiconfig.Transform.make ~source:"Vin" ~output:"v2" b.Circuits.Benchmark.netlist in
-  let transparent = Multiconfig.Configuration.transparent ~n_opamps:3 in
+  let transparent = Multiconfig.Configuration.make ~n_opamps:3 7 in
   let slow = Circuit.Element.Single_pole { dc_gain = 1e5; pole_hz = 10.0 } in
   let ideal_view = Multiconfig.Transform.emulate dft transparent in
   let slow_view = Multiconfig.Transform.emulate ~follower_model:slow dft transparent in
@@ -363,7 +364,10 @@ let analyzed_bits (t : P.t) netlists =
          Array.of_list
            (List.map
               (fun (r : Detect.result) ->
-                Array.map (fun f -> Util.Interval.Set.contains r.Detect.regions (log10 f)) freqs)
+                let regions = Util.Interval.Set.to_intervals r.Detect.regions in
+                Array.map
+                  (fun f -> List.exists (fun i -> Util.Interval.contains i (log10 f)) regions)
+                  freqs)
               (Detect.analyze ~criterion:t.P.criterion probe t.P.grid netlist t.P.faults)))
        netlists)
 
@@ -618,7 +622,9 @@ let test_block_access_reports () =
       (* the access configuration of OPk is all-follower except k *)
       Alcotest.(check (list int)) "followers are the others"
         (List.filter (fun i -> i <> r.Mcdft_core.Block_access.but) [ 0; 1; 2 ])
-        (Multiconfig.Configuration.followers r.Mcdft_core.Block_access.access);
+        (List.filter
+           (Multiconfig.Configuration.follower r.Mcdft_core.Block_access.access)
+           [ 0; 1; 2 ]);
       Alcotest.(check bool) "coverage bounds" true
         (r.Mcdft_core.Block_access.coverage_access >= 0.0
         && r.Mcdft_core.Block_access.coverage_access <= 1.0))

@@ -112,12 +112,12 @@ let check_fault_equivalence ~source ~output ~freqs_hz sim fault netlist =
           if not (close ~tol:(tol_for fault) a b) then
             Alcotest.fail
               (Printf.sprintf "%s at %g Hz: fast %g%+gi, naive %g%+gi"
-                 (Format.asprintf "%a" Fault.pp fault)
+                 fault.Fault.id
                  freqs_hz.(i) a.Complex.re a.Complex.im b.Complex.re b.Complex.im)
       | Some _, None | None, Some _ ->
           Alcotest.fail
             (Printf.sprintf "%s at %g Hz: singularity disagreement"
-               (Format.asprintf "%a" Fault.pp fault)
+               fault.Fault.id
                freqs_hz.(i)))
     fast
 
@@ -468,6 +468,47 @@ let test_recycled_storage () =
     && Fastsim.uses_sparse
          (Fastsim.create ~source:"V1" ~output:ladder_out ~freqs_hz:ladder_freqs ladder))
 
+(* The per-domain scratch only grows: an engine smaller than one the
+   domain solved before runs on prefix views of the larger one's
+   storage — the SMW residual and refinement vectors, the fallback
+   workspace of a structural fault (the RLC divider's inductor) and the
+   sparse solves' permuted intermediate (the bigladder). One domain
+   sweeping engines of alternating dimensions must reproduce, bit for
+   bit, what each engine gives in a fresh domain, whose scratch holds
+   exactly its dimension. *)
+let test_scratch_prefix_views () =
+  let b, _, view = lf5_view 0 in
+  let ladder, ladder_out = Conformance.Gen.bigladder ~stages:70 (Random.State.make [| 11 |]) in
+  let rlc_grid = Grid.around ~points_per_decade:4 ~center_hz:rlc_center_hz () in
+  let ladder_grid = Grid.make ~points_per_decade:2 ~f_lo:10.0 ~f_hi:1e6 () in
+  let subjects =
+    [|
+      ("rlc", ("Vin", "out", Grid.freqs_hz rlc_grid), rlc);
+      ( "leapfrog5 C0",
+        (b.Circuits.Benchmark.source, b.Circuits.Benchmark.output, Grid.freqs_hz (grid_of b)),
+        view );
+      ("bigladder-70", ("V1", ladder_out, Grid.freqs_hz ladder_grid), ladder);
+    |]
+  in
+  let run i =
+    let _, (source, output, freqs_hz), netlist = subjects.(i) in
+    let sim = Fastsim.create ~source ~output ~freqs_hz netlist in
+    List.map (response_bits sim) (all_faults netlist)
+  in
+  let in_fresh_domain f = Domain.join (Domain.spawn f) in
+  let expected = Array.init (Array.length subjects) (fun i -> in_fresh_domain (fun () -> run i)) in
+  let sequence = [ 2; 0; 1; 0; 2; 1; 0 ] in
+  let got = in_fresh_domain (fun () -> List.map run sequence) in
+  List.iter2
+    (fun i responses ->
+      let label, _, _ = subjects.(i) in
+      Alcotest.(check bool) (label ^ ": bitwise equal to a fresh domain's") true
+        (responses = expected.(i)))
+    sequence got;
+  let dims = Array.map (fun (_, _, n) -> Mna.Index.size (Mna.Index.build n)) subjects in
+  Alcotest.(check bool) "dimensions rlc < leapfrog5 C0 < bigladder" true
+    (dims.(0) < dims.(1) && dims.(1) < dims.(2))
+
 (* An engine lives only inside its bracket: afterwards every use raises
    [Invalid_argument], and so does scoring a live row of a bracketed
    view — also once a later bracket has taken over its storage. A
@@ -641,6 +682,8 @@ let suite =
     Alcotest.test_case "sweep equals one-fault responses (sparse)" `Quick test_sweep_sparse;
     Alcotest.test_case "recycled storage equals fresh engines" `Quick
       test_recycled_storage;
+    Alcotest.test_case "per-domain scratch prefix views equal fresh domains" `Quick
+      test_scratch_prefix_views;
     Alcotest.test_case "engine use after its bracket raises" `Quick
       test_engine_after_bracket;
     Alcotest.test_case "a-priori bound clears only points the gate passes" `Quick

@@ -32,11 +32,6 @@ let test_logspace_invalid () =
   Alcotest.check_raises "non-positive" (Invalid_argument "Floatx.logspace: bounds must be positive")
     (fun () -> ignore (Floatx.logspace 0.0 1.0 3))
 
-let test_mean () =
-  check_float "mean" 2.0 (Floatx.mean [| 1.0; 2.0; 3.0 |]);
-  Alcotest.check_raises "empty" (Invalid_argument "Floatx.mean: empty array") (fun () ->
-      ignore (Floatx.mean [||]))
-
 let test_fold_range () =
   Alcotest.(check int) "sum" 10 (Floatx.fold_range 5 ~init:0 ~f:( + ));
   Alcotest.(check int) "empty" 7 (Floatx.fold_range 0 ~init:7 ~f:( + ))
@@ -68,7 +63,6 @@ let suite =
     Alcotest.test_case "linspace" `Quick test_linspace;
     Alcotest.test_case "logspace" `Quick test_logspace;
     Alcotest.test_case "logspace invalid" `Quick test_logspace_invalid;
-    Alcotest.test_case "mean" `Quick test_mean;
     Alcotest.test_case "fold_range" `Quick test_fold_range;
     QCheck_alcotest.to_alcotest qcheck_linspace_monotone;
     QCheck_alcotest.to_alcotest qcheck_logspace_bounds;

@@ -9,33 +9,44 @@ let test_counts () =
   Alcotest.(check int) "test configs" 7
     (List.length (Configuration.test_configurations ~n_opamps:3))
 
+let followers c =
+  List.filter (Configuration.follower c) (List.init (Configuration.n_opamps c) Fun.id)
+
 let test_bit_convention () =
   (* the paper's C5 = (1 0 1): OP1 and OP3 in follower mode *)
   let c5 = Configuration.make ~n_opamps:3 5 in
-  Alcotest.(check (list int)) "followers" [ 0; 2 ] (Configuration.followers c5);
+  Alcotest.(check (list int)) "followers" [ 0; 2 ] (followers c5);
   Alcotest.(check string) "vector" "101" (Configuration.vector c5);
   (* C1 maps to OP1 (paper Table 3) *)
   let c1 = Configuration.make ~n_opamps:3 1 in
-  Alcotest.(check (list int)) "C1 -> OP1" [ 0 ] (Configuration.followers c1)
+  Alcotest.(check (list int)) "C1 -> OP1" [ 0 ] (followers c1)
 
 let test_functional_transparent () =
-  let f = Configuration.functional ~n_opamps:3 in
+  let f = Configuration.make ~n_opamps:3 0 in
   Alcotest.(check bool) "functional" true (Configuration.is_functional f);
-  Alcotest.(check int) "no followers" 0 (List.length (Configuration.followers f));
-  let t = Configuration.transparent ~n_opamps:3 in
+  Alcotest.(check int) "no followers" 0 (List.length (followers f));
+  let t = Configuration.make ~n_opamps:3 7 in
   Alcotest.(check bool) "transparent" true (Configuration.is_transparent t);
-  Alcotest.(check int) "all followers" 3 (List.length (Configuration.followers t));
+  Alcotest.(check int) "all followers" 3 (List.length (followers t));
   Alcotest.(check bool) "transparent excluded" true
     (not (List.exists Configuration.is_transparent (Configuration.test_configurations ~n_opamps:3)))
 
 let test_restriction () =
-  let c5 = Configuration.make ~n_opamps:3 5 in
-  let reaches subset = List.exists (Configuration.equal c5) (Configuration.reachable ~subset ~n_opamps:3) in
-  Alcotest.(check bool) "needs OP1 OP3" true (reaches [ 0; 2 ]);
-  Alcotest.(check bool) "not with OP1 OP2" false (reaches [ 0; 1 ]);
-  (* paper 4.3: with OP1 OP2 configurable, 4 configurations are reachable *)
-  let reachable = Configuration.reachable ~subset:[ 0; 1 ] ~n_opamps:3 in
-  Alcotest.(check (list int)) "C0..C3" [ 0; 1; 2; 3 ] (List.map Configuration.index reachable)
+  (* The optimizer's objective B reaches a configuration only when
+     every follower of it is configurable: one fault that only C5
+     detects needs OP1 and OP3, one that only C3 detects needs OP1 and
+     OP2, which reach C0..C3 (paper 4.3). *)
+  let module O = Mcdft_core.Optimizer in
+  let only c =
+    let detect = Array.init 7 (fun i -> [| i = c |]) in
+    let omega = Array.map (Array.map (fun d -> if d then 1.0 else 0.0)) detect in
+    (O.optimize (O.input_of_matrices ~n_opamps:3 detect omega)).O.choice_b
+  in
+  let c5 = only 5 and c3 = only 3 in
+  Alcotest.(check (list int)) "needs OP1 OP3" [ 0; 2 ] c5.O.opamps;
+  Alcotest.(check (list int)) "C5 reached" [ 0; 1; 4; 5 ] c5.O.reachable_configs;
+  Alcotest.(check (list int)) "needs OP1 OP2" [ 0; 1 ] c3.O.opamps;
+  Alcotest.(check (list int)) "C0..C3" [ 0; 1; 2; 3 ] c3.O.reachable_configs
 
 let test_vector_partial () =
   let c1 = Configuration.make ~n_opamps:3 1 in
@@ -61,7 +72,7 @@ let test_transform_basics () =
 
 let test_functional_view_is_identity () =
   let dft = tow_thomas_dft () in
-  let view = Transform.emulate dft (Configuration.functional ~n_opamps:3) in
+  let view = Transform.emulate dft (Configuration.make ~n_opamps:3 0) in
   (* emulating C0 must not alter the response *)
   let base = dft.Transform.base in
   List.iter
@@ -76,7 +87,7 @@ let test_transparent_view_is_identity_function () =
   (* all opamps in follower mode: the circuit propagates the input to
      the primary output unchanged *)
   let dft = tow_thomas_dft () in
-  let view = Transform.emulate dft (Configuration.transparent ~n_opamps:3) in
+  let view = Transform.emulate dft (Configuration.make ~n_opamps:3 7) in
   List.iter
     (fun f ->
       let h = Mna.Ac.transfer ~source:"Vin" ~output:"v2" view ~omega:(2.0 *. Float.pi *. f) in
@@ -143,7 +154,7 @@ let qcheck_followers_match_bits =
       let from_bits =
         List.filter (fun k -> i land (1 lsl k) <> 0) (List.init n Fun.id)
       in
-      Configuration.followers c = from_bits)
+      followers c = from_bits)
 
 let suite =
   [

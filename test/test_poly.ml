@@ -22,15 +22,6 @@ let test_cancellation_trims () =
   check_poly "a - a = 0" Poly.zero (Poly.sub a a);
   Alcotest.(check bool) "is_zero" true (Poly.is_zero (Poly.sub a a))
 
-let test_div_exact () =
-  let a = p [| 1.0; 2.0 |] and b = p [| 3.0; 0.0; 1.0 |] in
-  let prod = Poly.mul a b in
-  check_poly "(a*b)/b = a" a (Poly.div_exact prod b);
-  check_poly "(a*b)/a = b" b (Poly.div_exact prod a);
-  Alcotest.check_raises "division by zero"
-    (Invalid_argument "Poly.div_exact: division by zero polynomial") (fun () ->
-      ignore (Poly.div_exact a Poly.zero))
-
 let test_eval () =
   let q = p [| 1.0; -3.0; 2.0 |] in
   (* 1 - 3x + 2x^2; q(2) = 3 *)
@@ -141,7 +132,6 @@ let suite =
     Alcotest.test_case "construct" `Quick test_construct;
     Alcotest.test_case "arith" `Quick test_arith;
     Alcotest.test_case "cancellation trims" `Quick test_cancellation_trims;
-    Alcotest.test_case "div_exact" `Quick test_div_exact;
     Alcotest.test_case "eval" `Quick test_eval;
     Alcotest.test_case "derivative" `Quick test_derivative;
     Alcotest.test_case "roots quadratic" `Quick test_roots_quadratic;

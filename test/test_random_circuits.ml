@@ -7,21 +7,21 @@
 
 module Netlist = Circuit.Netlist
 
-let random_ladder = Conformance.Gen.ladder
+let random_ladder seed =
+  let s = Conformance.Gen.generate Conformance.Gen.Ladder ~seed in
+  (s.Conformance.Gen.netlist, s.Conformance.Gen.output)
 
 let gen_seed = QCheck.make QCheck.Gen.(int_bound 1_000_000)
 
 let qcheck_validates =
   QCheck.Test.make ~name:"random ladders validate" ~count:100 gen_seed (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let netlist, _ = random_ladder rng in
+      let netlist, _ = random_ladder seed in
       match Circuit.Validate.check netlist with Ok () -> true | Error _ -> false)
 
 let qcheck_symbolic_matches_numeric =
   QCheck.Test.make ~name:"random ladders: symbolic H(s) = numeric AC" ~count:60 gen_seed
     (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let netlist, out = random_ladder rng in
+      let netlist, out = random_ladder seed in
       let h = Mna.Symbolic.transfer ~source:"V1" ~output:out netlist in
       List.for_all
         (fun f ->
@@ -35,8 +35,7 @@ let qcheck_symbolic_matches_numeric =
 let qcheck_spice_roundtrip =
   QCheck.Test.make ~name:"random ladders: SPICE write/parse preserves response"
     ~count:60 gen_seed (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let netlist, out = random_ladder rng in
+      let netlist, out = random_ladder seed in
       match Spice.Parser.parse_string (Spice.Writer.to_string netlist) with
       | Error _ -> false
       | Ok reparsed ->
@@ -57,8 +56,7 @@ let qcheck_reciprocity =
      divider chain with no gain elements *)
   QCheck.Test.make ~name:"random RC ladders are passive (|H| <= 1)" ~count:60 gen_seed
     (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let netlist, out = random_ladder rng in
+      let netlist, out = random_ladder seed in
       List.for_all
         (fun f ->
           let h =

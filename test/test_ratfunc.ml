@@ -35,21 +35,6 @@ let test_poles_zeros () =
       Alcotest.(check (float 1e-6)) "pole -1" (-1.0) b
   | _ -> Alcotest.fail "expected two poles")
 
-let test_add_mul () =
-  let a = Ratfunc.make Poly.one (p [| 1.0; 1.0 |]) in
-  let b = Ratfunc.make Poly.one (p [| 2.0; 1.0 |]) in
-  let sum = Ratfunc.add a b in
-  let w = 0.7 in
-  let expected = Complex.add (Ratfunc.eval_jw a w) (Ratfunc.eval_jw b w) in
-  let got = Ratfunc.eval_jw sum w in
-  Alcotest.(check (float 1e-9)) "add re" expected.Complex.re got.Complex.re;
-  Alcotest.(check (float 1e-9)) "add im" expected.Complex.im got.Complex.im;
-  let prod = Ratfunc.mul a b in
-  let expected = Complex.mul (Ratfunc.eval_jw a w) (Ratfunc.eval_jw b w) in
-  let got = Ratfunc.eval_jw prod w in
-  Alcotest.(check (float 1e-9)) "mul re" expected.Complex.re got.Complex.re;
-  Alcotest.(check (float 1e-9)) "mul im" expected.Complex.im got.Complex.im
-
 let test_equal_at () =
   let a = Ratfunc.make Poly.one (p [| 1.0; 1.0 |]) in
   (* same function with a non-cancelled common factor (1 + 2s) *)
@@ -65,7 +50,6 @@ let suite =
     Alcotest.test_case "zero denominator" `Quick test_zero_den_rejected;
     Alcotest.test_case "first-order lowpass" `Quick test_lowpass;
     Alcotest.test_case "poles and zeros" `Quick test_poles_zeros;
-    Alcotest.test_case "add and mul" `Quick test_add_mul;
     Alcotest.test_case "equal_at" `Quick test_equal_at;
   ]
 

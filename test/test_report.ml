@@ -13,10 +13,6 @@ let test_table_arity_check () =
   Alcotest.check_raises "bad row" (Invalid_argument "Table.render: row 0 has wrong arity")
     (fun () -> ignore (Report.Table.render ~header:[ "a"; "b" ] [ [ "x" ] ]))
 
-let test_csv () =
-  let s = Report.Table.csv ~header:[ "a"; "b" ] [ [ "1,5"; "x\"y" ] ] in
-  Alcotest.(check string) "escaping" "a,b\n\"1,5\",\"x\"\"y\"" s
-
 let test_bars () =
   let s =
     Report.Chart.bars ~width:10 ~labels:[| "fR1" |]
@@ -42,7 +38,6 @@ let suite =
   [
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table arity" `Quick test_table_arity_check;
-    Alcotest.test_case "csv" `Quick test_csv;
     Alcotest.test_case "bars" `Quick test_bars;
     Alcotest.test_case "bars mismatch" `Quick test_bars_mismatch;
     Alcotest.test_case "sparkline" `Quick test_sparkline;

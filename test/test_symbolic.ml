@@ -6,28 +6,6 @@ let rc_lowpass ~r ~c () =
   |> Netlist.resistor ~name:"R1" "in" "out" r
   |> Netlist.capacitor ~name:"C1" "out" "0" c
 
-let test_determinant_numeric_cross_check () =
-  let p = Linalg.Poly.of_coeffs in
-  (* [[1, s], [s, 1]] -> det = 1 - s^2 *)
-  let m = [| [| p [| 1.0 |]; p [| 0.0; 1.0 |] |]; [| p [| 0.0; 1.0 |]; p [| 1.0 |] |] |] in
-  let d = Mna.Symbolic.determinant m in
-  Alcotest.(check bool) "det = 1 - s^2" true
-    (Linalg.Poly.equal d (p [| 1.0; 0.0; -1.0 |]))
-
-let test_determinant_with_pivot () =
-  let p = Linalg.Poly.of_coeffs in
-  (* leading zero pivot forces a swap: [[0, 1], [1, 0]] -> det = -1 *)
-  let m = [| [| Linalg.Poly.zero; p [| 1.0 |] |]; [| p [| 1.0 |]; Linalg.Poly.zero |] |] in
-  Alcotest.(check bool) "det = -1" true
-    (Linalg.Poly.equal (Mna.Symbolic.determinant m) (p [| -1.0 |]))
-
-let test_determinant_singular () =
-  let p = Linalg.Poly.of_coeffs in
-  let row = [| p [| 1.0 |]; p [| 2.0 |] |] in
-  let m = [| row; Array.copy row |] in
-  Alcotest.(check bool) "det = 0" true
-    (Linalg.Poly.is_zero (Mna.Symbolic.determinant m))
-
 let test_rc_transfer () =
   let r = 1000.0 and c = 1e-6 in
   let h = Mna.Symbolic.transfer ~source:"V1" ~output:"out" (rc_lowpass ~r ~c ()) in
@@ -78,13 +56,10 @@ let test_opamp_symbolic () =
   in
   let h = Mna.Symbolic.transfer ~source:"V1" ~output:"out" n in
   Alcotest.(check bool) "H = -3.3" true
-    (Linalg.Ratfunc.equal_at h (Linalg.Ratfunc.const (-3.3)))
+    (Linalg.Ratfunc.equal_at h (Linalg.Ratfunc.make (Linalg.Poly.const (-3.3)) Linalg.Poly.one))
 
 let suite =
   [
-    Alcotest.test_case "poly determinant" `Quick test_determinant_numeric_cross_check;
-    Alcotest.test_case "determinant pivot" `Quick test_determinant_with_pivot;
-    Alcotest.test_case "determinant singular" `Quick test_determinant_singular;
     Alcotest.test_case "rc transfer" `Quick test_rc_transfer;
     Alcotest.test_case "rc pole" `Quick test_rc_pole;
     Alcotest.test_case "symbolic = numeric sweep" `Quick test_symbolic_matches_numeric_sweep;

@@ -69,7 +69,9 @@ let test_detect_rc_shift () =
   Alcotest.(check bool) "partially" true (r.Detect.omega_det > 0.0 && r.Detect.omega_det < 1.0);
   (* DC is not in the detectability region: deviation vanishes there *)
   Alcotest.(check bool) "dc clean" false
-    (Util.Interval.Set.contains r.Detect.regions (log10 (Grid.f_lo grid)))
+    (List.exists
+       (fun i -> Util.Interval.contains i (log10 (Grid.f_lo grid)))
+       (Util.Interval.Set.to_intervals r.Detect.regions))
 
 let test_undetectable_small_deviation () =
   let n = rc ~r:1000.0 ~c:1e-6 () in
@@ -135,7 +137,7 @@ let test_coverage_stats () =
       Detect.fault = Fault.deviation ~element:"R1" 1.2;
       detectable;
       omega_det;
-      regions = Util.Interval.Set.empty;
+      regions = Util.Interval.Set.of_intervals [];
     }
   in
   Alcotest.(check (float 1e-9)) "coverage" 0.5
