@@ -159,19 +159,20 @@ let fill_parts m ~re ~im_scale ~im =
     Array1.unsafe_set dim k (im_scale *. Array.unsafe_get im k)
   done
 
-let norm_inf m =
-  let acc = ref 0.0 in
+let norms_inf m =
+  let abs1 = ref 0.0 and acc = ref 0.0 in
   for i = 0 to m.nrows - 1 do
     let row = i * m.ncols in
-    let row_sum = ref 0.0 in
+    let row_abs = ref 0.0 and row_sum = ref 0.0 in
     for j = 0 to m.ncols - 1 do
-      row_sum :=
-        !row_sum
-        +. norm2 (Array1.unsafe_get m.re (row + j)) (Array1.unsafe_get m.im (row + j))
+      let x = Array1.unsafe_get m.re (row + j) and y = Array1.unsafe_get m.im (row + j) in
+      row_abs := !row_abs +. Float.abs x +. Float.abs y;
+      row_sum := !row_sum +. norm2 x y
     done;
+    if !row_abs > !abs1 || Float.is_nan !row_abs then abs1 := !row_abs;
     if !row_sum > !acc then acc := !row_sum
   done;
-  !acc
+  (!abs1, !acc)
 
 (* y <- A x on the off-heap planes, zero visible allocation. *)
 let mul_vec_into a ~(x : Vec.t) ~(y : Vec.t) =

@@ -105,8 +105,10 @@ val fill_parts : t -> re:float array -> im_scale:float -> im:float array -> unit
     stamping code. Both arrays must have exactly [rows * cols]
     elements. *)
 
-val norm_inf : t -> float
-(** Maximum absolute row sum. *)
+val norms_inf : t -> float * float
+(** The maximum absolute row sum under both entry magnitudes, from one
+    pass: [(with |re| + |im|, with {!norm2})]. The first is [nan] once
+    a row sum is; the second is the ∞-norm proper. *)
 
 val mul_vec_into : t -> x:Vec.t -> y:Vec.t -> unit
 (** [y <- A·x], zero allocation; [x] and [y] must be distinct

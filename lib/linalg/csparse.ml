@@ -88,20 +88,27 @@ let check_values p (re : plane) (im : plane) =
   if Array1.dim re <> p.nnz || Array1.dim im <> p.nnz then
     invalid_arg "Csparse: value planes do not match the pattern"
 
-(* Same row-sum norm the dense [Cmat.norm_inf] computes: absent
-   entries contribute the zero their dense counterparts would. *)
-let norm_inf p ~re ~im =
+(* The largest of a row-sum array, [nan] once a row is. *)
+let max_row rows =
+  Array.fold_left (fun acc r -> if r > acc || Float.is_nan r then r else acc) 0.0 rows
+
+(* The row-sum norm under both entry magnitudes, from one pass over
+   the stored entries: (max row sum of |re| + |im|, max row sum of
+   {!Cmat.norm2}), like [Cmat.norms_inf] of the densified matrix:
+   absent entries contribute the zero their dense counterparts would.
+   A [nan] row sum makes either result [nan]. *)
+let norms_inf p ~re ~im =
   check_values p re im;
-  let sums = Array.make (Int.max p.n 1) 0.0 in
+  let abs1 = Array.make (Int.max p.n 1) 0.0 and sums = Array.make (Int.max p.n 1) 0.0 in
   for c = 0 to p.n - 1 do
     for k = p.colptr.(c) to p.colptr.(c + 1) - 1 do
       let i = Array.unsafe_get p.rowind k in
-      Array.unsafe_set sums i
-        (Array.unsafe_get sums i
-        +. Cmat.norm2 (Array1.unsafe_get re k) (Array1.unsafe_get im k))
+      let x = Array1.unsafe_get re k and y = Array1.unsafe_get im k in
+      Array.unsafe_set abs1 i (Array.unsafe_get abs1 i +. Float.abs x +. Float.abs y);
+      Array.unsafe_set sums i (Array.unsafe_get sums i +. Cmat.norm2 x y)
     done
   done;
-  Array.fold_left Float.max 0.0 sums
+  (max_row abs1, Array.fold_left Float.max 0.0 sums)
 
 (* y <- A x, column-wise: O(nnz), no allocation. *)
 let mul_vec_into p ~re ~im ~(x : Bvec.t) ~(y : Bvec.t) =
@@ -525,6 +532,34 @@ let refactor num ~re ~im =
     done;
     clear ()
   done
+
+(* ‖|L̂||Û|‖∞ of the last refactorization, |z| = |re| + |im|, in
+   O(nnz(L + U)): |Û|·1 first (each row's diagonal plus its strictly
+   upper entries), then |L̂|·(|Û|·1) with L̂'s implicit unit diagonal.
+   Permuted coordinates, which no row-sum norm can tell apart from the
+   original ones. [nan] once a row sum is. *)
+let lu_abs_norm_inf num =
+  let s = num.sym in
+  let n = s.pat.n in
+  let[@inline always] mag (re : plane) (im : plane) k =
+    Float.abs (Array1.unsafe_get re k) +. Float.abs (Array1.unsafe_get im k)
+  in
+  let u_rows = Array.init n (fun i -> mag num.dre num.dim_ i) in
+  for j = 0 to n - 1 do
+    for uix = s.u_colptr.(j) to s.u_colptr.(j + 1) - 1 do
+      let i = Array.unsafe_get s.u_rowind uix in
+      Array.unsafe_set u_rows i (Array.unsafe_get u_rows i +. mag num.ure num.uim uix)
+    done
+  done;
+  let rows = Array.copy u_rows in
+  for k = 0 to n - 1 do
+    let uk = Array.unsafe_get u_rows k in
+    for lix = s.l_colptr.(k) to s.l_colptr.(k + 1) - 1 do
+      let i = Array.unsafe_get s.l_rowind lix in
+      Array.unsafe_set rows i (Array.unsafe_get rows i +. (mag num.lre num.lim lix *. uk))
+    done
+  done;
+  max_row rows
 
 (* ---- triangular solves ----
 

@@ -39,9 +39,11 @@ val slot : pattern -> row:int -> col:int -> int
 (** Index of [(row, col)] in the value planes; raises [Not_found] when
     the position is not stored. *)
 
-val norm_inf : pattern -> re:plane -> im:plane -> float
-(** Row-sum infinity norm; equals {!Cmat.norm_inf} of the
-    densified matrix. *)
+val norms_inf : pattern -> re:plane -> im:plane -> float * float
+(** The row-sum infinity norm under both entry magnitudes, from one
+    pass over the stored entries: [(max row sum of |re| + |im|,
+    max row sum of {!Cmat.norm2})]. The second equals the second of
+    {!Cmat.norms_inf} on the densified matrix. *)
 
 val mul_vec_into :
   pattern -> re:plane -> im:plane -> x:Cmat.Vec.t -> y:Cmat.Vec.t -> unit
@@ -100,6 +102,15 @@ val refactor : numeric -> re:plane -> im:plane -> unit
     pivots). Raises {!Cmat.Singular} when a pivot falls below the
     dense singularity threshold; the workspace is left clean for a
     retry with different values. *)
+
+val lu_abs_norm_inf : numeric -> float
+(** [‖|L̂||Û|‖∞] of the last {!refactor}, with the entry magnitude
+    [|z| = |re| + |im|] and L̂'s unit diagonal: {!Cmat.lu_abs_norm_inf}
+    for the sparse factors, in O(nnz(L + U)). With [P A Q = L̂ Û] the
+    permutations move whole rows and entries within a row, so this is
+    also the norm of [Pᵀ|L̂||Û|Qᵀ], the scale of the backward error of
+    a solve on the original system (Higham, Thm 9.4). [nan] once a
+    row sum is. *)
 
 val solve_into : numeric -> b:Cmat.Vec.t -> x:Cmat.Vec.t -> unit
 (** [x <- A⁻¹ b] through the sparse factors, O(fill) with unboxed

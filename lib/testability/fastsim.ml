@@ -115,8 +115,8 @@ type solver =
       num : Csparse.numeric;  (* factored; shared symbolic analysis *)
     }
 
-(* What the a-priori residual bound reads of one dense frequency (see
-   {!bound_clears}); magnitudes use |z|₁ = |re| + |im|. *)
+(* What the a-priori residual bound reads of one frequency, on either
+   backend (see {!bound_clears}); magnitudes use |z|₁ = |re| + |im|. *)
 type bound_data = {
   r0 : float;  (* upper bound on ‖b − A x̂₀‖ *)
   a1 : float;  (* ‖A‖ *)
@@ -131,19 +131,18 @@ type bound_data = {
 type freq_state = {
   omega : float;
   solver : solver;
-  anorm : float Atomic.t;  (* ‖A(jω)‖∞, nan until a point first reads it *)
+  anorm : float Atomic.t;  (* ‖A(jω)‖∞, nan until {!bound_of} or a point first reads it *)
   b : Bvec.t;
   bnorm : float;
   x0 : Bvec.t;
-  bound : bound_data option Atomic.t;  (* dense only; built at the first rank-1 point *)
+  bound : bound_data option Atomic.t;  (* built at the first rank-1 point *)
 }
 
 (* Backend dispatch for the four operations the solve paths need. The
    residual gate downstream makes the two arms interchangeable: both
    produce solutions the gate re-verifies against the same A(jω). A
-   dense point the a-priori bound clears skips the gate, because the
-   bound proves the gate would pass; a sparse engine always computes
-   the residual. *)
+   point the a-priori bound clears skips the gate, on either backend,
+   because the bound proves the gate would pass. *)
 
 let solver_solve_into fs ~b ~x =
   match fs.solver with
@@ -163,16 +162,18 @@ let solver_mul_vec_into fs ~x ~y =
 
 (* ‖A(jω)‖∞, taken at the first point that reads it, so an engine that
    only reports its nominal (Monte-Carlo's sweeps) never pays the pass
-   over A. A(jω) is never written after the build, so domains racing
-   to fill it store the same value. *)
+   over A. {!bound_of} publishes it from its own pass over A; this pass
+   serves the points that never build the bound (the chaos hook,
+   {!guard_probe}'s reference run). A(jω) is never written after the
+   build, so domains racing to fill it store the same value. *)
 let anorm fs =
   let v = Atomic.get fs.anorm in
   if not (Float.is_nan v) then v
   else begin
     let v =
       match fs.solver with
-      | Dense_solver { da; _ } -> Cmat.norm_inf da
-      | Sparse_solver { spat; sre; sim_; _ } -> Csparse.norm_inf spat ~re:sre ~im:sim_
+      | Dense_solver { da; _ } -> snd (Cmat.norms_inf da)
+      | Sparse_solver { spat; sre; sim_; _ } -> snd (Csparse.norms_inf spat ~re:sre ~im:sim_)
     in
     Atomic.set fs.anorm v;
     v
@@ -766,8 +767,8 @@ let set_chaos c = Atomic.set chaos c
 
    The residual gate in {!smw_point_solve} builds x̂f = x̂₀ − ĉŵ whole
    and computes r̂ = b − A_f·x̂f with an O(n²) mat-vec, though the
-   campaign reads one entry of x̂f. A dense point can skip both when a
-   bound proves the gate would pass at once. Exactly, with
+   campaign reads one entry of x̂f. A point can skip both when a bound
+   proves the gate would pass at once. Exactly, with
    e = x̂f − (x̂₀ − ĉŵ) the rounding of x̂f and δ = ĉ(1 + αuᵀŵ) − αuᵀx̂₀
    the rounding of the scalar ĉ,
 
@@ -803,8 +804,29 @@ let set_chaos c = Atomic.set chaos c
    evaluated on nonnegative floats, whose rounding the factor 1 + 2⁻²⁰
    covers; 1e-250 is a margin for gradual underflow; P, ‖A‖P < 1e300
    keep the gate's arithmetic clear of overflow; a nan fails every
-   comparison. test_fastsim checks the claim on random dense systems
-   through {!guard_probe}. *)
+   comparison.
+
+   One bound serves both backends. B reads the factorization only
+   through r₀, ‖A‖ and ‖|L̂||Û|‖, which {!bound_of} takes from the
+   frequency's own solver, and each step above holds on a sparse one:
+   - Thm 9.4 bounds a solve's backward error by the computed |L̂||Û|
+     of the matrix that was factored, whatever the order of
+     elimination. Csparse factors PAQ = L̂Û with static Markowitz
+     pivots, left-looking, and any growth those pivots allow shows in
+     |L̂||Û| itself. A term skipped because a factor entry is an exact
+     zero adds no rounding.
+   - Row and column permutations leave every ∞-norm as it is: P
+     reorders the row sums of |L̂||Û| and Q the terms of each, so
+     ‖Pᵀ|L̂||Û|Qᵀ‖ = ‖|L̂||Û|‖ ({!Csparse.lu_abs_norm_inf}).
+   - The columns ŵ come from {!Csparse.solve_block_into}, bitwise equal
+     to {!Csparse.solve_into} column by column (test_sparse's
+     block-bitwise property), so Thm 9.4 covers them as it covers x̂₀.
+   - A row of a sparse mat-vec accumulates at most n terms, its stored
+     entries, so γₙ₊₃ and γₙ₊₄ bound the rounding of r₀ and of the
+     gate's residual as they do for a dense row.
+   test_fastsim checks the claim through {!guard_probe} on random dense
+   systems and on random MNA-like sparse ones whose Markowitz pivots
+   fill and grow. *)
 
 let gamma k =
   let ku = float_of_int k *. (epsilon_float /. 2.0) in
@@ -813,43 +835,41 @@ let gamma k =
 let gamma_scalar = gamma 30
 
 (* The bound's per-frequency data, built by the first rank-1 point of
-   a dense frequency. Racing domains compute equal values, so the loser
-   of the publication drops its copy. *)
+   a frequency. Its one pass over A(jω) also yields ‖A(jω)‖∞ for the
+   gate's scale and publishes it into [fs.anorm]: [Cmat.norms_inf] and
+   [Csparse.norms_inf] take both norms in one pass, so {!anorm} reads
+   the bits its own pass would compute. Racing domains compute equal
+   values, so the loser of the publication drops its copy. *)
 let bound_of fs =
   match Atomic.get fs.bound with
   | Some g -> g
   | None ->
-      let da, dlu =
-        match fs.solver with
-        | Dense_solver { da; dlu } -> (da, dlu)
-        | Sparse_solver _ -> invalid_arg "Fastsim.bound_of: sparse frequency"
-      in
       let n = Bvec.length fs.x0 in
-      let y = (scratch_for n).resid in
-      Cmat.mul_vec_into da ~x:fs.x0 ~y;
+      let ax = (scratch_for n).resid in
+      solver_mul_vec_into fs ~x:fs.x0 ~y:ax;
       let open Bigarray in
-      let are = Cmat.re_plane da and aim = Cmat.im_plane da in
-      let r = ref 0.0 and a1 = ref 0.0 in
+      let r = ref 0.0 in
       for i = 0 to n - 1 do
         let m =
-          Float.abs (Array1.unsafe_get fs.b.Bvec.re i -. Array1.unsafe_get y.Bvec.re i)
-          +. Float.abs (Array1.unsafe_get fs.b.Bvec.im i -. Array1.unsafe_get y.Bvec.im i)
+          Float.abs (Array1.unsafe_get fs.b.Bvec.re i -. Array1.unsafe_get ax.Bvec.re i)
+          +. Float.abs (Array1.unsafe_get fs.b.Bvec.im i -. Array1.unsafe_get ax.Bvec.im i)
         in
-        if m > !r || Float.is_nan m then r := m;
-        let row = ref 0.0 in
-        for k = i * n to (i * n) + n - 1 do
-          row :=
-            !row +. Float.abs (Array1.unsafe_get are k) +. Float.abs (Array1.unsafe_get aim k)
-        done;
-        if !row > !a1 || Float.is_nan !row then a1 := !row
+        if m > !r || Float.is_nan m then r := m
       done;
+      let (a1, a_inf), lu1 =
+        match fs.solver with
+        | Dense_solver { da; dlu } -> (Cmat.norms_inf da, Cmat.lu_abs_norm_inf dlu)
+        | Sparse_solver { spat; sre; sim_; num } ->
+            (Csparse.norms_inf spat ~re:sre ~im:sim_, Csparse.lu_abs_norm_inf num)
+      in
+      Atomic.set fs.anorm a_inf;
       let x01, jmax = norm1_inf_arg fs.x0 and b1, _ = norm1_inf_arg fs.b in
       let g =
         {
-          r0 = !r +. (gamma (n + 3) *. ((!a1 *. x01) +. b1));
-          a1 = !a1;
+          r0 = !r +. (gamma (n + 3) *. ((a1 *. x01) +. b1));
+          a1;
           b1;
-          lu1 = Cmat.lu_abs_norm_inf dlu;
+          lu1;
           x01;
           jmax;
           g_lu = gamma ((3 * n) + 40);
@@ -921,8 +941,6 @@ let[@inline always] bound_clears fs (blk : block) ~col ~wre ~wim ~woff (u : pat)
   && p < 1e300
   && g.a1 *. p < 1e300
 
-let is_dense fs = match fs.solver with Dense_solver _ -> true | Sparse_solver _ -> false
-
 (* [guard] false skips the a-priori bound: {!guard_probe}'s reference
    run. The point's column is the one [blk] holds for its slot. *)
 let smw_point_solve ~guard t fs (blk : block) ({ slot; u; alpha_g; alpha_c } : rank1) ~re
@@ -952,7 +970,7 @@ let smw_point_solve ~guard t fs (blk : block) ({ slot; u; alpha_g; alpha_c } : r
           den_re den_im
       in
       if
-        guard && (not chaotic) && is_dense fs
+        guard && (not chaotic)
         && bound_clears fs blk ~col ~wre ~wim ~woff u ~out_idx:t.out_idx ~al_re ~al_im
              ~den_re ~den_im ~coef_re ~coef_im
       then begin
@@ -989,8 +1007,7 @@ let smw_point_solve ~guard t fs (blk : block) ({ slot; u; alpha_g; alpha_c } : r
         done;
         (* Residual of the perturbed system without forming it:
            b − A_f xf = (b − α (vᵀxf) u) − A xf. The a-priori bound
-           above clears most dense points before this; a sparse engine
-           always computes it. *)
+           above clears most points before this, on either backend. *)
         let faulty_residual () =
           let vxf_re = dot_pat u xf_re 0 and vxf_im = dot_pat u xf_im 0 in
           let av_re = (al_re *. vxf_re) -. (al_im *. vxf_im)
@@ -1014,9 +1031,9 @@ let smw_point_solve ~guard t fs (blk : block) ({ slot; u; alpha_g; alpha_c } : r
            the residual restores direct-solve accuracy at O(n²). The
            common case — a mild deviation whose bare update already sits
            near machine-precision residual (the 1024·ε gate below) —
-           skips the extra back-solve; on a dense engine the a-priori
-           bound has cleared most of those points before the residual
-           was ever computed, a sparse engine computes it for each. *)
+           skips the extra back-solve; the a-priori bound has cleared
+           most of those points before the residual was ever
+           computed. *)
         let refine () =
           let d0 = s.d0 in
           solver_solve_into fs ~b:resid ~x:d0;
@@ -1216,19 +1233,46 @@ let response t fault =
       if Bytes.get ok i = '\000' then None
       else Some { Complex.re = rre.(i); im = rim.(i) })
 
-(* One dense system A x = b, output entry [out], and the rank-1 update
+(* One system A x = b, output entry [out], and the rank-1 update
    α·uuᵀ, solved as an engine point at ω = 1 (so α's imaginary part
    passes through exactly): once with the a-priori bound, once
-   without. *)
-let guard_probe ~a ~b ~u ~(alpha : Complex.t) ~out =
+   without. [sparse] factors A through Csparse, on the pattern of its
+   nonzero entries, with the Markowitz order {!Csparse.analyze} picks
+   for A's own values. *)
+let guard_probe ~sparse ~a ~b ~u ~(alpha : Complex.t) ~out =
   let n = Cmat.rows a in
-  let dlu = Cmat.lu_factor a in
   let x0 = Bvec.create n in
-  Cmat.lu_solve_into dlu ~b ~x:x0;
+  let solver =
+    if sparse then begin
+      let are = Cmat.re_plane a and aim = Cmat.im_plane a in
+      let stored =
+        List.filter (fun k -> are.{k} <> 0.0 || aim.{k} <> 0.0) (List.init (n * n) Fun.id)
+      in
+      let spat =
+        Csparse.pattern ~n (Array.of_list (List.map (fun k -> (k / n, k mod n)) stored))
+      in
+      let sre = Csparse.plane (Csparse.nnz spat) and sim_ = Csparse.plane (Csparse.nnz spat) in
+      List.iter
+        (fun k ->
+          let slot = Csparse.slot spat ~row:(k / n) ~col:(k mod n) in
+          sre.{slot} <- are.{k};
+          sim_.{slot} <- aim.{k})
+        stored;
+      let num = Csparse.numeric (Csparse.analyze spat ~re:sre ~im:sim_) in
+      Csparse.refactor num ~re:sre ~im:sim_;
+      Csparse.solve_into num ~b ~x:x0;
+      Sparse_solver { spat; sre; sim_; num }
+    end
+    else begin
+      let dlu = Cmat.lu_factor a in
+      Cmat.lu_solve_into dlu ~b ~x:x0;
+      Dense_solver { da = a; dlu }
+    end
+  in
   let fs =
     {
       omega = 1.0;
-      solver = Dense_solver { da = a; dlu };
+      solver;
       anorm = Atomic.make Float.nan;
       b;
       bnorm = Bvec.norm_inf b;

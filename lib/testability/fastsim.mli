@@ -20,9 +20,9 @@ module Netlist := Circuit.Netlist
       R‖C on one node pair, a drift and the faults on its passive),
       and a frequency's columns are solved together, as one multi-RHS
       block;
-    - every update is verified by a residual check — on a dense
-      engine most points are cleared a priori by an LU backward-error
-      bound, at O(|u|) instead of an O(n²) mat-vec; an
+    - every update is verified by a residual check — on either
+      backend most points are cleared a priori by an LU backward-error
+      bound, at O(|u|) instead of an O(n²) or O(nnz) mat-vec; an
       ill-conditioned update falls back to a full refactorization of
       the perturbed matrix, and a structural fault (e.g. an inductor
       open, which changes the system dimension) falls back to a fresh
@@ -67,7 +67,8 @@ module Netlist := Circuit.Netlist
     [fastsim.wcache_hits] and [fastsim.wcache_misses]. [smw_cleared]
     counts the SMW solves an a-priori bound proved to pass the
     residual gate, so they skipped the residual and built only the
-    output entry: dense engines only, and at most [smw_solves]. Every
+    output entry: on dense and sparse engines alike, and at most
+    [smw_solves]. Every
     rank-1 point solve with a nonzero α(ω) reads one A⁻¹u column. Per
     {!sweep} call, [wcache_misses] counts the distinct (pattern,
     frequency) columns read — the block's columns — and
@@ -223,12 +224,13 @@ val set_chaos : [ `None | `Smw_denominator of float ] -> unit
     residual guard, simulating the silent-wrong-answer bug class the
     differential oracles must catch (see {!Conformance.Oracle}). The
     hook is read first: a chaotic point is never cleared by the
-    a-priori bound that spares most dense points the residual (sparse
-    engines always compute it), it skips bound and residual alike.
+    a-priori bound that spares most points the residual, on either
+    backend; it skips bound and residual alike.
     [`None] — the default — restores correct behaviour. Tests that
     enable it must restore [`None] before returning. *)
 
 val guard_probe :
+  sparse:bool ->
   a:Linalg.Cmat.t ->
   b:Linalg.Cmat.Vec.t ->
   u:(int * float) list ->
@@ -236,12 +238,16 @@ val guard_probe :
   out:int ->
   bool * bool * bool
 (** Soundness probe of the a-priori residual bound, for tests. The
-    dense system [a x = b] read at entry [out], perturbed by
-    [alpha·uuᵀ] ([u] a stamp pattern: one or two (index, ±1) pairs on
-    distinct indices), is
-    solved as one engine point twice: with the bound, and with the
-    residual gate alone. Returns [(cleared, passes, same)]: whether
-    the bound cleared the point, whether the gate's computed residual
-    passed its [1024·ε·scale] test without refinement, and whether the
-    two runs wrote the same bits. Soundness is [cleared ⇒ passes]
-    (and [same]). Raises {!Linalg.Cmat.Singular} if [a] is. *)
+    system [a x = b] read at entry [out], perturbed by [alpha·uuᵀ] ([u]
+    a stamp pattern: one or two (index, ±1) pairs on distinct
+    indices), is solved as one engine point twice: with the bound, and
+    with the residual gate alone. [sparse] factors [a] as a sparse
+    engine does: a {!Linalg.Csparse} pattern of its nonzero entries,
+    {!Linalg.Csparse.analyze} on its values, then
+    {!Linalg.Csparse.refactor}; otherwise as a dense engine does.
+    Returns [(cleared, passes, same)]: whether the bound cleared the
+    point, whether the gate's computed residual passed its
+    [1024·ε·scale] test without refinement, and whether the two runs
+    wrote the same bits. Soundness is [cleared ⇒ passes] (and
+    [same]). Raises {!Linalg.Cmat.Singular} if [a] is singular to
+    the chosen factorization. *)

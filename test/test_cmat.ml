@@ -132,7 +132,7 @@ let qcheck_solve_residual =
             Array.fold_left Float.max 0.0
               (Array.map2 (fun ax bi -> Complex.norm (Complex.sub ax bi)) (mul_vec m x) b)
           in
-          residual <= 1e-7 *. Float.max 1.0 (Cmat.norm_inf m)
+          residual <= 1e-7 *. Float.max 1.0 (snd (Cmat.norms_inf m))
       | exception Cmat.Singular -> true (* random singular matrices are legal *))
 
 let qcheck_det_product =

@@ -366,11 +366,17 @@ let test_sweep_dense () =
   Alcotest.(check bool) "C198: every point masked" true
     (Bytes.for_all (fun c -> c = '\001') mask)
 
+(* The a-priori bound serves sparse engines too: on the ladder's
+   drifts and faults it clears points, every one of them an SMW
+   solve. *)
 let test_sweep_sparse () =
   let netlist, output = Conformance.Gen.bigladder ~stages:70 (Random.State.make [| 7 |]) in
   let grid = Grid.make ~points_per_decade:2 ~f_lo:10.0 ~f_hi:1e6 () in
   let sim, _, rows = view_rows ~label:"bigladder-70" ~sparse:true ~source:"V1" ~output grid netlist in
-  ignore (check_sweep ~label:"bigladder-70" sim netlist rows)
+  let snap = check_sweep ~label:"bigladder-70" sim netlist rows in
+  let smw, _ = solves snap and cleared = counter snap "fastsim.smw_cleared" in
+  if not (0 < cleared && cleared <= smw) then
+    Alcotest.failf "bigladder-70: smw_cleared %d outside (0, smw_solves = %d]" cleared smw
 
 (* A mixed mask on the RLC divider, whose faults cover rank-1 and
    structural plans (an inductor open or short changes the dimension),
@@ -552,33 +558,84 @@ let test_engine_after_bracket () =
 
 (* --- the a-priori residual bound ------------------------------------ *)
 
-(* A dense point skips the residual gate when an LU backward-error
-   bound proves the gate would pass. Soundness: on random dense complex
-   systems and rank-1 updates — entries over 12 decades, mild and
-   catastrophic |α| up to 1e9, denominators cancelling to within 1e-10
-   — every point the bound clears is one whose computed residual passes
-   the 1024·ε·scale gate at once, and the two runs write the same bits.
-   The sample must exercise both sides: points cleared, and points the
-   gate sends to refinement. *)
-let random_rank1_case st =
+(* A point skips the residual gate when an LU backward-error bound
+   proves the gate would pass. Soundness, on either backend: on random
+   complex systems and rank-1 updates — mild and catastrophic |α|,
+   denominators cancelling to within 1e-10 — every point the bound
+   clears is one whose computed residual passes the 1024·ε·scale gate
+   at once, and the two runs write the same bits. The sample must
+   exercise both sides: points cleared, and points the gate sends to
+   refinement.
+
+   Dense systems have up to 12 unknowns, any density, entries over 12
+   decades and catastrophic |α| up to 1e9. Sparse ones are stamped like
+   an MNA matrix of up to 60 unknowns: two-terminal admittances over 6
+   decades (a spanning tree of the nodes, more branches, a few shunts),
+   controlled-source gains up to 1e5 off the diagonal, and
+   voltage-source branch rows whose diagonal is zero; catastrophic |α|
+   reaches 1e12. Csparse's Markowitz order then fills, takes
+   off-diagonal pivots and, under its 1e-3 threshold, lets entries
+   grow. *)
+let random_rank1_case ~sparse st =
   let module Cmat = Linalg.Cmat in
   let float_in lo hi = lo +. Random.State.float st (hi -. lo) in
-  let magnitude () = 10.0 ** float_in (-6.0) 6.0 in
+  let decades = if sparse then 3.0 else 6.0 in
+  let magnitude () = 10.0 ** float_in (-.decades) decades in
   let complex m =
     match Random.State.int st 4 with
     | 0 -> { Complex.re = (if Random.State.bool st then m else -.m); im = 0.0 }
     | 1 -> { Complex.re = 0.0; im = (if Random.State.bool st then m else -.m) }
     | _ -> Complex.polar m (float_in 0.0 (2.0 *. Float.pi))
   in
-  let n = 2 + Random.State.int st 11 in
-  let density = float_in 0.2 1.0 in
-  let a = Cmat.create n n in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if i = j || Random.State.float st 1.0 < density then
-        Cmat.set a i j (complex (magnitude ()))
-    done
-  done;
+  let dense () =
+    let n = 2 + Random.State.int st 11 in
+    let density = float_in 0.2 1.0 in
+    let a = Cmat.create n n in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if i = j || Random.State.float st 1.0 < density then
+          Cmat.set a i j (complex (magnitude ()))
+      done
+    done;
+    a
+  in
+  let mna () =
+    let nodes = 6 + Random.State.int st 47 in
+    let branches = Random.State.int st (1 + (nodes / 6)) in
+    let n = nodes + branches in
+    let a = Cmat.create n n in
+    let add i j z = Cmat.set a i j (Complex.add (Cmat.get a i j) z) in
+    let admittance i j =
+      let y = complex (magnitude ()) in
+      add i i y;
+      if j >= 0 then begin
+        add j j y;
+        add i j (Complex.neg y);
+        add j i (Complex.neg y)
+      end
+    in
+    for i = 1 to nodes - 1 do
+      admittance i (Random.State.int st i)
+    done;
+    for _ = 1 to nodes / 2 do
+      admittance (Random.State.int st nodes) (Random.State.int st nodes - 1)
+    done;
+    for _ = 0 to Random.State.int st 3 do
+      admittance (Random.State.int st nodes) (-1)
+    done;
+    for _ = 1 to Random.State.int st (1 + (nodes / 4)) do
+      add (Random.State.int st nodes) (Random.State.int st nodes)
+        (complex (10.0 ** float_in 0.0 5.0))
+    done;
+    for k = nodes to n - 1 do
+      let p = Random.State.int st nodes in
+      add k p Complex.one;
+      add p k Complex.one
+    done;
+    a
+  in
+  let a = if sparse then mna () else dense () in
+  let n = Cmat.rows a in
   let b = Cmat.Vec.create n in
   for i = 0 to n - 1 do
     if i = 0 || Random.State.float st 1.0 < 0.3 then
@@ -592,7 +649,7 @@ let random_rank1_case st =
   let alpha () =
     match Random.State.int st 3 with
     | 0 -> complex (magnitude ())
-    | 1 -> complex (10.0 ** float_in 3.0 9.0)
+    | 1 -> complex (10.0 ** float_in 3.0 (if sparse then 12.0 else 9.0))
     | _ -> (
         (* α = −(1 + η)/(uᵀA⁻¹u): the denominator 1 + α·uᵀA⁻¹u is −η *)
         let uvec = Array.make n Complex.zero in
@@ -610,12 +667,12 @@ let random_rank1_case st =
   in
   (a, b, u, alpha (), Random.State.int st n)
 
-let test_bound_soundness () =
-  let st = Random.State.make [| 2104 |] in
+let test_bound_soundness ~sparse ~seed ~count () =
+  let st = Random.State.make [| seed |] in
   let cases = ref 0 and cleared = ref 0 and gated = ref 0 in
-  while !cases < 4000 do
-    let a, b, u, alpha, out = random_rank1_case st in
-    match Fastsim.guard_probe ~a ~b ~u ~alpha ~out with
+  while !cases < count do
+    let a, b, u, alpha, out = random_rank1_case ~sparse st in
+    match Fastsim.guard_probe ~sparse ~a ~b ~u ~alpha ~out with
     | exception Linalg.Cmat.Singular -> ()
     | c, passes, same ->
         incr cases;
@@ -686,8 +743,10 @@ let suite =
       test_scratch_prefix_views;
     Alcotest.test_case "engine use after its bracket raises" `Quick
       test_engine_after_bracket;
-    Alcotest.test_case "a-priori bound clears only points the gate passes" `Quick
-      test_bound_soundness;
+    Alcotest.test_case "a-priori bound clears only points the gate passes (dense)" `Quick
+      (test_bound_soundness ~sparse:false ~seed:2104 ~count:4000);
+    Alcotest.test_case "a-priori bound clears only points the gate passes (sparse)" `Quick
+      (test_bound_soundness ~sparse:true ~seed:3404 ~count:2000);
     Alcotest.test_case "Pipeline.run independent of jobs" `Quick
       test_pipeline_jobs_deterministic;
     Alcotest.test_case "Montecarlo.run independent of jobs" `Quick

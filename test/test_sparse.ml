@@ -181,8 +181,23 @@ let prop_mul_vec =
       for i = 0 to sys.n - 1 do
         if not (close ~tol:1e-12 (Bvec.get yd i) (Bvec.get ys i)) then ok := false
       done;
-      ok := !ok && Float.abs (Csparse.norm_inf p ~re ~im -. Cmat.norm_inf m) <= 1e-12 *. (1.0 +. Cmat.norm_inf m);
+      let a_inf = snd (Csparse.norms_inf p ~re ~im) in
+      let dense_inf = snd (Cmat.norms_inf m) in
+      ok := !ok && Float.abs (a_inf -. dense_inf) <= 1e-12 *. (1.0 +. dense_inf);
       !ok)
+
+(* PAQ = L̂Û + ΔA with |ΔA| ≤ γₙ|L̂||Û| (Higham, Thm 9.3), so the
+   factors' |L̂||Û| bounds |A| row by row, up to that rounding: a norm
+   that dropped the diagonal of Û, the unit diagonal of L̂ or a stored
+   entry would fall below ‖A‖ on some draw. *)
+let prop_lu_abs_norm =
+  QCheck2.Test.make ~name:"sparse |L||U| norm bounds the norm of |A|" ~count:200 sys_gen
+    (fun sys ->
+      match factored sys with
+      | exception Cmat.Singular -> QCheck2.assume_fail ()
+      | p, re, im, num ->
+          let a1, _ = Csparse.norms_inf p ~re ~im in
+          Csparse.lu_abs_norm_inf num >= a1 *. (1.0 -. 1e-12))
 
 (* Aᵀ x = b through A's own factors, dense and sparse, against a fresh
    dense factorization of the explicit transpose; and |y|ᵀ|A||x|
@@ -488,6 +503,7 @@ let suite =
     q prop_block_bitwise;
     ("block back-solve zero allocation", `Quick, test_block_zero_alloc);
     q prop_mul_vec;
+    q prop_lu_abs_norm;
     q prop_dense_into;
     q prop_transpose_solve;
     ("auto-crossover", `Quick, test_auto_crossover);
