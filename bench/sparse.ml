@@ -1,14 +1,14 @@
-(* Sparse-backend benchmarks: the dense/sparse crossover table and the
+(* Sparse engine benchmarks: the dense/sparse crossover table and the
    bigladder acceptance campaign.
 
-   The crossover table times one Fastsim.create per backend over a
-   small frequency grid at growing ladder sizes — create is exactly
-   "assemble + factor + nominal solve per frequency", so seconds
-   divided by grid points is the per-frequency solve cost each backend
-   pays. The campaign times the default Pipeline.run on a 300-stage
-   bigladder (MNA dimension > 300, so every view factors sparse),
-   checks each view's detect row against the dense per-view
-   Detect.analyze reference verdict-for-verdict, and checks that
+   The crossover table times one Fastsim.create (the sparse engine)
+   against one Mna.Ac.sweep (the dense planar LU) over a small
+   frequency grid at growing ladder sizes — each is exactly "assemble
+   + factor + nominal solve per frequency", so seconds divided by grid
+   points is the per-frequency solve cost each factorization pays. The
+   campaign times the default Pipeline.run on a 300-stage bigladder
+   (MNA dimension > 300), checks each view's detect row against the
+   per-view Detect.analyze reference verdict-for-verdict, and checks that
    pruning (on by default) replicates rows bitwise-identically to a
    ~prune:false run while skipping real work. Both facts land in
    BENCH_<date>.json next to the timings. *)
@@ -63,14 +63,13 @@ let crossover ~smoke () =
     (fun stages ->
       let netlist, output = circuit_of ~stages in
       let sp = Mna.Stamps.build_sparse (Mna.Index.build netlist) netlist in
-      let create backend () =
-        F.create ~backend ~source:"V1" ~output ~freqs_hz netlist
-      in
+      let sparse () = F.create ~source:"V1" ~output ~freqs_hz netlist in
+      let dense () = Mna.Ac.sweep ~source:"V1" ~output netlist ~freqs_hz in
       (* untimed first build per size settles the allocator pages the
          timed builds would otherwise fault in *)
-      ignore (create F.Sparse ());
-      let dense_s = time_s (create F.Dense) in
-      let sparse_s = time_s (create F.Sparse) in
+      ignore (sparse ());
+      let dense_s = time_s dense in
+      let sparse_s = time_s sparse in
       {
         stages;
         dim = Mna.Stamps.sparse_size sp;
@@ -95,9 +94,9 @@ let campaign ~smoke () =
       center_hz;
     }
   in
-  (* every 5th passive: enough faults to exercise the SMW machinery on
-     both backends without the per-view w-cache dominating memory at
-     this dimension *)
+  (* every 5th passive: enough faults to exercise the SMW machinery
+     without the per-view w-cache dominating memory at this
+     dimension *)
   let faults =
     List.filteri (fun i _ -> i mod 5 = 0) (Fault.deviation_faults netlist)
   in
@@ -118,7 +117,7 @@ let campaign ~smoke () =
       (fun (v : M.view) row ->
         List.map
           (fun r -> r.Testability.Detect.detectable)
-          (Testability.Detect.analyze ~backend:F.Dense ~criterion:P.default_criterion
+          (Testability.Detect.analyze ~criterion:P.default_criterion
              v.M.probe sparse_t.P.grid v.M.netlist faults)
         = Array.to_list row)
       m.M.views m.M.detect
@@ -189,7 +188,7 @@ let print_result { crossover; campaign = c } =
   Printf.printf
     "\n==== SPARSE: %s campaign (n=%d, ppd=%d, %d faults) ====\n\n"
     c.circuit c.mna_dim c.points_per_decade c.n_faults;
-  Printf.printf "  sparse  : %.3f s   (verdicts %s to dense Detect.analyze)\n"
+  Printf.printf "  sparse  : %.3f s   (verdicts %s to per-view Detect.analyze)\n"
     c.sparse_seconds
     (if c.verdicts_identical then "identical" else "DIFFER");
   Printf.printf

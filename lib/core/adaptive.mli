@@ -17,8 +17,8 @@
     inferred from its neighbours, so the matrices equal the independent
     per-view {!Testability.Detect.analyze} reference bit for bit; the
     tier-1 tests and the [campaign-vs-analyze] fuzz oracle check that.
-    Each view's engine picks its own factorization
-    ({!Testability.Fastsim.backend} [Auto]).
+    Each view's engine factors its own system: sparse LU under its own
+    Markowitz analysis ({!Testability.Fastsim.create}).
 
     The module's name, the span names [adaptive.build],
     [adaptive.prepare <label>], [adaptive.reduce] and [pipeline.prune]

@@ -61,10 +61,10 @@ val run :
     follower-mode opamps as finite-GBW unity buffers instead of ideal
     ones (see {!Multiconfig.Transform.emulate}); [jobs] parallelizes
     the campaign across domains (see {!Adaptive.build}). The campaign
-    picks its own solver per view ({!Testability.Fastsim.backend}
-    [Auto]) and solves every grid point of a row that is not
-    undetectable by definition ({!Testability.Detect.score_rows});
-    neither is a parameter.
+    factors each view through its own sparse analysis
+    ({!Testability.Fastsim.create}) and solves every grid point of a
+    row that is not undetectable by definition
+    ({!Testability.Detect.score_rows}); neither is a parameter.
 
     [prune] (default [true]) is passed to {!Adaptive.build}, which
     decides the campaign's cone classes, simulates one representative

@@ -159,43 +159,6 @@ let fill_parts m ~re ~im_scale ~im =
     Array1.unsafe_set dim k (im_scale *. Array.unsafe_get im k)
   done
 
-let norms_inf m =
-  let abs1 = ref 0.0 and acc = ref 0.0 in
-  for i = 0 to m.nrows - 1 do
-    let row = i * m.ncols in
-    let row_abs = ref 0.0 and row_sum = ref 0.0 in
-    for j = 0 to m.ncols - 1 do
-      let x = Array1.unsafe_get m.re (row + j) and y = Array1.unsafe_get m.im (row + j) in
-      row_abs := !row_abs +. Float.abs x +. Float.abs y;
-      row_sum := !row_sum +. norm2 x y
-    done;
-    if !row_abs > !abs1 || Float.is_nan !row_abs then abs1 := !row_abs;
-    if !row_sum > !acc then acc := !row_sum
-  done;
-  (!abs1, !acc)
-
-(* y <- A x on the off-heap planes, zero visible allocation. *)
-let mul_vec_into a ~(x : Vec.t) ~(y : Vec.t) =
-  if a.ncols <> Vec.length x || a.nrows <> Vec.length y then
-    invalid_arg "Cmat.mul_vec_into: dimension mismatch";
-  let nc = a.ncols in
-  let mre = a.re and mim = a.im in
-  let xre = x.Vec.re and xim = x.Vec.im in
-  for i = 0 to a.nrows - 1 do
-    let row = i * nc in
-    let acc_re = ref 0.0 and acc_im = ref 0.0 in
-    for k = 0 to nc - 1 do
-      let are = Array1.unsafe_get mre (row + k)
-      and aim = Array1.unsafe_get mim (row + k)
-      and vre = Array1.unsafe_get xre k
-      and vim = Array1.unsafe_get xim k in
-      acc_re := !acc_re +. ((are *. vre) -. (aim *. vim));
-      acc_im := !acc_im +. ((are *. vim) +. (aim *. vre))
-    done;
-    Array1.unsafe_set y.Vec.re i !acc_re;
-    Array1.unsafe_set y.Vec.im i !acc_im
-  done
-
 (* The LU workspace owns its factor storage, so a sweep reuses one
    workspace across every frequency point instead of allocating a
    fresh factor per factorization. *)
@@ -373,159 +336,6 @@ let lu_solve_into ({ mat = m; perm; _ } as lu) ~(b : Vec.t) ~(x : Vec.t) =
     Array1.unsafe_set x.Vec.im i (Array1.unsafe_get b.Vec.im p)
   done;
   lu_substitute lu x
-
-(* Multi-RHS back-solve: [b] and [x] are n×k blocks whose column [r]
-   is the r-th right-hand side / solution. The substitution recurrence
-   accumulates in place row by row with the RHS index in the innermost
-   loop, so for each (i, j) the k column updates read two contiguous
-   runs — SIMD-amenable and one pass of the factor per block instead
-   of one pass per right-hand side. Per column the operation sequence
-   (and so every rounding) is exactly {!lu_solve_into}'s. *)
-let lu_solve_block_into { mat = m; perm; _ } ~b ~x =
-  let n = m.nrows in
-  let k = b.ncols in
-  if b.nrows <> n || x.nrows <> n || x.ncols <> k then
-    invalid_arg "Cmat.lu_solve_block_into: dimension mismatch";
-  let dre = m.re and dim = m.im in
-  let xre = x.re and xim = x.im in
-  (* x <- P b *)
-  for i = 0 to n - 1 do
-    let p = Array.unsafe_get perm i in
-    let ri = i * k and rp = p * k in
-    for r = 0 to k - 1 do
-      Array1.unsafe_set xre (ri + r) (Array1.unsafe_get b.re (rp + r));
-      Array1.unsafe_set xim (ri + r) (Array1.unsafe_get b.im (rp + r))
-    done
-  done;
-  (* forward substitution: L y = P b, unit diagonal *)
-  for i = 1 to n - 1 do
-    let mi = i * n and ri = i * k in
-    for j = 0 to i - 1 do
-      let l_re = Array1.unsafe_get dre (mi + j)
-      and l_im = Array1.unsafe_get dim (mi + j) in
-      if l_re <> 0.0 || l_im <> 0.0 then begin
-        let rj = j * k in
-        for r = 0 to k - 1 do
-          let v_re = Array1.unsafe_get xre (rj + r)
-          and v_im = Array1.unsafe_get xim (rj + r) in
-          Array1.unsafe_set xre (ri + r)
-            (Array1.unsafe_get xre (ri + r) -. ((l_re *. v_re) -. (l_im *. v_im)));
-          Array1.unsafe_set xim (ri + r)
-            (Array1.unsafe_get xim (ri + r) -. ((l_re *. v_im) +. (l_im *. v_re)))
-        done
-      end
-    done
-  done;
-  (* back substitution: U x = y *)
-  for i = n - 1 downto 0 do
-    let mi = i * n and ri = i * k in
-    for j = i + 1 to n - 1 do
-      let u_re = Array1.unsafe_get dre (mi + j)
-      and u_im = Array1.unsafe_get dim (mi + j) in
-      if u_re <> 0.0 || u_im <> 0.0 then begin
-        let rj = j * k in
-        for r = 0 to k - 1 do
-          let v_re = Array1.unsafe_get xre (rj + r)
-          and v_im = Array1.unsafe_get xim (rj + r) in
-          Array1.unsafe_set xre (ri + r)
-            (Array1.unsafe_get xre (ri + r) -. ((u_re *. v_re) -. (u_im *. v_im)));
-          Array1.unsafe_set xim (ri + r)
-            (Array1.unsafe_get xim (ri + r) -. ((u_re *. v_im) +. (u_im *. v_re)))
-        done
-      end
-    done;
-    let p_re = Array1.unsafe_get dre (mi + i)
-    and p_im = Array1.unsafe_get dim (mi + i) in
-    if Float.abs p_re >= Float.abs p_im then begin
-      let r = p_im /. p_re in
-      let d = p_re +. (r *. p_im) in
-      for c = 0 to k - 1 do
-        let a_re = Array1.unsafe_get xre (ri + c)
-        and a_im = Array1.unsafe_get xim (ri + c) in
-        Array1.unsafe_set xre (ri + c) ((a_re +. (r *. a_im)) /. d);
-        Array1.unsafe_set xim (ri + c) ((a_im -. (r *. a_re)) /. d)
-      done
-    end
-    else begin
-      let r = p_re /. p_im in
-      let d = p_im +. (r *. p_re) in
-      for c = 0 to k - 1 do
-        let a_re = Array1.unsafe_get xre (ri + c)
-        and a_im = Array1.unsafe_get xim (ri + c) in
-        Array1.unsafe_set xre (ri + c) (((r *. a_re) +. a_im) /. d);
-        Array1.unsafe_set xim (ri + c) (((r *. a_im) -. a_re) /. d)
-      done
-    end
-  done
-
-(* Aᵀ x = b through the same factor: with P·A = L·U, Aᵀ = Uᵀ·Lᵀ·P,
-   so Uᵀ w = b runs forward, Lᵀ v = w backward, and x = Pᵀ v. Each
-   pass is column-oriented over the row-major factor, so it reads
-   contiguous rows. Off the hot paths: boxed arithmetic, O(n²). *)
-let lu_solve_transpose_into { mat = m; perm; _ } ~(b : Vec.t) ~(x : Vec.t) =
-  let n = m.nrows in
-  if Vec.length b <> n || Vec.length x <> n then
-    invalid_arg "Cmat.lu_solve_transpose_into: dimension mismatch";
-  let f i j =
-    { Complex.re = Array1.get m.re ((i * n) + j); im = Array1.get m.im ((i * n) + j) }
-  in
-  let w = Array.init n (Vec.get b) in
-  for i = 0 to n - 1 do
-    w.(i) <- Complex.div w.(i) (f i i);
-    for j = i + 1 to n - 1 do
-      w.(j) <- Complex.sub w.(j) (Complex.mul (f i j) w.(i))
-    done
-  done;
-  for i = n - 1 downto 1 do
-    for j = 0 to i - 1 do
-      w.(j) <- Complex.sub w.(j) (Complex.mul (f i j) w.(i))
-    done
-  done;
-  Array.iteri (fun i v -> Vec.set x perm.(i) v) w
-
-(* ‖|L̂||Û|‖∞ as |L̂|·(|Û|·1): first the row sums of |Û|, then one
-   pass of the unit-diagonal |L̂| over them, O(n²) in all. *)
-let lu_abs_norm_inf { mat = m; _ } =
-  let n = m.nrows in
-  let dre = m.re and dim = m.im in
-  let[@inline always] mag k =
-    Float.abs (Array1.unsafe_get dre k) +. Float.abs (Array1.unsafe_get dim k)
-  in
-  let u_rows = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    let acc = ref 0.0 in
-    for j = i to n - 1 do
-      acc := !acc +. mag ((i * n) + j)
-    done;
-    u_rows.(i) <- !acc
-  done;
-  let best = ref 0.0 in
-  for i = 0 to n - 1 do
-    let acc = ref u_rows.(i) in
-    for j = 0 to i - 1 do
-      acc := !acc +. (mag ((i * n) + j) *. Array.unsafe_get u_rows j)
-    done;
-    if !acc > !best || Float.is_nan !acc then best := !acc
-  done;
-  !best
-
-(* Σᵢ |yᵢ| Σₖ |aᵢₖ| |xₖ| with |z| = |re| + |im|. *)
-let abs_bilinear a ~(y : Vec.t) ~(x : Vec.t) =
-  if a.nrows <> Vec.length y || a.ncols <> Vec.length x then
-    invalid_arg "Cmat.abs_bilinear: dimension mismatch";
-  let mag (p : plane) (q : plane) k = Float.abs (Array1.get p k) +. Float.abs (Array1.get q k) in
-  let acc = ref 0.0 in
-  for i = 0 to a.nrows - 1 do
-    let yi = mag y.Vec.re y.Vec.im i in
-    if yi <> 0.0 then begin
-      let row = ref 0.0 in
-      for k = 0 to a.ncols - 1 do
-        row := !row +. (mag a.re a.im ((i * a.ncols) + k) *. mag x.Vec.re x.Vec.im k)
-      done;
-      acc := !acc +. (yi *. !row)
-    end
-  done;
-  !acc
 
 let solve a b =
   let n = Array.length b in

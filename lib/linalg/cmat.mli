@@ -71,8 +71,7 @@ val prefix : t -> int -> t
 val reshape : t -> rows:int -> cols:int -> t
 (** [reshape m ~rows ~cols] is a [rows x cols] matrix on the leading
     elements of [m]'s planes, shared without a copy: one grown-only
-    buffer serves blocks of every shape up to its size ({!blit} needs
-    planes of exactly [rows·cols]). Raises [Invalid_argument] when [m]
+    buffer serves blocks of every shape up to its size. Raises [Invalid_argument] when [m]
     holds fewer elements. *)
 
 val rows : t -> int
@@ -90,9 +89,6 @@ val add_to : t -> int -> int -> Complex.t -> unit
 (** [add_to m i j v] accumulates [v] into entry [(i, j)] — the
     stamping primitive used by MNA. *)
 
-val blit : src:t -> dst:t -> unit
-(** Copy [src] over [dst]; both must have the same dimensions. *)
-
 val of_arrays : Complex.t array array -> t
 (** A matrix from boxed rows; raises [Invalid_argument] on ragged
     rows. *)
@@ -104,15 +100,6 @@ val fill_parts : t -> re:float array -> im_scale:float -> im:float array -> unit
     A(jω) = G + jωC from two real stamp planes without touching the
     stamping code. Both arrays must have exactly [rows * cols]
     elements. *)
-
-val norms_inf : t -> float * float
-(** The maximum absolute row sum under both entry magnitudes, from one
-    pass: [(with |re| + |im|, with {!norm2})]. The first is [nan] once
-    a row sum is; the second is the ∞-norm proper. *)
-
-val mul_vec_into : t -> x:Vec.t -> y:Vec.t -> unit
-(** [y <- A·x], zero allocation; [x] and [y] must be distinct
-    workspaces of matching dimensions. *)
 
 type lu
 (** A reusable partial-pivoting LU workspace of a square matrix. It
@@ -139,33 +126,6 @@ val lu_solve_into : lu -> b:Vec.t -> x:Vec.t -> unit
 (** Solve [A x = b] into [x] without allocating; [b] is not modified.
     [b] and [x] must be distinct (aliasing them corrupts the
     permutation step). *)
-
-val lu_solve_block_into : lu -> b:t -> x:t -> unit
-(** Multi-RHS back-solve: [b] and [x] are [n x k] blocks whose
-    columns are the right-hand sides / solutions ([n] = system
-    dimension, [k] = block width, element [(i, r)] at offset
-    [i*k + r]). One pass over the factor serves all [k] columns —
-    the factor stays hot in cache and the innermost loop runs
-    contiguously over the block — while each column's operation
-    order (hence every rounding) is exactly {!lu_solve_into}'s, so
-    results are bitwise-equal to [k] scalar solves. [b] and [x] must
-    be distinct. *)
-
-val lu_solve_transpose_into : lu -> b:Vec.t -> x:Vec.t -> unit
-(** Solve [Aᵀ x = b] (the transpose, not the conjugate transpose)
-    through the factor of [A]: one forward and one backward pass,
-    O(n²). [b] and [x] may not alias. *)
-
-val lu_abs_norm_inf : lu -> float
-(** [‖|L̂||Û|‖∞] of the last factorization in the workspace, with the
-    entry magnitude [|z| = |re| + |im|]: the quantity the LU backward
-    error bound (Higham, Thm 9.4: [|ΔA| ≤ γ₃ₙ|L̂||Û|]) scales. Row
-    order is the pivoted one, which leaves the norm unchanged. O(n²).
-    [nan] if an entry is [nan]. *)
-
-val abs_bilinear : t -> y:Vec.t -> x:Vec.t -> float
-(** [Σᵢ |yᵢ| Σₖ |aᵢₖ| |xₖ|], i.e. [|y|ᵀ|A||x|], with the entry
-    magnitude [|z| = |re| + |im|]. O(n²). *)
 
 val solve : t -> Complex.t array -> Complex.t array
 (** One-shot boxed [solve a b]: factorizes a fresh workspace; raises

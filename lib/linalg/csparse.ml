@@ -94,8 +94,8 @@ let max_row rows =
 
 (* The row-sum norm under both entry magnitudes, from one pass over
    the stored entries: (max row sum of |re| + |im|, max row sum of
-   {!Cmat.norm2}), like [Cmat.norms_inf] of the densified matrix:
-   absent entries contribute the zero their dense counterparts would.
+   {!Cmat.norm2}), the norms of the densified matrix: absent entries
+   contribute the zero their dense counterparts would.
    A [nan] row sum makes either result [nan]. *)
 let norms_inf p ~re ~im =
   check_values p re im;
@@ -215,8 +215,7 @@ end
 
 module Candidates = Set.Make (Candidate)
 
-let analyze p ~re ~im =
-  check_values p re im;
+let analyze_with ~partial p ~(re : plane) ~(im : plane) =
   let n = p.n in
   if n = 0 then
     {
@@ -305,22 +304,39 @@ let analyze p ~re ~im =
       cached.(c) <- best;
       Option.iter (fun b -> candidates := Candidates.add b !candidates) best
     in
-    for c = 0 to n - 1 do
-      reevaluate c
-    done;
+    if not partial then
+      for c = 0 to n - 1 do
+        reevaluate c
+      done;
     let roworder = Array.make n 0 and colorder = Array.make n 0 in
     let lcols = Array.make n [] and urows = Array.make n [] in
     let touched = Array.make n (-1) in
     for k = 0 to n - 1 do
       (* The pivot is the least candidate over every active column: the
-         minimum of the column minima under the same total order. *)
-      let { Candidate.row = r; col = c; _ } =
-        match Candidates.min_elt_opt !candidates with
-        | Some b -> b
-        | None -> raise Cmat.Singular
+         minimum of the column minima under the same total order. With
+         [partial], column k and its largest entry (the smaller row on
+         a tie), as a dense partial-pivoted LU takes them. *)
+      let r, c =
+        if partial then begin
+          let r, m =
+            Hashtbl.fold
+              (fun i s (br, bm) ->
+                let m = mag s in
+                if m > bm || (m = bm && i < br) then (i, m) else (br, bm))
+              col_tbl.(k) (-1, 0.0)
+          in
+          if not (m > tiny) then raise Cmat.Singular;
+          (r, k)
+        end
+        else begin
+          match Candidates.min_elt_opt !candidates with
+          | Some { Candidate.row; col; _ } ->
+              candidates := Candidates.remove (Option.get cached.(col)) !candidates;
+              cached.(col) <- None;
+              (row, col)
+          | None -> raise Cmat.Singular
+        end
       in
-      candidates := Candidates.remove (Option.get cached.(c)) !candidates;
-      cached.(c) <- None;
       roworder.(k) <- r;
       colorder.(k) <- c;
       let lrows =
@@ -375,7 +391,7 @@ let analyze p ~re ~im =
          r or took fill, and every column holding a row whose count
          moved. *)
       let touch j =
-        if touched.(j) <> k then begin
+        if (not partial) && touched.(j) <> k then begin
           touched.(j) <- k;
           reevaluate j
         end
@@ -422,6 +438,19 @@ let analyze p ~re ~im =
     }
   end
 
+(* The Markowitz order trades stability for sparsity, and on a badly
+   scaled matrix it can leave a remainder whose entries all sit below
+   the singularity threshold where another order would not: pivoting
+   an inductor's branch diagonal −jωL first, say, leaves its node's
+   row with conductances under a threshold that ωL sets. There the
+   analysis takes the dense LU's order instead — columns in order,
+   each on its largest entry — and the matrix is singular only if that
+   order fails too, as it would in the dense partial-pivoted LU. *)
+let analyze p ~re ~im =
+  check_values p re im;
+  try analyze_with ~partial:false p ~re ~im
+  with Cmat.Singular -> analyze_with ~partial:true p ~re ~im
+
 (* ---- numeric refactorization ---- *)
 
 type numeric = {
@@ -436,18 +465,31 @@ type numeric = {
   wim : plane;
 }
 
-let numeric sym =
-  {
-    sym;
-    lre = plane (Array.length sym.l_rowind);
-    lim = plane (Array.length sym.l_rowind);
-    ure = plane (Array.length sym.u_rowind);
-    uim = plane (Array.length sym.u_rowind);
-    dre = plane sym.pat.n;
-    dim_ = plane sym.pat.n;
-    wre = plane sym.pat.n;
-    wim = plane sym.pat.n;
-  }
+(* The eight planes live in one caller plane, in the order of the
+   record: L's and U's values, the diagonal, then the scatter
+   workspace, which {!refactor} needs zero between columns. *)
+let numeric sym ~store =
+  let nl = Array.length sym.l_rowind and nu = Array.length sym.u_rowind and n = sym.pat.n in
+  let len = (2 * nl) + (2 * nu) + (4 * n) in
+  let p = store len in
+  if Array1.dim p < len then invalid_arg "Csparse.numeric: store shorter than the factors";
+  let off = ref 0 in
+  let next k =
+    let v = Array1.sub p !off k in
+    off := !off + k;
+    v
+  in
+  let lre = next nl in
+  let lim = next nl in
+  let ure = next nu in
+  let uim = next nu in
+  let dre = next n in
+  let dim_ = next n in
+  let wre = next n in
+  let wim = next n in
+  Array1.fill wre 0.0;
+  Array1.fill wim 0.0;
+  { sym; lre; lim; ure; uim; dre; dim_; wre; wim }
 
 (* Left-looking refactorization over the static filled pattern. The
    workspace planes are owned by the [numeric] value, so refactoring is
@@ -698,11 +740,12 @@ let solve_transpose_into num ~(b : Bvec.t) ~(x : Bvec.t) =
   done;
   Array.iteri (fun k z -> Bvec.set x s.roworder.(k) z) w
 
-(* Multi-RHS back-solve mirroring {!Cmat.lu_solve_block_into}: [b]
-   and [x] are n×k row-major blocks whose column r is the r-th
-   right-hand side / solution, and per column the operation sequence is
-   exactly {!solve_into}'s. The permuted block lives in the caller's
-   [work], so a solve per frequency allocates nothing. *)
+(* Multi-RHS back-solve: [b] and [x] are n×k row-major blocks whose
+   column r is the r-th right-hand side / solution, and per column the
+   operation sequence is exactly {!solve_into}'s. One pass over the
+   factors serves all k columns, with the columns innermost. The
+   permuted block lives in the caller's [work], so a solve per
+   frequency allocates nothing. *)
 let solve_block_into num ~(work : Cmat.t) ~(b : Cmat.t) ~(x : Cmat.t) =
   let s = num.sym in
   let n = s.pat.n in

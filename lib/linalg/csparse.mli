@@ -42,8 +42,8 @@ val slot : pattern -> row:int -> col:int -> int
 val norms_inf : pattern -> re:plane -> im:plane -> float * float
 (** The row-sum infinity norm under both entry magnitudes, from one
     pass over the stored entries: [(max row sum of |re| + |im|,
-    max row sum of {!Cmat.norm2})]. The second equals the second of
-    {!Cmat.norms_inf} on the densified matrix. *)
+    max row sum of {!Cmat.norm2})]: the norms of the densified
+    matrix. *)
 
 val mul_vec_into :
   pattern -> re:plane -> im:plane -> x:Cmat.Vec.t -> y:Cmat.Vec.t -> unit
@@ -52,7 +52,8 @@ val mul_vec_into :
 
 val abs_bilinear :
   pattern -> re:plane -> im:plane -> y:Cmat.Vec.t -> x:Cmat.Vec.t -> float
-(** {!Cmat.abs_bilinear} over the stored entries: O(nnz). *)
+(** [Σᵢ |yᵢ| Σₖ |aᵢₖ| |xₖ|], i.e. [|y|ᵀ|A||x|], with the entry
+    magnitude [|z| = |re| + |im|], over the stored entries: O(nnz). *)
 
 val dense_into : pattern -> re:plane -> im:plane -> Cmat.t -> unit
 (** Densify into an off-heap matrix (zeroing it first) — the bridge to
@@ -73,10 +74,13 @@ val analyze : pattern -> re:plane -> im:plane -> symbolic
     smaller (row, column), so the order is a function of the pattern
     and values alone. Each column's best candidate is cached and only
     the columns a pivot changes (entries or row counts) are searched
-    again, so the search costs about the fill, not n per pivot. Raises
-    {!Cmat.Singular} when no acceptable pivot above the dense
-    singularity threshold exists (structural or numeric singularity at
-    the representative values). *)
+    again, so the search costs about the fill, not n per pivot. Where
+    that order runs out of pivots above the dense singularity
+    threshold, the analysis takes the dense LU's order instead
+    (columns in order, each on its largest entry, the smaller row on a
+    tie), the order {!Cmat.lu_factor} takes. Raises
+    {!Cmat.Singular} when both orders fail (structural or numeric
+    singularity at the representative values). *)
 
 val pivot_order : symbolic -> int array * int array
 (** [(roworder, colorder)]: the original row and column pivoted at
@@ -95,7 +99,14 @@ type numeric
     per frequency; {!refactor} is single-writer, solves on a factored
     workspace are read-only and safe from concurrent domains. *)
 
-val numeric : symbolic -> numeric
+val numeric : symbolic -> store:(int -> plane) -> numeric
+(** A workspace for [symbolic]'s factors on caller storage: [store len]
+    returns a plane of at least [len] elements, and the factors, the
+    diagonal and the scatter workspace are views of its first [len]
+    ([Invalid_argument] if it is shorter). The scatter part is zeroed;
+    the rest is written by {!refactor}. [~store:plane] gives fresh
+    storage; a caller that factors many systems passes views of
+    storage it recycles. *)
 
 val refactor : numeric -> re:plane -> im:plane -> unit
 (** Factor the values over the static pattern (left-looking, static
@@ -105,8 +116,9 @@ val refactor : numeric -> re:plane -> im:plane -> unit
 
 val lu_abs_norm_inf : numeric -> float
 (** [‖|L̂||Û|‖∞] of the last {!refactor}, with the entry magnitude
-    [|z| = |re| + |im|] and L̂'s unit diagonal: {!Cmat.lu_abs_norm_inf}
-    for the sparse factors, in O(nnz(L + U)). With [P A Q = L̂ Û] the
+    [|z| = |re| + |im|] and L̂'s unit diagonal, in O(nnz(L + U)): the
+    quantity the LU backward error bound (Higham, Thm 9.4:
+    [|ΔA| ≤ γ₃ₙ|L̂||Û|]) scales. With [P A Q = L̂ Û] the
     permutations move whole rows and entries within a row, so this is
     also the norm of [Pᵀ|L̂||Û|Qᵀ], the scale of the backward error of
     a solve on the original system (Higham, Thm 9.4). [nan] once a
@@ -123,8 +135,10 @@ val solve_transpose_into : numeric -> b:Cmat.Vec.t -> x:Cmat.Vec.t -> unit
     the same factors, O(fill). [b] and [x] must not alias. *)
 
 val solve_block_into : numeric -> work:Cmat.t -> b:Cmat.t -> x:Cmat.t -> unit
-(** Multi-RHS variant mirroring {!Cmat.lu_solve_block_into}: [b]
-    and [x] are n×k row-major blocks, column r the r-th right-hand
-    side/solution; per column the operation order is exactly
-    {!solve_into}'s. [work], a third n×k block distinct from both,
+(** Multi-RHS back-solve: [b] and [x] are n×k row-major blocks
+    (element [(i, r)] at offset [i*k + r]), column r the r-th
+    right-hand side/solution. One pass over the factors serves all k
+    columns, while per column the operation order (hence every
+    rounding) is exactly {!solve_into}'s, so results are bitwise-equal
+    to k single solves. [work], a third n×k block distinct from both,
     holds the permuted intermediate, so the call allocates nothing. *)

@@ -342,14 +342,14 @@ let prepare_with ~open_engine ~criterion grid structure f =
     open_view_engine ~open_engine structure (fun ~fallback sim ->
         f (live_view ~criterion ~structure grid ~fallback sim))
 
-let prepare_view ?backend ?(criterion = default_criterion) ?faults probe grid netlist =
+let prepare_view ?(criterion = default_criterion) ?faults probe grid netlist =
   (* One engine per view: the fault-free factors are built
      once per frequency and shared by the envelope preparation and by
      every fault's rank-1 solve. *)
   prepare_with
     ~open_engine:(fun netlist k ->
       k
-        (Fastsim.create ?backend ~source:probe.source ~output:probe.output
+        (Fastsim.create ~source:probe.source ~output:probe.output
            ~freqs_hz:(Grid.freqs_hz grid) netlist))
     ~criterion grid (structure ?faults probe netlist) Fun.id
 
@@ -419,8 +419,8 @@ let result_of pv subs grid fault =
   end;
   result_of_regions grid fault !intervals
 
-let analyze ?backend ?criterion probe grid netlist faults =
-  let pv = prepare_view ?backend ?criterion ~faults probe grid netlist in
+let analyze ?criterion probe grid netlist faults =
+  let pv = prepare_view ?criterion ~faults probe grid netlist in
   let subs = reference_thresholds pv in
   List.map (result_of pv subs grid) faults
 

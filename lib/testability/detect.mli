@@ -148,7 +148,6 @@ type prepared_view
     are scored ({!score_rows}, {!analyze}). *)
 
 val prepare_view :
-  ?backend:Fastsim.backend ->
   ?criterion:criterion ->
   ?faults:Fault.t list ->
   probe -> Grid.t -> Netlist.t -> prepared_view
@@ -252,7 +251,6 @@ val result_of_verdicts : Grid.t -> Fault.t -> Bytes.t -> result
     on a length mismatch. *)
 
 val analyze :
-  ?backend:Fastsim.backend ->
   ?criterion:criterion -> probe -> Grid.t -> Netlist.t -> Fault.t list -> result list
 (** Analyze a fault list against one circuit: one {!prepare_view}, then
     per fault a whole boxed faulty response reduced point by point —

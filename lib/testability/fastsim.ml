@@ -4,16 +4,6 @@ module Cmat = Linalg.Cmat
 module Bvec = Cmat.Vec
 module Csparse = Linalg.Csparse
 
-(* Which factorization serves the fault-free system. [Auto] measures
-   the view: below the crossover dimension the dense planar kernels
-   win on locality and the sparse ordering overhead cannot pay for
-   itself, so small circuits keep the dense path (and its bitwise
-   behaviour) unconditionally. *)
-type backend = Dense | Sparse | Auto
-
-let auto_crossover_n = 64
-let auto_pick ~n ~nnz = n >= auto_crossover_n && 8 * nnz <= n * n
-
 (* A sparse ±1 stamp pattern: the nonzero rows of the rank-1 factor u,
    as (index, sign) pairs. *)
 type pat = (int * float) list
@@ -33,19 +23,24 @@ type cls =
 (* ---- recycled engine storage ----
 
    An engine built inside {!with_engine} takes its per-frequency
-   buffers from a workspace of its pool, sized for the largest system
-   the pool serves; a smaller engine uses the leading part of each
-   buffer ({!Cmat.prefix}). Leaving the bracket bumps the workspace's
-   generation — every engine built on it is dead from then on — and
-   hands the workspace back to the pool, so the next engine, of
-   whatever dimension up to the workspace's, reuses all of it. *)
+   storage from a workspace of its pool. The right-hand side and
+   nominal-solution vectors are sized for the largest dimension the
+   pool serves, and a smaller engine uses their leading part
+   ({!Bvec.prefix}). A(jω)'s values and its sparse factors lie in one
+   plane per frequency that only grows: an engine takes views of its
+   leading part, as many elements as its pattern and fill need.
+   Leaving the bracket bumps the workspace's generation — every engine
+   built on it is dead from then on — and hands the workspace back to
+   the pool, so the next engine, of whatever dimension up to the
+   workspace's, reuses all of it. *)
 
 type workspace = {
   ws_n : int;  (* the largest dimension it serves *)
-  mutable ws_a : Cmat.t array;  (* dense engines only; [||] until one needs it *)
-  mutable ws_lu : Cmat.lu array;
+  pooled : bool;  (* a pool's, which counts its allocations and grows its planes with headroom *)
   mutable ws_b : Bvec.t array;
   mutable ws_x0 : Bvec.t array;
+  mutable ws_planes : Csparse.plane array;  (* per frequency: A(jω)'s values, then its factors *)
+  mutable ws_vals : Csparse.plane;  (* the values an analysis reads *)
   gen : int Atomic.t;  (* bumped when a bracket ends *)
 }
 
@@ -55,8 +50,16 @@ type pool = { pool_lock : Mutex.t; mutable idle : workspace list; pool_dim : int
 
 let pool ~dim = { pool_lock = Mutex.create (); idle = []; pool_dim = dim }
 
-let workspace_create n =
-  { ws_n = n; ws_a = [||]; ws_lu = [||]; ws_b = [||]; ws_x0 = [||]; gen = Atomic.make 0 }
+let workspace_create ~pooled n =
+  {
+    ws_n = n;
+    pooled;
+    ws_b = [||];
+    ws_x0 = [||];
+    ws_planes = [||];
+    ws_vals = Csparse.plane 0;
+    gen = Atomic.make 0;
+  }
 
 (* The smallest idle workspace of [pool] that holds dimension [n], or
    a new one sized for the pool's dimension (or [n], if larger). *)
@@ -75,49 +78,58 @@ let acquire_workspace pool n =
       | Some ws ->
           pool.idle <- List.filter (fun w -> w != ws) pool.idle;
           ws
-      | None -> workspace_create (Int.max n pool.pool_dim))
+      | None -> workspace_create ~pooled:true (Int.max n pool.pool_dim))
 
-(* Size the per-frequency buffers for [nf] frequencies (plus A(jω) and
-   its LU for a dense engine), keeping every buffer already there. *)
-let ensure_buffers ws ~nf ~dense =
+(* Size the per-frequency vectors for [nf] frequencies, keeping every
+   buffer already there; whether anything was allocated. *)
+let ensure_vectors ws ~nf =
   let n = ws.ws_n in
   let grow arr make =
     let have = Array.length arr in
     if have >= nf then arr
     else Array.init nf (fun i -> if i < have then arr.(i) else make ())
   in
-  let short = Array.length ws.ws_b < nf || (dense && Array.length ws.ws_a < nf) in
+  let short = Array.length ws.ws_b < nf in
   if short then begin
-    Obs.Metrics.incr "fastsim.workspace_allocs";
     ws.ws_b <- grow ws.ws_b (fun () -> Bvec.create n);
     ws.ws_x0 <- grow ws.ws_x0 (fun () -> Bvec.create n);
-    if dense then begin
-      ws.ws_a <- grow ws.ws_a (fun () -> Cmat.create n n);
-      ws.ws_lu <- grow ws.ws_lu (fun () -> Cmat.lu_create n)
-    end
-  end
+    ws.ws_planes <- grow ws.ws_planes (fun () -> Csparse.plane 0)
+  end;
+  short
+
+(* A plane of at least [len] elements in place of [p]: [p] itself if
+   it is long enough. A pooled workspace grows by half again at least,
+   so engines whose fill creeps up one after another do not reallocate
+   each time. *)
+let grown ws (p : Csparse.plane) len =
+  let cap = Bigarray.Array1.dim p in
+  if cap >= len then p
+  else Csparse.plane (if ws.pooled then Int.max len (cap + (cap / 2)) else len)
 
 let release pool ws =
   Atomic.incr ws.gen;
   Mutex.protect pool.pool_lock (fun () -> pool.idle <- ws :: pool.idle)
 
-(* The factored fault-free system at one frequency. The dense arm
-   keeps the assembled A(jω) for residuals and perturbed-copy
-   fallbacks; the sparse arm keeps only the nnz value planes plus the
-   sparse factors — O(nnz + fill) per frequency instead of O(n²) —
-   and densifies on demand for the rare full fallback. *)
-type solver =
-  | Dense_solver of { da : Cmat.t; dlu : Cmat.lu }
-  | Sparse_solver of {
-      spat : Csparse.pattern;
-      sre : Csparse.plane;  (* A(jω) values, slot order of [spat] *)
-      sim_ : Csparse.plane;
-      num : Csparse.numeric;  (* factored; shared symbolic analysis *)
-    }
+(* The factored fault-free system at one frequency: A(jω)'s values,
+   slot order of the engine's pattern, and its sparse factors —
+   O(nnz + fill) per frequency, views of the frequency's plane. The
+   dense fallbacks densify on demand. *)
+type freq_state = {
+  omega : float;
+  spat : Csparse.pattern;
+  sre : Csparse.plane;
+  sim_ : Csparse.plane;
+  num : Csparse.numeric;
+  anorm : float Atomic.t;  (* ‖A(jω)‖∞, nan until {!bound_of} or a point first reads it *)
+  b : Bvec.t;
+  bnorm : float;
+  x0 : Bvec.t;
+  bound : bound_data option Atomic.t;  (* built at the first rank-1 point *)
+}
 
-(* What the a-priori residual bound reads of one frequency, on either
-   backend (see {!bound_clears}); magnitudes use |z|₁ = |re| + |im|. *)
-type bound_data = {
+(* What the a-priori residual bound reads of one frequency (see
+   {!bound_clears}); magnitudes use |z|₁ = |re| + |im|. *)
+and bound_data = {
   r0 : float;  (* upper bound on ‖b − A x̂₀‖ *)
   a1 : float;  (* ‖A‖ *)
   b1 : float;  (* ‖b‖ *)
@@ -128,37 +140,7 @@ type bound_data = {
   g_mv : float;  (* γₙ₊₈: the residual mat-vec's rounding constant *)
 }
 
-type freq_state = {
-  omega : float;
-  solver : solver;
-  anorm : float Atomic.t;  (* ‖A(jω)‖∞, nan until {!bound_of} or a point first reads it *)
-  b : Bvec.t;
-  bnorm : float;
-  x0 : Bvec.t;
-  bound : bound_data option Atomic.t;  (* built at the first rank-1 point *)
-}
-
-(* Backend dispatch for the four operations the solve paths need. The
-   residual gate downstream makes the two arms interchangeable: both
-   produce solutions the gate re-verifies against the same A(jω). A
-   point the a-priori bound clears skips the gate, on either backend,
-   because the bound proves the gate would pass. *)
-
-let solver_solve_into fs ~b ~x =
-  match fs.solver with
-  | Dense_solver { dlu; _ } -> Cmat.lu_solve_into dlu ~b ~x
-  | Sparse_solver { num; _ } -> Csparse.solve_into num ~b ~x
-
-let solver_solve_block_into fs ~work ~b ~x =
-  match fs.solver with
-  | Dense_solver { dlu; _ } -> Cmat.lu_solve_block_into dlu ~b ~x
-  | Sparse_solver { num; _ } -> Csparse.solve_block_into num ~work ~b ~x
-
-let solver_mul_vec_into fs ~x ~y =
-  match fs.solver with
-  | Dense_solver { da; _ } -> Cmat.mul_vec_into da ~x ~y
-  | Sparse_solver { spat; sre; sim_; _ } ->
-      Csparse.mul_vec_into spat ~re:sre ~im:sim_ ~x ~y
+let mul_vec_into fs ~x ~y = Csparse.mul_vec_into fs.spat ~re:fs.sre ~im:fs.sim_ ~x ~y
 
 (* ‖A(jω)‖∞, taken at the first point that reads it, so an engine that
    only reports its nominal (Monte-Carlo's sweeps) never pays the pass
@@ -170,21 +152,10 @@ let anorm fs =
   let v = Atomic.get fs.anorm in
   if not (Float.is_nan v) then v
   else begin
-    let v =
-      match fs.solver with
-      | Dense_solver { da; _ } -> snd (Cmat.norms_inf da)
-      | Sparse_solver { spat; sre; sim_; _ } -> snd (Csparse.norms_inf spat ~re:sre ~im:sim_)
-    in
+    let v = snd (Csparse.norms_inf fs.spat ~re:fs.sre ~im:fs.sim_) in
     Atomic.set fs.anorm v;
     v
   end
-
-(* Materialize A(jω) into a dense workspace (the full-refactorization
-   fallback's starting point). *)
-let solver_dense_into fs dst =
-  match fs.solver with
-  | Dense_solver { da; _ } -> Cmat.blit ~src:da ~dst
-  | Sparse_solver { spat; sre; sim_; _ } -> Csparse.dense_into spat ~re:sre ~im:sim_ dst
 
 type t = {
   netlist : Netlist.t;
@@ -196,6 +167,7 @@ type t = {
   nominal : Complex.t array;
   slot_of : (string, int) Hashtbl.t;  (* passive -> its stamp pattern's slot *)
   slot_pats : pat array;
+  analysis : (Csparse.pattern * Csparse.symbolic) option;  (* the one the refactors share *)
   lease : (workspace * int) option;  (* bracket storage and its generation *)
 }
 
@@ -402,156 +374,146 @@ let intern_slots index netlist =
     (Netlist.elements netlist);
   (slot_of, Array.of_list (List.rev !pats))
 
-(* [acquire n] is the bracket's workspace for dimension [n], or [None]
-   for storage of the engine's own. *)
-let build ~acquire ?(backend = Auto) ~source ~output ~freqs_hz netlist =
+let singular_at netlist f_hz =
+  raise
+    (Mna.Ac.Singular_circuit
+       (Printf.sprintf "MNA matrix singular at f = %g Hz for %S" f_hz (Netlist.title netlist)))
+
+(* The engine of [netlist] on the workspace [acquire n] returns for
+   its dimension [n], with the lease a bracket checks. One symbolic
+   Markowitz analysis serves every frequency: [analysis] if it is given
+   for this pattern (a Monte-Carlo sample refactors on its nominal's),
+   else one on the values at the grid's middle frequency — the pattern
+   is fixed and entry magnitudes vary smoothly in ω, so one pivot order
+   serves the whole sweep, and per-frequency work is a numeric
+   refactorization in that fixed pattern. Where a refactorization under those static
+   pivots meets a pivot below the singularity threshold (or the
+   analysis itself found none), the frequency's own values get an
+   analysis of their own, booked as [fastsim.reanalyses]: the system
+   is singular only if that one fails too, as a partial-pivoted dense
+   LU would decide from the same values. *)
+let build ~acquire ?analysis ~source ~output ~freqs_hz netlist =
   Obs.Trace.span "fastsim.create" @@ fun () ->
   let index = Mna.Index.build netlist in
   let n = Mna.Index.size index in
+  let ws, lease = acquire n in
   let nf = Array.length freqs_hz in
-  let ws = acquire n in
   let out_idx = Mna.Index.node index output in
   let slot_of, slot_pats = intern_slots index netlist in
-  let singular_at f_hz =
-    raise
-      (Mna.Ac.Singular_circuit
-         (Printf.sprintf "MNA matrix singular at f = %g Hz for %S" f_hz
-            (Netlist.title netlist)))
+  let sp = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) index netlist in
+  let spat = Mna.Stamps.sparse_pattern sp and nnz = Mna.Stamps.sparse_nnz sp in
+  if ensure_vectors ws ~nf && ws.pooled then Obs.Metrics.incr "fastsim.workspace_allocs";
+  let grow = grown ws in
+  (* The frequency's values, written into the analysis plane. *)
+  let values omega =
+    ws.ws_vals <- grow ws.ws_vals (2 * nnz);
+    let re = Bigarray.Array1.sub ws.ws_vals 0 nnz
+    and im = Bigarray.Array1.sub ws.ws_vals nnz nnz in
+    Mna.Stamps.fill_sparse sp ~omega ~re ~im;
+    (re, im)
   in
-  (* [Auto] never pays the sparse build below the dimension crossover;
-     above it the decision needs nnz, which the build provides. *)
-  let sparse_stamps =
-    match backend with
-    | Dense -> None
-    | Auto when n < auto_crossover_n || Array.length freqs_hz = 0 -> None
-    | Sparse | Auto -> (
-        let sp =
-          Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) index netlist
-        in
-        match backend with
-        | Sparse -> Some sp
-        | _ -> if auto_pick ~n ~nnz:(Mna.Stamps.sparse_nnz sp) then Some sp else None)
+  let analyze (re, im) =
+    Obs.Metrics.time "mna.analyze_s" (fun () -> Csparse.analyze spat ~re ~im)
   in
-  Option.iter (ensure_buffers ~nf ~dense:(Option.is_none sparse_stamps)) ws;
-  (* Per-frequency buffers: the leading n-by-n part of the
-     workspace's, or fresh ones. *)
-  let buffer pick prefix make i =
-    match ws with Some ws -> prefix (pick ws).(i) n | None -> make ()
+  let analysis =
+    match analysis with
+    | Some (p, sym) when p = spat -> Some (p, sym)
+    | _ when nf = 0 -> None
+    | _ -> (
+        match analyze (values (2.0 *. Float.pi *. freqs_hz.(nf / 2))) with
+        | exception Cmat.Singular -> None
+        | sym -> Some (spat, sym))
   in
-  let vec pick i = buffer pick Bvec.prefix (fun () -> Bvec.create n) i in
+  (* Frequency [i] factored under [sym]: its values, then the factors,
+     in views of its plane. Raises [Cmat.Singular] from the
+     refactorization. *)
+  let factor i omega sym =
+    let num =
+      Csparse.numeric sym ~store:(fun len ->
+          ws.ws_planes.(i) <- grow ws.ws_planes.(i) ((2 * nnz) + len);
+          Bigarray.Array1.sub ws.ws_planes.(i) (2 * nnz) len)
+    in
+    let plane = ws.ws_planes.(i) in
+    let sre = Bigarray.Array1.sub plane 0 nnz and sim_ = Bigarray.Array1.sub plane nnz nnz in
+    Mna.Stamps.fill_sparse sp ~omega ~re:sre ~im:sim_;
+    Obs.Metrics.time "mna.factor_s" (fun () -> Csparse.refactor num ~re:sre ~im:sim_);
+    (sre, sim_, num)
+  in
+  let reanalyzed i omega f_hz =
+    Obs.Metrics.incr "fastsim.reanalyses";
+    match factor i omega (analyze (values omega)) with
+    | exception Cmat.Singular -> singular_at netlist f_hz
+    | r -> r
+  in
   let freqs =
-    match sparse_stamps with
-    | None ->
-        let stamps =
-          Mna.Stamps.build ~sources:(Mna.Assemble.Only source) index netlist
+    Array.mapi
+      (fun i f_hz ->
+        let omega = 2.0 *. Float.pi *. f_hz in
+        let sre, sim_, num =
+          match analysis with
+          | None -> reanalyzed i omega f_hz
+          | Some (_, sym) -> (
+              match factor i omega sym with
+              | exception Cmat.Singular -> reanalyzed i omega f_hz
+              | r -> r)
         in
-        Array.mapi
-          (fun i f_hz ->
-            let omega = 2.0 *. Float.pi *. f_hz in
-            let a = buffer (fun ws -> ws.ws_a) Cmat.prefix (fun () -> Cmat.create n n) i in
-            Mna.Stamps.fill stamps ~omega a;
-            let b = vec (fun ws -> ws.ws_b) i in
-            Mna.Stamps.rhs_into stamps ~omega b;
-            let lu =
-              buffer (fun ws -> ws.ws_lu) Cmat.lu_prefix (fun () -> Cmat.lu_create n) i
-            in
-            match
-              Obs.Metrics.time "mna.factor_s" (fun () -> Cmat.lu_factor_into lu a)
-            with
-            | exception Cmat.Singular -> singular_at f_hz
-            | () ->
-                let x0 = vec (fun ws -> ws.ws_x0) i in
-                Cmat.lu_solve_into lu ~b ~x:x0;
-                {
-                  omega;
-                  solver = Dense_solver { da = a; dlu = lu };
-                  anorm = Atomic.make Float.nan;
-                  b;
-                  bnorm = Bvec.norm_inf b;
-                  x0;
-                  bound = Atomic.make None;
-                })
-          freqs_hz
-    | Some sp ->
-        let spat = Mna.Stamps.sparse_pattern sp in
-        let nnz = Mna.Stamps.sparse_nnz sp in
-        (* One symbolic Markowitz analysis per netlist, on the values
-           at the grid's middle frequency (the pattern is fixed and
-           entry magnitudes vary smoothly in ω, so one pivot order
-           serves the whole sweep); per-frequency work is then a
-           numeric refactorization in that fixed pattern. *)
-        let sym =
-          let mid_hz = freqs_hz.(Array.length freqs_hz / 2) in
-          let re = Csparse.plane nnz and im = Csparse.plane nnz in
-          Mna.Stamps.fill_sparse sp ~omega:(2.0 *. Float.pi *. mid_hz) ~re ~im;
-          match
-            Obs.Metrics.time "mna.analyze_s" (fun () -> Csparse.analyze spat ~re ~im)
-          with
-          | exception Cmat.Singular -> singular_at mid_hz
-          | sym -> sym
-        in
-        Array.mapi
-          (fun i f_hz ->
-            let omega = 2.0 *. Float.pi *. f_hz in
-            let sre = Csparse.plane nnz and sim_ = Csparse.plane nnz in
-            Mna.Stamps.fill_sparse sp ~omega ~re:sre ~im:sim_;
-            let b = vec (fun ws -> ws.ws_b) i in
-            Mna.Stamps.sparse_rhs_into sp ~omega b;
-            let num = Csparse.numeric sym in
-            (match
-               Obs.Metrics.time "mna.factor_s" (fun () ->
-                   Csparse.refactor num ~re:sre ~im:sim_)
-             with
-            | exception Cmat.Singular -> singular_at f_hz
-            | () -> ());
-            let x0 = vec (fun ws -> ws.ws_x0) i in
-            Csparse.solve_into num ~b ~x:x0;
-            {
-              omega;
-              solver = Sparse_solver { spat; sre; sim_; num };
-              anorm = Atomic.make Float.nan;
-              b;
-              bnorm = Bvec.norm_inf b;
-              x0;
-              bound = Atomic.make None;
-            })
-          freqs_hz
+        let b = Bvec.prefix ws.ws_b.(i) n in
+        Mna.Stamps.sparse_rhs_into sp ~omega b;
+        let x0 = Bvec.prefix ws.ws_x0.(i) n in
+        Csparse.solve_into num ~b ~x:x0;
+        {
+          omega;
+          spat;
+          sre;
+          sim_;
+          num;
+          anorm = Atomic.make Float.nan;
+          b;
+          bnorm = Bvec.norm_inf b;
+          x0;
+          bound = Atomic.make None;
+        })
+      freqs_hz
   in
   let nominal =
     Array.map
       (fun fs -> match out_idx with None -> Complex.zero | Some i -> Bvec.get fs.x0 i)
       freqs
   in
-  {
-    netlist;
-    source;
-    output;
-    out_idx;
-    n;
-    freqs;
-    nominal;
-    slot_of;
-    slot_pats;
-    lease = Option.map (fun ws -> (ws, Atomic.get ws.gen)) ws;
-  }
+  { netlist; source; output; out_idx; n; freqs; nominal; slot_of; slot_pats; analysis; lease }
 
-let create ?backend ~source ~output ~freqs_hz netlist =
-  build ~acquire:(fun _ -> None) ?backend ~source ~output ~freqs_hz netlist
+let create ~source ~output ~freqs_hz netlist =
+  build
+    ~acquire:(fun n -> (workspace_create ~pooled:false n, None))
+    ~source ~output ~freqs_hz netlist
 
-let with_engine ~pool ~source ~output ~freqs_hz netlist f =
+let bracket ~pool ?analysis ~source ~output ~freqs_hz netlist f =
   let leased = ref None in
   let acquire n =
     let ws = acquire_workspace pool n in
     leased := Some ws;
-    Some ws
+    (ws, Some (ws, Atomic.get ws.gen))
   in
   Fun.protect
     ~finally:(fun () -> Option.iter (release pool) !leased)
-    (fun () -> f (build ~acquire ~source ~output ~freqs_hz netlist))
+    (fun () -> f (build ~acquire ?analysis ~source ~output ~freqs_hz netlist))
+
+let with_engine ~pool ~source ~output ~freqs_hz netlist f =
+  bracket ~pool ~source ~output ~freqs_hz netlist f
 
 let nominal t =
   check_live t;
   t.nominal
+
+(* One pool and one analysis for a netlist and its copies: the nominal
+   engine's analysis serves every copy of the same pattern, which only
+   refactors. *)
+let drift_sweeper ~source ~output ~freqs_hz netlist =
+  let pool = pool ~dim:(Mna.Index.size (Mna.Index.build netlist)) in
+  let first, analysis =
+    bracket ~pool ~source ~output ~freqs_hz netlist (fun t -> (nominal t, t.analysis))
+  in
+  (first, fun copy -> bracket ~pool ?analysis ~source ~output ~freqs_hz copy nominal)
 
 (* The round-off a backward-stable LU leaves in the output: with
    y = A⁻ᵀe_out, the computed x̂₀ solves (A + ΔA)x̂₀ = b with
@@ -578,22 +540,10 @@ let output_cancels t =
       Array.for_all
         (fun i ->
           let fs = t.freqs.(i) in
-          let form =
-            match fs.solver with
-            | Dense_solver { da; dlu } ->
-                Cmat.lu_solve_transpose_into dlu ~b:e ~x:y;
-                Cmat.abs_bilinear da ~y ~x:fs.x0
-            | Sparse_solver { spat; sre; sim_; num } ->
-                Csparse.solve_transpose_into num ~b:e ~x:y;
-                Csparse.abs_bilinear spat ~re:sre ~im:sim_ ~y ~x:fs.x0
-          in
+          Csparse.solve_transpose_into fs.num ~b:e ~x:y;
+          let form = Csparse.abs_bilinear fs.spat ~re:fs.sre ~im:fs.sim_ ~y ~x:fs.x0 in
           mag i <= cancellation_margin *. epsilon_float *. form)
         order
-
-let uses_sparse t =
-  Array.length t.freqs > 0
-  &&
-  match t.freqs.(0).solver with Sparse_solver _ -> true | Dense_solver _ -> false
 
 (* ---- fault classification ---- *)
 
@@ -734,7 +684,7 @@ let fallback_solve s ~b ~out ~re ~im ~ok ~ix =
    refactorize — exactly the naive path, minus the assembly. *)
 let full_point_solve t fs ~al_re ~al_im ~u ~re ~im ~ok ~ix =
   let s = fallback_ws (Domain.DLS.get scratch_key) t.n in
-  solver_dense_into fs s.sm;
+  Csparse.dense_into fs.spat ~re:fs.sre ~im:fs.sim_ s.sm;
   List.iter
     (fun (i, si) ->
       List.iter
@@ -766,7 +716,7 @@ let set_chaos c = Atomic.set chaos c
 (* ---- the a-priori residual bound ----
 
    The residual gate in {!smw_point_solve} builds x̂f = x̂₀ − ĉŵ whole
-   and computes r̂ = b − A_f·x̂f with an O(n²) mat-vec, though the
+   and computes r̂ = b − A_f·x̂f with an O(nnz) mat-vec, though the
    campaign reads one entry of x̂f. A point can skip both when a bound
    proves the gate would pass at once. Exactly, with
    e = x̂f − (x̂₀ − ĉŵ) the rounding of x̂f and δ = ĉ(1 + αuᵀŵ) − αuᵀx̂₀
@@ -806,9 +756,9 @@ let set_chaos c = Atomic.set chaos c
    keep the gate's arithmetic clear of overflow; a nan fails every
    comparison.
 
-   One bound serves both backends. B reads the factorization only
-   through r₀, ‖A‖ and ‖|L̂||Û|‖, which {!bound_of} takes from the
-   frequency's own solver, and each step above holds on a sparse one:
+   B reads the factorization only through r₀, ‖A‖ and ‖|L̂||Û|‖, which
+   {!bound_of} takes from the frequency's own factors, and each step
+   above holds on the sparse ones:
    - Thm 9.4 bounds a solve's backward error by the computed |L̂||Û|
      of the matrix that was factored, whatever the order of
      elimination. Csparse factors PAQ = L̂Û with static Markowitz
@@ -825,8 +775,8 @@ let set_chaos c = Atomic.set chaos c
      entries, so γₙ₊₃ and γₙ₊₄ bound the rounding of r₀ and of the
      gate's residual as they do for a dense row.
    test_fastsim checks the claim through {!guard_probe} on random dense
-   systems and on random MNA-like sparse ones whose Markowitz pivots
-   fill and grow. *)
+   systems and on random MNA-like ones whose Markowitz pivots fill and
+   grow, both factored as an engine factors. *)
 
 let gamma k =
   let ku = float_of_int k *. (epsilon_float /. 2.0) in
@@ -836,9 +786,9 @@ let gamma_scalar = gamma 30
 
 (* The bound's per-frequency data, built by the first rank-1 point of
    a frequency. Its one pass over A(jω) also yields ‖A(jω)‖∞ for the
-   gate's scale and publishes it into [fs.anorm]: [Cmat.norms_inf] and
-   [Csparse.norms_inf] take both norms in one pass, so {!anorm} reads
-   the bits its own pass would compute. Racing domains compute equal
+   gate's scale and publishes it into [fs.anorm]: [Csparse.norms_inf]
+   takes both norms in one pass, so {!anorm} reads the bits its own
+   pass would compute. Racing domains compute equal
    values, so the loser of the publication drops its copy. *)
 let bound_of fs =
   match Atomic.get fs.bound with
@@ -846,7 +796,7 @@ let bound_of fs =
   | None ->
       let n = Bvec.length fs.x0 in
       let ax = (scratch_for n).resid in
-      solver_mul_vec_into fs ~x:fs.x0 ~y:ax;
+      mul_vec_into fs ~x:fs.x0 ~y:ax;
       let open Bigarray in
       let r = ref 0.0 in
       for i = 0 to n - 1 do
@@ -856,12 +806,8 @@ let bound_of fs =
         in
         if m > !r || Float.is_nan m then r := m
       done;
-      let (a1, a_inf), lu1 =
-        match fs.solver with
-        | Dense_solver { da; dlu } -> (Cmat.norms_inf da, Cmat.lu_abs_norm_inf dlu)
-        | Sparse_solver { spat; sre; sim_; num } ->
-            (Csparse.norms_inf spat ~re:sre ~im:sim_, Csparse.lu_abs_norm_inf num)
-      in
+      let a1, a_inf = Csparse.norms_inf fs.spat ~re:fs.sre ~im:fs.sim_ in
+      let lu1 = Csparse.lu_abs_norm_inf fs.num in
       Atomic.set fs.anorm a_inf;
       let x01, jmax = norm1_inf_arg fs.x0 and b1, _ = norm1_inf_arg fs.b in
       let g =
@@ -941,6 +887,20 @@ let[@inline always] bound_clears fs (blk : block) ~col ~wre ~wim ~woff (u : pat)
   && p < 1e300
   && g.a1 *. p < 1e300
 
+(* {!Cmat.norm2}, the same operations written here: across the
+   library boundary the call is not inlined, and an out-of-line call
+   boxes both arguments and the result once per rank-1 point. *)
+let[@inline always] norm2 re im =
+  let r = Float.abs re and i = Float.abs im in
+  if r = 0.0 then i
+  else if i = 0.0 then r
+  else if r >= i then
+    let q = i /. r in
+    r *. sqrt (1.0 +. (q *. q))
+  else
+    let q = r /. i in
+    i *. sqrt (1.0 +. (q *. q))
+
 (* [guard] false skips the a-priori bound: {!guard_probe}'s reference
    run. The point's column is the one [blk] holds for its slot. *)
 let smw_point_solve ~guard t fs (blk : block) ({ slot; u; alpha_g; alpha_c } : rank1) ~re
@@ -959,7 +919,7 @@ let smw_point_solve ~guard t fs (blk : block) ({ slot; u; alpha_g; alpha_c } : r
       | `None -> (false, den_re, den_im)
       | `Smw_denominator k -> (true, den_re *. k, den_im *. k)
     in
-    if Cmat.norm2 den_re den_im <= 1e-12 then
+    if norm2 den_re den_im <= 1e-12 then
       full_point_solve t fs ~al_re ~al_im ~u ~re ~im ~ok ~ix
     else begin
       let vx0_re = dot_pat u fs.x0.Bvec.re 0 and vx0_im = dot_pat u fs.x0.Bvec.im 0 in
@@ -1007,12 +967,12 @@ let smw_point_solve ~guard t fs (blk : block) ({ slot; u; alpha_g; alpha_c } : r
         done;
         (* Residual of the perturbed system without forming it:
            b − A_f xf = (b − α (vᵀxf) u) − A xf. The a-priori bound
-           above clears most points before this, on either backend. *)
+           above clears most points before this. *)
         let faulty_residual () =
           let vxf_re = dot_pat u xf_re 0 and vxf_im = dot_pat u xf_im 0 in
           let av_re = (al_re *. vxf_re) -. (al_im *. vxf_im)
           and av_im = (al_re *. vxf_im) +. (al_im *. vxf_re) in
-          solver_mul_vec_into fs ~x:xf ~y:resid;
+          mul_vec_into fs ~x:xf ~y:resid;
           let rre = resid.Bvec.re and rim = resid.Bvec.im in
           let bre = fs.b.Bvec.re and bim = fs.b.Bvec.im in
           for i = 0 to n - 1 do
@@ -1028,7 +988,7 @@ let smw_point_solve ~guard t fs (blk : block) ({ slot; u; alpha_g; alpha_c } : r
         (* One step of iterative refinement: a large |α| (a catastrophic
            open/short is a ~10⁹-fold conductance change) amplifies
            rounding in the bare update; correcting by the SMW solve of
-           the residual restores direct-solve accuracy at O(n²). The
+           the residual restores direct-solve accuracy at O(fill). The
            common case — a mild deviation whose bare update already sits
            near machine-precision residual (the 1024·ε gate below) —
            skips the extra back-solve; the a-priori bound has cleared
@@ -1036,7 +996,7 @@ let smw_point_solve ~guard t fs (blk : block) ({ slot; u; alpha_g; alpha_c } : r
            computed. *)
         let refine () =
           let d0 = s.d0 in
-          solver_solve_into fs ~b:resid ~x:d0;
+          Csparse.solve_into fs.num ~b:resid ~x:d0;
           let d0re = d0.Bvec.re and d0im = d0.Bvec.im in
           let vd_re = dot_pat u d0re 0 and vd_im = dot_pat u d0im 0 in
           let dc_re, dc_im =
@@ -1137,7 +1097,7 @@ let solve_columns t fs blk ~k =
   for c = 0 to k - 1 do
     stamp_pat t.slot_pats.(blk.slot_at.(c)) bre ~k ~c ~clear:false
   done;
-  solver_solve_block_into fs ~work:(Cmat.reshape blk.work ~rows:n ~cols:k) ~b:rhs ~x:sol;
+  Csparse.solve_block_into fs.num ~work:(Cmat.reshape blk.work ~rows:n ~cols:k) ~b:rhs ~x:sol;
   for c = 0 to k - 1 do
     stamp_pat t.slot_pats.(blk.slot_at.(c)) bre ~k ~c ~clear:true;
     blk.wnorm.(c) <- 0.0
@@ -1236,43 +1196,34 @@ let response t fault =
 (* One system A x = b, output entry [out], and the rank-1 update
    α·uuᵀ, solved as an engine point at ω = 1 (so α's imaginary part
    passes through exactly): once with the a-priori bound, once
-   without. [sparse] factors A through Csparse, on the pattern of its
-   nonzero entries, with the Markowitz order {!Csparse.analyze} picks
-   for A's own values. *)
-let guard_probe ~sparse ~a ~b ~u ~(alpha : Complex.t) ~out =
+   without. A is factored as an engine factors: a Csparse pattern of
+   its nonzero entries, with the Markowitz order {!Csparse.analyze}
+   picks for A's own values. *)
+let guard_probe ~a ~b ~u ~(alpha : Complex.t) ~out =
   let n = Cmat.rows a in
   let x0 = Bvec.create n in
-  let solver =
-    if sparse then begin
-      let are = Cmat.re_plane a and aim = Cmat.im_plane a in
-      let stored =
-        List.filter (fun k -> are.{k} <> 0.0 || aim.{k} <> 0.0) (List.init (n * n) Fun.id)
-      in
-      let spat =
-        Csparse.pattern ~n (Array.of_list (List.map (fun k -> (k / n, k mod n)) stored))
-      in
-      let sre = Csparse.plane (Csparse.nnz spat) and sim_ = Csparse.plane (Csparse.nnz spat) in
-      List.iter
-        (fun k ->
-          let slot = Csparse.slot spat ~row:(k / n) ~col:(k mod n) in
-          sre.{slot} <- are.{k};
-          sim_.{slot} <- aim.{k})
-        stored;
-      let num = Csparse.numeric (Csparse.analyze spat ~re:sre ~im:sim_) in
-      Csparse.refactor num ~re:sre ~im:sim_;
-      Csparse.solve_into num ~b ~x:x0;
-      Sparse_solver { spat; sre; sim_; num }
-    end
-    else begin
-      let dlu = Cmat.lu_factor a in
-      Cmat.lu_solve_into dlu ~b ~x:x0;
-      Dense_solver { da = a; dlu }
-    end
+  let are = Cmat.re_plane a and aim = Cmat.im_plane a in
+  let stored =
+    List.filter (fun k -> are.{k} <> 0.0 || aim.{k} <> 0.0) (List.init (n * n) Fun.id)
   in
+  let spat = Csparse.pattern ~n (Array.of_list (List.map (fun k -> (k / n, k mod n)) stored)) in
+  let sre = Csparse.plane (Csparse.nnz spat) and sim_ = Csparse.plane (Csparse.nnz spat) in
+  List.iter
+    (fun k ->
+      let slot = Csparse.slot spat ~row:(k / n) ~col:(k mod n) in
+      sre.{slot} <- are.{k};
+      sim_.{slot} <- aim.{k})
+    stored;
+  let num = Csparse.numeric (Csparse.analyze spat ~re:sre ~im:sim_) ~store:Csparse.plane in
+  Csparse.refactor num ~re:sre ~im:sim_;
+  Csparse.solve_into num ~b ~x:x0;
   let fs =
     {
       omega = 1.0;
-      solver;
+      spat;
+      sre;
+      sim_;
+      num;
       anorm = Atomic.make Float.nan;
       b;
       bnorm = Bvec.norm_inf b;
@@ -1292,6 +1243,7 @@ let guard_probe ~sparse ~a ~b ~u ~(alpha : Complex.t) ~out =
       nominal;
       slot_of = Hashtbl.create 1;
       slot_pats = [| u |];
+      analysis = None;
       lease = None;
     }
   in

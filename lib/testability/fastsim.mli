@@ -7,22 +7,23 @@ module Netlist := Circuit.Netlist
     O(n³) factorization per (fault, frequency); this engine removes
     both levels of redundancy:
 
-    - the fault-free system is split-assembled once ({!Mna.Stamps})
-      and LU-factorized once per frequency, yielding the nominal
-      response as a by-product;
+    - the fault-free system is assembled once into a sparse pattern
+      ({!Mna.Stamps}), ordered by one Markowitz analysis and
+      LU-refactorized once per frequency ({!Linalg.Csparse}), yielding
+      the nominal response as a by-product;
     - a single-element deviation (or open/short replacement) of a
       passive R, C or L perturbs the MNA matrix by a rank-1 term
       α(ω)·uuᵀ with u a sparse ±1 pattern, so each faulty solve is
-      a Sherman–Morrison update against the cached LU — O(n²),
+      a Sherman–Morrison update against the cached LU — O(fill),
       polished by one step of iterative refinement. The A⁻¹u
       back-solves are shared by every row of a {!sweep} that reads a
       stamp pattern at a frequency (the ±20 % pair on one component,
       R‖C on one node pair, a drift and the faults on its passive),
       and a frequency's columns are solved together, as one multi-RHS
       block;
-    - every update is verified by a residual check — on either
-      backend most points are cleared a priori by an LU backward-error
-      bound, at O(|u|) instead of an O(n²) or O(nnz) mat-vec; an
+    - every update is verified by a residual check — most points are
+      cleared a priori by an LU backward-error bound, at O(|u|)
+      instead of an O(nnz) mat-vec; an
       ill-conditioned update falls back to a full refactorization of
       the perturbed matrix, and a structural fault (e.g. an inductor
       open, which changes the system dimension) falls back to a fresh
@@ -44,8 +45,7 @@ module Netlist := Circuit.Netlist
     one node pair share a slot. A {!sweep} walks the grid in order;
     at each frequency it collects the slots its rank-1 rows read there,
     solves them as the columns of one n×k block
-    ({!Linalg.Cmat.lu_solve_block_into} or
-    {!Linalg.Csparse.solve_block_into}, bitwise equal to k single
+    ({!Linalg.Csparse.solve_block_into}, bitwise equal to k single
     solves), and runs every row's point from that block. The block
     lives in per-domain scratch that only grows, so a column lives
     only while its frequency is processed and an engine holds no
@@ -67,8 +67,9 @@ module Netlist := Circuit.Netlist
     [fastsim.wcache_hits] and [fastsim.wcache_misses]. [smw_cleared]
     counts the SMW solves an a-priori bound proved to pass the
     residual gate, so they skipped the residual and built only the
-    output entry: on dense and sparse engines alike, and at most
-    [smw_solves]. Every
+    output entry, at most [smw_solves]. [fastsim.reanalyses] counts the
+    frequencies whose refactorization failed under the shared pivot
+    order and were analyzed afresh ({!create}). Every
     rank-1 point solve with a nonzero α(ω) reads one A⁻¹u column. Per
     {!sweep} call, [wcache_misses] counts the distinct (pattern,
     frequency) columns read — the block's columns — and
@@ -81,35 +82,22 @@ module Netlist := Circuit.Netlist
 
 type t
 
-type backend = Dense | Sparse | Auto
-(** Which factorization serves the fault-free system. [Dense]: the
-    planar off-heap LU ({!Linalg.Cmat}) — O(n²) state and O(n³)
-    factorization per frequency. [Sparse]: Markowitz-ordered sparse LU
-    ({!Linalg.Csparse}) — one symbolic analysis per netlist, a numeric
-    refactorization per frequency, state proportional to the stamped
-    entries plus fill. [Auto] (the default) picks sparse only when the
-    dimension reaches the crossover (n ≥ 64) {e and} the stamped
-    density stays below n²/8 — in particular every circuit below the
-    crossover keeps the dense path and its exact bitwise behaviour.
-    Either way results agree to solver rounding: the Sherman–Morrison
-    update, its residual gate and the full-refactorization fallback
-    are backend-independent. Every campaign ({!with_engine}, hence
-    [Mcdft_core.Adaptive.build], [Mcdft_core.Pipeline.run] and the
-    CLI) uses [Auto]; forcing [Dense] or [Sparse] is for references —
-    {!create}, [Detect.prepare_view] and [Detect.analyze] take it,
-    so the sparse-vs-dense oracle and the tests can pin a solver. *)
-
 val create :
-  ?backend:backend ->
   source:string ->
   output:string ->
   freqs_hz:float array ->
   Netlist.t ->
   t
-(** Build the engine for one view: index, split stamps, and one
-    factorization + nominal solve per frequency. Raises
-    {!Mna.Ac.Singular_circuit} if the fault-free system is singular at
-    some grid frequency, like {!Mna.Ac.sweep}. *)
+(** Build the engine for one view: index, sparse stamps, one symbolic
+    Markowitz analysis ({!Linalg.Csparse.analyze}) on the values at the
+    grid's middle frequency, then per frequency a numeric
+    refactorization under its pivots and the nominal solve. A
+    frequency whose refactorization meets a pivot below the
+    singularity threshold gets an analysis of its own values, booked
+    as [fastsim.reanalyses] when {!Obs.Metrics} is enabled. Raises
+    {!Mna.Ac.Singular_circuit} if that analysis fails too: the
+    fault-free system is singular at some grid frequency, like
+    {!Mna.Ac.sweep}. *)
 
 type pool
 (** Recycled engine storage for {!with_engine}: the workspaces no
@@ -134,9 +122,11 @@ val with_engine :
     {!create} would build, on storage recycled through [pool]. The
     bracket takes an idle workspace of the pool that holds the engine's
     dimension, or makes one of the pool's dimension (or the engine's,
-    if larger): the per-frequency A(jω), LU factor, right-hand side and
-    nominal solution buffers. A smaller engine works on the leading
-    part of each buffer. When the
+    if larger): the per-frequency right-hand side and nominal solution
+    vectors, and one plane per frequency for A(jω)'s values and sparse
+    factors. A smaller engine works on the leading part of each
+    buffer; a plane too short for an engine's pattern and fill grows,
+    by half again at least, and stays grown. When the
     bracket ends the workspace goes back to the pool, so a campaign
     that streams its views through brackets on [jobs] domains, with
     every engine within the pool's dimension, holds at most [jobs]
@@ -149,12 +139,27 @@ val with_engine :
     own. The engine may be swept from several domains inside the
     bracket, as with {!create}.
     When {!Obs.Metrics} is enabled, [fastsim.workspace_allocs] counts
-    the times a workspace's per-frequency buffers are allocated or
-    grown: once per workspace for a fixed grid. *)
+    the times a workspace's per-frequency vectors are allocated or
+    grown: once per workspace for a fixed grid. Plane growth is not
+    counted: it depends on which engines a workspace served before,
+    hence on the schedule. *)
 
-val uses_sparse : t -> bool
-(** Whether the engine factored through the sparse back-end (resolves
-    [Auto]); for benches, metrics and tests. *)
+val drift_sweeper :
+  source:string ->
+  output:string ->
+  freqs_hz:float array ->
+  Netlist.t ->
+  Complex.t array * (Netlist.t -> Complex.t array)
+(** [drift_sweeper … netlist] is [netlist]'s {!nominal} and a function
+    giving the nominal of a copy of [netlist] with other element values
+    (a Monte-Carlo sample). Each copy's engine lives in a
+    {!with_engine} bracket on one pool for the whole sweeper and,
+    when its sparse pattern is [netlist]'s, refactors under the
+    symbolic analysis of [netlist]'s engine instead of analyzing its
+    own values; a frequency whose refactorization fails is analyzed
+    afresh, as in {!create}. Campaign engines never share an analysis.
+    The function may be called from several domains at once. Raises
+    {!Mna.Ac.Singular_circuit} like {!create}. *)
 
 val nominal : t -> Complex.t array
 (** The fault-free transfer at every grid frequency (equal to
@@ -224,13 +229,12 @@ val set_chaos : [ `None | `Smw_denominator of float ] -> unit
     residual guard, simulating the silent-wrong-answer bug class the
     differential oracles must catch (see {!Conformance.Oracle}). The
     hook is read first: a chaotic point is never cleared by the
-    a-priori bound that spares most points the residual, on either
-    backend; it skips bound and residual alike.
+    a-priori bound that spares most points the residual; it skips
+    bound and residual alike.
     [`None] — the default — restores correct behaviour. Tests that
     enable it must restore [`None] before returning. *)
 
 val guard_probe :
-  sparse:bool ->
   a:Linalg.Cmat.t ->
   b:Linalg.Cmat.Vec.t ->
   u:(int * float) list ->
@@ -241,13 +245,13 @@ val guard_probe :
     system [a x = b] read at entry [out], perturbed by [alpha·uuᵀ] ([u]
     a stamp pattern: one or two (index, ±1) pairs on distinct
     indices), is solved as one engine point twice: with the bound, and
-    with the residual gate alone. [sparse] factors [a] as a sparse
-    engine does: a {!Linalg.Csparse} pattern of its nonzero entries,
+    with the residual gate alone. [a] is factored as an engine factors:
+    a {!Linalg.Csparse} pattern of its nonzero entries,
     {!Linalg.Csparse.analyze} on its values, then
-    {!Linalg.Csparse.refactor}; otherwise as a dense engine does.
+    {!Linalg.Csparse.refactor}.
     Returns [(cleared, passes, same)]: whether the bound cleared the
     point, whether the gate's computed residual passed its
     [1024·ε·scale] test without refinement, and whether the two runs
     wrote the same bits. Soundness is [cleared ⇒ passes] (and
     [same]). Raises {!Linalg.Cmat.Singular} if [a] is singular to
-    the chosen factorization. *)
+    that factorization. *)

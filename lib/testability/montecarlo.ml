@@ -26,26 +26,20 @@ let drift_all rng ~component_tol netlist =
   scale_passives netlist (fun _ ->
       1.0 +. (component_tol *. ((Random.State.float rng 2.0) -. 1.0)))
 
-(* The fault-free transfer of a drifted copy of [netlist], on the
-   campaign engine ({!Fastsim.with_engine}): the [Auto] backend, so
-   sparse LU on large circuits, with one pool's per-frequency buffers
-   recycled across samples. Every sample has [netlist]'s MNA system
-   with other values, so one pool sized for it serves them all. Below
-   the sparse crossover the engine is dense and its nominal equals
-   {!Mna.Ac.sweep} bit for bit. *)
+(* [netlist]'s fault-free transfer and that of a drifted copy, on the
+   campaign engine ({!Fastsim.drift_sweeper}): every sample has
+   [netlist]'s MNA pattern with other values, so one pool's storage
+   serves them all and each sample only refactors under the nominal
+   engine's symbolic analysis. *)
 let sweeper (probe : Detect.probe) grid netlist =
-  let pool = Fastsim.pool ~dim:(Mna.Index.size (Mna.Index.build netlist)) in
-  let freqs_hz = Grid.freqs_hz grid in
-  fun drifted ->
-    Fastsim.with_engine ~pool ~source:probe.source ~output:probe.output ~freqs_hz
-      drifted Fastsim.nominal
+  Fastsim.drift_sweeper ~source:probe.source ~output:probe.output
+    ~freqs_hz:(Grid.freqs_hz grid) netlist
 
 let run ?(seed = 42) ?(samples = 200) ?jobs ~component_tol probe grid netlist =
   if samples <= 0 then invalid_arg "Montecarlo.run: samples must be positive";
   Obs.Trace.span "montecarlo.run" @@ fun () ->
   let rng = Random.State.make [| seed |] in
-  let sweep = sweeper probe grid netlist in
-  let nominal = sweep netlist in
+  let nominal, sweep = sweeper probe grid netlist in
   let n = Grid.n_points grid in
   let max_dev = Array.make n 0.0 in
   let sum_dev = Array.make n 0.0 in
@@ -123,8 +117,7 @@ let coverage_run ?(seed = 42) ?(samples = 200) ?(strata = 8) ?jobs ~component_to
     invalid_arg "Montecarlo.coverage_run: epsilon must be positive";
   Obs.Trace.span "montecarlo.coverage" @@ fun () ->
   let rng = Random.State.make [| seed |] in
-  let sweep = sweeper probe grid netlist in
-  let nominal = sweep netlist in
+  let nominal, sweep = sweeper probe grid netlist in
   let peak_of drifted_netlist =
     let dev = Detect.response_deviation ~nominal ~faulty:(sweep drifted_netlist) in
     Array.fold_left Float.max 0.0 dev

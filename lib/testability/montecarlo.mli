@@ -11,10 +11,10 @@ module Netlist := Circuit.Netlist
       good circuit whose natural variation exceeds ε somewhere would be
       rejected as faulty.
 
-    Every sample is swept on the campaign engine ({!Fastsim.with_engine},
-    [Auto] backend) over one pool per call, so large circuits factor
-    through sparse LU; below the sparse crossover the sweep equals
-    {!Mna.Ac.sweep} bit for bit. *)
+    Every sample is swept on the campaign engine
+    ({!Fastsim.drift_sweeper}) over one pool per call: a sample has the
+    nominal circuit's sparse pattern, so it refactors under the nominal
+    engine's symbolic analysis instead of running one of its own. *)
 
 type stats = {
   samples : int;

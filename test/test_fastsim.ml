@@ -172,7 +172,79 @@ let test_smw_actually_used () =
   let smw, full = solves snap in
   Alcotest.(check bool) "rank-1 dominates" true (smw > 10 * Stdlib.max 1 full)
 
-let test_nominal_matches_sweep () =
+(* The engine's nominal is a sparse solve of the same stamps, read
+   straight off Csparse: one Markowitz analysis on the values at the
+   grid's middle frequency, then per frequency a refactorization under
+   its pivots and a solve. The engine adds storage, not arithmetic, so
+   the two agree bit for bit. *)
+let direct_nominal ~source ~output ~freqs_hz netlist =
+  let module Csparse = Linalg.Csparse in
+  let index = Mna.Index.build netlist in
+  let sp = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) index netlist in
+  let spat = Mna.Stamps.sparse_pattern sp and nnz = Mna.Stamps.sparse_nnz sp in
+  let n = Mna.Index.size index in
+  let values f_hz =
+    let re = Csparse.plane nnz and im = Csparse.plane nnz in
+    Mna.Stamps.fill_sparse sp ~omega:(2.0 *. Float.pi *. f_hz) ~re ~im;
+    (re, im)
+  in
+  let sym =
+    let re, im = values freqs_hz.(Array.length freqs_hz / 2) in
+    Csparse.analyze spat ~re ~im
+  in
+  Array.map
+    (fun f_hz ->
+      let re, im = values f_hz in
+      let num = Csparse.numeric sym ~store:Csparse.plane in
+      Csparse.refactor num ~re ~im;
+      let b = Linalg.Cmat.Vec.create n and x = Linalg.Cmat.Vec.create n in
+      Mna.Stamps.sparse_rhs_into sp ~omega:(2.0 *. Float.pi *. f_hz) b;
+      Csparse.solve_into num ~b ~x;
+      match Mna.Index.node index output with
+      | None -> Complex.zero
+      | Some i -> Linalg.Cmat.Vec.get x i)
+    freqs_hz
+
+let test_nominal_direct_csparse () =
+  List.iter
+    (fun b ->
+      let netlist = b.Circuits.Benchmark.netlist
+      and source = b.Circuits.Benchmark.source
+      and output = b.Circuits.Benchmark.output in
+      let freqs_hz = Grid.freqs_hz (grid_of b) in
+      let sim = Fastsim.create ~source ~output ~freqs_hz netlist in
+      let direct = direct_nominal ~source ~output ~freqs_hz netlist in
+      Array.iteri
+        (fun i t ->
+          if (Fastsim.nominal sim).(i) <> t then
+            Alcotest.failf "%s: nominal differs from the direct Csparse solve at %g Hz"
+              b.Circuits.Benchmark.name freqs_hz.(i))
+        direct)
+    benchmarks
+
+(* The engine's sparse LU and Ac.sweep's dense partial-pivoted LU
+   pivot in other orders, so their nominals agree to rounding, not
+   bitwise. All norms here are ∞-norms under |z|₁ = |re| + |im|, and
+   y = A⁻ᵀe_out is the output's row of A⁻¹.
+   - The engine's x̂ₛ solves (A + ΔA)x̂ₛ = b with |ΔA| ≤ γ₃ₙ₊₄₀|L̂||Û|
+     under complex rounding (Higham, Thm 9.4, with the constant the
+     engine's a-priori bound uses), so its output is off by at most
+     ‖y‖₁·γ₃ₙ₊₄₀‖|L̂||Û|‖·‖x̂ₛ‖.
+   - Ac.sweep's x̂_d is off by at most ‖y‖₁·‖b − Ax̂_d‖, and the residual
+     computed here in boxed arithmetic is within γₙ₊₃(‖A‖‖x̂_d‖ + ‖b‖)
+     of the exact one.
+   The two outputs then differ by at most the sum. y is itself computed
+   (by the dense LU), and the bounds are first order in ε, so the sum
+   is taken twice over. *)
+let test_nominal_within_backward_error () =
+  let module Cmat = Linalg.Cmat in
+  let module Csparse = Linalg.Csparse in
+  let abs1 (z : Complex.t) = Float.abs z.re +. Float.abs z.im in
+  let vec_norm v = Array.fold_left (fun m z -> Float.max m (abs1 z)) 0.0 v in
+  let gamma k =
+    let ku = float_of_int k *. (epsilon_float /. 2.0) in
+    ku /. (1.0 -. ku)
+  in
   List.iter
     (fun b ->
       let netlist = b.Circuits.Benchmark.netlist
@@ -181,13 +253,74 @@ let test_nominal_matches_sweep () =
       let freqs_hz = Grid.freqs_hz (grid_of b) in
       let sim = Fastsim.create ~source ~output ~freqs_hz netlist in
       let sweep = Mna.Ac.sweep ~source ~output netlist ~freqs_hz in
+      let index = Mna.Index.build netlist in
+      let n = Mna.Index.size index in
+      let out = Option.get (Mna.Index.node index output) in
+      let stamps = Mna.Stamps.build ~sources:(Mna.Assemble.Only source) index netlist in
+      let sp = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) index netlist in
+      let spat = Mna.Stamps.sparse_pattern sp and nnz = Mna.Stamps.sparse_nnz sp in
+      let sym =
+        let re = Csparse.plane nnz and im = Csparse.plane nnz in
+        Mna.Stamps.fill_sparse sp
+          ~omega:(2.0 *. Float.pi *. freqs_hz.(Array.length freqs_hz / 2))
+          ~re ~im;
+        Csparse.analyze spat ~re ~im
+      in
       Array.iteri
-        (fun i t ->
-          if Fastsim.nominal sim |> fun n -> n.(i) <> t then
-            Alcotest.fail
-              (Printf.sprintf "%s: nominal differs from sweep at %g Hz"
-                 b.Circuits.Benchmark.name freqs_hz.(i)))
-        sweep)
+        (fun i f_hz ->
+          let omega = 2.0 *. Float.pi *. f_hz in
+          let a = Cmat.create n n and rhs = Cmat.Vec.create n in
+          Mna.Stamps.fill stamps ~omega a;
+          Mna.Stamps.rhs_into stamps ~omega rhs;
+          let rows = Array.init n (fun r -> Array.init n (fun c -> Cmat.get a r c)) in
+          let bv = Cmat.Vec.to_complex rhs in
+          let xd =
+            let x = Cmat.Vec.create n in
+            Cmat.lu_solve_into (Cmat.lu_factor a) ~b:rhs ~x;
+            Cmat.Vec.to_complex x
+          in
+          if xd.(out) <> sweep.(i) then
+            Alcotest.failf "%s: the dense reference is not Ac.sweep at %g Hz"
+              b.Circuits.Benchmark.name f_hz;
+          let re = Csparse.plane nnz and im = Csparse.plane nnz in
+          Mna.Stamps.fill_sparse sp ~omega ~re ~im;
+          let num = Csparse.numeric sym ~store:Csparse.plane in
+          Csparse.refactor num ~re ~im;
+          let xs = Cmat.Vec.create n in
+          Csparse.solve_into num ~b:rhs ~x:xs;
+          let y =
+            let transpose = Array.init n (fun r -> Array.init n (fun c -> rows.(c).(r))) in
+            Cmat.solve (Cmat.of_arrays transpose)
+              (Array.init n (fun k -> if k = out then Complex.one else Complex.zero))
+          in
+          let y1 = Array.fold_left (fun s z -> s +. abs1 z) 0.0 y in
+          let a_norm =
+            Array.fold_left
+              (fun m row -> Float.max m (Array.fold_left (fun s z -> s +. abs1 z) 0.0 row))
+              0.0 rows
+          in
+          let residual =
+            vec_norm
+              (Array.mapi
+                 (fun r row ->
+                   let ax = ref Complex.zero in
+                   Array.iteri (fun c z -> ax := Complex.add !ax (Complex.mul z xd.(c))) row;
+                   Complex.sub bv.(r) !ax)
+                 rows)
+          in
+          let engine_error =
+            y1 *. gamma ((3 * n) + 40) *. Csparse.lu_abs_norm_inf num
+            *. vec_norm (Cmat.Vec.to_complex xs)
+          and sweep_error =
+            y1 *. (residual +. (gamma (n + 3) *. ((a_norm *. vec_norm xd) +. vec_norm bv)))
+          in
+          let bound = 2.0 *. (engine_error +. sweep_error) in
+          let engine = (Fastsim.nominal sim).(i) in
+          let diff = abs1 (Complex.sub engine sweep.(i)) in
+          if not (diff <= bound) then
+            Alcotest.failf "%s at %g Hz: |engine - Ac.sweep| = %g above the bound %g"
+              b.Circuits.Benchmark.name f_hz diff bound)
+        freqs_hz)
     benchmarks
 
 (* --- batched metrics flushes -------------------------------------- *)
@@ -299,7 +432,7 @@ let check_sweep ~label sim netlist rows =
 (* A view's rows as the campaign sweeps them: a +5 % drift of every
    passive at every point, then the view's faults under its
    measurement mask. *)
-let view_rows ~label ~sparse ~source ~output grid netlist =
+let view_rows ~source ~output grid netlist =
   let freqs_hz = Grid.freqs_hz grid in
   let nf = Array.length freqs_hz in
   let pv =
@@ -309,7 +442,6 @@ let view_rows ~label ~sparse ~source ~output grid netlist =
   let mask = Bytes.init nf (fun k -> if Detect.below_floor pv k then '\001' else '\000') in
   let every = Bytes.make nf '\000' in
   let sim = Fastsim.create ~source ~output ~freqs_hz netlist in
-  Alcotest.(check bool) (label ^ ": sparse backend") sparse (Fastsim.uses_sparse sim);
   let drifts =
     List.map
       (fun e -> (Fault.deviation ~element:(Circuit.Element.name e) 1.05, every))
@@ -327,17 +459,17 @@ let lf5_view k =
   let config = List.nth (Multiconfig.Transform.test_configurations dft) k in
   (b, Multiconfig.Configuration.label config, Multiconfig.Transform.emulate dft config)
 
-(* Dense views with envelope drifts: tow-thomas, two leapfrog5
+(* Registry views with envelope drifts: tow-thomas, two leapfrog5
    configurations and the numerically dead C198, whose mask covers
    every point, so only its drifts are solved. R2 ‖ C1 share a node
    pair on tow-thomas, so its drifts alone already read shared
    columns. *)
-let test_sweep_dense () =
+let test_sweep_registry () =
   let tt = Circuits.Tow_thomas.make () in
   let subject (b : Circuits.Benchmark.t) label netlist =
     let grid = grid_of b in
     let sim, mask, rows =
-      view_rows ~label ~sparse:false ~source:b.Circuits.Benchmark.source
+      view_rows ~source:b.Circuits.Benchmark.source
         ~output:b.Circuits.Benchmark.output grid netlist
     in
     (mask, check_sweep ~label sim netlist rows)
@@ -366,13 +498,12 @@ let test_sweep_dense () =
   Alcotest.(check bool) "C198: every point masked" true
     (Bytes.for_all (fun c -> c = '\001') mask)
 
-(* The a-priori bound serves sparse engines too: on the ladder's
-   drifts and faults it clears points, every one of them an SMW
-   solve. *)
-let test_sweep_sparse () =
+(* On a large circuit too the a-priori bound clears points of the
+   ladder's drifts and faults, every one of them an SMW solve. *)
+let test_sweep_bigladder () =
   let netlist, output = Conformance.Gen.bigladder ~stages:70 (Random.State.make [| 7 |]) in
   let grid = Grid.make ~points_per_decade:2 ~f_lo:10.0 ~f_hi:1e6 () in
-  let sim, _, rows = view_rows ~label:"bigladder-70" ~sparse:true ~source:"V1" ~output grid netlist in
+  let sim, _, rows = view_rows ~source:"V1" ~output grid netlist in
   let snap = check_sweep ~label:"bigladder-70" sim netlist rows in
   let smw, _ = solves snap and cleared = counter snap "fastsim.smw_cleared" in
   if not (0 < cleared && cleared <= smw) then
@@ -407,7 +538,9 @@ let test_sweep_skip () =
    sparse bigladder — must leave no trace of an earlier engine in a
    later one: every response equals a fresh engine's bit for bit. The
    pool allocates one workspace per distinct dimension, however many
-   brackets reuse it. *)
+   brackets reuse it (its planes grow where an engine's pattern and
+   fill need more than earlier ones left, leapfrog5 C100 after C0),
+   and a second pass over the sequence allocates nothing. *)
 let test_recycled_storage () =
   let tt = Circuits.Tow_thomas.make () in
   let lf5 = Option.get (Circuits.Registry.find "leapfrog5") in
@@ -438,9 +571,10 @@ let test_recycled_storage () =
     ]
   in
   let pool = Fastsim.pool ~dim:0 in
+  let allocs () = Obs.Metrics.counter (Obs.Metrics.snapshot ()) "fastsim.workspace_allocs" in
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
-  let dims =
+  let pass () =
     List.map
       (fun (label, source, output, freqs_hz, netlist) ->
         let faults = Fault.both_deviations netlist @ Fault.catastrophic_faults netlist in
@@ -448,9 +582,6 @@ let test_recycled_storage () =
         let expected = List.map (response_bits fresh) faults in
         let got =
           Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (fun sim ->
-              Alcotest.(check bool)
-                (label ^ ": same backend as a fresh engine")
-                (Fastsim.uses_sparse fresh) (Fastsim.uses_sparse sim);
               List.map (response_bits sim) faults)
         in
         Alcotest.(check bool)
@@ -459,20 +590,133 @@ let test_recycled_storage () =
         Mna.Index.size (Mna.Index.build netlist))
       sequence
   in
-  let allocs = Obs.Metrics.counter (Obs.Metrics.snapshot ()) "fastsim.workspace_allocs" in
+  let dims = pass () in
+  let first = allocs () in
+  ignore (pass ());
+  let again = allocs () - first in
   Obs.Metrics.set_enabled false;
   Obs.Metrics.reset ();
   Alcotest.(check int) "one workspace allocation per distinct dimension"
     (List.length (List.sort_uniq compare dims))
-    allocs;
+    first;
+  Alcotest.(check int) "a repeat of the sequence allocates nothing" 0 again;
   Alcotest.(check bool) "the dimension grows, shrinks and repeats" true
     (match dims with
     | [ a; b; c; d; e; f; g ] -> a < b && b < c && d < c && e < d && f = c && g = b
-    | _ -> false);
-  Alcotest.(check bool) "the bigladder runs sparse with n >= 64" true
-    (List.nth dims 2 >= 64
-    && Fastsim.uses_sparse
-         (Fastsim.create ~source:"V1" ~output:ladder_out ~freqs_hz:ladder_freqs ladder))
+    | _ -> false)
+
+(* Storage an engine leaves on a pool serves the next one: a smaller
+   view (tow-thomas after leapfrog5 C0, on a pool sized for C0) takes
+   the workspace C0 left, so its bracket allocates nothing. *)
+let test_second_engine_allocates_nothing () =
+  let tt = Circuits.Tow_thomas.make () in
+  let b, _, view = lf5_view 0 in
+  let pool = Fastsim.pool ~dim:(Mna.Index.size (Mna.Index.build view)) in
+  let bracket (bench : Circuits.Benchmark.t) netlist =
+    Fastsim.with_engine ~pool ~source:bench.Circuits.Benchmark.source
+      ~output:bench.Circuits.Benchmark.output ~freqs_hz:(Grid.freqs_hz (grid_of b)) netlist
+      (fun sim -> ignore (Fastsim.nominal sim))
+  in
+  let allocs () = Obs.Metrics.counter (Obs.Metrics.snapshot ()) "fastsim.workspace_allocs" in
+  let (first, second), _ =
+    metered (fun () ->
+        bracket b view;
+        let first = allocs () in
+        bracket tt tt.Circuits.Benchmark.netlist;
+        (first, allocs () - first))
+  in
+  Alcotest.(check int) "the first engine allocates its workspace" 1 first;
+  Alcotest.(check int) "a second engine on the same pool adds nothing" 0 second
+
+(* A frequency whose refactorization under the shared pivots fails is
+   analyzed afresh. In R1 from in to a and L1 from a to ground, the
+   analysis at the middle frequency (1 kHz, |jωL| ≈ 6283) pivots on
+   L1's branch diagonal −jωL, which is zero at 0 Hz: that refactor
+   raises, the 0 Hz values get an analysis of their own, and the
+   engine solves (L1 shorts a to ground there). With capacitors for
+   R1 and L1, node a floats at 0 Hz: its own analysis fails too, and
+   the circuit is singular. *)
+let test_refactor_failure_reanalyzes () =
+  let freqs_hz = [| 0.0; 1e3; 1e4 |] in
+  let divider series shunt =
+    Netlist.empty ~title:"reanalysis" ()
+    |> Netlist.vsource ~name:"V1" "in" "0" 1.0
+    |> series |> shunt
+  in
+  let rl =
+    divider (Netlist.resistor ~name:"R1" "in" "a" 1_000.0) (Netlist.inductor ~name:"L1" "a" "0" 1.0)
+  in
+  let sim, snap = metered (fun () -> Fastsim.create ~source:"V1" ~output:"a" ~freqs_hz rl) in
+  Alcotest.(check int) "one frequency re-analyzed" 1 (counter snap "fastsim.reanalyses");
+  let reference = Mna.Ac.sweep ~source:"V1" ~output:"a" rl ~freqs_hz in
+  Array.iteri
+    (fun i t ->
+      if not (close (Fastsim.nominal sim).(i) t) then
+        Alcotest.failf "nominal at %g Hz: engine %g%+gi, Ac.sweep %g%+gi" freqs_hz.(i)
+          (Fastsim.nominal sim).(i).Complex.re (Fastsim.nominal sim).(i).Complex.im
+          t.Complex.re t.Complex.im)
+    reference;
+  let rc =
+    divider
+      (Netlist.capacitor ~name:"C1" "in" "a" 1e-6)
+      (Netlist.capacitor ~name:"C2" "a" "0" 1e-6)
+  in
+  let raised, snap =
+    metered (fun () ->
+        match Fastsim.create ~source:"V1" ~output:"a" ~freqs_hz rc with
+        | exception Mna.Ac.Singular_circuit msg -> Some msg
+        | _ -> None)
+  in
+  Alcotest.(check (option string)) "singular where its own analysis fails too"
+    (Some "MNA matrix singular at f = 0 Hz for \"reanalysis\"") raised;
+  Alcotest.(check int) "the failing frequency was re-analyzed" 1
+    (counter snap "fastsim.reanalyses")
+
+(* A Monte-Carlo sample has the nominal circuit's pattern, so its
+   engine refactors under the nominal engine's analysis: one analysis
+   per sweeper, whatever the sample count, and each sample's nominal
+   agrees with an engine of its own to rounding. *)
+let test_drift_sweeper_shares_analysis () =
+  let b = Circuits.Tow_thomas.make () in
+  let source = b.Circuits.Benchmark.source and output = b.Circuits.Benchmark.output in
+  let netlist = b.Circuits.Benchmark.netlist in
+  let freqs_hz = Grid.freqs_hz (grid_of b) in
+  let copies =
+    List.init 8 (fun k ->
+        Netlist.of_elements ~title:"drifted"
+          (List.map
+             (fun e ->
+               match Circuit.Element.value e with
+               | Some v when Circuit.Element.is_passive e ->
+                   Circuit.Element.with_value e (v *. (1.0 +. (0.01 *. float_of_int (k + 1))))
+               | _ -> e)
+             (Netlist.elements netlist)))
+  in
+  let (nominal, swept), snap =
+    metered (fun () ->
+        let nominal, sweep = Fastsim.drift_sweeper ~source ~output ~freqs_hz netlist in
+        (nominal, List.map sweep copies))
+  in
+  let analyses =
+    match List.assoc_opt "mna.analyze_s" snap.Obs.Metrics.histograms with
+    | Some h -> h.Obs.Metrics.count
+    | None -> 0
+  in
+  Alcotest.(check int) "one analysis for the nominal and every copy"
+    (1 + counter snap "fastsim.reanalyses")
+    analyses;
+  Alcotest.(check bool) "the sweeper's nominal is the engine's" true
+    (nominal = Fastsim.nominal (Fastsim.create ~source ~output ~freqs_hz netlist));
+  List.iter2
+    (fun copy got ->
+      let own = Fastsim.nominal (Fastsim.create ~source ~output ~freqs_hz copy) in
+      Array.iteri
+        (fun i t ->
+          if not (close ~tol:1e-10 got.(i) t) then
+            Alcotest.failf "copy at %g Hz: shared analysis %g%+gi, own %g%+gi" freqs_hz.(i)
+              got.(i).Complex.re got.(i).Complex.im t.Complex.re t.Complex.im)
+        own)
+    copies swept
 
 (* The per-domain scratch only grows: an engine smaller than one the
    domain solved before runs on prefix views of the larger one's
@@ -559,16 +803,17 @@ let test_engine_after_bracket () =
 (* --- the a-priori residual bound ------------------------------------ *)
 
 (* A point skips the residual gate when an LU backward-error bound
-   proves the gate would pass. Soundness, on either backend: on random
+   proves the gate would pass. Soundness: on random
    complex systems and rank-1 updates — mild and catastrophic |α|,
    denominators cancelling to within 1e-10 — every point the bound
    clears is one whose computed residual passes the 1024·ε·scale gate
    at once, and the two runs write the same bits. The sample must
    exercise both sides: points cleared, and points the gate sends to
-   refinement.
+   refinement. Both families factor as an engine does, through
+   Csparse on the pattern of their nonzero entries.
 
    Dense systems have up to 12 unknowns, any density, entries over 12
-   decades and catastrophic |α| up to 1e9. Sparse ones are stamped like
+   decades and catastrophic |α| up to 1e9. MNA-like ones are stamped like
    an MNA matrix of up to 60 unknowns: two-terminal admittances over 6
    decades (a spanning tree of the nodes, more branches, a few shunts),
    controlled-source gains up to 1e5 off the diagonal, and
@@ -576,10 +821,10 @@ let test_engine_after_bracket () =
    reaches 1e12. Csparse's Markowitz order then fills, takes
    off-diagonal pivots and, under its 1e-3 threshold, lets entries
    grow. *)
-let random_rank1_case ~sparse st =
+let random_rank1_case ~mna st =
   let module Cmat = Linalg.Cmat in
   let float_in lo hi = lo +. Random.State.float st (hi -. lo) in
-  let decades = if sparse then 3.0 else 6.0 in
+  let decades = if mna then 3.0 else 6.0 in
   let magnitude () = 10.0 ** float_in (-.decades) decades in
   let complex m =
     match Random.State.int st 4 with
@@ -599,7 +844,7 @@ let random_rank1_case ~sparse st =
     done;
     a
   in
-  let mna () =
+  let mna_system () =
     let nodes = 6 + Random.State.int st 47 in
     let branches = Random.State.int st (1 + (nodes / 6)) in
     let n = nodes + branches in
@@ -634,7 +879,7 @@ let random_rank1_case ~sparse st =
     done;
     a
   in
-  let a = if sparse then mna () else dense () in
+  let a = if mna then mna_system () else dense () in
   let n = Cmat.rows a in
   let b = Cmat.Vec.create n in
   for i = 0 to n - 1 do
@@ -649,7 +894,7 @@ let random_rank1_case ~sparse st =
   let alpha () =
     match Random.State.int st 3 with
     | 0 -> complex (magnitude ())
-    | 1 -> complex (10.0 ** float_in 3.0 (if sparse then 12.0 else 9.0))
+    | 1 -> complex (10.0 ** float_in 3.0 (if mna then 12.0 else 9.0))
     | _ -> (
         (* α = −(1 + η)/(uᵀA⁻¹u): the denominator 1 + α·uᵀA⁻¹u is −η *)
         let uvec = Array.make n Complex.zero in
@@ -667,12 +912,12 @@ let random_rank1_case ~sparse st =
   in
   (a, b, u, alpha (), Random.State.int st n)
 
-let test_bound_soundness ~sparse ~seed ~count () =
+let test_bound_soundness ~mna ~seed ~count () =
   let st = Random.State.make [| seed |] in
   let cases = ref 0 and cleared = ref 0 and gated = ref 0 in
   while !cases < count do
-    let a, b, u, alpha, out = random_rank1_case ~sparse st in
-    match Fastsim.guard_probe ~sparse ~a ~b ~u ~alpha ~out with
+    let a, b, u, alpha, out = random_rank1_case ~mna st in
+    match Fastsim.guard_probe ~a ~b ~u ~alpha ~out with
     | exception Linalg.Cmat.Singular -> ()
     | c, passes, same ->
         incr cases;
@@ -731,22 +976,34 @@ let suite =
       test_fault_equivalence_rlc;
     Alcotest.test_case "rank-1 path serves deviation faults" `Quick
       test_smw_actually_used;
-    Alcotest.test_case "nominal equals Ac.sweep" `Quick test_nominal_matches_sweep;
+    Alcotest.test_case "nominal equals a direct Csparse solve (bitwise)" `Quick
+      test_nominal_direct_csparse;
+    Alcotest.test_case "nominal agrees with Ac.sweep within backward error" `Quick
+      test_nominal_within_backward_error;
     Alcotest.test_case "batched metrics book every solve once" `Quick
       test_metrics_batching_exact;
     Alcotest.test_case "sweep leaves skipped slots untouched" `Quick test_sweep_skip;
-    Alcotest.test_case "sweep equals one-fault responses (dense)" `Quick test_sweep_dense;
-    Alcotest.test_case "sweep equals one-fault responses (sparse)" `Quick test_sweep_sparse;
+    Alcotest.test_case "sweep equals one-fault responses (registry views)" `Quick
+      test_sweep_registry;
+    Alcotest.test_case "sweep equals one-fault responses (bigladder)" `Quick
+      test_sweep_bigladder;
     Alcotest.test_case "recycled storage equals fresh engines" `Quick
       test_recycled_storage;
+    Alcotest.test_case "a second engine on a pool allocates nothing" `Quick
+      test_second_engine_allocates_nothing;
+    Alcotest.test_case "a failed refactorization re-analyzes its frequency" `Quick
+      test_refactor_failure_reanalyzes;
+    Alcotest.test_case "Monte-Carlo copies refactor on the nominal's analysis" `Quick
+      test_drift_sweeper_shares_analysis;
     Alcotest.test_case "per-domain scratch prefix views equal fresh domains" `Quick
       test_scratch_prefix_views;
     Alcotest.test_case "engine use after its bracket raises" `Quick
       test_engine_after_bracket;
-    Alcotest.test_case "a-priori bound clears only points the gate passes (dense)" `Quick
-      (test_bound_soundness ~sparse:false ~seed:2104 ~count:4000);
-    Alcotest.test_case "a-priori bound clears only points the gate passes (sparse)" `Quick
-      (test_bound_soundness ~sparse:true ~seed:3404 ~count:2000);
+    Alcotest.test_case "a-priori bound clears only points the gate passes (random dense)"
+      `Quick
+      (test_bound_soundness ~mna:false ~seed:2104 ~count:4000);
+    Alcotest.test_case "a-priori bound clears only points the gate passes (MNA-like)" `Quick
+      (test_bound_soundness ~mna:true ~seed:3404 ~count:2000);
     Alcotest.test_case "Pipeline.run independent of jobs" `Quick
       test_pipeline_jobs_deterministic;
     Alcotest.test_case "Montecarlo.run independent of jobs" `Quick

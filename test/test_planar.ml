@@ -1,13 +1,14 @@
 (* The planar (split re/im, off-heap) Cmat kernels against a boxed
    Complex.t reference implementation of the same algorithm —
    partial-pivoting Doolittle LU with the growth-aware singularity
-   threshold. [Ref] is the independent reference that pins the one
-   dense LU every analysis and campaign factors through. The two run
-   the identical sequence of floating-point operations, so the
-   equivalence checks are exact (bitwise), covering the permutation
-   choice and determinant sign, not just residual-level agreement.
-   Plus the allocation contract: warmed block back-solves and rank-1
-   Fastsim solves must not allocate per element. *)
+   threshold. [Ref] is the independent reference that pins the dense
+   LU of Mna.Ac and of the engine's fallbacks. The two run the
+   identical sequence of floating-point operations, so the equivalence
+   checks are exact (bitwise), covering the permutation choice and
+   determinant sign, not just residual-level agreement; so does the
+   engine's planar sparse mat-vec on a full pattern. Plus the
+   allocation contract: rank-1 Fastsim solves and sweeps must not
+   allocate per element. *)
 
 open Linalg
 
@@ -165,14 +166,29 @@ let qcheck_det_equiv =
       let rows = random_rows rng n in
       exact_c (determinant (Cmat.of_arrays rows)) (Ref.determinant rows))
 
+(* The engine's residual mat-vec runs over the planar value planes of
+   a sparse pattern; on the full pattern it adds each row's products in
+   column order, as the boxed reference does. *)
 let qcheck_mul_vec_equiv =
   QCheck.Test.make ~name:"planar mul_vec == boxed reference (bitwise)" ~count:200
     n_seed (fun (n, seed) ->
+      let module Csparse = Linalg.Csparse in
       let rng = Random.State.make [| seed |] in
       let rows = random_rows rng n in
       let x = random_vec rng n in
+      let pattern = Csparse.pattern ~n (Array.init (n * n) (fun k -> (k / n, k mod n))) in
+      let re = Csparse.plane (n * n) and im = Csparse.plane (n * n) in
+      Array.iteri
+        (fun i row ->
+          Array.iteri
+            (fun j (z : Complex.t) ->
+              let slot = Csparse.slot pattern ~row:i ~col:j in
+              re.{slot} <- z.re;
+              im.{slot} <- z.im)
+            row)
+        rows;
       let y = Cmat.Vec.create n in
-      Cmat.mul_vec_into (Cmat.of_arrays rows) ~x:(Cmat.Vec.of_complex x) ~y;
+      Csparse.mul_vec_into pattern ~re ~im ~x:(Cmat.Vec.of_complex x) ~y;
       exact_vec (Cmat.Vec.to_complex y) (Ref.mul_vec rows x))
 
 let test_singular_agreement () =
@@ -199,57 +215,6 @@ let test_big_singular_agreement () =
   | () -> Alcotest.fail "Big accepted a singular matrix");
   Alcotest.(check bool) "Big determinant is zero on singular" true
     (exact_c (determinant (Cmat.of_arrays rows)) Complex.zero)
-
-(* The block back-solve promises column-wise bitwise equality with k
-   scalar solves. *)
-let qcheck_big_block_solve =
-  QCheck.Test.make
-    ~name:"Big lu_solve_block_into == k scalar lu_solve_into (bitwise)" ~count:100
-    (QCheck.make QCheck.Gen.(triple (int_range 1 10) (int_range 1 8) (int_range 0 1000000)))
-    (fun (n, k, seed) ->
-      let rng = Random.State.make [| seed |] in
-      let rows = random_rows rng n in
-      match Cmat.lu_factor (Cmat.of_arrays rows) with
-      | exception Cmat.Singular -> QCheck.assume_fail ()
-      | lu ->
-          let cols = Array.init k (fun _ -> random_vec rng n) in
-          let b = Cmat.create n k and x = Cmat.create n k in
-          Array.iteri (fun r col -> Array.iteri (fun i z -> Cmat.set b i r z) col) cols;
-          Cmat.lu_solve_block_into lu ~b ~x;
-          Array.for_all
-            (fun r ->
-              let bv = Cmat.Vec.of_complex cols.(r) in
-              let sx = Cmat.Vec.create n in
-              Cmat.lu_solve_into lu ~b:bv ~x:sx;
-              exact_vec (Array.init n (fun i -> Cmat.get x i r)) (Cmat.Vec.to_complex sx))
-            (Array.init k Fun.id))
-
-(* The headline contract of the off-heap storage: a warmed block
-   back-solve touches only Bigarray planes, so it allocates zero
-   GC-visible words. Exact equality, not a bound — under bytecode the
-   instrumented interpreter allocates on its own, so native only. *)
-let test_big_block_solve_zero_alloc () =
-  if Sys.backend_type = Sys.Native then begin
-    let n = 8 and k = 5 in
-    let rng = Random.State.make [| 7 |] in
-    let rows = random_rows rng n in
-    let lu = Cmat.lu_factor (Cmat.of_arrays rows) in
-    let b = Cmat.create n k and x = Cmat.create n k in
-    for i = 0 to n - 1 do
-      for r = 0 to k - 1 do
-        Cmat.set b i r
-          (c (Random.State.float rng 2.0) (Random.State.float rng 2.0))
-      done
-    done;
-    (* warm once, then measure *)
-    Cmat.lu_solve_block_into lu ~b ~x;
-    let w0 = Gc.minor_words () in
-    Cmat.lu_solve_block_into lu ~b ~x;
-    let w1 = Gc.minor_words () in
-    ignore (Sys.opaque_identity x);
-    Alcotest.(check (float 0.0))
-      "warmed block back-solve allocates zero words" 0.0 (w1 -. w0)
-  end
 
 (* ---- allocation regression ----
 
@@ -312,9 +277,10 @@ let test_allocation_per_rank1_solve () =
    few records per frequency, well under [max_words_per_frequency].
    Each engine's frequencies hold at least [min_columns] columns, so a
    Bigarray or sub per column (five words or more each) would exceed
-   it. The points themselves stay within the rank-1 bound. Dense
-   (leapfrog5) and sparse (bigladder-70) engines alike; and brackets
-   over equal-dimension views on one pool allocate one workspace. *)
+   it. The points themselves stay within the rank-1 bound. A small
+   circuit (leapfrog5) and a large one (bigladder-70) alike; and
+   brackets over equal-dimension views on one pool allocate one
+   workspace. *)
 let max_words_per_frequency = 32.0
 let min_columns = 8
 
@@ -369,15 +335,13 @@ let test_sweep_allocation () =
   in
   let faults = Fault.both_deviations netlist in
   let sim = Fastsim.create ~source ~output ~freqs_hz netlist in
-  Alcotest.(check bool) "leapfrog5 runs dense" false (Fastsim.uses_sparse sim);
   check "leapfrog5" sim faults;
   let ladder, ladder_out = Conformance.Gen.bigladder ~stages:70 (Random.State.make [| 7 |]) in
   let ladder_freqs =
     Testability.Grid.freqs_hz (Testability.Grid.make ~points_per_decade:2 ~f_lo:10.0 ~f_hi:1e6 ())
   in
-  let sparse = Fastsim.create ~source:"V1" ~output:ladder_out ~freqs_hz:ladder_freqs ladder in
-  Alcotest.(check bool) "bigladder-70 runs sparse" true (Fastsim.uses_sparse sparse);
-  check "bigladder-70" sparse (Fault.both_deviations ladder);
+  let ladder_sim = Fastsim.create ~source:"V1" ~output:ladder_out ~freqs_hz:ladder_freqs ladder in
+  check "bigladder-70" ladder_sim (Fault.both_deviations ladder);
   let pool = Fastsim.pool ~dim:0 in
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
@@ -395,11 +359,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_solve_equiv;
     QCheck_alcotest.to_alcotest qcheck_det_equiv;
     QCheck_alcotest.to_alcotest qcheck_mul_vec_equiv;
-    QCheck_alcotest.to_alcotest qcheck_big_block_solve;
     Alcotest.test_case "singular agreement" `Quick test_singular_agreement;
     Alcotest.test_case "Big singular agreement" `Quick test_big_singular_agreement;
-    Alcotest.test_case "Big block back-solve zero allocation" `Quick
-      test_big_block_solve_zero_alloc;
     Alcotest.test_case "rank-1 solve allocation bound" `Quick
       test_allocation_per_rank1_solve;
     Alcotest.test_case "sweep allocates no per-column storage" `Quick

@@ -2,8 +2,9 @@
    to rounding (pivot orders differ, so not bitwise), same singular
    verdicts on clear-cut inputs, and the sparse block back-solve
    bitwise-equal to the sparse scalar solve (same per-column op
-   order). Circuit-level sparse-vs-dense equivalence (Fastsim backends
-   on Conformance.Gen subjects) lives further down. *)
+   order). Circuit-level checks of the engine (the boxed reference
+   oracles on Conformance.Gen subjects, the bigladder campaign) live
+   further down. *)
 
 module Cmat = Linalg.Cmat
 module Bvec = Cmat.Vec
@@ -65,7 +66,7 @@ let sparse_of { n; entries; vals } =
 let factored sys =
   let p, re, im = sparse_of sys in
   let sym = Csparse.analyze p ~re ~im in
-  let num = Csparse.numeric sym in
+  let num = Csparse.numeric sym ~store:Csparse.plane in
   Csparse.refactor num ~re ~im;
   (p, re, im, num)
 
@@ -167,22 +168,34 @@ let test_block_zero_alloc () =
     Alcotest.(check (float 0.0)) "a sparse block back-solve allocates zero words" 0.0 (w1 -. w0)
   end
 
+(* The dense matrix's rows, boxed: the reference for the sparse
+   whole-matrix helpers. *)
+let dense_rows sys =
+  let m = dense_of sys in
+  Array.init sys.n (fun i -> Array.init sys.n (fun j -> Cmat.get m i j))
+
 let prop_mul_vec =
   QCheck2.Test.make ~name:"sparse mul_vec agrees with dense" ~count:200 sys_gen
     (fun sys ->
-      let m = dense_of sys in
+      let rows = dense_rows sys in
       let p, re, im = sparse_of sys in
       let rng = Random.State.make [| 5; sys.n |] in
       let x = rand_rhs rng sys.n in
-      let yd = Bvec.create sys.n and ys = Bvec.create sys.n in
-      Cmat.mul_vec_into m ~x ~y:yd;
+      let ys = Bvec.create sys.n in
       Csparse.mul_vec_into p ~re ~im ~x ~y:ys;
       let ok = ref true in
-      for i = 0 to sys.n - 1 do
-        if not (close ~tol:1e-12 (Bvec.get yd i) (Bvec.get ys i)) then ok := false
-      done;
+      Array.iteri
+        (fun i row ->
+          let yd = ref Complex.zero in
+          Array.iteri (fun j a -> yd := Complex.add !yd (Complex.mul a (Bvec.get x j))) row;
+          if not (close ~tol:1e-12 !yd (Bvec.get ys i)) then ok := false)
+        rows;
       let a_inf = snd (Csparse.norms_inf p ~re ~im) in
-      let dense_inf = snd (Cmat.norms_inf m) in
+      let dense_inf =
+        Array.fold_left
+          (fun acc row -> Float.max acc (Array.fold_left (fun s a -> s +. Complex.norm a) 0.0 row))
+          0.0 rows
+      in
       ok := !ok && Float.abs (a_inf -. dense_inf) <= 1e-12 *. (1.0 +. dense_inf);
       !ok)
 
@@ -199,32 +212,37 @@ let prop_lu_abs_norm =
           let a1, _ = Csparse.norms_inf p ~re ~im in
           Csparse.lu_abs_norm_inf num >= a1 *. (1.0 -. 1e-12))
 
-(* Aᵀ x = b through A's own factors, dense and sparse, against a fresh
-   dense factorization of the explicit transpose; and |y|ᵀ|A||x|
-   agrees between the two storages. *)
+(* Aᵀ x = b through A's own sparse factors, against a fresh dense
+   factorization of the explicit transpose; and |y|ᵀ|A||x| over the
+   stored entries agrees with the dense sum. *)
 let prop_transpose_solve =
   QCheck2.Test.make ~name:"transpose solves agree with the explicit transpose" ~count:200
     sys_gen (fun sys ->
       let tsys = { sys with entries = Array.map (fun (i, j) -> (j, i)) sys.entries } in
-      match (Cmat.lu_factor (dense_of sys), Cmat.lu_factor (dense_of tsys), factored sys) with
+      match (Cmat.lu_factor (dense_of tsys), factored sys) with
       | exception Cmat.Singular -> true
-      | lu, lut, (p, re, im, num) ->
+      | lut, (p, re, im, num) ->
           let rng = Random.State.make [| 11; sys.n |] in
           let b = rand_rhs rng sys.n and y = rand_rhs rng sys.n in
           let reference = Bvec.create sys.n in
           Cmat.lu_solve_into lut ~b ~x:reference;
-          let xd = Bvec.create sys.n and xs = Bvec.create sys.n in
-          Cmat.lu_solve_transpose_into lu ~b ~x:xd;
+          let xs = Bvec.create sys.n in
           Csparse.solve_transpose_into num ~b ~x:xs;
           let scale = 1.0 +. Bvec.norm_inf reference in
           let ok = ref true in
           for i = 0 to sys.n - 1 do
             let r = Bvec.get reference i in
-            if not (close ~tol:(1e-9 *. scale) r (Bvec.get xd i)
-                    && close ~tol:(1e-9 *. scale) r (Bvec.get xs i))
-            then ok := false
+            if not (close ~tol:(1e-9 *. scale) r (Bvec.get xs i)) then ok := false
           done;
-          let fd = Cmat.abs_bilinear (dense_of sys) ~y ~x:reference
+          let mag (z : Complex.t) = Float.abs z.re +. Float.abs z.im in
+          let fd =
+            Array.fold_left ( +. ) 0.0
+              (Array.mapi
+                 (fun i row ->
+                   mag (Bvec.get y i)
+                   *. Array.fold_left ( +. ) 0.0
+                        (Array.mapi (fun j a -> mag a *. mag (Bvec.get reference j)) row))
+                 (dense_rows sys))
           and fs = Csparse.abs_bilinear p ~re ~im ~y ~x:reference in
           !ok && Float.abs (fd -. fs) <= 1e-12 *. fd)
 
@@ -266,6 +284,48 @@ let test_singular_zero_column () =
   | exception Cmat.Singular -> ()
   | _ -> Alcotest.fail "dense LU accepted a structurally singular matrix"
 
+(* A badly scaled ladder (0.02 Ω to 91 MΩ, inductor shunts) at
+   100 kHz: ωL sets the singularity threshold above the node
+   conductances, the Markowitz order pivots an inductor's branch
+   diagonal first and leaves a remainder below the threshold, and the
+   analysis takes the dense LU's order instead (columns in order, each
+   on its largest entry). The dense LU factors this matrix, so the
+   engine must too, and agree with it. *)
+let test_partial_pivot_fallback () =
+  let netlist =
+    Circuit.Netlist.(
+      empty ~title:"badly scaled ladder" ()
+      |> vsource ~name:"V1" "n0" "0" 1.0
+      |> resistor ~name:"RS1" "n0" "n1" 0.02383486434280018
+      |> resistor ~name:"RP1" "n1" "0" 11261668.446464587
+      |> resistor ~name:"RS2" "n1" "n2" 20477534.023879174
+      |> inductor ~name:"LP2" "n2" "0" 36.171776825782366
+      |> resistor ~name:"RS3" "n2" "n3" 91119158.97642063
+      |> resistor ~name:"RP3" "n3" "0" 357.20937749197736
+      |> resistor ~name:"RS4" "n3" "n4" 21357349.284000207
+      |> inductor ~name:"LP4" "n4" "0" 1.1057267501351864)
+  in
+  let f_hz = 1e5 in
+  let index = Mna.Index.build netlist in
+  let sp = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only "V1") index netlist in
+  let p = Mna.Stamps.sparse_pattern sp and nnz = Mna.Stamps.sparse_nnz sp in
+  let re = Csparse.plane nnz and im = Csparse.plane nnz in
+  Mna.Stamps.fill_sparse sp ~omega:(2.0 *. Float.pi *. f_hz) ~re ~im;
+  let sym = Csparse.analyze p ~re ~im in
+  let n = Mna.Index.size index in
+  Alcotest.(check (array int)) "the dense LU's column order" (Array.init n Fun.id)
+    (snd (Csparse.pivot_order sym));
+  List.iter
+    (fun output ->
+      let engine =
+        Testability.Fastsim.nominal
+          (Testability.Fastsim.create ~source:"V1" ~output ~freqs_hz:[| f_hz |] netlist)
+      and dense = Mna.Ac.sweep ~source:"V1" ~output netlist ~freqs_hz:[| f_hz |] in
+      if not (close ~tol:1e-9 engine.(0) dense.(0)) then
+        Alcotest.failf "%s: engine %g%+gi, dense %g%+gi" output engine.(0).Complex.re
+          engine.(0).Complex.im dense.(0).Complex.re dense.(0).Complex.im)
+    [ "n1"; "n2"; "n3"; "n4" ]
+
 let test_refactor_reuse () =
   (* One symbolic analysis serves many value sets (the per-frequency
      refactorization path): scaling the matrix scales the solution. *)
@@ -281,7 +341,7 @@ let test_refactor_reuse () =
   in
   let p, re, im = sparse_of sys in
   let sym = Csparse.analyze p ~re ~im in
-  let num = Csparse.numeric sym in
+  let num = Csparse.numeric sym ~store:Csparse.plane in
   Csparse.refactor num ~re ~im;
   let b = Bvec.create sys.n in
   Bvec.set b 0 Complex.one;
@@ -320,51 +380,37 @@ module F = Testability.Fastsim
 module P = Mcdft_core.Pipeline
 module Mx = Testability.Matrix
 
-(* The registered differential oracle already embodies the comparison
-   (nominal + per-fault responses within family tolerances, singular
-   leniency on near-singular draws); the property just drives it over
-   the quick generator families and rejects any Fail. *)
-let prop_backends_agree =
-  let oracle =
-    match Conformance.Oracle.find "sparse-vs-dense" with
+(* The registered differential oracles already embody the comparison
+   of the engine with the boxed Mna.Assemble reference and its dense
+   LU: the nominal, declared singularity included, and every faulty
+   response within family tolerances, with singular leniency on
+   near-singular draws. The property drives both over the quick
+   generator families and rejects any Fail. *)
+let prop_engine_agrees =
+  let oracle name =
+    match Conformance.Oracle.find name with
     | Some o -> o
-    | None -> Alcotest.fail "sparse-vs-dense oracle not registered"
+    | None -> Alcotest.failf "%s oracle not registered" name
   in
-  QCheck2.Test.make ~name:"fastsim sparse backend agrees with dense on generated circuits"
+  let oracles = [ oracle "ac-reference"; oracle "rank1-updates" ] in
+  QCheck2.Test.make
+    ~name:"fastsim sparse backend agrees with the boxed reference on generated circuits"
     ~count:40
     QCheck2.Gen.(pair (int_range 0 3) (int_range 0 300))
     (fun (fi, seed) ->
       let family = List.nth Conformance.Gen.families fi in
       let s = Conformance.Gen.generate family ~seed in
-      match Conformance.Oracle.run oracle s with
-      | Conformance.Oracle.Fail msg ->
-          QCheck2.Test.fail_reportf "%s: %s" s.Conformance.Gen.label msg
-      | Conformance.Oracle.Pass | Conformance.Oracle.Skip _ -> true)
+      List.for_all
+        (fun o ->
+          match Conformance.Oracle.run o s with
+          | Conformance.Oracle.Fail msg ->
+              QCheck2.Test.fail_reportf "%s, %s: %s" s.Conformance.Gen.label
+                o.Conformance.Oracle.name msg
+          | Conformance.Oracle.Pass | Conformance.Oracle.Skip _ -> true)
+        oracles)
 
-let test_auto_crossover () =
-  let netlist, output =
-    Conformance.Gen.bigladder ~stages:60 (Random.State.make [| 99 |])
-  in
-  let freqs_hz = [| 1e3; 1e4 |] in
-  let big = F.create ~backend:F.Auto ~source:"V1" ~output ~freqs_hz netlist in
-  Alcotest.(check bool) "auto picks sparse on a bigladder" true (F.uses_sparse big);
-  let tt = Circuits.Tow_thomas.make () in
-  let small =
-    F.create ~backend:F.Auto ~source:tt.Circuits.Benchmark.source
-      ~output:tt.Circuits.Benchmark.output ~freqs_hz tt.Circuits.Benchmark.netlist
-  in
-  Alcotest.(check bool) "auto stays dense below the crossover" false
-    (F.uses_sparse small);
-  let forced =
-    F.create ~backend:F.Sparse ~source:tt.Circuits.Benchmark.source
-      ~output:tt.Circuits.Benchmark.output ~freqs_hz tt.Circuits.Benchmark.netlist
-  in
-  Alcotest.(check bool) "explicit Sparse overrides the heuristic" true
-    (F.uses_sparse forced)
-
-(* End-to-end: the default campaign on a bigladder factors sparse
-   (Auto, above the crossover) and must match the dense per-view
-   Detect.analyze reference verdict-for-verdict, and pruning must
+(* End-to-end: the default campaign on a bigladder must match the
+   per-view Detect.analyze reference verdict-for-verdict, and pruning must
    replicate rows bitwise while reporting what it skipped (the three
    buffers give 7 test views in exactly 2 value-equivalence classes). *)
 let test_bigladder_campaign () =
@@ -387,37 +433,30 @@ let test_bigladder_campaign () =
   let run ~prune () = P.run ~points_per_decade:3 ~faults ~jobs:1 ~prune b in
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
-  let sparse =
+  let pruned =
     Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) (run ~prune:true)
   in
   let snap = Obs.Metrics.snapshot () in
   Obs.Metrics.reset ();
   let noprune = run ~prune:false () in
-  Alcotest.(check int) "equivalence groups" 2 sparse.P.equivalence_groups;
-  Alcotest.(check int) "pruned configs" 5 sparse.P.pruned_configs;
+  Alcotest.(check int) "equivalence groups" 2 pruned.P.equivalence_groups;
+  Alcotest.(check int) "pruned configs" 5 pruned.P.pruned_configs;
   Alcotest.(check int) "campaign.equivalence_groups counter" 2
     (Obs.Metrics.counter snap "campaign.equivalence_groups");
   Alcotest.(check int) "campaign.pruned_configs counter" 5
     (Obs.Metrics.counter snap "campaign.pruned_configs");
   Alcotest.(check int) "no-prune simulates every view" 0 noprune.P.pruned_configs;
   Alcotest.(check int) "no-prune group per view" 7 noprune.P.equivalence_groups;
-  let m = sparse.P.matrix in
+  let m = pruned.P.matrix in
   Array.iteri
     (fun i (v : Mx.view) ->
-      let sim =
-        F.create ~source:v.Mx.probe.Testability.Detect.source
-          ~output:v.Mx.probe.Testability.Detect.output
-          ~freqs_hz:(Testability.Grid.freqs_hz sparse.P.grid) v.Mx.netlist
-      in
-      Alcotest.(check bool) (v.Mx.label ^ ": the campaign factors sparse") true
-        (F.uses_sparse sim);
-      let dense =
-        Testability.Detect.analyze ~backend:F.Dense ~criterion:P.default_criterion
-          v.Mx.probe sparse.P.grid v.Mx.netlist faults
+      let reference =
+        Testability.Detect.analyze ~criterion:P.default_criterion v.Mx.probe pruned.P.grid
+          v.Mx.netlist faults
       in
       Alcotest.(check (list bool))
-        (v.Mx.label ^ ": sparse verdicts equal dense Detect.analyze")
-        (List.map (fun r -> r.Testability.Detect.detectable) dense)
+        (v.Mx.label ^ ": campaign verdicts equal per-view Detect.analyze")
+        (List.map (fun r -> r.Testability.Detect.detectable) reference)
         (Array.to_list m.Mx.detect.(i)))
     m.Mx.views;
   Alcotest.(check bool) "pruned detect bitwise-equals unpruned" true
@@ -428,11 +467,12 @@ let test_bigladder_campaign () =
     (m.Mx.verdicts = noprune.P.matrix.Mx.verdicts)
 
 (* leapfrog5's C198 and C214 cancel exactly: every nominal |H| is
-   round-off, 1.8e-12 at the dense peak and 1.7e-13 at the sparse one.
-   Read numerically, the solver decided their verdicts: at ppd 10
-   C198 x R4a/R4b+20% read 16.3 % dense and 2.5 % sparse under the
-   envelope, and fixed:0.1 had 20 differing cells. Both views are
-   numerically dead, so both backends give one matrix, all 'u'. *)
+   round-off, 1.8e-12 at the dense LU's peak and 1.7e-13 at the
+   sparse one. Read numerically, the solver decided their verdicts: at
+   ppd 10 C198 x R4a/R4b+20% read 16.3 % under a dense engine and
+   2.5 % under a sparse one with the envelope, and fixed:0.1 had 20
+   differing cells. The dense Ac.sweep reads round-off there too, and
+   the engine masks both views as numerically dead: all 'u'. *)
 let test_leapfrog_round_off_views () =
   let b = Circuits.Leapfrog.make () in
   let netlist = b.Circuits.Benchmark.netlist in
@@ -454,21 +494,24 @@ let test_leapfrog_round_off_views () =
       let label = Multiconfig.Configuration.label config in
       if List.mem label [ "C198"; "C214" ] then begin
         let view = Multiconfig.Transform.emulate dft config in
+        let dense =
+          Mna.Ac.sweep ~source:probe.source ~output:probe.output view
+            ~freqs_hz:(Testability.Grid.freqs_hz grid)
+        in
+        Alcotest.(check bool)
+          (label ^ ": the dense Ac.sweep reads round-off at every point")
+          true
+          (Array.for_all (fun z -> Complex.norm z < 1e-10) dense);
         List.iter
           (fun (what, criterion, faults) ->
-            let run backend =
-              List.map
-                (fun r -> (r.Testability.Detect.detectable, r.Testability.Detect.omega_det))
-                (Testability.Detect.analyze ~backend ~criterion probe grid view faults)
-            in
-            let dense = run F.Dense in
-            Alcotest.(check (list (pair bool (float 0.0))))
-              (Printf.sprintf "%s %s: dense = sparse" label what)
-              dense (run F.Sparse);
+            let results = Testability.Detect.analyze ~criterion probe grid view faults in
             Alcotest.(check bool)
               (Printf.sprintf "%s %s: nothing detected" label what)
               true
-              (List.for_all (fun (d, w) -> (not d) && w = 0.0) dense))
+              (List.for_all
+                 (fun r ->
+                   (not r.Testability.Detect.detectable) && r.Testability.Detect.omega_det = 0.0)
+                 results))
           [
             ("envelope +-20%", P.default_criterion, Fault.both_deviations netlist);
             ("fixed:0.1 open/short", Testability.Detect.Fixed_tolerance 0.1,
@@ -498,6 +541,7 @@ let suite =
     ("pattern-slot", `Quick, test_pattern_slot);
     ("singular-zero-column", `Quick, test_singular_zero_column);
     ("refactor-reuse", `Quick, test_refactor_reuse);
+    ("analysis falls back to partial pivoting", `Quick, test_partial_pivot_fallback);
     ("markowitz order pinned", `Quick, test_markowitz_order);
     q prop_solve;
     q prop_block_bitwise;
@@ -506,8 +550,9 @@ let suite =
     q prop_lu_abs_norm;
     q prop_dense_into;
     q prop_transpose_solve;
-    ("auto-crossover", `Quick, test_auto_crossover);
     ("bigladder-campaign", `Slow, test_bigladder_campaign);
-    ("leapfrog5 round-off views: dense = sparse", `Quick, test_leapfrog_round_off_views);
-    q prop_backends_agree;
+    ( "leapfrog5 round-off views: dense Ac.sweep round-off too, nothing detected",
+      `Quick,
+      test_leapfrog_round_off_views );
+    q prop_engine_agrees;
   ]
