@@ -6,7 +6,6 @@
      lint     CIRCUIT       static analysis: validation, structural rank,
                             configuration-space diagnostics
      tf       CIRCUIT       symbolic transfer function, poles and zeros
-     certify  CIRCUIT       interval-certified detectability verdicts
      analyze  CIRCUIT       functional-configuration testability (Graph 1)
      matrix   CIRCUIT       detectability matrices over all configurations
      optimize CIRCUIT       the full ordered-requirements optimization
@@ -509,7 +508,8 @@ let lint_cmd =
        ~doc:"Static analysis: validation, structural MNA rank at DC/HF/generic \
              frequencies, configuration-space diagnostics (broken test-input \
              chains, singular or equivalent configurations, structurally \
-             undetectable faults) and interval-certification summaries")
+             undetectable faults) and a summary of the simulations the \
+             campaign can skip")
     Term.(const run $ circuit_arg $ source_opt $ output_opt $ json_flag $ sarif_opt
           $ strict_flag)
 
@@ -540,182 +540,6 @@ let tf_cmd =
   in
   Cmd.v (Cmd.info "tf" ~doc:"Symbolic transfer function, poles and zeros")
     Term.(const run $ circuit_arg $ source_opt $ output_opt)
-
-let certify_cmd =
-  let run name source output criterion ppd fault_kind work_cap json metrics trace =
-    with_observability ~metrics ~trace @@ fun () ->
-    with_circuit name source output (fun b ->
-        let eps =
-          match criterion with
-          | Testability.Detect.Fixed_tolerance e when e > 0.0 -> e
-          | c ->
-              die 1
-                "certification needs a fixed:EPS criterion (got %s): interval \
-                 arithmetic bounds |dT|/|T| against a constant threshold only"
-                (criterion_str c)
-        in
-        let netlist = b.Circuits.Benchmark.netlist in
-        let dft =
-          Multiconfig.Transform.make ~source:b.Circuits.Benchmark.source
-            ~output:b.Circuits.Benchmark.output netlist
-        in
-        let faults = faults_of fault_kind netlist in
-        let grid =
-          Testability.Grid.around ~points_per_decade:ppd
-            ~center_hz:b.Circuits.Benchmark.center_hz ()
-        in
-        let specs =
-          List.map
-            (fun config ->
-              {
-                Analysis.Certify.label = Multiconfig.Configuration.label config;
-                netlist = Multiconfig.Transform.emulate dft config;
-                source = b.Circuits.Benchmark.source;
-                output = b.Circuits.Benchmark.output;
-              })
-            (Multiconfig.Transform.test_configurations dft)
-        in
-        let c =
-          Analysis.Certify.certify ?work_cap ~eps
-            ~freqs_hz:(Testability.Grid.freqs_hz grid) specs faults
-        in
-        let s = c.Analysis.Certify.stats in
-        let cell_proved (cell : Analysis.Certify.cell) =
-          let p = ref 0 in
-          Bytes.iter (fun ch -> if ch <> '?' then incr p) cell.Analysis.Certify.verdicts;
-          !p
-        in
-        if json then begin
-          let open Report.Json in
-          let view_json (v : Analysis.Certify.view_result) =
-            Object
-              [
-                ("label", String v.Analysis.Certify.spec.Analysis.Certify.label);
-                ("validated", Bool v.Analysis.Certify.validated);
-                ( "cells",
-                  List
-                    (Array.to_list
-                       (Array.map
-                          (fun (cell : Analysis.Certify.cell) ->
-                            Object
-                              [
-                                ("fault", String cell.Analysis.Certify.fault.Fault.id);
-                                ( "verdicts",
-                                  String
-                                    (Bytes.to_string cell.Analysis.Certify.verdicts) );
-                                ("proved_points", Report.Json.int (cell_proved cell));
-                              ])
-                          v.Analysis.Certify.cells)) );
-              ]
-          in
-          print_endline
-            (to_string ~indent:2
-               (Object
-                  [
-                    ("circuit", String b.Circuits.Benchmark.name);
-                    ("eps", Number c.Analysis.Certify.eps);
-                    ("margin", Number c.Analysis.Certify.margin);
-                    ("n_points", Report.Json.int c.Analysis.Certify.n_points);
-                    ( "views",
-                      List
-                        (Array.to_list
-                           (Array.map view_json c.Analysis.Certify.views)) );
-                    ( "stats",
-                      Object
-                        [
-                          ("cells", Report.Json.int s.Analysis.Certify.cells);
-                          ( "cells_proved",
-                            Report.Json.int s.Analysis.Certify.cells_proved );
-                          ("points", Report.Json.int s.Analysis.Certify.points);
-                          ( "points_proved",
-                            Report.Json.int s.Analysis.Certify.points_proved );
-                          ( "skipped_views",
-                            Report.Json.int s.Analysis.Certify.skipped_views );
-                        ] );
-                  ]))
-        end
-        else begin
-          Printf.printf
-            "circuit: %s   criterion: fixed:%g   faults: %d   grid: %d points\n\n"
-            b.Circuits.Benchmark.name eps (List.length faults)
-            c.Analysis.Certify.n_points;
-          let rows =
-            Array.to_list
-              (Array.map
-                 (fun (v : Analysis.Certify.view_result) ->
-                   let n_cells = Array.length v.Analysis.Certify.cells in
-                   let whole =
-                     Array.fold_left
-                       (fun acc cell ->
-                         if
-                           c.Analysis.Certify.n_points > 0
-                           && cell_proved cell = c.Analysis.Certify.n_points
-                         then acc + 1
-                         else acc)
-                       0 v.Analysis.Certify.cells
-                   in
-                   let pts =
-                     Array.fold_left
-                       (fun acc cell -> acc + cell_proved cell)
-                       0 v.Analysis.Certify.cells
-                   in
-                   let total = n_cells * c.Analysis.Certify.n_points in
-                   [
-                     v.Analysis.Certify.spec.Analysis.Certify.label;
-                     (if v.Analysis.Certify.validated then "certified" else "skipped");
-                     Printf.sprintf "%d/%d" whole n_cells;
-                     Printf.sprintf "%d/%d" pts total;
-                     (if total = 0 then "-"
-                      else
-                        Printf.sprintf "%.1f%%"
-                          (100.0 *. float_of_int pts /. float_of_int total));
-                   ])
-                 c.Analysis.Certify.views)
-          in
-          print_endline
-            (Report.Table.render
-               ~header:[ "config"; "status"; "cells whole"; "points proved"; "fraction" ]
-               rows);
-          Printf.printf
-            "\nproved %d of %d point verdicts (%s); %d of %d cells whole; %d view%s \
-             skipped\n"
-            s.Analysis.Certify.points_proved s.Analysis.Certify.points
-            (if s.Analysis.Certify.points = 0 then "-"
-             else
-               Printf.sprintf "%.1f%%"
-                 (100.0
-                 *. float_of_int s.Analysis.Certify.points_proved
-                 /. float_of_int s.Analysis.Certify.points))
-            s.Analysis.Certify.cells_proved s.Analysis.Certify.cells
-            s.Analysis.Certify.skipped_views
-            (if s.Analysis.Certify.skipped_views = 1 then "" else "s")
-        end)
-  in
-  let criterion_fixed_opt =
-    Arg.(value & opt criterion_conv (Testability.Detect.Fixed_tolerance 0.10)
-         & info [ "criterion" ] ~docv:"CRIT"
-             ~doc:"Detectability criterion; must be fixed:EPS (default \
-                   fixed:0.1, the paper's Definition 1).")
-  in
-  let work_cap_opt =
-    Arg.(value & opt (some positive_int) None
-         & info [ "work-cap" ] ~docv:"N"
-             ~doc:"Cap on symbolic transfer-function extractions (default \
-                   256); views past the cap stay unknown, bounding the cost \
-                   on circuits with hundreds of configurations.")
-  in
-  let json_flag =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the verdict cube as JSON.")
-  in
-  Cmd.v
-    (Cmd.info "certify"
-       ~doc:"Interval-certified detectability: prove (configuration, fault, \
-             frequency) verdicts statically with outward-rounded interval \
-             arithmetic over the symbolic transfer function, without running \
-             the numeric campaign")
-    Term.(const run $ circuit_arg $ source_opt $ output_opt $ criterion_fixed_opt
-          $ ppd_opt $ fault_kind_opt $ work_cap_opt $ json_flag $ metrics_opt
-          $ trace_opt)
 
 let analyze_cmd =
   let run name source output criterion ppd fault_kind fault_element =
@@ -1412,6 +1236,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            list_cmd; show_cmd; lint_cmd; tf_cmd; certify_cmd; analyze_cmd; matrix_cmd;
+            list_cmd; show_cmd; lint_cmd; tf_cmd; analyze_cmd; matrix_cmd;
             optimize_cmd; testplan_cmd; sweep_cmd; diagnose_cmd; blocks_cmd; fuzz_cmd;
           ]))

@@ -326,76 +326,6 @@ let configuration_findings ?src ?follower_model dft =
                provably yield no detection; the campaign skips them"
               skips
               (Detectability.total_pairs det)));
-    (* interval certification at the paper's fixed ε = 0.1: a fault
-       whose undetectability is *certified* at every probed frequency
-       in every test configuration (F002) is a stronger fact than the
-       structural F001, and the provable fraction (P002) summarizes
-       how much of a campaign at this criterion the intervals prove
-       without solving. The linter has
-       no campaign grid, so the probed frequencies span two decades
-       either side of the geometric pole centre; the pass is gated by
-       the certification work cap so lint stays fast when the
-       configuration space is large. *)
-    let faults = Fault.deviation_faults dft.Transform.base in
-    if
-      faults <> []
-      && List.length test * (1 + List.length faults) <= Certify.default_work_cap
-    then begin
-      let center_hz =
-        Mna.Symbolic.center_hz ~source:dft.Transform.source ~output:dft.Transform.output
-          dft.Transform.base
-      in
-      let freqs_hz =
-        let lo = log10 center_hz -. 2.0 and n = 33 in
-        Array.init n (fun i ->
-            10.0 ** (lo +. (4.0 *. float_of_int i /. float_of_int (n - 1))))
-      in
-      let specs =
-        List.map
-          (fun config ->
-            {
-              Certify.label = Configuration.label config;
-              netlist = view_of config;
-              source = dft.Transform.source;
-              output = dft.Transform.output;
-            })
-          test
-      in
-      let c = Certify.certify ~eps:0.1 ~freqs_hz specs faults in
-      let stats = c.Certify.stats in
-      if stats.Certify.skipped_views = 0 then
-        List.iteri
-          (fun j fault ->
-            let everywhere_u =
-              Array.for_all
-                (fun (v : Certify.view_result) ->
-                  let cell = v.Certify.cells.(j) in
-                  not
-                    (Bytes.exists
-                       (fun b -> b <> 'u')
-                       cell.Certify.verdicts))
-                c.Certify.views
-            in
-            if everywhere_u then
-              push
-                (Finding.make ~element:fault.Fault.element
-                   ?loc:(loc_of src fault.Fault.element) ~code:"F002"
-                   ~severity:Finding.Warning
-                   (Printf.sprintf
-                      "fault %s is certified undetectable (|dT|/|T| <= 0.1) at \
-                       every probed frequency in every test configuration"
-                      fault.Fault.id)))
-          faults;
-      if stats.Certify.points_proved > 0 then
-        push
-          (Finding.make ~code:"P002" ~severity:Finding.Info
-             (Printf.sprintf
-                "interval certification: %d of %d (configuration, fault, frequency) \
-                 verdicts at fixed eps = 0.1 are provable statically (%d of %d \
-                 cells whole)"
-                stats.Certify.points_proved stats.Certify.points
-                stats.Certify.cells_proved stats.Certify.cells))
-    end;
     List.rev !findings
   end
 

@@ -12,13 +12,7 @@
       structurally equivalent configuration pairs (C004, info);
     - {e detectability} — faults no test configuration can structurally
       observe (F001), plus a summary of the prunable
-      (configuration, fault) pairs (P001, info);
-    - {e interval certification} — faults whose undetectability at the
-      paper's fixed ε = 0.1 is {e certified} by the interval abstract
-      interpreter ({!Certify}) at every probed frequency in every test
-      configuration (F002), plus a summary of the statically provable
-      verdict fraction (P002, info). Gated by the certification work
-      cap so lint stays fast on large configuration spaces.
+      (configuration, fault) pairs (P001, info).
 
     The configuration-space passes only run when the netlist is free of
     error-severity findings — cascading diagnostics out of a broken

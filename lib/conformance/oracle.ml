@@ -32,9 +32,10 @@ let is_near_singular s = family_of s = Some Gen.Near_singular
    assembly alone: the [Assemble.Make] functor stamps every element
    straight into Complex.t entries and shares no code with the split
    stamp planes Fastsim fills (it predates them and is kept precisely
-   as this reference). The LU is the campaign's own dense kernel; what
-   pins that is test_planar's boxed [Ref], a Complex.t Doolittle LU
-   the kernel must match bitwise. *)
+   as this reference). Its dense [Cmat] LU is independent of the
+   engine too: every campaign factors through the sparse kernel
+   ([Csparse]), and what pins the dense LU is test_planar's boxed
+   [Ref], a Complex.t Doolittle LU it must match bitwise. *)
 let reference_solve ~source netlist ~omega =
   let module F =
     (val Mna.Field.complex ~omega : Mna.Field.S with type t = Complex.t)
@@ -74,12 +75,11 @@ let fault_tol s (fault : Fault.t) =
   | _, false -> 1e-6
   | _, true -> 1e-3
 
-(* The engine declares a circuit singular only when an analysis of
-   some frequency's own values finds no pivot, in the Markowitz order
-   or in the dense LU's; the boxed reference's partial-pivoted LU must
-   then fail somewhere too. On the near-singular family the two
-   factorizations may legitimately disagree at the singularity
-   threshold. *)
+(* The engine declares a circuit singular only when a Markowitz
+   analysis of some frequency's own values finds no pivot; the boxed
+   reference's partial-pivoted LU must then fail somewhere too. On the
+   near-singular family the two factorizations may legitimately
+   disagree at the singularity threshold. *)
 let ac_reference (s : Gen.subject) =
   let reference = reference_sweep ~source:s.source ~output:s.output s.netlist in
   match Fastsim.create ~source:s.source ~output:s.output ~freqs_hz s.netlist with
@@ -275,8 +275,9 @@ let jobs_invariance (s : Gen.subject) =
 
 (* --- structural-vs-lu: pattern rank vs numeric factorization ------
 
-   The numeric side is the campaign's dense LU on the boxed functor
-   assembly, as in [reference_solve]. *)
+   The numeric side is the reference's dense [Cmat] LU on the boxed
+   functor assembly, as in [reference_solve]: independent of the
+   engine's sparse kernel, and pinned by test_planar's [Ref]. *)
 
 let lu_solvable netlist ~omega =
   let module F =
@@ -543,114 +544,6 @@ let diagnosis (s : Gen.subject) =
           faults;
         (match !failure with Some m -> Fail m | None -> Pass)
 
-(* --- certify-soundness: interval certificates vs the numeric engine *)
-
-(* The adversarial check on {!Analysis.Certify}: every proved byte of
-   the verdict cube must equal the exhaustive numeric verdict at its
-   grid point, under the criterion the certificates were issued for.
-   Each certified (view, fault) row is scored at every grid point and
-   compared byte by byte — a single wrong certificate anywhere fails
-   the subject, whether or not it would have moved an aggregate
-   detect/omega entry, by the campaign's own row scorer
-   ({!Detect.score_rows}). Points below the view's measurement floor
-   are undetectable by definition for a fault that is not isolated,
-   whatever any proof or solve says ({!Detect.below_floor}), so they
-   carry no comparison. Runs on
-   every generator family, near-singular included (where poles
-   crossing the sweep are exactly what the den-comfort guard must
-   survive). *)
-let certify_soundness (s : Gen.subject) =
-  let eps = 0.10 in
-  let faults = sample_faults 16 (Fault.both_deviations s.netlist) in
-  let views =
-    if Netlist.opamps s.netlist <> [] then
-      match
-        Multiconfig.Transform.make ~source:s.source ~output:s.output s.netlist
-      with
-      | exception Invalid_argument msg -> Error ("no DFT transform: " ^ msg)
-      | dft ->
-          Ok
-            (List.map
-               (fun config ->
-                 {
-                   Matrix.label = Multiconfig.Configuration.label config;
-                   netlist = Multiconfig.Transform.emulate dft config;
-                   probe = { Detect.source = s.source; output = s.output };
-                 })
-               (Multiconfig.Transform.test_configurations dft))
-    else
-      Ok
-        (List.map
-           (fun node ->
-             {
-               Matrix.label = "probe:" ^ node;
-               netlist = s.netlist;
-               probe = { Detect.source = s.source; output = node };
-             })
-           (Netlist.internal_nodes s.netlist))
-  in
-  match views with
-  | Error msg -> Skip msg
-  | Ok [] -> Skip "no views to certify"
-  | Ok views ->
-      if faults = [] then Skip "no faults to certify"
-      else begin
-        let specs =
-          List.map
-            (fun (v : Matrix.view) ->
-              {
-                Analysis.Certify.label = v.Matrix.label;
-                netlist = v.Matrix.netlist;
-                source = v.Matrix.probe.Detect.source;
-                output = v.Matrix.probe.Detect.output;
-              })
-            views
-        in
-        let cube =
-          Analysis.Certify.verdict_cube
-            (Analysis.Certify.certify ~eps ~freqs_hz specs faults)
-        in
-        let criterion = Detect.Fixed_tolerance eps in
-        let nf = Grid.n_points grid in
-        let check_view (v : Matrix.view) row =
-          if Array.for_all Option.is_none row then None
-          else
-            let pv =
-              Detect.prepare_view ~criterion ~faults v.Matrix.probe grid v.Matrix.netlist
-            in
-            List.find_map
-              (fun (fault, cell) ->
-                Option.bind cell (fun bytes ->
-                    let plan = Detect.plan_fault pv fault in
-                    let verdicts, _, _ = (Detect.score_rows pv [| plan |]).(0) in
-                    let bad = ref None in
-                    for k = nf - 1 downto 0 do
-                      let b = Bytes.get bytes k in
-                      let masked =
-                        Detect.below_floor pv k && not (Detect.plan_isolated plan)
-                      in
-                      let numeric = Bytes.get verdicts k in
-                      if b <> '?' && (not masked) && b <> numeric then
-                        bad := Some (k, b, numeric)
-                    done;
-                    Option.map
-                      (fun (k, b, numeric) ->
-                        Printf.sprintf
-                          "%s / %s at %g Hz: certified '%c', numeric engine '%c'"
-                          v.Matrix.label fault.Fault.id freqs_hz.(k) b numeric)
-                      !bad))
-              (List.combine faults (Array.to_list row))
-        in
-        match
-          List.find_map
-            (fun (v, row) -> check_view v row)
-            (List.combine views (Array.to_list cube))
-        with
-        | exception Mna.Ac.Singular_circuit msg -> Skip ("a view is singular: " ^ msg)
-        | Some msg -> Fail msg
-        | None -> Pass
-      end
-
 (* --- campaign-vs-analyze: the campaign driver against the reference *)
 
 (* The adversarial check on {!Mcdft_core.Adaptive}: on every family —
@@ -830,8 +723,9 @@ let all =
     {
       name = "ac-reference";
       doc =
-        "planar nominal AC sweep vs boxed functor assembly (same dense LU, \
-         pinned by test_planar's Ref)";
+        "planar nominal AC sweep vs boxed functor assembly solved by the \
+         dense Cmat LU (independent of the engine's sparse kernel, pinned by \
+         test_planar's Ref)";
       check = ac_reference;
     };
     {
@@ -852,8 +746,9 @@ let all =
     {
       name = "structural-vs-lu";
       doc =
-        "structural rank verdict consistent with the dense LU's Singular on \
-         boxed functor assembly";
+        "structural rank verdict consistent with the reference dense Cmat \
+         LU's Singular on boxed functor assembly (independent of the \
+         engine's sparse kernel, pinned by test_planar's Ref)";
       check = structural_vs_lu;
     };
     {
@@ -870,11 +765,6 @@ let all =
       name = "diagnosis";
       doc = "trajectory self-test: every simulated fault classifies back to itself";
       check = diagnosis;
-    };
-    {
-      name = "certify-soundness";
-      doc = "every certified verdict byte equals the exhaustive numeric verdict";
-      check = certify_soundness;
     };
     {
       name = "campaign-vs-analyze";

@@ -16,7 +16,7 @@ let default_criterion =
   Testability.Detect.Process_envelope { component_tol = 0.04; floor = 0.02 }
 
 let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
-    ?follower_model ?jobs ?(prune = true) ?(certify = false) ?adaptive:_
+    ?follower_model ?jobs ?(prune = true) ?certify:_ ?adaptive:_
     (benchmark : Circuits.Benchmark.t) =
   Obs.Trace.span "pipeline.run" @@ fun () ->
   let netlist = benchmark.Circuits.Benchmark.netlist in
@@ -50,33 +50,6 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
   in
   let matrix, stats = Adaptive.build ~criterion ?jobs ~prune grid views faults in
   let n_classes = List.length stats.Adaptive.classes in
-  (* Interval certification is a report, not a campaign input: when
-     asked for, the static proofs over the class representatives ride
-     along in the result. Only the paper's Definition 1 criterion is
-     certifiable — the deviation the intervals bound is exactly the
-     fixed-ε magnitude comparison. *)
-  let certification =
-    match criterion with
-    | Testability.Detect.Fixed_tolerance eps when certify && eps > 0.0 ->
-        Obs.Trace.span "pipeline.certify" @@ fun () ->
-        let specs =
-          List.map
-            (fun members ->
-              let v = matrix.Testability.Matrix.views.(List.hd members) in
-              {
-                Analysis.Certify.label = v.Testability.Matrix.label;
-                netlist = v.Testability.Matrix.netlist;
-                source = probe.Testability.Detect.source;
-                output = probe.Testability.Detect.output;
-              })
-            stats.Adaptive.classes
-        in
-        Some
-          (Analysis.Certify.certify ~eps
-             ~freqs_hz:(Testability.Grid.freqs_hz grid)
-             specs faults)
-    | _ -> None
-  in
   let omega_percent =
     Array.map (Array.map (fun v -> v *. 100.0)) matrix.Testability.Matrix.omega
   in
@@ -94,7 +67,7 @@ let run ?(criterion = default_criterion) ?(points_per_decade = 30) ?faults
     input;
     equivalence_groups = n_classes;
     pruned_configs = Testability.Matrix.n_views matrix - n_classes;
-    certify = certification;
+    certify = None;
     adaptive = Some stats;
   }
 

@@ -26,10 +26,9 @@ type t = {
           simulated ([n_views − equivalence_groups]; 0 with
           [~prune:false]). *)
   certify : Analysis.Certify.t option;
-      (** The interval-certification report over the representative
-          views, when it was requested ([~certify:true]) and the
-          criterion is certifiable ([Fixed_tolerance]); [None]
-          otherwise. The campaign never reads it. *)
+      (** Always [None]: interval certification is retired. Kept only
+          because the campaign benchmark compiles against this shape;
+          ROADMAP item 5 deletes it. *)
   adaptive : Adaptive.stats option;
       (** Solve accounting of the campaign driver over the
           representative rows; always [Some]. An option only because
@@ -73,13 +72,9 @@ val run :
     solver. The skipped work is counted in {!field:pruned_configs} and
     in the [campaign.pruned_configs] metric.
 
-    [certify] (default [false]) attaches the {!Analysis.Certify}
-    report over the representative views when the criterion is a
-    [Fixed_tolerance] ({!field:certify}); the proofs are a product of
-    their own, not a campaign input — the matrices never depend on
-    them. Other criteria leave {!field:certify} = [None].
-
-    [adaptive] is accepted and ignored: the campaign benchmark still
-    passes it. Every campaign solves every grid point. *)
+    [certify] and [adaptive] are accepted and ignored. They are kept
+    only because the campaign benchmark compiles against this shape;
+    ROADMAP item 5 deletes them. Every campaign solves every grid
+    point, and nothing is certified. *)
 
 val optimize : ?petrick_limit:int -> ?n_detect:int -> t -> Optimizer.report

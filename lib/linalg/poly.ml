@@ -55,29 +55,6 @@ let eval p (z : Complex.t) =
   done;
   !acc
 
-(* Interval enclosure of p(jω) over ω ∈ [w]. Splitting into even/odd
-   parts turns the complex evaluation into two real polynomials in
-   u = ω²:  Re p(jω) = Σ (-1)^m c_{2m} u^m  and
-   Im p(jω) = ω · Σ (-1)^m c_{2m+1} u^m, each evaluated by interval
-   Horner. This keeps the dependency problem to one variable (u) per
-   part instead of compounding through complex products, so the boxes
-   stay usable at the degrees the symbolic extractor produces. *)
-let eval_jw_box p w =
-  let module I = Util.Interval in
-  let horner cs u =
-    let acc = ref (I.point 0.0) in
-    for i = Array.length cs - 1 downto 0 do
-      acc := I.add (I.mul !acc u) (I.point cs.(i))
-    done;
-    !acc
-  in
-  let n = Array.length p in
-  let signed m c = if m land 1 = 1 then -.c else c in
-  let even = Array.init ((n + 1) / 2) (fun m -> signed m (coeff p (2 * m))) in
-  let odd = Array.init (n / 2) (fun m -> signed m (coeff p ((2 * m) + 1))) in
-  let u = I.sqr w in
-  I.Complex_box.make (horner even u) (I.mul w (horner odd u))
-
 let derivative p =
   if Array.length p <= 1 then zero
   else trim (Array.init (Array.length p - 1) (fun i -> float_of_int (i + 1) *. p.(i + 1)))

@@ -36,12 +36,6 @@ val scale : float -> t -> t
 val eval : t -> Complex.t -> Complex.t
 (** Evaluate at a complex point by Horner's rule. *)
 
-val eval_jw_box : t -> Util.Interval.t -> Util.Interval.Complex_box.t
-(** Sound enclosure of [p(jω)] for ω ranging over the given interval:
-    the even/odd coefficient split evaluated by outward-rounded
-    interval Horner in u = ω². Every point value [eval p (jω)] with ω
-    in the input is contained in the returned box. *)
-
 val derivative : t -> t
 
 val roots : ?max_iter:int -> ?tol:float -> t -> Complex.t array

@@ -6,23 +6,6 @@ let make num den =
   { num = Poly.scale (1.0 /. lead) num; den = Poly.scale (1.0 /. lead) den }
 
 let eval { num; den } z = Complex.div (Poly.eval num z) (Poly.eval den z)
-let eval_jw h w = eval h Complex.{ re = 0.0; im = w }
-
-let den_magnitude_jw_box { den; _ } w =
-  Util.Interval.Complex_box.abs (Poly.eval_jw_box den w)
-
-(* |H| over a frequency interval as the quotient of the modulus
-   enclosures: both are subsets of [0, inf], so the quotient bounds are
-   |num|_lo / |den|_hi and |num|_hi / |den|_lo. When the denominator
-   enclosure touches zero [Interval.div] returns [whole]; clamping the
-   low bound at zero then yields [0, inf] — "no information", exactly
-   right near a pole. *)
-let magnitude_jw_box h w =
-  let module I = Util.Interval in
-  let nm = I.Complex_box.abs (Poly.eval_jw_box h.num w) in
-  let dm = den_magnitude_jw_box h w in
-  let q = I.div nm dm in
-  { I.lo = Float.max 0.0 q.I.lo; hi = q.I.hi }
 
 let poles { den; _ } = Poly.roots den
 let zeros { num; _ } = Poly.roots num

@@ -11,20 +11,6 @@ val make : Poly.t -> Poly.t -> t
     polynomial. The representation is normalized so the denominator is
     monic. *)
 
-val eval_jw : t -> float -> Complex.t
-(** [eval_jw h w] is H(jω) for the angular frequency [w]. *)
-
-val magnitude_jw_box : t -> Util.Interval.t -> Util.Interval.t
-(** Sound enclosure of |H(jω)| for ω ranging over the given interval
-    (a subset of [[0, inf]]). When the denominator enclosure touches
-    zero the upper bound is [infinity] — no detectability conclusion
-    can be drawn across a possible pole. *)
-
-val den_magnitude_jw_box : t -> Util.Interval.t -> Util.Interval.t
-(** Enclosure of |den(jω)| over the interval — the certification
-    pass's guard against certifying through a near-singular
-    denominator. *)
-
 val poles : t -> Complex.t array
 val zeros : t -> Complex.t array
 val dc_gain : t -> float

@@ -31,7 +31,6 @@ let () =
       ("influence", Test_influence.suite);
       ("json", Test_json.suite);
       ("edge-cases", Test_edge_cases.suite);
-      ("certify", Test_certify.suite);
       ("adaptive", Test_adaptive.suite);
       ("conformance", Test_conformance.suite);
       ("exit-codes", Test_exit_codes.suite);

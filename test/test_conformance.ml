@@ -265,7 +265,7 @@ let test_brute_force_candidate_limit () =
 
 let test_oracle_registry () =
   let names = List.map (fun o -> o.Oracle.name) Oracle.all in
-  Alcotest.(check int) "eleven oracles" 11 (List.length names);
+  Alcotest.(check int) "ten oracles" 10 (List.length names);
   Alcotest.(check bool) "names unique" true
     (List.length (List.sort_uniq compare names) = List.length names);
   List.iter

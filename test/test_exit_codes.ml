@@ -61,14 +61,16 @@ let table =
     ("testplan --no-certify is gone", "testplan tow-thomas --no-certify", 124);
     ("diagnose --no-certify is gone", "diagnose tow-thomas --no-certify", 124);
     ("blocks --no-certify is gone", "blocks tow-thomas --no-certify", 124);
+    ("certify is gone", "certify tow-thomas", 124);
     ("matrix --prefilter is gone", "matrix tow-thomas --prefilter", 124);
     ("matrix --solve-budget is gone", "matrix tow-thomas --solve-budget 5", 124);
     ("matrix --backend is gone", "matrix tow-thomas --backend sparse", 124);
     ("matrix --adaptive is gone", "matrix tow-thomas --adaptive", 124);
     ("optimize --no-adaptive is gone", "optimize tow-thomas --no-adaptive", 124);
-    (* a 60-stage RC ladder's symbolic determinant overflows the float
-       range: lint's certification pass falls back to a 1 kHz centre
-       like the loader does, instead of dying in Poly.roots *)
+    (* lint on a 60-stage RC ladder runs every pass and estimates no
+       centre frequency; the loader's fallback when a symbolic
+       determinant overflows is pinned by
+       test_overflowing_centre_estimate *)
     ("lint on a 60-stage RC ladder", "lint fixtures/rc_ladder60.cir", 0);
   ]
 
@@ -139,6 +141,30 @@ let test_criterion_help () =
         (contains ~needle:family out))
     [ "fixed:EPS"; "envelope:TOL:FLOOR"; "phase:RAD"; "phase-envelope:TOL:FLOOR" ]
 
+(* A campaign on a netlist file parses it once: the pre-flight lint
+   reuses the loader's parse, as the spice.parse counter shows. *)
+let test_single_parse_per_invocation () =
+  Cli.with_temp_dir "mcdft-parse" @@ fun dir ->
+  let cir = Filename.concat dir "tt.cir" in
+  let tt = Option.get (Circuits.Registry.find "tow-thomas") in
+  Spice.Writer.to_file cir tt.Circuits.Benchmark.netlist;
+  let metrics = Filename.concat dir "metrics.json" in
+  Alcotest.(check int) "matrix on a file runs" 0
+    (Cli.exit_code
+       (Printf.sprintf
+          "matrix %s --criterion fixed:0.1 --points-per-decade 4 --metrics %s"
+          (Filename.quote cir) (Filename.quote metrics)));
+  let ic = open_in metrics in
+  let json = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match Report.Json.of_string json with
+  | Error msg -> Alcotest.failf "metrics JSON unreadable: %s" msg
+  | Ok j -> (
+      match Option.bind (Report.Json.member "counters" j) (Report.Json.member "spice.parse") with
+      | Some (Report.Json.Number n) ->
+          Alcotest.(check int) "exactly one parse" 1 (int_of_float n)
+      | _ -> Alcotest.fail "spice.parse counter missing from metrics")
+
 let suite =
   [
     Alcotest.test_case "documented exit codes hold against fixtures" `Quick
@@ -151,4 +177,6 @@ let suite =
       test_overflowing_centre_estimate;
     Alcotest.test_case "matrix --help lists every criterion family" `Quick
       test_criterion_help;
+    Alcotest.test_case "single parse per invocation" `Quick
+      test_single_parse_per_invocation;
   ]

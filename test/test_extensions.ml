@@ -366,7 +366,10 @@ let analyzed_bits (t : P.t) netlists =
               (fun (r : Detect.result) ->
                 let regions = Util.Interval.Set.to_intervals r.Detect.regions in
                 Array.map
-                  (fun f -> List.exists (fun i -> Util.Interval.contains i (log10 f)) regions)
+                  (fun f ->
+                    List.exists
+                      (fun (i : Util.Interval.t) -> i.lo <= log10 f && log10 f <= i.hi)
+                      regions)
                   freqs)
               (Detect.analyze ~criterion:t.P.criterion probe t.P.grid netlist t.P.faults)))
        netlists)

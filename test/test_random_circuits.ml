@@ -26,7 +26,7 @@ let qcheck_symbolic_matches_numeric =
       List.for_all
         (fun f ->
           let w = 2.0 *. Float.pi *. f in
-          let sym = Linalg.Ratfunc.eval_jw h w in
+          let sym = Test_ratfunc.eval_jw h w in
           let num = Mna.Ac.transfer ~source:"V1" ~output:out netlist ~omega:w in
           Complex.norm (Complex.sub sym num)
           <= 1e-5 *. Float.max 1e-6 (Complex.norm num))

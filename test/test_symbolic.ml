@@ -39,7 +39,7 @@ let test_symbolic_matches_numeric_sweep () =
   Array.iteri
     (fun i f ->
       let w = 2.0 *. Float.pi *. f in
-      let sym = Linalg.Ratfunc.eval_jw h w in
+      let sym = Test_ratfunc.eval_jw h w in
       let err = Complex.norm (Complex.sub sym numeric.(i)) in
       if err > 1e-6 *. Float.max 1e-3 (Complex.norm numeric.(i)) then
         Alcotest.fail (Printf.sprintf "mismatch at %g Hz: err %g" f err))

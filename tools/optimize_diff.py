@@ -8,10 +8,10 @@ this checkout), then runs `mcdft optimize` on both for every registry
 circuit (as `mcdft list` in DIR names them) x criterion
 {envelope:0.04:0.02, fixed:0.1, phase:0.1} x faults {deviation,
 catastrophic} at --points-per-decade 10, plain and with --json. The
-registry circuits are small and solve dense; so that the sparse engine
-is compared too, DIR's test/fixtures/bigladder200.cir (a 200-stage RC
-double ladder) runs under fixed:0.1 and the default criterion, with
-deviation faults. Each run's exit code, stdout and stderr must be
+registry circuits are small; so that a large sparse system is compared
+too, DIR's test/fixtures/bigladder200.cir (a 200-stage RC double
+ladder) runs under fixed:0.1 and the default criterion, with deviation
+faults. Each run's exit code, stdout and stderr must be
 byte-identical on both sides; a unified diff of every run that
 differs is printed.
 
