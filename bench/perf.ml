@@ -50,6 +50,41 @@ let fastsim =
 
 let r4_dev = Fault.deviation ~element:"R4" 1.2
 
+(* The engine set-up a campaign pays per view, on one of leapfrog5's
+   cone engines: the output cone of its C0 view (n = 26, nnz = 75), on
+   the ppd-10 grid (41 frequencies), its values at the grid's middle
+   frequency as the engine analyzes them. *)
+let lf5_cone =
+  let b = leapfrog in
+  let source = b.Circuits.Benchmark.source and output = b.Circuits.Benchmark.output in
+  let netlist = b.Circuits.Benchmark.netlist in
+  let dft = Multiconfig.Transform.make ~source ~output netlist in
+  let view =
+    Multiconfig.Transform.emulate dft
+      (List.hd (Multiconfig.Transform.test_configurations dft))
+  in
+  Testability.Detect.engine_netlist
+    (Testability.Detect.structure ~faults:(Fault.deviation_faults netlist)
+       { Testability.Detect.source; output } view)
+
+let lf5_freqs =
+  Testability.Grid.freqs_hz
+    (Testability.Grid.around ~points_per_decade:10
+       ~center_hz:leapfrog.Circuits.Benchmark.center_hz ())
+
+let lf5_index = Mna.Index.build lf5_cone
+let lf5_sources = Mna.Assemble.Only leapfrog.Circuits.Benchmark.source
+let lf5_stamps = Mna.Stamps.build_sparse ~sources:lf5_sources lf5_index lf5_cone
+
+let lf5_values =
+  let vals = Linalg.Csparse.plane (2 * Mna.Stamps.sparse_nnz lf5_stamps) in
+  Mna.Stamps.fill_sparse lf5_stamps
+    ~omega:(2.0 *. Float.pi *. lf5_freqs.(Array.length lf5_freqs / 2))
+    vals;
+  vals
+
+let lf5_pool = Testability.Fastsim.pool ~dim:(Mna.Index.size lf5_index)
+
 let tests =
   [
     (* E1/E3/E4 kernel: one AC solve and one log sweep *)
@@ -66,6 +101,17 @@ let tests =
     (* the campaign engine: rank-1 faulty sweep against the cached LU *)
     Test.make ~name:"fastsim/rank1 sweep (21 freqs)" (Staged.stage (fun () ->
         ignore (Testability.Fastsim.response fastsim r4_dev)));
+    (* the engine's set-up on a leapfrog5 cone: Markowitz analysis,
+       sparse stamps, and a whole engine build on a warm pool *)
+    Test.make ~name:"csparse/analyze lf5 cone" (Staged.stage (fun () ->
+        ignore
+          (Linalg.Csparse.analyze (Mna.Stamps.sparse_pattern lf5_stamps) lf5_values)));
+    Test.make ~name:"mna/stamps sparse lf5 cone" (Staged.stage (fun () ->
+        ignore (Mna.Stamps.build_sparse ~sources:lf5_sources lf5_index lf5_cone)));
+    Test.make ~name:"fastsim/create lf5 cone (41 freqs)" (Staged.stage (fun () ->
+        Testability.Fastsim.with_engine ~pool:lf5_pool
+          ~source:leapfrog.Circuits.Benchmark.source
+          ~output:leapfrog.Circuits.Benchmark.output ~freqs_hz:lf5_freqs lf5_cone ignore));
     (* symbolic oracle *)
     Test.make ~name:"symbolic/transfer biquad" (Staged.stage (fun () ->
         ignore (Mna.Symbolic.transfer ~source:"Vin" ~output:"v2" biquad_netlist)));

@@ -184,19 +184,16 @@ let direct_nominal ~source ~output ~freqs_hz netlist =
   let spat = Mna.Stamps.sparse_pattern sp and nnz = Mna.Stamps.sparse_nnz sp in
   let n = Mna.Index.size index in
   let values f_hz =
-    let re = Csparse.plane nnz and im = Csparse.plane nnz in
-    Mna.Stamps.fill_sparse sp ~omega:(2.0 *. Float.pi *. f_hz) ~re ~im;
-    (re, im)
+    let vals = Csparse.plane (2 * nnz) in
+    Mna.Stamps.fill_sparse sp ~omega:(2.0 *. Float.pi *. f_hz) vals;
+    vals
   in
-  let sym =
-    let re, im = values freqs_hz.(Array.length freqs_hz / 2) in
-    Csparse.analyze spat ~re ~im
-  in
+  let sym = Csparse.analyze spat (values freqs_hz.(Array.length freqs_hz / 2)) in
   Array.map
     (fun f_hz ->
-      let re, im = values f_hz in
-      let num = Csparse.numeric sym ~store:Csparse.plane in
-      Csparse.refactor num ~re ~im;
+      let vals = values f_hz in
+      let num = Csparse.numeric sym (Csparse.plane (Csparse.factor_len sym)) ~off:0 in
+      Csparse.refactor num vals;
       let b = Linalg.Cmat.Vec.create n and x = Linalg.Cmat.Vec.create n in
       Mna.Stamps.sparse_rhs_into sp ~omega:(2.0 *. Float.pi *. f_hz) b;
       Csparse.solve_into num ~b ~x;
@@ -260,11 +257,11 @@ let test_nominal_within_backward_error () =
       let sp = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) index netlist in
       let spat = Mna.Stamps.sparse_pattern sp and nnz = Mna.Stamps.sparse_nnz sp in
       let sym =
-        let re = Csparse.plane nnz and im = Csparse.plane nnz in
+        let vals = Csparse.plane (2 * nnz) in
         Mna.Stamps.fill_sparse sp
           ~omega:(2.0 *. Float.pi *. freqs_hz.(Array.length freqs_hz / 2))
-          ~re ~im;
-        Csparse.analyze spat ~re ~im
+          vals;
+        Csparse.analyze spat vals
       in
       Array.iteri
         (fun i f_hz ->
@@ -282,10 +279,10 @@ let test_nominal_within_backward_error () =
           if xd.(out) <> sweep.(i) then
             Alcotest.failf "%s: the dense reference is not Ac.sweep at %g Hz"
               b.Circuits.Benchmark.name f_hz;
-          let re = Csparse.plane nnz and im = Csparse.plane nnz in
-          Mna.Stamps.fill_sparse sp ~omega ~re ~im;
-          let num = Csparse.numeric sym ~store:Csparse.plane in
-          Csparse.refactor num ~re ~im;
+          let vals = Csparse.plane (2 * nnz) in
+          Mna.Stamps.fill_sparse sp ~omega vals;
+          let num = Csparse.numeric sym (Csparse.plane (Csparse.factor_len sym)) ~off:0 in
+          Csparse.refactor num vals;
           let xs = Cmat.Vec.create n in
           Csparse.solve_into num ~b:rhs ~x:xs;
           let y =
