@@ -23,7 +23,10 @@ exception Singular
    cannot shift a pivot choice or a residual-threshold decision
    relative to a boxed implementation (test_planar's [Ref]). Inlined
    so the float arguments and result stay unboxed in the hot loops
-   (the non-flambda backend boxes floats across out-of-line calls). *)
+   (the non-flambda backend boxes floats across out-of-line calls).
+   No call from another module inlines under [-opaque], so the other
+   modules whose loops need it ({!Csparse}, [Fastsim]) keep their own
+   copy of the same operations. *)
 let[@inline always] norm2 re im =
   let r = Float.abs re and i = Float.abs im in
   if r = 0.0 then i
@@ -57,10 +60,6 @@ module Vec = struct
   let set v i (z : Complex.t) =
     Array1.set v.re i z.Complex.re;
     Array1.set v.im i z.Complex.im
-
-  let fill_zero v =
-    Array1.fill v.re 0.0;
-    Array1.fill v.im 0.0
 
   let of_complex (x : Complex.t array) =
     let v = create (Array.length x) in

@@ -25,12 +25,6 @@ type plane = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 exception Singular
 (** Raised by factorization when the matrix is numerically singular. *)
 
-val norm2 : float -> float -> float
-(** [norm2 re im] is the magnitude of the complex number [re + i·im],
-    computed with the same overflow-safe scaling as [Complex.norm].
-    Exposed so allocation-free callers score planar components without
-    boxing an intermediate [Complex.t]. *)
-
 (** Preallocated planar complex vectors: the workspace type of the
     allocation-free solve API. The [re]/[im] fields are exposed on
     purpose — hot loops index the raw planes directly. Both planes
@@ -44,7 +38,6 @@ module Vec : sig
   val length : t -> int
   val get : t -> int -> Complex.t
   val set : t -> int -> Complex.t -> unit
-  val fill_zero : t -> unit
   val of_complex : Complex.t array -> t
   val to_complex : t -> Complex.t array
 
