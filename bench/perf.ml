@@ -72,9 +72,8 @@ let lf5_freqs =
     (Testability.Grid.around ~points_per_decade:10
        ~center_hz:leapfrog.Circuits.Benchmark.center_hz ())
 
-let lf5_index = Mna.Index.build lf5_cone
 let lf5_sources = Mna.Assemble.Only leapfrog.Circuits.Benchmark.source
-let lf5_stamps = Mna.Stamps.build_sparse ~sources:lf5_sources lf5_index lf5_cone
+let lf5_stamps = Mna.Stamps.build_sparse ~sources:lf5_sources lf5_cone
 
 let lf5_values =
   let vals = Linalg.Csparse.plane (2 * Mna.Stamps.sparse_nnz lf5_stamps) in
@@ -83,7 +82,25 @@ let lf5_values =
     vals;
   vals
 
-let lf5_pool = Testability.Fastsim.pool ~dim:(Mna.Index.size lf5_index)
+(* One leapfrog5 campaign's prune, as the campaign driver runs it: the
+   structure of each of its 255 views and each live view's class key,
+   every fault of the deviation universe locked. *)
+let lf5_views, lf5_faults, lf5_probe =
+  let b = leapfrog in
+  let source = b.Circuits.Benchmark.source and output = b.Circuits.Benchmark.output in
+  let netlist = b.Circuits.Benchmark.netlist in
+  let dft = Multiconfig.Transform.make ~source ~output netlist in
+  ( List.map (Multiconfig.Transform.emulate dft) (Multiconfig.Transform.test_configurations dft),
+    Fault.deviation_faults netlist,
+    { Testability.Detect.source; output } )
+
+let lf5_locked =
+  let t = Hashtbl.create 64 in
+  List.iter (fun f -> Hashtbl.replace t f.Fault.element ()) lf5_faults;
+  Hashtbl.mem t
+
+let lf5_pool =
+  Testability.Fastsim.pool ~dim:(Mna.Index.size (Mna.Stamps.sparse_index lf5_stamps))
 
 let tests =
   [
@@ -107,11 +124,19 @@ let tests =
         ignore
           (Linalg.Csparse.analyze (Mna.Stamps.sparse_pattern lf5_stamps) lf5_values)));
     Test.make ~name:"mna/stamps sparse lf5 cone" (Staged.stage (fun () ->
-        ignore (Mna.Stamps.build_sparse ~sources:lf5_sources lf5_index lf5_cone)));
+        ignore (Mna.Stamps.build_sparse ~sources:lf5_sources lf5_cone)));
     Test.make ~name:"fastsim/create lf5 cone (41 freqs)" (Staged.stage (fun () ->
         Testability.Fastsim.with_engine ~pool:lf5_pool
           ~source:leapfrog.Circuits.Benchmark.source
-          ~output:leapfrog.Circuits.Benchmark.output ~freqs_hz:lf5_freqs lf5_cone ignore));
+          ~output:leapfrog.Circuits.Benchmark.output ~freqs_hz:lf5_freqs lf5_cone lf5_stamps
+          ignore));
+    Test.make ~name:"adaptive/prune lf5 (255 views)" (Staged.stage (fun () ->
+        List.iter
+          (fun view ->
+            ignore
+              (Testability.Detect.class_key ~locked:lf5_locked
+                 (Testability.Detect.structure ~faults:lf5_faults lf5_probe view)))
+          lf5_views));
     (* symbolic oracle *)
     Test.make ~name:"symbolic/transfer biquad" (Staged.stage (fun () ->
         ignore (Mna.Symbolic.transfer ~source:"Vin" ~output:"v2" biquad_netlist)));

@@ -62,7 +62,7 @@ let crossover ~smoke () =
   List.map
     (fun stages ->
       let netlist, output = circuit_of ~stages in
-      let sp = Mna.Stamps.build_sparse (Mna.Index.build netlist) netlist in
+      let sp = Mna.Stamps.build_sparse netlist in
       let sparse () = F.create ~source:"V1" ~output ~freqs_hz netlist in
       let dense () = Mna.Ac.sweep ~source:"V1" ~output netlist ~freqs_hz in
       (* untimed first build per size settles the allocator pages the
@@ -72,7 +72,7 @@ let crossover ~smoke () =
       let sparse_s = time_s sparse in
       {
         stages;
-        dim = Mna.Stamps.sparse_size sp;
+        dim = Mna.Index.size (Mna.Stamps.sparse_index sp);
         nnz = Mna.Stamps.sparse_nnz sp;
         dense_ns_per_solve = dense_s *. 1e9 /. n_solves;
         sparse_ns_per_solve = sparse_s *. 1e9 /. n_solves;
@@ -83,7 +83,7 @@ let campaign ~smoke () =
   let stages = if smoke then 100 else 300 in
   let ppd = 10 in
   let netlist, output = circuit_of ~stages in
-  let dim = Mna.Stamps.sparse_size (Mna.Stamps.build_sparse (Mna.Index.build netlist) netlist) in
+  let dim = Mna.Index.size (Mna.Index.build netlist) in
   let b =
     {
       Circuits.Benchmark.name = Printf.sprintf "bigladder-%d" stages;

@@ -1,9 +1,7 @@
 module Netlist = Circuit.Netlist
 module Validate = Circuit.Validate
-module Poly = Linalg.Poly
 module Transform = Multiconfig.Transform
 module Configuration = Multiconfig.Configuration
-module StringSet = Set.Make (String)
 
 type src = { file : string; lines : (string * int) list }
 
@@ -48,145 +46,6 @@ let netlist_findings ?src netlist =
   validation @ structural
 
 (* ---- configuration-space pass ---- *)
-
-module A = Mna.Assemble.Make (Mna.Field.Polynomial)
-
-(* The value-exact signature of a configuration view's MNA system,
-   canonicalized up to per-row sign. Two views with equal signatures
-   assemble — entry for entry, coefficient for coefficient — the same
-   A(s)x = b(s) after multiplying some equations by −1, so every
-   derived response is identical and a campaign needs to simulate only
-   one of them. (The index layout is name-driven, hence stable across
-   views of one circuit.)
-
-   Row flips are canonicalized because emulation produces them: an
-   ideal opamp's test-mode nullor row [v(inp) − v(out) = 0] is the
-   exact negation of the follower Vcvs row [v(out) − v(cpos) = 0] when
-   they connect the same nodes. A flipped equation changes nothing
-   about the solution — scaling row i of both A and b by σᵢ = ±1
-   leaves x bitwise-identical under IEEE arithmetic (negation is
-   exact, and the LU pivot choice sees identical magnitudes).
-
-   The canonicalization must NOT cross fault injection, though: a
-   Sherman–Morrison rank-1 update α·uvᵀ added to a σ-flipped row would
-   no longer commute with the flip. [locked_elements] therefore names
-   the elements a campaign will perturb; every row any of them stamps
-   into (matrix or excitation, whatever the stamp's value) keeps
-   σ = +1 and is marked in the signature, so views only group
-   together when their fault-reachable equations agree without any
-   flip — faulty responses then coincide too, for rank-1 updates and
-   for structural re-assemblies alike.
-
-   Coefficients are emitted as their IEEE bits — bit-exact, no rounding
-   collisions, and no decimal formatting. [sources] must match the mode the campaign assembles
-   with (the signature of the driven system, not just the nominal
-   one).
-
-   The key costs the view's stamps, not n²: one stamping pass sorted
-   into per-row entry lists, each row emitted by ascending column —
-   the same bytes the dense n×n scan it replaced produced. *)
-let value_signature ?(sources = Mna.Assemble.Nominal) ?(locked_elements = []) view =
-  let index = Mna.Index.build view in
-  let n = Mna.Index.size index in
-  (* One stamping pass in element order: matrix stamps are collected
-     as (row, column, value) triples, the excitation accumulates per
-     row, and every row a locked element stamps into (matrix or
-     excitation, ground columns included) is marked. *)
-  let locked_names = StringSet.of_list locked_elements in
-  let locked = Array.make n false in
-  let stamps = ref [] in
-  let rhs = Array.make n Poly.zero in
-  List.iter
-    (fun e ->
-      let lock = StringSet.mem (Circuit.Element.name e) locked_names in
-      let touch = function Some i when lock -> locked.(i) <- true | _ -> () in
-      let add_m i j v =
-        touch i;
-        match (i, j) with Some i, Some j -> stamps := (i, j, v) :: !stamps | _ -> ()
-      in
-      let add_b i v =
-        touch i;
-        match i with Some i -> rhs.(i) <- Poly.add rhs.(i) v | None -> ()
-      in
-      A.stamp_element ~sources ~add_m ~add_b index e)
-    (Netlist.elements view);
-  (* Each row's entries by ascending column, every entry the sum of its
-     stamps in element order from zero — the dense assembler's
-     accumulation exactly, so each coefficient carries the same bits. *)
-  let rows = Array.make n [] in
-  let rec merge = function
-    | [] -> ()
-    | (i, j, _) :: _ as stamps ->
-        let rec sum acc = function
-          | (i', j', v) :: rest when i' = i && j' = j -> sum (Poly.add acc v) rest
-          | rest -> (acc, rest)
-        in
-        let p, rest = sum Poly.zero stamps in
-        rows.(i) <- (j, p) :: rows.(i);
-        merge rest
-  in
-  merge
-    (List.stable_sort
-       (fun (i1, j1, _) (i2, j2, _) ->
-         if i1 <> i2 then Int.compare i1 i2 else Int.compare j1 j2)
-       (List.rev !stamps));
-  let rows = Array.map List.rev rows in
-  let lowest_nonzero p =
-    let rec go k =
-      if k > Poly.degree p then 0.0
-      else
-        let c = Poly.coeff p k in
-        if c <> 0.0 then c else go (k + 1)
-    in
-    go 0
-  in
-  let row_sign i =
-    if locked.(i) then 1.0
-    else begin
-      let rec first = function
-        | [] -> lowest_nonzero rhs.(i)
-        | (_, p) :: rest ->
-            let c = lowest_nonzero p in
-            if c <> 0.0 then c else first rest
-      in
-      let c = first rows.(i) in
-      if c < 0.0 then -1.0 else 1.0
-    end
-  in
-  (* Binary tokens, each a tag byte and a fixed-width payload, so the
-     encoding decodes one way and equal strings mean equal systems:
-     'R'/'L' opens row i (locked or not; i is the count of rows
-     opened), 'E' j an entry in column j, 'B' the excitation entry, and
-     'C' k bits one nonzero coefficient of s^k. *)
-  let buf = Buffer.create (32 * n) in
-  let add_int k = Buffer.add_int32_le buf (Int32.of_int k) in
-  let add_poly sigma p =
-    for k = 0 to Poly.degree p do
-      let c = Poly.coeff p k in
-      if c <> 0.0 then begin
-        Buffer.add_char buf 'C';
-        add_int k;
-        Buffer.add_int64_le buf (Int64.bits_of_float (sigma *. c))
-      end
-    done
-  in
-  for i = 0 to n - 1 do
-    let sigma = row_sign i in
-    Buffer.add_char buf (if locked.(i) then 'L' else 'R');
-    List.iter
-      (fun (j, p) ->
-        if not (Poly.is_zero p) then begin
-          Buffer.add_char buf 'E';
-          add_int j;
-          add_poly sigma p
-        end)
-      rows.(i);
-    if not (Poly.is_zero rhs.(i)) then begin
-      Buffer.add_char buf 'B';
-      add_poly sigma rhs.(i)
-    end
-  done;
-  Buffer.contents buf
 
 let anchor config = "configuration " ^ Configuration.label config
 
@@ -284,12 +143,15 @@ let configuration_findings ?src ?follower_model dft =
                 (String.concat ", " shown)
                 ellipsis dft.Transform.input_node dft.Transform.output)));
     (* equivalent configurations: identical assembled whole-view
-       systems up to row sign (value-exact); the campaign's cone
-       classes, with faulted rows locked, are finer *)
+       systems up to row sign (value-exact: the campaign's stamp-run
+       signature under nominal sources with nothing locked); the
+       campaign's cone classes, with faulted rows locked, are finer *)
     let groups = Hashtbl.create 16 in
     List.iter
       (fun (config, view) ->
-        let key = value_signature view in
+        let key =
+          Mna.Stamps.signature (Mna.Stamps.build_sparse view) ~locked:(fun _ -> false)
+        in
         let existing = Option.value ~default:[] (Hashtbl.find_opt groups key) in
         Hashtbl.replace groups key (config :: existing))
       views;

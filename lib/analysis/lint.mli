@@ -26,33 +26,6 @@ type src = { file : string; lines : (string * int) list }
 val netlist_findings : ?src:src -> Circuit.Netlist.t -> Finding.t list
 (** Validation plus structural-rank findings on one netlist. *)
 
-val value_signature :
-  ?sources:Mna.Assemble.source_mode ->
-  ?locked_elements:string list ->
-  Circuit.Netlist.t ->
-  string
-(** A value-exact signature of the netlist's assembled MNA system,
-    canonical up to per-row sign: two netlists with equal signatures
-    assemble the same A(s)x = b(s) after negating some equations, so
-    every response derived from either is identical — negating an
-    equation (both matrix row and excitation entry) is exact in IEEE
-    arithmetic and does not move the solution.
-
-    [locked_elements] names elements whose equations must match
-    {e without} any sign flip — rows they stamp into (matrix or
-    excitation, whatever the stamp's value) keep their assembled sign
-    and are marked in the signature. A campaign pruner passes its fault
-    universe here: with those rows locked, equal signatures imply
-    equal {e faulty} responses too (a rank-1 perturbation or a
-    structural re-assembly lands in sign-identical equations).
-    [sources] (default [Nominal]) must match the assembly mode of the
-    consumer. The signature is a binary string; coefficients are
-    emitted as their IEEE bits, so equality is bit-exact.
-
-    Cost: one stamping pass over the elements and a sort of the
-    stamps, O(s log s) for s stamps — linear in the view's nonzeros up
-    to the log, never the n² of a dense scan. *)
-
 val run :
   ?src:src ->
   ?follower_model:Circuit.Element.opamp_model ->

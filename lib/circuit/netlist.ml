@@ -15,11 +15,17 @@ let empty ?(title = "untitled") () =
 let title t = t.title
 let elements t = List.rev t.rev_elements
 
+(* One descent of the index both checks the name and inserts it. *)
 let add e t =
   let n = Element.name e in
-  if StringMap.mem n t.index then
-    invalid_arg (Printf.sprintf "Netlist.add: duplicate element name %S" n);
-  { t with rev_elements = e :: t.rev_elements; index = StringMap.add n e t.index }
+  let index =
+    StringMap.update n
+      (function
+        | None -> Some e
+        | Some _ -> invalid_arg (Printf.sprintf "Netlist.add: duplicate element name %S" n))
+      t.index
+  in
+  { t with rev_elements = e :: t.rev_elements; index }
 
 let of_elements ?title es =
   List.fold_left (fun acc e -> add e acc) (empty ?title ()) es

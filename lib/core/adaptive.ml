@@ -2,6 +2,7 @@ module Grid = Testability.Grid
 module Detect = Testability.Detect
 module Matrix = Testability.Matrix
 module Netlist = Circuit.Netlist
+module Names = Hashtbl.Make (String)
 
 type stats = {
   points : int;
@@ -10,45 +11,33 @@ type stats = {
   classes : int list list;
 }
 
-(* Group the positions of [keys] by equal key, order-preserving: each
-   group lists its member indices ascending, groups ordered by first
-   member. *)
-let group_by_key keys =
-  let tbl = Hashtbl.create 16 in
+(* Cone classes (see the interface), streamed: each view's structure
+   is built and keyed in turn, and only the first member of a class
+   keeps its structure, so a member's stamp run dies young. The key of
+   a live view is its engine system's signature with every faulted
+   element's rows locked, under the view's own source mode — what makes
+   the replication exact rather than heuristic — plus its probe and
+   passive layout, all read from the structure's one stamp run
+   ({!Detect.class_key}). Classes list their members ascending, in the
+   order of their first members, with those members' structures. *)
+let cone_classes structure faults views =
+  let locked = Names.create 64 in
+  List.iter (fun f -> Names.replace locked f.Fault.element ()) faults;
+  let classes = Names.create 16 in
   let order = ref [] in
   Array.iteri
-    (fun i key ->
-      match Hashtbl.find_opt tbl key with
+    (fun i view ->
+      let s = structure view in
+      let key = Detect.class_key ~locked:(Names.mem locked) s in
+      match Names.find_opt classes key with
       | Some members -> members := i :: !members
       | None ->
           let members = ref [ i ] in
-          Hashtbl.add tbl key members;
-          order := members :: !order)
-    keys;
-  List.rev_map (fun members -> List.rev !members) !order
-
-(* Cone classes (see the interface): the key of a live view is its
-   engine system's signature with every faulted element's rows locked,
-   under the view's own source mode — what makes the replication exact
-   rather than heuristic — plus its probe and passive layout. *)
-let cone_classes faults (views : Matrix.view array) structures =
-  let locked_elements =
-    List.sort_uniq String.compare (List.map (fun f -> f.Fault.element) faults)
-  in
-  group_by_key
-    (Array.mapi
-       (fun i s ->
-         if Detect.structure_dead s then "dead"
-         else
-           let signature =
-             Analysis.Lint.value_signature
-               ~sources:(Mna.Assemble.Only views.(i).Matrix.probe.Detect.source)
-               ~locked_elements (Detect.engine_netlist s)
-           in
-           (* length-prefixed, so the concatenation is one-to-one *)
-           string_of_int (String.length signature) ^ ":" ^ signature
-           ^ Detect.passive_layout s)
-       structures)
+          Names.add classes key members;
+          order := (members, s) :: !order)
+    views;
+  let order = List.rev !order in
+  (Array.of_list (List.map snd order), List.map (fun (members, _) -> List.rev !members) order)
 
 (* The campaign over the class representatives [views]. *)
 let simulate ?criterion ~jobs grid views structures faults =
@@ -144,9 +133,10 @@ let build ?criterion ?(jobs = 1) ?(prune = true) grid views faults =
   Obs.Trace.span "adaptive.build" @@ fun () ->
   let views = Array.of_list views in
   let n_views = Array.length views in
-  (* Every view's structure and, when pruning, its cone class. The span
-     keeps its old name: the campaign benchmark reads it. A fault absent
-     from any view raises here, whether or not its class simulates it. *)
+  (* The cone classes (one per view unpruned) and their representatives'
+     structures. The span keeps its old name: the campaign benchmark
+     reads it. A fault absent from any view raises here, whether or not
+     its class simulates it. *)
   let structures, classes =
     Obs.Trace.span "pipeline.prune" @@ fun () ->
     let check (v : Matrix.view) (f : Fault.t) =
@@ -154,14 +144,9 @@ let build ?criterion ?(jobs = 1) ?(prune = true) grid views faults =
         raise (Fault.Unknown_element f.Fault.element)
     in
     Array.iter (fun v -> List.iter (check v) faults) views;
-    let structures =
-      Array.map
-        (fun (v : Matrix.view) -> Detect.structure ~faults v.Matrix.probe v.Matrix.netlist)
-        views
-    in
-    ( structures,
-      if prune then cone_classes faults views structures
-      else List.init n_views (fun i -> [ i ]) )
+    let structure (v : Matrix.view) = Detect.structure ~faults v.Matrix.probe v.Matrix.netlist in
+    if prune then cone_classes structure faults views
+    else (Array.map structure views, List.init n_views (fun i -> [ i ]))
   in
   let n_classes = List.length classes in
   Obs.Metrics.incr "campaign.equivalence_groups" ~by:n_classes;
@@ -170,10 +155,7 @@ let build ?criterion ?(jobs = 1) ?(prune = true) grid views faults =
   let reps = Array.of_list (List.map List.hd classes) in
   let faults = Array.of_list faults in
   let rep, solved =
-    simulate ?criterion ~jobs grid
-      (Array.map (fun i -> views.(i)) reps)
-      (Array.map (fun i -> structures.(i)) reps)
-      faults
+    simulate ?criterion ~jobs grid (Array.map (fun i -> views.(i)) reps) structures faults
   in
   (* Row i is its representative's: the matrix is indistinguishable from
      an unpruned build. The verdict bytes, deviation rows and nominal

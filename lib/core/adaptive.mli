@@ -49,17 +49,22 @@ val build :
   Testability.Matrix.t * stats
 (** Run the fault-simulation campaign over every (view, fault) pair.
 
-    Each view's {!Testability.Detect.structure} is built first (one
-    influence analysis per view). [prune] (default [true]) then groups
-    the views into {e cone classes} ({!stats.classes}) and simulates
-    one representative per class: every dead view forms one class, and
-    live ones share a class when their engine systems are
+    Each view's {!Testability.Detect.structure} is built first: one
+    influence analysis on integer node ids, and for a live view one
+    index and one sparse stamp run of its engine netlist under
+    [Only source]. [prune] (default [true]) keys each structure as it
+    is built and groups the views into {e cone classes}
+    ({!stats.classes}), simulating one representative per class: every
+    dead view forms one class, and live ones share a class when their
+    {!Testability.Detect.class_key}s are equal — read from that one
+    stamp run and its index, the key says their engine systems are
     value-identical up to row sign with every fault-touched row locked
-    ({!Analysis.Lint.value_signature}) and their probes and passives
-    sit on the same entries with the same values
-    ({!Testability.Detect.passive_layout}); with a fault on an element
-    other than a passive in the list, every engine solves its whole
-    view and the whole views' systems are compared. Each member's rows
+    and their probes and passives sit on the same entries with the same
+    values; with a fault on an element other than a passive in the
+    list, every engine solves its whole view and the whole views'
+    systems are compared. Only a representative's structure outlives
+    the grouping, and its engine is built on the structure's stamp run
+    instead of stamping the netlist again. Each member's rows
     are its representative's — verdict bytes, deviation rows and
     nominal shared, detect and ω rows copied — so the matrix is
     full-height and exactly the one [~prune:false] builds by simulating

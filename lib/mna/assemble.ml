@@ -7,8 +7,8 @@ module Make (F : Field.S) = struct
 
   (* One element's stamps, delivered through callbacks so the same
      stamping rules serve every storage layout: the dense [array array]
-     system below, the sparse COO pattern in {!Stamps}, and the
-     campaign's class key in [Analysis.Lint]. [add_m]/[add_b] receive
+     system below and the sparse stamp run in {!Stamps}, from which
+     the campaign's class key is read. [add_m]/[add_b] receive
      [None] for ground, exactly as the accumulating closures always
      did. *)
   let stamp_element ~sources ~add_m ~add_b index e =
@@ -100,9 +100,6 @@ module Make (F : Field.S) = struct
             add_m bi (node inp) (F.of_float (-.dc_gain));
             add_m bi (node inn) (F.of_float dc_gain))
 
-  let stamp_into ?(sources = Nominal) ~add_m ~add_b index netlist =
-    List.iter (stamp_element ~sources ~add_m ~add_b index) (Netlist.elements netlist)
-
   let assemble ?(sources = Nominal) index netlist =
     let n = Index.size index in
     let matrix = Array.make_matrix n n F.zero in
@@ -115,6 +112,6 @@ module Make (F : Field.S) = struct
     let add_b i v =
       match i with Some i -> rhs.(i) <- F.add rhs.(i) v | None -> ()
     in
-    stamp_into ~sources ~add_m ~add_b index netlist;
+    List.iter (stamp_element ~sources ~add_m ~add_b index) (Netlist.elements netlist);
     { matrix; rhs }
 end

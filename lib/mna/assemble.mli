@@ -28,21 +28,13 @@ module Make (F : Field.S) : sig
     Index.t ->
     Circuit.Element.t ->
     unit
-  (** One element's stamps through the callbacks of {!stamp_into}, so a
-      caller can tell which element each stamp comes from. *)
-
-  val stamp_into :
-    ?sources:source_mode ->
-    add_m:(int option -> int option -> F.t -> unit) ->
-    add_b:(int option -> F.t -> unit) ->
-    Index.t ->
-    Netlist.t ->
-    unit
-  (** The stamping rules behind {!assemble}, delivered through
-      callbacks: [add_m i j v] accumulates [v] at matrix position
-      [(i, j)] and [add_b i v] into the excitation row [i], with [None]
-      standing for ground (callers drop those). Stamps arrive in
-      netlist element order — exactly the accumulation order
-      {!assemble} produces — so any storage layout built through these
-      callbacks holds entry-for-entry identical sums. *)
+  (** The stamping rules behind {!assemble} for one element, delivered
+      through callbacks: [add_m i j v] accumulates [v] at matrix
+      position [(i, j)] and [add_b i v] into the excitation row [i],
+      with [None] standing for ground (callers drop those). Called on
+      every element in netlist order, it delivers the stamps in exactly
+      the accumulation order {!assemble} produces, so any storage
+      layout built through these callbacks holds entry-for-entry
+      identical sums, and a caller can tell which element each stamp
+      comes from. *)
 end

@@ -1,8 +1,12 @@
 module Netlist = Circuit.Netlist
 module Element = Circuit.Element
+(* Keyed by name with [String.equal], which compares faster than the
+   polymorphic [compare] of a plain [Hashtbl]. *)
+module Names = Hashtbl.Make (String)
+
 type t = {
-  node_idx : (string, int) Hashtbl.t;
-  branch_idx : (string, int) Hashtbl.t;
+  node_idx : int Names.t;
+  branch_idx : int Names.t;
   names : string array;
   total : int;
 }
@@ -13,31 +17,47 @@ let needs_branch = function
   | Element.Resistor _ | Element.Capacitor _ | Element.Isource _ | Element.Vccs _
   | Element.Cccs _ -> false
 
+(* Node voltages in name order, ground excluded (the order of
+   {!Netlist.internal_nodes}), then one branch per group-2 element in
+   netlist order. The distinct nodes are collected in the node table
+   and sorted once. *)
 let build netlist =
-  let nodes = Netlist.internal_nodes netlist in
-  let node_idx = Hashtbl.create 16 in
-  List.iteri (fun i n -> Hashtbl.replace node_idx n i) nodes;
-  let n_nodes = List.length nodes in
-  let branch_idx = Hashtbl.create 16 in
-  let next = ref n_nodes in
+  let elements = Netlist.elements netlist in
+  let node_idx = Names.create 64 in
+  let distinct = ref [] in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun n ->
+          if n <> Element.ground && not (Names.mem node_idx n) then begin
+            Names.replace node_idx n 0;
+            distinct := n :: !distinct
+          end)
+        (Element.nodes e))
+    elements;
+  let names = Array.of_list !distinct in
+  Array.sort String.compare names;
+  Array.iteri (fun i n -> Names.replace node_idx n i) names;
+  let branch_idx = Names.create 16 in
+  let next = ref (Array.length names) in
   List.iter
     (fun e ->
       if needs_branch e then begin
-        Hashtbl.replace branch_idx (Element.name e) !next;
+        Names.replace branch_idx (Element.name e) !next;
         incr next
       end)
-    (Netlist.elements netlist);
-  { node_idx; branch_idx; names = Array.of_list nodes; total = !next }
+    elements;
+  { node_idx; branch_idx; names; total = !next }
 
 let size t = t.total
 
 let node t n =
   if n = Element.ground then None
   else
-    match Hashtbl.find_opt t.node_idx n with
+    match Names.find_opt t.node_idx n with
     | Some i -> Some i
     | None -> invalid_arg (Printf.sprintf "Index.node: unknown node %S" n)
 
-let branch t name = Hashtbl.find t.branch_idx name
-let has_branch t name = Hashtbl.mem t.branch_idx name
+let branch t name = Names.find t.branch_idx name
+let has_branch t name = Names.mem t.branch_idx name
 let node_names t = Array.copy t.names

@@ -52,17 +52,40 @@ val rhs_into : t -> omega:float -> Linalg.Cmat.Vec.t -> unit
     {e identical} arithmetic the dense build's polynomial sum does, so
     the two layouts produce the same A(jω) entry-for-entry, with the
     sparse one simply omitting the structural zeros. No hashtable is
-    built. *)
+    built. The run also keeps the netlist's {!Index.t} and the rows
+    each element stamps into, so one build serves an engine and its
+    {!signature}. *)
 
 type sparse
 
-val build_sparse :
-  ?sources:Assemble.source_mode -> Index.t -> Netlist.t -> sparse
-(** {!build} into sparse storage. Same source-mode semantics and
-    exceptions, same ["mna.assemble_s"] timer. *)
+val build_sparse : ?sources:Assemble.source_mode -> Netlist.t -> sparse
+(** The netlist's index and its {!build} into sparse storage. Same
+    source-mode semantics and exceptions, same ["mna.assemble_s"]
+    timer. *)
 
-val sparse_size : sparse -> int
-(** The MNA system dimension. *)
+val sparse_index : sparse -> Index.t
+(** The index the stamps are laid out in. *)
+
+val signature : sparse -> locked:(string -> bool) -> string
+(** A value-exact signature of the assembled system, canonical up to
+    per-row sign: two runs with equal signatures assemble the same
+    A(s)x = b(s) after negating some equations, so every response
+    derived from either is identical — negating an equation (both
+    matrix row and excitation entry) is exact in IEEE arithmetic and
+    does not move the solution.
+
+    Every row an element named by [locked] stamps into (matrix or
+    excitation, ground columns included, whatever the stamp's value)
+    keeps its assembled sign and is marked in the signature. A
+    campaign pruner locks its fault universe: with those rows locked,
+    equal signatures imply equal {e faulty} responses too (a rank-1
+    perturbation or a structural re-assembly lands in sign-identical
+    equations). The signature is that of the run's source mode. It is
+    a binary string; coefficients are emitted as their IEEE bits, so
+    equality is bit-exact.
+
+    Cost: one pass over the run's slots and a counting sort of them by
+    row, O(nnz + n) — never the n² of a dense scan. *)
 
 val sparse_pattern : sparse -> Linalg.Csparse.pattern
 (** The CSC sparsity pattern of A — fixed per netlist; value planes

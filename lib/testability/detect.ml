@@ -106,15 +106,15 @@ let measurement_mask nominal =
    passive. A fault on any other element (an opamp, a source) can
    change which nodes the output depends on, so with one in the list
    the engine solves the whole view. *)
-module StringSet = Set.Make (String)
-
 type structure = {
   probe : probe;
   netlist : Netlist.t;
+  influence : Circuit.Influence.t;
   cone : Netlist.t option;  (* the certified output cone of a live view *)
-  dim : int;  (* the engine's MNA dimension; 0 for a dead view *)
+  stamps : Mna.Stamps.sparse option;
+      (* the engine netlist's index and stamp run under [Only source];
+         none for a dead view *)
   drifting : string list;  (* passives that can affect the output *)
-  isolated : StringSet.t;  (* passives that cannot *)
   dead : bool;  (* the source cannot reach the output *)
 }
 
@@ -125,11 +125,6 @@ let on_passives netlist (fault : Fault.t) =
 
 let structure ?(faults = []) probe netlist =
   let influence = Circuit.Influence.analyse ~output:probe.output netlist in
-  let drifting, isolated =
-    List.partition
-      (Circuit.Influence.can_affect_output influence)
-      (List.map Element.name (Netlist.passives netlist))
-  in
   let dead =
     Netlist.mem netlist probe.source
     && not (Circuit.Influence.drives_output influence probe.source)
@@ -141,52 +136,78 @@ let structure ?(faults = []) probe netlist =
   {
     probe;
     netlist;
+    influence;
     cone;
-    dim =
-      (if dead then 0
-       else Mna.Index.size (Mna.Index.build (Option.value cone ~default:netlist)));
-    drifting;
-    isolated = StringSet.of_list isolated;
+    stamps =
+      (if dead then None
+       else
+         Some
+           (Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only probe.source)
+              (Option.value cone ~default:netlist)));
+    drifting = Circuit.Influence.influential_passives influence;
     dead;
   }
 
-let structure_dead s = s.dead
-let engine_dim s = s.dim
 let engine_netlist s = Option.value s.cone ~default:s.netlist
 
-(* What a cone class must share besides its system: the probe, with
-   the output's position in the engine's index, so that every member
-   reads the same unknown; and every passive the engine can perturb, by
+let engine_dim s =
+  match s.stamps with
+  | None -> 0
+  | Some sp -> Mna.Index.size (Mna.Stamps.sparse_index sp)
+
+(* Whether the fault is on a passive of the view that cannot affect the
+   output. *)
+let isolated s (fault : Fault.t) =
+  match Netlist.find s.netlist fault.Fault.element with
+  | Some e ->
+      Element.is_passive e
+      && not (Circuit.Influence.can_affect_output s.influence fault.Fault.element)
+  | None -> false
+
+(* The key of a live view's cone class: its engine system's signature,
+   length-prefixed so that the concatenation is one-to-one, then what
+   a class must share besides its system — the probe, with the
+   output's position in the engine's index, so that every member reads
+   the same unknown; and every passive the engine can perturb, by
    name, with its value bits, its stamp pattern in the engine's index
    and whether it drifts, so that each fault lands on the same entries
-   with the same size in every member. *)
-let passive_layout s =
-  let netlist = engine_netlist s in
-  let index = Mna.Index.build netlist in
-  let buf = Buffer.create 256 in
-  let add_int k = Buffer.add_int32_le buf (Int32.of_int k) in
-  let add_node n = add_int (match Mna.Index.node index n with Some i -> i | None -> -1) in
-  Buffer.add_string buf (String.concat "\000" [ s.probe.source; s.probe.output; "" ]);
-  add_node s.probe.output;
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (Element.name e);
-      Buffer.add_char buf '\000';
-      Buffer.add_char buf (if StringSet.mem (Element.name e) s.isolated then 'i' else 'd');
-      (match e with
-      | Element.Resistor { n1; n2; _ } | Element.Capacitor { n1; n2; _ } ->
-          add_node n1;
-          add_node n2
-      | Element.Inductor { name; _ } -> add_int (Mna.Index.branch index name)
-      | _ -> ());
-      Option.iter
-        (fun v -> Buffer.add_int64_le buf (Int64.bits_of_float v))
-        (Element.value e))
-    (Netlist.passives netlist);
-  Buffer.contents buf
-
-let isolated structure (fault : Fault.t) =
-  StringSet.mem fault.Fault.element structure.isolated
+   with the same size in every member. Both parts read the structure's
+   one stamp run and its index. *)
+let class_key ~locked s =
+  match s.stamps with
+  | None -> "dead"
+  | Some sp ->
+      let signature = Mna.Stamps.signature sp ~locked in
+      let index = Mna.Stamps.sparse_index sp in
+      let buf = Buffer.create (String.length signature + 256) in
+      let add_int k = Buffer.add_int32_le buf (Int32.of_int k) in
+      let add_node n = add_int (match Mna.Index.node index n with Some i -> i | None -> -1) in
+      Buffer.add_string buf (string_of_int (String.length signature));
+      Buffer.add_char buf ':';
+      Buffer.add_string buf signature;
+      Buffer.add_string buf (String.concat "\000" [ s.probe.source; s.probe.output; "" ]);
+      add_node s.probe.output;
+      let passive name =
+        Buffer.add_string buf name;
+        Buffer.add_char buf '\000';
+        Buffer.add_char buf
+          (if Circuit.Influence.can_affect_output s.influence name then 'd' else 'i')
+      in
+      List.iter
+        (function
+          | Element.Resistor { name; n1; n2; value } | Element.Capacitor { name; n1; n2; value }
+            ->
+              passive name;
+              add_node n1;
+              add_node n2;
+              Buffer.add_int64_le buf (Int64.bits_of_float value)
+          | Element.Inductor { name; value; _ } ->
+              passive name;
+              add_int (Mna.Index.branch index name);
+              Buffer.add_int64_le buf (Int64.bits_of_float value)
+          | _ -> ())
+        (Netlist.elements (engine_netlist s));
+      Buffer.contents buf
 
 let rec drift_tolerances = function
   | Process_envelope { component_tol; _ } | Phase_envelope { component_tol; _ } ->
@@ -322,32 +343,37 @@ let dead_view ~criterion ~structure grid =
    and the view's is not. A view singular as a whole raises from the
    second attempt, as it always did. Only the engine's own build is
    retried: a singular drifted circuit inside [k] raises through. *)
-let open_view_engine ~open_engine structure k =
-  let whole () = open_engine structure.netlist (k ~fallback:true) in
+let open_view_engine ~open_engine structure stamps k =
+  let whole stamps = open_engine structure.netlist stamps (k ~fallback:true) in
   match structure.cone with
-  | None -> whole ()
+  | None -> whole stamps
   | Some cone -> (
       let built = ref false in
       match
-        open_engine cone (fun sim ->
+        open_engine cone stamps (fun sim ->
             built := true;
             k ~fallback:false sim)
       with
       | r -> r
-      | exception Mna.Ac.Singular_circuit _ when not !built -> whole ())
+      | exception Mna.Ac.Singular_circuit _ when not !built ->
+          whole
+            (Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only structure.probe.source)
+               structure.netlist))
 
 let prepare_with ~open_engine ~criterion grid structure f =
-  if structure.dead then f (dead_view ~criterion ~structure grid)
-  else
-    open_view_engine ~open_engine structure (fun ~fallback sim ->
-        f (live_view ~criterion ~structure grid ~fallback sim))
+  match structure.stamps with
+  | None -> f (dead_view ~criterion ~structure grid)
+  | Some stamps ->
+      open_view_engine ~open_engine structure stamps (fun ~fallback sim ->
+          f (live_view ~criterion ~structure grid ~fallback sim))
 
 let prepare_view ?(criterion = default_criterion) ?faults probe grid netlist =
   (* One engine per view: the fault-free factors are built
      once per frequency and shared by the envelope preparation and by
-     every fault's rank-1 solve. *)
+     every fault's rank-1 solve. The engine outlives any bracket, so it
+     stamps its netlist afresh. *)
   prepare_with
-    ~open_engine:(fun netlist k ->
+    ~open_engine:(fun netlist _ k ->
       k
         (Fastsim.create ~source:probe.source ~output:probe.output
            ~freqs_hz:(Grid.freqs_hz grid) netlist))
@@ -356,9 +382,9 @@ let prepare_view ?(criterion = default_criterion) ?faults probe grid netlist =
 let with_view ~pool ?(criterion = default_criterion) probe grid structure f =
   let freqs_hz = Grid.freqs_hz grid in
   prepare_with
-    ~open_engine:(fun netlist k ->
+    ~open_engine:(fun netlist stamps k ->
       Fastsim.with_engine ~pool ~source:probe.source ~output:probe.output ~freqs_hz
-        netlist k)
+        netlist stamps k)
     ~criterion grid structure f
 
 let view_dead pv = pv.structure.dead

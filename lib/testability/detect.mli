@@ -109,7 +109,10 @@ type structure
     whole view otherwise. The cone's system fixes the output exactly in
     exact arithmetic (DESIGN §13), so a view whose system is singular
     only outside its cone is solved like any other, as a dead view
-    always was. *)
+    always was. A live view's structure also holds that netlist's
+    index and sparse stamp run under [Only source]
+    ({!Mna.Stamps.build_sparse}), from which {!class_key} is read and
+    on which {!with_view} builds the engine. *)
 
 val structure : ?faults:Fault.t list -> probe -> Netlist.t -> structure
 (** The view's structure for a campaign over [faults] (default none).
@@ -119,9 +122,6 @@ val structure : ?faults:Fault.t list -> probe -> Netlist.t -> structure
     fallback ({!view_fallback}). Planning such a fault on a structure
     built without it raises [Invalid_argument]. *)
 
-val structure_dead : structure -> bool
-(** Whether the view's source cannot reach its output. *)
-
 val engine_netlist : structure -> Netlist.t
 (** The netlist a live view's engine solves: its certified output cone,
     or the view itself. *)
@@ -130,15 +130,19 @@ val engine_dim : structure -> int
 (** The MNA dimension of {!engine_netlist}; 0 for a dead view, which
     builds no engine. *)
 
-val passive_layout : structure -> string
-(** The probe (source and output names, and the output's position in
-    the engine's MNA index) and every passive of {!engine_netlist} with
-    its value bits, its stamp pattern in that index and whether it can
-    affect the output, as a binary string: two views whose engine
-    systems agree (up to row sign, with every faulted row locked) and
-    whose layouts are equal read the same unknown and perturb the same
-    entries by the same amounts under every passive fault, so a
-    campaign can solve one of them for both. *)
+val class_key : locked:(string -> bool) -> structure -> string
+(** The view's cone-class key, a binary string read from the
+    structure's stamp run and its index: ["dead"] for a dead view;
+    otherwise the engine system's {!Mna.Stamps.signature} with the rows
+    of every element [locked] names locked, then the probe (source and
+    output names, and the output's position in the engine's index) and
+    every passive of {!engine_netlist} with its value bits, its stamp
+    pattern in that index and whether it can affect the output. Two
+    views with equal keys read the same unknown of engine systems that
+    agree up to row sign, with every locked row unflipped, and perturb
+    the same entries by the same amounts under every fault on a passive
+    [locked] names, so a campaign that locks its fault universe can
+    solve one of them for both. *)
 
 type prepared_view
 (** One circuit view readied for a fault campaign: the view's
@@ -175,7 +179,8 @@ val with_view :
   probe -> Grid.t -> structure -> (prepared_view -> 'a) -> 'a
 (** [with_view ~pool … probe grid (structure probe netlist) f] is [f]
     applied to what {!prepare_view} builds for [netlist], with the
-    engine on storage recycled through [pool] ({!Fastsim.with_engine}):
+    engine built on the structure's index and stamp run, on storage
+    recycled through [pool] ({!Fastsim.with_engine}):
     the view lives only inside the bracket, and scoring one of its live
     rows afterwards raises [Invalid_argument]. Results are bitwise
     equal to {!prepare_view}'s. A dead view builds no engine here

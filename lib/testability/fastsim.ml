@@ -409,7 +409,8 @@ let refactor_timed num vals =
         raise e
   end
 
-(* The engine of [netlist] on the workspace [acquire n] returns for
+(* The engine of [netlist], from its index and stamp run [sp] under
+   [Only source], on the workspace [acquire n] returns for
    its dimension [n], with the lease a bracket checks. One symbolic
    Markowitz analysis serves every frequency: [analysis] if it is given
    for this pattern (a Monte-Carlo sample refactors on its nominal's),
@@ -424,15 +425,14 @@ let refactor_timed num vals =
    LU would decide from the same values. Each frequency's values go
    into the front of its plane and its factors behind them; nothing
    per frequency is a view or a closure. *)
-let build ~acquire ?analysis ~source ~output ~freqs_hz netlist =
+let build ~acquire ?analysis ~source ~output ~freqs_hz netlist sp =
   Obs.Trace.span "fastsim.create" @@ fun () ->
-  let index = Mna.Index.build netlist in
+  let index = Mna.Stamps.sparse_index sp in
   let n = Mna.Index.size index in
   let ws, lease = acquire n in
   let nf = Array.length freqs_hz in
   let out_idx = Mna.Index.node index output in
   let slot_of, slot_pats = intern_slots index netlist in
-  let sp = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) index netlist in
   let spat = Mna.Stamps.sparse_pattern sp and nnz = Mna.Stamps.sparse_nnz sp in
   if ensure_vectors ws ~nf && ws.pooled then Obs.Metrics.incr "fastsim.workspace_allocs";
   let omega = Array.map (fun f_hz -> 2.0 *. Float.pi *. f_hz) freqs_hz in
@@ -521,12 +521,17 @@ let build ~acquire ?analysis ~source ~output ~freqs_hz netlist =
     lease;
   }
 
+(* An engine's index and stamp run, as a campaign's structure pass
+   builds them before it hands them to {!with_engine}. *)
+let stamp_run ~source netlist =
+  Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) netlist
+
 let create ~source ~output ~freqs_hz netlist =
   build
     ~acquire:(fun n -> (workspace_create ~pooled:false n, None))
-    ~source ~output ~freqs_hz netlist
+    ~source ~output ~freqs_hz netlist (stamp_run ~source netlist)
 
-let bracket ~pool ?analysis ~source ~output ~freqs_hz netlist f =
+let bracket ~pool ?analysis ~source ~output ~freqs_hz netlist stamps f =
   let leased = ref None in
   let acquire n =
     let ws = acquire_workspace pool n in
@@ -535,10 +540,10 @@ let bracket ~pool ?analysis ~source ~output ~freqs_hz netlist f =
   in
   Fun.protect
     ~finally:(fun () -> Option.iter (release pool) !leased)
-    (fun () -> f (build ~acquire ?analysis ~source ~output ~freqs_hz netlist))
+    (fun () -> f (build ~acquire ?analysis ~source ~output ~freqs_hz netlist stamps))
 
-let with_engine ~pool ~source ~output ~freqs_hz netlist f =
-  bracket ~pool ~source ~output ~freqs_hz netlist f
+let with_engine ~pool ~source ~output ~freqs_hz netlist stamps f =
+  bracket ~pool ~source ~output ~freqs_hz netlist stamps f
 
 let nominal t =
   check_live t;
@@ -548,11 +553,14 @@ let nominal t =
    engine's analysis serves every copy of the same pattern, which only
    refactors. *)
 let drift_sweeper ~source ~output ~freqs_hz netlist =
-  let pool = pool ~dim:(Mna.Index.size (Mna.Index.build netlist)) in
+  let stamps = stamp_run ~source netlist in
+  let pool = pool ~dim:(Mna.Index.size (Mna.Stamps.sparse_index stamps)) in
   let first, analysis =
-    bracket ~pool ~source ~output ~freqs_hz netlist (fun t -> (nominal t, t.analysis))
+    bracket ~pool ~source ~output ~freqs_hz netlist stamps (fun t -> (nominal t, t.analysis))
   in
-  (first, fun copy -> bracket ~pool ?analysis ~source ~output ~freqs_hz copy nominal)
+  ( first,
+    fun copy ->
+      bracket ~pool ?analysis ~source ~output ~freqs_hz copy (stamp_run ~source copy) nominal )
 
 (* The round-off a backward-stable LU leaves in the output: with
    y = A⁻ᵀe_out, the computed x̂₀ solves (A + ΔA)x̂₀ = b with

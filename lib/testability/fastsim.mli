@@ -88,7 +88,8 @@ val create :
   freqs_hz:float array ->
   Netlist.t ->
   t
-(** Build the engine for one view: index, sparse stamps, one symbolic
+(** Build the engine for one view: index and sparse stamps
+    ({!Mna.Stamps.build_sparse} under [Only source]), one symbolic
     Markowitz analysis ({!Linalg.Csparse.analyze}) on the values at the
     grid's middle frequency, then per frequency a numeric
     refactorization under its pivots and the nominal solve. A
@@ -116,10 +117,16 @@ val with_engine :
   output:string ->
   freqs_hz:float array ->
   Netlist.t ->
+  Mna.Stamps.sparse ->
   (t -> 'a) ->
   'a
-(** [with_engine ~pool … netlist f] is [f] applied to the engine
-    {!create} would build, on storage recycled through [pool]. The
+(** [with_engine ~pool … netlist stamps f] is [f] applied to the engine
+    {!create} would build, on storage recycled through [pool]. [stamps]
+    is [netlist]'s index and stamp run under the probe's source,
+    [Mna.Stamps.build_sparse ~sources:(Only source) netlist], as
+    {!create} builds it; the engine builds neither again, so a caller
+    that already holds them (a campaign's structure pass) pays for one
+    run per view. The
     bracket takes an idle workspace of the pool that holds the engine's
     dimension, or makes one of the pool's dimension (or the engine's,
     if larger): the per-frequency right-hand side and nominal solution

@@ -19,8 +19,7 @@ type case = {
 
 let of_netlist ~label ~source ~omega netlist =
   let sp =
-    Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) (Mna.Index.build netlist)
-      netlist
+    Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) netlist
   in
   let pattern = Mna.Stamps.sparse_pattern sp in
   let vals = Csparse.plane (2 * Csparse.nnz pattern) in
@@ -67,7 +66,7 @@ let registry_cones () =
           let s = Testability.Detect.structure ~faults probe view in
           let engine = Testability.Detect.engine_netlist s in
           let key = Spice.Writer.to_string engine in
-          if Testability.Detect.structure_dead s || Hashtbl.mem seen key then None
+          if Testability.Detect.engine_dim s = 0 || Hashtbl.mem seen key then None
           else begin
             Hashtbl.add seen key ();
             Some

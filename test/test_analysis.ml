@@ -279,9 +279,10 @@ let qcheck_structural_sound =
 
 (* ---- the class key against its dense reference ----
 
-   [dense_signature] is the n×n implementation {!Lint.value_signature}
-   replaced, kept here as the reference: the sparse key must produce
-   the same bytes on every key a campaign computes. *)
+   [dense_signature] is the n×n scan the stamp-run key
+   ({!Mna.Stamps.signature}) replaced, kept here as the reference: the
+   key must produce the same bytes on every key a campaign or the lint
+   computes. *)
 
 module PA = Mna.Assemble.Make (Mna.Field.Polynomial)
 module Poly = Linalg.Poly
@@ -369,7 +370,9 @@ let dense_signature ~sources ~locked_elements view =
 (* Every key the campaign's grouping computes, and the lint's: each
    registry circuit's test views (and a bigladder-40's) under the
    deviation and catastrophic fault lists, on the cone netlist and the
-   whole view, under [Only source] and [Nominal]. *)
+   whole view, under [Only source] and [Nominal]. A live view's class
+   key ({!Testability.Detect.class_key}), read from its structure's own
+   stamp run, opens with the first case's bytes. *)
 let test_signature_matches_dense () =
   let bigladder =
     let netlist, output =
@@ -409,17 +412,27 @@ let test_signature_matches_dense () =
               let s = Testability.Detect.structure ~faults probe view in
               let cone = Testability.Detect.engine_netlist s in
               let only = Mna.Assemble.Only probe.Testability.Detect.source in
+              let label =
+                Printf.sprintf "%s %s" b.Circuits.Benchmark.name
+                  (Multiconfig.Configuration.label config)
+              in
+              let locked name = List.mem name locked_elements in
+              if Testability.Detect.engine_dim s > 0 then begin
+                let dense = dense_signature ~sources:only ~locked_elements cone in
+                let prefix = string_of_int (String.length dense) ^ ":" ^ dense in
+                Alcotest.(check bool)
+                  (label ^ ": class key")
+                  true
+                  (String.starts_with ~prefix (Testability.Detect.class_key ~locked s))
+              end;
               List.iter
                 (fun (sources, locked_elements, net) ->
                   incr compared;
-                  let label =
-                    Printf.sprintf "%s %s" b.Circuits.Benchmark.name
-                      (Multiconfig.Configuration.label config)
-                  in
                   Alcotest.(check string)
                     label
                     (dense_signature ~sources ~locked_elements net)
-                    (Lint.value_signature ~sources ~locked_elements net))
+                    (Mna.Stamps.signature (Mna.Stamps.build_sparse ~sources net)
+                       ~locked:(fun name -> List.mem name locked_elements)))
                 [
                   (only, locked_elements, cone);
                   (only, locked_elements, view);

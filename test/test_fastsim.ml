@@ -14,6 +14,9 @@ let grid_of b =
 
 (* [metered f] runs [f] with Obs.Metrics enabled from zero and returns
    its result with the counters it booked. *)
+(* A netlist's index and stamp run as an engine reads them. *)
+let stamps ~source netlist = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) netlist
+
 let metered f =
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
@@ -179,8 +182,8 @@ let test_smw_actually_used () =
    the two agree bit for bit. *)
 let direct_nominal ~source ~output ~freqs_hz netlist =
   let module Csparse = Linalg.Csparse in
-  let index = Mna.Index.build netlist in
-  let sp = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) index netlist in
+  let sp = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) netlist in
+  let index = Mna.Stamps.sparse_index sp in
   let spat = Mna.Stamps.sparse_pattern sp and nnz = Mna.Stamps.sparse_nnz sp in
   let n = Mna.Index.size index in
   let values f_hz =
@@ -254,7 +257,7 @@ let test_nominal_within_backward_error () =
       let n = Mna.Index.size index in
       let out = Option.get (Mna.Index.node index output) in
       let stamps = Mna.Stamps.build ~sources:(Mna.Assemble.Only source) index netlist in
-      let sp = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) index netlist in
+      let sp = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) netlist in
       let spat = Mna.Stamps.sparse_pattern sp and nnz = Mna.Stamps.sparse_nnz sp in
       let sym =
         let vals = Csparse.plane (2 * nnz) in
@@ -578,7 +581,8 @@ let test_recycled_storage () =
         let fresh = Fastsim.create ~source ~output ~freqs_hz netlist in
         let expected = List.map (response_bits fresh) faults in
         let got =
-          Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (fun sim ->
+          Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (stamps ~source netlist)
+            (fun sim ->
               List.map (response_bits sim) faults)
         in
         Alcotest.(check bool)
@@ -600,7 +604,74 @@ let test_recycled_storage () =
   Alcotest.(check bool) "the dimension grows, shrinks and repeats" true
     (match dims with
     | [ a; b; c; d; e; f; g ] -> a < b && b < c && d < c && e < d && f = c && g = b
-    | _ -> false)
+    | _ -> false);
+  (* A campaign's engines stamp nothing: every live class representative
+     of a leapfrog5 and a bigladder-70 campaign, built on its
+     structure's index and stamp run, reads bitwise the nominal and
+     rank-1 responses (the faults on its elements) of a fresh engine on
+     its engine netlist, and its prepared view scores every row as the
+     fresh engine's does. *)
+  let campaign_reps label ~source ~output grid netlist =
+    let freqs_hz = Grid.freqs_hz grid in
+    let dft = Multiconfig.Transform.make ~source ~output netlist in
+    let probe = { Detect.source; output } in
+    let views =
+      List.map
+        (fun config ->
+          {
+            Matrix.label = Multiconfig.Configuration.label config;
+            netlist = Multiconfig.Transform.emulate dft config;
+            probe;
+          })
+        (Multiconfig.Transform.test_configurations dft)
+    in
+    let faults = Fault.both_deviations netlist in
+    let _, stats =
+      Mcdft_core.Adaptive.build ~criterion:(Detect.Fixed_tolerance 0.1) grid views faults
+    in
+    List.iter
+      (fun members ->
+        let view = List.nth views (List.hd members) in
+        let s = Detect.structure ~faults probe view.Matrix.netlist in
+        if Detect.engine_dim s > 0 then begin
+          let engine = Detect.engine_netlist s in
+          let label = label ^ " " ^ view.Matrix.label in
+          let fresh = Fastsim.create ~source ~output ~freqs_hz engine in
+          Fastsim.with_engine ~pool ~source ~output ~freqs_hz engine (stamps ~source engine)
+            (fun sim ->
+              Alcotest.(check bool)
+                (label ^ ": nominal bitwise a fresh engine's")
+                true
+                (Fastsim.nominal sim = Fastsim.nominal fresh);
+              Alcotest.(check bool)
+                (label ^ ": rank-1 responses bitwise a fresh engine's")
+                true
+                (List.for_all
+                   (fun f -> response_bits sim f = response_bits fresh f)
+                   (List.filter (fun f -> Netlist.mem engine f.Fault.element) faults)));
+          let rows pv =
+            let scored = Detect.score_rows pv (Array.of_list (List.map (Detect.plan_fault pv) faults)) in
+            ( Array.map Int64.bits_of_float (Detect.measured_nominal pv),
+              Array.map
+                (fun (v, d, n) -> (Bytes.to_string v, Array.map Int64.bits_of_float d, n))
+                scored )
+          in
+          let expected =
+            rows (Detect.prepare_view ~criterion:(Detect.Fixed_tolerance 0.1) ~faults probe grid view.Matrix.netlist)
+          in
+          Detect.with_view ~pool ~criterion:(Detect.Fixed_tolerance 0.1) probe grid s (fun pv ->
+              Alcotest.(check bool)
+                (label ^ ": shared-stamp view scores as a fresh engine's")
+                true
+                (rows pv = expected))
+        end)
+      stats.Mcdft_core.Adaptive.classes
+  in
+  campaign_reps "leapfrog5" ~source:lf5.Circuits.Benchmark.source
+    ~output:lf5.Circuits.Benchmark.output (grid_of lf5) lf5.Circuits.Benchmark.netlist;
+  campaign_reps "bigladder-70" ~source:"V1" ~output:ladder_out
+    (Grid.make ~points_per_decade:2 ~f_lo:10.0 ~f_hi:1e6 ())
+    ladder
 
 (* Storage an engine leaves on a pool serves the next one: a smaller
    view (tow-thomas after leapfrog5 C0, on a pool sized for C0) takes
@@ -610,9 +681,9 @@ let test_second_engine_allocates_nothing () =
   let b, _, view = lf5_view 0 in
   let pool = Fastsim.pool ~dim:(Mna.Index.size (Mna.Index.build view)) in
   let bracket (bench : Circuits.Benchmark.t) netlist =
-    Fastsim.with_engine ~pool ~source:bench.Circuits.Benchmark.source
-      ~output:bench.Circuits.Benchmark.output ~freqs_hz:(Grid.freqs_hz (grid_of b)) netlist
-      (fun sim -> ignore (Fastsim.nominal sim))
+    let source = bench.Circuits.Benchmark.source in
+    Fastsim.with_engine ~pool ~source ~output:bench.Circuits.Benchmark.output
+      ~freqs_hz:(Grid.freqs_hz (grid_of b)) netlist (stamps ~source netlist) (fun sim -> ignore (Fastsim.nominal sim))
   in
   let allocs () = Obs.Metrics.counter (Obs.Metrics.snapshot ()) "fastsim.workspace_allocs" in
   let (first, second), _ =
@@ -770,7 +841,9 @@ let test_engine_after_bracket () =
   let fault = Fault.deviation ~element:"R1" 1.2 in
   let dead = Invalid_argument "Fastsim: engine used after its with_engine bracket ended" in
   let pool = Fastsim.pool ~dim:0 in
-  let escaped = Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist Fun.id in
+  let escaped =
+    Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (stamps ~source netlist) Fun.id
+  in
   Alcotest.check_raises "response" dead (fun () -> ignore (Fastsim.response escaped fault));
   Alcotest.check_raises "plan_of" dead (fun () -> ignore (Fastsim.plan_of escaped fault));
   Alcotest.check_raises "nominal" dead (fun () -> ignore (Fastsim.nominal escaped));
@@ -778,11 +851,13 @@ let test_engine_after_bracket () =
       Fastsim.sweep escaped [||] ~skip:[||] ~re:[||] ~im:[||] ~ok:[||]);
   let fresh = Fastsim.create ~source ~output ~freqs_hz netlist in
   let expected = response_bits fresh fault in
-  Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (fun outer ->
+  Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (stamps ~source netlist)
+    (fun outer ->
       Alcotest.check_raises "escaped engine while its storage is reused" dead (fun () ->
           ignore (Fastsim.response escaped fault));
       let inner =
-        Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (fun inner ->
+        Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (stamps ~source netlist)
+          (fun inner ->
             Alcotest.(check bool) "nested engine" true (response_bits inner fault = expected);
             inner)
       in

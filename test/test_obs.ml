@@ -129,7 +129,9 @@ let test_racing_insertion () =
         let with_sim f =
           if bracketed then
             Testability.Fastsim.with_engine ~pool:(Testability.Fastsim.pool ~dim:0) ~source
-              ~output ~freqs_hz netlist f
+              ~output ~freqs_hz netlist
+              (Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) netlist)
+              f
           else f (Testability.Fastsim.create ~source ~output ~freqs_hz netlist)
         in
         with_sim @@ fun sim ->

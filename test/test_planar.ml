@@ -349,7 +349,9 @@ let test_sweep_allocation () =
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
   for _ = 1 to 3 do
-    Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist (fun sim ->
+    Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist
+      (Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) netlist)
+      (fun sim ->
         List.iter (fun fault -> ignore (Fastsim.response sim fault)) faults)
   done;
   let allocs = Obs.Metrics.counter (Obs.Metrics.snapshot ()) "fastsim.workspace_allocs" in
@@ -362,9 +364,11 @@ let test_sweep_allocation () =
    the grid's storage, once over a grid and once over the same grid
    with every frequency doubled (so that both analyze at the same
    middle frequency), costs the difference per added frequency — the
-   per-engine costs (index, stamps, analysis, slot table) cancel. The
-   build's per-frequency records take 27 words; two Bigarray views per
-   frequency (five words or more each) would exceed the bound. *)
+   per-engine costs (analysis, slot table) cancel, and the index and
+   stamp run are built once outside both, as a campaign's structure
+   pass builds them. The build's per-frequency records take 27 words;
+   two Bigarray views per frequency (five words or more each) would
+   exceed the bound. *)
 let max_build_words_per_frequency = 32.0
 
 let test_engine_build_allocation () =
@@ -373,7 +377,10 @@ let test_engine_build_allocation () =
     let nf = Array.length freqs_hz in
     let doubled = Array.init (2 * nf) (fun k -> freqs_hz.(k / 2)) in
     let pool = Fastsim.pool ~dim:0 in
-    let build freqs_hz () = Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist ignore in
+    let stamps = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) netlist in
+    let build freqs_hz () =
+      Fastsim.with_engine ~pool ~source ~output ~freqs_hz netlist stamps ignore
+    in
     build doubled ();
     build freqs_hz ();
     if Sys.backend_type = Sys.Native then begin

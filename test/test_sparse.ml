@@ -334,8 +334,8 @@ let test_partial_pivot_fallback () =
       |> inductor ~name:"LP4" "n4" "0" 1.1057267501351864)
   in
   let f_hz = 1e5 in
-  let index = Mna.Index.build netlist in
-  let sp = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only "V1") index netlist in
+  let sp = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only "V1") netlist in
+  let index = Mna.Stamps.sparse_index sp in
   let p = Mna.Stamps.sparse_pattern sp and nnz = Mna.Stamps.sparse_nnz sp in
   let vals = Csparse.plane (2 * nnz) in
   Mna.Stamps.fill_sparse sp ~omega:(2.0 *. Float.pi *. f_hz) vals;
