@@ -223,59 +223,53 @@ let cone t =
   let keep k e =
     let a = t.term_at.(k) in
     let term i = t.term.(a + i) in
-    let kept () =
+    (* [e] kept; with [~tied], its first two terminals are tied to
+       ground where they leave the set *)
+    let kept ?(tied = false) e =
       for i = a to t.term_at.(k + 1) - 1 do
-        hits t.term.(i)
+        let v = t.term.(i) in
+        hits (if tied && i < a + 2 && not (inside v) then ground else v)
       done;
       Some e
     in
-    (* an element whose terminals [npos]/[nneg] outside the set are
-       tied to ground *)
-    let tied npos nneg rebuild =
-      let tie i n = if inside (term i) then (term i, n) else (ground, Element.ground) in
-      let (vp, npos), (vn, nneg) = (tie 0 npos, tie 1 nneg) in
-      hits vp;
-      hits vn;
-      for i = a + 2 to t.term_at.(k + 1) - 1 do
-        hits t.term.(i)
-      done;
-      Some (rebuild npos nneg)
-    in
+    let tie i n = if inside (term i) then n else Element.ground in
     match e with
     | Element.Resistor _ | Element.Capacitor _ | Element.Inductor _ ->
         if soft (term 0) || soft (term 1) then begin
           require (inside (term 0) && inside (term 1));
-          kept ()
+          kept e
         end
         else None
     | Element.Opamp _ ->
         if infl (term 2) then begin
           require (inside (term 0) && inside (term 1));
           drive (term 2);
-          kept ()
+          kept e
         end
         else None
     | Element.Vsource _ ->
         if infl (term 0) || infl (term 1) then begin
           drive (driven (term 0) (term 1));
-          kept ()
+          kept e
         end
         else None
     | Element.Vcvs _ ->
         if infl (term 0) || infl (term 1) then begin
           require (inside (term 2) && inside (term 3));
           drive (driven (term 0) (term 1));
-          kept ()
+          kept e
         end
         else None
     | Element.Isource r ->
         if infl (term 0) || infl (term 1) then
-          tied r.npos r.nneg (fun npos nneg -> Element.Isource { r with npos; nneg })
+          kept ~tied:true
+            (Element.Isource { r with npos = tie 0 r.npos; nneg = tie 1 r.nneg })
         else None
     | Element.Vccs r ->
         if soft (term 0) || soft (term 1) then begin
           require (inside (term 2) && inside (term 3));
-          tied r.npos r.nneg (fun npos nneg -> Element.Vccs { r with npos; nneg })
+          kept ~tied:true
+            (Element.Vccs { r with npos = tie 0 r.npos; nneg = tie 1 r.nneg })
         end
         else None
     | Element.Ccvs _ | Element.Cccs _ ->

@@ -37,7 +37,8 @@ let cone_classes structure faults views =
           order := (members, s) :: !order)
     views;
   let order = List.rev !order in
-  (Array.of_list (List.map snd order), List.map (fun (members, _) -> List.rev !members) order)
+  ( Array.of_list (List.map snd order),
+    List.map (fun (members, _) -> List.rev !members) order )
 
 (* The campaign over the class representatives [views]. *)
 let simulate ?criterion ~jobs grid views structures faults =
@@ -144,7 +145,9 @@ let build ?criterion ?(jobs = 1) ?(prune = true) grid views faults =
         raise (Fault.Unknown_element f.Fault.element)
     in
     Array.iter (fun v -> List.iter (check v) faults) views;
-    let structure (v : Matrix.view) = Detect.structure ~faults v.Matrix.probe v.Matrix.netlist in
+    let structure (v : Matrix.view) =
+      Detect.structure ~faults v.Matrix.probe v.Matrix.netlist
+    in
     if prune then cone_classes structure faults views
     else (Array.map structure views, List.init n_views (fun i -> [ i ]))
   in

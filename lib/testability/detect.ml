@@ -156,13 +156,14 @@ let engine_dim s =
   | Some sp -> Mna.Index.size (Mna.Stamps.sparse_index sp)
 
 (* Whether the fault is on a passive of the view that cannot affect the
-   output. *)
+   output. Raises {!Fault.Unknown_element} when the fault's element is
+   absent from the view. *)
 let isolated s (fault : Fault.t) =
   match Netlist.find s.netlist fault.Fault.element with
   | Some e ->
       Element.is_passive e
       && not (Circuit.Influence.can_affect_output s.influence fault.Fault.element)
-  | None -> false
+  | None -> raise (Fault.Unknown_element fault.Fault.element)
 
 (* The key of a live view's cone class: its engine system's signature,
    length-prefixed so that the concatenation is one-to-one, then what
@@ -421,10 +422,9 @@ let result_of_regions grid fault intervals =
    raises like the engine. *)
 let result_of pv subs grid fault =
   let structure = pv.structure in
-  if not (Netlist.mem structure.netlist fault.Fault.element) then
-    raise (Fault.Unknown_element fault.Fault.element);
+  let isolated = isolated structure fault in
   let intervals = ref [] in
-  if not (structure.dead || isolated structure fault) then begin
+  if not (structure.dead || isolated) then begin
     let faulty = Fastsim.response (engine pv fault) fault in
     for i = 0 to Grid.n_points grid - 1 do
       (* Below the measurement floor there is no verdict to salvage
@@ -461,8 +461,6 @@ type plan = Isolated | Dead | Live of Fastsim.plan
 
 let plan_fault pv fault =
   let structure = pv.structure in
-  if not (Netlist.mem structure.netlist fault.Fault.element) then
-    raise (Fault.Unknown_element fault.Fault.element);
   if isolated structure fault then Isolated
   else if structure.dead then Dead
   else Live (Fastsim.plan_of (engine pv fault) fault)
