@@ -76,8 +76,25 @@ let read_circuit name ~source ~output =
                 given source default_source,
                 given output default_output ))
 
+(* Why [source] and [output] cannot probe [netlist], if they cannot:
+   the probe drives an independent source and observes a non-ground
+   node. *)
+let probe_error netlist ~source ~output =
+  match Circuit.Netlist.find netlist source with
+  | Some (Circuit.Element.Vsource _ | Circuit.Element.Isource _) ->
+      if output = Circuit.Element.ground then Some "--output names the ground node"
+      else if not (List.mem output (Circuit.Netlist.internal_nodes netlist)) then
+        Some (Printf.sprintf "--output %S names no node of the netlist" output)
+      else None
+  | _ -> Some (Printf.sprintf "--source %S names no independent source of the netlist" source)
+
 let load_circuit name ~source ~output =
+  let flags_given = source <> None || output <> None in
   Result.bind (read_circuit name ~source ~output) @@ function
+  | `Benchmark _, _, _ when flags_given ->
+      Error
+        (Printf.sprintf "%s is a benchmark: --source and --output apply to netlist files only"
+           name)
   | `Benchmark b, _, _ -> Ok b
   | `File (netlist, src), source, output -> (
       (* pre-flight lint: catch structurally singular or invalid
@@ -92,17 +109,19 @@ let load_circuit name ~source ~output =
       match (source, output) with
       | None, _ -> Error "no voltage source found; pass --source"
       | _, None -> Error "no opamp output found; pass --output"
-      | Some source, Some output ->
-          let center_hz = Mna.Symbolic.center_hz ~source ~output netlist in
-          Ok
-            {
-              Circuits.Benchmark.name = Filename.basename name;
-              description = Circuit.Netlist.title netlist;
-              netlist;
-              source;
-              output;
-              center_hz;
-            })
+      | Some source, Some output -> (
+          match probe_error netlist ~source ~output with
+          | Some msg -> Error (Printf.sprintf "%s: %s" name msg)
+          | None ->
+              Ok
+                {
+                  Circuits.Benchmark.name = Filename.basename name;
+                  description = Circuit.Netlist.title netlist;
+                  netlist;
+                  source;
+                  output;
+                  center_hz = Mna.Symbolic.center_hz ~source ~output netlist;
+                }))
 
 let parse_one_criterion s =
   match String.split_on_char ':' (String.lowercase_ascii s) with

@@ -1,6 +1,5 @@
 module Netlist = Circuit.Netlist
 module Element = Circuit.Element
-module Poly = Linalg.Poly
 
 type regime = Generic | Dc | High_frequency
 
@@ -130,28 +129,23 @@ let violator_elements nm netlist row_seen col_seen =
 
 (* ---- pattern extraction ---- *)
 
-module A = Mna.Assemble.Make (Mna.Field.Polynomial)
-
-(* [present] decides whether a polynomial entry is structurally nonzero
-   in the regime: the whole polynomial (generic) or its constant
-   coefficient (DC). Exact symbolic cancellations (an opamp with both
-   inputs on one node assembles +1 - 1 = 0) disappear before the
-   pattern is built, which is what makes the verdict sound. *)
+(* [present g c] decides whether an entry with s⁰ and s¹ coefficients
+   [g] and [c] is structurally nonzero in the regime: either
+   coefficient (generic) or the constant one (DC). The stamp run's slot
+   sums cancel exactly (an opamp with both inputs on one node
+   assembles +1 - 1 = 0), so such an entry is absent from the pattern,
+   which is what makes the verdict sound. *)
 let check_pattern ~regime ~present netlist =
   match Netlist.internal_nodes netlist with
   | [] -> None
   | _ ->
-      let index = Mna.Index.build netlist in
+      let stamps = Mna.Stamps.build_sparse netlist in
+      let index = Mna.Stamps.sparse_index stamps in
       let n = Mna.Index.size index in
-      let { A.matrix; rhs = _ } = A.assemble index netlist in
-      let adj =
-        Array.init n (fun i ->
-            let cols = ref [] in
-            for j = n - 1 downto 0 do
-              if present matrix.(i).(j) then cols := j :: !cols
-            done;
-            !cols)
-      in
+      let adj = Array.make n [] in
+      Mna.Stamps.iter_slots stamps (fun i j g c ->
+          if present g c then adj.(i) <- j :: adj.(i));
+      let adj = Array.map (List.sort Int.compare) adj in
       let rank, match_of_row, match_of_col = max_matching n adj in
       if rank = n then None
       else begin
@@ -209,16 +203,11 @@ let analyse netlist =
     | [] -> 0
     | _ -> Mna.Index.size (Mna.Index.build netlist)
   in
-  let generic =
-    check_pattern ~regime:Generic ~present:(fun p -> not (Poly.is_zero p)) netlist
-  in
-  let dc = check_pattern ~regime:Dc ~present:(fun p -> Poly.coeff p 0 <> 0.0) netlist in
+  let either g c = g <> 0.0 || c <> 0.0 in
+  let generic = check_pattern ~regime:Generic ~present:either netlist in
+  let dc = check_pattern ~regime:Dc ~present:(fun g _ -> g <> 0.0) netlist in
   let hf_netlist = hf_limit netlist in
-  let hf =
-    check_pattern ~regime:High_frequency
-      ~present:(fun p -> not (Poly.is_zero p))
-      hf_netlist
-  in
+  let hf = check_pattern ~regime:High_frequency ~present:either hf_netlist in
   let hf_floating =
     let surviving = Netlist.nodes hf_netlist in
     List.filter (fun n -> not (List.mem n surviving)) (Netlist.internal_nodes netlist)

@@ -1,7 +1,7 @@
 (** Structural (pattern-only) rank analysis of the MNA system.
 
-    The MNA matrix A(s) of a netlist has polynomial entries; its
-    determinant is identically zero — i.e. the dense LU
+    The MNA matrix A(s) = G + sC of a netlist has entries affine in s;
+    its determinant is identically zero — i.e. the dense LU
     ({!Linalg.Cmat.lu_factor}) raises [Linalg.Cmat.Singular] at
     {e every} frequency, regardless of component values — whenever the
     bipartite occurrence graph (equations x unknowns, an edge per

@@ -27,22 +27,38 @@ let family_of (s : Gen.subject) =
 
 let is_near_singular s = family_of s = Some Gen.Near_singular
 
-(* The reference path: boxed functor assembly over the Complex field,
-   solved by the one-shot [Cmat.solve]. Its independence lies in the
-   assembly alone: the [Assemble.Make] functor stamps every element
-   straight into Complex.t entries and shares no code with the split
-   stamp planes Fastsim fills (it predates them and is kept precisely
-   as this reference). Its dense [Cmat] LU is independent of the
-   engine too: every campaign factors through the sparse kernel
-   ([Csparse]), and what pins the dense LU is test_planar's boxed
-   [Ref], a Complex.t Doolittle LU it must match bitwise. *)
-let reference_solve ~source netlist ~omega =
-  let module F =
-    (val Mna.Field.complex ~omega : Mna.Field.S with type t = Complex.t)
-  in
-  let module A = Mna.Assemble.Make (F) in
+(* The reference assembly: every stamp of [Mna.Assemble.stamp_element]
+   added, in element order, to a dense Complex.t system as g + iω·c. *)
+let reference_system ~sources netlist ~omega =
   let index = Mna.Index.build netlist in
-  let { A.matrix; rhs } = A.assemble ~sources:(Mna.Assemble.Only source) index netlist in
+  let n = Mna.Index.size index in
+  let matrix = Array.make_matrix n n Complex.zero and rhs = Array.make n Complex.zero in
+  let stamp g c = { Complex.re = g; im = omega *. c } in
+  let add_m i j g c =
+    match (i, j) with
+    | Some i, Some j -> matrix.(i).(j) <- Complex.add matrix.(i).(j) (stamp g c)
+    | _ -> ()
+  and add_b i g c =
+    match i with Some i -> rhs.(i) <- Complex.add rhs.(i) (stamp g c) | None -> ()
+  in
+  List.iter
+    (Mna.Assemble.stamp_element ~sources ~add_m ~add_b index)
+    (Netlist.elements netlist);
+  (index, matrix, rhs)
+
+(* The reference path: {!reference_system}, solved by the one-shot
+   [Cmat.solve]. The stamping rules are the engine's own; the
+   independence lies in what follows them. Here each stamp is added
+   as a complex number to a dense entry and the system is factored by
+   the dense [Cmat] LU; the engine sums each slot's s⁰ and s¹
+   coefficients over the stamp run ([Mna.Stamps]) and factors through
+   the sparse kernel ([Csparse]). What pins the dense LU is
+   test_planar's boxed [Ref], a Complex.t Doolittle LU it must match
+   bitwise. *)
+let reference_solve ~source netlist ~omega =
+  let index, matrix, rhs =
+    reference_system ~sources:(Mna.Assemble.Only source) netlist ~omega
+  in
   (index, Linalg.Cmat.solve (Linalg.Cmat.of_arrays matrix) rhs)
 
 let reference_transfer ~source ~output netlist ~omega =
@@ -60,7 +76,7 @@ let reference_sweep ~source ~output netlist =
 
 let pp_complex c = Printf.sprintf "%g%+gi" c.Complex.re c.Complex.im
 
-(* --- ac-reference: planar nominal sweep vs boxed assembly --------- *)
+(* --- ac-reference: planar nominal sweep vs the reference ---------- *)
 
 (* Near-singular ladders spread impedances over ~12 decades; both
    paths solve the same ill-conditioned system and each carries a
@@ -275,17 +291,12 @@ let jobs_invariance (s : Gen.subject) =
 
 (* --- structural-vs-lu: pattern rank vs numeric factorization ------
 
-   The numeric side is the reference's dense [Cmat] LU on the boxed
-   functor assembly, as in [reference_solve]: independent of the
+   The numeric side is the reference's dense [Cmat] LU on
+   {!reference_system}, as in [reference_solve]: independent of the
    engine's sparse kernel, and pinned by test_planar's [Ref]. *)
 
 let lu_solvable netlist ~omega =
-  let module F =
-    (val Mna.Field.complex ~omega : Mna.Field.S with type t = Complex.t)
-  in
-  let module A = Mna.Assemble.Make (F) in
-  let index = Mna.Index.build netlist in
-  let { A.matrix; _ } = A.assemble index netlist in
+  let _, matrix, _ = reference_system ~sources:Mna.Assemble.Nominal netlist ~omega in
   match Linalg.Cmat.lu_factor (Linalg.Cmat.of_arrays matrix) with
   | _ -> true
   | exception Linalg.Cmat.Singular -> false
@@ -723,9 +734,9 @@ let all =
     {
       name = "ac-reference";
       doc =
-        "planar nominal AC sweep vs boxed functor assembly solved by the \
-         dense Cmat LU (independent of the engine's sparse kernel, pinned by \
-         test_planar's Ref)";
+        "planar nominal AC sweep vs per-stamp complex assembly solved by \
+         the dense Cmat LU (independent of the engine's slot sums and sparse \
+         kernel, pinned by test_planar's Ref)";
       check = ac_reference;
     };
     {
@@ -747,7 +758,7 @@ let all =
       name = "structural-vs-lu";
       doc =
         "structural rank verdict consistent with the reference dense Cmat \
-         LU's Singular on boxed functor assembly (independent of the \
+         LU's Singular on per-stamp complex assembly (independent of the \
          engine's sparse kernel, pinned by test_planar's Ref)";
       check = structural_vs_lu;
     };

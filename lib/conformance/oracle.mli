@@ -2,7 +2,7 @@
 
     An oracle checks one agreement property between two independent
     implementations of the same quantity — the redundancy the repo
-    already pays for (boxed functor assembly vs planar split stamps,
+    already pays for (per-stamp complex assembly vs the stamp run,
     rank-1 updates vs re-assembly, parallel vs sequential campaigns,
     structural vs numeric rank, exhaustive vs branch-and-bound covers)
     turned into an executable contract. Oracles never consult each

@@ -148,16 +148,6 @@ let of_arrays a =
   Array.iteri (fun i row -> Array.iteri (fun j v -> set m i j v) row) a;
   m
 
-let fill_parts m ~re ~im_scale ~im =
-  let len = m.nrows * m.ncols in
-  if Array.length re <> len || Array.length im <> len then
-    invalid_arg "Cmat.fill_parts: part length mismatch";
-  let dre = m.re and dim = m.im in
-  for k = 0 to len - 1 do
-    Array1.unsafe_set dre k (Array.unsafe_get re k);
-    Array1.unsafe_set dim k (im_scale *. Array.unsafe_get im k)
-  done
-
 (* The LU workspace owns its factor storage, so a sweep reuses one
    workspace across every frequency point instead of allocating a
    fresh factor per factorization. *)

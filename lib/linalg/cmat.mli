@@ -86,14 +86,6 @@ val of_arrays : Complex.t array array -> t
 (** A matrix from boxed rows; raises [Invalid_argument] on ragged
     rows. *)
 
-val fill_parts : t -> re:float array -> im_scale:float -> im:float array -> unit
-(** [fill_parts m ~re ~im_scale ~im] overwrites every entry of [m]
-    (row-major) with [re.(k) + i * im_scale * im.(k)] in one fused
-    pass. This is the hot path of the split MNA assembly, forming
-    A(jω) = G + jωC from two real stamp planes without touching the
-    stamping code. Both arrays must have exactly [rows * cols]
-    elements. *)
-
 type lu
 (** A reusable partial-pivoting LU workspace of a square matrix. It
     owns its factor storage: sweeps call {!lu_factor_into} once per

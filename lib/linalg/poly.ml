@@ -11,19 +11,11 @@ let trim a =
 
 let zero = [||]
 let of_coeffs a = trim (Array.copy a)
-let const c = if c = 0.0 then zero else [| c |]
-let one = const 1.0
-let s = [| 0.0; 1.0 |]
+let one = [| 1.0 |]
 let coeffs p = Array.copy p
 let coeff p k = if k >= 0 && k < Array.length p then p.(k) else 0.0
 let degree p = Array.length p - 1
 let is_zero p = Array.length p = 0
-
-let add a b =
-  let n = Int.max (Array.length a) (Array.length b) in
-  trim (Array.init n (fun i -> coeff a i +. coeff b i))
-
-let neg a = Array.map (fun c -> -.c) a
 
 let sub a b =
   let n = Int.max (Array.length a) (Array.length b) in

@@ -1,17 +1,12 @@
 (** Real-coefficient univariate polynomials in the Laplace variable s.
 
-    Used by the symbolic transfer-function extractor ([Mna.Symbolic]) and
-    for pole/zero analysis. Coefficients are stored lowest degree
+    The numerators and denominators of the symbolic transfer functions
+    ([Mna.Symbolic], {!Ratfunc}) and their pole/zero analysis. Coefficients are stored lowest degree
     first; the zero polynomial has an empty coefficient list. *)
 
 type t
 
-val zero : t
 val one : t
-val s : t
-(** The monomial [s]. *)
-
-val const : float -> t
 val of_coeffs : float array -> t
 (** [of_coeffs [|c0; c1; ...|]] is [c0 + c1 s + ...]; trailing zeros are
     trimmed. *)
@@ -27,9 +22,6 @@ val degree : t -> int
 
 val is_zero : t -> bool
 val equal : ?tol:float -> t -> t -> bool
-val add : t -> t -> t
-val sub : t -> t -> t
-val neg : t -> t
 val mul : t -> t -> t
 val scale : float -> t -> t
 

@@ -1,16 +1,25 @@
 module Netlist = Circuit.Netlist
 module Cmat = Linalg.Cmat
+module Csparse = Linalg.Csparse
 exception Singular_circuit of string
 
 type solution = { index : Index.t; x : Complex.t array }
 
+(* A(jω) and b(jω) of the stamp run into a dense matrix and vector,
+   through the caller's value plane. *)
+let fill_dense stamps ~omega vals m b =
+  Stamps.fill_sparse stamps ~omega vals;
+  Csparse.dense_into (Stamps.sparse_pattern stamps) vals m;
+  Stamps.sparse_rhs_into stamps ~omega b
+
+let plane_of stamps = Csparse.plane (2 * Stamps.sparse_nnz stamps)
+
 let solve ?(sources = Assemble.Nominal) netlist ~omega =
-  let index = Index.build netlist in
-  let stamps = Stamps.build ~sources index netlist in
-  let n = Stamps.size stamps in
+  let stamps = Stamps.build_sparse ~sources netlist in
+  let index = Stamps.sparse_index stamps in
+  let n = Index.size index in
   let m = Cmat.create n n and b = Cmat.Vec.create n and x = Cmat.Vec.create n in
-  Stamps.fill stamps ~omega m;
-  Stamps.rhs_into stamps ~omega b;
+  fill_dense stamps ~omega (plane_of stamps) m b;
   match
     Obs.Metrics.time "mna.solve_s" (fun () -> Cmat.lu_solve_into (Cmat.lu_factor m) ~b ~x)
   with
@@ -33,24 +42,23 @@ let transfer ~source ~output netlist ~omega =
   voltage sol output
 
 let sweep ~source ~output netlist ~freqs_hz =
-  (* The index and the split stamp planes are frequency-independent;
-     build them once per sweep, form A(jω) per point with one fused
-     pass into a reused off-heap buffer and factorize into a reused LU
-     workspace — the per-point cost is the factorization alone, with
-     zero GC-visible allocation per point. *)
+  (* The stamp run is frequency-independent; build it once per sweep,
+     form A(jω) per point with one pass into a reused value plane,
+     densify it into a reused off-heap buffer and factorize into a
+     reused LU workspace — the per-point cost is the factorization
+     alone, with zero GC-visible allocation per point. *)
   Obs.Trace.span "mna.sweep" @@ fun () ->
-  let index = Index.build netlist in
-  let stamps = Stamps.build ~sources:(Assemble.Only source) index netlist in
-  let n = Stamps.size stamps in
-  let buf = Cmat.create n n in
+  let stamps = Stamps.build_sparse ~sources:(Assemble.Only source) netlist in
+  let index = Stamps.sparse_index stamps in
+  let n = Index.size index in
+  let vals = plane_of stamps and buf = Cmat.create n n in
   let b = Cmat.Vec.create n and x = Cmat.Vec.create n in
   let ws = Cmat.lu_create n in
   let out = Index.node index output in
   Array.map
     (fun f ->
       let omega = 2.0 *. Float.pi *. f in
-      Stamps.fill stamps ~omega buf;
-      Stamps.rhs_into stamps ~omega b;
+      fill_dense stamps ~omega vals buf b;
       match
         Obs.Metrics.time "mna.solve_s" (fun () ->
             Cmat.lu_factor_into ws buf;

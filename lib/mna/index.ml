@@ -55,7 +55,7 @@ let node t n =
   if n = Element.ground then None
   else
     match Names.find_opt t.node_idx n with
-    | Some i -> Some i
+    | Some _ as i -> i
     | None -> invalid_arg (Printf.sprintf "Index.node: unknown node %S" n)
 
 let branch t name = Names.find t.branch_idx name

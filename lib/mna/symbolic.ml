@@ -4,11 +4,23 @@ exception Singular_circuit of string
 module P = Linalg.Poly
 module Cmat = Linalg.Cmat
 
+(* A(s) = g + s·c as two dense n×n coefficient planes. *)
+type planes = { g : float array array; c : float array array }
+
+(* The planes of A(s), and those of b(s), read off the stamp run. *)
 let system netlist ~source =
-  let index = Index.build netlist in
-  let module A = Assemble.Make (Field.Polynomial) in
-  let { A.matrix; rhs } = A.assemble ~sources:(Assemble.Only source) index netlist in
-  (index, matrix, rhs)
+  let stamps = Stamps.build_sparse ~sources:(Assemble.Only source) netlist in
+  let index = Stamps.sparse_index stamps in
+  let n = Index.size index in
+  let a = { g = Array.make_matrix n n 0.0; c = Array.make_matrix n n 0.0 } in
+  Stamps.iter_slots stamps (fun i j g c ->
+      a.g.(i).(j) <- g;
+      a.c.(i).(j) <- c);
+  let b_g = Array.make n 0.0 and b_c = Array.make n 0.0 in
+  Stamps.iter_rhs stamps (fun i g c ->
+      b_g.(i) <- g;
+      b_c.(i) <- c);
+  (index, a, b_g, b_c)
 
 (* --- evaluation-interpolation determinant ------------------------------
 
@@ -19,42 +31,39 @@ let system netlist ~source =
    radius is chosen so constant and first-order entries have comparable
    magnitude, which keeps the sample values well-scaled. *)
 
-let estimate_radius matrix =
+let estimate_radius a =
   let m0 = ref 0.0 and m1 = ref 0.0 in
-  Array.iter
-    (Array.iter (fun p ->
-         m0 := Float.max !m0 (Float.abs (P.coeff p 0));
-         m1 := Float.max !m1 (Float.abs (P.coeff p 1))))
-    matrix;
+  Array.iter (Array.iter (fun v -> m0 := Float.max !m0 (Float.abs v))) a.g;
+  Array.iter (Array.iter (fun v -> m1 := Float.max !m1 (Float.abs v))) a.c;
   if !m1 > 0.0 && !m0 > 0.0 then !m0 /. !m1 else 1.0
 
-(* Overwrite [a] with A(s); entries are affine in s, so this avoids
+(* Overwrite [m] with A(s); entries are affine in s, so this avoids
    the general Horner loop. *)
-let eval_into a matrix (s : Complex.t) =
+let eval_into m a (s : Complex.t) =
   Array.iteri
     (fun i row ->
       Array.iteri
-        (fun j p ->
-          let c0 = P.coeff p 0 and c1 = P.coeff p 1 in
-          Cmat.set a i j
+        (fun j c0 ->
+          let c1 = a.c.(i).(j) in
+          Cmat.set m i j
             (Complex.add
                { Complex.re = c0; im = 0.0 }
                (Complex.mul { Complex.re = c1; im = 0.0 } s)))
         row)
-    matrix
+    a.g
 
-let interpolate_det matrix r =
-  let n = Array.length matrix in
+let interpolate_det a r =
+  let n = Array.length a.g in
   let n_points = n + 1 in
   let pi = 4.0 *. atan 1.0 in
   (* one matrix and one LU workspace serve all n + 1 samples *)
-  let a = Cmat.create n n and lu = Cmat.lu_create n in
+  let m = Cmat.create n n and lu = Cmat.lu_create n in
   let values =
     Array.init n_points (fun k ->
         let angle = 2.0 *. pi *. float_of_int k /. float_of_int n_points in
         let s = Complex.{ re = r *. cos angle; im = r *. sin angle } in
-        eval_into a matrix s;
-        match Cmat.lu_factor_into lu a with
+        eval_into m a s;
+        match Cmat.lu_factor_into lu m with
         | () -> Cmat.determinant lu
         | exception Cmat.Singular -> Complex.zero)
   in
@@ -108,9 +117,9 @@ let refine_radius r p =
     else r
   end
 
-let converged_radius matrix r0 =
+let converged_radius a r0 =
   let rec loop r i =
-    let den = interpolate_det matrix r in
+    let den = interpolate_det a r in
     let r' = refine_radius r den in
     if i >= 6 || Float.abs (log (r' /. r)) < 0.3 then (r', den)
     else loop r' (i + 1)
@@ -118,26 +127,24 @@ let converged_radius matrix r0 =
   loop r0 0
 
 let transfer ~source ~output netlist =
-  let index, matrix, rhs = system netlist ~source in
+  let index, a, b_g, b_c = system netlist ~source in
   let out_idx =
     match Index.node index output with
     | Some i -> i
     | None -> invalid_arg "Symbolic.transfer: output node is ground"
   in
-  let r0 = estimate_radius matrix in
-  let r, _ = converged_radius matrix r0 in
-  let den = interpolate_det matrix r in
+  let r0 = estimate_radius a in
+  let r, _ = converged_radius a r0 in
+  let den = interpolate_det a r in
   if P.is_zero den then
     raise
       (Singular_circuit
          (Printf.sprintf "zero system determinant for %S" (Netlist.title netlist)));
-  let with_col =
-    Array.mapi
-      (fun i row ->
-        Array.mapi (fun j v -> if j = out_idx then rhs.(i) else v) row)
-      matrix
+  (* A with its output column replaced by b, plane by plane *)
+  let replace plane b =
+    Array.mapi (fun i row -> Array.mapi (fun j v -> if j = out_idx then b.(i) else v) row) plane
   in
-  let num = interpolate_det with_col r in
+  let num = interpolate_det { g = replace a.g b_g; c = replace a.c b_c } r in
   Linalg.Ratfunc.make num den
 
 let poles ~source ~output netlist =

@@ -1,11 +1,11 @@
 module Netlist := Circuit.Netlist
 (** Exact symbolic transfer functions H(s) = num(s)/den(s).
 
-    The MNA system is assembled over the ring of real polynomials in s
-    and solved by Cramer's rule with fraction-free (Bareiss)
-    elimination: H(s) = det(A with the output column replaced by b) /
-    det(A). This gives the exact rational transfer function of the
-    linear circuit — the symbolic counterpart of {!Ac.sweep}, used for
+    The MNA system A(s) = G + sC is read off the stamp run
+    ({!Stamps.iter_slots}) and solved by Cramer's rule: H(s) = det(A
+    with the output column replaced by b) / det(A), each determinant
+    recovered from complex LU samples on a circle by an inverse DFT.
+    This gives the rational transfer function of the linear circuit — the symbolic counterpart of {!Ac.sweep}, used for
     pole/zero analysis and as a cross-check oracle in tests. *)
 
 exception Singular_circuit of string

@@ -203,7 +203,7 @@ let check_live t =
 type plan =
   | P_unchanged
   | P_rank1 of rank1
-  | P_structural of { s_stamps : Mna.Stamps.t; s_n : int; s_out : int option }
+  | P_structural of { s_stamps : Mna.Stamps.sparse; s_n : int; s_out : int option }
 
 (* Counter increments batched per domain: the solver hot loop bumps
    plain mutable ints and {!flush_pending} folds them into the
@@ -245,10 +245,11 @@ type block = {
    scheduler state and the read-only engine/plan state. [xf], [resid]
    and [d0] only grow: a solve uses their first n entries. The [s*]
    fields are the fallback workspace (full refactorization and
-   structural assembly), sized independently because a structural
-   netlist can change the system dimension; the dense kernels want
-   exact dimensions, so those are prefix views of the [*_store]
-   buffers at the dimension last asked for. *)
+   structural assembly, whose value plane [svals] only grows), sized
+   independently because a structural netlist can change the system
+   dimension; the dense kernels want exact dimensions, so those are
+   prefix views of the [*_store] buffers at the dimension last asked
+   for. *)
 type scratch = {
   mutable xf : Bvec.t;  (* candidate faulty solution *)
   mutable resid : Bvec.t;  (* faulty residual b_f − A_f xf *)
@@ -258,6 +259,7 @@ type scratch = {
   mutable slu : Cmat.lu;
   mutable sb : Bvec.t;
   mutable sx : Bvec.t;
+  mutable svals : Csparse.plane;  (* a structural plan's A(jω), slot order *)
   mutable sm_store : Cmat.t;
   mutable slu_store : Cmat.lu;
   mutable sb_store : Bvec.t;
@@ -277,6 +279,7 @@ let scratch_key =
         slu = Cmat.lu_create 0;
         sb = Bvec.create 0;
         sx = Bvec.create 0;
+        svals = Csparse.plane 0;
         sm_store = Cmat.create 0 0;
         slu_store = Cmat.lu_create 0;
         sb_store = Bvec.create 0;
@@ -645,14 +648,12 @@ let plan_of t fault =
       Obs.Metrics.incr "fastsim.structural_faults";
       Obs.Trace.span "fastsim.structural" @@ fun () ->
       let faulty = Fault.inject fault t.netlist in
-      let index = Mna.Index.build faulty in
-      let stamps =
-        Mna.Stamps.build ~sources:(Mna.Assemble.Only t.source) index faulty
-      in
+      let stamps = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only t.source) faulty in
+      let index = Mna.Stamps.sparse_index stamps in
       P_structural
         {
           s_stamps = stamps;
-          s_n = Mna.Stamps.size stamps;
+          s_n = Mna.Index.size index;
           s_out = Mna.Index.node index t.output;
         }
 
@@ -1115,14 +1116,17 @@ let smw_point_solve ~guard t i (blk : block) (r1 : rank1) ~re ~im ~ok =
     end
   end
 
-(* ---- structural fallback: the plan holds the split-assembled
-   stamps; each point assembles and factorizes in per-domain fallback
-   workspaces ---- *)
+(* ---- structural fallback: the plan holds the faulty netlist's stamp
+   run; each point fills its plane, densifies it and factorizes in
+   per-domain fallback workspaces ---- *)
 
 let structural_point ~s_stamps ~s_n ~s_out t i ~re ~im ~ok =
   let s = fallback_ws (Domain.DLS.get scratch_key) s_n in
-  Mna.Stamps.fill s_stamps ~omega:t.omega.(i) s.sm;
-  Mna.Stamps.rhs_into s_stamps ~omega:t.omega.(i) s.sb;
+  let nnz = Mna.Stamps.sparse_nnz s_stamps in
+  if Bigarray.Array1.dim s.svals < 2 * nnz then s.svals <- Csparse.plane (2 * nnz);
+  Mna.Stamps.fill_sparse s_stamps ~omega:t.omega.(i) s.svals;
+  Csparse.dense_into (Mna.Stamps.sparse_pattern s_stamps) s.svals s.sm;
+  Mna.Stamps.sparse_rhs_into s_stamps ~omega:t.omega.(i) s.sb;
   fallback_solve s ~b:s.sb ~out:s_out ~re ~im ~ok ~ix:i
 
 (* ---- the sweep: every row of a view, one frequency at a time ---- *)

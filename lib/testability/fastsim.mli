@@ -27,7 +27,7 @@ module Netlist := Circuit.Netlist
       ill-conditioned update falls back to a full refactorization of
       the perturbed matrix, and a structural fault (e.g. an inductor
       open, which changes the system dimension) falls back to a fresh
-      split assembly. Either way the result matches the naive path to
+      stamp run of the faulty netlist. Either way the result matches the naive path to
       round-off.
 
     The engine state is planar and off-heap ({!Linalg.Cmat}: re/im
@@ -194,7 +194,7 @@ val response : t -> Fault.t -> Complex.t option array
 type plan
 (** A fault prepared for simulation: classification (unchanged /
     rank-1 / structural) plus any per-fault state (a structural
-    fault's split-assembled stamps). Plans are immutable and safe to
+    fault's stamp run). Plans are immutable and safe to
     share across domains; all mutable solve state is per-domain. *)
 
 val plan_of : t -> Fault.t -> plan

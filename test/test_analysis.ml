@@ -256,10 +256,8 @@ let test_detectability_consistency () =
 let random_soup ~seed = (Conformance.Gen.generate Conformance.Gen.Soup ~seed).netlist
 
 let numerically_solvable netlist ~omega =
-  let module F = (val Mna.Field.complex ~omega) in
-  let module AC = Mna.Assemble.Make (F) in
   let index = Mna.Index.build netlist in
-  let { AC.matrix; _ } = AC.assemble index netlist in
+  let matrix, _ = Dense_reference.system ~sources:Mna.Assemble.Nominal ~omega index netlist in
   match Linalg.Cmat.lu_factor (Linalg.Cmat.of_arrays matrix) with
   | _ -> true
   | exception Linalg.Cmat.Singular -> false
@@ -280,21 +278,18 @@ let qcheck_structural_sound =
 (* ---- the class key against its dense reference ----
 
    [dense_signature] is the n×n scan the stamp-run key
-   ({!Mna.Stamps.signature}) replaced, kept here as the reference: the
-   key must produce the same bytes on every key a campaign or the lint
-   computes. *)
-
-module PA = Mna.Assemble.Make (Mna.Field.Polynomial)
-module Poly = Linalg.Poly
+   ({!Mna.Stamps.signature}) replaced, kept here as the reference over
+   the per-stamp reference assembly: the key must produce the same
+   bytes on every key a campaign or the lint computes. *)
 
 let row_occupancy ~sources index netlist =
   List.map
     (fun e ->
       let rows = Hashtbl.create 8 in
       let touch = function Some i -> Hashtbl.replace rows i () | None -> () in
-      PA.stamp_element ~sources
-        ~add_m:(fun i _ _ -> touch i)
-        ~add_b:(fun i _ -> touch i)
+      Mna.Assemble.stamp_element ~sources
+        ~add_m:(fun i _ _ _ -> touch i)
+        ~add_b:(fun i _ _ -> touch i)
         index e;
       ( Circuit.Element.name e,
         Hashtbl.fold (fun i () acc -> i :: acc) rows [] |> List.sort compare ))
@@ -303,7 +298,9 @@ let row_occupancy ~sources index netlist =
 let dense_signature ~sources ~locked_elements view =
   let index = Mna.Index.build view in
   let n = Mna.Index.size index in
-  let { PA.matrix; rhs } = PA.assemble ~sources index view in
+  (* at ω = 1 an entry's real and imaginary parts are its s⁰ and s¹
+     sums *)
+  let matrix, rhs = Dense_reference.system ~sources ~omega:1.0 index view in
   let locked = Array.make n false in
   if locked_elements <> [] then
     List.iter
@@ -311,15 +308,8 @@ let dense_signature ~sources ~locked_elements view =
         if List.mem name locked_elements then
           List.iter (fun i -> locked.(i) <- true) rows)
       (row_occupancy ~sources index view);
-  let lowest_nonzero p =
-    let rec go k =
-      if k > Poly.degree p then 0.0
-      else
-        let c = Poly.coeff p k in
-        if c <> 0.0 then c else go (k + 1)
-    in
-    go 0
-  in
+  let lowest_nonzero (z : Complex.t) = if z.re <> 0.0 then z.re else z.im in
+  let is_zero (z : Complex.t) = z.re = 0.0 && z.im = 0.0 in
   let row_sign i =
     if locked.(i) then 1.0
     else begin
@@ -340,29 +330,29 @@ let dense_signature ~sources ~locked_elements view =
      'C' k bits one nonzero coefficient of s^k. *)
   let buf = Buffer.create (32 * n) in
   let add_int k = Buffer.add_int32_le buf (Int32.of_int k) in
-  let add_poly sigma p =
-    for k = 0 to Poly.degree p do
-      let c = Poly.coeff p k in
-      if c <> 0.0 then begin
-        Buffer.add_char buf 'C';
-        add_int k;
-        Buffer.add_int64_le buf (Int64.bits_of_float (sigma *. c))
-      end
-    done
+  let add_coeffs sigma (z : Complex.t) =
+    List.iteri
+      (fun k c ->
+        if c <> 0.0 then begin
+          Buffer.add_char buf 'C';
+          add_int k;
+          Buffer.add_int64_le buf (Int64.bits_of_float (sigma *. c))
+        end)
+      [ z.re; z.im ]
   in
   for i = 0 to n - 1 do
     let sigma = row_sign i in
     Buffer.add_char buf (if locked.(i) then 'L' else 'R');
     for j = 0 to n - 1 do
-      if not (Poly.is_zero matrix.(i).(j)) then begin
+      if not (is_zero matrix.(i).(j)) then begin
         Buffer.add_char buf 'E';
         add_int j;
-        add_poly sigma matrix.(i).(j)
+        add_coeffs sigma matrix.(i).(j)
       end
     done;
-    if not (Poly.is_zero rhs.(i)) then begin
+    if not (is_zero rhs.(i)) then begin
       Buffer.add_char buf 'B';
-      add_poly sigma rhs.(i)
+      add_coeffs sigma rhs.(i)
     end
   done;
   Buffer.contents buf

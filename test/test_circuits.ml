@@ -67,10 +67,12 @@ let test_tow_thomas_symbolic () =
        *. p.Circuits.Tow_thomas.c1 *. p.Circuits.Tow_thomas.c2)
   in
   let num =
-    Linalg.Poly.const
-      (1.0
-      /. (p.Circuits.Tow_thomas.r1 *. p.Circuits.Tow_thomas.r4 *. p.Circuits.Tow_thomas.c1
-         *. p.Circuits.Tow_thomas.c2))
+    Linalg.Poly.of_coeffs
+      [|
+        1.0
+        /. (p.Circuits.Tow_thomas.r1 *. p.Circuits.Tow_thomas.r4 *. p.Circuits.Tow_thomas.c1
+           *. p.Circuits.Tow_thomas.c2);
+      |]
   in
   let den =
     Linalg.Poly.of_coeffs

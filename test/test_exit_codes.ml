@@ -72,6 +72,19 @@ let table =
        determinant overflows is pinned by
        test_overflowing_centre_estimate *)
     ("lint on a 60-stage RC ladder", "lint fixtures/rc_ladder60.cir", 0);
+    (* a probe the netlist cannot carry is refused before the grid
+       centre is estimated, not run as a 0 % campaign *)
+    ("analyze: unknown --output", "analyze fixtures/rc_ladder60.cir --output nosuch", 1);
+    ("matrix: ground --output", "matrix fixtures/rc_ladder60.cir --output 0", 1);
+    ("show: unknown --output", "show fixtures/rc_ladder60.cir --output nosuch", 1);
+    ("diagnose: ground --output", "diagnose fixtures/rc_ladder60.cir --output 0", 1);
+    ("blocks: unknown --output", "blocks fixtures/rc_ladder60.cir --output nosuch", 1);
+    ("optimize: ground --output", "optimize fixtures/rc_ladder60.cir --output 0", 1);
+    ("analyze: unknown --source", "analyze fixtures/rc_ladder60.cir --source nosuch", 1);
+    ("show: --source names a resistor", "show fixtures/rc_ladder60.cir --source R1", 1);
+    (* --source and --output apply to netlist files only *)
+    ("tf: --output on a benchmark", "tf tow-thomas --output v1", 1);
+    ("analyze: --source on a benchmark", "analyze tow-thomas --source Vin", 1);
   ]
 
 let test_exit_codes () =

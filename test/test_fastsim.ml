@@ -1,5 +1,5 @@
 (* The fault-simulation campaign engine against its oracles:
-   - split stamp assembly vs the complex-field functor assembly;
+   - the stamp run, densified, vs the per-stamp reference assembly;
    - rank-1 (Sherman–Morrison) faulty responses vs naive
      inject-and-resolve, including catastrophic and structural faults;
    - worker-count independence of the parallel campaign. *)
@@ -45,17 +45,14 @@ let rlc =
 
 let rlc_center_hz = 5_033.0 (* 1 / (2π√(LC)) *)
 
-(* --- split assembly vs complex-field functor assembly ------------- *)
-
-let functor_system ~source ~omega index netlist =
-  let module F = (val Mna.Field.complex ~omega : Mna.Field.S with type t = Complex.t) in
-  let module A = Mna.Assemble.Make (F) in
-  let { A.matrix; rhs } = A.assemble ~sources:(Mna.Assemble.Only source) index netlist in
-  (matrix, rhs)
+(* --- the stamp run vs the per-stamp reference assembly ----------- *)
 
 let close ?(tol = 1e-12) a b =
   Complex.norm (Complex.sub a b) <= tol *. Float.max 1.0 (Complex.norm b)
 
+(* The run sums a slot's s¹ coefficients before scaling by ω, the
+   reference scales each stamp: ω(c₁+c₂) against ωc₁+ωc₂, which may
+   differ by an ulp. *)
 let qcheck_split_assembly =
   QCheck.Test.make ~name:"split assembly matches functor assembly" ~count:60
     (QCheck.make QCheck.Gen.(pair (int_range 0 1000) (float_range 0.0 7.0)))
@@ -64,14 +61,18 @@ let qcheck_split_assembly =
       let netlist = b.Circuits.Benchmark.netlist
       and source = b.Circuits.Benchmark.source in
       let omega = 10.0 ** expo in
-      let index = Mna.Index.build netlist in
-      let stamps = Mna.Stamps.build ~sources:(Mna.Assemble.Only source) index netlist in
-      let n = Mna.Stamps.size stamps in
+      let sp = stamps ~source netlist in
+      let index = Mna.Stamps.sparse_index sp in
+      let n = Mna.Index.size index in
       let m = Linalg.Cmat.create n n and b = Linalg.Cmat.Vec.create n in
-      Mna.Stamps.fill stamps ~omega m;
-      Mna.Stamps.rhs_into stamps ~omega b;
+      let vals = Linalg.Csparse.plane (2 * Mna.Stamps.sparse_nnz sp) in
+      Mna.Stamps.fill_sparse sp ~omega vals;
+      Linalg.Csparse.dense_into (Mna.Stamps.sparse_pattern sp) vals m;
+      Mna.Stamps.sparse_rhs_into sp ~omega b;
       let rhs = Linalg.Cmat.Vec.to_complex b in
-      let f_matrix, f_rhs = functor_system ~source ~omega index netlist in
+      let f_matrix, f_rhs =
+        Dense_reference.system ~sources:(Mna.Assemble.Only source) ~omega index netlist
+      in
       let ok = ref (n = Array.length f_rhs) in
       for i = 0 to n - 1 do
         ok := !ok && close rhs.(i) f_rhs.(i);
@@ -253,11 +254,10 @@ let test_nominal_within_backward_error () =
       let freqs_hz = Grid.freqs_hz (grid_of b) in
       let sim = Fastsim.create ~source ~output ~freqs_hz netlist in
       let sweep = Mna.Ac.sweep ~source ~output netlist ~freqs_hz in
-      let index = Mna.Index.build netlist in
+      let sp = stamps ~source netlist in
+      let index = Mna.Stamps.sparse_index sp in
       let n = Mna.Index.size index in
       let out = Option.get (Mna.Index.node index output) in
-      let stamps = Mna.Stamps.build ~sources:(Mna.Assemble.Only source) index netlist in
-      let sp = Mna.Stamps.build_sparse ~sources:(Mna.Assemble.Only source) netlist in
       let spat = Mna.Stamps.sparse_pattern sp and nnz = Mna.Stamps.sparse_nnz sp in
       let sym =
         let vals = Csparse.plane (2 * nnz) in
@@ -269,9 +269,11 @@ let test_nominal_within_backward_error () =
       Array.iteri
         (fun i f_hz ->
           let omega = 2.0 *. Float.pi *. f_hz in
+          let vals = Csparse.plane (2 * nnz) in
+          Mna.Stamps.fill_sparse sp ~omega vals;
           let a = Cmat.create n n and rhs = Cmat.Vec.create n in
-          Mna.Stamps.fill stamps ~omega a;
-          Mna.Stamps.rhs_into stamps ~omega rhs;
+          Csparse.dense_into spat vals a;
+          Mna.Stamps.sparse_rhs_into sp ~omega rhs;
           let rows = Array.init n (fun r -> Array.init n (fun c -> Cmat.get a r c)) in
           let bv = Cmat.Vec.to_complex rhs in
           let xd =
@@ -282,8 +284,6 @@ let test_nominal_within_backward_error () =
           if xd.(out) <> sweep.(i) then
             Alcotest.failf "%s: the dense reference is not Ac.sweep at %g Hz"
               b.Circuits.Benchmark.name f_hz;
-          let vals = Csparse.plane (2 * nnz) in
-          Mna.Stamps.fill_sparse sp ~omega vals;
           let num = Csparse.numeric sym (Csparse.plane (Csparse.factor_len sym)) ~off:0 in
           Csparse.refactor num vals;
           let xs = Cmat.Vec.create n in

@@ -56,7 +56,7 @@ let test_opamp_symbolic () =
   in
   let h = Mna.Symbolic.transfer ~source:"V1" ~output:"out" n in
   Alcotest.(check bool) "H = -3.3" true
-    (Linalg.Ratfunc.equal_at h (Linalg.Ratfunc.make (Linalg.Poly.const (-3.3)) Linalg.Poly.one))
+    (Linalg.Ratfunc.equal_at h (Linalg.Ratfunc.make (Linalg.Poly.of_coeffs [| -3.3 |]) Linalg.Poly.one))
 
 let suite =
   [
